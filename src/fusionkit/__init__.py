@@ -26,7 +26,7 @@ from .errors import (
     UnsupportedFieldError,
     ValidationError,
 )
-from .fields import Field, discrete_log, nth_roots_of, roots_of_unity
+from .fields import Field, nth_roots_of, roots_of_unity
 from .feudal import (
     FeudalRule,
     HomDatum,

@@ -38,10 +38,6 @@ class Ambi:
                 )
                 self._act[(a, b)] = perm
 
-    @classmethod
-    def from_feudal(cls, feudal: FeudalRule, field: Field) -> "Ambi":
-        return cls(feudal, field)
-
     @property
     def unit_serf(self) -> int:
         return self.feudal.rule.unit

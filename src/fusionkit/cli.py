@@ -2,14 +2,12 @@
 
 Exit codes: 0 success, 1 validation/domain failure, 2 resource-budget
 failure.  Reports are deterministic for a given configuration; JSON output
-sorts all keys.  FUSIONKIT_THREADS caps internal parallelism (the bundled
-solvers are sequential, so any positive value is honored trivially).
+sorts all keys.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import jsonio
@@ -39,14 +37,6 @@ from .uber import (
     psi,
     reconstruct,
 )
-
-
-def thread_cap() -> int:
-    raw = os.environ.get("FUSIONKIT_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _emit(report: dict, args) -> None:
@@ -358,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    thread_cap()  # read and clamp; solvers are sequential
     try:
         report = args.fn(args)
     except ResourceError as e:

@@ -138,10 +138,6 @@ class Field:
         return range(1, self.p)
 
 
-def discrete_log(field: Field, a: int) -> int:
-    return field.log(a)
-
-
 def roots_of_unity(field: Field, n: int) -> list[int]:
     """All solutions of x**n = 1 in GF(p), sorted.
 

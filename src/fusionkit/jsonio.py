@@ -1,7 +1,8 @@
 """JSON formats for rules, groups, homomorphism data, systems, and triples.
 
-Loads validate eagerly and raise ValidationError with a file/line location
-when the JSON itself is malformed.  Dumps are deterministic: keys sorted,
+Loads validate eagerly and raise ValidationError: with a file/line location
+when the JSON itself is malformed, and for a missing file, a top level that
+is not an object, or a missing field.  Dumps are deterministic: keys sorted,
 stable orderings throughout.
 """
 
@@ -27,11 +28,31 @@ BUILTIN_RULES = ("ty_z2", "ty_z3", "mr", "z4_graded", "z2xz2", "broken")
 
 
 def _load_json(path) -> dict:
-    text = Path(path).read_text()
     try:
-        return json.loads(text)
+        text = Path(path).read_text()
+    except OSError as e:
+        raise ValidationError(f"{path}: {e.strerror or e}") from e
+    try:
+        doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ValidationError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{path}: top level must be a JSON object, not {type(doc).__name__}")
+    return doc
+
+
+def _field(doc, key: str):
+    """doc[key], or a ValidationError naming the missing field."""
+    try:
+        return doc[key]
+    except (KeyError, TypeError) as e:
+        raise ValidationError(f"document has no field {key!r}") from e
+
+
+def _rule_field(doc) -> FusionRule:
+    """The rule of a document: inline, or a path or builtin name to load."""
+    spec = _field(doc, "rule")
+    return rule_from_dict(spec) if isinstance(spec, dict) else load_rule(spec)
 
 
 def load_document(path) -> dict:
@@ -122,11 +143,11 @@ def load_rule(path) -> FusionRule:
 
 
 def group_from_dict(doc: dict) -> FiniteGroup:
-    labels = list(doc["labels"])
+    labels = list(_field(doc, "labels"))
     idx = {lab: i for i, lab in enumerate(labels)}
     n = len(labels)
     table = np.zeros((n, n), dtype=np.int64)
-    for key, val in doc["table"].items():
+    for key, val in _field(doc, "table").items():
         parts = key.split(",")
         if len(parts) != 2 or parts[0] not in idx or parts[1] not in idx or val not in idx:
             raise ValidationError(f"bad group table entry {key!r}: {val!r}")
@@ -147,10 +168,10 @@ def group_to_dict(g: FiniteGroup) -> dict:
 
 
 def hom_datum_from_dict(doc: dict) -> HomDatum:
-    src = group_from_dict(doc["source"])
-    tgt = group_from_dict(doc["target"])
+    src = group_from_dict(_field(doc, "source"))
+    tgt = group_from_dict(_field(doc, "target"))
     mapping = np.zeros(len(src), dtype=np.int64)
-    for lab, img in doc["map"].items():
+    for lab, img in _field(doc, "map").items():
         mapping[src.index(lab)] = tgt.index(img)
     return HomDatum(src, tgt, mapping)
 
@@ -173,11 +194,11 @@ def load_hom_datum(path) -> HomDatum:
 
 
 def system_from_dict(doc: dict) -> FusionSystem:
-    rule = rule_from_dict(doc["rule"]) if isinstance(doc["rule"], dict) else load_rule(doc["rule"])
-    field = Field(int(doc["p"]))
+    rule = _rule_field(doc)
+    field = Field(int(_field(doc, "p")))
     idx = {lab: i for i, lab in enumerate(rule.labels)}
     coeffs = {}
-    for key, val in doc["coeffs"].items():
+    for key, val in _field(doc, "coeffs").items():
         parts = key.split(",")
         if len(parts) != 6 or any(p not in idx for p in parts):
             raise ValidationError(f"bad coefficient key {key!r}")
@@ -202,12 +223,12 @@ def load_system(path) -> FusionSystem:
 
 def gauge_from_dict(doc: dict, rule: FusionRule | None = None, field: Field | None = None) -> GaugeXi:
     if rule is None:
-        rule = rule_from_dict(doc["rule"]) if isinstance(doc["rule"], dict) else load_rule(doc["rule"])
+        rule = _rule_field(doc)
     if field is None:
-        field = Field(int(doc["p"]))
+        field = Field(int(_field(doc, "p")))
     idx = {lab: i for i, lab in enumerate(rule.labels)}
     values = {}
-    for key, val in doc["values"].items():
+    for key, val in _field(doc, "values").items():
         parts = key.split(",")
         if len(parts) != 3 or any(p not in idx for p in parts):
             raise ValidationError(f"bad gauge key {key!r}")
@@ -228,8 +249,8 @@ def gauge_to_dict(xi: GaugeXi) -> dict:
 
 
 def uber_from_dict(doc: dict) -> Uberderivation:
-    rule = rule_from_dict(doc["rule"]) if isinstance(doc["rule"], dict) else load_rule(doc["rule"])
-    field = Field(int(doc["p"]))
+    rule = _rule_field(doc)
+    field = Field(int(_field(doc, "p")))
     fr = detect_feudal(rule)
     if fr is None:
         raise ValidationError("rule carries no feudal structure")
@@ -247,8 +268,8 @@ def uber_from_dict(doc: dict) -> Uberderivation:
             out[(idx[parts[0]], idx[parts[1]])] = np.array([int(v) for v in vec], dtype=np.int64)
         return out
 
-    tau = np.array([int(v) for v in doc["tau"]], dtype=np.int64)
-    return Uberderivation(ambi, parse(doc["chi"]), parse(doc["ups"]), tau)
+    tau = np.array([int(v) for v in _field(doc, "tau")], dtype=np.int64)
+    return Uberderivation(ambi, parse(_field(doc, "chi")), parse(_field(doc, "ups")), tau)
 
 
 def uber_to_dict(u: Uberderivation) -> dict:

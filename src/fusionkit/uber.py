@@ -8,11 +8,18 @@ coordinates: every multiplicative axiom is an affine-linear equation over
 Z_(p-1), gauge shifts span a sublattice, and classes are coset
 representatives of the quotient, post-filtered by the one non-monomial
 condition (the character-sum nondegeneracy).
+
+The gauge action is encoded once, in gauge_shift.  The shifts of the gauge
+generators span the gauge-shift lattice, built once per Ambi; classification
+takes cosets of it, and gauge equivalence is a span test on it (is the
+exponent difference of two triples a combination of the generator shifts?).
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -23,7 +30,7 @@ from .fields import Field, nth_roots_of
 from .feudal import FeudalRule, detect_feudal
 from .rules import automorphisms as rule_automorphisms
 from .systems import FusionSystem, GaugeXi, admissible_sextuples
-from .zmodlin import nullspace_mod, quotient_structure, solve_mod
+from .zmodlin import SmithMod, back_substitute, nullspace_mod, quotient_structure, smith_mod, solve_mod
 
 
 # ---- the triple ------------------------------------------------------------------
@@ -447,98 +454,85 @@ def reconstruct(u: Uberderivation) -> FusionSystem:
     return assemble(dec)
 
 
-# ---- gauge equivalence by exponent-space solving ------------------------------------
+# ---- gauge equivalence as a span test on the gauge-shift lattice ------------------------
+
+
+@dataclass
+class _GaugeLattice:
+    """The gauge generators of an Ambi and their shifts in exponent space.
+
+    Generator i is the field generator at slots[i] and 1 everywhere else;
+    a slot is ("theta", a, b, orbit), ("phi", a, j) or ("sigma", j).
+    shifts[i] is the uber_to_vec image of its gauge_shift.  It holds no
+    reference to its Ambi, which keys it weakly.
+    """
+
+    slots: list[tuple]
+    shifts: np.ndarray
+    n: int
+
+    @cached_property
+    def _factored(self) -> SmithMod:
+        # factor shifts.T once; the identity rhs leaves the row transform
+        return smith_mod(self.shifts.T, self.n, rhs=np.eye(self.shifts.shape[1], dtype=np.int64))
+
+    def solve(self, v) -> np.ndarray | None:
+        """Exponents c with c @ shifts = v mod n, or None."""
+        sm = self._factored
+        return back_substitute(sm, sm.rhs @ v % self.n, self.n)
+
+
+_LATTICES: "weakref.WeakKeyDictionary[Ambi, _GaugeLattice]" = weakref.WeakKeyDictionary()
+
+
+def _slot_gauge(ambi: Ambi, slots: list[tuple], exps) -> GaugeTriple:
+    """The product of the generators at slots, generator i to the power exps[i]."""
+    A = ambi
+    theta = {(a, b): A.one() for a in A.serf_ids for b in A.serf_ids}
+    phi = {a: A.one() for a in A.serf_ids}
+    sigma = A.one()
+    for slot, k in zip(slots, exps):
+        val = A.field.exp(int(k))
+        if slot[0] == "theta":
+            theta[slot[1:3]][list(slot[3])] = val
+        elif slot[0] == "phi":
+            phi[slot[1]][slot[2]] = val
+        else:
+            sigma[slot[1]] = val
+    return GaugeTriple(A, theta, phi, sigma)
+
+
+def _gauge_lattice(ambi: Ambi) -> _GaugeLattice:
+    """The gauge-shift lattice of ambi, built on first use and kept while ambi lives."""
+    lat = _LATTICES.get(ambi)
+    if lat is None:
+        nonunit = [a for a in ambi.serf_ids if a != ambi.unit_serf]
+        slots = [("theta", a, b, orb) for a in nonunit for b in nonunit for orb in ambi.orbits]
+        slots += [("phi", a, j) for a in nonunit for j in range(ambi.npoints)]
+        slots += [("sigma", j) for j in range(ambi.npoints)]
+        gens = (_slot_gauge(ambi, slots, row) for row in np.eye(len(slots), dtype=np.int64))
+        shifts = np.array([uber_to_vec(Uberderivation(ambi, *gauge_shift(ambi, g))) for g in gens])
+        lat = _LATTICES[ambi] = _GaugeLattice(slots, shifts, ambi.field.p - 1)
+    return lat
 
 
 def gauge_equivalent_uber(u1: Uberderivation, u2: Uberderivation) -> GaugeTriple | None:
     """A witnessing (theta, phi, sigma) from u1 to u2, or None.
 
-    The chi and tau relations are affine-linear in the exponents of phi and
-    sigma; theta is eliminated as dphi * ups1 / ups2 subject to membership in
-    fix(S), which adds linear constancy constraints on each action orbit.
+    The gauge action is a homomorphism into exponent space, so u2 is a gauge
+    of u1 exactly when uber_to_vec(u2) - uber_to_vec(u1) lies in the span of
+    the generator shifts that gauge_shift gives.  The solution coefficients
+    are the exponents of the witness: theta on an action orbit, phi or sigma
+    at a point.
     """
     A = u1.ambi
     if A.feudal.rule != u2.ambi.feudal.rule or A.field.p != u2.ambi.field.p:
         raise DomainError("uberderivations live on different data")
-    F = A.field
-    n = F.p - 1
-    fr = A.feudal
-    e = A.unit_serf
-    serfs, nm = A.serf_ids, A.npoints
-    lords = A.lord_ids
-    pos = {m: i for i, m in enumerate(lords)}
-    inv = fr.serf_inv
-    L, R = fr.act_left, fr.act_right
-
-    unknowns = [("phi", a, j) for a in serfs if a != e for j in range(nm)]
-    unknowns += [("sig", j) for j in range(nm)]
-    uidx = {k: i for i, k in enumerate(unknowns)}
-    N = len(unknowns)
-
-    rows, rhs = [], []
-
-    def phi_at(row, a, j, c=1):
-        if a != e:
-            row[uidx[("phi", a, j)]] += c
-
-    def sig_at(row, j, c=1):
-        row[uidx[("sig", j)]] += c
-
-    bar = lambda j: int(A.bar_perm[j])
-    for a, b in product(serfs, repeat=2):
-        ai, bi = inv(a), inv(b)
-        for j, m in enumerate(lords):
-            amb = pos[R(L(ai, m), bi)]  # reading position of a mu b at m
-            am = pos[L(ai, m)]
-            mb = pos[R(m, bi)]
-            row = np.zeros(N, dtype=np.int64)
-            phi_at(row, a, j, +1)
-            phi_at(row, b, bar(amb), +1)
-            sig_at(row, amb, +1)
-            sig_at(row, j, +1)
-            phi_at(row, a, mb, -1)
-            phi_at(row, b, bar(mb), -1)
-            sig_at(row, am, -1)
-            sig_at(row, mb, -1)
-            want = F.log(F.div(int(u2.chi[(a, b)][j]), int(u1.chi[(a, b)][j])))
-            rows.append(row)
-            rhs.append(want)
-    for j in range(nm):
-        row = np.zeros(N, dtype=np.int64)
-        sig_at(row, bar(j), +1)
-        sig_at(row, j, -1)
-        rows.append(row)
-        rhs.append(F.log(F.div(int(u2.tau[j]), int(u1.tau[j]))))
-    # theta = dphi * ups1/ups2 must be constant on each action orbit
-    for a, b in product(serfs, repeat=2):
-        ab = fr.serf_mul(a, b)
-        known = [
-            F.log(F.div(int(u1.ups[(a, b)][j]), int(u2.ups[(a, b)][j]))) for j in range(nm)
-        ]
-        for orb in A.orbits:
-            j0 = orb[0]
-            for j in orb[1:]:
-                row = np.zeros(N, dtype=np.int64)
-                for jj, sign in ((j, +1), (j0, -1)):
-                    phi_at(row, a, jj, sign)
-                    phi_at(row, b, pos[L(inv(a), lords[jj])], sign)
-                    phi_at(row, ab, jj, -sign)
-                rows.append(row)
-                rhs.append((known[j0] - known[j]) % n)
-    sol = solve_mod(np.vstack(rows), np.array(rhs), n)
-    if sol is None:
+    lat = _gauge_lattice(A)
+    c = lat.solve(uber_to_vec(u2) - uber_to_vec(u1))
+    if c is None:
         return None
-    phi = {e: A.one()}
-    for a in serfs:
-        if a == e:
-            continue
-        phi[a] = np.array([F.exp(int(sol[uidx[("phi", a, j)]])) for j in range(nm)], dtype=np.int64)
-    sigma = np.array([F.exp(int(sol[uidx[("sig", j)]])) for j in range(nm)], dtype=np.int64)
-    theta = {}
-    for a, b in product(serfs, repeat=2):
-        dphi = A.div(A.mul(phi[a], A.act(a, phi[b])), phi[fr.serf_mul(a, b)])
-        theta[(a, b)] = A.mul(dphi, u1.ups[(a, b)], A.inv(u2.ups[(a, b)]))
-    g = GaugeTriple(A, theta, phi, sigma)
+    g = _slot_gauge(A, lat.slots, c)
     if apply_gauge_uber(u1, g) != u2:
         raise ValidationError("gauge witness does not transform u1 to u2")
     return g
@@ -762,52 +756,6 @@ def uber_to_vec(u: Uberderivation) -> np.ndarray:
     return out
 
 
-def _gauge_generators(ambi: Ambi) -> list[GaugeTriple]:
-    A = ambi
-    e = A.unit_serf
-    g = A.field.generator
-    out = []
-    ones_theta = {(a, b): A.one() for a in A.serf_ids for b in A.serf_ids}
-    ones_phi = {a: A.one() for a in A.serf_ids}
-    for a, b in product(A.serf_ids, repeat=2):
-        if a == e or b == e:
-            continue
-        for orb in A.orbits:
-            theta = {k: v.copy() for k, v in ones_theta.items()}
-            v = A.one()
-            v[list(orb)] = g
-            theta[(a, b)] = v
-            out.append(GaugeTriple(A, theta, ones_phi, A.one()))
-    for a in A.serf_ids:
-        if a == e:
-            continue
-        for j in range(A.npoints):
-            phi = {k: v.copy() for k, v in ones_phi.items()}
-            phi[a] = A.one()
-            phi[a][j] = g
-            out.append(GaugeTriple(A, ones_theta, phi, A.one()))
-    for j in range(A.npoints):
-        sig = A.one()
-        sig[j] = g
-        out.append(GaugeTriple(A, ones_theta, ones_phi, sig))
-    return out
-
-
-def _shift_vector(ambi: Ambi, g: GaugeTriple) -> np.ndarray:
-    F = ambi.field
-    chi_s, ups_s, tau_s = gauge_shift(ambi, g)
-    keys = uber_unknown_keys(ambi)
-    out = np.zeros(len(keys), dtype=np.int64)
-    for i, k in enumerate(keys):
-        if k[0] == "chi":
-            out[i] = F.log(int(chi_s[(k[1], k[2])][k[3]]))
-        elif k[0] == "ups":
-            out[i] = F.log(int(ups_s[(k[1], k[2])][k[3]]))
-        else:
-            out[i] = F.log(int(tau_s[k[1]]))
-    return out
-
-
 @dataclass
 class UberClassification:
     ambi: Ambi
@@ -876,13 +824,10 @@ def enumerate_uber(
     if x0 is None:
         return UberClassification(A, obst, [], [], [], lattice_info | {"consistent": False})
     hom = nullspace_mod(mat, n)
-    shifts = []
-    for g in _gauge_generators(A):
-        v = _shift_vector(A, g)
-        if (mat @ v % n).any():
-            raise ValidationError("gauge shift violates the monomial axioms")
-        if v.any():
-            shifts.append(v)
+    gauge = _gauge_lattice(A).shifts
+    if (mat @ gauge.T % n).any():
+        raise ValidationError("gauge shift violates the monomial axioms")
+    shifts = [v for v in gauge if v.any()]
     quot = quotient_structure(hom, shifts, len(keys), n)
     lattice_info.update(
         consistent=True,

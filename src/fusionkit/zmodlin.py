@@ -4,6 +4,14 @@ n = p - 1 is composite in every interesting case, so field elimination is
 wrong; everything here pivots on gcds.  The one workhorse is a Smith-style
 diagonalization mod n with tracked column transforms, from which solving,
 kernels, and quotient-group enumeration all follow.
+
+Factor once, solve many: smith_mod carries any number of right-hand sides
+(the columns of a matrix rhs) through a single elimination, and
+back_substitute finishes each of them.  Right-hand sides known up front are
+passed together (quotient_structure solves all of its t_gens in one
+elimination); for ones that arrive later, factor with the identity as rhs,
+which leaves the row transform U, and solve A x = b as
+back_substitute(sm, U @ b % n, n).
 """
 
 from __future__ import annotations
@@ -47,7 +55,8 @@ class SmithMod:
     """Diagonalization A ~ diag(d_i) over Z/n via unimodular row/col ops.
 
     Only the column transform V (and its inverse) is materialized; row
-    operations are applied to the optional right-hand side instead.
+    operations are applied to the optional right-hand side instead (a vector,
+    or a matrix with one column per right-hand side).
     Diagonal entries are divisors of n and satisfy d_1 | d_2 | ... .
     """
 
@@ -131,7 +140,7 @@ def smith_mod(A, n: int, rhs=None) -> SmithMod:
                 if q.any():
                     A[t + 1 :] = (A[t + 1 :] - np.outer(q, A[t])) % n
                     if b is not None:
-                        b[t + 1 :] = (b[t + 1 :] - q * b[t]) % n
+                        b[t + 1 :] = (b[t + 1 :] - np.multiply.outer(q, b[t])) % n
             # make the pivot divide its row
             row = A[t, t + 1 :] % n
             hard = [t + 1 + int(j) for j in np.nonzero(row)[0] if a == 0 or row[int(j)] % a]
@@ -191,24 +200,26 @@ def nullspace_mod(A, n: int) -> list[np.ndarray]:
     return gens
 
 
-def solve_mod(A, rhs, n: int) -> np.ndarray | None:
-    """One solution of A @ x = rhs mod n, or None."""
-    A = np.atleast_2d(np.asarray(A, dtype=np.int64))
-    sm = smith_mod(A, n, rhs=rhs)
-    b = sm.rhs
-    y = np.zeros(sm.cols, dtype=np.int64)
-    for i in range(sm.rows):
-        d = sm.diag[i] if i < len(sm.diag) else 0
-        c = int(b[i]) % n
-        if d == 0:
-            if c != 0:
-                return None
-            continue
-        if c % d != 0:
-            return None
-        if i < sm.cols:
-            y[i] = (c // d) % (n // d)
+def back_substitute(sm: SmithMod, c, n: int) -> np.ndarray | None:
+    """Finish a solve: x with A @ x = b mod n, where c is b with sm's row
+    operations applied (sm.rhs, or U @ b for the row transform U); None if
+    there is none.  A matrix c is solved column by column, and gives None
+    unless every column has a solution.
+    """
+    c = np.asarray(c, dtype=np.int64) % n
+    r = len(sm.diag)
+    d = np.array(sm.diag, dtype=np.int64).reshape((r,) + (1,) * (c.ndim - 1))
+    if c[r:].any() or (c[:r] % d).any():
+        return None
+    y = np.zeros((sm.cols,) + c.shape[1:], dtype=np.int64)
+    y[:r] = c[:r] // d % (n // d)
     return sm.V @ y % n
+
+
+def solve_mod(A, rhs, n: int) -> np.ndarray | None:
+    """One solution of A @ x = rhs mod n, or None (rhs a vector or a matrix)."""
+    sm = smith_mod(A, n, rhs=rhs)
+    return back_substitute(sm, sm.rhs, n)
 
 
 def in_span_mod(gens, v, n: int) -> np.ndarray | None:
@@ -256,11 +267,11 @@ def quotient_structure(h_gens, t_gens, dim: int, n: int) -> QuotientStructure:
     GH = np.vstack(H)
     r = GH.shape[0]
     rel = nullspace_mod(GH.T, n)
-    for t in t_gens:
-        c = solve_mod(GH.T, t, n)
-        if c is None:
+    if len(t_gens):
+        C = solve_mod(GH.T, np.array(t_gens, dtype=np.int64).T, n)
+        if C is None:
             raise ValidationError("t_gens are not contained in span(h_gens)")
-        rel.append(c)
+        rel.extend(C.T)
     M = np.vstack(rel) if rel else np.zeros((0, r), dtype=np.int64)
     sm = smith_mod(M, n)
     factors, coords = [], []

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from fusionkit import Field, discrete_log, nth_roots_of, roots_of_unity
+from fusionkit import Field, nth_roots_of, roots_of_unity
 from fusionkit.errors import DomainError, ResourceError, ValidationError
 from math import gcd
 
@@ -56,11 +56,11 @@ def test_nth_roots_of_zero():
 def test_discrete_log_anchors():
     F = Field(17)
     assert F.generator == 3
-    assert discrete_log(F, 1) == 0
-    assert discrete_log(F, 3) == 1
-    assert discrete_log(F, 13) == 4  # 3^4 = 81 = 13 mod 17
+    assert F.log(1) == 0
+    assert F.log(3) == 1
+    assert F.log(13) == 4  # 3^4 = 81 = 13 mod 17
     with pytest.raises(DomainError):
-        discrete_log(F, 0)
+        F.log(0)
 
 
 def test_log_is_a_homomorphism():

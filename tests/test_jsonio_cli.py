@@ -206,6 +206,24 @@ def test_cli_exit_codes(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fsys", "verify", "builtin:mr"],  # a rule where a system is expected
+        ["uber", "psi", "builtin:mr"],
+        ["rule", "verify", "{tmp}/missing.json"],
+        ["rule", "verify", "{tmp}/list.json"],  # top level is not an object
+    ],
+    ids=["fsys_verify_rule", "uber_psi_rule", "missing_file", "top_level_list"],
+)
+def test_cli_bad_input_is_one_error_line(tmp_path, argv):
+    (tmp_path / "list.json").write_text("[1, 2]")
+    code, out, err = run_cli([a.format(tmp=tmp_path) for a in argv])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err and "list indices" not in err
+
+
 def test_cli_determinism_and_out_file(tmp_path):
     _, out1, _ = run_cli(["uber", "classify", "--rule", "builtin:mr", "--p", "17"])
     _, out2, _ = run_cli(["uber", "classify", "--rule", "builtin:mr", "--p", "17"])
@@ -220,15 +238,6 @@ def test_cli_text_format():
     code, out, _ = run_cli(["--format", "text", "rule", "analyze", "builtin:ty_z2"])
     assert code == 0
     assert "simple_current_index: 2" in out
-
-
-def test_thread_cap_env(monkeypatch):
-    from fusionkit.cli import thread_cap
-
-    monkeypatch.setenv("FUSIONKIT_THREADS", "4")
-    assert thread_cap() == 4
-    monkeypatch.setenv("FUSIONKIT_THREADS", "junk")
-    assert thread_cap() == 1
 
 
 def test_module_entry_point_and_cross_process_determinism():

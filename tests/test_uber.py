@@ -473,28 +473,56 @@ def _klein_decomp(v4, a):
     raise AssertionError
 
 
-def test_other_six_element_families_classify_and_reconstruct(f17):
-    """The two-lord rules beyond the bundled one: classification counts are
-    frozen as regressions and every class reconstructs to a verified system."""
-    from fusionkit import cyclic, klein_four
+def _six_element_rule(S, G):
     from fusionkit.groups import homomorphisms
     from fusionkit.feudal import HomDatum, phi as phi_fn
 
+    datum = next(
+        HomDatum(S, G, u)
+        for u in homomorphisms(S, G)
+        if 2 * len(set(u.tolist())) == len(G)
+        and sum(1 for a in range(len(S)) if int(u[a]) == G.unit) >= 2
+    )
+    return phi_fn(datum)
+
+
+def test_other_six_element_families_classify_and_reconstruct(f17):
+    """The two-lord rules beyond the bundled one: gauge and equivalence
+    counts (the orbit merge on two lords) are frozen as regressions and every
+    class reconstructs to a verified system."""
+    from fusionkit import cyclic, klein_four
+
     z4, v4 = cyclic(4), klein_four()
-    for (S, G), want in (((v4, z4), 4), ((z4, v4), 16), ((v4, v4), 16)):
-        datum = next(
-            HomDatum(S, G, u)
-            for u in homomorphisms(S, G)
-            if 2 * len(set(u.tolist())) == len(G)
-            and sum(1 for a in range(len(S)) if int(u[a]) == G.unit) >= 2
-        )
-        fr = phi_fn(datum)
-        cls = enumerate_uber(Ambi(fr, f17), with_orbits=False)
-        assert cls.gauge_classes == want
+    for (S, G), want in (((v4, z4), (4, 2)), ((z4, v4), (16, 12)), ((v4, v4), (16, 12))):
+        fr = _six_element_rule(S, G)
+        cls = enumerate_uber(Ambi(fr, f17))
+        assert (cls.gauge_classes, cls.equivalence_classes) == want
         for u in cls.class_reps[:4]:
             f = reconstruct(u)
             assert verify_fusion_system(f).passed
             assert psi(f, fr, u.ambi) == u
+
+
+def test_witness_back_from_random_gauge_two_lords(f17):
+    """A class representative and a randomly gauged copy of it are joined by
+    a witness the lattice span test finds."""
+    from fusionkit import cyclic, klein_four
+
+    fr = _six_element_rule(cyclic(4), klein_four())
+    A = Ambi(fr, f17)
+    rng = random.Random(21)
+    e = A.unit_serf
+    for u in enumerate_uber(A, with_orbits=False).class_reps[::5]:
+        theta = {k: A.one() if e in k else A.const(rng.randrange(1, 17)) for k in u.ups}
+        phi_ = {
+            a: A.one() if a == e else np.array([rng.randrange(1, 17) for _ in range(A.npoints)])
+            for a in A.serf_ids
+        }
+        sig = np.array([rng.randrange(1, 17) for _ in range(A.npoints)])
+        gauged = apply_gauge_uber(u, GaugeTriple(A, theta, phi_, sig))
+        w = gauge_equivalent_uber(u, gauged)
+        assert w is not None and apply_gauge_uber(u, w) == gauged
+        assert gauge_equivalent_uber(gauged, u) is not None
 
 
 def test_morphism_dictionary_round_trip(f17, mr):

@@ -7,6 +7,7 @@ import pytest
 from fusionkit.errors import ResourceError
 from fusionkit.zmodlin import (
     in_span_mod,
+    back_substitute,
     nullspace_mod,
     quotient_structure,
     smith_mod,
@@ -83,6 +84,19 @@ def test_solve_finds_and_refuses():
             )
         else:
             assert not ((A @ x1 - b2) % n).any()
+        # factor once (identity rhs), then solve each vector against the row transform
+        sm = smith_mod(A, n, rhs=np.eye(m, dtype=np.int64))
+        for rhs, x in ((b, x0), (b2, x1)):
+            y = back_substitute(sm, sm.rhs @ rhs % n, n)
+            assert (y is None) == (x is None)
+            if y is not None:
+                assert not ((A @ y - rhs) % n).any()
+                assert (y == x).all()
+        # both right-hand sides as the columns of one matrix
+        X = solve_mod(A, np.stack([b, b2], axis=1), n)
+        assert (X is None) == (x1 is None)
+        if X is not None:
+            assert (X[:, 0] == x0).all() and (X[:, 1] == x1).all()
 
 
 def test_in_span():
