@@ -2,8 +2,8 @@
 
 Loads validate eagerly and raise ValidationError: with a file/line location
 when the JSON itself is malformed, and for a missing file, a top level that
-is not an object, or a missing field.  Dumps are deterministic: keys sorted,
-stable orderings throughout.
+is not an object, a missing field, or a field of the wrong type.  Dumps are
+deterministic: keys sorted, stable orderings throughout.
 """
 
 from __future__ import annotations
@@ -49,6 +49,30 @@ def _field(doc, key: str):
         raise ValidationError(f"document has no field {key!r}") from e
 
 
+def _checked(cast, val, where: str):
+    """cast(val) for a value read off a document (int, dict.items, _ints),
+    or a ValidationError naming the wrongly typed field."""
+    try:
+        return cast(val)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ValidationError(f"field {where!r} has a value of the wrong type: {val!r}") from e
+
+
+def _ints(vec) -> list[int]:
+    return [int(v) for v in vec]
+
+
+def _keyed(doc, name: str, idx: dict, arity: int, cast) -> dict:
+    """Object field name of doc: label tuples (arity labels joined by commas) to cast values."""
+    out = {}
+    for key, val in _checked(dict.items, _field(doc, name), name):
+        parts = key.split(",")
+        if len(parts) != arity or any(p not in idx for p in parts):
+            raise ValidationError(f"bad key {key!r} in {name!r}")
+        out[tuple(idx[p] for p in parts)] = _checked(cast, val, key)
+    return out
+
+
 def _rule_field(doc) -> FusionRule:
     """The rule of a document: inline, or a path or builtin name to load."""
     spec = _field(doc, "rule")
@@ -85,13 +109,9 @@ def dumps(doc) -> str:
 
 
 def rule_from_dict(doc: dict) -> FusionRule:
-    try:
-        labels = list(doc["labels"])
-        unit = doc["unit"]
-        dual_map = doc["dual"]
-        table_map = doc.get("table", {})
-    except (KeyError, TypeError) as e:
-        raise ValidationError(f"rule document missing field: {e}") from e
+    labels = _checked(list, _field(doc, "labels"), "labels")
+    unit, dual_map = _field(doc, "unit"), _field(doc, "dual")
+    table_map = doc.get("table", {})
     idx = {lab: i for i, lab in enumerate(labels)}
     n = len(labels)
     if unit not in idx:
@@ -102,15 +122,15 @@ def rule_from_dict(doc: dict) -> FusionRule:
             raise ValidationError(f"dual map missing {lab!r}")
         dual[idx[lab]] = idx[dual_map[lab]]
     table = np.zeros((n, n, n), dtype=np.int64)
-    for key, cell in table_map.items():
+    for key, cell in _checked(dict.items, table_map, "table"):
         parts = key.split(",")
         if len(parts) != 2 or parts[0] not in idx or parts[1] not in idx:
             raise ValidationError(f"bad table key {key!r}")
         x, y = idx[parts[0]], idx[parts[1]]
-        for lab, mult in cell.items():
+        for lab, mult in _checked(dict.items, cell, key):
             if lab not in idx:
                 raise ValidationError(f"bad product label {lab!r} at {key!r}")
-            table[x, y, idx[lab]] = int(mult)
+            table[x, y, idx[lab]] = _checked(int, mult, key)
     return FusionRule(labels, table, idx[unit], dual)
 
 
@@ -143,11 +163,11 @@ def load_rule(path) -> FusionRule:
 
 
 def group_from_dict(doc: dict) -> FiniteGroup:
-    labels = list(_field(doc, "labels"))
+    labels = _checked(list, _field(doc, "labels"), "labels")
     idx = {lab: i for i, lab in enumerate(labels)}
     n = len(labels)
     table = np.zeros((n, n), dtype=np.int64)
-    for key, val in _field(doc, "table").items():
+    for key, val in _checked(dict.items, _field(doc, "table"), "table"):
         parts = key.split(",")
         if len(parts) != 2 or parts[0] not in idx or parts[1] not in idx or val not in idx:
             raise ValidationError(f"bad group table entry {key!r}: {val!r}")
@@ -171,7 +191,7 @@ def hom_datum_from_dict(doc: dict) -> HomDatum:
     src = group_from_dict(_field(doc, "source"))
     tgt = group_from_dict(_field(doc, "target"))
     mapping = np.zeros(len(src), dtype=np.int64)
-    for lab, img in _field(doc, "map").items():
+    for lab, img in _checked(dict.items, _field(doc, "map"), "map"):
         mapping[src.index(lab)] = tgt.index(img)
     return HomDatum(src, tgt, mapping)
 
@@ -195,15 +215,9 @@ def load_hom_datum(path) -> HomDatum:
 
 def system_from_dict(doc: dict) -> FusionSystem:
     rule = _rule_field(doc)
-    field = Field(int(_field(doc, "p")))
+    field = Field(_checked(int, _field(doc, "p"), "p"))
     idx = {lab: i for i, lab in enumerate(rule.labels)}
-    coeffs = {}
-    for key, val in _field(doc, "coeffs").items():
-        parts = key.split(",")
-        if len(parts) != 6 or any(p not in idx for p in parts):
-            raise ValidationError(f"bad coefficient key {key!r}")
-        coeffs[tuple(idx[p] for p in parts)] = int(val)
-    return FusionSystem(rule, field, coeffs)
+    return FusionSystem(rule, field, _keyed(doc, "coeffs", idx, 6, int))
 
 
 def system_to_dict(f: FusionSystem) -> dict:
@@ -225,15 +239,9 @@ def gauge_from_dict(doc: dict, rule: FusionRule | None = None, field: Field | No
     if rule is None:
         rule = _rule_field(doc)
     if field is None:
-        field = Field(int(_field(doc, "p")))
+        field = Field(_checked(int, _field(doc, "p"), "p"))
     idx = {lab: i for i, lab in enumerate(rule.labels)}
-    values = {}
-    for key, val in _field(doc, "values").items():
-        parts = key.split(",")
-        if len(parts) != 3 or any(p not in idx for p in parts):
-            raise ValidationError(f"bad gauge key {key!r}")
-        values[tuple(idx[p] for p in parts)] = int(val)
-    return GaugeXi(rule, field, values)
+    return GaugeXi(rule, field, _keyed(doc, "values", idx, 3, int))
 
 
 def gauge_to_dict(xi: GaugeXi) -> dict:
@@ -250,26 +258,21 @@ def gauge_to_dict(xi: GaugeXi) -> dict:
 
 def uber_from_dict(doc: dict) -> Uberderivation:
     rule = _rule_field(doc)
-    field = Field(int(_field(doc, "p")))
+    field = Field(_checked(int, _field(doc, "p"), "p"))
     fr = detect_feudal(rule)
     if fr is None:
         raise ValidationError("rule carries no feudal structure")
     ambi = Ambi(fr, field)
     idx = {lab: i for i, lab in enumerate(rule.labels)}
 
-    def parse(table):
-        out = {}
-        for key, vec in table.items():
-            parts = key.split(",")
-            if len(parts) != 2 or any(p not in idx for p in parts):
-                raise ValidationError(f"bad serf pair {key!r}")
-            if len(vec) != ambi.npoints:
-                raise ValidationError(f"value at {key!r} must list one residue per lord")
-            out[(idx[parts[0]], idx[parts[1]])] = np.array([int(v) for v in vec], dtype=np.int64)
+    def parse(name):
+        out = _keyed(doc, name, idx, 2, _ints)
+        if any(len(vec) != ambi.npoints for vec in out.values()):
+            raise ValidationError(f"each value in {name!r} must list one residue per lord")
         return out
 
-    tau = np.array([int(v) for v in _field(doc, "tau")], dtype=np.int64)
-    return Uberderivation(ambi, parse(_field(doc, "chi")), parse(_field(doc, "ups")), tau)
+    tau = _checked(_ints, _field(doc, "tau"), "tau")
+    return Uberderivation(ambi, parse("chi"), parse("ups"), tau)
 
 
 def uber_to_dict(u: Uberderivation) -> dict:

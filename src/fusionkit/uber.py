@@ -13,6 +13,9 @@ The gauge action is encoded once, in gauge_shift.  The shifts of the gauge
 generators span the gauge-shift lattice, built once per Ambi; classification
 takes cosets of it, and gauge equivalence is a span test on it (is the
 exponent difference of two triples a combination of the generator shifts?).
+Equivalence classes are orbits of the gauge classes under the graded rule
+automorphisms: each automorphism permutes exponent coordinates, and the coset
+a moved class lands in is read off by its index in the quotient.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .fields import Field, nth_roots_of
 from .feudal import FeudalRule, detect_feudal
 from .rules import automorphisms as rule_automorphisms
 from .systems import FusionSystem, GaugeXi, admissible_sextuples
-from .zmodlin import SmithMod, back_substitute, nullspace_mod, quotient_structure, smith_mod, solve_mod
+from .zmodlin import SmithMod, factor_mod, nullspace_mod, quotient_structure, solve_mod
 
 
 # ---- the triple ------------------------------------------------------------------
@@ -219,9 +222,13 @@ class Decomposition:
     beta3: dict
     gamma: dict  # (a,b) -> B
 
-
-def _lordness(fr: FeudalRule, x: int) -> bool:
-    return x in fr.lords
+    def is_normal(self) -> bool:
+        """The normal slice: beta1(a, e) = beta2(a, e) = 1 for every serf a."""
+        e, p = self.feudal.rule.unit, self.field.p
+        return all(
+            (self.beta1[(a, e)] % p == 1).all() and (self.beta2[(a, e)] % p == 1).all()
+            for a in self.feudal.serf_ids
+        )
 
 
 def decompose(f: FusionSystem, fr: FeudalRule | None = None) -> Decomposition:
@@ -233,11 +240,9 @@ def decompose(f: FusionSystem, fr: FeudalRule | None = None) -> Decomposition:
     if fr.rule != f.rule:
         raise DomainError("feudal structure belongs to a different rule")
     serfs, lords = fr.serf_ids, fr.lord_ids
-    pos = {m: i for i, m in enumerate(lords)}
     inv, mul = fr.serf_inv, fr.serf_mul
     L, R = fr.act_left, fr.act_right
     dual = lambda m: int(fr.rule.dual[m])
-    nm = len(lords)
 
     def vec(fn):
         return np.array([fn(m) for m in lords], dtype=np.int64)
@@ -266,7 +271,7 @@ def assemble(dec: Decomposition) -> FusionSystem:
     coeffs = {}
     for key in admissible_sextuples(rule):
         x, y, z, u, r, v = key
-        lx, ly, lz = _lordness(fr, x), _lordness(fr, y), _lordness(fr, z)
+        lx, ly, lz = x in fr.lords, y in fr.lords, z in fr.lords
         if not (lx or ly or lz):
             val = dec.alpha[(x, y, z)]
         elif lx and not ly and not lz:
@@ -300,14 +305,8 @@ def psi(f: FusionSystem, fr: FeudalRule | None = None, ambi: Ambi | None = None)
     dec = decompose(f, fr)
     if ambi is None:
         ambi = Ambi(dec.feudal, f.field)
-    e = ambi.unit_serf
-    p = f.field.p
-    one = np.ones(ambi.npoints, dtype=np.int64)
-    normal = all(
-        (dec.beta1[(a, e)] % p == one).all() and (dec.beta2[(a, e)] % p == one).all()
-        for a in dec.feudal.serf_ids
-    )
-    if normal:
+    if dec.is_normal():
+        e = ambi.unit_serf
         u = Uberderivation(ambi, dict(dec.alpha2), dict(dec.alpha3), dec.gamma[(e, e)])
         return u.validate()
     fn, _ = normalize(f, dec.feudal)
@@ -327,6 +326,26 @@ def xi_components(xi: GaugeXi, fr: FeudalRule):
     return theta, phi, psi_, omega
 
 
+def xi_from_components(fr: FeudalRule, field: Field, theta, phi, psi_, omega) -> GaugeXi:
+    """The fusion-system gauge with components (theta, phi, psi, omega); the
+    inverse of xi_components, walking the support once by the lordness of x, y."""
+    rule = fr.rule
+    pos = {m: i for i, m in enumerate(fr.lord_ids)}
+    vals = {}
+    for x, y in product(range(rule.n), repeat=2):
+        for r in rule.support(x, y):
+            if x in fr.serfs and y in fr.serfs:
+                v = theta[(x, y)]
+            elif x in fr.serfs:
+                v = phi[x][pos[r]]
+            elif y in fr.serfs:
+                v = psi_[y][pos[r]]
+            else:
+                v = omega[r][pos[x]]
+            vals[(x, y, r)] = int(v)
+    return GaugeXi(rule, field, vals)
+
+
 def psi_gauge(xi: GaugeXi, fr: FeudalRule, ambi: Ambi | None = None) -> GaugeTriple:
     if ambi is None:
         ambi = Ambi(fr, xi.field)
@@ -339,41 +358,22 @@ def gauge_xi_from_triple(g: GaugeTriple) -> GaugeXi:
     """Lift an uberderivation gauge to a fusion-system gauge via the morphism formulas."""
     A = g.ambi
     fr = A.feudal
-    rule = fr.rule
-    field = A.field
     inv = fr.serf_inv
-    serfs, lords = fr.serf_ids, fr.lord_ids
-    pos = {m: i for i, m in enumerate(lords)}
+    serfs = fr.serf_ids
+    theta = {k: v[0] for k, v in g.theta.items()}
     psi_ = {a: A.mul(A.ract(A.bar(g.phi[a]), a), A.ract(g.sigma, a), A.inv(g.sigma)) for a in serfs}
     omega = {
         a: A.div(A.mul(A.act(a, g.phi[inv(a)]), A.act(a, g.sigma)), g.theta[(inv(a), a)])
         for a in serfs
     }
-    vals = {}
-    for x, y in product(range(rule.n), repeat=2):
-        for r in rule.support(x, y):
-            if x in fr.serfs and y in fr.serfs:
-                vals[(x, y, r)] = int(g.theta[(x, y)][0])
-            elif x in fr.serfs:
-                vals[(x, y, r)] = int(g.phi[x][pos[r]])
-            elif y in fr.serfs:
-                vals[(x, y, r)] = int(psi_[y][pos[r]])
-            else:
-                vals[(x, y, r)] = int(omega[r][pos[x]])
-    return GaugeXi(rule, field, vals)
+    return xi_from_components(fr, A.field, theta, g.phi, psi_, omega)
 
 
 # ---- normal systems and reconstruction --------------------------------------------
 
 
 def is_normal(f: FusionSystem, fr: FeudalRule | None = None) -> bool:
-    dec = decompose(f, fr)
-    e = dec.feudal.rule.unit
-    one = np.ones(len(dec.feudal.lord_ids), dtype=np.int64)
-    return all(
-        (dec.beta1[(a, e)] % f.field.p == one).all() and (dec.beta2[(a, e)] % f.field.p == one).all()
-        for a in dec.feudal.serf_ids
-    )
+    return decompose(f, fr).is_normal()
 
 
 def normalize(f: FusionSystem, fr: FeudalRule | None = None) -> tuple[FusionSystem, GaugeXi]:
@@ -385,23 +385,12 @@ def normalize(f: FusionSystem, fr: FeudalRule | None = None) -> tuple[FusionSyst
     A = Ambi(fr, f.field)
     e = A.unit_serf
     inv = fr.serf_inv
-    omega = {a: A.inv(dec.beta1[(inv(a), e)]) for a in fr.serf_ids}
-    psi_ = {a: A.ract(dec.beta2[(a, e)], a) for a in fr.serf_ids}
-    lords = fr.lord_ids
-    pos = {m: i for i, m in enumerate(lords)}
-    rule = fr.rule
-    vals = {}
-    for x, y in product(range(rule.n), repeat=2):
-        for r in rule.support(x, y):
-            if x in fr.serfs and y in fr.serfs:
-                vals[(x, y, r)] = 1
-            elif x in fr.serfs:
-                vals[(x, y, r)] = 1  # phi == 1
-            elif y in fr.serfs:
-                vals[(x, y, r)] = int(psi_[y][pos[r]])
-            else:
-                vals[(x, y, r)] = int(omega[r][pos[x]])
-    xi = GaugeXi(rule, f.field, vals)
+    serfs = fr.serf_ids
+    theta = {(a, b): 1 for a in serfs for b in serfs}
+    phi = {a: A.one() for a in serfs}
+    omega = {a: A.inv(dec.beta1[(inv(a), e)]) for a in serfs}
+    psi_ = {a: A.ract(dec.beta2[(a, e)], a) for a in serfs}
+    xi = xi_from_components(fr, f.field, theta, phi, psi_, omega)
     out = apply_gauge(f, xi)
     if not is_normal(out, fr):
         raise ValidationError("normalization failed to produce a normal system")
@@ -472,14 +461,9 @@ class _GaugeLattice:
     n: int
 
     @cached_property
-    def _factored(self) -> SmithMod:
-        # factor shifts.T once; the identity rhs leaves the row transform
-        return smith_mod(self.shifts.T, self.n, rhs=np.eye(self.shifts.shape[1], dtype=np.int64))
-
-    def solve(self, v) -> np.ndarray | None:
-        """Exponents c with c @ shifts = v mod n, or None."""
-        sm = self._factored
-        return back_substitute(sm, sm.rhs @ v % self.n, self.n)
+    def solver(self) -> SmithMod:
+        """shifts.T factored once: solver.solve(v, n) gives c with c @ shifts = v."""
+        return factor_mod(self.shifts.T, self.n)
 
 
 _LATTICES: "weakref.WeakKeyDictionary[Ambi, _GaugeLattice]" = weakref.WeakKeyDictionary()
@@ -529,7 +513,7 @@ def gauge_equivalent_uber(u1: Uberderivation, u2: Uberderivation) -> GaugeTriple
     if A.feudal.rule != u2.ambi.feudal.rule or A.field.p != u2.ambi.field.p:
         raise DomainError("uberderivations live on different data")
     lat = _gauge_lattice(A)
-    c = lat.solve(uber_to_vec(u2) - uber_to_vec(u1))
+    c = lat.solver.solve(uber_to_vec(u2) - uber_to_vec(u1), lat.n)
     if c is None:
         return None
     g = _slot_gauge(A, lat.slots, c)
@@ -538,21 +522,27 @@ def gauge_equivalent_uber(u1: Uberderivation, u2: Uberderivation) -> GaugeTriple
     return g
 
 
+def _relabeling(ambi: Ambi, perm: np.ndarray) -> np.ndarray:
+    """The relabeling along a graded rule automorphism, on exponent vectors.
+
+    The relabeled triple reads each entry at the preimage serfs and lord, so
+    uber_to_vec of it is uber_to_vec(u)[r] for the returned index array r.
+    """
+    inv_perm = np.argsort(perm)
+    pos = {m: i for i, m in enumerate(ambi.lord_ids)}
+    lperm = [pos[int(inv_perm[m])] for m in ambi.lord_ids]
+    keys = uber_unknown_keys(ambi)
+    at = {k: i for i, k in enumerate(keys)}
+    pre = [
+        ("tau", lperm[k[1]]) if k[0] == "tau" else (k[0], int(inv_perm[k[1]]), int(inv_perm[k[2]]), lperm[k[3]])
+        for k in keys
+    ]
+    return np.array([at[k] for k in pre], dtype=np.int64)
+
+
 def transport(u: Uberderivation, perm: np.ndarray) -> Uberderivation:
     """Relabel an uberderivation along a graded rule automorphism."""
-    A = u.ambi
-    fr = A.feudal
-    inv_perm = np.argsort(perm)
-    lords = A.lord_ids
-    pos = {m: i for i, m in enumerate(lords)}
-    lperm = [pos[int(inv_perm[m])] for m in lords]  # read chi at preimage lord
-    chi = {}
-    ups = {}
-    for a, b in u.chi:
-        pa, pb = int(inv_perm[a]), int(inv_perm[b])
-        chi[(a, b)] = u.chi[(pa, pb)][lperm]
-        ups[(a, b)] = u.ups[(pa, pb)][lperm]
-    return Uberderivation(A, chi, ups, u.tau[lperm])
+    return vec_to_uber(u.ambi, uber_to_vec(u)[_relabeling(u.ambi, perm)])
 
 
 def canonicalize_tau(u: Uberderivation) -> Uberderivation:
@@ -728,32 +718,22 @@ def uber_constraint_system(ambi: Ambi):
 
 def vec_to_uber(ambi: Ambi, vec: np.ndarray) -> Uberderivation:
     F = ambi.field
-    keys = uber_unknown_keys(ambi)
-    chi, ups = {}, {}
-    tau = np.ones(ambi.npoints, dtype=np.int64)
-    for k, eexp in zip(keys, vec):
+    parts = {"chi": {}, "ups": {}}
+    tau = ambi.one()
+    for k, eexp in zip(uber_unknown_keys(ambi), vec):
         val = F.exp(int(eexp))
-        if k[0] == "chi":
-            chi.setdefault((k[1], k[2]), np.ones(ambi.npoints, dtype=np.int64))[k[3]] = val
-        elif k[0] == "ups":
-            ups.setdefault((k[1], k[2]), np.ones(ambi.npoints, dtype=np.int64))[k[3]] = val
-        else:
+        if k[0] == "tau":
             tau[k[1]] = val
-    return Uberderivation(ambi, chi, ups, tau)
+        else:
+            parts[k[0]].setdefault(k[1:3], ambi.one())[k[3]] = val
+    return Uberderivation(ambi, parts["chi"], parts["ups"], tau)
 
 
 def uber_to_vec(u: Uberderivation) -> np.ndarray:
     F = u.ambi.field
-    keys = uber_unknown_keys(u.ambi)
-    out = np.zeros(len(keys), dtype=np.int64)
-    for i, k in enumerate(keys):
-        if k[0] == "chi":
-            out[i] = F.log(int(u.chi[(k[1], k[2])][k[3]]))
-        elif k[0] == "ups":
-            out[i] = F.log(int(u.ups[(k[1], k[2])][k[3]]))
-        else:
-            out[i] = F.log(int(u.tau[k[1]]))
-    return out
+    parts = {"chi": u.chi, "ups": u.ups}
+    vals = (u.tau[k[1]] if k[0] == "tau" else parts[k[0]][k[1:3]][k[3]] for k in uber_unknown_keys(u.ambi))
+    return np.array([F.log(int(v)) for v in vals], dtype=np.int64)
 
 
 @dataclass
@@ -835,15 +815,18 @@ def enumerate_uber(
         invariant_factors=quot.invariant_factors,
         gauge_generators=len(shifts),
     )
-    reps = []
-    for h in quot.representatives(limit=class_limit):
-        cand = vec_to_uber(A, (x0 + h) % n)
+    reps, vecs, class_at = [], [], {}  # class_at: coset index -> class number
+    for k, h in enumerate(quot.representatives(limit=class_limit)):
+        x = (x0 + h) % n
+        cand = vec_to_uber(A, x)
         rep = cand.report()
         nondeg_only = set(rep) <= {"nondegenerate_on_A"}
         if not nondeg_only:
             raise ValidationError(f"lattice representative violates monomial axioms: {sorted(rep)}")
         if not rep:
+            class_at[k] = len(reps)
             reps.append(cand)
+            vecs.append(x)
     lattice_info["filtered_out"] = quot.order - len(reps)
 
     orbits: list[list[int]] = []
@@ -854,25 +837,21 @@ def enumerate_uber(
         # orbits are formed under the graded pool; both pool sizes are reported
         lattice_info["automorphisms_all"] = len(all_perms)
         lattice_info["automorphisms_graded"] = len(perms)
-        parent = list(range(len(reps)))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for i, j in product(range(len(reps)), repeat=2):
-            if i >= j or find(i) == find(j):
+        # the graded automorphisms form a group, so the classes a class is
+        # moved to are its whole orbit
+        moves = [_relabeling(A, p) for p in perms]
+        placed = set()
+        for i, x in enumerate(vecs):
+            if i in placed:
                 continue
-            for p in perms:
-                if gauge_equivalent_uber(transport(reps[i], p), reps[j]) is not None:
-                    parent[find(j)] = find(i)
-                    break
-        groups: dict[int, list[int]] = {}
-        for i in range(len(reps)):
-            groups.setdefault(find(i), []).append(i)
-        orbits = sorted(groups.values())
+            orbit = set()
+            for r in moves:
+                j = class_at.get(quot.index(x[r] - x0))
+                if j is None:
+                    raise ValidationError("an automorphism moves a class onto a filtered-out coset")
+                orbit.add(j)
+            orbits.append(sorted(orbit))
+            placed |= orbit
     elif reps:
         orbits = [[i] for i in range(len(reps))]
 

@@ -3,20 +3,21 @@
 n = p - 1 is composite in every interesting case, so field elimination is
 wrong; everything here pivots on gcds.  The one workhorse is a Smith-style
 diagonalization mod n with tracked column transforms, from which solving,
-kernels, and quotient-group enumeration all follow.
+kernels, quotient-group enumeration and its inverse (the index of the coset
+of a vector) all follow.
 
 Factor once, solve many: smith_mod carries any number of right-hand sides
 (the columns of a matrix rhs) through a single elimination, and
 back_substitute finishes each of them.  Right-hand sides known up front are
 passed together (quotient_structure solves all of its t_gens in one
-elimination); for ones that arrive later, factor with the identity as rhs,
-which leaves the row transform U, and solve A x = b as
-back_substitute(sm, U @ b % n, n).
+elimination); for ones that arrive later, factor_mod(A, n) factors A once and
+its .solve(b, n) answers each of them without another elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from math import gcd, prod
 
@@ -66,6 +67,11 @@ class SmithMod:
     rhs: np.ndarray | None
     rows: int
     cols: int
+
+    def solve(self, b, n: int) -> np.ndarray | None:
+        """x with A @ x = b mod n, or None; self must come from factor_mod,
+        whose rhs is the row transform."""
+        return back_substitute(self, self.rhs @ b % n, n)
 
 
 def smith_mod(A, n: int, rhs=None) -> SmithMod:
@@ -182,6 +188,11 @@ def smith_mod(A, n: int, rhs=None) -> SmithMod:
     return SmithMod(diag=diag, V=V, Vinv=Vi, rhs=b, rows=m, cols=k)
 
 
+def factor_mod(A, n: int) -> SmithMod:
+    """smith_mod of A with the identity as rhs, which leaves the row transform."""
+    return smith_mod(A, n, rhs=np.eye(np.atleast_2d(A).shape[0], dtype=np.int64))
+
+
 def nullspace_mod(A, n: int) -> list[np.ndarray]:
     """Generators of {x : A @ x = 0 mod n}."""
     A = np.atleast_2d(np.asarray(A, dtype=np.int64)) % n
@@ -222,22 +233,18 @@ def solve_mod(A, rhs, n: int) -> np.ndarray | None:
     return back_substitute(sm, sm.rhs, n)
 
 
-def in_span_mod(gens, v, n: int) -> np.ndarray | None:
-    """Coefficients c with c @ gens = v mod n, or None."""
-    if not len(gens):
-        v = np.asarray(v) % n
-        return np.zeros(0, dtype=np.int64) if not v.any() else None
-    G = np.asarray(gens, dtype=np.int64)
-    return solve_mod(G.T, v, n)
-
-
 @dataclass
 class QuotientStructure:
-    """The finite abelian group <H>/<T> inside (Z/n)^k, with coset reps."""
+    """The finite abelian group <H>/<T> inside (Z/n)^k, with coset reps.
+
+    A coset is named by y in prod(Z/factors[i]): its representative is
+    (y @ Vinv) @ gens, where V, Vinv are the Smith column transforms of the
+    relation matrix on the coefficients of gens.
+    """
 
     order: int
     factors: list[int]  # cyclic factor sizes, divisor chain then full-n factors
-    _coords: list[int]
+    _V: np.ndarray
     _Vinv: np.ndarray
     _gens: np.ndarray
     _n: int
@@ -252,10 +259,23 @@ class QuotientStructure:
             raise ResourceError(f"quotient of order {self.order} exceeds limit {limit}")
         n = self._n
         for y in product(*(range(f) for f in self.factors)):
-            yv = np.zeros(self._Vinv.shape[0], dtype=np.int64)
-            yv[self._coords] = y
-            c = yv @ self._Vinv % n
+            c = np.array(y, dtype=np.int64) @ self._Vinv % n
             yield c @ self._gens % n
+
+    @cached_property
+    def _solver(self) -> SmithMod:
+        return factor_mod(self._gens.T, self._n)
+
+    def index(self, v) -> int:
+        """Position in representatives() of the coset of v, which must lie in span(H)."""
+        n = self._n
+        c = self._solver.solve(np.asarray(v, dtype=np.int64) % n, n)
+        if c is None:
+            raise ValidationError("vector is not in the span of the quotient's generators")
+        pos = 0
+        for y, f in zip((c @ self._V % n).tolist(), self.factors):
+            pos = pos * f + y % f
+        return pos
 
 
 def quotient_structure(h_gens, t_gens, dim: int, n: int) -> QuotientStructure:
@@ -263,7 +283,8 @@ def quotient_structure(h_gens, t_gens, dim: int, n: int) -> QuotientStructure:
     H = [np.asarray(g, dtype=np.int64) % n for g in h_gens]
     H = [g for g in H if g.any()]
     if not H:
-        return QuotientStructure(1, [], [], np.eye(0, dtype=np.int64), np.zeros((0, dim), dtype=np.int64), n)
+        empty = np.eye(0, dtype=np.int64)
+        return QuotientStructure(1, [], empty, empty, np.zeros((0, dim), dtype=np.int64), n)
     GH = np.vstack(H)
     r = GH.shape[0]
     rel = nullspace_mod(GH.T, n)
@@ -274,11 +295,5 @@ def quotient_structure(h_gens, t_gens, dim: int, n: int) -> QuotientStructure:
         rel.extend(C.T)
     M = np.vstack(rel) if rel else np.zeros((0, r), dtype=np.int64)
     sm = smith_mod(M, n)
-    factors, coords = [], []
-    for i in range(r):
-        d = sm.diag[i] if i < len(sm.diag) else 0
-        f = d if d else n
-        factors.append(f)
-        coords.append(i)
-    order = prod(factors)
-    return QuotientStructure(order, factors, coords, sm.Vinv, GH, n)
+    factors = [sm.diag[i] if i < len(sm.diag) else n for i in range(r)]
+    return QuotientStructure(prod(factors), factors, sm.V, sm.Vinv, GH, n)

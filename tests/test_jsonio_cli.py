@@ -213,11 +213,17 @@ def test_cli_exit_codes(tmp_path):
         ["uber", "psi", "builtin:mr"],
         ["rule", "verify", "{tmp}/missing.json"],
         ["rule", "verify", "{tmp}/list.json"],  # top level is not an object
+        ["fsys", "verify", "{tmp}/p_not_int.json"],  # wrongly typed fields
+        ["uber", "reconstruct", "{tmp}/chi_list.json"],
     ],
-    ids=["fsys_verify_rule", "uber_psi_rule", "missing_file", "top_level_list"],
+    ids=["fsys_verify_rule", "uber_psi_rule", "missing_file", "top_level_list", "p_not_int", "chi_list"],
 )
 def test_cli_bad_input_is_one_error_line(tmp_path, argv):
     (tmp_path / "list.json").write_text("[1, 2]")
+    system = {"rule": "builtin:ty_z2", "p": "x", "coeffs": {}}
+    (tmp_path / "p_not_int.json").write_text(json.dumps(system))
+    triple = {"rule": "builtin:ty_z2", "p": 17, "chi": [1, 2], "ups": {}, "tau": [1]}
+    (tmp_path / "chi_list.json").write_text(json.dumps(triple))
     code, out, err = run_cli([a.format(tmp=tmp_path) for a in argv])
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

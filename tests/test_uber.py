@@ -503,6 +503,54 @@ def test_other_six_element_families_classify_and_reconstruct(f17):
             assert psi(f, fr, u.ambi) == u
 
 
+def _pairwise_orbits(cls):
+    """The orbit partition built pair by pair: classes i < j are joined when
+    some graded automorphism moves rep i into the gauge class of rep j."""
+    from fusionkit.rules import automorphisms
+
+    fr = cls.ambi.feudal
+    perms = [
+        p
+        for p in automorphisms(fr.rule, bound=max(10, fr.rule.n))
+        if all(int(p[s]) in fr.serfs for s in fr.serf_ids)
+    ]
+    reps = cls.class_reps
+    label = list(range(len(reps)))
+    for i in range(len(reps)):
+        for j in range(i + 1, len(reps)):
+            if label[i] != label[j] and any(
+                gauge_equivalent_uber(transport(reps[i], p), reps[j]) is not None for p in perms
+            ):
+                old = label[j]
+                label = [label[i] if lab == old else lab for lab in label]
+    groups = {}
+    for i, lab in enumerate(label):
+        groups.setdefault(lab, []).append(i)
+    return sorted(groups.values())
+
+
+def test_orbits_match_pairwise_gauge_equivalence(f17):
+    """The orbits read off by coset index are the ones the pairwise span test finds."""
+    from fusionkit import cyclic, klein_four
+
+    rules = [
+        (_six_element_rule(cyclic(4), klein_four()), f17),
+        (_six_element_rule(klein_four(), klein_four()), f17),
+        (tambara_yamagami(cyclic(5)), Field(41)),
+    ]
+    for fr, F in rules:
+        cls = enumerate_uber(Ambi(fr, F))
+        assert cls.orbits == _pairwise_orbits(cls)
+        assert any(len(orbit) > 1 for orbit in cls.orbits)
+
+
+def test_enumerate_graded_d4(f17):
+    d4 = dihedral(4)
+    fr = graded_group(d4, sorted(d4.index2_subgroups()[0]))
+    cls = enumerate_uber(Ambi(fr, f17))
+    assert (cls.gauge_classes, cls.equivalence_classes) == (32, 24)
+
+
 def test_witness_back_from_random_gauge_two_lords(f17):
     """A class representative and a randomly gauged copy of it are joined by
     a witness the lattice span test finds."""
@@ -557,6 +605,16 @@ def test_morphism_dictionary_round_trip(f17, mr):
             assert apply_gauge(f, xi) == reconstruct(u2)
 
 
+def test_xi_components_round_trip(f17, mr, ty2):
+    """xi_from_components inverts xi_components on random gauges."""
+    from fusionkit.uber import xi_components, xi_from_components
+
+    rng = random.Random(3)
+    for fr in (mr, ty2):
+        xi = random_gauge(fr.rule, f17, rng)
+        assert xi_from_components(fr, f17, *xi_components(xi, fr)).values == xi.values
+
+
 def test_gauge_equivalence_is_an_equivalence(f17, mr):
     rng = random.Random(8)
     A = Ambi(mr, f17)
@@ -586,10 +644,33 @@ def test_gauge_equivalence_is_an_equivalence(f17, mr):
 def test_transport_by_automorphism_preserves_validity(f17, mr):
     from fusionkit.rules import automorphisms
 
-    u = mr_uber(f17, mr)
-    for perm in automorphisms(mr.rule):
-        v = transport(u, perm)
-        assert v.is_valid()
+    # graded D4 has automorphisms of order 4 on its four lords, TY(V4) of
+    # order 3 on its serfs; a random gauge makes the entries differ
+    d4 = dihedral(4)
+    rng = random.Random(5)
+    us = [mr_uber(f17, mr)]
+    for fr in (graded_group(d4, sorted(d4.index2_subgroups()[0])), tambara_yamagami(klein_four())):
+        A = Ambi(fr, f17)
+        rep = enumerate_uber(A, with_orbits=False).class_reps[0]
+        nm = A.npoints
+        theta = {k: A.one() if A.unit_serf in k else A.const(rng.randrange(1, 17)) for k in rep.ups}
+        phi = {a: np.array([rng.randrange(1, 17) for _ in range(nm)]) for a in A.serf_ids}
+        phi[A.unit_serf] = A.one()
+        sigma = np.array([rng.randrange(1, 17) for _ in range(nm)])
+        us.append(apply_gauge_uber(rep, GaugeTriple(A, theta, phi, sigma)))
+    for u in us:
+        A = u.ambi
+        pos = {m: i for i, m in enumerate(A.lord_ids)}
+        for perm in automorphisms(A.feudal.rule):  # all graded on these rules
+            v = transport(u, perm)
+            assert v.is_valid()
+            # each entry is read at the preimage serfs and lord
+            pre = {int(perm[x]): x for x in range(len(perm))}
+            lords = [pos[pre[m]] for m in A.lord_ids]
+            for a, b in u.chi:
+                assert A.eq(v.chi[(a, b)], u.chi[(pre[a], pre[b])][lords])
+                assert A.eq(v.ups[(a, b)], u.ups[(pre[a], pre[b])][lords])
+            assert A.eq(v.tau, u.tau[lords])
 
 
 # ---- obstructions -----------------------------------------------------------------------

@@ -4,10 +4,9 @@ import random
 import numpy as np
 import pytest
 
-from fusionkit.errors import ResourceError
+from fusionkit.errors import ResourceError, ValidationError
 from fusionkit.zmodlin import (
-    in_span_mod,
-    back_substitute,
+    factor_mod,
     nullspace_mod,
     quotient_structure,
     smith_mod,
@@ -84,10 +83,10 @@ def test_solve_finds_and_refuses():
             )
         else:
             assert not ((A @ x1 - b2) % n).any()
-        # factor once (identity rhs), then solve each vector against the row transform
-        sm = smith_mod(A, n, rhs=np.eye(m, dtype=np.int64))
+        # factor once, then solve each vector against the stored row transform
+        sm = factor_mod(A, n)
         for rhs, x in ((b, x0), (b2, x1)):
-            y = back_substitute(sm, sm.rhs @ rhs % n, n)
+            y = sm.solve(rhs, n)
             assert (y is None) == (x is None)
             if y is not None:
                 assert not ((A @ y - rhs) % n).any()
@@ -103,13 +102,15 @@ def test_in_span():
     n = 12
     gens = [np.array([2, 0, 4]), np.array([0, 3, 3])]
     v = (5 * gens[0] + 7 * gens[1]) % n
-    c = in_span_mod(gens, v, n)
+    sm = factor_mod(np.vstack(gens).T, n)
+    c = sm.solve(v, n)
     assert c is not None and not ((c @ np.vstack(gens) - v) % n).any()
-    assert in_span_mod(gens, np.array([1, 0, 0]), n) is None
+    assert sm.solve(np.array([1, 0, 0]), n) is None
 
 
 def test_quotient_structure_brute():
     rng = random.Random(4)
+    probe = random.Random(5)  # outside vectors, drawn apart so the cases stay the same
     for _ in range(150):
         n = rng.choice([4, 6, 12, 16])
         k = rng.randrange(1, 4)
@@ -122,12 +123,19 @@ def test_quotient_structure_brute():
         q = quotient_structure(H, T, k, n)
         assert q.order == len(SH) // len(ST)
         seen = set()
-        for r in q.representatives():
+        for i, r in enumerate(q.representatives()):
             assert tuple(r) in SH
             coset = frozenset(tuple((r + np.array(t)) % n) for t in ST)
             assert coset not in seen
             seen.add(coset)
+            # index is the inverse of representatives, constant on each coset
+            assert q.index(r) == i
+            assert all(q.index((r + np.array(t)) % n) == i for t in ST)
         assert len(seen) == q.order
+        v = np.array([probe.randrange(n) for _ in range(k)])
+        if tuple(v) not in SH:
+            with pytest.raises(ValidationError):
+                q.index(v)
 
 
 def test_quotient_representative_limit():
