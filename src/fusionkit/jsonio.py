@@ -50,16 +50,26 @@ def _field(doc, key: str):
 
 
 def _checked(cast, val, where: str):
-    """cast(val) for a value read off a document (int, dict.items, _ints),
-    or a ValidationError naming the wrongly typed field."""
+    """cast(val) for a value read off a document (int, dict.items, _ints,
+    _labels, a label lookup), or a ValidationError naming the field whose
+    value has the wrong type or names no label."""
     try:
         return cast(val)
     except (TypeError, ValueError, OverflowError) as e:
         raise ValidationError(f"field {where!r} has a value of the wrong type: {val!r}") from e
+    except LookupError as e:
+        raise ValidationError(f"field {where!r} names no label: {val!r}") from e
 
 
 def _ints(vec) -> list[int]:
     return [int(v) for v in vec]
+
+
+def _labels(vec) -> list[str]:
+    labels = list(vec)
+    if not all(isinstance(lab, str) for lab in labels):
+        raise TypeError("labels must be strings")
+    return labels
 
 
 def _keyed(doc, name: str, idx: dict, arity: int, cast) -> dict:
@@ -109,18 +119,17 @@ def dumps(doc) -> str:
 
 
 def rule_from_dict(doc: dict) -> FusionRule:
-    labels = _checked(list, _field(doc, "labels"), "labels")
-    unit, dual_map = _field(doc, "unit"), _field(doc, "dual")
+    labels = _checked(_labels, _field(doc, "labels"), "labels")
     table_map = doc.get("table", {})
     idx = {lab: i for i, lab in enumerate(labels)}
     n = len(labels)
-    if unit not in idx:
-        raise ValidationError(f"unit {unit!r} is not a label")
+    unit = _checked(idx.__getitem__, _field(doc, "unit"), "unit")
+    dual_map = _keyed(doc, "dual", idx, 1, idx.__getitem__)
     dual = np.zeros(n, dtype=np.int64)
-    for lab in labels:
-        if lab not in dual_map:
+    for i, lab in enumerate(labels):
+        if (i,) not in dual_map:
             raise ValidationError(f"dual map missing {lab!r}")
-        dual[idx[lab]] = idx[dual_map[lab]]
+        dual[i] = dual_map[(i,)]
     table = np.zeros((n, n, n), dtype=np.int64)
     for key, cell in _checked(dict.items, table_map, "table"):
         parts = key.split(",")
@@ -130,8 +139,8 @@ def rule_from_dict(doc: dict) -> FusionRule:
         for lab, mult in _checked(dict.items, cell, key):
             if lab not in idx:
                 raise ValidationError(f"bad product label {lab!r} at {key!r}")
-            table[x, y, idx[lab]] = _checked(int, mult, key)
-    return FusionRule(labels, table, idx[unit], dual)
+            table[x, y, idx[lab]] = _checked(lambda m: np.int64(int(m)), mult, key)
+    return FusionRule(labels, table, unit, dual)
 
 
 def _check_labels(labels):
@@ -163,7 +172,7 @@ def load_rule(path) -> FusionRule:
 
 
 def group_from_dict(doc: dict) -> FiniteGroup:
-    labels = _checked(list, _field(doc, "labels"), "labels")
+    labels = _checked(_labels, _field(doc, "labels"), "labels")
     idx = {lab: i for i, lab in enumerate(labels)}
     n = len(labels)
     table = np.zeros((n, n), dtype=np.int64)

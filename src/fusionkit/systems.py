@@ -1,13 +1,16 @@
 """Fusion systems on multiplicity-free rules: recoupling tables over GF(p).
 
 Coefficients are stored sparsely, keyed by admissible sextuple (x,y,z,u,r,v)
-with u in xy, v in yz, r in uz and xv.  Verification compiles the pentagon
-instances once per rule and then runs linear passes over flat tuples; this is
-the hot loop for everything downstream.
+with u in xy, v in yz, r in uz and xv.  Verification compiles each rule's
+pentagon instances once into index arrays over the coefficient vector, keeping
+only the live ones (an instance can fail only if r is in uz and in wv, since
+every key it reads is inadmissible otherwise), and checks a system with one
+gather, multiply and segmented sum over them.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import product
 
@@ -20,7 +23,7 @@ from .rules import FusionRule
 Sextuple = tuple[int, int, int, int, int, int]
 
 _ADMISSIBLE_CACHE: dict[bytes, list[Sextuple]] = {}
-_PENTAGON_CACHE: dict[bytes, list] = {}
+_PENTAGON_CACHE: dict[bytes, _PentagonProgram] = {}
 
 
 def admissible_sextuples(rule: FusionRule) -> list[Sextuple]:
@@ -120,9 +123,6 @@ def pentagon_instances(rule: FusionRule) -> list:
     r ranges over the union of uz, wv, pq so one-sided-zero violations are
     caught as well; tuples outside this set hold vacuously.
     """
-    cached = _PENTAGON_CACHE.get(rule.key)
-    if cached is not None:
-        return cached
     out = []
     n = rule.n
     for w, x, y, z in product(range(n), repeat=4):
@@ -134,7 +134,6 @@ def pentagon_instances(rule: FusionRule) -> list:
                         rs = set(rule.support(u, z)) | set(rule.support(w, v)) | set(rule.support(pp, q))
                         for r in sorted(rs):
                             out.append((w, x, y, z, pp, u, r, v, q, xy))
-    _PENTAGON_CACHE[rule.key] = out
     return out
 
 
@@ -153,6 +152,91 @@ def pentagon_instance_value(f: FusionSystem, inst) -> tuple[int, int]:
             continue
         rhs = (rhs + t * f.coeff(w, x, y, pp, u, s)) % p
     return lhs, rhs
+
+
+@dataclass(frozen=True)
+class _PentagonProgram:
+    """The live pentagon instances of a rule as index arrays into the coefficient
+    vector: the values of FusionSystem.coeffs, which lists them in
+    admissible-sextuple order, then a 0 at index len(adm) for inadmissible keys.
+
+    An instance of pentagon_instances can fail only if r is in uz and in wv:
+    otherwise every key on both sides is inadmissible.  On a live instance the
+    left side is live iff r is in pq, and the right-side term for s in xy iff
+    v is in sz and u is in ws.  Live instances and terms keep instance order.
+    """
+
+    total: int  # len(pentagon_instances(rule))
+    lhs: np.ndarray  # (live, 2) int32
+    terms: np.ndarray  # (terms, 3) int32
+    grouped: np.ndarray  # live instances with at least one term
+    starts: np.ndarray  # first term of each grouped instance
+    witnesses: np.ndarray  # (live, 9) int16: (w,x,y,z,p,u,r,v,q)
+
+    def failures(self, f: FusionSystem) -> np.ndarray:
+        """Positions of the live instances whose two sides differ on f."""
+        p = f.field.p
+        c = np.append(np.fromiter(f.coeffs.values(), np.int64, len(f.coeffs)) % p, 0)
+        lhs = c[self.lhs[:, 0]] * c[self.lhs[:, 1]] % p
+        t = c[self.terms[:, 0]] * c[self.terms[:, 1]] % p * c[self.terms[:, 2]] % p
+        rhs = np.zeros(len(lhs), np.int64)
+        rhs[self.grouped] = np.add.reduceat(t, self.starts) % p
+        return np.flatnonzero(lhs != rhs)
+
+
+def _pentagon_program(rule: FusionRule) -> _PentagonProgram:
+    """The rule's _PentagonProgram, compiled on first use in one walk of the instances."""
+    cached = _PENTAGON_CACHE.get(rule.key)
+    if cached is not None:
+        return cached
+    adm = admissible_sextuples(rule)
+    slot = {k: i for i, k in enumerate(adm)}
+    zero = len(adm)
+    n = rule.n
+    sup = [rule.support(a, b) for a in range(n) for b in range(n)]
+    mask = [sum(1 << r for r in s) for s in sup]
+    total = 0
+    lhs, terms, starts, wit = array("i"), array("i"), array("i"), array("h")
+    for w, x, y, z in product(range(n), repeat=4):
+        xy = sup[x * n + y]
+        for pp in sup[w * n + x]:
+            for q in sup[y * n + z]:
+                m_pq = mask[pp * n + q]
+                for u in sup[pp * n + y]:
+                    m_uz = mask[u * n + z]
+                    for v in sup[x * n + q]:
+                        m_wv = mask[w * n + v]
+                        total += (m_uz | m_wv | m_pq).bit_count()
+                        live = m_uz & m_wv
+                        if not live:
+                            continue
+                        ss = [s for s in xy if mask[s * n + z] >> v & 1 and mask[w * n + s] >> u & 1]
+                        for r in sup[u * n + z]:  # ascending, as in pentagon_instances
+                            if not live >> r & 1:
+                                continue
+                            if m_pq >> r & 1:
+                                lhs.extend((slot[(w, x, q, pp, r, v)], slot[(pp, y, z, u, r, q)]))
+                            else:
+                                lhs.extend((zero, zero))
+                            starts.append(len(terms) // 3)
+                            for s in ss:
+                                terms.extend(
+                                    (slot[(x, y, z, s, v, q)], slot[(w, s, z, u, r, v)], slot[(w, x, y, pp, u, s)])
+                                )
+                            wit.extend((w, x, y, z, pp, u, r, v, q))
+    starts = np.frombuffer(starts, np.intc)
+    counts = np.diff(starts, append=len(terms) // 3)
+    grouped = np.flatnonzero(counts)
+    prog = _PentagonProgram(
+        total=total,
+        lhs=np.frombuffer(lhs, np.intc).reshape(-1, 2),
+        terms=np.frombuffer(terms, np.intc).reshape(-1, 3),
+        grouped=grouped,
+        starts=starts[grouped],
+        witnesses=np.frombuffer(wit, np.short).reshape(-1, 9),
+    )
+    _PENTAGON_CACHE[rule.key] = prog
+    return prog
 
 
 @dataclass
@@ -205,14 +289,10 @@ def verify_fusion_system(f: FusionSystem, witness_cap: int = 16) -> SystemReport
                 if mat.shape[0] != mat.shape[1] or matrix_inverse_modp(mat, p) is None:
                     non_inv.append((x, y, z, r))
 
-    pent_fail = []
-    insts = pentagon_instances(rule)
-    for inst in insts:
-        lhs, rhs = pentagon_instance_value(f, inst)
-        if lhs != rhs:
-            pent_fail.append(inst[:9])
-            if len(pent_fail) >= witness_cap:
-                break
+    prog = _pentagon_program(rule)
+    # the cap keeps at least one witness, so pentagon_ok reads off the list
+    bad = prog.failures(f)[: max(witness_cap, 1)]
+    pent_fail = [tuple(w) for w in prog.witnesses[bad].tolist()]
 
     tri_fail = []
     for x, y in product(range(n), repeat=2):
@@ -244,7 +324,7 @@ def verify_fusion_system(f: FusionSystem, witness_cap: int = 16) -> SystemReport
         non_invertible=non_inv[:witness_cap],
         pentagon_ok=not pent_fail,
         pentagon_failures=pent_fail,
-        pentagon_checked=len(insts),
+        pentagon_checked=prog.total,
         triangle_ok=not tri_fail,
         triangle_failures=tri_fail[:witness_cap],
         rigidity_ok=not rig_fail,

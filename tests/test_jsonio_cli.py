@@ -1,13 +1,17 @@
 import contextlib
+import copy
 import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusionkit import Ambi, enumerate_uber, reconstruct, verify_fusion_rule
 from fusionkit.cli import main
 from fusionkit.errors import ValidationError
 from fusionkit.jsonio import (
+    BUILTIN_RULES,
     dumps,
     gauge_to_dict,
     gauge_from_dict,
@@ -215,11 +219,31 @@ def test_cli_exit_codes(tmp_path):
         ["rule", "verify", "{tmp}/list.json"],  # top level is not an object
         ["fsys", "verify", "{tmp}/p_not_int.json"],  # wrongly typed fields
         ["uber", "reconstruct", "{tmp}/chi_list.json"],
+        ["rule", "verify", "{tmp}/dual_unknown_label.json"],  # malformed rule documents
+        ["rule", "verify", "{tmp}/unit_list.json"],
+        ["rule", "verify", "{tmp}/dual_list.json"],
     ],
-    ids=["fsys_verify_rule", "uber_psi_rule", "missing_file", "top_level_list", "p_not_int", "chi_list"],
+    ids=[
+        "fsys_verify_rule",
+        "uber_psi_rule",
+        "missing_file",
+        "top_level_list",
+        "p_not_int",
+        "chi_list",
+        "dual_unknown_label",
+        "unit_list",
+        "dual_list",
+    ],
 )
 def test_cli_bad_input_is_one_error_line(tmp_path, argv):
     (tmp_path / "list.json").write_text("[1, 2]")
+    rule = load_document("builtin:ty_z2")
+    for name, field, val in (
+        ("dual_unknown_label", "dual", {"1": "1", "g": "b", "m": "m"}),
+        ("unit_list", "unit", ["1"]),
+        ("dual_list", "dual", ["1", "g", "m"]),
+    ):
+        (tmp_path / f"{name}.json").write_text(json.dumps(rule | {field: val}))
     system = {"rule": "builtin:ty_z2", "p": "x", "coeffs": {}}
     (tmp_path / "p_not_int.json").write_text(json.dumps(system))
     triple = {"rule": "builtin:ty_z2", "p": 17, "chi": [1, 2], "ups": {}, "tau": [1]}
@@ -228,6 +252,49 @@ def test_cli_bad_input_is_one_error_line(tmp_path, argv):
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err and "list indices" not in err
+
+
+_JUNK = ([], [1, "a"], 0, -1, 2**70, 1.5, True, "", "x", None, {}, {"a": 1})
+
+
+@pytest.fixture(scope="module")
+def fuzz_documents(tmp_path_factory):
+    """(subcommand, document) pairs: every bundled rule, and a TY(Z2) system."""
+    from fusionkit import Field, cyclic, tambara_yamagami
+
+    docs = [(["rule", "verify"], load_document(f"builtin:{name}")) for name in BUILTIN_RULES]
+    f = reconstruct(enumerate_uber(Ambi(tambara_yamagami(cyclic(2)), Field(17))).class_reps[0])
+    docs.append((["fsys", "verify"], system_to_dict(f)))
+    return tmp_path_factory.mktemp("fuzz") / "doc.json", docs
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_cli_fuzzed_documents_never_trace_back(fuzz_documents, data):
+    """Dropped or retyped fields anywhere in a rule or system document give
+    exit code 0, 1 or 2, never an exception out of main."""
+    path, docs = fuzz_documents
+    argv, doc = data.draw(st.sampled_from(docs))
+    doc = copy.deepcopy(doc)
+    for _ in range(data.draw(st.integers(1, 3))):
+        node = doc
+        while node:
+            key = data.draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+            if isinstance(node[key], (dict, list)) and node[key] and data.draw(st.booleans()):
+                node = node[key]
+                continue
+            junk = data.draw(st.integers(-1, len(_JUNK) - 1))  # -1 drops the field
+            if junk < 0:
+                del node[key]
+            else:
+                node[key] = copy.deepcopy(_JUNK[junk])
+            break
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli([*argv, str(path)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code:
+        assert out == "" and err.count("\n") == 1
 
 
 def test_cli_determinism_and_out_file(tmp_path):

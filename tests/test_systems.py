@@ -101,6 +101,71 @@ def test_support_is_validated(f5):
         FusionSystem(z2, f5, missing)
 
 
+def _ty_closed_form_system(g, field):
+    """A TY(g) class on an elementary abelian 2-group g from the closed form:
+    chi(a,b) = (-1)^(a.b) on coordinates along a generating sequence, ups = 1
+    and tau^2 = 1/|g|."""
+    from fusionkit import Ambi, reconstruct, tambara_yamagami
+    from fusionkit.uber import Uberderivation
+
+    fr = tambara_yamagami(g)
+    gens = g.generating_sequence()
+    coords = {}
+    for es in product((0, 1), repeat=len(gens)):
+        x = g.unit
+        for e, h in zip(es, gens):
+            x = g.mul(x, h) if e else x
+        coords[x] = es
+    minus = field.p - 1
+    chi = {
+        (a, b): [minus if sum(i * j for i, j in zip(coords[a], coords[b])) % 2 else 1]
+        for a in fr.serf_ids
+        for b in fr.serf_ids
+    }
+    ups = {(a, b): [1] for a in fr.serf_ids for b in fr.serf_ids}
+    tau = next(t for t in range(1, field.p) if len(g) * t * t % field.p == 1)
+    return reconstruct(Uberderivation(Ambi(fr, field), chi, ups, [tau]))
+
+
+def test_compiled_pentagon_matches_scalar_reference(f13, f17, ty3, mr):
+    """verify_fusion_system reports exactly the instances, in instance order,
+    on which pentagon_instance_value finds the two sides different."""
+    from fusionkit import Ambi, direct_product, enumerate_uber, klein_four, reconstruct
+    from fusionkit.systems import pentagon_instance_value, pentagon_instances
+    from tests.test_uber import _six_element_rule
+
+    six = _six_element_rule(cyclic(4), klein_four())
+    classes = [
+        reconstruct(enumerate_uber(Ambi(fr, F), with_orbits=False).class_reps[0])
+        for fr, F in ((mr, f17), (ty3, f13), (six, f17))
+    ]
+    for g in (cyclic(2), klein_four(), direct_product(cyclic(2), klein_four())):
+        classes.append(_ty_closed_form_system(g, f17))
+    rng = random.Random(404)
+    checked = []
+    for f in classes:
+        rule, F = f.rule, f.field
+        assert verify_fusion_system(f).passed
+        coeffs = dict(apply_gauge(f, random_gauge(rule, F, rng)).coeffs)
+        for k in rng.sample(sorted(coeffs), rng.randint(1, 3)):
+            coeffs[k] = coeffs[k] * rng.randrange(2, F.p) % F.p
+        g = FusionSystem(rule, F, coeffs)
+        insts = pentagon_instances(rule)
+        want = []
+        for inst in insts:
+            lhs, rhs = pentagon_instance_value(g, inst)
+            if lhs != rhs:
+                want.append(inst[:9])
+        rep = verify_fusion_system(g, witness_cap=10**9)
+        assert rep.pentagon_failures == want and want
+        assert not rep.pentagon_ok
+        assert rep.pentagon_checked == len(insts)
+        for cap in (0, 16):
+            assert verify_fusion_system(g, witness_cap=cap).pentagon_failures == want[: max(cap, 1)]
+        checked.append(rep.pentagon_checked)
+    assert checked[::5] == [3072, 58368]  # Moore-Read, TY(Z2^3)
+
+
 def test_verified_systems_have_identity_unit_matrices(f17, ty2, mr):
     # every verified system has identity 1-top matrices, checked independently
     from fusionkit import Ambi, enumerate_uber, reconstruct
