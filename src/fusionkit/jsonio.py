@@ -50,8 +50,8 @@ def _field(doc, key: str):
 
 
 def _checked(cast, val, where: str):
-    """cast(val) for a value read off a document (int, dict.items, _ints,
-    _labels, a label lookup), or a ValidationError naming the field whose
+    """cast(val) for a value read off a document (int, dict.items, a list of
+    residues, _labels, a label lookup), or a ValidationError naming the field whose
     value has the wrong type or names no label."""
     try:
         return cast(val)
@@ -59,10 +59,6 @@ def _checked(cast, val, where: str):
         raise ValidationError(f"field {where!r} has a value of the wrong type: {val!r}") from e
     except LookupError as e:
         raise ValidationError(f"field {where!r} names no label: {val!r}") from e
-
-
-def _ints(vec) -> list[int]:
-    return [int(v) for v in vec]
 
 
 def _labels(vec) -> list[str]:
@@ -273,15 +269,9 @@ def uber_from_dict(doc: dict) -> Uberderivation:
         raise ValidationError("rule carries no feudal structure")
     ambi = Ambi(fr, field)
     idx = {lab: i for i, lab in enumerate(rule.labels)}
-
-    def parse(name):
-        out = _keyed(doc, name, idx, 2, _ints)
-        if any(len(vec) != ambi.npoints for vec in out.values()):
-            raise ValidationError(f"each value in {name!r} must list one residue per lord")
-        return out
-
-    tau = _checked(_ints, _field(doc, "tau"), "tau")
-    return Uberderivation(ambi, parse("chi"), parse("ups"), tau)
+    residues = lambda vec: [int(v) % field.p for v in vec]
+    chi, ups = (_keyed(doc, name, idx, 2, residues) for name in ("chi", "ups"))
+    return Uberderivation(ambi, chi, ups, _checked(residues, _field(doc, "tau"), "tau"))
 
 
 def uber_to_dict(u: Uberderivation) -> dict:

@@ -391,12 +391,12 @@ def apply_gauge(f: FusionSystem, xi: GaugeXi) -> FusionSystem:
     """The system related to f by xi through the rectangle axiom."""
     if xi.rule != f.rule or xi.field.p != f.field.p:
         raise DomainError("gauge and system live on different data")
-    F = f.field
+    p, g = f.field.p, xi.values
     out = {}
-    for (x, y, z, u, r, v), val in f.coeffs.items():
-        num = F.mul(val, F.mul(xi[(y, z, v)], xi[(x, v, r)]))
-        out[(x, y, z, u, r, v)] = F.div(num, F.mul(xi[(x, y, u)], xi[(u, z, r)]))
-    return FusionSystem(f.rule, F, out)
+    for key, val in f.coeffs.items():
+        x, y, z, u, r, v = key
+        out[key] = val * g[(y, z, v)] * g[(x, v, r)] * pow(g[(x, y, u)] * g[(u, z, r)], -1, p) % p
+    return FusionSystem(f.rule, f.field, out)
 
 
 # ---- brute-force enumeration ----------------------------------------------------

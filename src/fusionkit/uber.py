@@ -9,6 +9,10 @@ Z_(p-1), gauge shifts span a sublattice, and classes are coset
 representatives of the quotient, post-filtered by the one non-monomial
 condition (the character-sum nondegeneracy).
 
+Each monomial axiom is encoded once, as named rows of uber_constraint_system
+(the axiom and its witness), built once per Ambi.  Uberderivation.report reads
+its failures off those rows and checks only the nondegeneracy directly.
+
 The gauge action is encoded once, in gauge_shift.  The shifts of the gauge
 generators span the gauge-shift lattice, built once per Ambi; classification
 takes cosets of it, and gauge equivalence is a span test on it (is the
@@ -47,79 +51,45 @@ class Uberderivation:
     tau: np.ndarray
 
     def __post_init__(self):
-        self.tau = np.asarray(self.tau, dtype=np.int64) % self.ambi.field.p
-        self.chi = {tuple(k): np.asarray(v, dtype=np.int64) % self.ambi.field.p for k, v in self.chi.items()}
-        self.ups = {tuple(k): np.asarray(v, dtype=np.int64) % self.ambi.field.p for k, v in self.ups.items()}
+        """Reduce every entry mod p; chi and ups must be keyed by exactly the
+        serf pairs, and every vector must hold one residue per lord."""
+        A = self.ambi
+        show = lambda k: ",".join(A.feudal.rule.labels[i] for i in k)
+
+        def residues(v, where):
+            v = np.asarray(v, dtype=np.int64) % A.field.p
+            if v.shape != (A.npoints,):
+                raise ValidationError(f"{where} must list one residue per lord")
+            return v
+
+        for name in ("chi", "ups"):
+            d = {tuple(k): v for k, v in getattr(self, name).items()}
+            off = sorted(set(d) ^ set(product(A.serf_ids, repeat=2)))
+            if off:
+                raise ValidationError(f"{name!r} must be keyed by the serf pairs; it differs at {show(off[0])!r}")
+            setattr(self, name, {k: residues(v, f"{name!r} at {show(k)!r}") for k, v in d.items()})
+        self.tau = residues(self.tau, "'tau'")
 
     def report(self) -> dict:
+        """The failed axioms, each with its witnesses; empty on a valid triple.
+
+        The monomial axioms are read off the named rows of the constraint
+        system; only the character-sum nondegeneracy is checked directly.
+        """
         A = self.ambi
-        f = A.feudal
-        e = A.unit_serf
-        serfs = A.serf_ids
-        issues = {}
-
-        def check(name, ok):
-            issues.setdefault(name, [])
-            if ok is not True:
-                issues[name].append(ok)
-
-        for (a, b), v in list(self.chi.items()) + list(self.ups.items()):
-            if not A.is_invertible(v):
-                check("invertible", (a, b))
+        zeros = [k for k in self.chi if not (A.is_invertible(self.chi[k]) and A.is_invertible(self.ups[k]))]
         if not A.is_invertible(self.tau):
-            check("invertible", "tau")
-
-        for b in serfs:
-            for a in serfs:
-                if (a == e or b == e) and not A.eq(self.ups[(a, b)], A.one()):
-                    check("ups_normalized", (a, b))
-
-        for a, b in product(serfs, repeat=2):
-            ai, bi = f.serf_inv(a), f.serf_inv(b)
-            lhs = A.bar(self.chi[(b, a)])
-            rhs = A.mul(
-                A.act(ai, self.chi[(a, b)], bi),
-                A.act(ai, self.tau, bi),
-                self.tau,
-                A.inv(A.act(ai, self.tau)),
-                A.inv(A.ract(self.tau, bi)),
-            )
-            if not A.eq(lhs, rhs):
-                check("quasisymmetric", (a, b))
-
-        for a, b, c in product(serfs, repeat=3):
-            lhs = A.mul(
-                self.ups[(a, b)],
-                A.inv(A.ract(self.ups[(a, b)], c)),
-                self.chi[(f.serf_mul(a, b), c)],
-            )
-            rhs = A.mul(self.chi[(a, c)], A.act(a, self.chi[(b, c)]))
-            if not A.eq(lhs, rhs):
-                check("biderivation", (a, b, c))
-
-        acts = A.trivial_actors
-        for a, b in product(acts, repeat=2):
-            if not A.eq(self.chi[(a, b)], self.chi[(b, a)]):
-                check("symmetric_on_A", (a, b))
-            for c in acts:
-                if not A.eq(
-                    self.chi[(f.serf_mul(a, b), c)], A.mul(self.chi[(a, c)], self.chi[(b, c)])
-                ):
-                    check("bicharacter_on_A", (a, b, c))
-        for a in acts:
-            if a == e:
-                continue
-            total = A.zero()
-            for b in acts:
-                total = (total + self.chi[(a, b)]) % A.field.p
-            if total.any():
-                check("nondegenerate_on_A", a)
-
-        normsq = A.mul(A.const(len(acts)), self.tau, A.bar(self.tau))
-        if not A.eq(normsq, A.one()):
-            check("tau_norm", "|A| tau taubar != 1")
-
-        return {k: v for k, v in issues.items() if v}
+            zeros.append("tau")
+        if zeros:
+            return {"invertible": zeros}  # such a triple has no exponent coordinates
+        rows = _per_ambi(A, _axiom_rows)
+        issues = rows.failures(uber_to_vec(self))
+        degenerate = _degenerate_on_A(A, self.chi)
+        if degenerate:
+            issues["nondegenerate_on_A"] = degenerate
+        if rows.a_vanishes:
+            issues["tau_norm"] = ["|A| tau taubar != 1"]
+        return issues
 
     def is_valid(self) -> bool:
         return not self.report()
@@ -452,8 +422,7 @@ class _GaugeLattice:
 
     Generator i is the field generator at slots[i] and 1 everywhere else;
     a slot is ("theta", a, b, orbit), ("phi", a, j) or ("sigma", j).
-    shifts[i] is the uber_to_vec image of its gauge_shift.  It holds no
-    reference to its Ambi, which keys it weakly.
+    shifts[i] is the uber_to_vec image of its gauge_shift.
     """
 
     slots: list[tuple]
@@ -466,7 +435,17 @@ class _GaugeLattice:
         return factor_mod(self.shifts.T, self.n)
 
 
-_LATTICES: "weakref.WeakKeyDictionary[Ambi, _GaugeLattice]" = weakref.WeakKeyDictionary()
+_PER_AMBI: "weakref.WeakKeyDictionary[Ambi, dict]" = weakref.WeakKeyDictionary()
+
+
+def _per_ambi(ambi: Ambi, build):
+    """build(ambi) (the axiom rows or the gauge-shift lattice), built on first
+    use and kept while ambi lives; it holds no reference to ambi, which keys
+    it weakly, so each CLI run starts cold."""
+    derived = _PER_AMBI.setdefault(ambi, {})
+    if build not in derived:
+        derived[build] = build(ambi)
+    return derived[build]
 
 
 def _slot_gauge(ambi: Ambi, slots: list[tuple], exps) -> GaugeTriple:
@@ -487,17 +466,14 @@ def _slot_gauge(ambi: Ambi, slots: list[tuple], exps) -> GaugeTriple:
 
 
 def _gauge_lattice(ambi: Ambi) -> _GaugeLattice:
-    """The gauge-shift lattice of ambi, built on first use and kept while ambi lives."""
-    lat = _LATTICES.get(ambi)
-    if lat is None:
-        nonunit = [a for a in ambi.serf_ids if a != ambi.unit_serf]
-        slots = [("theta", a, b, orb) for a in nonunit for b in nonunit for orb in ambi.orbits]
-        slots += [("phi", a, j) for a in nonunit for j in range(ambi.npoints)]
-        slots += [("sigma", j) for j in range(ambi.npoints)]
-        gens = (_slot_gauge(ambi, slots, row) for row in np.eye(len(slots), dtype=np.int64))
-        shifts = np.array([uber_to_vec(Uberderivation(ambi, *gauge_shift(ambi, g))) for g in gens])
-        lat = _LATTICES[ambi] = _GaugeLattice(slots, shifts, ambi.field.p - 1)
-    return lat
+    """The gauge-shift lattice of ambi; _per_ambi keeps it."""
+    nonunit = [a for a in ambi.serf_ids if a != ambi.unit_serf]
+    slots = [("theta", a, b, orb) for a in nonunit for b in nonunit for orb in ambi.orbits]
+    slots += [("phi", a, j) for a in nonunit for j in range(ambi.npoints)]
+    slots += [("sigma", j) for j in range(ambi.npoints)]
+    gens = (_slot_gauge(ambi, slots, row) for row in np.eye(len(slots), dtype=np.int64))
+    shifts = np.array([uber_to_vec(Uberderivation(ambi, *gauge_shift(ambi, g))) for g in gens])
+    return _GaugeLattice(slots, shifts, ambi.field.p - 1)
 
 
 def gauge_equivalent_uber(u1: Uberderivation, u2: Uberderivation) -> GaugeTriple | None:
@@ -512,7 +488,7 @@ def gauge_equivalent_uber(u1: Uberderivation, u2: Uberderivation) -> GaugeTriple
     A = u1.ambi
     if A.feudal.rule != u2.ambi.feudal.rule or A.field.p != u2.ambi.field.p:
         raise DomainError("uberderivations live on different data")
-    lat = _gauge_lattice(A)
+    lat = _per_ambi(A, _gauge_lattice)
     c = lat.solver.solve(uber_to_vec(u2) - uber_to_vec(u1), lat.n)
     if c is None:
         return None
@@ -630,13 +606,31 @@ def uber_unknown_keys(ambi: Ambi) -> list[tuple]:
     return keys
 
 
-def uber_constraint_system(ambi: Ambi):
-    """(matrix, rhs, keys): the multiplicative axioms in exponent coordinates.
+@dataclass
+class _AxiomRows:
+    """The monomial axioms of an Ambi as affine rows over Z/n, each written once.
 
-    Homogeneous rows: ups normalization, quasisymmetry, the biderivation law,
-    and symmetry of chi on A x A.  The single affine family is the norm
-    |A| tau taubar = 1, whose right-hand side is -log|A|.
+    An exponent vector x satisfies row i iff mat[i] @ x = rhs[i] mod n, and
+    names[i] is the row's (axiom, witness).  When |A| vanishes in F the norm
+    rows are left out and a_vanishes is set: no tau satisfies the norm.
     """
+
+    mat: np.ndarray
+    rhs: np.ndarray
+    names: list[tuple]
+    n: int
+    a_vanishes: bool
+
+    def failures(self, x: np.ndarray) -> dict:
+        """The witnesses of the rows x fails, grouped by axiom, in row order."""
+        out: dict[str, dict] = {}
+        for i in np.flatnonzero((self.mat @ x - self.rhs) % self.n):
+            axiom, witness = self.names[i]
+            out.setdefault(axiom, {})[witness] = None
+        return {axiom: list(witnesses) for axiom, witnesses in out.items()}
+
+
+def _axiom_rows(ambi: Ambi) -> _AxiomRows:
     A = ambi
     F = A.field
     fr = A.feudal
@@ -649,71 +643,85 @@ def uber_constraint_system(ambi: Ambi):
     L, R = fr.act_left, fr.act_right
     keys = uber_unknown_keys(ambi)
     idx = {k: i for i, k in enumerate(keys)}
-    N = len(keys)
     bar = lambda j: int(A.bar_perm[j])
 
-    rows, rhs = [], []
+    rows, rhs, names = [], [], []
 
-    def new_row():
-        return np.zeros(N, dtype=np.int64)
+    def new_row(name, value=0):
+        rows.append(np.zeros(len(keys), dtype=np.int64))
+        rhs.append(value)
+        names.append(name)
+        return rows[-1]
 
     for a, b in product(serfs, repeat=2):
         if a == e or b == e:
             for j in range(nm):
-                row = new_row()
-                row[idx[("ups", a, b, j)]] = 1
-                rows.append(row)
-                rhs.append(0)
+                new_row(("ups_normalized", (a, b)))[idx[("ups", a, b, j)]] = 1
 
     for a, b in product(serfs, repeat=2):
         for j, m in enumerate(lords):
             q = pos[R(L(a, m), b)]  # a m b
             qa = pos[L(a, m)]
             qb = pos[R(m, b)]
-            row = new_row()
+            row = new_row(("quasisymmetric", (a, b)))
             row[idx[("chi", b, a, bar(j))]] += 1
             row[idx[("chi", a, b, q)]] -= 1
             row[idx[("tau", q)]] -= 1
             row[idx[("tau", j)]] -= 1
             row[idx[("tau", qa)]] += 1
             row[idx[("tau", qb)]] += 1
-            rows.append(row)
-            rhs.append(0)
 
+    # on A x A x A both actions are trivial, so these rows are also the
+    # bicharacter law chi(ab, c) = chi(a, c) chi(b, c)
     for a, b, c in product(serfs, repeat=3):
         ab = mul(a, b)
         for j, m in enumerate(lords):
-            row = new_row()
+            row = new_row(("biderivation", (a, b, c)))
             row[idx[("ups", a, b, j)]] += 1
             row[idx[("ups", a, b, pos[R(m, inv(c))])]] -= 1
             row[idx[("chi", ab, c, j)]] += 1
             row[idx[("chi", a, c, j)]] -= 1
             row[idx[("chi", b, c, pos[L(inv(a), m)])]] -= 1
-            rows.append(row)
-            rhs.append(0)
 
     acts = A.trivial_actors
     for a, b in product(acts, repeat=2):
         if a >= b:
             continue
         for j in range(nm):
-            row = new_row()
+            row = new_row(("symmetric_on_A", (a, b)))
             row[idx[("chi", a, b, j)]] += 1
             row[idx[("chi", b, a, j)]] -= 1
-            rows.append(row)
-            rhs.append(0)
 
-    if len(acts) % F.p == 0:
-        return None, None, keys  # |A| vanishes in F; no solutions at all
-    neg_log = (-F.log(len(acts) % F.p)) % n
-    for j in range(nm):
-        row = new_row()
-        row[idx[("tau", j)]] += 1
-        row[idx[("tau", bar(j))]] += 1
-        rows.append(row)
-        rhs.append(neg_log)
+    a_vanishes = len(acts) % F.p == 0
+    if not a_vanishes:
+        neg_log = (-F.log(len(acts) % F.p)) % n
+        for j in range(nm):
+            row = new_row(("tau_norm", "|A| tau taubar != 1"), neg_log)
+            row[idx[("tau", j)]] += 1
+            row[idx[("tau", bar(j))]] += 1
 
-    return np.vstack(rows), np.array(rhs, dtype=np.int64), keys
+    mat, rhs = np.vstack(rows), np.array(rhs, dtype=np.int64)
+    mat.flags.writeable = rhs.flags.writeable = False
+    return _AxiomRows(mat, rhs, names, n, a_vanishes)
+
+
+def _degenerate_on_A(ambi: Ambi, chi: dict) -> list[int]:
+    """The a != e in A whose character sum over A, sum_b chi(a, b), is nonzero."""
+    acts = ambi.trivial_actors
+    return [a for a in acts if a != ambi.unit_serf and (sum(chi[(a, b)] for b in acts) % ambi.field.p).any()]
+
+
+def uber_constraint_system(ambi: Ambi):
+    """(matrix, rhs, keys): the multiplicative axioms in exponent coordinates.
+
+    Homogeneous rows: ups normalization, quasisymmetry, the biderivation law,
+    and symmetry of chi on A x A.  The single affine family is the norm
+    |A| tau taubar = 1, whose right-hand side is -log|A|.  When |A| vanishes
+    in F there are no solutions at all, and matrix and rhs are None.
+    """
+    rows = _per_ambi(ambi, _axiom_rows)
+    keys = uber_unknown_keys(ambi)
+    return (None, None, keys) if rows.a_vanishes else (rows.mat, rows.rhs, keys)
 
 
 def vec_to_uber(ambi: Ambi, vec: np.ndarray) -> Uberderivation:
@@ -804,7 +812,7 @@ def enumerate_uber(
     if x0 is None:
         return UberClassification(A, obst, [], [], [], lattice_info | {"consistent": False})
     hom = nullspace_mod(mat, n)
-    gauge = _gauge_lattice(A).shifts
+    gauge = _per_ambi(A, _gauge_lattice).shifts
     if (mat @ gauge.T % n).any():
         raise ValidationError("gauge shift violates the monomial axioms")
     shifts = [v for v in gauge if v.any()]
@@ -815,15 +823,15 @@ def enumerate_uber(
         invariant_factors=quot.invariant_factors,
         gauge_generators=len(shifts),
     )
+    rows = _per_ambi(A, _axiom_rows)
     reps, vecs, class_at = [], [], {}  # class_at: coset index -> class number
     for k, h in enumerate(quot.representatives(limit=class_limit)):
         x = (x0 + h) % n
+        broken = rows.failures(x)
+        if broken:
+            raise ValidationError(f"lattice representative violates monomial axioms: {sorted(broken)}")
         cand = vec_to_uber(A, x)
-        rep = cand.report()
-        nondeg_only = set(rep) <= {"nondegenerate_on_A"}
-        if not nondeg_only:
-            raise ValidationError(f"lattice representative violates monomial axioms: {sorted(rep)}")
-        if not rep:
+        if not _degenerate_on_A(A, cand.chi):
             class_at[k] = len(reps)
             reps.append(cand)
             vecs.append(x)

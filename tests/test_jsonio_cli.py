@@ -222,6 +222,11 @@ def test_cli_exit_codes(tmp_path):
         ["rule", "verify", "{tmp}/dual_unknown_label.json"],  # malformed rule documents
         ["rule", "verify", "{tmp}/unit_list.json"],
         ["rule", "verify", "{tmp}/dual_list.json"],
+        ["uber", "reconstruct", "{tmp}/chi_missing_pair.json"],  # malformed triples
+        ["uber", "reconstruct", "{tmp}/ups_missing_pair.json"],
+        ["uber", "reconstruct", "{tmp}/tau_empty.json"],
+        ["uber", "reconstruct", "{tmp}/tau_too_long.json"],
+        ["uber", "reconstruct", "{tmp}/chi_lord_key.json"],
     ],
     ids=[
         "fsys_verify_rule",
@@ -233,6 +238,11 @@ def test_cli_exit_codes(tmp_path):
         "dual_unknown_label",
         "unit_list",
         "dual_list",
+        "chi_missing_pair",
+        "ups_missing_pair",
+        "tau_empty",
+        "tau_too_long",
+        "chi_lord_key",
     ],
 )
 def test_cli_bad_input_is_one_error_line(tmp_path, argv):
@@ -248,10 +258,25 @@ def test_cli_bad_input_is_one_error_line(tmp_path, argv):
     (tmp_path / "p_not_int.json").write_text(json.dumps(system))
     triple = {"rule": "builtin:ty_z2", "p": 17, "chi": [1, 2], "ups": {}, "tau": [1]}
     (tmp_path / "chi_list.json").write_text(json.dumps(triple))
+    pairs = ("1,1", "1,g", "g,1", "g,g")
+    ones = {k: [1] for k in pairs}
+    triple = {"rule": "builtin:ty_z2", "p": 17, "chi": ones, "ups": ones}
+    malformed = {
+        "chi_missing_pair": triple | {"chi": {k: [1] for k in pairs[1:]}, "tau": [3]},
+        "ups_missing_pair": triple | {"ups": {k: [1] for k in pairs[1:]}, "tau": [3]},
+        "tau_empty": triple | {"tau": []},
+        "tau_too_long": triple | {"tau": [3, 3]},
+        "chi_lord_key": triple | {"chi": {k: [1] for k in (*pairs, "m,1")}, "tau": [3]},
+    }
+    for name, doc in malformed.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     code, out, err = run_cli([a.format(tmp=tmp_path) for a in argv])
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err and "list indices" not in err
+    name = argv[-1].removeprefix("{tmp}/").removesuffix(".json")
+    if name in malformed:  # the message names the offending field
+        assert f"'{name.split('_')[0]}'" in err
 
 
 _JUNK = ([], [1, "a"], 0, -1, 2**70, 1.5, True, "", "x", None, {}, {"a": 1})
@@ -259,20 +284,23 @@ _JUNK = ([], [1, "a"], 0, -1, 2**70, 1.5, True, "", "x", None, {}, {"a": 1})
 
 @pytest.fixture(scope="module")
 def fuzz_documents(tmp_path_factory):
-    """(subcommand, document) pairs: every bundled rule, and a TY(Z2) system."""
+    """(subcommand, document) pairs: every bundled rule, a TY(Z2) system for
+    fsys verify and uber psi, and a TY(Z2) triple for uber reconstruct."""
     from fusionkit import Field, cyclic, tambara_yamagami
 
     docs = [(["rule", "verify"], load_document(f"builtin:{name}")) for name in BUILTIN_RULES]
-    f = reconstruct(enumerate_uber(Ambi(tambara_yamagami(cyclic(2)), Field(17))).class_reps[0])
-    docs.append((["fsys", "verify"], system_to_dict(f)))
+    u = enumerate_uber(Ambi(tambara_yamagami(cyclic(2)), Field(17))).class_reps[0]
+    system = system_to_dict(reconstruct(u))
+    docs += [(["fsys", "verify"], system), (["uber", "psi"], system)]
+    docs.append((["uber", "reconstruct"], uber_to_dict(u)))
     return tmp_path_factory.mktemp("fuzz") / "doc.json", docs
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(data=st.data())
 def test_cli_fuzzed_documents_never_trace_back(fuzz_documents, data):
-    """Dropped or retyped fields anywhere in a rule or system document give
-    exit code 0, 1 or 2, never an exception out of main."""
+    """Dropped or retyped fields anywhere in a rule, system or triple
+    document give exit code 0, 1 or 2, never an exception out of main."""
     path, docs = fuzz_documents
     argv, doc = data.draw(st.sampled_from(docs))
     doc = copy.deepcopy(doc)

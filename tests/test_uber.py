@@ -31,6 +31,8 @@ from fusionkit.systems import FusionSystem, admissible_sextuples
 from fusionkit.uber import (
     transport,
     uber_constraint_system,
+    uber_to_vec,
+    uber_unknown_keys,
     vec_to_uber,
 )
 from fusionkit.zmodlin import solve_mod
@@ -671,6 +673,122 @@ def test_transport_by_automorphism_preserves_validity(f17, mr):
                 assert A.eq(v.chi[(a, b)], u.chi[(pre[a], pre[b])][lords])
                 assert A.eq(v.ups[(a, b)], u.ups[(pre[a], pre[b])][lords])
             assert A.eq(v.tau, u.tau[lords])
+
+
+# ---- the named rows against the multiplicative axioms -----------------------------------
+
+
+def _reference_report(u):
+    """The axioms written multiplicatively, pointwise in B, on an invertible
+    triple: the oracle that the named constraint rows are checked against."""
+    from itertools import product
+
+    A = u.ambi
+    f = A.feudal
+    e = A.unit_serf
+    serfs = A.serf_ids
+    issues = {}
+    check = lambda name, witness: issues.setdefault(name, []).append(witness)
+    for a, b in product(serfs, repeat=2):
+        if (a == e or b == e) and not A.eq(u.ups[(a, b)], A.one()):
+            check("ups_normalized", (a, b))
+    for a, b in product(serfs, repeat=2):
+        ai, bi = f.serf_inv(a), f.serf_inv(b)
+        rhs = A.mul(
+            A.act(ai, u.chi[(a, b)], bi),
+            A.act(ai, u.tau, bi),
+            u.tau,
+            A.inv(A.act(ai, u.tau)),
+            A.inv(A.ract(u.tau, bi)),
+        )
+        if not A.eq(A.bar(u.chi[(b, a)]), rhs):
+            check("quasisymmetric", (a, b))
+    for a, b, c in product(serfs, repeat=3):
+        lhs = A.mul(u.ups[(a, b)], A.inv(A.ract(u.ups[(a, b)], c)), u.chi[(f.serf_mul(a, b), c)])
+        if not A.eq(lhs, A.mul(u.chi[(a, c)], A.act(a, u.chi[(b, c)]))):
+            check("biderivation", (a, b, c))
+    acts = A.trivial_actors
+    for a, b in product(acts, repeat=2):
+        if not A.eq(u.chi[(a, b)], u.chi[(b, a)]):
+            check("symmetric_on_A", (a, b))
+        for c in acts:
+            if not A.eq(u.chi[(f.serf_mul(a, b), c)], A.mul(u.chi[(a, c)], u.chi[(b, c)])):
+                check("bicharacter_on_A", (a, b, c))
+    for a in acts:
+        if a != e and (sum(u.chi[(a, b)] for b in acts) % A.field.p).any():
+            check("nondegenerate_on_A", a)
+    if not A.eq(A.mul(A.const(len(acts)), u.tau, A.bar(u.tau)), A.one()):
+        check("tau_norm", "|A| tau taubar != 1")
+    return issues
+
+
+def _random_gauge_triple(A, rng):
+    p, e = A.field.p, A.unit_serf
+    unit = lambda: np.array([rng.randrange(1, p) for _ in range(A.npoints)])
+    pairs = [(a, b) for a in A.serf_ids for b in A.serf_ids]
+    theta = {k: A.one() if e in k else A.const(rng.randrange(1, p)) for k in pairs}
+    phi = {a: A.one() if a == e else unit() for a in A.serf_ids}
+    return GaugeTriple(A, theta, phi, unit())
+
+
+def test_report_matches_multiplicative_axioms(f17, f13, mr, ty2, ty3):
+    """report, read off the named rows, fails exactly the axioms (and at
+    exactly the witnesses) that the multiplicative definitions fail.  The
+    bicharacter law on A x A x A is the biderivation law there, and symmetry
+    is witnessed by the pair a < b."""
+    from fusionkit import cyclic, klein_four
+
+    rng = random.Random(13)
+    rules = [
+        (mr, f17),
+        (ty2, f17),
+        (tambara_yamagami(klein_four()), f17),
+        (ty3, f13),
+        (_six_element_rule(cyclic(4), klein_four()), f17),
+    ]
+    kinds = set()
+
+    def agree(u):
+        want = {}
+        for axiom, witnesses in _reference_report(u).items():
+            if axiom == "symmetric_on_A":
+                witnesses = [(a, b) for a, b in witnesses if a < b]
+            if axiom == "bicharacter_on_A":
+                axiom = "biderivation"
+            want.setdefault(axiom, set()).update(witnesses)
+        got = u.report()
+        assert u.is_valid() == (not want)
+        assert {k: set(v) for k, v in got.items()} == want
+        kinds.update(got)
+
+    for fr, F in rules:
+        A = Ambi(fr, F)
+        n = F.p - 1
+        for _ in range(6):  # random exponent vectors
+            agree(vec_to_uber(A, np.array([rng.randrange(n) for _ in uber_unknown_keys(A)])))
+        reps = enumerate_uber(A, with_orbits=False).class_reps
+        assert reps
+        for _ in range(6):  # gauged class representatives, and a one-entry corruption of each
+            u = apply_gauge_uber(rng.choice(reps), _random_gauge_triple(A, rng))
+            agree(u)
+            x = uber_to_vec(u)
+            x[rng.randrange(len(x))] += rng.randrange(1, n)
+            agree(vec_to_uber(A, x))
+    axioms = ("ups_normalized", "quasisymmetric", "biderivation", "symmetric_on_A", "nondegenerate_on_A")
+    assert kinds == {*axioms, "tau_norm"}
+
+
+def test_report_on_zero_entries_names_invertible(f17, ty2):
+    """A zero entry has no exponent coordinates: invertibility is all that is reported."""
+    a = ty2.serf_ids[1]
+    for part in ("chi", "ups"):
+        u = ty2_uber(f17, ty2)
+        getattr(u, part)[(a, a)] = u.ambi.zero()
+        assert u.report() == {"invertible": [(a, a)]}
+    u = ty2_uber(f17, ty2, tau=0)
+    assert u.report() == {"invertible": ["tau"]}
+    with pytest.raises(DomainError, match="invertible"):
+        u.validate()
 
 
 # ---- obstructions -----------------------------------------------------------------------
