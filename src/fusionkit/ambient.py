@@ -86,10 +86,6 @@ class Ambi:
     def eq(self, a, b) -> bool:
         return bool(((np.asarray(a) - np.asarray(b)) % self.field.p == 0).all())
 
-    def total(self, mu) -> int:
-        """Pointwise sum over lords, as a field element vector reduced mod p."""
-        return int(np.asarray(mu).sum() % self.field.p)
-
     # ---- structure ---------------------------------------------------------
 
     @cached_property
@@ -124,15 +120,6 @@ class Ambi:
             seen |= orb
             orbits.append(tuple(sorted(orb)))
         return tuple(orbits)
-
-    def fix_basis(self) -> list[np.ndarray]:
-        """Indicator vectors of the action orbits; fix(S) is their span."""
-        out = []
-        for orb in self.orbits:
-            v = self.zero()
-            v[list(orb)] = 1
-            out.append(v)
-        return out
 
     def in_fix(self, mu) -> bool:
         mu = np.asarray(mu) % self.field.p

@@ -2,9 +2,14 @@
 
 Cochains take values either in GF(p)^x with the trivial action or in the
 invertible part of an ambient algebra B = F^M with its two-sided actions.
-All H^3 computation happens in discrete-log coordinates, where cocycle and
+All computation happens in discrete-log coordinates, where cocycle and
 coboundary conditions are integer-linear over Z_(p-1); p - 1 is composite,
 so kernels and images go through the gcd-pivot machinery in zmodlin.
+
+The coboundary is encoded once, by `_delta`, as a signed gather of tuple
+indices; the coboundary of a cochain, the cocycle test, normalization, the
+exponent-space matrices of `h3` and the alpha of `uber.reconstruct` all
+read off it.
 """
 
 from __future__ import annotations
@@ -21,65 +26,65 @@ from .groups import FiniteGroup
 from .zmodlin import nullspace_mod, quotient_structure, solve_mod
 
 
-class TrivialUnits:
-    """GF(p)^x as a module with both actions trivial; values are ints."""
+@dataclass(frozen=True)
+class Units:
+    """The coefficient module of a cochain.
 
-    def __init__(self, field: Field):
-        self.field = field
+    Units(field) is GF(p)^x with both actions trivial, valued in ints;
+    Units(field, ambi) is B^x for the ambient algebra B = F^M, valued in
+    length-M vectors, with the two-sided serf actions.  In exponent
+    coordinates a value is a length-M log vector (M = 1 for GF(p)^x), and a
+    group element acts on it by a permutation of the M points.
+    """
+
+    field: Field
+    ambi: Ambi | None = None
+
+    def __post_init__(self):
+        if self.ambi is not None and self.ambi.field != self.field:
+            raise ValidationError("the ambient algebra lives over a different field")
+
+    @property
+    def points(self) -> int:
+        return 1 if self.ambi is None else self.ambi.npoints
 
     def one(self):
-        return 1
+        return self.exp(np.zeros(self.points, dtype=np.int64))
 
     def mul(self, *xs):
-        out = 1
+        out = self.one()
         for x in xs:
-            out = out * int(x) % self.field.p
+            out = out * x % self.field.p
         return out
 
     def inv(self, x):
-        return self.field.inv(int(x))
+        return self.exp(-self.log(x))
 
-    def act(self, a, x, b=None):
-        return int(x) % self.field.p
-
-    def eq(self, x, y):
-        return (int(x) - int(y)) % self.field.p == 0
-
-    def coerce(self, x):
-        v = int(x) % self.field.p
-        if v == 0:
-            raise ValidationError("cochain values must be invertible")
-        return v
-
-
-class BimoduleUnits:
-    """B^x for an ambient algebra, with the two-sided serf actions."""
-
-    def __init__(self, ambi: Ambi):
-        self.ambi = ambi
-        self.field = ambi.field
-
-    def one(self):
-        return self.ambi.one()
-
-    def mul(self, *xs):
-        return self.ambi.mul(*xs)
-
-    def inv(self, x):
-        return self.ambi.inv(x)
-
-    def act(self, a, x, b=None):
-        unit = self.ambi.unit_serf
-        return self.ambi.act(unit if a is None else a, x, unit if b is None else b)
-
-    def eq(self, x, y):
-        return self.ambi.eq(x, y)
+    def eq(self, x, y) -> bool:
+        return bool(((np.asarray(x) - np.asarray(y)) % self.field.p == 0).all())
 
     def coerce(self, x):
         v = np.asarray(x, dtype=np.int64) % self.field.p
         if (v == 0).any():
             raise ValidationError("cochain values must be invertible")
-        return v
+        return int(v) if self.ambi is None else v
+
+    def log(self, x) -> np.ndarray:
+        """The log vector of a value."""
+        return np.array([self.field.log(int(v)) for v in np.ravel(x)], dtype=np.int64)
+
+    def exp(self, logs):
+        """The value with log vector logs."""
+        vals = np.array([self.field.exp(int(e)) for e in logs], dtype=np.int64)
+        return int(vals[0]) if self.ambi is None else vals
+
+    def action(self, n: int, side: str) -> np.ndarray:
+        """Row i: the point permutation by which group element i acts on the
+        given side.  Element i of a B^x cochain's group is serf serf_ids[i]."""
+        if self.ambi is None:
+            return np.zeros((n, 1), dtype=np.int64)
+        A, pts = self.ambi, np.arange(self.ambi.npoints)
+        return np.array([A.act(s, pts) if side == "left" else A.ract(pts, s) for s in A.serf_ids])
 
 
 @dataclass
@@ -87,11 +92,11 @@ class Cochain:
     group: FiniteGroup
     degree: int
     values: dict
-    module: object  # TrivialUnits or BimoduleUnits
+    module: Units
 
     def __post_init__(self):
-        if self.degree not in (1, 2, 3):
-            raise DomainError("degree must be 1, 2, or 3")
+        if self.degree not in (1, 2, 3, 4):
+            raise DomainError("degree must be 1, 2, 3, or 4")
         n = len(self.group)
         want = set(product(range(n), repeat=self.degree))
         vals = {tuple(int(i) for i in k): self.module.coerce(v) for k, v in self.values.items()}
@@ -99,8 +104,18 @@ class Cochain:
             raise ValidationError("cochain must be total on S^n")
         self.values = vals
 
+    @classmethod
+    def from_logs(cls, group: FiniteGroup, degree: int, logs: np.ndarray, module: Units) -> "Cochain":
+        """The cochain whose log array (see `logs`) is logs."""
+        tuples = product(range(len(group)), repeat=degree)
+        return cls(group, degree, {t: module.exp(row) for t, row in zip(tuples, logs)}, module)
+
     def __call__(self, *args):
         return self.values[args]
+
+    def logs(self) -> np.ndarray:
+        """The (n^degree, M) array of log vectors, rows in product order of the tuples."""
+        return np.array([self.module.log(self.values[t]) for t in sorted(self.values)])
 
     def is_normalized(self) -> bool:
         e = self.group.unit
@@ -119,107 +134,90 @@ class Cochain:
 
 
 def trivial_cochain(group: FiniteGroup, degree: int, field: Field) -> Cochain:
-    mod = TrivialUnits(field)
-    return Cochain(group, degree, {k: 1 for k in product(range(len(group)), repeat=degree)}, mod)
+    return Cochain(group, degree, {k: 1 for k in product(range(len(group)), repeat=degree)}, Units(field))
+
+
+# ---- the coboundary, once -----------------------------------------------------------
+
+
+def _delta(g: FiniteGroup, degree: int, side: str):
+    """The coboundary C^k -> C^(k+1) of g (k = degree) as a signed gather.
+
+    On the left,
+        (dh)(g0..gk) = g0.h(g1..gk) * prod_i h(..g_(i-1) g_i..)^((-1)^i)
+                       * h(g0..g_(k-1))^((-1)^(k+1)),
+    and on the right the action moves to the last term, h(g0..g_(k-1)).gk.
+    Returns (src, signs, acted, actor): src[r, j] is the C^k tuple index of
+    term j at the r-th (k+1)-tuple in product order, term j enters with
+    exponent signs[j], and term `acted` is acted on by element actor[r].
+    """
+    n, k = len(g), degree
+    t = np.indices((n,) * (k + 1)).reshape(k + 1, -1).T
+    terms = [t[:, 1:]]
+    terms += [np.column_stack([t[:, : i - 1], g.table[t[:, i - 1], t[:, i]], t[:, i + 1 :]]) for i in range(1, k + 1)]
+    terms.append(t[:, :k])
+    weights = n ** np.arange(k - 1, -1, -1)
+    src = np.stack([x @ weights for x in terms], axis=1)
+    signs = (-1) ** np.arange(k + 2)
+    if side == "left":
+        return src, signs, 0, t[:, 0]
+    return src, signs, k + 1, t[:, k]
+
+
+def coboundary_logs(logs: np.ndarray, module: Units, g: FiniteGroup, degree: int, side: str) -> np.ndarray:
+    """The coboundary in exponent coordinates: the (n^degree, M) log array of
+    a cochain (see `Cochain.logs`) to that of its coboundary, mod p - 1."""
+    src, signs, acted, actor = _delta(g, degree, side)
+    terms = np.asarray(logs)[src]
+    terms[:, acted] = np.take_along_axis(terms[:, acted], module.action(len(g), side)[actor], axis=1)
+    return np.tensordot(signs, terms, axes=(0, 1)) % (module.field.p - 1)
 
 
 def coboundary(h: Cochain, side: str = "left") -> Cochain:
     """The left or right coboundary; raises on degree-3 right for real bimodules."""
     if side not in ("left", "right"):
         raise DomainError("side must be 'left' or 'right'")
-    g, mod = h.group, h.module
-    mul, inv, act = mod.mul, mod.inv, mod.act
-    gm = g.mul
-    n = len(g)
-    out = {}
-    if h.degree == 1:
-        for a, b in product(range(n), repeat=2):
-            if side == "left":
-                out[(a, b)] = mul(h(a), act(a, h(b)), inv(h(gm(a, b))))
-            else:
-                out[(a, b)] = mul(act(None, h(a), b), h(b), inv(h(gm(a, b))))
-        deg = 2
-    elif h.degree == 2:
-        for a, b, c in product(range(n), repeat=3):
-            if side == "left":
-                out[(a, b, c)] = mul(
-                    h(a, gm(b, c)), act(a, h(b, c)), inv(mul(h(a, b), h(gm(a, b), c)))
-                )
-            else:
-                out[(a, b, c)] = mul(
-                    h(a, gm(b, c)), h(b, c), inv(mul(act(None, h(a, b), c), h(gm(a, b), c)))
-                )
-        deg = 3
-    else:
-        if side == "right":
-            if isinstance(mod, BimoduleUnits) and len(mod.ambi.orbits) != mod.ambi.npoints:
-                raise DomainError("degree-3 right coboundary is only defined for trivial actions")
-            # for trivial actions both coboundaries agree; fall through to left
-        for a, b, c, d in product(range(n), repeat=4):
-            out[(a, b, c, d)] = mul(
-                h(a, b, c),
-                h(a, gm(b, c), d),
-                act(a, h(b, c, d)),
-                inv(mul(h(a, b, gm(c, d)), h(gm(a, b), c, d))),
-            )
-        deg = 4
-    if deg == 4:
-        res = object.__new__(Cochain)
-        res.group, res.degree, res.values, res.module = g, 4, out, mod
-        return res
-    return Cochain(g, deg, out, mod)
+    A = h.module.ambi
+    if side == "right" and h.degree == 3 and A is not None and len(A.orbits) != A.npoints:
+        raise DomainError("degree-3 right coboundary is only defined for trivial actions")
+    logs = coboundary_logs(h.logs(), h.module, h.group, h.degree, side)
+    return Cochain.from_logs(h.group, h.degree + 1, logs, h.module)
 
 
 def is_cocycle(h: Cochain) -> bool:
-    db = coboundary(h, "left")
-    one = h.module.one()
-    return all(h.module.eq(v, one) for v in db.values.values())
+    return not coboundary_logs(h.logs(), h.module, h.group, h.degree, "left").any()
+
+
+def _normalize3_logs(logs: np.ndarray, module: Units, g: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
+    """normalize_cocycle3 in exponent coordinates: (normalized cocycle, witness)."""
+    n, e, mod = len(g), g.unit, module.field.p - 1
+    a, b = np.indices((n, n)).reshape(2, -1)
+    k1 = logs[(e * n + e) * n + b]  # k1(a, b) = h(e, e, b)
+    step1 = logs - coboundary_logs(k1, module, g, 2, "left")
+    k2 = step1[(a * n + e) * n + e]  # k2(a, b) = step1(a, e, e)
+    out = (step1 + coboundary_logs(k2, module, g, 2, "left")) % mod
+    if out[(np.indices((n,) * 3).reshape(3, -1) == e).any(axis=0)].any():
+        raise ValidationError("normalization failed")
+    return out, (k2 - k1) % mod
 
 
 def normalize_cocycle3(h: Cochain) -> tuple[Cochain, Cochain]:
     """(normalized cohomologous cocycle, witness 2-cochain k with h' = h * d(k))."""
     if h.degree != 3 or not is_cocycle(h):
         raise DomainError("input must be a 3-cocycle")
-    g, mod = h.group, h.module
-    k1 = Cochain(g, 2, {(a, b): h(g.unit, g.unit, b) for a, b in product(range(len(g)), repeat=2)}, mod)
-    step1 = h.mul(coboundary(k1, "left").inv())
-    k2 = Cochain(g, 2, {(a, b): step1(a, g.unit, g.unit) for a, b in product(range(len(g)), repeat=2)}, mod)
-    out = step1.mul(coboundary(k2, "left"))
-    if not out.is_normalized():
-        raise ValidationError("normalization failed")
-    witness = k2.mul(k1.inv())
-    return out, witness
+    out, witness = _normalize3_logs(h.logs(), h.module, h.group)
+    return Cochain.from_logs(h.group, 3, out, h.module), Cochain.from_logs(h.group, 2, witness, h.module)
 
 
 # ---- H^3 over GF(p)^x ------------------------------------------------------------
 
 
-def _tuple_index(n: int, degree: int) -> dict:
-    return {t: i for i, t in enumerate(product(range(n), repeat=degree))}
-
-
 def _coboundary_matrix(g: FiniteGroup, degree: int) -> np.ndarray:
-    """Exponent-space matrix of the left coboundary C^degree -> C^(degree+1)."""
-    n = len(g)
-    src = _tuple_index(n, degree)
-    dst = _tuple_index(n, degree + 1)
-    D = np.zeros((len(dst), len(src)), dtype=np.int64)
-    gm = g.mul
-    if degree == 2:
-        for (a, b, c), row in dst.items():
-            D[row, src[(a, gm(b, c))]] += 1
-            D[row, src[(b, c)]] += 1
-            D[row, src[(a, b)]] -= 1
-            D[row, src[(gm(a, b), c)]] -= 1
-    elif degree == 3:
-        for (a, b, c, d), row in dst.items():
-            D[row, src[(a, b, c)]] += 1
-            D[row, src[(a, gm(b, c), d)]] += 1
-            D[row, src[(b, c, d)]] += 1
-            D[row, src[(a, b, gm(c, d))]] -= 1
-            D[row, src[(gm(a, b), c, d)]] -= 1
-    else:
-        raise DomainError("only degrees 2 and 3 are needed here")
+    """Exponent-space matrix of the left coboundary C^degree -> C^(degree+1)
+    with the trivial action."""
+    src, signs, _, _ = _delta(g, degree, "left")
+    D = np.zeros((len(src), len(g) ** degree), dtype=np.int64)
+    np.add.at(D, (np.arange(len(src))[:, None], src), signs)
     return D
 
 
@@ -263,14 +261,11 @@ def h3(g: FiniteGroup, field: Field) -> H3Report:
         if (D3 @ v % n).any():
             raise ValidationError("coboundary image is not closed")  # dd != 1
     quot = quotient_structure(kernel, image, D3.shape[1], n)
+    mod = Units(field)
     reps = []
-    mod = TrivialUnits(field)
-    tindex = _tuple_index(len(g), 3)
     for vec in quot.representatives(limit=4096):
-        vals = {t: field.exp(int(vec[i])) for t, i in tindex.items()}
-        c = Cochain(g, 3, vals, mod)
-        c, _ = normalize_cocycle3(c)
-        reps.append(c)
+        logs, _ = _normalize3_logs(np.reshape(vec, (-1, 1)), mod, g)
+        reps.append(Cochain.from_logs(g, 3, logs, mod))
     roots = None
     gen = _cyclic_generator(g)
     if gen is not None:
@@ -300,17 +295,10 @@ def cohomologous3(c1: Cochain, c2: Cochain, field: Field) -> Cochain | None:
     """A 2-cochain k with c2 = c1 * d(k), or None."""
     g = c1.group
     n = field.p - 1
-    D2 = _coboundary_matrix(g, 2)
-    tindex3 = _tuple_index(len(g), 3)
-    target = np.zeros(len(tindex3), dtype=np.int64)
-    for t, i in tindex3.items():
-        target[i] = field.log(field.div(c2(*t), c1(*t)))
-    sol = solve_mod(D2, target, n)
+    sol = solve_mod(_coboundary_matrix(g, 2), (c2.logs() - c1.logs())[:, 0] % n, n)
     if sol is None:
         return None
-    tindex2 = _tuple_index(len(g), 2)
-    vals = {t: field.exp(int(sol[i])) for t, i in tindex2.items()}
-    return Cochain(g, 2, vals, TrivialUnits(field))
+    return Cochain.from_logs(g, 2, np.reshape(sol, (-1, 1)), Units(field))
 
 
 # ---- the bridge to fusion systems ---------------------------------------------------
@@ -343,7 +331,7 @@ def fusion_system_to_cocycle(f) -> Cochain:
     for a, b, c in product(range(n), repeat=3):
         ab = g.mul(a, b)
         vals[(a, b, c)] = f.coeff(a, b, c, ab, g.mul(ab, c), g.mul(b, c))
-    c = Cochain(g, 3, vals, TrivialUnits(f.field))
+    c = Cochain(g, 3, vals, Units(f.field))
     if not is_cocycle(c):
         raise ValidationError("fusion system does not define a cocycle")
     return c

@@ -347,6 +347,7 @@ def named_group(name: str) -> FiniteGroup:
         _NAMED.update({
             "1": trivial_group(), "Z1": trivial_group(), "Q8": quaternion(),
             "S3": dihedral(3),
+            "Z2xZ2xZ2": direct_product(cyclic(2), klein_four(), name="Z2xZ2xZ2"),
         })
         for n in range(2, 17):
             _NAMED[f"Z{n}"] = cyclic(n)

@@ -32,6 +32,7 @@ from itertools import product
 import numpy as np
 
 from .ambient import Ambi
+from .cohomology import Units, coboundary_logs
 from .errors import DomainError, ResourceError, UnsupportedFieldError, ValidationError
 from .fields import Field, nth_roots_of
 from .feudal import FeudalRule, detect_feudal
@@ -377,16 +378,13 @@ def reconstruct(u: Uberderivation) -> FusionSystem:
     serfs = fr.serf_ids
     chi, ups, tau = u.chi, u.ups, u.tau
 
-    def dl_ups(a, b, c):
-        return A.div(A.mul(ups[(a, mul(b, c))], A.act(a, ups[(b, c)])), A.mul(ups[(a, b)], ups[(mul(a, b), c)]))
-
-    alpha = {}
-    for a, b, c in product(serfs, repeat=3):
-        v = A.inv(dl_ups(a, b, c))
-        vals = set(v.tolist())
-        if len(vals) != 1:
-            raise DomainError("coboundary of ups is not scalar; input is not an uberderivation")
-        alpha[(a, b, c)] = vals.pop()
+    # alpha = (d ups)^-1, one signed gather over the serf group in log coordinates
+    mod = Units(F, A)
+    ups_logs = np.array([mod.log(ups[k]) for k in product(serfs, repeat=2)])
+    alpha_logs = -coboundary_logs(ups_logs, mod, fr.serf_group, 2, "left") % (F.p - 1)
+    if (alpha_logs != alpha_logs[:, :1]).any():
+        raise DomainError("coboundary of ups is not scalar; input is not an uberderivation")
+    alpha = {k: F.exp(int(row[0])) for k, row in zip(product(serfs, repeat=3), alpha_logs)}
 
     alpha1, alpha2, alpha3 = {}, {}, {}
     beta1, beta2, beta3, gamma = {}, {}, {}, {}

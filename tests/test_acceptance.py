@@ -39,7 +39,7 @@ from fusionkit import (
     verify_fusion_system,
 )
 from fusionkit.cli import main as cli_main
-from fusionkit.cohomology import TrivialUnits, Cochain, h3_via_uber
+from fusionkit.cohomology import Cochain, Units, h3_via_uber
 from fusionkit.equations import check_all_pentagon, check_all_rectangle
 from fusionkit.feudal import HomDatum
 from fusionkit.groups import homomorphisms, standard_catalog
@@ -227,7 +227,7 @@ def test_criterion_8_property_suites(f17, f5, ty2, mr, z4_graded):
                         k: rng.randrange(1, 17)
                         for k in product(range(len(g)), repeat=deg)
                     }
-                    c = Cochain(g, deg, vals, TrivialUnits(f17))
+                    c = Cochain(g, deg, vals, Units(f17))
                     dd = coboundary(coboundary(c, "left"), "left")
                     assert all(v == 1 for v in dd.values.values())
 

@@ -11,27 +11,85 @@ from fusionkit import (
     cocycle_to_fusion_system,
     cohomologous3,
     cyclic,
+    decompose,
+    detect_feudal,
+    dihedral,
     enumerate_fusion_systems_bruteforce,
+    enumerate_uber,
     fusion_system_to_cocycle,
     group_rule,
     h3,
     h3_via_uber,
     is_cocycle,
     klein_four,
+    moore_read,
     normalize_cocycle3,
+    quaternion,
+    reconstruct,
+    tambara_yamagami,
     trivial_group,
     verify_fusion_system,
 )
-from fusionkit.cohomology import BimoduleUnits, Cochain, TrivialUnits, trivial_cochain
+from fusionkit.cohomology import Cochain, Units, trivial_cochain
 from fusionkit.errors import DomainError
 
 
 def random_cochain(g, degree, field, rng, module=None):
-    module = module or TrivialUnits(field)
+    module = module or Units(field)
     vals = {
-        k: rng.randrange(1, field.p) for k in product(range(len(g)), repeat=degree)
+        k: [rng.randrange(1, field.p) for _ in range(module.points)] if module.ambi else rng.randrange(1, field.p)
+        for k in product(range(len(g)), repeat=degree)
     }
     return Cochain(g, degree, vals, module)
+
+
+def _reference_coboundary(h, side):
+    """The multiplicative coboundary written out per degree and side, as a
+    dict of values; an independent oracle for the signed-gather coboundary.
+    Group element i of a B^x cochain acts as the serf serf_ids[i]."""
+    g, mod = h.group, h.module
+    mul, inv = mod.mul, mod.inv
+    A = mod.ambi
+
+    def act(a, x, b=None):
+        if A is None:
+            return x
+        serf = lambda i: A.unit_serf if i is None else A.serf_ids[i]
+        return A.act(serf(a), x, serf(b))
+
+    gm = g.mul
+    n = len(g)
+    out = {}
+    if h.degree == 1:
+        for a, b in product(range(n), repeat=2):
+            if side == "left":
+                out[(a, b)] = mul(h(a), act(a, h(b)), inv(h(gm(a, b))))
+            else:
+                out[(a, b)] = mul(act(None, h(a), b), h(b), inv(h(gm(a, b))))
+    elif h.degree == 2:
+        for a, b, c in product(range(n), repeat=3):
+            if side == "left":
+                out[(a, b, c)] = mul(h(a, gm(b, c)), act(a, h(b, c)), inv(mul(h(a, b), h(gm(a, b), c))))
+            else:
+                out[(a, b, c)] = mul(h(a, gm(b, c)), h(b, c), inv(mul(act(None, h(a, b), c), h(gm(a, b), c))))
+    else:
+        # the right side is only defined for trivial actions, where it agrees with the left
+        for a, b, c, d in product(range(n), repeat=4):
+            out[(a, b, c, d)] = mul(
+                h(a, b, c),
+                h(a, gm(b, c), d),
+                act(a, h(b, c, d)),
+                inv(mul(h(a, b, gm(c, d)), h(gm(a, b), c, d))),
+            )
+    return out
+
+
+def _matches_reference(h, side):
+    d = coboundary(h, side)
+    ref = _reference_coboundary(h, side)
+    return d.degree == h.degree + 1 and set(d.values) == set(ref) and all(
+        h.module.eq(d.values[k], v) for k, v in ref.items()
+    )
 
 
 # ---- coboundary operators -------------------------------------------------------
@@ -68,7 +126,7 @@ def test_left_and_right_agree_for_trivial_action(f17):
 def test_bimodule_coboundary_hand_formula(f17, mr):
     """d(phi)(a,b)(m) = phi(a)(m) phi(b)(abar m) / phi(ab)(m), checked directly."""
     A = Ambi(mr, f17)
-    mod = BimoduleUnits(A)
+    mod = Units(A.field, A)
     S = mr.serf_group
     rng = random.Random(2)
     vals = {(a,): np.array([rng.randrange(1, 17), rng.randrange(1, 17)]) for a in range(4)}
@@ -90,7 +148,7 @@ def test_bimodule_coboundary_hand_formula(f17, mr):
 
 def test_degree3_right_bimodule_raises(f17, mr):
     A = Ambi(mr, f17)
-    mod = BimoduleUnits(A)
+    mod = Units(A.field, A)
     S = mr.serf_group
     rng = random.Random(3)
     vals = {
@@ -100,6 +158,68 @@ def test_degree3_right_bimodule_raises(f17, mr):
     h = Cochain(S, 3, vals, mod)
     with pytest.raises(DomainError):
         coboundary(h, "right")
+
+
+def test_coboundary_matches_reference_trivial_action(f17):
+    rng = random.Random(6)
+    for g in (cyclic(4), klein_four(), dihedral(3), quaternion()):
+        for deg, side in product((1, 2, 3), ("left", "right")):
+            assert _matches_reference(random_cochain(g, deg, f17, rng), side), (g.name, deg, side)
+
+
+def _bimodule_fixtures():
+    z4 = detect_feudal(group_rule(cyclic(4, labels=["1", "i", "-1", "-i"])))
+    return {"moore_read": moore_read(), "ty_v4": tambara_yamagami(klein_four()), "graded_z4": z4}
+
+
+@pytest.mark.parametrize("name", ["moore_read", "ty_v4", "graded_z4"])
+def test_coboundary_matches_reference_bimodule(f17, name):
+    fr = _bimodule_fixtures()[name]
+    mod = Units(f17, Ambi(fr, f17))
+    rng = random.Random(7)
+    for deg, side in [(1, "left"), (2, "left"), (3, "left"), (1, "right"), (2, "right")]:
+        h = random_cochain(fr.serf_group, deg, f17, rng, mod)
+        assert _matches_reference(h, side), (deg, side)
+
+
+def test_bimodule_coboundary_reads_serfs_by_carrier_id(f17):
+    """Group index i of the serf group is the serf serf_ids[i], which need not be i."""
+    fr = detect_feudal(group_rule(cyclic(4)))
+    assert fr.serf_ids == (0, 2)
+    mod = Units(f17, Ambi(fr, f17))
+    h = Cochain(fr.serf_group, 1, {(0,): [3, 5], (1,): [2, 7]}, mod)
+    d = coboundary(h, "left")
+    # d(h)(1, 1) = h(1) * (serf 2 . h(1)) / h(0), where serf 2 swaps the two lords
+    assert d.values[(1, 1)].tolist() == [2 * 7 * pow(3, -1, 17) % 17, 7 * 2 * pow(5, -1, 17) % 17]
+    assert _matches_reference(h, "left") and _matches_reference(h, "right")
+
+
+def _ups_cochain(u):
+    """ups as a 2-cochain over the serf group."""
+    fr, serfs = u.ambi.feudal, u.ambi.serf_ids
+    vals = {(i, j): u.ups[(a, b)] for (i, a), (j, b) in product(enumerate(serfs), repeat=2)}
+    return Cochain(fr.serf_group, 2, vals, Units(u.ambi.field, u.ambi))
+
+
+@pytest.mark.parametrize("name", ["moore_read", "ty_v4", "graded_z4"])
+def test_reconstruct_alpha_is_inverse_coboundary_of_ups(f17, name):
+    fr = _bimodule_fixtures()[name]
+    serfs = fr.serf_ids
+    for u in enumerate_uber(Ambi(fr, f17), with_orbits=False).class_reps:
+        alpha = decompose(reconstruct(u), fr).alpha
+        ups = _ups_cochain(u)
+        for (i, j, k), v in _reference_coboundary(ups, "left").items():
+            assert (ups.module.inv(v) == alpha[(serfs[i], serfs[j], serfs[k])]).all()
+
+
+def test_reconstruct_rejects_nonscalar_coboundary_of_ups(f17, mr):
+    """alpha = (d ups)^-1 must be scalar; such a ups also fails the biderivation rows."""
+    u = enumerate_uber(Ambi(mr, f17), with_orbits=False).class_reps[0]
+    a = mr.serf_ids[1]
+    u.ups[(a, a)] = u.ups[(a, a)] * [3, 1] % 17
+    assert any(len(set(v.tolist())) > 1 for v in _reference_coboundary(_ups_cochain(u), "left").values())
+    with pytest.raises(DomainError):
+        reconstruct(u)
 
 
 # ---- normalization -----------------------------------------------------------------
@@ -143,7 +263,7 @@ def test_h3_z2_gf5_with_brute_oracle(f5):
     for t in range(1, 5):
         vals = {k: 1 for k in product(range(2), repeat=3)}
         vals[(1, 1, 1)] = t
-        c = Cochain(g, 3, vals, TrivialUnits(f5))
+        c = Cochain(g, 3, vals, Units(f5))
         if is_cocycle(c):
             cocycles.append(c)
     assert len(cocycles) == 2  # t = +-1; on Z2 normalized coboundaries are trivial

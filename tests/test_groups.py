@@ -76,3 +76,9 @@ def test_element_orders_and_inverses():
     assert q8.mul(i, q8.inverse(i)) == q8.unit
     assert not q8.is_abelian
     assert cyclic(5).is_abelian
+
+
+@pytest.mark.parametrize("g", standard_catalog(8), ids=lambda g: g.name)
+def test_every_catalog_group_resolves_by_its_name(g):
+    named = named_group(g.name)
+    assert len(named) == len(g) and isomorphisms(named, g)
