@@ -280,8 +280,16 @@ def cmd_cohom_h3(args) -> dict:
     return report
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors exit 1 with one `error:` line, like
+    every other bad input, instead of a usage block and exit 2."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="fusionkit", description=__doc__)
+    ap = _Parser(prog="fusionkit", description=__doc__)
     ap.add_argument("--format", choices=("json", "text"), default="json")
     ap.add_argument("--out", default=None, help="write the report to a file")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -346,9 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         report = args.fn(args)
     except ResourceError as e:
         sys.stderr.write(f"resource budget exceeded: {e}\n")

@@ -63,20 +63,25 @@ class Units:
     def eq(self, x, y) -> bool:
         return bool(((np.asarray(x) - np.asarray(y)) % self.field.p == 0).all())
 
-    def coerce(self, x):
-        v = np.asarray(x, dtype=np.int64) % self.field.p
+    def coerce(self, xs) -> list:
+        """The values xs reduced mod p: a list of ints, or of length-M vectors."""
+        v = np.asarray(xs, dtype=np.int64) % self.field.p
         if (v == 0).any():
             raise ValidationError("cochain values must be invertible")
-        return int(v) if self.ambi is None else v
+        return v.reshape(len(xs)).tolist() if self.ambi is None else list(v)
 
     def log(self, x) -> np.ndarray:
-        """The log vector of a value."""
-        return np.array([self.field.log(int(v)) for v in np.ravel(x)], dtype=np.int64)
+        """The log vector of a value, or the (N, M) log array of a sequence of N values."""
+        v = np.asarray(x, dtype=np.int64) % self.field.p
+        if (v == 0).any():
+            raise DomainError("discrete log of 0 is undefined")
+        lead = v.shape if self.ambi is None else v.shape[:-1]
+        return self.field._log_table[v].reshape(lead + (self.points,))
 
     def exp(self, logs):
-        """The value with log vector logs."""
-        vals = np.array([self.field.exp(int(e)) for e in logs], dtype=np.int64)
-        return int(vals[0]) if self.ambi is None else vals
+        """The value with log vector logs, or the N values of an (N, M) log array."""
+        vals = self.field._exp_table[np.asarray(logs, dtype=np.int64) % (self.field.p - 1)]
+        return vals[..., 0].tolist() if self.ambi is None else vals
 
     def action(self, n: int, side: str) -> np.ndarray:
         """Row i: the point permutation by which group element i acts on the
@@ -99,7 +104,8 @@ class Cochain:
             raise DomainError("degree must be 1, 2, 3, or 4")
         n = len(self.group)
         want = set(product(range(n), repeat=self.degree))
-        vals = {tuple(int(i) for i in k): self.module.coerce(v) for k, v in self.values.items()}
+        keys = (tuple(int(i) for i in k) for k in self.values)
+        vals = dict(zip(keys, self.module.coerce(list(self.values.values()))))
         if set(vals) != want:
             raise ValidationError("cochain must be total on S^n")
         self.values = vals
@@ -108,14 +114,14 @@ class Cochain:
     def from_logs(cls, group: FiniteGroup, degree: int, logs: np.ndarray, module: Units) -> "Cochain":
         """The cochain whose log array (see `logs`) is logs."""
         tuples = product(range(len(group)), repeat=degree)
-        return cls(group, degree, {t: module.exp(row) for t, row in zip(tuples, logs)}, module)
+        return cls(group, degree, dict(zip(tuples, module.exp(logs))), module)
 
     def __call__(self, *args):
         return self.values[args]
 
     def logs(self) -> np.ndarray:
         """The (n^degree, M) array of log vectors, rows in product order of the tuples."""
-        return np.array([self.module.log(self.values[t]) for t in sorted(self.values)])
+        return self.module.log([self.values[t] for t in sorted(self.values)])
 
     def is_normalized(self) -> bool:
         e = self.group.unit

@@ -67,10 +67,10 @@ class Field:
     generator: int = 0
 
     def __post_init__(self):
+        if self.p > MAX_MODULUS:  # before the trial division, which would not end
+            raise ResourceError(f"modulus {self.p} exceeds table bound {MAX_MODULUS}")
         if not is_prime(self.p):
             raise ValidationError(f"modulus {self.p} is not prime")
-        if self.p > MAX_MODULUS:
-            raise ResourceError(f"modulus {self.p} exceeds table bound {MAX_MODULUS}")
         if self.generator == 0:
             object.__setattr__(self, "generator", _primitive_root(self.p))
         else:
@@ -80,12 +80,18 @@ class Field:
             object.__setattr__(self, "generator", g)
 
     @cached_property
-    def _log_table(self) -> np.ndarray:
-        table = np.zeros(self.p, dtype=np.int64)
+    def _exp_table(self) -> np.ndarray:
+        table = np.zeros(self.p - 1, dtype=np.int64)
         x = 1
         for e in range(self.p - 1):
-            table[x] = e
+            table[e] = x
             x = x * self.generator % self.p
+        return table
+
+    @cached_property
+    def _log_table(self) -> np.ndarray:
+        table = np.zeros(self.p, dtype=np.int64)
+        table[self._exp_table] = np.arange(self.p - 1)
         return table
 
     # ---- element arithmetic -------------------------------------------------

@@ -172,11 +172,8 @@ def group_from_dict(doc: dict) -> FiniteGroup:
     idx = {lab: i for i, lab in enumerate(labels)}
     n = len(labels)
     table = np.zeros((n, n), dtype=np.int64)
-    for key, val in _checked(dict.items, _field(doc, "table"), "table"):
-        parts = key.split(",")
-        if len(parts) != 2 or parts[0] not in idx or parts[1] not in idx or val not in idx:
-            raise ValidationError(f"bad group table entry {key!r}: {val!r}")
-        table[idx[parts[0]], idx[parts[1]]] = idx[val]
+    for (a, b), c in _keyed(doc, "table", idx, 2, idx.__getitem__).items():
+        table[a, b] = c
     return FiniteGroup(labels, table, name=doc.get("name"))
 
 
@@ -196,8 +193,9 @@ def hom_datum_from_dict(doc: dict) -> HomDatum:
     src = group_from_dict(_field(doc, "source"))
     tgt = group_from_dict(_field(doc, "target"))
     mapping = np.zeros(len(src), dtype=np.int64)
-    for lab, img in _checked(dict.items, _field(doc, "map"), "map"):
-        mapping[src.index(lab)] = tgt.index(img)
+    src_idx, tgt_idx = ({lab: i for i, lab in enumerate(g.labels)} for g in (src, tgt))
+    for (a,), img in _keyed(doc, "map", src_idx, 1, tgt_idx.__getitem__).items():
+        mapping[a] = img
     return HomDatum(src, tgt, mapping)
 
 

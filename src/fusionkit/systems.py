@@ -1,11 +1,13 @@
 """Fusion systems on multiplicity-free rules: recoupling tables over GF(p).
 
 Coefficients are stored sparsely, keyed by admissible sextuple (x,y,z,u,r,v)
-with u in xy, v in yz, r in uz and xv.  Verification compiles each rule's
-pentagon instances once into index arrays over the coefficient vector, keeping
-only the live ones (an instance can fail only if r is in uz and in wv, since
-every key it reads is inadmissible otherwise), and checks a system with one
-gather, multiply and segmented sum over them.
+with u in xy, v in yz, r in uz and xv.  Verification compiles every check for
+a rule once into index arrays over the coefficient vector: the live pentagon
+instances (an instance can fail only if r is in uz and in wv, since every key
+it reads is inadmissible otherwise), the recoupling blocks, the rigidity
+blocks and the triangle and unit entries.  A system is then checked with
+gathers: a multiply and segmented sum for the pentagon, a nonzero test for
+each 1x1 block, and an inverse mod p only for the few larger blocks.
 """
 
 from __future__ import annotations
@@ -156,14 +158,19 @@ def pentagon_instance_value(f: FusionSystem, inst) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class _PentagonProgram:
-    """The live pentagon instances of a rule as index arrays into the coefficient
-    vector: the values of FusionSystem.coeffs, which lists them in
+    """Every check of verify_fusion_system for one rule, as index arrays into the
+    coefficient vector: the values of FusionSystem.coeffs, which lists them in
     admissible-sextuple order, then a 0 at index len(adm) for inadmissible keys.
 
     An instance of pentagon_instances can fail only if r is in uz and in wv:
     otherwise every key on both sides is inadmissible.  On a live instance the
     left side is live iff r is in pq, and the right-side term for s in xy iff
     v is in sz and u is in ws.  Live instances and terms keep instance order.
+
+    The recoupling blocks (x,y,z,r) are the nonempty matrices of
+    recoupling_matrix, in the order verify_fusion_system reports them.  A
+    non-square block is never invertible, a 1x1 block is invertible iff its
+    coefficient is nonzero, and each larger block is a (k,k) slot matrix.
     """
 
     total: int  # len(pentagon_instances(rule))
@@ -172,27 +179,53 @@ class _PentagonProgram:
     grouped: np.ndarray  # live instances with at least one term
     starts: np.ndarray  # first term of each grouped instance
     witnesses: np.ndarray  # (live, 9) int16: (w,x,y,z,p,u,r,v,q)
+    blocks: np.ndarray  # (blocks, 4) int16: (x,y,z,r)
+    nonsquare: np.ndarray  # positions of the non-square blocks
+    single: np.ndarray  # positions of the 1x1 blocks
+    single_slots: np.ndarray  # their coefficients
+    square: tuple  # (position, (k,k) slots) of each square block with k >= 2
+    # per label r: the slots of the (rb,r,rb,rb) block, its index in square or None,
+    # the (u,v) position of its unit entry or None, and the slot of (r,rb,r,e,r,e)
+    rigidity: tuple
+    triples: np.ndarray  # (triples, 3) int16: (x,y,r) with r in xy
+    triangle: np.ndarray  # slot of (x,e,y,x,r,y) per triple
+    one_top: np.ndarray  # (triples, 2) slots of (e,x,y,x,r,r) and (x,y,e,r,r,y)
 
-    def failures(self, f: FusionSystem) -> np.ndarray:
-        """Positions of the live instances whose two sides differ on f."""
-        p = f.field.p
-        c = np.append(np.fromiter(f.coeffs.values(), np.int64, len(f.coeffs)) % p, 0)
+    def failures(self, c: np.ndarray, p: int) -> np.ndarray:
+        """Positions of the live instances whose two sides differ on the coefficient vector c."""
         lhs = c[self.lhs[:, 0]] * c[self.lhs[:, 1]] % p
         t = c[self.terms[:, 0]] * c[self.terms[:, 1]] % p * c[self.terms[:, 2]] % p
         rhs = np.zeros(len(lhs), np.int64)
         rhs[self.grouped] = np.add.reduceat(t, self.starts) % p
         return np.flatnonzero(lhs != rhs)
 
+    def singular(self, c: np.ndarray, inverses: list) -> np.ndarray:
+        """Positions, ascending, of the blocks that are not invertible mod p, given
+        the inverses (or None) of the square blocks."""
+        square = [i for (i, _), inv in zip(self.square, inverses) if inv is None]
+        bad = np.concatenate([self.nonsquare, self.single[c[self.single_slots] == 0], np.array(square, np.intp)])
+        return np.sort(bad)
+
+    def not_rigid(self, raw: np.ndarray, c: np.ndarray, p: int, inverses: list) -> list[int]:
+        """The labels r whose (rb,r,rb,rb) block has no inverse with unit entry raw[(r,rb,r,e,r,e)]."""
+        out = []
+        for r, (slots, sq, at, s) in enumerate(self.rigidity):
+            inv = matrix_inverse_modp(c[slots], p) if sq is None else inverses[sq]
+            if inv is None or at is None or not (entry := int(inv[at])) or raw[s] != entry:
+                out.append(r)
+        return out
+
 
 def _pentagon_program(rule: FusionRule) -> _PentagonProgram:
-    """The rule's _PentagonProgram, compiled on first use in one walk of the instances."""
+    """The rule's _PentagonProgram, compiled on first use: one walk of the
+    pentagon instances, one of the recoupling blocks."""
     cached = _PENTAGON_CACHE.get(rule.key)
     if cached is not None:
         return cached
     adm = admissible_sextuples(rule)
     slot = {k: i for i, k in enumerate(adm)}
     zero = len(adm)
-    n = rule.n
+    n, e = rule.n, rule.unit
     sup = [rule.support(a, b) for a in range(n) for b in range(n)]
     mask = [sum(1 << r for r in s) for s in sup]
     total = 0
@@ -227,6 +260,38 @@ def _pentagon_program(rule: FusionRule) -> _PentagonProgram:
     starts = np.frombuffer(starts, np.intc)
     counts = np.diff(starts, append=len(terms) // 3)
     grouped = np.flatnonzero(counts)
+
+    def block(x, y, z, r):
+        """The slot matrix of recoupling_matrix(f, x, y, z, r), and its u and v labels."""
+        us = [u for u in sup[x * n + y] if mask[u * n + z] >> r & 1]
+        vs = [v for v in sup[y * n + z] if mask[x * n + v] >> r & 1]
+        slots = np.array([[slot[(x, y, z, u, r, v)] for u in us] for v in vs], np.intp)
+        return slots.reshape(len(vs), len(us)), us, vs
+
+    keys, nonsquare, single, single_slots, square = array("h"), [], [], [], {}
+    for x, y, z in product(range(n), repeat=3):
+        rs = dict.fromkeys(r for u in sup[x * n + y] for r in sup[u * n + z])  # first-seen order
+        for r in rs:
+            slots, _, _ = block(x, y, z, r)
+            if not slots.size:
+                continue
+            i = len(keys) // 4
+            keys.extend((x, y, z, r))
+            if slots.shape[0] != slots.shape[1]:
+                nonsquare.append(i)
+            elif len(slots) == 1:
+                single.append(i)
+                single_slots.append(slots[0, 0])
+            else:
+                square[(x, y, z, r)] = (i, slots)
+    rigidity = []
+    for r in range(n):
+        rb = int(rule.dual[r])
+        slots, us, vs = block(rb, r, rb, rb)
+        sq = list(square).index((rb, r, rb, rb)) if (rb, r, rb, rb) in square else None
+        at = (us.index(e), vs.index(e)) if e in us and e in vs else None
+        rigidity.append((slots, sq, at, slot.get((r, rb, r, e, r, e), zero)))
+    triples = [(x, y, r) for x, y in product(range(n), repeat=2) for r in sup[x * n + y]]
     prog = _PentagonProgram(
         total=total,
         lhs=np.frombuffer(lhs, np.intc).reshape(-1, 2),
@@ -234,6 +299,17 @@ def _pentagon_program(rule: FusionRule) -> _PentagonProgram:
         grouped=grouped,
         starts=starts[grouped],
         witnesses=np.frombuffer(wit, np.short).reshape(-1, 9),
+        blocks=np.frombuffer(keys, np.short).reshape(-1, 4),
+        nonsquare=np.array(nonsquare, np.intp),
+        single=np.array(single, np.intp),
+        single_slots=np.array(single_slots, np.intp),
+        square=tuple(square.values()),
+        rigidity=tuple(rigidity),
+        triples=np.array(triples, np.short).reshape(-1, 3),
+        triangle=np.array([slot.get((x, e, y, x, r, y), zero) for x, y, r in triples], np.intp),
+        one_top=np.array(
+            [(slot.get((e, x, y, x, r, r), zero), slot.get((x, y, e, r, r, y), zero)) for x, y, r in triples], np.intp
+        ).reshape(-1, 2),
     )
     _PENTAGON_CACHE[rule.key] = prog
     return prog
@@ -271,66 +347,33 @@ class SystemReport:
 
 
 def verify_fusion_system(f: FusionSystem, witness_cap: int = 16) -> SystemReport:
-    rule, p = f.rule, f.field.p
-    n = rule.n
-    e = rule.unit
+    prog = _pentagon_program(f.rule)
+    p = f.field.p
+    raw = np.append(np.fromiter(f.coeffs.values(), np.int64, len(f.coeffs)), 0)
+    c = raw % p
+    witnesses = lambda arr, bad: [tuple(w) for w in arr[bad][:witness_cap].tolist()]
 
-    non_inv = []
-    for x, y, z in product(range(n), repeat=3):
-        seen = set()
-        for u in rule.support(x, y):
-            for r in rule.support(u, z):
-                if r in seen:
-                    continue
-                seen.add(r)
-                mat, vs, us = recoupling_matrix(f, x, y, z, r)
-                if mat.size == 0:
-                    continue
-                if mat.shape[0] != mat.shape[1] or matrix_inverse_modp(mat, p) is None:
-                    non_inv.append((x, y, z, r))
-
-    prog = _pentagon_program(rule)
+    inverses = [matrix_inverse_modp(c[slots], p) for _, slots in prog.square]
+    non_inv = prog.singular(c, inverses)
     # the cap keeps at least one witness, so pentagon_ok reads off the list
-    bad = prog.failures(f)[: max(witness_cap, 1)]
+    bad = prog.failures(c, p)[: max(witness_cap, 1)]
     pent_fail = [tuple(w) for w in prog.witnesses[bad].tolist()]
-
-    tri_fail = []
-    for x, y in product(range(n), repeat=2):
-        for r in rule.support(x, y):
-            if f.coeff(x, e, y, x, r, y) != 1:
-                tri_fail.append((x, y, r))
-
-    rig_fail = []
-    for r in range(n):
-        rb = int(rule.dual[r])
-        mat, vs, us = recoupling_matrix(f, rb, r, rb, rb)
-        inv = matrix_inverse_modp(mat, p)
-        ok = False
-        if inv is not None and e in vs and e in us:
-            # inverse is indexed (u, v); take the unit-unit entry
-            entry = int(inv[us.index(e), vs.index(e)])
-            ok = entry != 0 and f.coeff(r, rb, r, e, r, e) == entry
-        if not ok:
-            rig_fail.append(r)
-
-    ot_fail = []
-    for x, y in product(range(n), repeat=2):
-        for r in rule.support(x, y):
-            if f.coeff(e, x, y, x, r, r) != 1 or f.coeff(x, y, e, r, r, y) != 1:
-                ot_fail.append((x, y, r))
+    tri_fail = np.flatnonzero(raw[prog.triangle] != 1)
+    rig_fail = prog.not_rigid(raw, c, p, inverses)
+    ot_fail = np.flatnonzero((raw[prog.one_top] != 1).any(axis=1))
 
     return SystemReport(
-        invertibility_ok=not non_inv,
-        non_invertible=non_inv[:witness_cap],
+        invertibility_ok=not non_inv.size,
+        non_invertible=witnesses(prog.blocks, non_inv),
         pentagon_ok=not pent_fail,
         pentagon_failures=pent_fail,
         pentagon_checked=prog.total,
-        triangle_ok=not tri_fail,
-        triangle_failures=tri_fail[:witness_cap],
+        triangle_ok=not tri_fail.size,
+        triangle_failures=witnesses(prog.triples, tri_fail),
         rigidity_ok=not rig_fail,
         rigidity_failures=rig_fail[:witness_cap],
-        one_top_ok=not ot_fail,
-        one_top_failures=ot_fail[:witness_cap],
+        one_top_ok=not ot_fail.size,
+        one_top_failures=witnesses(prog.triples, ot_fail),
     )
 
 

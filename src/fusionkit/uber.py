@@ -276,12 +276,11 @@ def psi(f: FusionSystem, fr: FeudalRule | None = None, ambi: Ambi | None = None)
     dec = decompose(f, fr)
     if ambi is None:
         ambi = Ambi(dec.feudal, f.field)
-    if dec.is_normal():
-        e = ambi.unit_serf
-        u = Uberderivation(ambi, dict(dec.alpha2), dict(dec.alpha3), dec.gamma[(e, e)])
-        return u.validate()
-    fn, _ = normalize(f, dec.feudal)
-    return psi(fn, dec.feudal, ambi)
+    if not dec.is_normal():
+        _, _, dec = _normalize(f, dec)
+    e = ambi.unit_serf
+    u = Uberderivation(ambi, dict(dec.alpha2), dict(dec.alpha3), dec.gamma[(e, e)])
+    return u.validate()
 
 
 def xi_components(xi: GaugeXi, fr: FeudalRule):
@@ -349,9 +348,14 @@ def is_normal(f: FusionSystem, fr: FeudalRule | None = None) -> bool:
 
 def normalize(f: FusionSystem, fr: FeudalRule | None = None) -> tuple[FusionSystem, GaugeXi]:
     """A normal system gauge equivalent to f, with the witnessing gauge."""
+    out, xi, _ = _normalize(f, decompose(f, fr))
+    return out, xi
+
+
+def _normalize(f: FusionSystem, dec: Decomposition) -> tuple[FusionSystem, GaugeXi, Decomposition]:
+    """normalize, given the decomposition of f; also returns that of the result."""
     from .systems import apply_gauge
 
-    dec = decompose(f, fr)
     fr = dec.feudal
     A = Ambi(fr, f.field)
     e = A.unit_serf
@@ -363,9 +367,10 @@ def normalize(f: FusionSystem, fr: FeudalRule | None = None) -> tuple[FusionSyst
     psi_ = {a: A.ract(dec.beta2[(a, e)], a) for a in serfs}
     xi = xi_from_components(fr, f.field, theta, phi, psi_, omega)
     out = apply_gauge(f, xi)
-    if not is_normal(out, fr):
+    out_dec = decompose(out, fr)
+    if not out_dec.is_normal():
         raise ValidationError("normalization failed to produce a normal system")
-    return out, xi
+    return out, xi, out_dec
 
 
 def reconstruct(u: Uberderivation) -> FusionSystem:
@@ -380,11 +385,11 @@ def reconstruct(u: Uberderivation) -> FusionSystem:
 
     # alpha = (d ups)^-1, one signed gather over the serf group in log coordinates
     mod = Units(F, A)
-    ups_logs = np.array([mod.log(ups[k]) for k in product(serfs, repeat=2)])
+    ups_logs = mod.log([ups[k] for k in product(serfs, repeat=2)])
     alpha_logs = -coboundary_logs(ups_logs, mod, fr.serf_group, 2, "left") % (F.p - 1)
     if (alpha_logs != alpha_logs[:, :1]).any():
         raise DomainError("coboundary of ups is not scalar; input is not an uberderivation")
-    alpha = {k: F.exp(int(row[0])) for k, row in zip(product(serfs, repeat=3), alpha_logs)}
+    alpha = dict(zip(product(serfs, repeat=3), Units(F).exp(alpha_logs[:, :1])))
 
     alpha1, alpha2, alpha3 = {}, {}, {}
     beta1, beta2, beta3, gamma = {}, {}, {}, {}

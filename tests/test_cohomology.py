@@ -95,6 +95,32 @@ def _matches_reference(h, side):
 # ---- coboundary operators -------------------------------------------------------
 
 
+@pytest.mark.parametrize("p", [2, 5, 17])
+def test_units_convert_whole_arrays_like_the_field(p, mr):
+    """Units.log, Units.exp and Cochain.from_logs/logs on whole arrays give
+    the values and types of Field.log/Field.exp applied one value at a time,
+    and a zero still raises."""
+    F = Field(p)
+    rng = random.Random(p)
+    for mod in (Units(F), Units(F, Ambi(mr, F))):
+        m = mod.points
+        vals = [[rng.randrange(1, p) for _ in range(m)] for _ in range(8)]
+        logs = mod.log(vals if mod.ambi else [v[0] for v in vals])
+        assert logs.tolist() == [[F.log(x) for x in v] for v in vals]
+        assert mod.log(vals[0] if mod.ambi else vals[0][0]).tolist() == [F.log(x) for x in vals[0]]
+        back = mod.exp(logs - 3 * (p - 1))
+        want = [[F.exp(int(e)) for e in row] for row in logs]
+        if mod.ambi is None:
+            assert back == [w[0] for w in want] and all(type(x) is int for x in back)
+            assert mod.one() == 1 and type(mod.exp(logs[0])) is int
+        else:
+            assert back.dtype == np.int64 and back.tolist() == want
+        h = Cochain.from_logs(cyclic(2), 3, logs, mod)
+        assert (h.logs() == logs).all()
+        with pytest.raises(DomainError, match="discrete log of 0"):
+            mod.log([[1] * m, [0] + [1] * (m - 1)] if mod.ambi else [1, p])
+
+
 def test_trivial_cochain_has_trivial_coboundary(f17):
     h = trivial_cochain(cyclic(3), 2, f17)
     d = coboundary(h, "left")

@@ -84,6 +84,8 @@ def test_field_validation():
         Field(15)
     with pytest.raises(ResourceError):
         Field(1_000_033)
+    with pytest.raises(ResourceError):  # a Mersenne prime: the bound comes before the trial division
+        Field(2**61 - 1)
     with pytest.raises(ValidationError):
         Field(17, generator=2)  # 2 has order 8 mod 17
 

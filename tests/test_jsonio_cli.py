@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusionkit import Ambi, enumerate_uber, reconstruct, verify_fusion_rule
+from fusionkit import Ambi, cyclic, detect_feudal, enumerate_uber, gamma, reconstruct, verify_fusion_rule
 from fusionkit.cli import main
 from fusionkit.errors import ValidationError
 from fusionkit.jsonio import (
@@ -15,6 +15,7 @@ from fusionkit.jsonio import (
     dumps,
     gauge_to_dict,
     gauge_from_dict,
+    group_to_dict,
     hom_datum_from_dict,
     hom_datum_to_dict,
     load_document,
@@ -227,6 +228,11 @@ def test_cli_exit_codes(tmp_path):
         ["uber", "reconstruct", "{tmp}/tau_empty.json"],
         ["uber", "reconstruct", "{tmp}/tau_too_long.json"],
         ["uber", "reconstruct", "{tmp}/chi_lord_key.json"],
+        ["uber", "classify", "--rule", "builtin:ty_z2", "--p", "x"],  # malformed arguments
+        ["cohom", "h3", "--group", "Z2"],
+        ["feudal", "phi", "{tmp}/map_unknown_label.json"],  # malformed hom data and groups
+        ["feudal", "phi", "{tmp}/map_list.json"],
+        ["cohom", "h3", "--p", "5", "--group", "{tmp}/group_entry_list.json"],
     ],
     ids=[
         "fsys_verify_rule",
@@ -243,6 +249,11 @@ def test_cli_exit_codes(tmp_path):
         "tau_empty",
         "tau_too_long",
         "chi_lord_key",
+        "p_arg_not_int",
+        "p_arg_missing",
+        "map_unknown_label",
+        "map_list",
+        "group_entry_list",
     ],
 )
 def test_cli_bad_input_is_one_error_line(tmp_path, argv):
@@ -270,6 +281,13 @@ def test_cli_bad_input_is_one_error_line(tmp_path, argv):
     }
     for name, doc in malformed.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    datum = load_document("builtin:ty_z2")
+    datum = hom_datum_to_dict(gamma(detect_feudal(rule_from_dict(datum))))
+    (tmp_path / "map_unknown_label.json").write_text(json.dumps(datum | {"map": {"1": "z", "g": "1"}}))
+    (tmp_path / "map_list.json").write_text(json.dumps(datum | {"map": {"1": ["1"], "g": "1"}}))
+    group = group_to_dict(cyclic(2))
+    group["table"]["g,g"] = ["1"]
+    (tmp_path / "group_entry_list.json").write_text(json.dumps(group))
     code, out, err = run_cli([a.format(tmp=tmp_path) for a in argv])
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -284,23 +302,44 @@ _JUNK = ([], [1, "a"], 0, -1, 2**70, 1.5, True, "", "x", None, {}, {"a": 1})
 
 @pytest.fixture(scope="module")
 def fuzz_documents(tmp_path_factory):
-    """(subcommand, document) pairs: every bundled rule, a TY(Z2) system for
-    fsys verify and uber psi, and a TY(Z2) triple for uber reconstruct."""
-    from fusionkit import Field, cyclic, tambara_yamagami
+    """(argv, document) pairs, the document's path going last in argv: every
+    bundled rule, a TY(Z2) system for fsys verify and uber psi, a TY(Z2)
+    triple for uber reconstruct, a gauge for fsys gauge-apply --xi, a group
+    for cohom h3 --group and a hom datum for feudal phi."""
+    import random
 
+    from fusionkit import Field, random_gauge, tambara_yamagami
+
+    tmp = tmp_path_factory.mktemp("fuzz")
     docs = [(["rule", "verify"], load_document(f"builtin:{name}")) for name in BUILTIN_RULES]
-    u = enumerate_uber(Ambi(tambara_yamagami(cyclic(2)), Field(17))).class_reps[0]
+    ty2, f17 = tambara_yamagami(cyclic(2)), Field(17)
+    u = enumerate_uber(Ambi(ty2, f17)).class_reps[0]
     system = system_to_dict(reconstruct(u))
     docs += [(["fsys", "verify"], system), (["uber", "psi"], system)]
     docs.append((["uber", "reconstruct"], uber_to_dict(u)))
-    return tmp_path_factory.mktemp("fuzz") / "doc.json", docs
+    (tmp / "system.json").write_text(dumps(system))
+    xi = gauge_to_dict(random_gauge(ty2.rule, f17, random.Random(2)))
+    docs.append((["fsys", "gauge-apply", str(tmp / "system.json"), "--xi"], xi))
+    docs.append((["cohom", "h3", "--p", "5", "--group"], group_to_dict(cyclic(4))))
+    docs.append((["feudal", "phi"], hom_datum_to_dict(gamma(ty2))))
+    return tmp / "doc.json", docs
+
+
+def _assert_one_error_line(argv):
+    """main(argv) exits 0, 1 or 2, never raising, and a failure prints one line."""
+    code, out, err = run_cli(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code:
+        assert out == "" and err.count("\n") == 1
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(data=st.data())
 def test_cli_fuzzed_documents_never_trace_back(fuzz_documents, data):
-    """Dropped or retyped fields anywhere in a rule, system or triple
-    document give exit code 0, 1 or 2, never an exception out of main."""
+    """Dropped or retyped fields anywhere in a rule, system, triple, gauge,
+    group or hom-datum document give exit code 0, 1 or 2, never an exception
+    out of main."""
     path, docs = fuzz_documents
     argv, doc = data.draw(st.sampled_from(docs))
     doc = copy.deepcopy(doc)
@@ -318,11 +357,36 @@ def test_cli_fuzzed_documents_never_trace_back(fuzz_documents, data):
                 node[key] = copy.deepcopy(_JUNK[junk])
             break
     path.write_text(json.dumps(doc))
-    code, out, err = run_cli([*argv, str(path)])
-    assert code in (0, 1, 2)
-    assert "Traceback" not in err
-    if code:
-        assert out == "" and err.count("\n") == 1
+    _assert_one_error_line([*argv, str(path)])
+
+
+_ARGS = {
+    "classify": {
+        "--rule": ["builtin:ty_z2", "builtin:ty_z3", "builtin:z2xz2", "builtin:broken", "builtin:nope", "", "x.json"],
+        "--p": ["2", "3", "5", "13", "0", "-1", "4", "257", "263", "x", "", "1.5", "2305843009213693951"],
+    },
+    "h3": {
+        "--group": ["1", "Z2", "Z3", "Z4", "Z9", "Z0", "x", "", "x.json"],
+        "--p": ["2", "3", "5", "13", "0", "-1", "4", "257", "263", "x", "", "1.5", "2305843009213693951"],
+        "--via-uber": ["auto", "Z2", "Z1", "Z3", "x", ""],
+    },
+}
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_cli_fuzzed_arguments_never_trace_back(data):
+    """uber classify and cohom h3 with arguments dropped, repeated or set to
+    junk (a non-number, a composite, a prime past a bound, an unknown name)
+    give exit code 0, 1 or 2, never an exception out of main."""
+    command = data.draw(st.sampled_from(sorted(_ARGS)))
+    argv = ["uber", "classify"] if command == "classify" else ["cohom", "h3"]
+    for flag, values in _ARGS[command].items():
+        for _ in range(data.draw(st.integers(0, 2))):  # 0 drops a flag, 2 repeats it
+            argv += [flag, data.draw(st.sampled_from(values))]
+    if data.draw(st.booleans()):
+        argv.insert(data.draw(st.integers(0, len(argv))), data.draw(st.sampled_from(["x", "--x", "-1"])))
+    _assert_one_error_line(argv)
 
 
 def test_cli_determinism_and_out_file(tmp_path):

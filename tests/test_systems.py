@@ -127,11 +127,12 @@ def _ty_closed_form_system(g, field):
     return reconstruct(Uberderivation(Ambi(fr, field), chi, ups, [tau]))
 
 
-def test_compiled_pentagon_matches_scalar_reference(f13, f17, ty3, mr):
-    """verify_fusion_system reports exactly the instances, in instance order,
-    on which pentagon_instance_value finds the two sides different."""
+@pytest.fixture(scope="module")
+def check_systems(f13, f17, ty3, mr):
+    """Accepted systems: a class of Moore-Read, TY(Z3)@13 and the (Z4,V4)
+    six-element rule from enumerate_uber, and TY(Z2), TY(Z2xZ2), TY(Z2^3)
+    from the closed form."""
     from fusionkit import Ambi, direct_product, enumerate_uber, klein_four, reconstruct
-    from fusionkit.systems import pentagon_instance_value, pentagon_instances
     from tests.test_uber import _six_element_rule
 
     six = _six_element_rule(cyclic(4), klein_four())
@@ -141,9 +142,17 @@ def test_compiled_pentagon_matches_scalar_reference(f13, f17, ty3, mr):
     ]
     for g in (cyclic(2), klein_four(), direct_product(cyclic(2), klein_four())):
         classes.append(_ty_closed_form_system(g, f17))
+    return classes
+
+
+def test_compiled_pentagon_matches_scalar_reference(check_systems):
+    """verify_fusion_system reports exactly the instances, in instance order,
+    on which pentagon_instance_value finds the two sides different."""
+    from fusionkit.systems import pentagon_instance_value, pentagon_instances
+
     rng = random.Random(404)
     checked = []
-    for f in classes:
+    for f in check_systems:
         rule, F = f.rule, f.field
         assert verify_fusion_system(f).passed
         coeffs = dict(apply_gauge(f, random_gauge(rule, F, rng)).coeffs)
@@ -164,6 +173,134 @@ def test_compiled_pentagon_matches_scalar_reference(f13, f17, ty3, mr):
             assert verify_fusion_system(g, witness_cap=cap).pentagon_failures == want[: max(cap, 1)]
         checked.append(rep.pentagon_checked)
     assert checked[::5] == [3072, 58368]  # Moore-Read, TY(Z2^3)
+
+
+def _reference_checks(f, witness_cap=16) -> dict:
+    """The invertibility, triangle, rigidity and one-top checks as loops over
+    recoupling_matrix, matrix_inverse_modp and FusionSystem.coeff."""
+    rule, p = f.rule, f.field.p
+    n, e = rule.n, rule.unit
+    non_inv = []
+    for x, y, z in product(range(n), repeat=3):
+        seen = set()
+        for u in rule.support(x, y):
+            for r in rule.support(u, z):
+                if r in seen:
+                    continue
+                seen.add(r)
+                mat, vs, us = recoupling_matrix(f, x, y, z, r)
+                if mat.size == 0:
+                    continue
+                if mat.shape[0] != mat.shape[1] or matrix_inverse_modp(mat, p) is None:
+                    non_inv.append((x, y, z, r))
+    tri_fail = []
+    for x, y in product(range(n), repeat=2):
+        for r in rule.support(x, y):
+            if f.coeff(x, e, y, x, r, y) != 1:
+                tri_fail.append((x, y, r))
+    rig_fail = []
+    for r in range(n):
+        rb = int(rule.dual[r])
+        mat, vs, us = recoupling_matrix(f, rb, r, rb, rb)
+        inv = matrix_inverse_modp(mat, p)
+        ok = False
+        if inv is not None and e in vs and e in us:
+            # inverse is indexed (u, v); take the unit-unit entry
+            entry = int(inv[us.index(e), vs.index(e)])
+            ok = entry != 0 and f.coeff(r, rb, r, e, r, e) == entry
+        if not ok:
+            rig_fail.append(r)
+    ot_fail = []
+    for x, y in product(range(n), repeat=2):
+        for r in rule.support(x, y):
+            if f.coeff(e, x, y, x, r, r) != 1 or f.coeff(x, y, e, r, r, y) != 1:
+                ot_fail.append((x, y, r))
+    return {
+        "invertibility_ok": not non_inv,
+        "non_invertible": non_inv[:witness_cap],
+        "triangle_ok": not tri_fail,
+        "triangle_failures": tri_fail[:witness_cap],
+        "rigidity_ok": not rig_fail,
+        "rigidity_failures": rig_fail[:witness_cap],
+        "one_top_ok": not ot_fail,
+        "one_top_failures": ot_fail[:witness_cap],
+    }
+
+
+def _corruptions(f, rng):
+    """Copies of f with: a 1x1 coefficient zeroed after construction; a larger
+    block made singular by copying one row onto another, together with such a
+    zero; a broken triangle, unit and rigidity entry; and a random gauge with
+    1-3 scaled coefficients."""
+    rule, F, e = f.rule, f.field, f.rule.unit
+    blocks = {(x, y, z, r): recoupling_matrix(f, x, y, z, r) for x, y, z, u, r, v in f.coeffs}
+    one_by_one = [k for k in f.coeffs if blocks[(*k[:3], k[4])][0].shape == (1, 1)]
+    larger = sorted(b for b, (mat, _, _) in blocks.items() if 2 <= mat.shape[0] == mat.shape[1])
+    out = []
+    zeroed = FusionSystem(rule, F, f.coeffs)
+    zeroed.coeffs[rng.choice(one_by_one)] = 0
+    out.append(zeroed)
+    if larger:
+        x, y, z, r = rng.choice(larger)
+        _, vs, us = blocks[(x, y, z, r)]
+        v0, v1 = rng.sample(vs, 2)
+        coeffs = {**f.coeffs, **{(x, y, z, u, r, v1): f.coeffs[(x, y, z, u, r, v0)] for u in us}}
+        out.append(FusionSystem(rule, F, coeffs))
+        out.append(FusionSystem(rule, F, coeffs))
+        out[-1].coeffs[rng.choice(one_by_one)] = 0
+    triples = [(x, y, r) for x, y in product(range(rule.n), repeat=2) for r in rule.support(x, y)]
+    x, y, r = rng.choice(triples)
+    rb = int(rule.dual[r])
+    for key in ((x, e, y, x, r, y), (e, x, y, x, r, r), (r, rb, r, e, r, e)):
+        coeffs = dict(f.coeffs)
+        coeffs[key] = coeffs[key] * rng.randrange(2, F.p) % F.p
+        out.append(FusionSystem(rule, F, coeffs))
+    coeffs = dict(apply_gauge(f, random_gauge(rule, F, rng)).coeffs)
+    for k in rng.sample(sorted(coeffs), rng.randint(1, 3)):
+        coeffs[k] = coeffs[k] * rng.randrange(2, F.p) % F.p
+    out.append(FusionSystem(rule, F, coeffs))
+    return out
+
+
+def _nonassociative_system(field):
+    """The all-ones system on a three-label rule that is not associative, so
+    that some recoupling blocks are not square."""
+    from fusionkit import FusionRule
+
+    t = np.zeros((3, 3, 3), dtype=np.int64)
+    for x in range(3):
+        t[0, x, x] = t[x, 0, x] = 1
+    t[1, 1] = [1, 0, 0]
+    t[1, 2] = t[2, 1] = [1, 1, 0]
+    t[2, 2] = [1, 0, 1]
+    rule = FusionRule(["1", "a", "b"], t, 0, [0, 1, 2])
+    return trivial_system(rule, field)
+
+
+def test_compiled_checks_match_reference_loops(check_systems, f5):
+    """verify_fusion_system reports the invertibility, triangle, rigidity and
+    one-top failures of the loops over recoupling_matrix, witnesses and caps
+    included, on accepted systems, random gauges and targeted corruptions."""
+    from fusionkit.systems import _pentagon_program
+
+    rng = random.Random(707)
+    failed = {k: 0 for k in ("invertibility_ok", "triangle_ok", "rigidity_ok", "one_top_ok")}
+    singular_lord_block = False
+    odd = _nonassociative_system(f5)
+    assert len(_pentagon_program(odd.rule).nonsquare)
+    for f in (*check_systems, odd):
+        gauged = apply_gauge(f, random_gauge(f.rule, f.field, rng))
+        for g in (f, gauged, *_corruptions(gauged, rng)):
+            for cap in (0, 1, 16, 10**9):
+                rep = verify_fusion_system(g, witness_cap=cap)
+                want = _reference_checks(g, cap)
+                assert {k: getattr(rep, k) for k in want} == want
+            for k in failed:
+                failed[k] += not want[k]
+            m = f.rule.n - 1
+            singular_lord_block |= (m, m, m, m) in want["non_invertible"] and len(f.rule.support(m, m)) == 8
+    assert all(failed.values()), failed
+    assert singular_lord_block  # the 8x8 block of TY(Z2^3)
 
 
 def test_verified_systems_have_identity_unit_matrices(f17, ty2, mr):

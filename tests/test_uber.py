@@ -12,6 +12,7 @@ from fusionkit import (
     apply_gauge_uber,
     canonicalize_tau,
     check_existence_obstructions,
+    cyclic,
     decompose,
     dihedral,
     enumerate_uber,
@@ -289,6 +290,24 @@ def test_psi_on_non_normal_system_classifies_through_normal_form(f17, mr):
     fn, _ = normalize(g, mr)
     assert ug == psi(fn, mr, u.ambi)
     assert gauge_equivalent_uber(ug, u) is not None
+
+
+def test_psi_decomposes_each_system_once(f17, mr, monkeypatch):
+    """psi decomposes its input, and on a non-normal input the normalized
+    system once more; normalize hands its decomposition back."""
+    import fusionkit.uber as uber_mod
+
+    u = mr_uber(f17, mr)
+    f = reconstruct(u)
+    g = apply_gauge(f, random_gauge(mr.rule, f17, random.Random(31)))
+    want = psi(g, mr, u.ambi)
+    calls = []
+    real = uber_mod.decompose
+    monkeypatch.setattr(uber_mod, "decompose", lambda *a: calls.append(a[0]) or real(*a))
+    assert psi(g, mr, u.ambi) == want
+    assert len(calls) == 2 and calls[0] is g and is_normal(calls[1], mr)
+    calls.clear()
+    assert psi(f, mr, u.ambi) == u and len(calls) == 1
 
 
 def test_psi_is_class_functorial_with_self_dual_lords(f17):
@@ -823,3 +842,51 @@ def test_enumeration_resource_bounds(ty2):
         enumerate_uber(Ambi(big, Field(17)))
     with pytest.raises(ResourceError):
         enumerate_uber(Ambi(ty2, Field(263)))
+
+
+def _ty_closed_form_counts(A, F):
+    """(gauge classes, equivalence classes) of TY(A) over F by the closed form of
+    Tambara and Yamagami (J. Algebra 209, 1998): the nondegenerate symmetric
+    bicharacters on A, and their Aut(A)-orbits, each times the number of
+    square roots of 1/|A| in F."""
+    from fusionkit.groups import automorphisms, from_mul, homomorphisms
+
+    n = F.p - 1
+    # characters A -> F^x in log coordinates, and the group they form
+    chars = [tuple(c.tolist()) for c in homomorphisms(A, cyclic(n))]
+    pos = {c: str(i) for i, c in enumerate(chars)}
+    dual = from_mul(list(pos.values()), lambda i, j: pos[tuple((np.add(chars[int(i)], chars[int(j)]) % n).tolist())])
+    # a bicharacter is a homomorphism a -> chi(a, -) from A to its characters,
+    # nondegenerate iff injective
+    bichars = []
+    for f in homomorphisms(A, dual):
+        chi = [[chars[int(f[a])][b] for b in range(len(A))] for a in range(len(A))]
+        if len(set(f.tolist())) == len(A) and all(chi[a][b] == chi[b][a] for a in range(len(A)) for b in range(a)):
+            bichars.append(chi)
+    orbits = {
+        min(tuple(chi[int(s[a])][int(s[b])] for a in range(len(A)) for b in range(len(A))) for s in automorphisms(A))
+        for chi in bichars
+    }
+    roots = sum(1 for t in range(1, F.p) if len(A) * t * t % F.p == 1)
+    return len(bichars) * roots, len(orbits) * roots
+
+
+@pytest.mark.parametrize(
+    "A, p, want",
+    [
+        (cyclic(2), 17, (2, 2)),
+        (cyclic(3), 13, (4, 4)),
+        (cyclic(4), 17, (4, 4)),
+        (klein_four(), 17, (8, 4)),
+        (cyclic(5), 41, (8, 4)),
+        (cyclic(6), 37, (0, 0)),  # 6 is not a square mod 37
+        (cyclic(6), 73, (4, 4)),
+    ],
+    ids=["Z2@17", "Z3@13", "Z4@17", "Z2xZ2@17", "Z5@41", "Z6@37", "Z6@73"],
+)
+def test_tambara_yamagami_closed_form(A, p, want):
+    """enumerate_uber on TY(A) counts the classes the closed form predicts."""
+    F = Field(p)
+    assert _ty_closed_form_counts(A, F) == want
+    cls = enumerate_uber(Ambi(tambara_yamagami(A), F))
+    assert (cls.gauge_classes, cls.equivalence_classes) == want
