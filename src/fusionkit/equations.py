@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from itertools import product
 
-from .ambient import Ambi
 from .uber import Decomposition
 
 
@@ -22,7 +21,7 @@ class _Ops:
 
     def __init__(self, dec: Decomposition):
         self.dec = dec
-        self.A = Ambi(dec.feudal, dec.field)
+        self.A = dec.ambi
         self.fr = dec.feudal
         self.serfs = dec.feudal.serf_ids
         self.inv = dec.feudal.serf_inv

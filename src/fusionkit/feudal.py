@@ -29,6 +29,8 @@ from .rules import (
     verify_fusion_rule,
 )
 
+_Z2 = cyclic(2)
+
 
 @dataclass
 class HomDatum:
@@ -43,9 +45,8 @@ class HomDatum:
         S, G, u = self.source, self.target, self.mapping
         if self.mapping.shape != (len(S),):
             raise ValidationError("mapping must be total on the source")
-        for a, b in product(range(len(S)), repeat=2):
-            if G.mul(int(u[a]), int(u[b])) != int(u[S.mul(a, b)]):
-                raise ValidationError("mapping is not a homomorphism")
+        if (G.table[u[:, None], u] != u[S.table]).any():
+            raise ValidationError("mapping is not a homomorphism")
         if 2 * len(self.image_ids) != len(G):
             raise ValidationError("cokernel must have order 2")
 
@@ -84,36 +85,37 @@ class FeudalRule:
             raise ValidationError("a feudal rule needs at least one lord")
         if not r.is_multiplicity_free:
             raise ValidationError("feudal rules are multiplicity-free")
-        grading = np.array([0 if x in self.serfs else 1 for x in range(r.n)])
-        if not is_grading(r, grading, cyclic(2)):
+        is_lord = np.array([x in self.lords for x in range(r.n)])
+        if not is_grading(r, is_lord.astype(np.int64), _Z2):
             raise ValidationError("serf/lord split is not a Z2 grading")
-        group_from_members(r, self.serfs)  # serfs must fuse as a group
-        # serf actions on lords are transitive on both sides
-        for act in (lambda a, m: r.support(a, m), lambda a, m: r.support(m, a)):
-            for m in self.lord_ids:
-                orbit = {m}
-                for a in self.serf_ids:
-                    got = act(a, m)
-                    if len(got) != 1:
-                        raise ValidationError("serf action on lords is not single-valued")
-                    orbit.add(got[0])
-                if orbit != self.lords:
-                    raise ValidationError("serf action on lords is not transitive")
-        ad = self.adjoint_ids
-        for m, l in product(self.lord_ids, repeat=2):
-            prod_supp = set(r.support(m, l))
-            if not prod_supp <= self.serfs:
-                raise ValidationError("lords do not fuse into serfs")
-            base = next(iter(prod_supp))
-            coset = {r.support(a, base)[0] for a in ad}
-            if prod_supp != coset:
-                raise ValidationError("lord products are not adjoint cosets")
+        self.serf_group = group_from_members(r, self.serfs)  # serfs must fuse as a group
+        # serf actions on lords are transitive on both sides: act[a, j] = a.m_j, then m_j.a
+        serfs, lords = np.array(self.serf_ids), np.array(self.lord_ids)
+        cols = np.arange(len(lords))
+        for act in (r.table[serfs[:, None], lords], r.table[lords[:, None], serfs].transpose(1, 0, 2)):
+            single = (act.sum(axis=2) == 1).all(axis=0)
+            orbit = np.zeros((r.n, len(lords)), dtype=bool)
+            orbit[act.argmax(axis=2), cols] = True
+            orbit[lords, cols] = True
+            transitive = (orbit == is_lord[:, None]).all(axis=0)
+            bad = np.flatnonzero(~(single & transitive))
+            if len(bad) and not single[bad[0]]:
+                raise ValidationError("serf action on lords is not single-valued")
+            if len(bad):
+                raise ValidationError("serf action on lords is not transitive")
+        # each lord product m.l must be a coset ad.b of the adjoint subrule, b any of its members
+        ad = np.array(self.adjoint_ids)
+        prods = r.table[lords[:, None], lords] > 0
+        coset = (r.table[ad][:, prods.argmax(axis=2)] > 0).any(axis=0)
+        outside = prods[:, :, is_lord].any(axis=2).ravel()
+        not_coset = (prods != coset).any(axis=2).ravel()
+        bad = np.flatnonzero(outside | not_coset)
+        if len(bad) and outside[bad[0]]:
+            raise ValidationError("lords do not fuse into serfs")
+        if len(bad):
+            raise ValidationError("lord products are not adjoint cosets")
 
     # ---- derived structure -------------------------------------------------
-
-    @cached_property
-    def serf_group(self) -> FiniteGroup:
-        return group_from_members(self.rule, self.serfs)
 
     @cached_property
     def adjoint_ids(self) -> tuple[int, ...]:
@@ -209,14 +211,13 @@ def z2_feudal_gradings(rule: FusionRule) -> list[frozenset[int]]:
     """All serf sets of valid feudal Z2 gradings, by exhaustive search."""
     out = []
     n = rule.n
+    rest = [x for x in range(n) if x != rule.unit]
     for bits in product((0, 1), repeat=n - 1):
         grading = np.zeros(n, dtype=np.int64)
-        rest = [x for x in range(n) if x != rule.unit]
-        for x, b in zip(rest, bits):
-            grading[x] = b
+        grading[rest] = bits
         if not any(grading):
             continue  # not surjective
-        if not is_grading(rule, grading, cyclic(2)):
+        if not is_grading(rule, grading, _Z2):
             continue
         serfs = frozenset(np.nonzero(grading == 0)[0].tolist())
         try:
@@ -264,25 +265,18 @@ def phi(h: HomDatum) -> FeudalRule:
     """The graded rule with serfs S, lords G - im(u), and fusion through u."""
     S, G, u = h.source, h.target, h.mapping
     ns = len(S)
-    lords = list(h.lord_ids)
-    nm = len(lords)
-    lpos = {m: ns + i for i, m in enumerate(lords)}
-    labels = list(S.labels) + _fresh_lord_labels(S.labels, [G.labels[m] for m in lords])
-    n = ns + nm
+    lords = np.array(h.lord_ids, dtype=np.int64)
+    n = ns + len(lords)
+    lpos = np.full(len(G), -1, dtype=np.int64)  # a lord of G -> its carrier id
+    lpos[lords] = np.arange(ns, n)
+    labels = list(S.labels) + _fresh_lord_labels(S.labels, [G.labels[m] for m in h.lord_ids])
     table = np.zeros((n, n, n), dtype=np.int64)
-    for a, b in product(range(ns), repeat=2):
-        table[a, b, S.mul(a, b)] = 1
-    for a in range(ns):
-        ua = int(u[a])
-        for m in lords:
-            table[a, lpos[m], lpos[G.mul(ua, m)]] = 1
-            table[lpos[m], a, lpos[G.mul(m, ua)]] = 1
-    for m, l in product(lords, repeat=2):
-        ml = G.mul(m, l)
-        for a in range(ns):
-            if int(u[a]) == ml:
-                table[lpos[m], lpos[l], a] = 1
-    dual = [int(S.inv[a]) for a in range(ns)] + [lpos[int(G.inv[m])] for m in lords]
+    serfs, mpos = np.arange(ns)[:, None], np.arange(ns, n)
+    table[serfs, serfs.T, S.table] = 1
+    table[serfs, mpos, lpos[G.table[u[:, None], lords]]] = 1
+    table[mpos[:, None], serfs.T, lpos[G.table[lords[:, None], u]]] = 1
+    table[ns:, ns:, :ns] = G.table[lords[:, None], lords][:, :, None] == u
+    dual = S.inv.tolist() + lpos[G.inv[lords]].tolist()
     rule = require_valid(FusionRule(labels, table, S.unit, dual))
     return FeudalRule(rule, range(ns))
 
@@ -290,9 +284,7 @@ def phi(h: HomDatum) -> FeudalRule:
 def gamma(fr: FeudalRule) -> HomDatum:
     """Restriction to serfs of the universal grading."""
     grading = universal_grading(fr.rule)
-    serf_group = fr.serf_group
-    mapping = np.array([int(grading.projection[x]) for x in fr.serf_ids], dtype=np.int64)
-    return HomDatum(serf_group, grading.group, mapping)
+    return HomDatum(fr.serf_group, grading.group, grading.projection[list(fr.serf_ids)])
 
 
 # ---- isomorphism of the two kinds of object ----------------------------------------
@@ -300,12 +292,22 @@ def gamma(fr: FeudalRule) -> HomDatum:
 
 def hom_datum_isomorphic(h1: HomDatum, h2: HomDatum):
     """A commuting square of group isomorphisms mapping lords to lords, or None."""
-    for h0 in isomorphisms(h1.source, h2.source):
-        for t in isomorphisms(h1.target, h2.target):
-            if any(int(t[h1.mapping[a]]) != int(h2.mapping[h0[a]]) for a in range(len(h1.source))):
-                continue
-            if any(int(t[m]) not in h2.lord_ids for m in h1.lord_ids):
-                continue
+    sources = isomorphisms(h1.source, h2.source)
+    targets = isomorphisms(h1.target, h2.target) if sources else []
+    if not targets:
+        return None
+    # each admissible t (lords to lords) by the image t.u1 it gives, the first t for each image
+    stacked = np.array(targets)
+    is_lord2 = np.zeros(len(h2.target), dtype=bool)
+    is_lord2[list(h2.lord_ids)] = True
+    admissible = is_lord2[stacked[:, list(h1.lord_ids)]].all(axis=1)
+    images = stacked[:, h1.mapping]
+    by_image = {}
+    for k in np.flatnonzero(admissible).tolist():
+        by_image.setdefault(images[k].tobytes(), targets[k])
+    for h0 in sources:
+        t = by_image.get(h2.mapping[h0].tobytes())
+        if t is not None:
             return h0, t
     return None
 

@@ -29,21 +29,20 @@ class FiniteGroup:
         self.name = name or f"group{n}"
         self._index = {lab: i for i, lab in enumerate(self.labels)}
 
-        units = [e for e in range(n) if (self.table[e] == np.arange(n)).all() and (self.table[:, e] == np.arange(n)).all()]
+        t, ar = self.table, np.arange(n)
+        units = np.flatnonzero((t == ar).all(axis=1) & (t == ar[:, None]).all(axis=0))
         if len(units) != 1:
             raise ValidationError("table has no two-sided unit")
-        self.unit = units[0]
-        t = self.table
+        self.unit = int(units[0])
         left = t[t]               # left[a,b,c] = (ab)c
         right = t[:, t]           # right[a,b,c] = a(bc)
         if not (left == right).all():
             raise ValidationError("table is not associative")
-        inv = np.full(n, -1, dtype=np.int64)
-        for a in range(n):
-            hits = np.nonzero(t[a] == self.unit)[0]
-            if len(hits) != 1 or t[hits[0], a] != self.unit:
-                raise ValidationError(f"element {self.labels[a]} has no two-sided inverse")
-            inv[a] = hits[0]
+        hits = t == self.unit
+        inv = hits.argmax(axis=1)
+        bad = np.flatnonzero((hits.sum(axis=1) != 1) | (t[inv, ar] != self.unit))
+        if len(bad):
+            raise ValidationError(f"element {self.labels[bad[0]]} has no two-sided inverse")
         self.inv = inv
         self.inv.setflags(write=False)
 
@@ -292,7 +291,10 @@ def homomorphisms(g: FiniteGroup, h: FiniteGroup) -> list[np.ndarray]:
 def isomorphisms(g: FiniteGroup, h: FiniteGroup) -> list[np.ndarray]:
     if len(g) != len(h):
         return []
-    return [f for f in homomorphisms(g, h) if len(set(f.tolist())) == len(h)]
+    homs = homomorphisms(g, h)  # never empty: the trivial homomorphism is one
+    # a homomorphism between groups of one order is bijective iff its kernel is trivial
+    trivial_kernel = (np.array(homs) == h.unit).sum(axis=1) == 1
+    return [f for f, ok in zip(homs, trivial_kernel.tolist()) if ok]
 
 
 def automorphisms(g: FiniteGroup) -> list[np.ndarray]:

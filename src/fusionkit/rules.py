@@ -3,7 +3,10 @@
 The carrier is dense integer ids 0..n-1 with a separate label list; the
 product lives in a single (n, n, n) integer table where ``table[x, y, z]`` is
 the multiplicity of z in x*y.  Multisets over the carrier are length-n
-integer vectors.  All queries are exact and pure.
+integer vectors.  All queries are exact and pure.  Associativity is checked
+with float64 matrix products; they are exact because every multiplicity is at
+most ``MAX_MULTIPLICITY`` = 2**16, so each entry of ``(xy)z`` is an integer of
+at most n * 2**32 < 2**53 for every table that fits in memory (n < 2**21).
 """
 
 from __future__ import annotations
@@ -18,9 +21,17 @@ from .errors import DomainError, ResourceError, ValidationError
 from .groups import FiniteGroup
 
 WITNESS_CAP = 16
+MAX_MULTIPLICITY = 2**16
 
 
 class FusionRule:
+    """A finite multimagma with unit and duals on the carrier 0..n-1.
+
+    Multiplicities are integers in [0, MAX_MULTIPLICITY]; a larger one raises
+    ``ResourceError`` (the CLI exits 2), which keeps every associativity sum
+    exact in float64.
+    """
+
     def __init__(self, labels, table, unit, dual):
         self.labels = tuple(str(x) for x in labels)
         n = len(self.labels)
@@ -31,6 +42,8 @@ class FusionRule:
             raise ValidationError(f"table must have shape ({n},{n},{n})")
         if (self.table < 0).any():
             raise ValidationError("multiplicities must be nonnegative")
+        if (self.table > MAX_MULTIPLICITY).any():
+            raise ResourceError(f"multiplicity {int(self.table.max())} exceeds the bound {MAX_MULTIPLICITY}")
         self.table.setflags(write=False)
         self.unit = int(unit)
         self.dual = np.asarray(dual, dtype=np.int64)
@@ -75,9 +88,10 @@ class FusionRule:
 
     @cached_property
     def _supports(self):
-        return tuple(
-            tuple(np.nonzero(self.table[x, y])[0].tolist()) for x in range(self.n) for y in range(self.n)
-        )
+        rows, cols = np.nonzero(self.table.reshape(self.n * self.n, self.n))
+        ends = np.cumsum(np.bincount(rows, minlength=self.n * self.n)).tolist()
+        cols = cols.tolist()
+        return tuple(tuple(cols[s:t]) for s, t in zip([0] + ends[:-1], ends))
 
     def support(self, x: int, y: int) -> tuple[int, ...]:
         return self._supports[x * self.n + y]
@@ -171,25 +185,25 @@ class RuleReport:
 def verify_fusion_rule(rule: FusionRule) -> RuleReport:
     """Check all defining axioms; failures are reported with witnesses, not raised."""
     T, n, e = rule.table, rule.n, rule.unit
-    lhs = np.einsum("xyu,uzw->xyzw", T, T)
-    rhs = np.einsum("yzv,xvw->xyzw", T, T)
-    bad = np.argwhere((lhs != rhs).any(axis=3))
-    assoc_witnesses = [tuple(map(int, w)) for w in bad[:WITNESS_CAP]]
+    # exact: entries are integers below 2**53 (see MAX_MULTIPLICITY)
+    Tf = T.astype(np.float64).reshape(n * n, n)
+    lhs = Tf @ Tf.reshape(n, n * n)  # [(x,y), (z,w)]: <(xy)z, w>
+    rhs = np.matmul(Tf, Tf.reshape(n, n, n))  # [x, (y,z), w]: <x(yz), w>
+    cells = np.flatnonzero(lhs.ravel() != rhs.ravel()) // n  # ascending (x,y,z) cells, once per bad w
+    bad = cells[np.diff(cells, prepend=-1) > 0][:WITNESS_CAP]
+    assoc_witnesses = list(zip(*(ax.tolist() for ax in np.unravel_index(bad, (n, n, n)))))
 
     eye = np.eye(n, dtype=np.int64)
-    unit_bad = [x for x in range(n) if (T[e, x] != eye[x]).any() or (T[x, e] != eye[x]).any()]
+    unit_bad = np.flatnonzero((T[e] != eye).any(axis=1) | (T[:, e] != eye).any(axis=1)).tolist()
 
-    dual_bad = []
-    for x in range(n):
-        want = eye[rule.dual[x]]
-        if (T[x, :, e] != want).any() or (T[:, x, e] != want).any():
-            dual_bad.append((x, int(rule.dual[x])))
+    want, Te = eye[rule.dual], T[:, :, e]
+    dual_bad = [
+        (x, int(rule.dual[x]))
+        for x in np.flatnonzero((Te != want).any(axis=1) | (Te.T != want).any(axis=1)).tolist()
+    ]
 
     empt = np.argwhere(T.sum(axis=2) == 0)
-    units = [
-        u for u in range(n)
-        if all((T[u, x] == eye[x]).all() and (T[x, u] == eye[x]).all() for x in range(n))
-    ]
+    units = np.flatnonzero((T == eye).all(axis=(1, 2)) & (T == eye[:, None, :]).all(axis=(0, 2)))
     dual_inv = bool((rule.dual[rule.dual] == np.arange(n)).all()) and rule.dual[e] == e
 
     return RuleReport(
@@ -250,22 +264,16 @@ def _as_map(mapping, rule: FusionRule, other: FusionRule) -> np.ndarray:
 
 def subrule_generated(rule: FusionRule, seed) -> frozenset[int]:
     """Least subset containing unit and seed, closed under duals and fusion support."""
-    members = {rule.unit} | {rule.index(s) if isinstance(s, str) else int(s) for s in seed}
-    frontier = list(members)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            d = int(rule.dual[x])
-            if d not in members:
-                members.add(d)
-                nxt.append(d)
-        for x, y in product(list(members), repeat=2):
-            for z in rule.support(x, y):
-                if z not in members:
-                    members.add(z)
-                    nxt.append(z)
-        frontier = nxt
-    return frozenset(members)
+    members = np.zeros(rule.n, dtype=bool)
+    members[[rule.unit, *(rule.index(s) if isinstance(s, str) else int(s) for s in seed)]] = True
+    nonzero = rule.table > 0
+    while True:
+        ids = np.flatnonzero(members)
+        grown = members | nonzero[ids[:, None], ids].any(axis=(0, 1))
+        grown[rule.dual[members]] = True
+        if (grown == members).all():
+            return frozenset(np.flatnonzero(members).tolist())
+        members = grown
 
 
 def is_subrule(rule: FusionRule, members) -> bool:
@@ -295,18 +303,15 @@ def left_cosets(rule: FusionRule, members) -> CosetDecomposition:
     ind = as_multiset(rule, sorted(members))
     ind = (ind > 0).astype(np.int64)
     raw = np.einsum("s,xsz->xz", ind, rule.table)
-    cosets: list[frozenset[int]] = []
-    for x in range(rule.n):
-        c = frozenset(np.nonzero(raw[x])[0].tolist())
-        if c not in cosets:
-            cosets.append(c)
-    cosets.sort(key=sorted)
+    cosets = sorted({frozenset(np.flatnonzero(row).tolist()) for row in raw}, key=sorted)
     k = len(cosets)
-    members = [np.fromiter(sorted(c), dtype=np.int64) for c in cosets]
-    # max-reduce one axis at a time: table[i,j,l] = max over the coset blocks
-    m1 = np.stack([rule.table[:, :, m].max(axis=2) for m in members], axis=2)
-    m2 = np.stack([m1[m].max(axis=0) for m in members], axis=0)
-    table = np.stack([m2[:, m].max(axis=1) for m in members], axis=1)
+    mask = np.zeros((k, rule.n), dtype=np.int64)
+    for i, c in enumerate(cosets):
+        mask[i, list(c)] = 1
+    # max over the coset blocks, one axis per step: [x,y,z] -> [l,x,y] -> [j,l,x] -> [i,j,l]
+    table = rule.table
+    for _ in range(3):
+        table = (table[..., None, :] * mask).max(axis=-1, initial=0).transpose(2, 0, 1)
     cover = set().union(*cosets) == set(range(rule.n)) if cosets else False
     disjoint = sum(len(c) for c in cosets) == rule.n
     return CosetDecomposition(tuple(cosets), table, cover and disjoint)
@@ -314,10 +319,8 @@ def left_cosets(rule: FusionRule, members) -> CosetDecomposition:
 
 def adjoint_subrule(rule: FusionRule) -> frozenset[int]:
     """Smallest subrule containing the support of every x*xbar."""
-    seed = set()
-    for x in range(rule.n):
-        seed.update(rule.support(x, int(rule.dual[x])))
-    return subrule_generated(rule, seed)
+    seed = np.flatnonzero(rule.table[np.arange(rule.n), rule.dual].any(axis=0))
+    return subrule_generated(rule, seed.tolist())
 
 
 def nilpotency_class(rule: FusionRule) -> int | None:
@@ -357,18 +360,13 @@ def universal_grading(rule: FusionRule) -> GradingReport:
     dec = left_cosets(rule, ad)
     if not dec.partitions:
         raise ValidationError("adjoint cosets do not partition the carrier")
-    k = dec.index
-    gtab = np.zeros((k, k), dtype=np.int64)
-    for i, j in product(range(k), repeat=2):
-        hits = np.nonzero(dec.table[i, j])[0]
-        if len(hits) != 1:
-            raise ValidationError("adjoint quotient is not single-valued")
-        gtab[i, j] = hits[0]
+    if ((dec.table != 0).sum(axis=2) != 1).any():
+        raise ValidationError("adjoint quotient is not single-valued")
+    gtab = (dec.table != 0).argmax(axis=2)
     group = FiniteGroup([_coset_label(rule, c) for c in dec.cosets], gtab, name="grading")
     proj = np.zeros(rule.n, dtype=np.int64)
     for i, c in enumerate(dec.cosets):
-        for x in c:
-            proj[x] = i
+        proj[list(c)] = i
     if not is_grading(rule, proj, group):
         raise ValidationError("universal projection is not a grading")
     return GradingReport(ad, dec.cosets, proj, group)
@@ -399,15 +397,12 @@ def simple_currents(rule: FusionRule) -> tuple[frozenset[int], int]:
 
 def group_from_members(rule: FusionRule, members) -> FiniteGroup:
     """The member set as a group, when fusion restricted to it is single-valued."""
-    ids = sorted(members)
-    pos = {g: i for i, g in enumerate(ids)}
-    table = np.zeros((len(ids), len(ids)), dtype=np.int64)
-    for a, b in product(ids, repeat=2):
-        supp = rule.support(a, b)
-        if len(supp) != 1 or supp[0] not in pos or rule.table[a, b, supp[0]] != 1:
-            raise ValidationError("member set does not fuse as a group")
-        table[pos[a], pos[b]] = pos[supp[0]]
-    return FiniteGroup([rule.labels[g] for g in ids], table)
+    ids = np.array(sorted(members), dtype=np.int64)
+    rows = rule.table[ids[:, None], ids]
+    # a unit vector onto a member: row sum 1 (nonnegative integers) and all of it inside
+    if (rows.sum(axis=2) != 1).any() or (rows[:, :, ids].sum(axis=2) != 1).any():
+        raise ValidationError("member set does not fuse as a group")
+    return FiniteGroup([rule.labels[g] for g in ids], rows[:, :, ids] @ np.arange(len(ids)))
 
 
 # ---- isomorphism search --------------------------------------------------------
@@ -434,47 +429,40 @@ def rule_isomorphisms(
     sec_a = sector[0] if sector is not None else np.zeros(n, dtype=np.int64)
     sec_b = sector[1] if sector is not None else np.zeros(n, dtype=np.int64)
 
-    # cheap invariants to prune candidates
-    def profile(r: FusionRule, x: int, sec) -> tuple:
-        row = tuple(sorted(int(v) for v in r.table[x].sum(axis=1)))
-        col = tuple(sorted(int(v) for v in r.table[:, x].sum(axis=1)))
-        return (int(sec[x]), x == r.unit, int(r.dual[x]) == x, row, col)
+    # cheap invariants to prune candidates: sector, unit, self-dual, sorted row and column sums
+    def profiles(r: FusionRule, sec) -> np.ndarray:
+        ar, sums = np.arange(n), r.table.sum(axis=2)
+        flags = np.stack([np.asarray(sec, dtype=np.int64), ar == r.unit, r.dual == ar], axis=1)
+        return np.concatenate([flags, np.sort(sums, axis=1), np.sort(sums.T, axis=1)], axis=1)
 
-    prof_a = [profile(a, x, sec_a) for x in range(n)]
-    prof_b = [profile(b, x, sec_b) for x in range(n)]
-    cands = [[y for y in range(n) if prof_b[y] == prof_a[x]] for x in range(n)]
-    if not all(cands):
+    prof_a, prof_b = profiles(a, sec_a), profiles(b, sec_b)
+    match = (prof_a[:, None, :] == prof_b[None, :, :]).all(axis=2)
+    cands = [[] for _ in range(n)]
+    for x, y in np.argwhere(match).tolist():
+        cands[x].append(y)
+    if not all(cands) or b.unit not in cands[a.unit]:
         return []
 
     out: list[np.ndarray] = []
     perm = np.full(n, -1, dtype=np.int64)
     used = [False] * n
-    ta, tb = a.table, b.table
+    perm[a.unit] = b.unit
+    used[b.unit] = True
+    order = sorted((x for x in range(n) if x != a.unit), key=lambda x: len(cands[x]))
+    # the points placed at depth i are the unit and order[:i+1]; only the triples that
+    # mention the new point order[i] can break: its row, column and fiber blocks
+    placed = [np.array([a.unit, *order[: i + 1]]) for i in range(len(order))]
+    slices_b = np.stack([b.table, b.table.transpose(1, 0, 2), b.table.transpose(2, 0, 1)], axis=1)
+    slices_a = np.stack([a.table, a.table.transpose(1, 0, 2), a.table.transpose(2, 0, 1)], axis=1)
+    blocks_a = [slices_a[x][:, u[:, None], u] for x, u in zip(order, placed)]
 
-    def consistent(x: int) -> bool:
+    def consistent(i: int, x: int) -> bool:
         y = int(perm[x])
         xd = int(a.dual[x])
         if perm[xd] >= 0 and int(perm[xd]) != int(b.dual[y]):
             return False
-        assigned = [z for z in range(n) if perm[z] >= 0]
-        # only triples that mention the new point can break
-        for u in assigned:
-            pu = perm[u]
-            for v in assigned:
-                pv = perm[v]
-                if (
-                    ta[x, u, v] != tb[y, pu, pv]
-                    or ta[u, x, v] != tb[pu, y, pv]
-                    or ta[u, v, x] != tb[pu, pv, y]
-                ):
-                    return False
-        return True
-
-    if b.unit not in cands[a.unit]:
-        return []
-    perm[a.unit] = b.unit
-    used[b.unit] = True
-    order = sorted((x for x in range(n) if x != a.unit), key=lambda x: len(cands[x]))
+        pu = perm[placed[i]]
+        return bool((blocks_a[i] == slices_b[y][:, pu[:, None], pu]).all())
 
     def rec(i: int):
         if out and first_only:
@@ -488,12 +476,13 @@ def rule_isomorphisms(
                 continue
             perm[x] = y
             used[y] = True
-            if consistent(x):
+            if consistent(i, x):
                 rec(i + 1)
             perm[x] = -1
             used[y] = False
 
     rec(0)
+    del rec  # a recursive closure is a reference cycle: free its arrays now, not at the next collection
     return out
 
 

@@ -193,6 +193,11 @@ class Decomposition:
     beta3: dict
     gamma: dict  # (a,b) -> B
 
+    @cached_property
+    def ambi(self) -> Ambi:
+        """The ambient algebra on the lords, built once per decomposition."""
+        return Ambi(self.feudal, self.field)
+
     def is_normal(self) -> bool:
         """The normal slice: beta1(a, e) = beta2(a, e) = 1 for every serf a."""
         e, p = self.feudal.rule.unit, self.field.p
@@ -275,7 +280,7 @@ def psi(f: FusionSystem, fr: FeudalRule | None = None, ambi: Ambi | None = None)
     """
     dec = decompose(f, fr)
     if ambi is None:
-        ambi = Ambi(dec.feudal, f.field)
+        ambi = dec.ambi
     if not dec.is_normal():
         _, _, dec = _normalize(f, dec)
     e = ambi.unit_serf

@@ -2,11 +2,15 @@ import pytest
 
 from fusionkit import (
     Field,
+    HomDatum,
     cyclic,
     detect_feudal,
     group_rule,
+    homomorphisms,
     klein_four,
     moore_read,
+    phi,
+    standard_catalog,
     tambara_yamagami,
 )
 
@@ -54,3 +58,23 @@ def z4_graded():
 @pytest.fixture(scope="session")
 def v4_rule():
     return group_rule(klein_four())
+
+
+@pytest.fixture(scope="session")
+def hom_data_8():
+    """The 834 homomorphisms S -> G with order-2 cokernel over the catalog of order <= 8."""
+    cat = standard_catalog(8)
+    return [
+        HomDatum(S, G, u)
+        for S in cat
+        for G in cat
+        if len(G) % 2 == 0
+        for u in homomorphisms(S, G)
+        if 2 * len(set(u.tolist())) == len(G)
+    ]
+
+
+@pytest.fixture(scope="session")
+def phi_rules_8(hom_data_8):
+    """phi of each of the 834 hom data, in the same order."""
+    return [phi(h) for h in hom_data_8]

@@ -116,3 +116,20 @@ def test_recoupling_inverse_formula(f17, mr):
             eye = np.eye(len(vs), dtype=np.int64)
             assert ((forward @ inverse) % 17 == eye).all()
             assert ((inverse @ forward) % 17 == eye).all()
+
+
+def test_ledger_builds_one_ambient_per_decomposition(systems, f17, monkeypatch):
+    import fusionkit.ambient as ambient
+
+    rng = random.Random(23)
+    fr, f = systems[-1]
+    xi = random_gauge(fr.rule, f17, rng)
+    dec, dec_t = decompose(f, fr), decompose(apply_gauge(f, xi), fr)
+    comps = xi_components(xi, fr)
+    built = []
+    init = ambient.Ambi.__init__
+    monkeypatch.setattr(ambient.Ambi, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+    results = check_all_pentagon(dec), check_all_rectangle(dec, dec_t, comps)
+    assert len(built) == 1
+    assert results == (check_all_pentagon(dec), check_all_rectangle(dec, dec_t, comps))
+    assert not any(results[0].values()) and not any(results[1].values())

@@ -1,9 +1,12 @@
+import random
 from itertools import product
 
 import numpy as np
 import pytest
 
 from fusionkit import (
+    FusionRule,
+    adjoint_subrule,
     cyclic,
     detect_feudal,
     dihedral,
@@ -16,8 +19,9 @@ from fusionkit import (
     round_trip_check,
 )
 from fusionkit.errors import ValidationError
-from fusionkit.feudal import HomDatum, enumerate_feudal, z2_feudal_gradings
-from fusionkit.groups import homomorphisms, standard_catalog
+from fusionkit.feudal import FeudalRule, HomDatum, enumerate_feudal, z2_feudal_gradings
+from fusionkit.groups import homomorphisms, isomorphisms, standard_catalog
+from fusionkit.rules import group_from_members, is_grading
 
 
 def doubling_datum():
@@ -216,3 +220,175 @@ def test_enumerate_feudal_warns_beyond_curated_orders():
 
     with pytest.raises(DomainError):
         enumerate_feudal(17)
+
+
+# ---- array kernels against the loops they replace ---------------------------------------
+
+
+def _reference_phi_table(h):
+    S, G, u = h.source, h.target, h.mapping
+    ns, lords = len(S), list(h.lord_ids)
+    lpos = {m: ns + i for i, m in enumerate(lords)}
+    n = ns + len(lords)
+    table = np.zeros((n, n, n), dtype=np.int64)
+    for a, b in product(range(ns), repeat=2):
+        table[a, b, S.mul(a, b)] = 1
+    for a in range(ns):
+        for m in lords:
+            table[a, lpos[m], lpos[G.mul(int(u[a]), m)]] = 1
+            table[lpos[m], a, lpos[G.mul(m, int(u[a]))]] = 1
+    for m, l in product(lords, repeat=2):
+        for a in range(ns):
+            if int(u[a]) == G.mul(m, l):
+                table[lpos[m], lpos[l], a] = 1
+    dual = [int(S.inv[a]) for a in range(ns)] + [lpos[int(G.inv[m])] for m in lords]
+    return table, dual
+
+
+def _reference_feudal_check(rule, serfs):
+    """FeudalRule's validation as per-lord and per-pair loops: the first failure's message, or None."""
+    r, serfs = rule, frozenset(serfs)
+    lords = frozenset(range(r.n)) - serfs
+
+    def support(x, y):
+        return tuple(np.nonzero(r.table[x, y])[0].tolist())
+
+    try:
+        if not lords:
+            raise ValidationError("a feudal rule needs at least one lord")
+        if not r.is_multiplicity_free:
+            raise ValidationError("feudal rules are multiplicity-free")
+        if not is_grading(r, np.array([0 if x in serfs else 1 for x in range(r.n)]), cyclic(2)):
+            raise ValidationError("serf/lord split is not a Z2 grading")
+        group_from_members(r, serfs)
+        for act in (lambda a, m: support(a, m), lambda a, m: support(m, a)):
+            for m in sorted(lords):
+                orbit = {m}
+                for a in sorted(serfs):
+                    got = act(a, m)
+                    if len(got) != 1:
+                        raise ValidationError("serf action on lords is not single-valued")
+                    orbit.add(got[0])
+                if orbit != lords:
+                    raise ValidationError("serf action on lords is not transitive")
+        ad = sorted(adjoint_subrule(r))
+        for m, l in product(sorted(lords), repeat=2):
+            prod_supp = set(support(m, l))
+            if not prod_supp <= serfs:
+                raise ValidationError("lords do not fuse into serfs")
+            if not prod_supp:  # the loops raised StopIteration here; an empty product is no coset
+                raise ValidationError("lord products are not adjoint cosets")
+            base = next(iter(prod_supp))
+            if prod_supp != {support(a, base)[0] for a in ad}:
+                raise ValidationError("lord products are not adjoint cosets")
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+def _feudal_check(rule, serfs):
+    try:
+        FeudalRule(rule, serfs)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+def _reference_hom_datum_check(S, G, mapping):
+    u = np.asarray(mapping, dtype=np.int64)
+    if u.shape != (len(S),):
+        return "mapping must be total on the source"
+    for a, b in product(range(len(S)), repeat=2):
+        if G.mul(int(u[a]), int(u[b])) != int(u[S.mul(a, b)]):
+            return "mapping is not a homomorphism"
+    if 2 * len(set(u.tolist())) != len(G):
+        return "cokernel must have order 2"
+    return None
+
+
+def _reference_hom_datum_isomorphic(h1, h2):
+    for h0 in isomorphisms(h1.source, h2.source):
+        for t in isomorphisms(h1.target, h2.target):
+            if any(int(t[h1.mapping[a]]) != int(h2.mapping[h0[a]]) for a in range(len(h1.source))):
+                continue
+            if any(int(t[m]) not in h2.lord_ids for m in h1.lord_ids):
+                continue
+            return h0, t
+    return None
+
+
+def _pair(found):
+    return None if found is None else (found[0].tolist(), found[1].tolist())
+
+
+def test_phi_table_matches_reference(hom_data_8, phi_rules_8):
+    for h, fr in zip(hom_data_8, phi_rules_8):
+        table, dual = _reference_phi_table(h)
+        assert (fr.rule.table == table).all() and fr.rule.dual.tolist() == dual
+
+
+def test_hom_datum_isomorphic_witness_matches_reference(hom_data_8, phi_rules_8):
+    rng = random.Random(2)
+    by_shape = {}
+    for h in hom_data_8:
+        by_shape.setdefault((len(h.source), len(h.target)), []).append(h)
+    found_none = 0
+    for i in rng.sample(range(len(hom_data_8)), 150):
+        h = hom_data_8[i]
+        back = gamma(phi_rules_8[i])
+        other = rng.choice(by_shape[(len(h.source), len(h.target))])
+        for h1, h2 in ((back, h), (h, other), (other, back)):
+            got = hom_datum_isomorphic(h1, h2)
+            assert _pair(got) == _pair(_reference_hom_datum_isomorphic(h1, h2))
+            found_none += got is None
+    assert found_none > 25
+
+
+def test_hom_datum_validation_matches_reference():
+    rng = random.Random(4)
+    cat = standard_catalog(8)
+    seen = set()
+    for _ in range(400):
+        S, G = rng.choice(cat), rng.choice(cat)
+        mapping = [rng.randrange(len(G)) for _ in range(len(S) + (rng.random() < 0.05))]
+        if rng.random() < 0.3 and len(G) % 2 == 0:
+            good = [u for u in homomorphisms(S, G) if 2 * len(set(u.tolist())) == len(G)]
+            mapping = list(rng.choice(good)) if good else mapping
+        want = _reference_hom_datum_check(S, G, mapping)
+        try:
+            HomDatum(S, G, mapping)
+            got = None
+        except ValidationError as exc:
+            got = str(exc)
+        assert got == want
+        seen.add(want)
+    assert len(seen) == 4, seen
+
+
+def test_feudal_validation_matches_reference(phi_rules_8):
+    rng = random.Random(6)
+    seen = {}
+    for fr in rng.sample(phi_rules_8, 200):
+        r, n = fr.rule, fr.rule.n
+        cases = [(r, set(rng.sample(range(n), rng.randint(1, n)))), (r, fr.serfs | {r.n - 1})]
+        for _ in range(3):
+            table = r.table.copy()
+            for _ in range(rng.randint(1, 2)):
+                x, y, z = (rng.randrange(n) for _ in range(3))
+                table[x, y, z] = rng.choice([1, 1, 1, 2]) if table[x, y, z] == 0 else 0
+            cases.append((FusionRule(r.labels, table, r.unit, r.dual), fr.serfs))
+        m, l = fr.lord_ids[0], fr.lord_ids[-1]
+        table = r.table.copy()
+        table[list(fr.serfs), m] = 0
+        table[list(fr.serfs), m, m] = 1  # every serf fixes m
+        cases.append((FusionRule(r.labels, table, r.unit, r.dual), fr.serfs))
+        table = r.table.copy()
+        table[m, l] = 0
+        table[m, l, r.unit] = 1  # m*l a single serf, not a coset of a nontrivial adjoint subrule
+        cases.append((FusionRule(r.labels, table, r.unit, r.dual), fr.serfs))
+        for rule, serfs in cases:
+            want = _reference_feudal_check(rule, serfs)
+            assert _feudal_check(rule, serfs) == want
+            seen[want] = seen.get(want, 0) + 1
+    # every check is reached but "lords do not fuse into serfs", which the Z2 grading check subsumes
+    assert len(seen) == 8 and "lords do not fuse into serfs" not in seen, seen

@@ -1,3 +1,6 @@
+import random
+
+import numpy as np
 import pytest
 
 from fusionkit import (
@@ -82,3 +85,54 @@ def test_element_orders_and_inverses():
 def test_every_catalog_group_resolves_by_its_name(g):
     named = named_group(g.name)
     assert len(named) == len(g) and isomorphisms(named, g)
+
+
+# ---- array kernels against the loops they replace ---------------------------------------
+
+
+def _reference_unit_and_inverses(labels, table):
+    """FiniteGroup's unit and inverse search as per-element loops, or the first failure's message."""
+    t = np.asarray(table, dtype=np.int64)
+    n = len(labels)
+    units = [e for e in range(n) if (t[e] == np.arange(n)).all() and (t[:, e] == np.arange(n)).all()]
+    if len(units) != 1:
+        return "table has no two-sided unit"
+    if not (t[t] == t[:, t]).all():
+        return "table is not associative"
+    inv = []
+    for a in range(n):
+        hits = np.nonzero(t[a] == units[0])[0]
+        if len(hits) != 1 or t[hits[0], a] != units[0]:
+            return f"element {labels[a]} has no two-sided inverse"
+        inv.append(int(hits[0]))
+    return units[0], inv
+
+
+def test_unit_and_inverses_match_reference():
+    rng = random.Random(8)
+    seen = set()
+    for g in standard_catalog(8):
+        assert (g.unit, g.inv.tolist()) == _reference_unit_and_inverses(g.labels, g.table)
+        for _ in range(30):
+            t = g.table.copy()
+            for _ in range(rng.randint(1, 2)):
+                t[rng.randrange(len(g)), rng.randrange(len(g))] = rng.randrange(len(g))
+            if rng.random() < 0.2:  # associative with a unit, but a*b = a for a != 0: no inverses
+                t = np.array([[b if a == 0 else a for b in range(len(g))] for a in range(len(g))])
+            want = _reference_unit_and_inverses(g.labels, t)
+            try:
+                h = FiniteGroup(g.labels, t)
+                got = (h.unit, h.inv.tolist())
+            except ValidationError as exc:
+                got = str(exc)
+            assert got == want
+            seen.add(want.split()[-1] if isinstance(want, str) else "ok")
+    assert len(seen) == 4, seen
+
+
+def test_isomorphisms_match_reference():
+    cat = standard_catalog(8)
+    for g in cat:
+        for h in cat:
+            want = [f.tolist() for f in homomorphisms(g, h) if len(set(f.tolist())) == len(h)] if len(g) == len(h) else []
+            assert [f.tolist() for f in isomorphisms(g, h)] == want

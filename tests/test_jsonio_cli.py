@@ -201,6 +201,24 @@ def test_cli_fsys_enumerate_and_budget():
     assert code == 2 and "budget" in err
 
 
+def test_cli_rejects_multiplicities_beyond_the_bound(tmp_path):
+    # 2**32 on c*c: int64 associativity sums wrapped and verified this rule as associative
+    m = 2**32
+    doc = {
+        "labels": ["1", "b", "c"],
+        "unit": "1",
+        "dual": {"1": "1", "b": "b", "c": "c"},
+        "table": {
+            "1,1": {"1": 1}, "1,b": {"b": 1}, "1,c": {"c": 1}, "b,1": {"b": 1}, "c,1": {"c": 1},
+            "b,b": {"1": 1, "c": 1}, "b,c": {"b": 1, "c": m}, "c,b": {"b": 1, "c": m}, "c,c": {"1": 1, "b": m},
+        },
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["rule", "verify", str(path)])
+    assert code == 2 and out == "" and err.count("\n") == 1 and "exceeds the bound 65536" in err
+
+
 def test_cli_exit_codes(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"labels": [,]}')

@@ -6,11 +6,13 @@ import pytest
 
 from fusionkit import (
     FusionRule,
+    RuleReport,
     adjoint_subrule,
     automorphisms,
     cyclic,
     dihedral,
     fuse_multisets,
+    gamma,
     group_rule,
     is_homomorphism,
     klein_four,
@@ -19,13 +21,14 @@ from fusionkit import (
     phi,
     simple_currents,
     subrule_generated,
+    tambara_yamagami,
     universal_grading,
     verify_fusion_rule,
 )
-from fusionkit.errors import DomainError, ResourceError
-from fusionkit.feudal import HomDatum
+from fusionkit.errors import DomainError, ResourceError, ValidationError
+from fusionkit.feudal import HomDatum, enumerate_feudal
 from fusionkit.groups import homomorphisms, identify_group, standard_catalog
-from fusionkit.rules import is_subrule
+from fusionkit.rules import MAX_MULTIPLICITY, WITNESS_CAP, group_from_members, is_subrule, rule_isomorphisms
 
 
 def fibonacci_rule():
@@ -330,3 +333,264 @@ def test_phi_outputs_always_pass_axioms():
         rep = verify_fusion_rule(fr.rule)
         assert rep.passed and rep.consequences_ok
         assert is_subrule(fr.rule, fr.serfs)
+
+
+# ---- array kernels against the loops they replace ---------------------------------------
+
+
+def _reference_verify(rule):
+    """verify_fusion_rule as int64 einsums and per-label loops."""
+    T, n, e = rule.table, rule.n, rule.unit
+    lhs = np.einsum("xyu,uzw->xyzw", T, T)
+    rhs = np.einsum("yzv,xvw->xyzw", T, T)
+    bad = np.argwhere((lhs != rhs).any(axis=3))
+    eye = np.eye(n, dtype=np.int64)
+    unit_bad = [x for x in range(n) if (T[e, x] != eye[x]).any() or (T[x, e] != eye[x]).any()]
+    dual_bad = []
+    for x in range(n):
+        want = eye[rule.dual[x]]
+        if (T[x, :, e] != want).any() or (T[:, x, e] != want).any():
+            dual_bad.append((x, int(rule.dual[x])))
+    empt = np.argwhere(T.sum(axis=2) == 0)
+    units = [
+        u for u in range(n)
+        if all((T[u, x] == eye[x]).all() and (T[x, u] == eye[x]).all() for x in range(n))
+    ]
+    assoc = [tuple(map(int, w)) for w in bad[:WITNESS_CAP]]
+    return RuleReport(
+        associative=not assoc,
+        assoc_witnesses=assoc,
+        unit_ok=not unit_bad,
+        unit_witnesses=unit_bad[:WITNESS_CAP],
+        duals_ok=not dual_bad,
+        dual_witnesses=dual_bad[:WITNESS_CAP],
+        products_nonempty=empt.size == 0,
+        empty_witnesses=[tuple(map(int, w)) for w in empt[:WITNESS_CAP]],
+        unit_unique=len(units) == 1,
+        dual_involutive=bool((rule.dual[rule.dual] == np.arange(n)).all()) and rule.dual[e] == e,
+        multiplicity_free=bool((T <= 1).all()),
+    )
+
+
+def _reference_rule_isomorphisms(a, b, sector=None, first_only=False):
+    """rule_isomorphisms with per-point profiles and a per-triple consistency loop."""
+    if len(a) != len(b):
+        return []
+    n = len(a)
+    sec_a = sector[0] if sector is not None else np.zeros(n, dtype=np.int64)
+    sec_b = sector[1] if sector is not None else np.zeros(n, dtype=np.int64)
+
+    def profile(r, x, sec):
+        row = tuple(sorted(int(v) for v in r.table[x].sum(axis=1)))
+        col = tuple(sorted(int(v) for v in r.table[:, x].sum(axis=1)))
+        return (int(sec[x]), x == r.unit, int(r.dual[x]) == x, row, col)
+
+    prof_a = [profile(a, x, sec_a) for x in range(n)]
+    prof_b = [profile(b, x, sec_b) for x in range(n)]
+    cands = [[y for y in range(n) if prof_b[y] == prof_a[x]] for x in range(n)]
+    if not all(cands) or b.unit not in cands[a.unit]:
+        return []
+    out, perm, used = [], np.full(n, -1, dtype=np.int64), [False] * n
+    ta, tb = a.table, b.table
+
+    def consistent(x):
+        y = int(perm[x])
+        xd = int(a.dual[x])
+        if perm[xd] >= 0 and int(perm[xd]) != int(b.dual[y]):
+            return False
+        assigned = [z for z in range(n) if perm[z] >= 0]
+        for u in assigned:
+            for v in assigned:
+                pu, pv = perm[u], perm[v]
+                if ta[x, u, v] != tb[y, pu, pv] or ta[u, x, v] != tb[pu, y, pv] or ta[u, v, x] != tb[pu, pv, y]:
+                    return False
+        return True
+
+    perm[a.unit] = b.unit
+    used[b.unit] = True
+    order = sorted((x for x in range(n) if x != a.unit), key=lambda x: len(cands[x]))
+
+    def rec(i):
+        if out and first_only:
+            return
+        if i == len(order):
+            out.append(perm.copy())
+            return
+        x = order[i]
+        for y in cands[x]:
+            if used[y]:
+                continue
+            perm[x], used[y] = y, True
+            if consistent(x):
+                rec(i + 1)
+            perm[x], used[y] = -1, False
+
+    rec(0)
+    return out
+
+
+def _reference_group_from_members(rule, members):
+    ids = sorted(members)
+    pos = {g: i for i, g in enumerate(ids)}
+    table = np.zeros((len(ids), len(ids)), dtype=np.int64)
+    for a, b in product(ids, repeat=2):
+        supp = tuple(np.nonzero(rule.table[a, b])[0].tolist())
+        if len(supp) != 1 or supp[0] not in pos or rule.table[a, b, supp[0]] != 1:
+            raise ValidationError("member set does not fuse as a group")
+        table[pos[a], pos[b]] = pos[supp[0]]
+    return table
+
+
+def _reference_subrule_generated(rule, seed):
+    members = {rule.unit} | set(seed)
+    frontier = list(members)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            d = int(rule.dual[x])
+            if d not in members:
+                members.add(d)
+                nxt.append(d)
+        for x, y in product(list(members), repeat=2):
+            for z in np.nonzero(rule.table[x, y])[0].tolist():
+                if z not in members:
+                    members.add(z)
+                    nxt.append(z)
+        frontier = nxt
+    return frozenset(members)
+
+
+def _reference_left_cosets(rule, members):
+    """left_cosets as a per-element dedupe and a per-coset max-reduce: (cosets, table, partitions)."""
+    ind = (np.isin(np.arange(rule.n), sorted(members))).astype(np.int64)
+    raw = np.einsum("s,xsz->xz", ind, rule.table)
+    cosets = []
+    for x in range(rule.n):
+        c = frozenset(np.nonzero(raw[x])[0].tolist())
+        if c not in cosets:
+            cosets.append(c)
+    cosets.sort(key=sorted)
+    idx = [np.fromiter(sorted(c), dtype=np.int64) for c in cosets]
+    m1 = np.stack([rule.table[:, :, m].max(axis=2) for m in idx], axis=2)
+    m2 = np.stack([m1[m].max(axis=0) for m in idx], axis=0)
+    table = np.stack([m2[:, m].max(axis=1) for m in idx], axis=1)
+    partitions = set().union(*cosets) == set(range(rule.n)) and sum(len(c) for c in cosets) == rule.n
+    return cosets, table.tolist(), partitions
+
+
+def _reference_grading(rule):
+    """universal_grading's quotient table and projection as per-cell and per-element loops."""
+    cosets, table, _ = _reference_left_cosets(rule, adjoint_subrule(rule))
+    k = len(cosets)
+    gtab = np.zeros((k, k), dtype=np.int64)
+    for i, j in product(range(k), repeat=2):
+        hits = np.nonzero(table[i][j])[0]
+        assert len(hits) == 1
+        gtab[i, j] = hits[0]
+    proj = np.zeros(rule.n, dtype=np.int64)
+    for i, c in enumerate(cosets):
+        for x in c:
+            proj[x] = i
+    return gtab.tolist(), proj.tolist()
+
+
+def _outcome(fn):
+    """fn()'s result, or the message of the ValidationError it raises."""
+    try:
+        return fn()
+    except ValidationError as exc:
+        return f"ValidationError: {exc}"
+
+
+def _corrupt(rule, rng, kind):
+    table, dual, unit = rule.table.copy(), rule.dual.copy(), rule.unit
+    n = rule.n
+    if kind == "entry":
+        for _ in range(rng.randint(1, 3)):
+            x, y, z = (rng.randrange(n) for _ in range(3))
+            table[x, y, z] = rng.choice([0, 1, 2]) if table[x, y, z] == 0 else 0
+    elif kind == "row":
+        x, y = rng.randrange(n), rng.randrange(n)
+        table[x, y] = 0
+    elif kind == "dual":
+        x = rng.randrange(n)
+        dual[x] = rng.randrange(n)
+    else:
+        unit = rng.randrange(n)
+    return FusionRule(rule.labels, table, unit, dual)
+
+
+def test_verify_fusion_rule_matches_reference(phi_rules_8):
+    rng = random.Random(3)
+    failed = dict.fromkeys(["associative", "unit_ok", "duals_ok", "products_nonempty", "unit_unique"], 0)
+    for fr in phi_rules_8:
+        assert verify_fusion_rule(fr.rule) == _reference_verify(fr.rule)
+    for fr in rng.sample(phi_rules_8, 150):
+        for kind in ("entry", "row", "dual", "unit"):
+            bad = _corrupt(fr.rule, rng, kind)
+            rep = verify_fusion_rule(bad)
+            assert rep == _reference_verify(bad)
+            for k in failed:
+                failed[k] += not getattr(rep, k)
+    assert all(failed.values()), failed
+
+
+def test_multiplicity_bound_rejects_the_int64_wraparound():
+    # all labels self-dual; (b*b)*c and b*(b*c) differ by 2**32 * 2**32 = 2**64, which
+    # an int64 product wraps to 0, so this non-associative rule used to verify as associative
+    m = 2**32
+    table = [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 0], [1, 0, 1], [0, 1, m]], [[0, 0, 1], [0, 1, m], [1, m, 0]]]
+    with pytest.raises(ResourceError, match="exceeds the bound 65536"):
+        FusionRule(["1", "b", "c"], table, 0, [0, 1, 2])
+    table[2][2][1] = table[1][2][2] = table[2][1][2] = MAX_MULTIPLICITY
+    rep = verify_fusion_rule(FusionRule(["1", "b", "c"], table, 0, [0, 1, 2]))
+    assert not rep.associative and rep == _reference_verify(FusionRule(["1", "b", "c"], table, 0, [0, 1, 2]))
+
+
+def test_supports_subrules_and_cosets_match_reference(phi_rules_8):
+    rng = random.Random(5)
+    for fr in rng.sample(phi_rules_8, 120):
+        r = fr.rule
+        want = tuple(tuple(np.nonzero(r.table[x, y])[0].tolist()) for x in range(r.n) for y in range(r.n))
+        assert r._supports == want
+        for seed in ([], [r.n - 1], rng.sample(range(r.n), 2)):
+            assert subrule_generated(r, seed) == _reference_subrule_generated(r, seed)
+        ad = adjoint_subrule(r)
+        assert ad == _reference_subrule_generated(r, {z for x in range(r.n) for z in r.support(x, int(r.dual[x]))})
+        grading = universal_grading(r)
+        assert (grading.group.table.tolist(), grading.projection.tolist()) == _reference_grading(r)
+        for members in (ad, fr.serfs, set(rng.sample(range(r.n), 2))):
+            dec = left_cosets(r, members)
+            assert (list(dec.cosets), dec.table.tolist(), dec.partitions) == _reference_left_cosets(r, members)
+            assert _outcome(lambda: group_from_members(r, members).table.tolist()) == _outcome(
+                lambda: _reference_group_from_members(r, members).tolist()
+            )
+    for fr in rng.sample(phi_rules_8, 60):
+        bad = _corrupt(fr.rule, rng, "entry")
+        for members in (fr.serfs, set(rng.sample(range(bad.n), min(3, bad.n)))):
+            assert _outcome(lambda: group_from_members(bad, members).table.tolist()) == _outcome(
+                lambda: _reference_group_from_members(bad, members).tolist()
+            )
+
+
+def _perms(found):
+    return [p.tolist() for p in found]
+
+
+def test_rule_isomorphisms_match_reference(ty3, hom_data_8, phi_rules_8):
+    classify_rules = [fr.rule for fr in enumerate_feudal(8).rules]
+    classify_rules += [ty3.rule, tambara_yamagami(cyclic(5)).rule]
+    for r in classify_rules:
+        assert _perms(automorphisms(r)) == _perms(_reference_rule_isomorphisms(r, r))
+    rng = random.Random(11)
+    picked = rng.sample(range(len(hom_data_8)), 120)
+    for i, j in zip(picked, picked[1:]):
+        f1, f2 = phi(gamma(phi_rules_8[i])), phi_rules_8[i]
+        for a, b in ((f1, f2), (f1, phi_rules_8[j])):
+            sec = (
+                np.array([0 if x in a.serfs else 1 for x in range(a.rule.n)]),
+                np.array([0 if x in b.serfs else 1 for x in range(b.rule.n)]),
+            )
+            for first_only in (True, False)[: 1 + (a.rule.n <= 10)]:  # every isomorphism only when small
+                got = rule_isomorphisms(a.rule, b.rule, sector=sec, first_only=first_only, bound=16)
+                assert _perms(got) == _perms(_reference_rule_isomorphisms(a.rule, b.rule, sec, first_only))
