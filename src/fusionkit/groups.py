@@ -229,6 +229,7 @@ def klein_four() -> FiniteGroup:
 # ---- homomorphism / isomorphism enumeration ---------------------------------
 
 _HOM_CACHE: dict = {}
+_ISO_CACHE: dict = {}
 
 
 def _derivations(g: FiniteGroup):
@@ -289,12 +290,20 @@ def homomorphisms(g: FiniteGroup, h: FiniteGroup) -> list[np.ndarray]:
 
 
 def isomorphisms(g: FiniteGroup, h: FiniteGroup) -> list[np.ndarray]:
+    """The bijective homomorphisms g -> h, in the order of homomorphisms(g, h).
+
+    Cached by table content like homomorphisms; treat the list as read-only.
+    """
     if len(g) != len(h):
         return []
-    homs = homomorphisms(g, h)  # never empty: the trivial homomorphism is one
-    # a homomorphism between groups of one order is bijective iff its kernel is trivial
-    trivial_kernel = (np.array(homs) == h.unit).sum(axis=1) == 1
-    return [f for f, ok in zip(homs, trivial_kernel.tolist()) if ok]
+    cache_key = (g.table_key, h.table_key)
+    cached = _ISO_CACHE.get(cache_key)
+    if cached is None:
+        homs = homomorphisms(g, h)  # never empty: the trivial homomorphism is one
+        # a homomorphism between groups of one order is bijective iff its kernel is trivial
+        trivial_kernel = (np.array(homs) == h.unit).sum(axis=1) == 1
+        cached = _ISO_CACHE[cache_key] = [f for f, ok in zip(homs, trivial_kernel.tolist()) if ok]
+    return cached
 
 
 def automorphisms(g: FiniteGroup) -> list[np.ndarray]:

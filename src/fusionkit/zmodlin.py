@@ -75,55 +75,58 @@ class SmithMod:
 
 
 def smith_mod(A, n: int, rhs=None) -> SmithMod:
-    A = np.atleast_2d(np.asarray(A, dtype=np.int64)) % n
+    """Diagonalize A mod n, carrying rhs (if given) through the row operations.
+
+    The pivot of step t is the entry of A[t:, t:] with the smallest gcd with
+    n, first in row-major order.  Rows at or below t are zero left of column
+    t, and A stays reduced mod n, so each operation writes only the cells it
+    can change: the row step the rows with a nonzero multiplier in the
+    pivot row's nonzero columns, the column step row t.  Each row keeps a
+    count of its entries per gcd level, updated with every write, so the
+    pivot is found from the per-row lowest level without rescanning A.
+    """
+    # column-major: the pivot column is read on every pass, and swapped whole
+    A = np.mod(np.atleast_2d(np.asarray(A, dtype=np.int64)), n, order="F")
     m, k = A.shape
     V = np.eye(k, dtype=np.int64)
     Vi = np.eye(k, dtype=np.int64)
     b = None if rhs is None else np.asarray(rhs, dtype=np.int64).copy() % n
+    # level[v] orders residues by gcd(v, n), with 0 on the last level
+    gcds = np.gcd(np.arange(n), n)
+    gcds[0] = n + 1
+    levels, level = np.unique(gcds, return_inverse=True)
+    zero = len(levels) - 1
 
-    def row_combine(i1, i2, x, y, u, v):
-        # [row i1; row i2] <- [[x, y], [u, v]] @ [row i1; row i2], det 1 mod n
-        r1 = (x * A[i1] + y * A[i2]) % n
-        r2 = (u * A[i1] + v * A[i2]) % n
-        A[i1], A[i2] = r1, r2
-        if b is not None:
-            c1 = (x * b[i1] + y * b[i2]) % n
-            c2 = (u * b[i1] + v * b[i2]) % n
-            b[i1], b[i2] = c1, c2
+    def counts(block):
+        """(rows, levels): how many entries of each row of block are on each level."""
+        r = len(block)
+        cells = np.arange(r)[:, None] * len(levels) + level[block]
+        return np.bincount(cells.ravel(), minlength=r * len(levels)).reshape(r, len(levels))
 
-    def col_combine(j1, j2, x, y, u, v):
-        c1 = (x * A[:, j1] + y * A[:, j2]) % n
-        c2 = (u * A[:, j1] + v * A[:, j2]) % n
-        A[:, j1], A[:, j2] = c1, c2
-        w1 = (x * V[:, j1] + y * V[:, j2]) % n
-        w2 = (u * V[:, j1] + v * V[:, j2]) % n
-        V[:, j1], V[:, j2] = w1, w2
-        # inverse transform acts on Vi rows with the inverse 2x2 block
-        r1 = (v * Vi[j1] - u * Vi[j2]) % n
-        r2 = (-y * Vi[j1] + x * Vi[j2]) % n
-        Vi[j1], Vi[j2] = r1, r2
+    # per-row level counts and lowest level; a row's are not read again once it holds a pivot
+    count = counts(A)
+    low = (count > 0).argmax(axis=1)
+
+    def write(rows, cols, new, old):
+        """A[rows x cols] = new over old, keeping count and low of those (distinct) rows up to date."""
+        count[rows] += counts(new) - counts(old)
+        low[rows] = (count[rows] > 0).argmax(axis=1)
+        A[np.ix_(rows, cols)] = new
 
     t = 0
     while t < min(m, k):
-        sub = A[t:, t:] % n
-        nz = np.argwhere(sub != 0)
-        if nz.size == 0:
+        i0 = t + int(low[t:].argmin())
+        if low[i0] == zero:
             break
-        # pivot with the smallest gcd with n, earliest position on ties
-        best, pos = None, None
-        for i, j in nz:
-            g = gcd(int(sub[i, j]), n)
-            if best is None or g < best:
-                best, pos = g, (t + int(i), t + int(j))
-                if g == 1:
-                    break
-        i0, j0 = pos
+        j0 = t + int(level[A[i0, t:]].argmin())
         if i0 != t:
             A[[t, i0]] = A[[i0, t]]
+            count[[t, i0]] = count[[i0, t]]
+            low[[t, i0]] = low[[i0, t]]
             if b is not None:
                 b[[t, i0]] = b[[i0, t]]
         if j0 != t:
-            A[:, [t, j0]] = A[:, [j0, t]]
+            A[t:, [t, j0]] = A[t:, [j0, t]]
             V[:, [t, j0]] = V[:, [j0, t]]
             Vi[[t, j0]] = Vi[[j0, t]]
 
@@ -132,54 +135,70 @@ def smith_mod(A, n: int, rhs=None) -> SmithMod:
             guard += 1
             if guard > 4 * (m + k) * (n.bit_length() + 2):
                 raise ValidationError("diagonalization failed to converge")
-            a = int(A[t, t]) % n
-            # make the pivot divide its column
-            col = A[t + 1 :, t] % n
-            hard = [t + 1 + int(i) for i in np.nonzero(col)[0] if a == 0 or col[int(i)] % a]
-            if hard:
-                i2 = hard[0]
-                g, x, y = xgcd(a, int(A[i2, t]))
-                row_combine(t, i2, x, y, -int(A[i2, t]) // g, a // g)
-                continue
-            if a:
-                q = (A[t + 1 :, t] % n) // a
-                if q.any():
-                    A[t + 1 :] = (A[t + 1 :] - np.outer(q, A[t])) % n
-                    if b is not None:
-                        b[t + 1 :] = (b[t + 1 :] - np.multiply.outer(q, b[t])) % n
-            # make the pivot divide its row
-            row = A[t, t + 1 :] % n
-            hard = [t + 1 + int(j) for j in np.nonzero(row)[0] if a == 0 or row[int(j)] % a]
-            if hard:
-                j2 = hard[0]
-                g, x, y = xgcd(a, int(A[t, j2]))
-                col_combine(t, j2, x, y, -int(A[t, j2]) // g, a // g)
-                continue
-            if a:
-                q = (A[t, t + 1 :] % n) // a
-                if q.any():
-                    A[:, t + 1 :] = (A[:, t + 1 :] - np.outer(A[:, t], q)) % n
-                    V[:, t + 1 :] = (V[:, t + 1 :] - np.outer(V[:, t], q)) % n
-                    Vi[t] = (Vi[t] + q @ Vi[t + 1 :]) % n
-            if (A[t + 1 :, t] % n).any() or (A[t, t + 1 :] % n).any():
-                continue
-            # chain condition: pivot must divide the remaining submatrix
-            g = gcd(int(A[t, t]), n)
-            rest = A[t + 1 :, t + 1 :] % n
-            bad = np.argwhere(rest % g != 0)
-            if bad.size:
-                i2 = t + 1 + int(bad[0][0])
-                A[t] = (A[t] + A[i2]) % n
+            a = int(A[t, t])  # never 0: every operation below keeps a nonzero pivot
+            # make the pivot divide its column: combine with the first row it does not divide
+            col = A[t + 1 :, t]
+            hard = np.flatnonzero(col % a)
+            if len(hard):
+                i2 = t + 1 + int(hard[0])
+                c = int(A[i2, t])
+                g, x, y = xgcd(a, c)
+                # [row t; row i2] <- M @ [row t; row i2], det M = 1
+                M = np.array([[x, y], [-c // g, a // g]])
+                old = A[[t, i2], t:]
+                write([t, i2], np.arange(t, k), M @ old % n, old)
                 if b is not None:
-                    b[t] = (b[t] + b[i2]) % n
+                    b[[t, i2]] = M @ b[[t, i2]] % n
                 continue
+            rows = t + 1 + np.flatnonzero(col)
+            if len(rows):
+                q = A[rows, t] // a
+                cols = t + np.flatnonzero(A[t, t:])
+                old = A[np.ix_(rows, cols)]
+                write(rows, cols, (old - np.outer(q, A[t, cols])) % n, old)
+                if b is not None:
+                    b[rows] = (b[rows] - np.multiply.outer(q, b[t])) % n
+            # column t is now zero off row t; make the pivot divide its row
+            row = A[t, t + 1 :]
+            hard = np.flatnonzero(row % a)
+            if len(hard):
+                j2 = t + 1 + int(hard[0])
+                c = int(A[t, j2])
+                g, x, y = xgcd(a, c)
+                u, v = -c // g, a // g
+                # [col t, col j2] <- [col t, col j2] @ N, det N = 1; N^-1 acts on the rows of Vi
+                N = np.array([[x, u], [y, v]])
+                rows = t + np.flatnonzero(A[t:, j2])  # column t is zero below row t
+                old = A[np.ix_(rows, [t, j2])]
+                write(rows, [t, j2], old @ N % n, old)
+                V[:, [t, j2]] = V[:, [t, j2]] @ N % n
+                Vi[[t, j2]] = np.array([[v, -u], [-y, x]]) @ Vi[[t, j2]] % n
+                continue
+            cols = t + 1 + np.flatnonzero(row)
+            if len(cols):
+                q = A[t, cols] // a
+                A[t, cols] = 0  # only row t meets the nonzero of column t
+                vr = np.flatnonzero(V[:, t])
+                cell = np.ix_(vr, cols)
+                V[cell] = (V[cell] - np.outer(V[vr, t], q)) % n
+                Vi[t] = (Vi[t] + q @ Vi[cols]) % n
+            # chain condition: pivot must divide the remaining submatrix
+            g = gcd(a, n)
+            if g > 1:
+                bad = np.flatnonzero((A[t + 1 :, t + 1 :] % g).any(axis=1))
+                if len(bad):
+                    i2 = t + 1 + int(bad[0])
+                    A[t, t:] = (A[t, t:] + A[i2, t:]) % n
+                    if b is not None:
+                        b[t] = (b[t] + b[i2]) % n
+                    continue
             break
 
-        a = int(A[t, t]) % n
+        a = int(A[t, t])
         g = gcd(a, n)
         if a != g:
             w = _unit_scale(a, g, n)
-            A[:, t] = A[:, t] * w % n
+            A[t, t] = a * w % n
             V[:, t] = V[:, t] * w % n
             Vi[t] = Vi[t] * pow(w, -1, n) % n
         t += 1

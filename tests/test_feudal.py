@@ -294,6 +294,16 @@ def _feudal_check(rule, serfs):
     return None
 
 
+def test_lord_in_a_product_of_lords_is_no_grading():
+    # Fibonacci: t*t = 1 + t; and Z3 split as {0} | {1, 2}, where 1*1 = 2
+    table = np.zeros((2, 2, 2), dtype=np.int64)
+    table[0, 0, 0] = table[0, 1, 1] = table[1, 0, 1] = table[1, 1, 0] = table[1, 1, 1] = 1
+    fib = FusionRule(["1", "t"], table, 0, [0, 1])
+    for rule in (fib, group_rule(cyclic(3))):
+        assert rule.table[1, 1, rule.n - 1] == 1  # a lord in the product of two lords
+        assert _feudal_check(rule, {0}) == "serf/lord split is not a Z2 grading"
+
+
 def _reference_hom_datum_check(S, G, mapping):
     u = np.asarray(mapping, dtype=np.int64)
     if u.shape != (len(S),):

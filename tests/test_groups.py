@@ -16,7 +16,7 @@ from fusionkit import (
     trivial_group,
 )
 from fusionkit.errors import DomainError, ValidationError
-from fusionkit.groups import FiniteGroup, automorphisms, identify_group
+from fusionkit.groups import _ISO_CACHE, FiniteGroup, automorphisms, identify_group
 
 
 def test_construction_validates():
@@ -134,5 +134,9 @@ def test_isomorphisms_match_reference():
     cat = standard_catalog(8)
     for g in cat:
         for h in cat:
-            want = [f.tolist() for f in homomorphisms(g, h) if len(set(f.tolist())) == len(h)] if len(g) == len(h) else []
-            assert [f.tolist() for f in isomorphisms(g, h)] == want
+            want = [f for f in homomorphisms(g, h) if len(set(f.tolist())) == len(h)] if len(g) == len(h) else []
+            _ISO_CACHE.clear()
+            cold, warm = isomorphisms(g, h), isomorphisms(g, h)
+            # the same arrays of the homomorphism cache, in its order, on a miss and on a hit
+            for got in (cold, warm):
+                assert len(got) == len(want) and all(f is w for f, w in zip(got, want))

@@ -20,6 +20,7 @@ from fusionkit import (
     graded_group,
     is_normal,
     klein_four,
+    named_group,
     normalize,
     psi,
     random_gauge,
@@ -881,8 +882,15 @@ def _ty_closed_form_counts(A, F):
         (cyclic(5), 41, (8, 4)),
         (cyclic(6), 37, (0, 0)),  # 6 is not a square mod 37
         (cyclic(6), 73, (4, 4)),
+        (cyclic(7), 29, (12, 4)),
+        (cyclic(8), 17, (8, 8)),
+        (named_group("Z2xZ4"), 17, (8, 2)),
+        (named_group("Z2xZ2xZ2"), 17, (56, 2)),
     ],
-    ids=["Z2@17", "Z3@13", "Z4@17", "Z2xZ2@17", "Z5@41", "Z6@37", "Z6@73"],
+    ids=[
+        "Z2@17", "Z3@13", "Z4@17", "Z2xZ2@17", "Z5@41", "Z6@37", "Z6@73",
+        "Z7@29", "Z8@17", "Z2xZ4@17", "Z2xZ2xZ2@17",
+    ],
 )
 def test_tambara_yamagami_closed_form(A, p, want):
     """enumerate_uber on TY(A) counts the classes the closed form predicts."""

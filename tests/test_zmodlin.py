@@ -1,11 +1,18 @@
+import inspect
 import itertools
 import random
+import sys
+from math import gcd
 
 import numpy as np
 import pytest
 
+from fusionkit.cohomology import _coboundary_matrix
 from fusionkit.errors import ResourceError, ValidationError
+from fusionkit.groups import cyclic
 from fusionkit.zmodlin import (
+    SmithMod,
+    _unit_scale,
     factor_mod,
     nullspace_mod,
     quotient_structure,
@@ -151,3 +158,179 @@ def test_invariant_factors_of_known_quotient():
         [np.array([1, 0]), np.array([0, 1])], [np.array([2, 0])], 2, 16
     )
     assert sorted(q.invariant_factors) == [2, 16]
+
+
+# ---- the dense elimination smith_mod replaced, kept as the reference ----------------
+
+
+def _reference_smith_mod(A, n: int, rhs=None) -> SmithMod:
+    A = np.atleast_2d(np.asarray(A, dtype=np.int64)) % n
+    m, k = A.shape
+    V = np.eye(k, dtype=np.int64)
+    Vi = np.eye(k, dtype=np.int64)
+    b = None if rhs is None else np.asarray(rhs, dtype=np.int64).copy() % n
+
+    def row_combine(i1, i2, x, y, u, v):
+        # [row i1; row i2] <- [[x, y], [u, v]] @ [row i1; row i2], det 1 mod n
+        r1 = (x * A[i1] + y * A[i2]) % n
+        r2 = (u * A[i1] + v * A[i2]) % n
+        A[i1], A[i2] = r1, r2
+        if b is not None:
+            c1 = (x * b[i1] + y * b[i2]) % n
+            c2 = (u * b[i1] + v * b[i2]) % n
+            b[i1], b[i2] = c1, c2
+
+    def col_combine(j1, j2, x, y, u, v):
+        c1 = (x * A[:, j1] + y * A[:, j2]) % n
+        c2 = (u * A[:, j1] + v * A[:, j2]) % n
+        A[:, j1], A[:, j2] = c1, c2
+        w1 = (x * V[:, j1] + y * V[:, j2]) % n
+        w2 = (u * V[:, j1] + v * V[:, j2]) % n
+        V[:, j1], V[:, j2] = w1, w2
+        # inverse transform acts on Vi rows with the inverse 2x2 block
+        r1 = (v * Vi[j1] - u * Vi[j2]) % n
+        r2 = (-y * Vi[j1] + x * Vi[j2]) % n
+        Vi[j1], Vi[j2] = r1, r2
+
+    t = 0
+    while t < min(m, k):
+        sub = A[t:, t:] % n
+        nz = np.argwhere(sub != 0)
+        if nz.size == 0:
+            break
+        # pivot with the smallest gcd with n, earliest position on ties
+        best, pos = None, None
+        for i, j in nz:
+            g = gcd(int(sub[i, j]), n)
+            if best is None or g < best:
+                best, pos = g, (t + int(i), t + int(j))
+                if g == 1:
+                    break
+        i0, j0 = pos
+        if i0 != t:
+            A[[t, i0]] = A[[i0, t]]
+            if b is not None:
+                b[[t, i0]] = b[[i0, t]]
+        if j0 != t:
+            A[:, [t, j0]] = A[:, [j0, t]]
+            V[:, [t, j0]] = V[:, [j0, t]]
+            Vi[[t, j0]] = Vi[[j0, t]]
+
+        guard = 0
+        while True:
+            guard += 1
+            if guard > 4 * (m + k) * (n.bit_length() + 2):
+                raise ValidationError("diagonalization failed to converge")
+            a = int(A[t, t]) % n
+            # make the pivot divide its column
+            col = A[t + 1 :, t] % n
+            hard = [t + 1 + int(i) for i in np.nonzero(col)[0] if a == 0 or col[int(i)] % a]
+            if hard:
+                i2 = hard[0]
+                g, x, y = xgcd(a, int(A[i2, t]))
+                row_combine(t, i2, x, y, -int(A[i2, t]) // g, a // g)
+                continue
+            if a:
+                q = (A[t + 1 :, t] % n) // a
+                if q.any():
+                    A[t + 1 :] = (A[t + 1 :] - np.outer(q, A[t])) % n
+                    if b is not None:
+                        b[t + 1 :] = (b[t + 1 :] - np.multiply.outer(q, b[t])) % n
+            # make the pivot divide its row
+            row = A[t, t + 1 :] % n
+            hard = [t + 1 + int(j) for j in np.nonzero(row)[0] if a == 0 or row[int(j)] % a]
+            if hard:
+                j2 = hard[0]
+                g, x, y = xgcd(a, int(A[t, j2]))
+                col_combine(t, j2, x, y, -int(A[t, j2]) // g, a // g)
+                continue
+            if a:
+                q = (A[t, t + 1 :] % n) // a
+                if q.any():
+                    A[:, t + 1 :] = (A[:, t + 1 :] - np.outer(A[:, t], q)) % n
+                    V[:, t + 1 :] = (V[:, t + 1 :] - np.outer(V[:, t], q)) % n
+                    Vi[t] = (Vi[t] + q @ Vi[t + 1 :]) % n
+            if (A[t + 1 :, t] % n).any() or (A[t, t + 1 :] % n).any():
+                continue
+            # chain condition: pivot must divide the remaining submatrix
+            g = gcd(int(A[t, t]), n)
+            rest = A[t + 1 :, t + 1 :] % n
+            bad = np.argwhere(rest % g != 0)
+            if bad.size:
+                i2 = t + 1 + int(bad[0][0])
+                A[t] = (A[t] + A[i2]) % n
+                if b is not None:
+                    b[t] = (b[t] + b[i2]) % n
+                continue
+            break
+
+        a = int(A[t, t]) % n
+        g = gcd(a, n)
+        if a != g:
+            w = _unit_scale(a, g, n)
+            A[:, t] = A[:, t] * w % n
+            V[:, t] = V[:, t] * w % n
+            Vi[t] = Vi[t] * pow(w, -1, n) % n
+        t += 1
+
+    diag = [gcd(int(A[i, i]), n) for i in range(t)]
+    return SmithMod(diag=diag, V=V, Vinv=Vi, rhs=b, rows=m, cols=k)
+
+
+def _reference_with_chain_adds(A, n, rhs):
+    """_reference_smith_mod(A, n, rhs), and how often its chain-condition row add ran."""
+    lines, first = inspect.getsourcelines(_reference_smith_mod)
+    target = first + next(i for i, line in enumerate(lines) if "A[t] = (A[t] + A[i2]) % n" in line)
+    code, hits = _reference_smith_mod.__code__, 0
+
+    def trace(frame, event, arg):
+        nonlocal hits
+        if frame.f_code is not code:
+            return None
+        if event == "line" and frame.f_lineno == target:
+            hits += 1
+        return trace
+
+    sys.settrace(trace)
+    try:
+        sm = _reference_smith_mod(A, n, rhs)
+    finally:
+        sys.settrace(None)
+    return sm, hits
+
+
+def _smith_cases():
+    """(n, A, rhs): 1x1 up to 205 rows, 2% dense to full, scaled by 1, 2 and 4
+    (non-unit pivots), zero rows and columns, no rhs, a vector or a matrix."""
+    rng = np.random.default_rng(9)
+    shapes = [(1, 1), (1, 6), (6, 1), (3, 3), (8, 5), (5, 9), (24, 16), (70, 30), (205, 24)]
+    densities = [0.02, 0.1, 0.5, 1.0]
+    for n in (2, 12, 16, 40, 72):
+        for i, (m, k) in enumerate(shapes):
+            for scale in (1, 2, 4):
+                A = rng.integers(0, n, (m, k)) * (rng.random((m, k)) < densities[(i + scale) % 4]) * scale
+                if m > 2 and k > 2 and scale != 1:
+                    A[rng.integers(m)] = 0
+                    A[:, rng.integers(k)] = 0
+                rhs = [None, rng.integers(0, n, m), rng.integers(0, n, (m, 3))][(i + scale) % 3]
+                yield n, A, rhs
+    D3 = _coboundary_matrix(cyclic(4), 3)
+    yield 16, D3, None
+    yield 16, D3, np.eye(len(D3), dtype=np.int64)
+
+
+def test_smith_matches_reference_elimination():
+    chain_adds = non_units = 0
+    for n, A, rhs in _smith_cases():
+        want, adds = _reference_with_chain_adds(A, n, rhs)
+        got = smith_mod(A, n, rhs)
+        assert got.diag == want.diag
+        for name in ("V", "Vinv", "rhs"):
+            w, g = getattr(want, name), getattr(got, name)
+            assert (w is None) == (g is None)
+            if w is not None:
+                assert g.dtype == w.dtype and g.shape == w.shape and (g == w).all(), name
+        assert (got.rows, got.cols) == (want.rows, want.cols)
+        chain_adds += adds
+        non_units += sum(d > 1 for d in want.diag)
+    assert chain_adds > 0 and non_units > 0
