@@ -15,6 +15,7 @@ read off it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -92,6 +93,12 @@ class Units:
         return np.array([A.act(s, pts) if side == "left" else A.ract(pts, s) for s in A.serf_ids])
 
 
+@lru_cache(maxsize=None)
+def _tuples(n: int, degree: int) -> dict:
+    """Every tuple of S^degree (|S| = n), as ints, keyed by itself."""
+    return {t: t for t in product(range(n), repeat=degree)}
+
+
 @dataclass
 class Cochain:
     group: FiniteGroup
@@ -102,13 +109,12 @@ class Cochain:
     def __post_init__(self):
         if self.degree not in (1, 2, 3, 4):
             raise DomainError("degree must be 1, 2, 3, or 4")
-        n = len(self.group)
-        want = set(product(range(n), repeat=self.degree))
-        keys = (tuple(int(i) for i in k) for k in self.values)
-        vals = dict(zip(keys, self.module.coerce(list(self.values.values()))))
-        if set(vals) != want:
+        vals = self.module.coerce(list(self.values.values()))
+        tuples = _tuples(len(self.group), self.degree)
+        keys = [tuples.get(k) for k in self.values]  # as tuples of ints
+        if len(keys) != len(tuples) or None in keys:
             raise ValidationError("cochain must be total on S^n")
-        self.values = vals
+        self.values = dict(zip(keys, vals))
 
     @classmethod
     def from_logs(cls, group: FiniteGroup, degree: int, logs: np.ndarray, module: Units) -> "Cochain":

@@ -13,10 +13,13 @@ Each monomial axiom is encoded once, as named rows of uber_constraint_system
 (the axiom and its witness), built once per Ambi.  Uberderivation.report reads
 its failures off those rows and checks only the nondegeneracy directly.
 
-The gauge action is encoded once, in gauge_shift.  The shifts of the gauge
-generators span the gauge-shift lattice, built once per Ambi; classification
-takes cosets of it, and gauge equivalence is a span test on it (is the
-exponent difference of two triples a combination of the generator shifts?).
+The gauge action is encoded once, as the signed gather of _gauge_gather from
+gauge log coordinates (theta, phi, sigma) to exponent coordinates, built once
+per Ambi.  gauge_shift takes a gauge through it and back through the exp
+table; the gauge-shift lattice is the gather applied to the logs of all gauge
+generators at once.  Classification takes cosets of that lattice, and gauge
+equivalence is a span test on it (is the exponent difference of two triples a
+combination of the generator shifts?).
 Equivalence classes are orbits of the gauge classes under the graded rule
 automorphisms: each automorphism permutes exponent coordinates, and the coset
 a moved class lands in is read off by its index in the quotient.
@@ -143,28 +146,18 @@ def identity_gauge_triple(ambi: Ambi) -> GaugeTriple:
 
 
 def gauge_shift(ambi: Ambi, g: GaugeTriple):
-    """Multiplicative shifts (chi, ups, tau pointwise factors) of a gauge."""
-    A = ambi
-    f = A.feudal
-    chi_s, ups_s = {}, {}
-    for a, b in product(A.serf_ids, repeat=2):
-        num = A.mul(
-            g.phi[a],
-            A.act(a, A.bar(g.phi[b]), b),
-            A.act(a, g.sigma, b),
-            g.sigma,
-        )
-        den = A.mul(
-            A.ract(g.phi[a], b),
-            A.ract(A.bar(g.phi[b]), b),
-            A.act(a, g.sigma),
-            A.ract(g.sigma, b),
-        )
-        chi_s[(a, b)] = A.div(num, den)
-        dphi = A.div(A.mul(g.phi[a], A.act(a, g.phi[b])), g.phi[f.serf_mul(a, b)])
-        ups_s[(a, b)] = A.div(dphi, g.theta[(a, b)])
-    tau_s = A.div(A.bar(g.sigma), g.sigma)
-    return chi_s, ups_s, tau_s
+    """Multiplicative shifts (chi, ups, tau pointwise factors) of a gauge:
+    the logs of its entries through the gauge gather, back through the exp
+    table."""
+    F = ambi.field
+    pairs = list(product(ambi.serf_ids, repeat=2))
+    parts = [g.theta[k] for k in pairs] + [g.phi[a] for a in ambi.serf_ids] + [g.sigma]
+    x = np.concatenate(parts).astype(np.int64) % F.p
+    if (x == 0).any():
+        raise DomainError("element is not invertible")
+    shift = F._exp_table[_shift_logs(ambi, F._log_table[x])]
+    chi, ups = shift[: -ambi.npoints].reshape(2, len(pairs), ambi.npoints)
+    return dict(zip(pairs, chi)), dict(zip(pairs, ups)), shift[-ambi.npoints :]
 
 
 def apply_gauge_uber(u: Uberderivation, g: GaugeTriple) -> Uberderivation:
@@ -473,15 +466,68 @@ def _slot_gauge(ambi: Ambi, slots: list[tuple], exps) -> GaugeTriple:
     return GaugeTriple(A, theta, phi, sigma)
 
 
+def _gauge_gather(ambi: Ambi) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The gauge action in exponent coordinates, as a signed gather.
+
+    A gauge's log coordinates are theta at (a,b,j), then phi at (a,j), then
+    sigma at j (serfs in serf_ids order, j a lord position).  The formulas
+    are gauge_shift's multiplicative ones, with mul -> +, div -> - and act,
+    ract, bar as gathers.  Returns the blocks (src, signs) for chi, ups and
+    tau, in uber_unknown_keys order: row r of a block is the sum over terms t
+    of signs[t] times the log coordinate src[r, t].
+    """
+    A = ambi
+    s, m = len(A.serf_ids), A.npoints
+    at = {a: i for i, a in enumerate(A.serf_ids)}
+    e = at[A.unit_serf]
+    act = np.array([[A._act[(a, b)] for b in A.serf_ids] for a in A.serf_ids])
+    prod = np.array([[at[A.feudal.serf_mul(a, b)] for b in A.serf_ids] for a in A.serf_ids])
+    bar = A.bar_perm
+    theta = lambda a, b, j: (a * s + b) * m + j
+    phi = lambda a, j: (s * s + a) * m + j
+    sigma = lambda j: (s * s + s) * m + j
+    a, b, j = (x.ravel() for x in np.indices((s, s, m)))
+    ab, eb, ae = act[a, b, j], act[e, b, j], act[a, e, j]
+    chi = [phi(a, j), phi(b, bar[ab]), sigma(ab), sigma(j), phi(a, eb), phi(b, bar[eb]), sigma(ae), sigma(eb)]
+    ups = [phi(a, j), phi(b, ae), phi(prod[a, b], j), theta(a, b, j)]
+    tau = [sigma(bar), sigma(np.arange(m))]
+    return [
+        (np.stack(chi, axis=1), np.array([1, 1, 1, 1, -1, -1, -1, -1])),
+        (np.stack(ups, axis=1), np.array([1, 1, -1, -1])),
+        (np.stack(tau, axis=1), np.array([1, -1])),
+    ]
+
+
+def _shift_logs(ambi: Ambi, logs: np.ndarray) -> np.ndarray:
+    """The exponent-space shifts, mod p - 1, of gauges given by their log
+    coordinates: one gauge, or a (K, coordinates) batch of K."""
+    logs = np.asarray(logs)
+    out = [logs[..., src] @ signs for src, signs in _per_ambi(ambi, _gauge_gather)]
+    return np.concatenate(out, axis=-1) % (ambi.field.p - 1)
+
+
 def _gauge_lattice(ambi: Ambi) -> _GaugeLattice:
     """The gauge-shift lattice of ambi; _per_ambi keeps it."""
-    nonunit = [a for a in ambi.serf_ids if a != ambi.unit_serf]
-    slots = [("theta", a, b, orb) for a in nonunit for b in nonunit for orb in ambi.orbits]
-    slots += [("phi", a, j) for a in nonunit for j in range(ambi.npoints)]
-    slots += [("sigma", j) for j in range(ambi.npoints)]
-    gens = (_slot_gauge(ambi, slots, row) for row in np.eye(len(slots), dtype=np.int64))
-    shifts = np.array([uber_to_vec(Uberderivation(ambi, *gauge_shift(ambi, g))) for g in gens])
-    return _GaugeLattice(slots, shifts, ambi.field.p - 1)
+    A = ambi
+    s, m = len(A.serf_ids), A.npoints
+    at = {a: i for i, a in enumerate(A.serf_ids)}
+    nonunit = [a for a in A.serf_ids if a != A.unit_serf]
+    slots = [("theta", a, b, orb) for a in nonunit for b in nonunit for orb in A.orbits]
+    slots += [("phi", a, j) for a in nonunit for j in range(m)]
+    slots += [("sigma", j) for j in range(m)]
+    # generator i: theta 1 on an orbit, or phi or sigma 1 at a point, in log coordinates
+    theta = np.zeros((len(slots), s, s, m), dtype=np.int64)
+    phi = np.zeros((len(slots), s, m), dtype=np.int64)
+    sigma = np.zeros((len(slots), m), dtype=np.int64)
+    for i, slot in enumerate(slots):
+        if slot[0] == "theta":
+            theta[i, at[slot[1]], at[slot[2]], list(slot[3])] = 1
+        elif slot[0] == "phi":
+            phi[i, at[slot[1]], slot[2]] = 1
+        else:
+            sigma[i, slot[1]] = 1
+    logs = np.concatenate([theta.reshape(len(slots), -1), phi.reshape(len(slots), -1), sigma], axis=1)
+    return _GaugeLattice(slots, _shift_logs(A, logs), A.field.p - 1)
 
 
 def gauge_equivalent_uber(u1: Uberderivation, u2: Uberderivation) -> GaugeTriple | None:
@@ -489,7 +535,7 @@ def gauge_equivalent_uber(u1: Uberderivation, u2: Uberderivation) -> GaugeTriple
 
     The gauge action is a homomorphism into exponent space, so u2 is a gauge
     of u1 exactly when uber_to_vec(u2) - uber_to_vec(u1) lies in the span of
-    the generator shifts that gauge_shift gives.  The solution coefficients
+    the generator shifts of the gauge gather.  The solution coefficients
     are the exponents of the witness: theta on an action orbit, phi or sigma
     at a point.
     """
@@ -733,23 +779,16 @@ def uber_constraint_system(ambi: Ambi):
 
 
 def vec_to_uber(ambi: Ambi, vec: np.ndarray) -> Uberderivation:
-    F = ambi.field
-    parts = {"chi": {}, "ups": {}}
-    tau = ambi.one()
-    for k, eexp in zip(uber_unknown_keys(ambi), vec):
-        val = F.exp(int(eexp))
-        if k[0] == "tau":
-            tau[k[1]] = val
-        else:
-            parts[k[0]].setdefault(k[1:3], ambi.one())[k[3]] = val
-    return Uberderivation(ambi, parts["chi"], parts["ups"], tau)
+    vals = Units(ambi.field, ambi).exp(np.reshape(vec, (-1, ambi.npoints)))
+    pairs = list(product(ambi.serf_ids, repeat=2))
+    chi, ups = vals[:-1].reshape(2, len(pairs), ambi.npoints)
+    return Uberderivation(ambi, dict(zip(pairs, chi)), dict(zip(pairs, ups)), vals[-1])
 
 
 def uber_to_vec(u: Uberderivation) -> np.ndarray:
-    F = u.ambi.field
-    parts = {"chi": u.chi, "ups": u.ups}
-    vals = (u.tau[k[1]] if k[0] == "tau" else parts[k[0]][k[1:3]][k[3]] for k in uber_unknown_keys(u.ambi))
-    return np.array([F.log(int(v)) for v in vals], dtype=np.int64)
+    pairs = list(product(u.ambi.serf_ids, repeat=2))
+    vals = [u.chi[k] for k in pairs] + [u.ups[k] for k in pairs] + [u.tau]
+    return Units(u.ambi.field, u.ambi).log(vals).ravel()
 
 
 @dataclass

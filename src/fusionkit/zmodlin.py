@@ -212,11 +212,19 @@ def factor_mod(A, n: int) -> SmithMod:
     return smith_mod(A, n, rhs=np.eye(np.atleast_2d(A).shape[0], dtype=np.int64))
 
 
+def _unique_rows(A: np.ndarray) -> np.ndarray:
+    """np.unique(A, axis=0) for a nonnegative int64 matrix: the distinct rows,
+    sorted.  Nonnegative rows sort as their big-endian bytes do, so one sort
+    of a byte view per row replaces the field-by-field sort."""
+    rows = np.ascontiguousarray(A.astype(">i8")).view(f"V{8 * A.shape[1]}").ravel()
+    return A[np.unique(rows, return_index=True)[1]]
+
+
 def nullspace_mod(A, n: int) -> list[np.ndarray]:
     """Generators of {x : A @ x = 0 mod n}."""
     A = np.atleast_2d(np.asarray(A, dtype=np.int64)) % n
     if A.shape[0] > 1:
-        A = np.unique(A, axis=0)  # row space, hence kernel, is unchanged
+        A = _unique_rows(A)  # row space, hence kernel, is unchanged
     sm = smith_mod(A, n)
     gens = []
     for i in range(sm.cols):

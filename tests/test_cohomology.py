@@ -17,6 +17,7 @@ from fusionkit import (
     enumerate_fusion_systems_bruteforce,
     enumerate_uber,
     fusion_system_to_cocycle,
+    graded_group,
     group_rule,
     h3,
     h3_via_uber,
@@ -26,12 +27,14 @@ from fusionkit import (
     normalize_cocycle3,
     quaternion,
     reconstruct,
+    standard_catalog,
     tambara_yamagami,
     trivial_group,
     verify_fusion_system,
 )
 from fusionkit.cohomology import Cochain, Units, trivial_cochain
-from fusionkit.errors import DomainError
+from fusionkit.errors import DomainError, ValidationError
+from test_report_digests import H3_UNIVERSAL_COEFFICIENTS
 
 
 def random_cochain(g, degree, field, rng, module=None):
@@ -119,6 +122,23 @@ def test_units_convert_whole_arrays_like_the_field(p, mr):
         assert (h.logs() == logs).all()
         with pytest.raises(DomainError, match="discrete log of 0"):
             mod.log([[1] * m, [0] + [1] * (m - 1)] if mod.ambi else [1, p])
+
+
+def test_cochain_keys_become_int_tuples_and_must_be_total(f17):
+    """A cochain keeps its keys in the order given, as tuples of ints whatever
+    integer type they came in, with their values; a missing, out-of-range,
+    wrongly sized or non-integer key is refused with one message."""
+    g, mod = cyclic(3), Units(f17)
+    tuples = list(product(range(3), repeat=2))[::-1]
+    h = Cochain(g, 2, {tuple(np.int64(i) for i in k): 20 + i for i, k in enumerate(tuples)}, mod)
+    assert list(h.values) == tuples and all(type(i) is int for k in h.values for i in k)
+    assert list(h.values.values()) == [(20 + i) % 17 for i in range(9)]
+    good = dict.fromkeys(product(range(3), repeat=2), 1)
+    rest = dict(list(good.items())[1:])  # (0, 0) left out
+    for values in (rest, {}, good | {(0, 3): 1}, rest | {(0, 3): 1}, rest | {(-1, 0): 1},
+                   rest | {(0,): 1}, rest | {(0, 0, 0): 1}, rest | {"ab": 1}, rest | {(0.5, 0): 1}):
+        with pytest.raises(ValidationError, match=r"^cochain must be total on S\^n$"):
+            Cochain(g, 2, values, mod)
 
 
 def test_trivial_cochain_has_trivial_coboundary(f17):
@@ -357,6 +377,20 @@ def test_h3_via_uber_matrix(p):
         rep = h3_via_uber(g, serfs, field)
         assert rep.agree
         assert rep.h3_order == h3(g, field).order
+
+
+GRADED_ORDER_6_TO_8 = [g for g in standard_catalog(8) if 6 <= len(g) <= 8 and g.index2_subgroups()]
+
+
+@pytest.mark.parametrize("g", GRADED_ORDER_6_TO_8, ids=[g.name for g in GRADED_ORDER_6_TO_8])
+def test_graded_group_classes_match_universal_coefficients(g, f17):
+    """On every Z2-grading of a catalog group of order 6 to 8 (Z7 has none),
+    the gauge classes of uberderivations number |H^3(G, GF(17)^x)|, as the
+    universal coefficient theorem gives it; h3 itself is not run."""
+    order, _ = H3_UNIVERSAL_COEFFICIENTS[f"{g.name}@17"]
+    for serfs in g.index2_subgroups():
+        cls = enumerate_uber(Ambi(graded_group(g, serfs), f17), with_orbits=False)
+        assert cls.gauge_classes == order
 
 
 def test_h3_via_uber_z4_anchor(f17):

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import numpy as np
 import pytest
@@ -15,11 +16,13 @@ from fusionkit import (
     cyclic,
     decompose,
     dihedral,
+    enumerate_feudal,
     enumerate_uber,
     gauge_equivalent_uber,
     graded_group,
     is_normal,
     klein_four,
+    moore_read,
     named_group,
     normalize,
     psi,
@@ -30,7 +33,12 @@ from fusionkit import (
 )
 from fusionkit.errors import DomainError
 from fusionkit.systems import FusionSystem, admissible_sextuples
+from fusionkit import uber
 from fusionkit.uber import (
+    _GaugeLattice,
+    _gauge_lattice,
+    _slot_gauge,
+    gauge_shift,
     transport,
     uber_constraint_system,
     uber_to_vec,
@@ -898,3 +906,179 @@ def test_tambara_yamagami_closed_form(A, p, want):
     assert _ty_closed_form_counts(A, F) == want
     cls = enumerate_uber(Ambi(tambara_yamagami(A), F))
     assert (cls.gauge_classes, cls.equivalence_classes) == want
+
+
+# ---- the gauge action against its multiplicative reference --------------------------
+
+
+def _reference_gauge_shift(ambi, g):
+    """gauge_shift before the gather: the multiplicative formulas, one
+    Ambi.mul/div chain per serf pair."""
+    A = ambi
+    f = A.feudal
+    chi_s, ups_s = {}, {}
+    for a, b in product(A.serf_ids, repeat=2):
+        num = A.mul(
+            g.phi[a],
+            A.act(a, A.bar(g.phi[b]), b),
+            A.act(a, g.sigma, b),
+            g.sigma,
+        )
+        den = A.mul(
+            A.ract(g.phi[a], b),
+            A.ract(A.bar(g.phi[b]), b),
+            A.act(a, g.sigma),
+            A.ract(g.sigma, b),
+        )
+        chi_s[(a, b)] = A.div(num, den)
+        dphi = A.div(A.mul(g.phi[a], A.act(a, g.phi[b])), g.phi[f.serf_mul(a, b)])
+        ups_s[(a, b)] = A.div(dphi, g.theta[(a, b)])
+    tau_s = A.div(A.bar(g.sigma), g.sigma)
+    return chi_s, ups_s, tau_s
+
+
+def _reference_vec_to_uber(ambi, vec):
+    """vec_to_uber before the table lookup: one Field.exp per key."""
+    F = ambi.field
+    parts = {"chi": {}, "ups": {}}
+    tau = ambi.one()
+    for k, eexp in zip(uber_unknown_keys(ambi), vec):
+        val = F.exp(int(eexp))
+        if k[0] == "tau":
+            tau[k[1]] = val
+        else:
+            parts[k[0]].setdefault(k[1:3], ambi.one())[k[3]] = val
+    return Uberderivation(ambi, parts["chi"], parts["ups"], tau)
+
+
+def _reference_uber_to_vec(u):
+    """uber_to_vec before the table lookup: one Field.log per key."""
+    F = u.ambi.field
+    parts = {"chi": u.chi, "ups": u.ups}
+    vals = (u.tau[k[1]] if k[0] == "tau" else parts[k[0]][k[1:3]][k[3]] for k in uber_unknown_keys(u.ambi))
+    return np.array([F.log(int(v)) for v in vals], dtype=np.int64)
+
+
+def _reference_gauge_lattice(ambi):
+    """_gauge_lattice before the gather: one GaugeTriple, one gauge_shift and
+    one uber_to_vec per generator."""
+    nonunit = [a for a in ambi.serf_ids if a != ambi.unit_serf]
+    slots = [("theta", a, b, orb) for a in nonunit for b in nonunit for orb in ambi.orbits]
+    slots += [("phi", a, j) for a in nonunit for j in range(ambi.npoints)]
+    slots += [("sigma", j) for j in range(ambi.npoints)]
+    gens = (_slot_gauge(ambi, slots, row) for row in np.eye(len(slots), dtype=np.int64))
+    shifts = np.array(
+        [_reference_uber_to_vec(Uberderivation(ambi, *_reference_gauge_shift(ambi, g))) for g in gens]
+    )
+    return _GaugeLattice(slots, shifts, ambi.field.p - 1)
+
+
+@pytest.fixture(scope="module")
+def gauge_rules():
+    """The 16 feudal rules of order <= 8 at p=17, TY(Z3)@13, TY(Z5)@41,
+    TY(Z2^3)@17, Moore-Read@17 and graded D4@17, as Ambis."""
+    rules = [(fr, 17) for fr in enumerate_feudal(8).rules]
+    rules += [(tambara_yamagami(cyclic(3)), 13), (tambara_yamagami(cyclic(5)), 41)]
+    rules += [(tambara_yamagami(named_group("Z2xZ2xZ2")), 17), (moore_read(), 17)]
+    d4 = dihedral(4)
+    rules.append((graded_group(d4, sorted(d4.index2_subgroups()[0])), 17))
+    return [Ambi(fr, Field(p)) for fr, p in rules]
+
+
+def _same_array(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and (x == y).all()
+
+
+def _same_lattice(lat, ref):
+    return lat.slots == ref.slots and lat.n == ref.n and _same_array(lat.shifts, ref.shifts)
+
+
+def _same_shift(got, want):
+    """Equal chi and ups dicts (keys in order, values and dtypes) and tau."""
+    for g, w in zip(got[:2], want[:2]):
+        if list(g) != list(w) or not all(_same_array(g[k], w[k]) for k in w):
+            return False
+    return _same_array(got[2], want[2])
+
+
+def test_gauge_lattice_matches_reference(gauge_rules):
+    """The lattice from one batched gather has the slots and shifts (dtype,
+    shape and values) of the per-generator multiplicative loop."""
+    assert len(gauge_rules) == 21
+    for A in gauge_rules:
+        assert _same_lattice(_gauge_lattice(A), _reference_gauge_lattice(A))
+
+
+def test_gauge_shift_matches_reference(gauge_rules):
+    """gauge_shift through the gather gives the multiplicative shifts on
+    seeded random gauge triples: keys in order, values and dtypes."""
+    rng = random.Random(33)
+    for A in gauge_rules:
+        for _ in range(3):
+            g = _random_gauge_triple(A, rng)
+            assert _same_shift(gauge_shift(A, g), _reference_gauge_shift(A, g))
+
+
+def test_gauge_shift_zero_entry_is_not_invertible(f17, mr):
+    """A zero anywhere in theta, phi or sigma raises the DomainError the
+    multiplicative inverse raised."""
+    A = Ambi(mr, f17)
+    rng = random.Random(4)
+    a = next(s for s in A.serf_ids if s != A.unit_serf)
+    for where in ("theta", "phi", "sigma"):
+        g = _random_gauge_triple(A, rng)
+        if where == "theta":
+            g.theta[(a, a)] = A.zero()
+        elif where == "phi":
+            g.phi[a][-1] = 0
+        else:
+            g.sigma[0] = 0
+        for shift in (gauge_shift, _reference_gauge_shift):
+            with pytest.raises(DomainError, match="^element is not invertible$"):
+                shift(A, g)
+
+
+def _drop_left_sigma(blocks):
+    """The gather without the act(a, sigma) term of chi."""
+    (src, signs), *rest = blocks
+    keep = [0, 1, 2, 3, 4, 5, 7]
+    return [(src[:, keep], signs[keep]), *rest]
+
+
+def _flip_theta(blocks):
+    """The gather with the theta term of ups entering with the wrong sign."""
+    chi, (src, signs), tau = blocks
+    return [chi, (src, signs * np.array([1, 1, -1, 1])), tau]
+
+
+@pytest.mark.parametrize("mutate", [_drop_left_sigma, _flip_theta])
+def test_gauge_reference_checks_catch_a_mutant(gauge_rules, monkeypatch, mutate):
+    """A gather that drops a term or flips a sign fails both comparisons."""
+    real = uber._gauge_gather
+    monkeypatch.setattr(uber, "_gauge_gather", lambda ambi: mutate(real(ambi)))
+    rng = random.Random(33)
+    lattices, shifts = [], []
+    for A in gauge_rules[-3:]:
+        fresh = Ambi(A.feudal, A.field)
+        lattices.append(_same_lattice(_gauge_lattice(fresh), _reference_gauge_lattice(fresh)))
+        g = _random_gauge_triple(fresh, rng)
+        shifts.append(_same_shift(gauge_shift(fresh, g), _reference_gauge_shift(fresh, g)))
+    assert not all(lattices) and not all(shifts)
+
+
+def test_vec_to_uber_and_back_match_reference(gauge_rules):
+    """The table-lookup conversions give the per-key ones: the same triple
+    (keys in order, values, dtypes) and the same exponent vector; a zero
+    entry has no exponent vector."""
+    rng = np.random.default_rng(12)
+    for A in gauge_rules:
+        n = A.field.p - 1
+        for vec in rng.integers(-2 * n, 2 * n, (4, len(uber_unknown_keys(A)))):
+            u, ref = vec_to_uber(A, vec), _reference_vec_to_uber(A, vec)
+            assert _same_shift((u.chi, u.ups, u.tau), (ref.chi, ref.ups, ref.tau))
+            assert _same_array(uber_to_vec(u), _reference_uber_to_vec(u))
+            assert _same_array(uber_to_vec(u), vec % n)
+    u = vec_to_uber(A, np.zeros(len(uber_unknown_keys(A)), dtype=np.int64))
+    u.ups[(A.unit_serf, A.unit_serf)][0] = 0
+    with pytest.raises(DomainError, match="^discrete log of 0 is undefined$"):
+        uber_to_vec(u)

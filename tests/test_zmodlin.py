@@ -12,6 +12,7 @@ from fusionkit.errors import ResourceError, ValidationError
 from fusionkit.groups import cyclic
 from fusionkit.zmodlin import (
     SmithMod,
+    _unique_rows,
     _unit_scale,
     factor_mod,
     nullspace_mod,
@@ -334,3 +335,20 @@ def test_smith_matches_reference_elimination():
         chain_adds += adds
         non_units += sum(d > 1 for d in want.diag)
     assert chain_adds > 0 and non_units > 0
+
+
+def test_unique_rows_matches_numpy_unique():
+    """The byte-view dedupe nullspace_mod runs before eliminating gives the
+    rows of np.unique(axis=0), in the same order, on matrices with duplicate
+    and zero rows, small and large moduli, and entries near the modulus."""
+    rng = np.random.default_rng(17)
+    for n in (2, 3, 16, 255, 256, 257, 65536, 2**31 - 1, 2**31):
+        for m, k in ((2, 1), (5, 3), (40, 7), (200, 12), (64, 1)):
+            for hi in (2, n):
+                A = rng.integers(0, hi, (m, k), dtype=np.int64) % n
+                A[rng.integers(m)] = 0
+                A = np.vstack([A, A[rng.integers(0, m, m // 2 + 1)], np.full((1, k), n - 1)])
+                A = A[rng.permutation(len(A))]
+                want = np.unique(A, axis=0)
+                got = _unique_rows(A)
+                assert got.dtype == want.dtype and got.shape == want.shape and (got == want).all()
