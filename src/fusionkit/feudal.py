@@ -129,9 +129,6 @@ class FeudalRule:
     def serf_inv(self, a: int) -> int:
         return int(self.rule.dual[a])
 
-    def grading_of(self, x: int) -> int:
-        return 1 if x in self.serfs else -1
-
     def __repr__(self):
         return f"FeudalRule({len(self.serfs)} serfs, {len(self.lords)} lords)"
 

@@ -174,8 +174,3 @@ def nth_roots_of(field: Field, a: int, n: int) -> list[int]:
     md = m // d
     e0 = (t // d) * pow(n // d, -1, md) % md
     return sorted(field.exp(e0 + k * md) for k in range(d))
-
-
-def sqrt_or_none(field: Field, a: int) -> int | None:
-    roots = nth_roots_of(field, a, 2) if a % field.p else [0]
-    return roots[0] if roots else None

@@ -291,12 +291,6 @@ class CosetDecomposition:
     def index(self) -> int:
         return len(self.cosets)
 
-    def coset_of(self, x: int) -> int:
-        for i, c in enumerate(self.cosets):
-            if x in c:
-                return i
-        raise DomainError(f"element {x} lies in no coset")
-
 
 def left_cosets(rule: FusionRule, members) -> CosetDecomposition:
     """All sets floor(xS) with the max-multiplicity operation, plus the index."""
@@ -342,9 +336,6 @@ class GradingReport:
     cosets: tuple[frozenset[int], ...]
     projection: np.ndarray
     group: FiniteGroup
-
-    def coset_label(self, i: int) -> str:
-        return self.group.labels[i]
 
 
 def _coset_label(rule: FusionRule, c: frozenset[int]) -> str:

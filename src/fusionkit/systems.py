@@ -8,6 +8,13 @@ it reads is inadmissible otherwise), the recoupling blocks, the rigidity
 blocks and the triangle and unit entries.  A system is then checked with
 gathers: a multiply and segmented sum for the pentagon, a nonzero test for
 each 1x1 block, and an inverse mod p only for the few larger blocks.
+
+Outside the reference evaluators (pentagon_instances and
+pentagon_instance_value), a coefficient is addressed by its slot: its
+position in FusionSystem.coeffs, or the trailing 0 slot for an inadmissible
+key.  The brute-force search holds one value per slot and propagates over the
+live instances of the compiled program, and the feudal dictionary of
+fusionkit.uber reads and writes the same slots.
 """
 
 from __future__ import annotations
@@ -451,181 +458,100 @@ def enumerate_fusion_systems_bruteforce(
     rule: FusionRule,
     field: Field,
     budget_bits: int = DEFAULT_BUDGET_BITS,
-    normal_slice: bool = True,
 ) -> list[FusionSystem]:
     """All fusion systems on a tiny rule, by backtracking with pentagon propagation.
 
-    On feudal rules the search is restricted to the normal gauge slice
-    (coefficients of lord-against-unit shape pinned to 1), which is what makes
-    the search finite in practice; every gauge class contains such a point.
+    The search holds one value per coefficient slot and propagates over the
+    live instances of the compiled pentagon program: an instance with one
+    unknown occurrence is linear in it and fixes its value.  On feudal rules
+    the search is restricted to the normal gauge slice (the beta1(a, 1) and
+    beta2(a, 1) slots pinned to 1), which is what makes the search finite in
+    practice; every gauge class contains such a point.
     """
     adm = admissible_sextuples(rule)
     bits = len(adm) * ((field.p - 1).bit_length() - 1)
     if bits > budget_bits:
         raise ResourceError(f"search space of {bits} bits exceeds budget {budget_bits}")
 
-    e = rule.unit
-    pinned: dict[Sextuple, int] = {}
-    for x, y, z, u, r, v in adm:
-        if y == e or x == e or z == e:
-            pinned[(x, y, z, u, r, v)] = 1
-    if normal_slice:
-        from .feudal import detect_feudal
+    from .feudal import detect_feudal
+    from .uber import _per_ambi, _shape_slots
 
-        fr = detect_feudal(rule)
-        if fr is not None:
-            for a in fr.serf_ids:
-                ab = fr.serf_inv(a)
-                for m in fr.lord_ids:
-                    am = fr.act_left(a, m)
-                    ma = fr.act_right(m, a)
-                    mbar = int(rule.dual[m])
-                    # beta1(a,1)(m) = f^{a,m,mbar abar}_{am,1,abar} = 1
-                    z1 = fr.act_right(mbar, ab)
-                    pinned[(a, m, z1, am, e, ab)] = 1
-                    # beta2(a,1)(m) = f^{m,a,abar mbar}_{ma,1,mbar} = 1
-                    z2 = fr.act_left(ab, mbar)
-                    pinned[(m, a, z2, ma, e, mbar)] = 1
+    p, e = field.p, rule.unit
+    pinned = {i for i, k in enumerate(adm) if e in k[:3]}
+    fr = detect_feudal(rule)
+    if fr is not None:
+        shapes, at = _per_ambi(fr, _shape_slots), fr.serf_ids.index(e)
+        s = len(fr.serf_ids)
+        for name in ("beta1", "beta2"):
+            pinned.update(shapes[name][at::s].ravel().tolist())
+    val: list = [None] * len(adm) + [0]  # the value at each slot, None while unknown
+    for i in pinned:
+        val[i] = 1
+    variables = [i for i in range(len(adm)) if i not in pinned]
 
-    variables = [k for k in adm if k not in pinned]
-    var_index = {k: i for i, k in enumerate(variables)}
-    insts = pentagon_instances(rule)
+    # the live instances: their lhs pair, their term triples and every slot they read
+    prog = _pentagon_program(rule)
+    lhs, triples = prog.lhs.tolist(), prog.terms.tolist()
+    terms = [[] for _ in lhs]
+    bounds = [*prog.starts.tolist(), len(triples)]
+    for i, a, b in zip(prog.grouped.tolist(), bounds, bounds[1:]):
+        terms[i] = triples[a:b]
+    reads = [pair + [k for t in ts for k in t] for pair, ts in zip(lhs, terms)]
+    incidence: list[list[int]] = [[] for _ in val]
+    for i, slots in enumerate(reads):
+        for k in dict.fromkeys(slots):
+            incidence[k].append(i)
 
-    # incidence: variable -> instances that mention it
-    incidence: list[list[int]] = [[] for _ in variables]
-    inst_keys = []
-    for idx, inst in enumerate(insts):
-        w, x, y, z, pp, u, r, v, q, xy = inst
-        keys = [(w, x, q, pp, r, v), (pp, y, z, u, r, q)]
-        for s in xy:
-            keys += [(x, y, z, s, v, q), (w, s, z, u, r, v), (w, x, y, pp, u, s)]
-        inst_keys.append(keys)
-        seen = set()
-        for k in keys:
-            i = var_index.get(k)
-            if i is not None and i not in seen:
-                incidence[i].append(idx)
-                seen.add(i)
+    def residual(i):
+        (a, b), ts = lhs[i], terms[i]
+        return (val[a] * val[b] - sum(val[x] * val[y] * val[z] for x, y, z in ts)) % p
 
-    adm_set = set(adm)
-    assign: dict[Sextuple, int] = dict(pinned)
-    results: list[FusionSystem] = []
-    p = field.p
-
-    def coeff_of(k):
-        if k not in adm_set:
-            return 0
-        return assign.get(k)  # None = unassigned
-
-    def eval_instance(idx):
-        """(status, payload): 'ok'/'fail'/'solve'(key,val)/'open'."""
-        w, x, y, z, pp, u, r, v, q, xy = insts[idx]
-        unknown = None
-        count = 0
-
-        def track(k):
-            nonlocal unknown, count
-            unknown = k
-            count += 1
-
-        lk1, lk2 = (w, x, q, pp, r, v), (pp, y, z, u, r, q)
-        c1, c2 = coeff_of(lk1), coeff_of(lk2)
-        lhs_known = True
-        if c1 is None:
-            track(lk1)
-            lhs_known = False
-        if c2 is None:
-            track(lk2)
-            lhs_known = False
-        rhs_terms = []
-        for s in xy:
-            ks = [(x, y, z, s, v, q), (w, s, z, u, r, v), (w, x, y, pp, u, s)]
-            cs = [coeff_of(k) for k in ks]
-            if 0 in cs:
-                continue
-            for k, c in zip(ks, cs):
-                if c is None:
-                    track(k)
-            rhs_terms.append((ks, cs))
-        if count == 0:
-            lhs = (c1 or 0) * (c2 or 0) % p
-            rhs = sum(cs[0] * cs[1] * cs[2] for _, cs in rhs_terms) % p
-            return ("ok", None) if lhs == rhs else ("fail", None)
-        if count > 1:
-            return ("open", None)
-        # exactly one unknown occurrence: solve linearly
-        k0 = unknown
-        if k0 in (lk1, lk2) and lhs_known is False:
-            other = c2 if k0 == lk1 else c1
-            if other is None:
-                return ("open", None)
-            rhs = sum(cs[0] * cs[1] * cs[2] for _, cs in rhs_terms) % p
-            if other == 0:
-                # the unknown drops out; the instance reduces to 0 = rhs
-                return ("ok", None) if rhs == 0 else ("fail", None)
-            val = rhs * pow(other, -1, p) % p
-            return ("solve", (k0, val))
-        lhs = c1 * c2 % p
-        known_sum = 0
-        coef = None
-        for ks, cs in rhs_terms:
-            if None not in cs:
-                known_sum = (known_sum + cs[0] * cs[1] * cs[2]) % p
-            else:
-                rest = 1
-                for k, c in zip(ks, cs):
-                    if c is not None:
-                        rest = rest * c % p
-                coef = rest
-        val = (lhs - known_sum) * pow(coef, -1, p) % p
-        return ("solve", (k0, val))
-
-    order = list(range(len(variables)))
-
-    def dfs(queue: list[int]):
-        trail = []
-
-        def undo():
-            for k in trail:
-                del assign[k]
-
-        # propagate
-        pending = list(queue)
-        seen_q = set(pending)
+    def propagate(pending, trail) -> bool:
+        """Set every value an instance with one unknown occurrence forces, and
+        onward; False if an instance fails or forces a 0."""
+        queued = set(pending)
         while pending:
-            idx = pending.pop()
-            seen_q.discard(idx)
-            status, payload = eval_instance(idx)
-            if status == "fail":
-                undo()
-                return
-            if status == "solve":
-                k0, val = payload
-                if val == 0:
-                    undo()
-                    return
-                assign[k0] = val
-                trail.append(k0)
-                for nxt in incidence[var_index[k0]]:
-                    if nxt not in seen_q:
-                        pending.append(nxt)
-                        seen_q.add(nxt)
-        free = next((variables[i] for i in order if variables[i] not in assign), None)
-        if free is None:
-            _finish()
-            undo()
-            return
-        for val in range(1, p):
-            assign[free] = val
-            dfs(incidence[var_index[free]])
-            del assign[free]
-        undo()
+            i = pending.pop()
+            queued.discard(i)
+            unknown = [k for k in reads[i] if val[k] is None]
+            if not unknown:
+                if residual(i):
+                    return False
+                continue
+            if len(unknown) > 1:
+                continue
+            # linear in its one unknown occurrence: r0 + (r1 - r0) x = 0, where
+            # r1 - r0 is a product of nonzero values
+            k = unknown[0]
+            val[k] = 0
+            r0 = residual(i)
+            val[k] = 1
+            val[k] = -r0 * pow(residual(i) - r0, -1, p) % p
+            trail.append(k)
+            if not val[k]:
+                return False
+            pending.extend(j for j in incidence[k] if j not in queued)
+            queued.update(incidence[k])
+        return True
 
-    def _finish():
-        cand = FusionSystem(rule, field, dict(assign))
-        if verify_fusion_system(cand).passed:
-            results.append(cand)
+    results: list[FusionSystem] = []
 
-    dfs(list(range(len(insts))))
+    def dfs(pending):
+        trail: list[int] = []
+        if propagate(pending, trail):
+            free = next((i for i in variables if val[i] is None), None)
+            if free is None:
+                cand = FusionSystem(rule, field, dict(zip(adm, val)))
+                if verify_fusion_system(cand).passed:
+                    results.append(cand)
+            else:
+                for x in range(1, p):
+                    val[free] = x
+                    dfs(list(incidence[free]))
+                val[free] = None
+        for k in trail:
+            val[k] = None
+
+    dfs(list(range(len(lhs))))
     results.sort(key=lambda f: tuple(sorted(f.coeffs.items())))
     return results

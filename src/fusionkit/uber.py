@@ -3,7 +3,10 @@
 A triple (chi, ups, tau) valued in the ambient algebra B = F^M classifies
 fusion systems on a feudal rule up to gauge.  The dictionary runs through
 psi() (read a triple off a system) and reconstruct() (build the unique normal
-system with that triple back).  Gauge classing happens in discrete-log
+system with that triple back).  Both go through the eight index shapes of a
+feudal rule, written once as slots into the coefficient vector of a system
+and built once per FeudalRule: decompose is a gather through them and
+assemble a scatter.  Gauge classing happens in discrete-log
 coordinates: every multiplicative axiom is an affine-linear equation over
 Z_(p-1), gauge shifts span a sublattice, and classes are coset
 representatives of the quotient, post-filtered by the one non-monomial
@@ -60,9 +63,10 @@ class Uberderivation:
         A = self.ambi
         show = lambda k: ",".join(A.feudal.rule.labels[i] for i in k)
 
-        def residues(v, where):
+        def residues(v, name, k=None):
             v = np.asarray(v, dtype=np.int64) % A.field.p
             if v.shape != (A.npoints,):
+                where = repr(name) if k is None else f"{name!r} at {show(k)!r}"
                 raise ValidationError(f"{where} must list one residue per lord")
             return v
 
@@ -71,8 +75,8 @@ class Uberderivation:
             off = sorted(set(d) ^ set(product(A.serf_ids, repeat=2)))
             if off:
                 raise ValidationError(f"{name!r} must be keyed by the serf pairs; it differs at {show(off[0])!r}")
-            setattr(self, name, {k: residues(v, f"{name!r} at {show(k)!r}") for k, v in d.items()})
-        self.tau = residues(self.tau, "'tau'")
+            setattr(self, name, {k: residues(v, name, k) for k, v in d.items()})
+        self.tau = residues(self.tau, "tau")
 
     def report(self) -> dict:
         """The failed axioms, each with its witnesses; empty on a valid triple.
@@ -139,12 +143,6 @@ class GaugeTriple:
                 raise ValidationError(f"theta{k} is not fixed by the actions")
 
 
-def identity_gauge_triple(ambi: Ambi) -> GaugeTriple:
-    theta = {(a, b): ambi.one() for a in ambi.serf_ids for b in ambi.serf_ids}
-    phi = {a: ambi.one() for a in ambi.serf_ids}
-    return GaugeTriple(ambi, theta, phi, ambi.one())
-
-
 def gauge_shift(ambi: Ambi, g: GaugeTriple):
     """Multiplicative shifts (chi, ups, tau pointwise factors) of a gauge:
     the logs of its entries through the gauge gather, back through the exp
@@ -200,65 +198,66 @@ class Decomposition:
         )
 
 
+def _shape_slots(fr: FeudalRule) -> dict[str, np.ndarray]:
+    """decompose's eight sextuple formulas, each written once, as slots into the
+    coefficient vector (the values of FusionSystem.coeffs, then a 0 at
+    len(adm) for an inadmissible key); _per_ambi keeps them.
+
+    Each shape is an (s^2, K) array: row (a,b) in product(serfs, repeat=2)
+    order, and column c a serf for alpha, m a lord for the others.
+    """
+    slot = {k: i for i, k in enumerate(admissible_sextuples(fr.rule))}
+    zero = len(slot)
+    serfs = fr.serf_ids
+    inv, mul = fr.serf_inv, fr.serf_mul
+    L, R = fr.act_left, fr.act_right
+    dual = lambda m: int(fr.rule.dual[m])
+    formulas = {  # (a, b, m, ai, bi) -> sextuple
+        "alpha": lambda a, b, c, ai, bi: (a, b, c, mul(a, b), mul(mul(a, b), c), mul(b, c)),
+        "alpha1": lambda a, b, m, ai, bi: (R(R(m, bi), ai), a, b, R(m, bi), m, mul(a, b)),
+        "alpha2": lambda a, b, m, ai, bi: (a, R(L(ai, m), bi), b, R(m, bi), m, L(ai, m)),
+        "alpha3": lambda a, b, m, ai, bi: (a, b, L(mul(bi, ai), m), mul(a, b), m, L(ai, m)),
+        "beta1": lambda a, b, m, ai, bi: (a, m, R(R(dual(m), ai), b), L(a, m), b, mul(ai, b)),
+        "beta2": lambda a, b, m, ai, bi: (m, a, R(L(ai, dual(m)), b), R(m, a), b, R(dual(m), b)),
+        "beta3": lambda a, b, m, ai, bi: (L(mul(b, ai), dual(m)), m, a, mul(b, ai), b, R(m, a)),
+        "gamma": lambda a, b, m, ai, bi: (R(m, ai), R(L(a, dual(m)), b), L(bi, m), b, m, a),
+    }
+    out = {}
+    for name, key in formulas.items():
+        cols = serfs if name == "alpha" else fr.lord_ids
+        rows = [[slot.get(key(a, b, m, inv(a), inv(b)), zero) for m in cols] for a, b in product(serfs, repeat=2)]
+        out[name] = np.array(rows, np.intp)
+        out[name].flags.writeable = False
+    return out
+
+
 def decompose(f: FusionSystem, fr: FeudalRule | None = None) -> Decomposition:
-    """Read the eight coefficient functions off a fusion system."""
+    """Read the eight coefficient functions off a fusion system: one gather of
+    its coefficient vector through the shape slots."""
     if fr is None:
         fr = detect_feudal(f.rule)
         if fr is None:
             raise DomainError("rule carries no feudal structure")
     if fr.rule != f.rule:
         raise DomainError("feudal structure belongs to a different rule")
-    serfs, lords = fr.serf_ids, fr.lord_ids
-    inv, mul = fr.serf_inv, fr.serf_mul
-    L, R = fr.act_left, fr.act_right
-    dual = lambda m: int(fr.rule.dual[m])
-
-    def vec(fn):
-        return np.array([fn(m) for m in lords], dtype=np.int64)
-
-    alpha, alpha1, alpha2, alpha3 = {}, {}, {}, {}
-    beta1, beta2, beta3, gamma = {}, {}, {}, {}
-    for a, b in product(serfs, repeat=2):
-        ai, bi = inv(a), inv(b)
-        for c in serfs:
-            alpha[(a, b, c)] = f.coeff(a, b, c, mul(a, b), mul(mul(a, b), c), mul(b, c))
-        alpha1[(a, b)] = vec(lambda m: f.coeff(R(R(m, bi), ai), a, b, R(m, bi), m, mul(a, b)))
-        alpha2[(a, b)] = vec(lambda m: f.coeff(a, R(L(ai, m), bi), b, R(m, bi), m, L(ai, m)))
-        alpha3[(a, b)] = vec(lambda m: f.coeff(a, b, L(mul(bi, ai), m), mul(a, b), m, L(ai, m)))
-        beta1[(a, b)] = vec(lambda m: f.coeff(a, m, R(R(dual(m), ai), b), L(a, m), b, mul(ai, b)))
-        beta2[(a, b)] = vec(lambda m: f.coeff(m, a, R(L(ai, dual(m)), b), R(m, a), b, R(dual(m), b)))
-        beta3[(a, b)] = vec(lambda m: f.coeff(L(mul(b, ai), dual(m)), m, a, mul(b, ai), b, R(m, a)))
-        gamma[(a, b)] = vec(lambda m: f.coeff(R(m, ai), R(L(a, dual(m)), b), L(bi, m), b, m, a))
-    return Decomposition(fr, f.field, alpha, alpha1, alpha2, alpha3, beta1, beta2, beta3, gamma)
+    c = np.append(np.fromiter(f.coeffs.values(), np.int64, len(f.coeffs)), 0)
+    shapes = _per_ambi(fr, _shape_slots)
+    pairs = list(product(fr.serf_ids, repeat=2))
+    alpha = dict(zip(product(fr.serf_ids, repeat=3), c[shapes["alpha"]].ravel().tolist()))
+    rest = {name: dict(zip(pairs, c[slots])) for name, slots in shapes.items() if name != "alpha"}
+    return Decomposition(fr, f.field, alpha, **rest)
 
 
 def assemble(dec: Decomposition) -> FusionSystem:
-    """Rebuild the sparse coefficient table from the eight functions."""
+    """Rebuild the sparse coefficient table from the eight functions: one
+    scatter through the shape slots, which partition the admissible sextuples."""
     fr, F = dec.feudal, dec.field
-    rule = fr.rule
-    pos = {m: i for i, m in enumerate(fr.lord_ids)}
-    coeffs = {}
-    for key in admissible_sextuples(rule):
-        x, y, z, u, r, v = key
-        lx, ly, lz = x in fr.lords, y in fr.lords, z in fr.lords
-        if not (lx or ly or lz):
-            val = dec.alpha[(x, y, z)]
-        elif lx and not ly and not lz:
-            val = dec.alpha1[(y, z)][pos[r]]
-        elif ly and not lx and not lz:
-            val = dec.alpha2[(x, z)][pos[r]]
-        elif lz and not lx and not ly:
-            val = dec.alpha3[(x, y)][pos[r]]
-        elif not lx and ly and lz:
-            val = dec.beta1[(x, r)][pos[y]]
-        elif lx and not ly and lz:
-            val = dec.beta2[(y, r)][pos[x]]
-        elif lx and ly and not lz:
-            val = dec.beta3[(z, r)][pos[y]]
-        else:
-            val = dec.gamma[(v, u)][pos[r]]
-        coeffs[key] = int(val) % F.p
-    return FusionSystem(rule, F, coeffs)
+    adm = admissible_sextuples(fr.rule)
+    c = np.zeros(len(adm) + 1, np.int64)
+    for name, slots in _per_ambi(fr, _shape_slots).items():
+        vals = getattr(dec, name)
+        c[slots.ravel()] = np.ravel([vals[k] for k in product(fr.serf_ids, repeat=3 if name == "alpha" else 2)])
+    return FusionSystem(fr.rule, F, dict(zip(adm, (c % F.p).tolist())))
 
 
 def psi(f: FusionSystem, fr: FeudalRule | None = None, ambi: Ambi | None = None) -> Uberderivation:
@@ -385,8 +384,6 @@ def reconstruct(u: Uberderivation) -> FusionSystem:
     mod = Units(F, A)
     ups_logs = mod.log([ups[k] for k in product(serfs, repeat=2)])
     alpha_logs = -coboundary_logs(ups_logs, mod, fr.serf_group, 2, "left") % (F.p - 1)
-    if (alpha_logs != alpha_logs[:, :1]).any():
-        raise DomainError("coboundary of ups is not scalar; input is not an uberderivation")
     alpha = dict(zip(product(serfs, repeat=3), Units(F).exp(alpha_logs[:, :1])))
 
     alpha1, alpha2, alpha3 = {}, {}, {}
@@ -436,13 +433,14 @@ class _GaugeLattice:
         return factor_mod(self.shifts.T, self.n)
 
 
-_PER_AMBI: "weakref.WeakKeyDictionary[Ambi, dict]" = weakref.WeakKeyDictionary()
+_PER_AMBI: "weakref.WeakKeyDictionary[Ambi | FeudalRule, dict]" = weakref.WeakKeyDictionary()
 
 
-def _per_ambi(ambi: Ambi, build):
-    """build(ambi) (the axiom rows or the gauge-shift lattice), built on first
-    use and kept while ambi lives; it holds no reference to ambi, which keys
-    it weakly, so each CLI run starts cold."""
+def _per_ambi(ambi: Ambi | FeudalRule, build):
+    """build(ambi) (the axiom rows or the gauge-shift lattice of an Ambi, the
+    shape slots of a FeudalRule), built on first use and kept while ambi
+    lives; it holds no reference to ambi, which keys it weakly, so each CLI
+    run starts cold."""
     derived = _PER_AMBI.setdefault(ambi, {})
     if build not in derived:
         derived[build] = build(ambi)

@@ -14,6 +14,7 @@ from fusionkit import (
     decompose,
     detect_feudal,
     dihedral,
+    enumerate_feudal,
     enumerate_fusion_systems_bruteforce,
     enumerate_uber,
     fusion_system_to_cocycle,
@@ -32,8 +33,10 @@ from fusionkit import (
     trivial_group,
     verify_fusion_system,
 )
-from fusionkit.cohomology import Cochain, Units, trivial_cochain
+from fusionkit.cohomology import Cochain, Units, coboundary_logs, trivial_cochain
 from fusionkit.errors import DomainError, ValidationError
+from fusionkit.uber import uber_constraint_system, vec_to_uber
+from fusionkit.zmodlin import nullspace_mod, solve_mod
 from test_report_digests import H3_UNIVERSAL_COEFFICIENTS
 
 
@@ -266,6 +269,31 @@ def test_reconstruct_rejects_nonscalar_coboundary_of_ups(f17, mr):
     assert any(len(set(v.tolist())) > 1 for v in _reference_coboundary(_ups_cochain(u), "left").values())
     with pytest.raises(DomainError):
         reconstruct(u)
+
+
+def test_monomial_axioms_force_a_scalar_coboundary_of_ups():
+    """On every solution of the monomial rows, d ups is scalar, so reconstruct
+    needs no check of its own: seeded samples x0 + sum c_i h_i of the solution
+    lattice on every feudal rule of order <= 8, Moore-Read and TY(V4), at
+    p = 13 and 17 (the (rule, p) pairs whose rows are consistent)."""
+    rng = np.random.default_rng(5)
+    rules = [*enumerate_feudal(8).rules, moore_read(), tambara_yamagami(klein_four())]
+    samples = 0
+    for fr, p in product(rules, (13, 17)):
+        A, n = Ambi(fr, Field(p)), p - 1
+        mat, rhs, _ = uber_constraint_system(A)
+        x0 = None if mat is None else solve_mod(mat, rhs, n)
+        if x0 is None:
+            continue
+        hom = np.array(nullspace_mod(mat, n)).reshape(-1, len(x0))
+        mod = Units(A.field, A)
+        for c in rng.integers(0, n, (30, len(hom))):
+            u = vec_to_uber(A, (x0 + c @ hom) % n)
+            ups = mod.log([u.ups[k] for k in product(A.serf_ids, repeat=2)])
+            d = coboundary_logs(ups, mod, fr.serf_group, 2, "left")
+            assert (d % n == d[:, :1] % n).all()
+            samples += 1
+    assert samples == 660
 
 
 # ---- normalization -----------------------------------------------------------------

@@ -1,11 +1,13 @@
-"""Byte identity of `uber classify` and `cohom h3` reports.
+"""Byte identity of `uber classify`, `cohom h3` and `fsys enumerate` reports.
 
 classify_digests.json holds the sha256 of the JSON report of each bundled
 rule, keyed "name@p".  H3_DIGESTS holds the sha256 of `cohom h3` reports,
 keyed by their argument lists: every catalog group of order 6 to 8 at p=17
 (D3, Q8 and D4 are the non-abelian ones) and three smaller cases.
-A change that alters any byte of a report (class order, representatives,
-orbits, lattice figures, normalized cocycle values) fails here.
+FSYS_DIGESTS holds the sha256 of `fsys enumerate` reports (the brute-force
+search), keyed "rule@p".  A change that alters any byte of a report (class
+order, representatives, orbits, lattice figures, normalized cocycle values,
+enumerated systems) fails here.
 
 The order 6 to 8 reports are also checked against the universal
 coefficient theorem, H^3(G, Z/16) = Hom(H_3 G, Z/16) + Ext(H_2 G, Z/16),
@@ -38,6 +40,12 @@ H3_DIGESTS = {
     "D4@17": "35682b63a3b7b28fb7775ae57794d112f77b25789530706914b354a5c786a270",
     "Z2xZ4@17": "7e199b41e641e7f4c9a8aea09539a89bb94a26f6418c6876b2e2769b0a24308f",
     "Z2xZ2xZ2@17": "88e95c442b69dd2b1c5f80a4503cbb755bca79cfd4b1f201b93f66f877a4171d",
+}
+
+FSYS_DIGESTS = {
+    "builtin:ty_z2@17": "82a38013ad5619e1700ffc41d2c954e2dea0b1679b3d4ce824aa83e91faaa7a8",
+    "builtin:ty_z2@7": "5ec0d8c488ec7920a16b3fd19b4bc46165003afb48d6810846b9100ed5891f4b",
+    "builtin:z2xz2@3": "f23a1ea6e8f76d44ec1047c1d7b8d6e80ade0a288a6d5ea100339d9713de977f",
 }
 
 # |H^3| and its invariant factors by universal coefficients (see the module docstring)
@@ -79,3 +87,10 @@ def test_h3_report_bytes(case):
     if case in H3_UNIVERSAL_COEFFICIENTS:
         doc = json.loads(text)
         assert (doc["order"], doc["invariant_factors"]) == H3_UNIVERSAL_COEFFICIENTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(FSYS_DIGESTS))
+def test_fsys_enumerate_report_bytes(case):
+    rule, p = case.split("@")
+    argv = ["fsys", "enumerate", "--rule", rule, "--p", p]
+    assert _report(argv)[0] == FSYS_DIGESTS[case]

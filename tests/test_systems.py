@@ -13,12 +13,21 @@ from fusionkit import (
     enumerate_fusion_systems_bruteforce,
     group_rule,
     identity_gauge,
+    klein_four,
     random_gauge,
     recoupling_matrix,
     verify_fusion_system,
 )
 from fusionkit.errors import DomainError, ResourceError, ValidationError
-from fusionkit.systems import GaugeXi, matrix_inverse_modp
+from fusionkit.feudal import detect_feudal
+from fusionkit.rules import FusionRule
+from fusionkit.systems import (
+    DEFAULT_BUDGET_BITS,
+    GaugeXi,
+    Sextuple,
+    matrix_inverse_modp,
+    pentagon_instances,
+)
 
 
 def oracle_sextuples(rule):
@@ -461,3 +470,207 @@ def test_bruteforce_ty2_normal_slice(f17, ty2):
     assert len(sols) == 32  # chi(g,g) forced, 16 free ups values, tau = +-3
     for f in sols[:4]:
         assert verify_fusion_system(f).passed
+
+
+# The brute-force enumerator as it stood with its own scalar pentagon
+# evaluator over sextuple keys, kept verbatim as an oracle for the search
+# on the compiled pentagon program.
+def _reference_bruteforce(
+    rule: FusionRule,
+    field: Field,
+    budget_bits: int = DEFAULT_BUDGET_BITS,
+    normal_slice: bool = True,
+) -> list[FusionSystem]:
+    """All fusion systems on a tiny rule, by backtracking with pentagon propagation.
+
+    On feudal rules the search is restricted to the normal gauge slice
+    (coefficients of lord-against-unit shape pinned to 1), which is what makes
+    the search finite in practice; every gauge class contains such a point.
+    """
+    adm = admissible_sextuples(rule)
+    bits = len(adm) * ((field.p - 1).bit_length() - 1)
+    if bits > budget_bits:
+        raise ResourceError(f"search space of {bits} bits exceeds budget {budget_bits}")
+
+    e = rule.unit
+    pinned: dict[Sextuple, int] = {}
+    for x, y, z, u, r, v in adm:
+        if y == e or x == e or z == e:
+            pinned[(x, y, z, u, r, v)] = 1
+    if normal_slice:
+        fr = detect_feudal(rule)
+        if fr is not None:
+            for a in fr.serf_ids:
+                ab = fr.serf_inv(a)
+                for m in fr.lord_ids:
+                    am = fr.act_left(a, m)
+                    ma = fr.act_right(m, a)
+                    mbar = int(rule.dual[m])
+                    # beta1(a,1)(m) = f^{a,m,mbar abar}_{am,1,abar} = 1
+                    z1 = fr.act_right(mbar, ab)
+                    pinned[(a, m, z1, am, e, ab)] = 1
+                    # beta2(a,1)(m) = f^{m,a,abar mbar}_{ma,1,mbar} = 1
+                    z2 = fr.act_left(ab, mbar)
+                    pinned[(m, a, z2, ma, e, mbar)] = 1
+
+    variables = [k for k in adm if k not in pinned]
+    var_index = {k: i for i, k in enumerate(variables)}
+    insts = pentagon_instances(rule)
+
+    # incidence: variable -> instances that mention it
+    incidence: list[list[int]] = [[] for _ in variables]
+    inst_keys = []
+    for idx, inst in enumerate(insts):
+        w, x, y, z, pp, u, r, v, q, xy = inst
+        keys = [(w, x, q, pp, r, v), (pp, y, z, u, r, q)]
+        for s in xy:
+            keys += [(x, y, z, s, v, q), (w, s, z, u, r, v), (w, x, y, pp, u, s)]
+        inst_keys.append(keys)
+        seen = set()
+        for k in keys:
+            i = var_index.get(k)
+            if i is not None and i not in seen:
+                incidence[i].append(idx)
+                seen.add(i)
+
+    adm_set = set(adm)
+    assign: dict[Sextuple, int] = dict(pinned)
+    results: list[FusionSystem] = []
+    p = field.p
+
+    def coeff_of(k):
+        if k not in adm_set:
+            return 0
+        return assign.get(k)  # None = unassigned
+
+    def eval_instance(idx):
+        """(status, payload): 'ok'/'fail'/'solve'(key,val)/'open'."""
+        w, x, y, z, pp, u, r, v, q, xy = insts[idx]
+        unknown = None
+        count = 0
+
+        def track(k):
+            nonlocal unknown, count
+            unknown = k
+            count += 1
+
+        lk1, lk2 = (w, x, q, pp, r, v), (pp, y, z, u, r, q)
+        c1, c2 = coeff_of(lk1), coeff_of(lk2)
+        lhs_known = True
+        if c1 is None:
+            track(lk1)
+            lhs_known = False
+        if c2 is None:
+            track(lk2)
+            lhs_known = False
+        rhs_terms = []
+        for s in xy:
+            ks = [(x, y, z, s, v, q), (w, s, z, u, r, v), (w, x, y, pp, u, s)]
+            cs = [coeff_of(k) for k in ks]
+            if 0 in cs:
+                continue
+            for k, c in zip(ks, cs):
+                if c is None:
+                    track(k)
+            rhs_terms.append((ks, cs))
+        if count == 0:
+            lhs = (c1 or 0) * (c2 or 0) % p
+            rhs = sum(cs[0] * cs[1] * cs[2] for _, cs in rhs_terms) % p
+            return ("ok", None) if lhs == rhs else ("fail", None)
+        if count > 1:
+            return ("open", None)
+        # exactly one unknown occurrence: solve linearly
+        k0 = unknown
+        if k0 in (lk1, lk2) and lhs_known is False:
+            other = c2 if k0 == lk1 else c1
+            if other is None:
+                return ("open", None)
+            rhs = sum(cs[0] * cs[1] * cs[2] for _, cs in rhs_terms) % p
+            if other == 0:
+                # the unknown drops out; the instance reduces to 0 = rhs
+                return ("ok", None) if rhs == 0 else ("fail", None)
+            val = rhs * pow(other, -1, p) % p
+            return ("solve", (k0, val))
+        lhs = c1 * c2 % p
+        known_sum = 0
+        coef = None
+        for ks, cs in rhs_terms:
+            if None not in cs:
+                known_sum = (known_sum + cs[0] * cs[1] * cs[2]) % p
+            else:
+                rest = 1
+                for k, c in zip(ks, cs):
+                    if c is not None:
+                        rest = rest * c % p
+                coef = rest
+        val = (lhs - known_sum) * pow(coef, -1, p) % p
+        return ("solve", (k0, val))
+
+    order = list(range(len(variables)))
+
+    def dfs(queue: list[int]):
+        trail = []
+
+        def undo():
+            for k in trail:
+                del assign[k]
+
+        # propagate
+        pending = list(queue)
+        seen_q = set(pending)
+        while pending:
+            idx = pending.pop()
+            seen_q.discard(idx)
+            status, payload = eval_instance(idx)
+            if status == "fail":
+                undo()
+                return
+            if status == "solve":
+                k0, val = payload
+                if val == 0:
+                    undo()
+                    return
+                assign[k0] = val
+                trail.append(k0)
+                for nxt in incidence[var_index[k0]]:
+                    if nxt not in seen_q:
+                        pending.append(nxt)
+                        seen_q.add(nxt)
+        free = next((variables[i] for i in order if variables[i] not in assign), None)
+        if free is None:
+            _finish()
+            undo()
+            return
+        for val in range(1, p):
+            assign[free] = val
+            dfs(incidence[var_index[free]])
+            del assign[free]
+        undo()
+
+    def _finish():
+        cand = FusionSystem(rule, field, dict(assign))
+        if verify_fusion_system(cand).passed:
+            results.append(cand)
+
+    dfs(list(range(len(insts))))
+    results.sort(key=lambda f: tuple(sorted(f.coeffs.items())))
+    return results
+
+
+@pytest.mark.parametrize(
+    "name, p",
+    [("Z2", 2), ("Z2", 5), ("Z2", 17), ("Z3", 7), ("Z4", 5), ("V4", 3), ("TY2", 5), ("TY2", 7), ("TY2", 17)],
+)
+def test_bruteforce_matches_reference(name, p, ty2):
+    """The slot search finds the systems of the key search, in the same sorted
+    order, with the same coefficients in the same key order."""
+    rule = {
+        "Z2": group_rule(cyclic(2)),
+        "Z3": group_rule(cyclic(3)),
+        "Z4": group_rule(cyclic(4)),
+        "V4": group_rule(klein_four()),
+        "TY2": ty2.rule,
+    }[name]
+    got = enumerate_fusion_systems_bruteforce(rule, Field(p))
+    want = _reference_bruteforce(rule, Field(p))
+    assert [list(f.coeffs.items()) for f in got] == [list(f.coeffs.items()) for f in want]

@@ -32,12 +32,16 @@ from fusionkit import (
     verify_fusion_system,
 )
 from fusionkit.errors import DomainError
+from fusionkit.feudal import FeudalRule, detect_feudal
 from fusionkit.systems import FusionSystem, admissible_sextuples
 from fusionkit import uber
 from fusionkit.uber import (
+    Decomposition,
     _GaugeLattice,
     _gauge_lattice,
+    _shape_slots,
     _slot_gauge,
+    assemble,
     gauge_shift,
     transport,
     uber_constraint_system,
@@ -1082,3 +1086,128 @@ def test_vec_to_uber_and_back_match_reference(gauge_rules):
     u.ups[(A.unit_serf, A.unit_serf)][0] = 0
     with pytest.raises(DomainError, match="^discrete log of 0 is undefined$"):
         uber_to_vec(u)
+
+
+# ---- the feudal dictionary as one slot table --------------------------------------------
+
+# decompose and assemble as they stood with the eight sextuple formulas and
+# the eight-way lordness branch written out, kept verbatim as oracles for the
+# gather and the scatter through the shape slots.
+def _reference_decompose(f: FusionSystem, fr: FeudalRule | None = None) -> Decomposition:
+    """Read the eight coefficient functions off a fusion system."""
+    if fr is None:
+        fr = detect_feudal(f.rule)
+        if fr is None:
+            raise DomainError("rule carries no feudal structure")
+    if fr.rule != f.rule:
+        raise DomainError("feudal structure belongs to a different rule")
+    serfs, lords = fr.serf_ids, fr.lord_ids
+    inv, mul = fr.serf_inv, fr.serf_mul
+    L, R = fr.act_left, fr.act_right
+    dual = lambda m: int(fr.rule.dual[m])
+
+    def vec(fn):
+        return np.array([fn(m) for m in lords], dtype=np.int64)
+
+    alpha, alpha1, alpha2, alpha3 = {}, {}, {}, {}
+    beta1, beta2, beta3, gamma = {}, {}, {}, {}
+    for a, b in product(serfs, repeat=2):
+        ai, bi = inv(a), inv(b)
+        for c in serfs:
+            alpha[(a, b, c)] = f.coeff(a, b, c, mul(a, b), mul(mul(a, b), c), mul(b, c))
+        alpha1[(a, b)] = vec(lambda m: f.coeff(R(R(m, bi), ai), a, b, R(m, bi), m, mul(a, b)))
+        alpha2[(a, b)] = vec(lambda m: f.coeff(a, R(L(ai, m), bi), b, R(m, bi), m, L(ai, m)))
+        alpha3[(a, b)] = vec(lambda m: f.coeff(a, b, L(mul(bi, ai), m), mul(a, b), m, L(ai, m)))
+        beta1[(a, b)] = vec(lambda m: f.coeff(a, m, R(R(dual(m), ai), b), L(a, m), b, mul(ai, b)))
+        beta2[(a, b)] = vec(lambda m: f.coeff(m, a, R(L(ai, dual(m)), b), R(m, a), b, R(dual(m), b)))
+        beta3[(a, b)] = vec(lambda m: f.coeff(L(mul(b, ai), dual(m)), m, a, mul(b, ai), b, R(m, a)))
+        gamma[(a, b)] = vec(lambda m: f.coeff(R(m, ai), R(L(a, dual(m)), b), L(bi, m), b, m, a))
+    return Decomposition(fr, f.field, alpha, alpha1, alpha2, alpha3, beta1, beta2, beta3, gamma)
+
+
+def _reference_assemble(dec: Decomposition) -> FusionSystem:
+    """Rebuild the sparse coefficient table from the eight functions."""
+    fr, F = dec.feudal, dec.field
+    rule = fr.rule
+    pos = {m: i for i, m in enumerate(fr.lord_ids)}
+    coeffs = {}
+    for key in admissible_sextuples(rule):
+        x, y, z, u, r, v = key
+        lx, ly, lz = x in fr.lords, y in fr.lords, z in fr.lords
+        if not (lx or ly or lz):
+            val = dec.alpha[(x, y, z)]
+        elif lx and not ly and not lz:
+            val = dec.alpha1[(y, z)][pos[r]]
+        elif ly and not lx and not lz:
+            val = dec.alpha2[(x, z)][pos[r]]
+        elif lz and not lx and not ly:
+            val = dec.alpha3[(x, y)][pos[r]]
+        elif not lx and ly and lz:
+            val = dec.beta1[(x, r)][pos[y]]
+        elif lx and not ly and lz:
+            val = dec.beta2[(y, r)][pos[x]]
+        elif lx and ly and not lz:
+            val = dec.beta3[(z, r)][pos[y]]
+        else:
+            val = dec.gamma[(v, u)][pos[r]]
+        coeffs[key] = int(val) % F.p
+    return FusionSystem(rule, F, coeffs)
+
+
+def _same_decomposition(got, want):
+    """Equal fields: alpha as Python ints, every other shape as int64 arrays,
+    keys in the same order."""
+    if (got.feudal, got.field) != (want.feudal, want.field):
+        return False
+    if list(got.alpha.items()) != list(want.alpha.items()) or {type(v) for v in got.alpha.values()} != {int}:
+        return False
+    for name in ("alpha1", "alpha2", "alpha3", "beta1", "beta2", "beta3", "gamma"):
+        g, w = getattr(got, name), getattr(want, name)
+        if list(g) != list(w) or not all(_same_array(g[k], w[k]) for k in w):
+            return False
+    return True
+
+
+def _dictionary_systems(A, rng):
+    """Up to two reconstructed class representatives, a random gauge of each,
+    and a table of random nonzero coefficients (not a fusion system, but
+    decompose reads any table)."""
+    fr, F = A.feudal, A.field
+    normal = [reconstruct(u) for u in enumerate_uber(A, with_orbits=False).class_reps[:2]]
+    gauged = [apply_gauge(f, random_gauge(fr.rule, F, rng)) for f in normal]
+    noise = {k: rng.randrange(1, F.p) for k in admissible_sextuples(fr.rule)}
+    return normal + gauged + [FusionSystem(fr.rule, F, noise)]
+
+
+def test_decompose_and_assemble_match_reference(gauge_rules):
+    """The gather and the scatter through the shape slots give the eight
+    written-out formulas and the lordness branch: the same fields and types,
+    and the same coefficient table back."""
+    rng = random.Random(41)
+    checked = 0
+    for A in gauge_rules:
+        fr = A.feudal
+        for f in _dictionary_systems(A, rng):
+            dec, ref = decompose(f, fr), _reference_decompose(f, fr)
+            assert _same_decomposition(dec, ref)
+            assert list(assemble(ref).coeffs.items()) == list(_reference_assemble(ref).coeffs.items())
+            assert assemble(dec) == f
+            checked += 1
+    assert checked == 69
+
+
+def test_decompose_detects_the_feudal_structure(f17, ty2):
+    f = reconstruct(ty2_uber(f17, ty2))
+    dec = decompose(f)
+    assert dec.feudal.serfs == detect_feudal(f.rule).serfs
+    assert _same_decomposition(dec, _reference_decompose(f, dec.feudal))
+    with pytest.raises(DomainError, match="^feudal structure belongs to a different rule$"):
+        decompose(f, moore_read())
+
+
+def test_shapes_partition_admissible_sextuples(gauge_rules):
+    """Every admissible sextuple is in exactly one of the eight shapes, once,
+    and no shape names an inadmissible one, so assemble writes every slot."""
+    for A in gauge_rules:
+        slots = np.concatenate([s.ravel() for s in _shape_slots(A.feudal).values()])
+        assert (np.sort(slots) == np.arange(len(admissible_sextuples(A.feudal.rule)))).all()
