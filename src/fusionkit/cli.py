@@ -360,9 +360,6 @@ def main(argv=None) -> int:
     except ResourceError as e:
         sys.stderr.write(f"resource budget exceeded: {e}\n")
         return 2
-    except (ValidationError, DomainError) as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 1
     except FusionkitError as e:
         sys.stderr.write(f"error: {e}\n")
         return 1

@@ -89,8 +89,9 @@ class Units:
         given side.  Element i of a B^x cochain's group is serf serf_ids[i]."""
         if self.ambi is None:
             return np.zeros((n, 1), dtype=np.int64)
-        A, pts = self.ambi, np.arange(self.ambi.npoints)
-        return np.array([A.act(s, pts) if side == "left" else A.ract(pts, s) for s in A.serf_ids])
+        A = self.ambi
+        e = A.serf_ids.index(A.unit_serf)
+        return A.act_table[:, e] if side == "left" else A.act_table[e]
 
 
 @lru_cache(maxsize=None)

@@ -15,7 +15,7 @@ from itertools import product
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .groups import FiniteGroup, cyclic, isomorphisms, standard_catalog, CATALOG_COMPLETE_THROUGH
+from .groups import FiniteGroup, cyclic, homomorphisms, isomorphisms, standard_catalog, CATALOG_COMPLETE_THROUGH
 from .rules import (
     FusionRule,
     adjoint_subrule,
@@ -200,27 +200,6 @@ def moore_read() -> FeudalRule:
 # ---- detection -------------------------------------------------------------------
 
 
-def z2_feudal_gradings(rule: FusionRule) -> list[frozenset[int]]:
-    """All serf sets of valid feudal Z2 gradings, by exhaustive search."""
-    out = []
-    n = rule.n
-    rest = [x for x in range(n) if x != rule.unit]
-    for bits in product((0, 1), repeat=n - 1):
-        grading = np.zeros(n, dtype=np.int64)
-        grading[rest] = bits
-        if not any(grading):
-            continue  # not surjective
-        if not is_grading(rule, grading, _Z2):
-            continue
-        serfs = frozenset(np.nonzero(grading == 0)[0].tolist())
-        try:
-            FeudalRule(rule, serfs)
-        except ValidationError:
-            continue
-        out.append(serfs)
-    return out
-
-
 def detect_feudal(rule: FusionRule) -> FeudalRule | None:
     """The unique feudal structure of a properly feudal rule, or a chosen one
     for a Z2-gradable group; None otherwise."""
@@ -353,8 +332,6 @@ def enumerate_feudal(max_order: int, catalog: list[FiniteGroup] | None = None) -
                 f"group catalog is only curated through order {CATALOG_COMPLETE_THROUGH}; "
                 f"orders up to {needed} may be incomplete"
             )
-    from .groups import homomorphisms  # local import keeps module load light
-
     found: list[HomDatum] = []
     for S in catalog:
         for G in catalog:

@@ -121,12 +121,6 @@ class FiniteGroup:
             known = self.closure(gens)
         return gens
 
-    def subgroup(self, members) -> "FiniteGroup":
-        ids = sorted(members)
-        pos = {g: i for i, g in enumerate(ids)}
-        table = [[pos[self.mul(a, b)] for b in ids] for a in ids]
-        return FiniteGroup([self.labels[g] for g in ids], table, name=f"{self.name}<")
-
     def index2_subgroups(self) -> list[frozenset[int]]:
         """Subgroups of index 2, i.e. kernels of surjections onto Z2."""
         out = []

@@ -191,8 +191,9 @@ class _PentagonProgram:
     single: np.ndarray  # positions of the 1x1 blocks
     single_slots: np.ndarray  # their coefficients
     square: tuple  # (position, (k,k) slots) of each square block with k >= 2
-    # per label r: the slots of the (rb,r,rb,rb) block, its index in square or None,
-    # the (u,v) position of its unit entry or None, and the slot of (r,rb,r,e,r,e)
+    # per label r: the position in blocks of the (rb,r,rb,rb) block, the (u,v)
+    # position of its unit entry (either None on a rule with broken duals), and
+    # the slot of (r,rb,r,e,r,e)
     rigidity: tuple
     triples: np.ndarray  # (triples, 3) int16: (x,y,r) with r in xy
     triangle: np.ndarray  # slot of (x,e,y,x,r,y) per triple
@@ -214,11 +215,21 @@ class _PentagonProgram:
         return np.sort(bad)
 
     def not_rigid(self, raw: np.ndarray, c: np.ndarray, p: int, inverses: list) -> list[int]:
-        """The labels r whose (rb,r,rb,rb) block has no inverse with unit entry raw[(r,rb,r,e,r,e)]."""
+        """The labels r whose (rb,r,rb,rb) block has no inverse with unit entry
+        raw[(r,rb,r,e,r,e)]: for a 1x1 block [x], raw * x = 1 mod p; a larger
+        block reads its inverse off inverses."""
+        single = dict(zip(self.single.tolist(), self.single_slots.tolist()))
+        square = {i: inv for (i, _), inv in zip(self.square, inverses)}
         out = []
-        for r, (slots, sq, at, s) in enumerate(self.rigidity):
-            inv = matrix_inverse_modp(c[slots], p) if sq is None else inverses[sq]
-            if inv is None or at is None or not (entry := int(inv[at])) or raw[s] != entry:
+        for r, (i, at, s) in enumerate(self.rigidity):
+            if at is None:
+                ok = False
+            elif i in single:
+                ok = raw[s] * c[single[i]] % p == 1
+            else:
+                inv = square.get(i)  # None for a singular or a non-square block
+                ok = inv is not None and inv[at] != 0 and raw[s] == inv[at]
+            if not ok:
                 out.append(r)
         return out
 
@@ -275,14 +286,14 @@ def _pentagon_program(rule: FusionRule) -> _PentagonProgram:
         slots = np.array([[slot[(x, y, z, u, r, v)] for u in us] for v in vs], np.intp)
         return slots.reshape(len(vs), len(us)), us, vs
 
-    keys, nonsquare, single, single_slots, square = array("h"), [], [], [], {}
+    keys, nonsquare, single, single_slots, square, position = array("h"), [], [], [], [], {}
     for x, y, z in product(range(n), repeat=3):
         rs = dict.fromkeys(r for u in sup[x * n + y] for r in sup[u * n + z])  # first-seen order
         for r in rs:
             slots, _, _ = block(x, y, z, r)
             if not slots.size:
                 continue
-            i = len(keys) // 4
+            i = position[(x, y, z, r)] = len(keys) // 4
             keys.extend((x, y, z, r))
             if slots.shape[0] != slots.shape[1]:
                 nonsquare.append(i)
@@ -290,14 +301,15 @@ def _pentagon_program(rule: FusionRule) -> _PentagonProgram:
                 single.append(i)
                 single_slots.append(slots[0, 0])
             else:
-                square[(x, y, z, r)] = (i, slots)
+                square.append((i, slots))
+    # with valid duals the (rb,r,rb,rb) block is compiled and holds the unit
+    # entry (e,e): e is in rb r, and rb in e rb
     rigidity = []
     for r in range(n):
         rb = int(rule.dual[r])
-        slots, us, vs = block(rb, r, rb, rb)
-        sq = list(square).index((rb, r, rb, rb)) if (rb, r, rb, rb) in square else None
+        _, us, vs = block(rb, r, rb, rb)
         at = (us.index(e), vs.index(e)) if e in us and e in vs else None
-        rigidity.append((slots, sq, at, slot.get((r, rb, r, e, r, e), zero)))
+        rigidity.append((position.get((rb, r, rb, rb)), at, slot.get((r, rb, r, e, r, e), zero)))
     triples = [(x, y, r) for x, y in product(range(n), repeat=2) for r in sup[x * n + y]]
     prog = _PentagonProgram(
         total=total,
@@ -310,7 +322,7 @@ def _pentagon_program(rule: FusionRule) -> _PentagonProgram:
         nonsquare=np.array(nonsquare, np.intp),
         single=np.array(single, np.intp),
         single_slots=np.array(single_slots, np.intp),
-        square=tuple(square.values()),
+        square=tuple(square),
         rigidity=tuple(rigidity),
         triples=np.array(triples, np.short).reshape(-1, 3),
         triangle=np.array([slot.get((x, e, y, x, r, y), zero) for x, y, r in triples], np.intp),
@@ -417,10 +429,6 @@ class GaugeXi:
     def inverse(self) -> "GaugeXi":
         inv = {k: self.field.inv(v) for k, v in self.values.items()}
         return GaugeXi(self.rule, self.field, inv)
-
-    def __mul__(self, other: "GaugeXi") -> "GaugeXi":
-        vals = {k: self.field.mul(v, other.values[k]) for k, v in self.values.items()}
-        return GaugeXi(self.rule, self.field, vals)
 
 
 def identity_gauge(rule: FusionRule, field: Field) -> GaugeXi:

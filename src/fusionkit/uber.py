@@ -5,7 +5,7 @@ fusion systems on a feudal rule up to gauge.  The dictionary runs through
 psi() (read a triple off a system) and reconstruct() (build the unique normal
 system with that triple back).  Both go through the eight index shapes of a
 feudal rule, written once as slots into the coefficient vector of a system
-and built once per FeudalRule: decompose is a gather through them and
+and built once per rule and serf set: decompose is a gather through them and
 assemble a scatter.  Gauge classing happens in discrete-log
 coordinates: every multiplicative axiom is an affine-linear equation over
 Z_(p-1), gauge shifts span a sublattice, and classes are coset
@@ -42,7 +42,7 @@ from .cohomology import Units, coboundary_logs
 from .errors import DomainError, ResourceError, UnsupportedFieldError, ValidationError
 from .fields import Field, nth_roots_of
 from .feudal import FeudalRule, detect_feudal
-from .rules import automorphisms as rule_automorphisms
+from .rules import FusionRule, automorphisms as rule_automorphisms
 from .systems import FusionSystem, GaugeXi, admissible_sextuples
 from .zmodlin import SmithMod, factor_mod, nullspace_mod, quotient_structure, solve_mod
 
@@ -274,7 +274,7 @@ def psi(f: FusionSystem, fr: FeudalRule | None = None, ambi: Ambi | None = None)
     if ambi is None:
         ambi = dec.ambi
     if not dec.is_normal():
-        _, _, dec = _normalize(f, dec)
+        _, _, dec = _normalize(f, dec, ambi)
     e = ambi.unit_serf
     u = Uberderivation(ambi, dict(dec.alpha2), dict(dec.alpha3), dec.gamma[(e, e)])
     return u.validate()
@@ -345,16 +345,17 @@ def is_normal(f: FusionSystem, fr: FeudalRule | None = None) -> bool:
 
 def normalize(f: FusionSystem, fr: FeudalRule | None = None) -> tuple[FusionSystem, GaugeXi]:
     """A normal system gauge equivalent to f, with the witnessing gauge."""
-    out, xi, _ = _normalize(f, decompose(f, fr))
+    dec = decompose(f, fr)
+    out, xi, _ = _normalize(f, dec, dec.ambi)
     return out, xi
 
 
-def _normalize(f: FusionSystem, dec: Decomposition) -> tuple[FusionSystem, GaugeXi, Decomposition]:
-    """normalize, given the decomposition of f; also returns that of the result."""
+def _normalize(f: FusionSystem, dec: Decomposition, A: Ambi) -> tuple[FusionSystem, GaugeXi, Decomposition]:
+    """normalize, given the decomposition of f and the Ambi of its feudal rule;
+    also returns the decomposition of the result."""
     from .systems import apply_gauge
 
     fr = dec.feudal
-    A = Ambi(fr, f.field)
     e = A.unit_serf
     inv = fr.serf_inv
     serfs = fr.serf_ids
@@ -433,18 +434,23 @@ class _GaugeLattice:
         return factor_mod(self.shifts.T, self.n)
 
 
-_PER_AMBI: "weakref.WeakKeyDictionary[Ambi | FeudalRule, dict]" = weakref.WeakKeyDictionary()
+_PER_AMBI: "weakref.WeakKeyDictionary[Ambi | FusionRule, dict]" = weakref.WeakKeyDictionary()
 
 
-def _per_ambi(ambi: Ambi | FeudalRule, build):
-    """build(ambi) (the axiom rows or the gauge-shift lattice of an Ambi, the
-    shape slots of a FeudalRule), built on first use and kept while ambi
-    lives; it holds no reference to ambi, which keys it weakly, so each CLI
-    run starts cold."""
-    derived = _PER_AMBI.setdefault(ambi, {})
-    if build not in derived:
-        derived[build] = build(ambi)
-    return derived[build]
+def _per_ambi(owner: Ambi | FeudalRule, build):
+    """build(owner), built on first use: the axiom rows or the gauge-shift
+    lattice of an Ambi, kept while the Ambi lives, or the shape slots of a
+    FeudalRule, kept per rule and serf set while the rule lives (so the new
+    FeudalRule that detect_feudal builds on each call finds them).  No value
+    refers to the object that keys it weakly, so each CLI run starts cold."""
+    if isinstance(owner, FeudalRule):
+        key, entry = owner.rule, (build, owner.serfs)
+    else:
+        key, entry = owner, build
+    derived = _PER_AMBI.setdefault(key, {})
+    if entry not in derived:
+        derived[entry] = build(owner)
+    return derived[entry]
 
 
 def _slot_gauge(ambi: Ambi, slots: list[tuple], exps) -> GaugeTriple:
@@ -478,7 +484,7 @@ def _gauge_gather(ambi: Ambi) -> list[tuple[np.ndarray, np.ndarray]]:
     s, m = len(A.serf_ids), A.npoints
     at = {a: i for i, a in enumerate(A.serf_ids)}
     e = at[A.unit_serf]
-    act = np.array([[A._act[(a, b)] for b in A.serf_ids] for a in A.serf_ids])
+    act = A.act_table
     prod = np.array([[at[A.feudal.serf_mul(a, b)] for b in A.serf_ids] for a in A.serf_ids])
     bar = A.bar_perm
     theta = lambda a, b, j: (a * s + b) * m + j
@@ -789,6 +795,9 @@ def uber_to_vec(u: Uberderivation) -> np.ndarray:
     return Units(u.ambi.field, u.ambi).log(vals).ravel()
 
 
+CLASS_LIMIT = 100_000  # coset representatives enumerate_uber walks at most
+
+
 @dataclass
 class UberClassification:
     ambi: Ambi
@@ -828,12 +837,7 @@ def class_invariants(u: Uberderivation) -> dict:
     }
 
 
-def enumerate_uber(
-    ambi: Ambi,
-    *,
-    class_limit: int = 100_000,
-    with_orbits: bool = True,
-) -> UberClassification:
+def enumerate_uber(ambi: Ambi, *, with_orbits: bool = True) -> UberClassification:
     """All uberderivations on the ambient algebra, up to gauge equivalence.
 
     Solves the monomial axioms plus the tau norm as one affine system over
@@ -870,7 +874,7 @@ def enumerate_uber(
     )
     rows = _per_ambi(A, _axiom_rows)
     reps, vecs, class_at = [], [], {}  # class_at: coset index -> class number
-    for k, h in enumerate(quot.representatives(limit=class_limit)):
+    for k, h in enumerate(quot.representatives(limit=CLASS_LIMIT)):
         x = (x0 + h) % n
         broken = rows.failures(x)
         if broken:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .uber import Decomposition
+from fusionkit.uber import Decomposition
 
 
 class _Ops:

@@ -40,10 +40,11 @@ from fusionkit import (
 )
 from fusionkit.cli import main as cli_main
 from fusionkit.cohomology import Cochain, Units, h3_via_uber
-from fusionkit.equations import check_all_pentagon, check_all_rectangle
 from fusionkit.feudal import HomDatum
 from fusionkit.groups import homomorphisms, standard_catalog
 from fusionkit.uber import check_existence_obstructions, xi_components
+
+from equations import check_all_pentagon, check_all_rectangle
 
 
 class criterion:

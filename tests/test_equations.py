@@ -15,14 +15,15 @@ from fusionkit import (
     reconstruct,
     verify_fusion_system,
 )
-from fusionkit.equations import (
+from fusionkit.systems import recoupling_matrix
+from fusionkit.uber import xi_components
+
+from equations import (
     PENTAGON_IDENTITIES,
     RECTANGLE_IDENTITIES,
     check_all_pentagon,
     check_all_rectangle,
 )
-from fusionkit.systems import recoupling_matrix
-from fusionkit.uber import xi_components
 
 
 @pytest.fixture(scope="module")

@@ -19,9 +19,30 @@ from fusionkit import (
     round_trip_check,
 )
 from fusionkit.errors import ValidationError
-from fusionkit.feudal import FeudalRule, HomDatum, enumerate_feudal, z2_feudal_gradings
+from fusionkit.feudal import FeudalRule, HomDatum, enumerate_feudal
 from fusionkit.groups import homomorphisms, isomorphisms, standard_catalog
 from fusionkit.rules import group_from_members, is_grading
+
+
+def z2_feudal_gradings(rule: FusionRule) -> list[frozenset[int]]:
+    """All serf sets of valid feudal Z2 gradings, by exhaustive search."""
+    out = []
+    n = rule.n
+    rest = [x for x in range(n) if x != rule.unit]
+    for bits in product((0, 1), repeat=n - 1):
+        grading = np.zeros(n, dtype=np.int64)
+        grading[rest] = bits
+        if not any(grading):
+            continue  # not surjective
+        if not is_grading(rule, grading, cyclic(2)):
+            continue
+        serfs = frozenset(np.nonzero(grading == 0)[0].tolist())
+        try:
+            FeudalRule(rule, serfs)
+        except ValidationError:
+            continue
+        out.append(serfs)
+    return out
 
 
 def doubling_datum():

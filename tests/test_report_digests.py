@@ -1,7 +1,8 @@
 """Byte identity of `uber classify`, `cohom h3` and `fsys enumerate` reports.
 
 classify_digests.json holds the sha256 of the JSON report of each bundled
-rule, keyed "name@p".  H3_DIGESTS holds the sha256 of `cohom h3` reports,
+rule, keyed "name@p", and CLASSIFY_RULE_DIGESTS that of each rule of the
+benchmark's classify workload, read from a rule file.  H3_DIGESTS holds the sha256 of `cohom h3` reports,
 keyed by their argument lists: every catalog group of order 6 to 8 at p=17
 (D3, Q8 and D4 are the non-abelian ones) and three smaller cases.
 FSYS_DIGESTS holds the sha256 of `fsys enumerate` reports (the brute-force
@@ -24,9 +25,35 @@ from pathlib import Path
 
 import pytest
 
+from fusionkit import cyclic, enumerate_feudal, jsonio, tambara_yamagami
 from fusionkit.cli import main
 
 DIGESTS = json.loads((Path(__file__).parent / "classify_digests.json").read_text())
+
+# `uber classify` on the benchmark's classify rules, written as "<name>.json" in
+# the working directory (the report echoes the rule path): the 16 feudal rules
+# of order <= 8 (feudal_00 to feudal_15, in enumerate_feudal(8) order) at p=17,
+# TY(Z3) at p=13 and TY(Z5) at p=41; keyed "name@p".
+CLASSIFY_RULE_DIGESTS = {
+    "feudal_00@17": "5fa47d048e215c627c1687f55e865d76019b4e6ee820a9f5e9578cf75ad78c43",
+    "feudal_01@17": "dad891560ee670b672056649d6bc94acacdb7b529ef3a8415403ab13f580c659",
+    "feudal_02@17": "ffcc30860f7a503ffb3498cba6a07906da67890d1e323cfd2144ab92bb7737a6",
+    "feudal_03@17": "4fb994879f540ab0ad9c27d34b32a504d6f7a4f8c7fd24aa1a5676b6b661c7b3",
+    "feudal_04@17": "a754c93ac124758723dc23298c07ddd90130c2e3f0f0135bf281bad4de08451f",
+    "feudal_05@17": "e5e9a1a0619a921fb41138dab29eb5555c1788c41a379519870756b2792f1248",
+    "feudal_06@17": "ac3877d6d5b74a9cb66ed0a51f4b17368ecc9ee83e46cf893d55aa95ffb6eff6",
+    "feudal_07@17": "4a14b761d4669e33ee0f07dd00d3aee61b6b3820d8660c51aa5665e336037967",
+    "feudal_08@17": "ae0abb158b196833cb503c47d1292ed5df58a820f957781325c96e972dbf1542",
+    "feudal_09@17": "213753350aea94f580142deefd97d749a347e1320ff4b586b5fd3b9ea0ff481b",
+    "feudal_10@17": "2c228458ab82c9e0c34bf1f900c6cac02dbde0146e3ce9ee0cad99ec8d3359d7",
+    "feudal_11@17": "b553ba2b19e4585f6f06b7b5a6d8096d2df41e709aad892b74d445852d28c9f9",
+    "feudal_12@17": "089fa06c58c8f280920bb3c4c751d2fb7e6d5a173329e0f169657b488430f516",
+    "feudal_13@17": "69daf4e505c893c35fd151a1623305605f7855cdecea5b666c67497fb6dc3313",
+    "feudal_14@17": "1d045ebddfdf5f230805d5c84e36872130ee1877c167ba630d12d2cf66a27956",
+    "feudal_15@17": "d77515e57ecf27f195108bbd1fad29c86661a6c83a9b080750c39d031a69466f",
+    "ty_z3@13": "2ab5b562ba42a931d26a2859d739775d37ebcbf88e219b7a2683e1682f3d1ad2",
+    "ty_z5@41": "8f500e123af369f48e178bab56a5fe950828035f5a9251d8a6e892ca80647a1f",
+}
 
 H3_DIGESTS = {
     "Z4@17 --via-uber auto": "5316cd9ebdcbcffe78a0e5996009e22eb88d21a972ba5833f2b9e87f138b3c0a",
@@ -75,6 +102,22 @@ def test_classify_report_bytes(case):
     name, p = case.split("@")
     argv = ["uber", "classify", "--rule", f"builtin:{name}", "--p", p]
     assert _report(argv)[0] == DIGESTS[case]
+
+
+@pytest.fixture(scope="module")
+def classify_rules():
+    rules = {f"feudal_{i:02d}": fr for i, fr in enumerate(enumerate_feudal(8).rules)}
+    rules.update(ty_z3=tambara_yamagami(cyclic(3)), ty_z5=tambara_yamagami(cyclic(5)))
+    return rules
+
+
+@pytest.mark.parametrize("case", sorted(CLASSIFY_RULE_DIGESTS))
+def test_classify_rule_file_report_bytes(case, classify_rules, tmp_path, monkeypatch):
+    name, p = case.split("@")
+    monkeypatch.chdir(tmp_path)
+    Path(f"{name}.json").write_text(jsonio.dumps(jsonio.rule_to_dict(classify_rules[name].rule)))
+    argv = ["uber", "classify", "--rule", f"{name}.json", "--p", p]
+    assert _report(argv)[0] == CLASSIFY_RULE_DIGESTS[case]
 
 
 @pytest.mark.parametrize("case", sorted(H3_DIGESTS))

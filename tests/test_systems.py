@@ -312,6 +312,28 @@ def test_compiled_checks_match_reference_loops(check_systems, f5):
     assert singular_lord_block  # the 8x8 block of TY(Z2^3)
 
 
+def test_only_larger_square_blocks_are_inverted(check_systems, monkeypatch):
+    """The rigidity check reads a 1x1 block off its coefficient and a larger
+    one off the inverses of the square blocks, so a verify_fusion_system call
+    inverts exactly the square blocks with k >= 2, rigidity blocks included."""
+    from fusionkit import systems
+    from fusionkit.systems import _pentagon_program
+
+    calls = []
+    real = systems.matrix_inverse_modp
+    monkeypatch.setattr(systems, "matrix_inverse_modp", lambda mat, p: calls.append(mat.shape) or real(mat, p))
+    rigidity_in_square = 0
+    for f in check_systems:
+        prog = _pentagon_program(f.rule)
+        calls.clear()
+        assert verify_fusion_system(f).rigidity_ok
+        assert calls == [slots.shape for _, slots in prog.square]
+        assert all(len(shape) == 2 and shape[0] == shape[1] >= 2 for shape in calls)
+        square = {i for i, _ in prog.square}
+        rigidity_in_square += sum(i in square for i, _, _ in prog.rigidity)
+    assert rigidity_in_square  # the lord blocks (m,m,m,m) of the TY rules
+
+
 def test_verified_systems_have_identity_unit_matrices(f17, ty2, mr):
     # every verified system has identity 1-top matrices, checked independently
     from fusionkit import Ambi, enumerate_uber, reconstruct
@@ -407,7 +429,8 @@ def test_gauge_composition_multiplies(f17, mr):
     rng = random.Random(11)
     x1 = random_gauge(mr.rule, f17, rng)
     x2 = random_gauge(mr.rule, f17, rng)
-    assert apply_gauge(apply_gauge(f, x1), x2) == apply_gauge(f, x1 * x2)
+    product_gauge = GaugeXi(mr.rule, f17, {k: v * x2.values[k] for k, v in x1.values.items()})
+    assert apply_gauge(apply_gauge(f, x1), x2) == apply_gauge(f, product_gauge)
 
 
 def test_gauge_inverse_round_trip(f17, mr):

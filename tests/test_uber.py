@@ -1,4 +1,7 @@
+import dataclasses
+import gc
 import random
+import weakref
 from itertools import product
 
 import numpy as np
@@ -31,6 +34,7 @@ from fusionkit import (
     tambara_yamagami,
     verify_fusion_system,
 )
+from fusionkit.cohomology import Units
 from fusionkit.errors import DomainError
 from fusionkit.feudal import FeudalRule, detect_feudal
 from fusionkit.systems import FusionSystem, admissible_sextuples
@@ -1211,3 +1215,90 @@ def test_shapes_partition_admissible_sextuples(gauge_rules):
     for A in gauge_rules:
         slots = np.concatenate([s.ravel() for s in _shape_slots(A.feudal).values()])
         assert (np.sort(slots) == np.arange(len(admissible_sextuples(A.feudal.rule)))).all()
+
+
+# ---- the action table and the shape slots per rule ------------------------------------
+
+
+def _reference_gauge_gather(ambi, act_dict) -> list[tuple[np.ndarray, np.ndarray]]:
+    """_gauge_gather as it stood, stacking the action from Ambi's (a, b) dict."""
+    A = ambi
+    s, m = len(A.serf_ids), A.npoints
+    at = {a: i for i, a in enumerate(A.serf_ids)}
+    e = at[A.unit_serf]
+    act = np.array([[act_dict[(a, b)] for b in A.serf_ids] for a in A.serf_ids])
+    prod = np.array([[at[A.feudal.serf_mul(a, b)] for b in A.serf_ids] for a in A.serf_ids])
+    bar = A.bar_perm
+    theta = lambda a, b, j: (a * s + b) * m + j
+    phi = lambda a, j: (s * s + a) * m + j
+    sigma = lambda j: (s * s + s) * m + j
+    a, b, j = (x.ravel() for x in np.indices((s, s, m)))
+    ab, eb, ae = act[a, b, j], act[e, b, j], act[a, e, j]
+    chi = [phi(a, j), phi(b, bar[ab]), sigma(ab), sigma(j), phi(a, eb), phi(b, bar[eb]), sigma(ae), sigma(eb)]
+    ups = [phi(a, j), phi(b, ae), phi(prod[a, b], j), theta(a, b, j)]
+    tau = [sigma(bar), sigma(np.arange(m))]
+    return [
+        (np.stack(chi, axis=1), np.array([1, 1, 1, 1, -1, -1, -1, -1])),
+        (np.stack(ups, axis=1), np.array([1, 1, -1, -1])),
+        (np.stack(tau, axis=1), np.array([1, -1])),
+    ]
+
+
+def test_action_table_matches_reference(gauge_rules):
+    """act, ract, Units.action and the gauge gather, all read off the (s, s, m)
+    action table, equal their forms over the old (a, b) dict: values, shapes
+    and dtypes."""
+    from test_ambient import _reference_act
+
+    rng = np.random.default_rng(5)
+    for A in gauge_rules:
+        ref, e = _reference_act(A), A.unit_serf
+        mu = rng.integers(0, A.field.p, A.npoints)
+        for a, b in product(A.serf_ids, repeat=2):
+            assert _same_array(A.act(a, mu, b), mu[ref[(a, b)]])
+        for a in A.serf_ids:
+            assert _same_array(A.act(a, mu), mu[ref[(a, e)]])
+            assert _same_array(A.ract(mu, a), mu[ref[(e, a)]])
+        units = Units(A.field, A)
+        pts = np.arange(A.npoints)
+        for side, key in (("left", lambda s: (s, e)), ("right", lambda s: (e, s))):
+            want = np.array([pts[ref[key(s)]] for s in A.serf_ids])
+            assert _same_array(units.action(len(A.serf_ids), side), want)
+        got, want = uber._gauge_gather(A), _reference_gauge_gather(A, ref)
+        assert len(got) == len(want) == 3
+        assert all(_same_array(g[0], w[0]) and _same_array(g[1], w[1]) for g, w in zip(got, want))
+
+
+def test_dictionary_without_a_feudal_rule_matches_with_one(gauge_rules):
+    """decompose, is_normal, normalize and psi find the same feudal structure
+    (detect_feudal) and give what they give with it passed in."""
+    rng = random.Random(43)
+    for A in gauge_rules:
+        fr = A.feudal
+        systems = _dictionary_systems(A, rng)
+        for f in systems:
+            dec = decompose(f)
+            assert dec.feudal.serfs == fr.serfs
+            assert _same_decomposition(dataclasses.replace(dec, feudal=fr), decompose(f, fr))
+            assert is_normal(f) == is_normal(f, fr)
+        for f in systems[:-1]:  # the random table is no fusion system
+            (g, xi), (g_fr, xi_fr) = normalize(f), normalize(f, fr)
+            assert g == g_fr and xi.values == xi_fr.values
+            assert psi(f) == psi(f, fr)
+
+
+def test_shape_slots_are_kept_per_rule_and_let_it_go(f17, monkeypatch):
+    """Every FeudalRule on one rule and serf set (detect_feudal builds a new one
+    per call) shares one shape-slot table, and the cache keeps no rule alive."""
+    built = []
+    real = uber._shape_slots
+    monkeypatch.setattr(uber, "_shape_slots", lambda fr: built.append(fr) or real(fr))
+    fr = tambara_yamagami(klein_four())
+    f = reconstruct(enumerate_uber(Ambi(fr, f17), with_orbits=False).class_reps[0])
+    g = apply_gauge(f, random_gauge(fr.rule, f17, random.Random(2)))
+    decompose(f), decompose(g), is_normal(g), normalize(g), psi(g)
+    assert len(built) == 1
+    rule = weakref.ref(fr.rule)
+    del fr, f, g, built
+    gc.collect()
+    assert rule() is None
