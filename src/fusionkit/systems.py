@@ -14,14 +14,17 @@ pentagon_instance_value), a coefficient is addressed by its slot: its
 position in FusionSystem.coeffs, or the trailing 0 slot for an inadmissible
 key.  The brute-force search holds one value per slot and propagates over the
 live instances of the compiled program, and the feudal dictionary of
-fusionkit.uber reads and writes the same slots.
+fusionkit.uber reads and writes the same slots.  FusionSystem and GaugeXi
+validate their tables as arrays over a key -> slot index kept per rule, and
+apply_gauge is one gather: the logs of the gauge at the four support
+positions of each slot, added and subtracted, back through the exp table.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, repeat
 
 import numpy as np
 
@@ -32,6 +35,9 @@ from .rules import FusionRule
 Sextuple = tuple[int, int, int, int, int, int]
 
 _ADMISSIBLE_CACHE: dict[bytes, list[Sextuple]] = {}
+_SLOT_CACHE: dict[bytes, dict[Sextuple, int]] = {}
+_SUPPORT_CACHE: dict[bytes, dict[tuple[int, int, int], int]] = {}
+_GAUGE_CACHE: dict[bytes, np.ndarray] = {}
 _PENTAGON_CACHE: dict[bytes, _PentagonProgram] = {}
 
 
@@ -56,25 +62,74 @@ def admissible_sextuples(rule: FusionRule) -> list[Sextuple]:
     return out
 
 
+def _slot_index(rule: FusionRule) -> dict[Sextuple, int]:
+    """Each admissible sextuple's slot, its position in admissible_sextuples,
+    in that order; built once per rule."""
+    cached = _SLOT_CACHE.get(rule.key)
+    if cached is None:
+        cached = _SLOT_CACHE[rule.key] = {k: i for i, k in enumerate(admissible_sextuples(rule))}
+    return cached
+
+
+def _support_index(rule: FusionRule) -> dict[tuple[int, int, int], int]:
+    """Each triple (x,y,r) of the gauge support, r in xy, at its position in
+    sorted order; built once per rule."""
+    cached = _SUPPORT_CACHE.get(rule.key)
+    if cached is None:
+        support = sorted((x, y, r) for x, y in product(range(rule.n), repeat=2) for r in rule.support(x, y))
+        cached = _SUPPORT_CACHE[rule.key] = {k: i for i, k in enumerate(support)}
+    return cached
+
+
+def _residues(index: dict, values: dict, p: int, outside: str, zero: str) -> np.ndarray:
+    """The values mod p at the positions of their keys in index (a rule's slot
+    or support index), -1 at a position no key names; a later duplicate key wins.
+
+    A key is looked up as given and int-normalized only where that misses.
+    Every check runs over the whole input, and the failure that a loop over the
+    items would meet first is raised: at each item in turn, a key that does not
+    int-normalize (its own error), a key not in index (outside), a value int()
+    rejects (its own error), then a value that is 0 mod p (zero).
+    """
+    keys = list(values)
+    slots = np.fromiter(map(index.get, keys, repeat(-1)), np.intp, len(keys))
+    errors = []  # (item, check, exception)
+    for i in np.flatnonzero(slots < 0).tolist():
+        try:
+            k = tuple(int(x) for x in keys[i])
+        except Exception as exc:  # re-raised below if it is the first failure
+            errors.append((i, 0, exc))
+            continue
+        slots[i] = index.get(k, -1)
+        if slots[i] < 0:
+            errors.append((i, 1, ValidationError(outside.format(k))))
+    ints: list[int] = []
+    try:
+        ints.extend(map(int, values.values()))  # keeps the ints before a failure
+    except Exception as exc:
+        errors.append((len(ints), 2, exc))
+    res = (np.array(ints, dtype=object) % p).astype(np.int64)  # exact for ints beyond int64
+    zeros = np.flatnonzero(res == 0)
+    if zeros.size:
+        errors.append((zeros[0], 3, ValidationError(zero.format(list(index)[slots[zeros[0]]]))))
+    if errors:
+        raise min(errors, key=lambda err: err[:2])[2]
+    out = np.full(len(index), -1, np.int64)
+    out[slots] = res
+    return out
+
+
 class FusionSystem:
     def __init__(self, rule: FusionRule, field: Field, coeffs: dict):
         self.rule = rule
         self.field = field
-        adm = admissible_sextuples(rule)
-        support = set(adm)
-        cleaned: dict[Sextuple, int] = {}
-        for k, val in coeffs.items():
-            k = tuple(int(i) for i in k)
-            if k not in support:
-                raise ValidationError(f"coefficient at inadmissible sextuple {k}")
-            val = int(val) % field.p
-            if val == 0:
-                raise ValidationError(f"zero coefficient at {k}")
-            cleaned[k] = val
-        missing = support - set(cleaned)
-        if missing:
-            raise ValidationError(f"missing coefficients, e.g. {sorted(missing)[0]}")
-        self.coeffs = {k: cleaned[k] for k in adm}
+        index = _slot_index(rule)
+        c = _residues(index, coeffs, field.p, "coefficient at inadmissible sextuple {}", "zero coefficient at {}")
+        missing = np.flatnonzero(c < 0)
+        if missing.size:
+            adm = admissible_sextuples(rule)
+            raise ValidationError(f"missing coefficients, e.g. {min(adm[i] for i in missing)}")
+        self.coeffs = dict(zip(index, c.tolist()))
 
     def coeff(self, x, y, z, u, r, v) -> int:
         return self.coeffs.get((x, y, z, u, r, v), 0)
@@ -240,9 +295,8 @@ def _pentagon_program(rule: FusionRule) -> _PentagonProgram:
     cached = _PENTAGON_CACHE.get(rule.key)
     if cached is not None:
         return cached
-    adm = admissible_sextuples(rule)
-    slot = {k: i for i, k in enumerate(adm)}
-    zero = len(adm)
+    slot = _slot_index(rule)
+    zero = len(slot)
     n, e = rule.n, rule.unit
     sup = [rule.support(a, b) for a in range(n) for b in range(n)]
     mask = [sum(1 << r for r in s) for s in sup]
@@ -405,23 +459,19 @@ class GaugeXi:
     def __init__(self, rule: FusionRule, field: Field, values: dict):
         self.rule = rule
         self.field = field
-        support = {(x, y, r) for x, y in product(range(rule.n), repeat=2) for r in rule.support(x, y)}
-        cleaned = {}
-        for k, val in values.items():
-            k = tuple(int(i) for i in k)
-            if k not in support:
-                raise ValidationError(f"gauge value at unsupported triple {k}")
-            val = int(val) % field.p
-            if val == 0:
-                raise ValidationError(f"gauge value must be invertible at {k}")
-            cleaned[k] = val
-        if support - set(cleaned):
+        index = _support_index(rule)
+        v = _residues(index, values, field.p, "gauge value at unsupported triple {}", "gauge value must be invertible at {}")
+        if (v < 0).any():
             raise ValidationError("gauge must be total on the support")
         e = rule.unit
-        for r in range(rule.n):
-            if cleaned[(e, r, r)] != 1 or cleaned[(r, e, r)] != 1:
-                raise ValidationError("gauge must be normalized at the unit")
-        self.values = {k: cleaned[k] for k in sorted(cleaned)}
+        units = [k for r in range(rule.n) for k in ((e, r, r), (r, e, r))]
+        at = np.fromiter(map(index.get, units, repeat(-1)), np.intp, len(units))
+        bad = np.flatnonzero((at < 0) | (v[at] != 1))
+        if bad.size and at[bad[0]] < 0:
+            raise KeyError(units[bad[0]])
+        if bad.size:
+            raise ValidationError("gauge must be normalized at the unit")
+        self.values = dict(zip(index, v.tolist()))
 
     def __getitem__(self, key):
         return self.values[tuple(int(i) for i in key)]
@@ -445,16 +495,32 @@ def random_gauge(rule: FusionRule, field: Field, rng) -> GaugeXi:
     return GaugeXi(rule, field, vals)
 
 
+def _gauge_positions(rule: FusionRule) -> np.ndarray:
+    """(4, K): for each admissible sextuple (x,y,z,u,r,v), the support
+    positions of (y,z,v), (x,v,r), (x,y,u) and (u,z,r); built once per rule."""
+    cached = _GAUGE_CACHE.get(rule.key)
+    if cached is None:
+        n, support = rule.n, _support_index(rule)
+        at = np.full((n, n, n), -1, np.intp)
+        at[tuple(np.array(list(support), np.intp).reshape(-1, 3).T)] = np.arange(len(support))
+        x, y, z, u, r, v = np.array(admissible_sextuples(rule), np.intp).reshape(-1, 6).T
+        cached = _GAUGE_CACHE[rule.key] = np.stack([at[y, z, v], at[x, v, r], at[x, y, u], at[u, z, r]])
+        cached.flags.writeable = False
+    return cached
+
+
 def apply_gauge(f: FusionSystem, xi: GaugeXi) -> FusionSystem:
-    """The system related to f by xi through the rectangle axiom."""
+    """The system related to f by xi through the rectangle axiom:
+    c(x,y,z,u,r,v) xi(y,z,v) xi(x,v,r) / (xi(x,y,u) xi(u,z,r)), one gather of
+    the gauge's logs through its four support positions."""
     if xi.rule != f.rule or xi.field.p != f.field.p:
         raise DomainError("gauge and system live on different data")
-    p, g = f.field.p, xi.values
-    out = {}
-    for key, val in f.coeffs.items():
-        x, y, z, u, r, v = key
-        out[key] = val * g[(y, z, v)] * g[(x, v, r)] * pow(g[(x, y, u)] * g[(u, z, r)], -1, p) % p
-    return FusionSystem(f.rule, f.field, out)
+    F = f.field
+    logs = F._log_table[np.fromiter(xi.values.values(), np.int64, len(xi.values))]
+    yzv, xvr, xyu, uzr = logs[_gauge_positions(f.rule)]
+    c = np.fromiter(f.coeffs.values(), np.int64, len(f.coeffs))
+    out = c * F._exp_table[(yzv + xvr - xyu - uzr) % (F.p - 1)] % F.p
+    return FusionSystem(f.rule, F, dict(zip(f.coeffs, out.tolist())))
 
 
 # ---- brute-force enumeration ----------------------------------------------------

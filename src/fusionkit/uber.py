@@ -6,11 +6,17 @@ psi() (read a triple off a system) and reconstruct() (build the unique normal
 system with that triple back).  Both go through the eight index shapes of a
 feudal rule, written once as slots into the coefficient vector of a system
 and built once per rule and serf set: decompose is a gather through them and
-assemble a scatter.  Gauge classing happens in discrete-log
-coordinates: every multiplicative axiom is an affine-linear equation over
-Z_(p-1), gauge shifts span a sublattice, and classes are coset
-representatives of the quotient, post-filtered by the one non-monomial
-condition (the character-sum nondegeneracy).
+assemble a scatter.  reconstruct is one signed gather too, from the
+exponent coordinates of a triple to the coefficient slots of its normal
+system (_reconstruct_gather, built once per Ambi): alpha2 and alpha3 are chi
+and ups, alpha is minus the coboundary of ups (cohomology._delta), and the
+other shapes are their monomial formulas in logs.
+
+Gauge classing happens in discrete-log coordinates: every multiplicative
+axiom is an affine-linear equation over Z_(p-1), gauge shifts span a
+sublattice, and classes are coset representatives of the quotient,
+post-filtered by the one non-monomial condition (the character-sum
+nondegeneracy).
 
 Each monomial axiom is encoded once, as named rows of uber_constraint_system
 (the axiom and its witness), built once per Ambi.  Uberderivation.report reads
@@ -38,12 +44,12 @@ from itertools import product
 import numpy as np
 
 from .ambient import Ambi
-from .cohomology import Units, coboundary_logs
+from .cohomology import Units, _delta
 from .errors import DomainError, ResourceError, UnsupportedFieldError, ValidationError
 from .fields import Field, nth_roots_of
 from .feudal import FeudalRule, detect_feudal
 from .rules import FusionRule, automorphisms as rule_automorphisms
-from .systems import FusionSystem, GaugeXi, admissible_sextuples
+from .systems import FusionSystem, GaugeXi, _slot_index, admissible_sextuples
 from .zmodlin import SmithMod, factor_mod, nullspace_mod, quotient_structure, solve_mod
 
 
@@ -85,8 +91,10 @@ class Uberderivation:
         system; only the character-sum nondegeneracy is checked directly.
         """
         A = self.ambi
-        zeros = [k for k in self.chi if not (A.is_invertible(self.chi[k]) and A.is_invertible(self.ups[k]))]
-        if not A.is_invertible(self.tau):
+        keys = list(self.chi)
+        zero = (self._stack(keys) % A.field.p == 0).any(axis=1)
+        zeros = [keys[i] for i in np.flatnonzero(zero[:-1].reshape(2, -1).any(axis=0))]
+        if zero[-1]:
             zeros.append("tau")
         if zeros:
             return {"invertible": zeros}  # such a triple has no exponent coordinates
@@ -108,16 +116,19 @@ class Uberderivation:
             raise DomainError(f"not an uberderivation: {rep}")
         return self
 
+    def _stack(self, keys) -> np.ndarray:
+        """chi at keys, then ups at keys, then tau: a (2 len(keys) + 1, M) array."""
+        return np.array([*(self.chi[k] for k in keys), *(self.ups[k] for k in keys), self.tau])
+
     def __eq__(self, other):
         if not isinstance(other, Uberderivation):
             return NotImplemented
         A = self.ambi
+        keys = list(self.chi)
         return (
             A.feudal.rule == other.ambi.feudal.rule
             and A.field.p == other.ambi.field.p
-            and all(A.eq(self.chi[k], other.chi[k]) for k in self.chi)
-            and all(A.eq(self.ups[k], other.ups[k]) for k in self.ups)
-            and A.eq(self.tau, other.tau)
+            and not ((self._stack(keys) - other._stack(keys)) % A.field.p).any()
         )
 
     def __repr__(self):
@@ -143,27 +154,37 @@ class GaugeTriple:
                 raise ValidationError(f"theta{k} is not fixed by the actions")
 
 
-def gauge_shift(ambi: Ambi, g: GaugeTriple):
-    """Multiplicative shifts (chi, ups, tau pointwise factors) of a gauge:
-    the logs of its entries through the gauge gather, back through the exp
-    table."""
+def _shift_values(ambi: Ambi, g: GaugeTriple) -> np.ndarray:
+    """The multiplicative shifts of a gauge, one row per uber_unknown_keys
+    entry (chi, then ups, at the serf pairs in product order, then tau): the
+    logs of its entries through the gauge gather, back through the exp table."""
     F = ambi.field
-    pairs = list(product(ambi.serf_ids, repeat=2))
+    pairs = product(ambi.serf_ids, repeat=2)
     parts = [g.theta[k] for k in pairs] + [g.phi[a] for a in ambi.serf_ids] + [g.sigma]
     x = np.concatenate(parts).astype(np.int64) % F.p
     if (x == 0).any():
         raise DomainError("element is not invertible")
-    shift = F._exp_table[_shift_logs(ambi, F._log_table[x])]
-    chi, ups = shift[: -ambi.npoints].reshape(2, len(pairs), ambi.npoints)
-    return dict(zip(pairs, chi)), dict(zip(pairs, ups)), shift[-ambi.npoints :]
+    return F._exp_table[_shift_logs(ambi, F._log_table[x])].reshape(-1, ambi.npoints)
+
+
+def _split(ambi: Ambi, rows: np.ndarray) -> tuple[dict, dict, np.ndarray]:
+    """(chi, ups, tau) of rows in uber_unknown_keys order, keyed by the serf pairs."""
+    pairs = list(product(ambi.serf_ids, repeat=2))
+    chi, ups = rows[:-1].reshape(2, len(pairs), ambi.npoints)
+    return dict(zip(pairs, chi)), dict(zip(pairs, ups)), rows[-1]
+
+
+def gauge_shift(ambi: Ambi, g: GaugeTriple):
+    """Multiplicative shifts (chi, ups, tau pointwise factors) of a gauge."""
+    return _split(ambi, _shift_values(ambi, g))
 
 
 def apply_gauge_uber(u: Uberderivation, g: GaugeTriple) -> Uberderivation:
+    """u times the shifts of g: one multiply on the stacked entries."""
     A = u.ambi
-    chi_s, ups_s, tau_s = gauge_shift(A, g)
-    chi = {k: A.mul(v, chi_s[k]) for k, v in u.chi.items()}
-    ups = {k: A.mul(v, ups_s[k]) for k, v in u.ups.items()}
-    return Uberderivation(A, chi, ups, A.mul(u.tau, tau_s))
+    pairs = list(product(A.serf_ids, repeat=2))
+    chi, ups, tau = _split(A, u._stack(pairs) * _shift_values(A, g) % A.field.p)
+    return Uberderivation(A, {k: chi[k] for k in u.chi}, {k: ups[k] for k in u.ups}, tau)
 
 
 # ---- decomposition of a fusion system --------------------------------------------
@@ -206,7 +227,7 @@ def _shape_slots(fr: FeudalRule) -> dict[str, np.ndarray]:
     Each shape is an (s^2, K) array: row (a,b) in product(serfs, repeat=2)
     order, and column c a serf for alpha, m a lord for the others.
     """
-    slot = {k: i for i, k in enumerate(admissible_sextuples(fr.rule))}
+    slot = _slot_index(fr.rule)
     zero = len(slot)
     serfs = fr.serf_ids
     inv, mul = fr.serf_inv, fr.serf_mul
@@ -235,9 +256,10 @@ def decompose(f: FusionSystem, fr: FeudalRule | None = None) -> Decomposition:
     """Read the eight coefficient functions off a fusion system: one gather of
     its coefficient vector through the shape slots."""
     if fr is None:
-        fr = detect_feudal(f.rule)
-        if fr is None:
+        found = _per_ambi(f.rule, _feudal_structure)
+        if found is None:
             raise DomainError("rule carries no feudal structure")
+        fr = FeudalRule(f.rule, *found)
     if fr.rule != f.rule:
         raise DomainError("feudal structure belongs to a different rule")
     c = np.append(np.fromiter(f.coeffs.values(), np.int64, len(f.coeffs)), 0)
@@ -246,6 +268,13 @@ def decompose(f: FusionSystem, fr: FeudalRule | None = None) -> Decomposition:
     alpha = dict(zip(product(fr.serf_ids, repeat=3), c[shapes["alpha"]].ravel().tolist()))
     rest = {name: dict(zip(pairs, c[slots])) for name, slots in shapes.items() if name != "alpha"}
     return Decomposition(fr, f.field, alpha, **rest)
+
+
+def _feudal_structure(rule: FusionRule) -> tuple[frozenset, int] | None:
+    """The serf set and grading count of detect_feudal(rule), or None; _per_ambi
+    keeps it, so decompose without a FeudalRule detects once per rule."""
+    fr = detect_feudal(rule)
+    return None if fr is None else (fr.serfs, fr.grading_count)
 
 
 def assemble(dec: Decomposition) -> FusionSystem:
@@ -372,44 +401,69 @@ def _normalize(f: FusionSystem, dec: Decomposition, A: Ambi) -> tuple[FusionSyst
 
 
 def reconstruct(u: Uberderivation) -> FusionSystem:
-    """The unique normal fusion system whose triple is u."""
+    """The unique normal fusion system whose triple is u: one signed gather of
+    its exponent vector, through the exp table."""
     u.validate()
     A = u.ambi
-    fr = A.feudal
     F = A.field
-    inv, mul = fr.serf_inv, fr.serf_mul
-    serfs = fr.serf_ids
-    chi, ups, tau = u.chi, u.ups, u.tau
+    src, signs = _per_ambi(A, _reconstruct_gather)
+    logs = (uber_to_vec(u)[src] * signs).sum(axis=1) % (F.p - 1)
+    adm = admissible_sextuples(A.feudal.rule)
+    return FusionSystem(A.feudal.rule, F, dict(zip(adm, F._exp_table[logs].tolist())))
 
-    # alpha = (d ups)^-1, one signed gather over the serf group in log coordinates
-    mod = Units(F, A)
-    ups_logs = mod.log([ups[k] for k in product(serfs, repeat=2)])
-    alpha_logs = -coboundary_logs(ups_logs, mod, fr.serf_group, 2, "left") % (F.p - 1)
-    alpha = dict(zip(product(serfs, repeat=3), Units(F).exp(alpha_logs[:, :1])))
 
-    alpha1, alpha2, alpha3 = {}, {}, {}
-    beta1, beta2, beta3, gamma = {}, {}, {}, {}
-    for s, t in product(serfs, repeat=2):
-        si, ti = inv(s), inv(t)
-        alpha2[(s, t)] = chi[(s, t)].copy()
-        alpha3[(s, t)] = ups[(s, t)].copy()
-        alpha1[(s, t)] = A.inv(A.ract(A.bar(ups[(s, t)]), mul(s, t)))
-        beta1[(s, t)] = A.div(
-            A.const(alpha[(ti, s, mul(si, t))]), A.act(mul(si, t), ups[(ti, s)])
-        )
-        beta2[(s, t)] = A.mul(
-            ups[(t, ti)], A.inv(A.ract(ups[(t, ti)], si)), A.ract(chi[(t, s)], si)
-        )
-        gamma[(s, t)] = A.div(
-            A.act(t, A.div(A.mul(tau, A.bar(ups[(si, s)])), A.ract(ups[(ti, t)], s))),
-            chi[(t, s)],
-        )
-        beta3[(s, t)] = A.div(
-            A.mul(A.bar(ups[(s, ti)]), A.ract(tau, si)),
-            A.mul(A.const(alpha[(s, ti, t)]), A.const(alpha[(mul(s, ti), mul(t, si), s)]), tau),
-        )
-    dec = Decomposition(fr, F, alpha, alpha1, alpha2, alpha3, beta1, beta2, beta3, gamma)
-    return assemble(dec)
+def _reconstruct_gather(ambi: Ambi) -> tuple[np.ndarray, np.ndarray]:
+    """The normal system of a triple in exponent coordinates, as a signed gather.
+
+    Row i is admissible sextuple i: its log is the sum over terms t of
+    signs[i, t] times coordinate src[i, t] of uber_to_vec, and a row with
+    fewer terms is padded with sign 0.  alpha2 and alpha3 are chi and ups,
+    alpha is -d(ups) over the serf group read at the first lord, and alpha1,
+    beta1-3 and gamma are the multiplicative formulas of the normal system
+    with mul -> +, div -> - and act, ract, bar as gathers.  Each shape's rows
+    go to its shape slots.
+    """
+    A = ambi
+    fr = A.feudal
+    s, m = len(A.serf_ids), A.npoints
+    g = fr.serf_group  # element i is serf_ids[i]
+    prod, inv, e = g.table, g.inv, g.unit
+    act, bar = A.act_table, A.bar_perm
+    chi = lambda a, b, j: (a * s + b) * m + j
+    ups = lambda a, b, j: ((s + a) * s + b) * m + j
+    tau = lambda j: 2 * s * s * m + j
+    # alpha(a,b,c) = -d(ups)(a,b,c) at the first lord, in row (a*s + b)*s + c
+    d_src, d_signs, acted, actor = _delta(g, 2, "left")
+    point = np.zeros(d_src.shape, np.intp)
+    point[:, acted] = act[actor, e, 0]
+    alpha_src, alpha_signs = ups(0, 0, 0) + d_src * m + point, -d_signs
+    alpha = lambda a, b, c: alpha_src[(a * s + b) * s + c]
+    a, b, j = (x.ravel() for x in np.indices((s, s, m)))
+    ai, bi = inv[a], inv[b]
+    k = act[b, e, j]
+    shapes = {  # name -> (terms, signs), rows (a,b,c) for alpha and (a,b,j) for the others
+        "alpha": ([alpha_src], alpha_signs),
+        "alpha1": ([ups(a, b, bar[act[e, prod[a, b], j]])], [-1]),
+        "alpha2": ([chi(a, b, j)], [1]),
+        "alpha3": ([ups(a, b, j)], [1]),
+        "beta1": ([alpha(bi, a, prod[ai, b]), ups(bi, a, act[prod[ai, b], e, j])], [*alpha_signs, -1]),
+        "beta2": ([ups(b, bi, j), ups(b, bi, act[e, ai, j]), chi(b, a, act[e, ai, j])], [1, -1, 1]),
+        "beta3": (
+            [ups(a, bi, bar[j]), tau(act[e, ai, j]), alpha(a, bi, b), alpha(prod[a, bi], prod[b, ai], a), tau(j)],
+            [1, 1, *-alpha_signs, *-alpha_signs, -1],
+        ),
+        "gamma": ([tau(k), ups(ai, a, bar[k]), ups(bi, b, act[e, a, k]), chi(b, a, j)], [1, 1, -1, -1]),
+    }
+    slots = _per_ambi(fr, _shape_slots)
+    width = max(len(term_signs) for _, term_signs in shapes.values())
+    src = np.zeros((len(admissible_sextuples(fr.rule)), width), np.intp)
+    signs = np.zeros(src.shape, np.int64)
+    for name, (terms, term_signs) in shapes.items():
+        rows = slots[name].ravel()
+        src[rows, : len(term_signs)] = np.column_stack(terms)
+        signs[rows, : len(term_signs)] = term_signs
+    src.flags.writeable = signs.flags.writeable = False
+    return src, signs
 
 
 # ---- gauge equivalence as a span test on the gauge-shift lattice ------------------------
@@ -421,10 +475,13 @@ class _GaugeLattice:
 
     Generator i is the field generator at slots[i] and 1 everywhere else;
     a slot is ("theta", a, b, orbit), ("phi", a, j) or ("sigma", j).
-    shifts[i] is the uber_to_vec image of its gauge_shift.
+    owner[c] is the generator whose slot holds gauge log coordinate c (see
+    _gauge_gather), or -1.  shifts[i] is the uber_to_vec image of its
+    gauge_shift.
     """
 
     slots: list[tuple]
+    owner: np.ndarray
     shifts: np.ndarray
     n: int
 
@@ -437,12 +494,13 @@ class _GaugeLattice:
 _PER_AMBI: "weakref.WeakKeyDictionary[Ambi | FusionRule, dict]" = weakref.WeakKeyDictionary()
 
 
-def _per_ambi(owner: Ambi | FeudalRule, build):
-    """build(owner), built on first use: the axiom rows or the gauge-shift
-    lattice of an Ambi, kept while the Ambi lives, or the shape slots of a
-    FeudalRule, kept per rule and serf set while the rule lives (so the new
-    FeudalRule that detect_feudal builds on each call finds them).  No value
-    refers to the object that keys it weakly, so each CLI run starts cold."""
+def _per_ambi(owner: Ambi | FeudalRule | FusionRule, build):
+    """build(owner), built on first use: the axiom rows, gauge-shift lattice
+    or gathers of an Ambi, kept while the Ambi lives; the shape slots of a
+    FeudalRule, kept per rule and serf set while the rule lives (so every
+    FeudalRule on one rule and serf set finds them); or the detected feudal
+    structure of a FusionRule, kept while the rule lives.  No value refers to
+    the object that keys it weakly, so each CLI run starts cold."""
     if isinstance(owner, FeudalRule):
         key, entry = owner.rule, (build, owner.serfs)
     else:
@@ -453,21 +511,16 @@ def _per_ambi(owner: Ambi | FeudalRule, build):
     return derived[entry]
 
 
-def _slot_gauge(ambi: Ambi, slots: list[tuple], exps) -> GaugeTriple:
-    """The product of the generators at slots, generator i to the power exps[i]."""
+def _slot_gauge(ambi: Ambi, lat: _GaugeLattice, exps) -> GaugeTriple:
+    """The product of the generators of lat, generator i to the power exps[i]:
+    one gather of the exponents through lat.owner, through the exp table."""
     A = ambi
-    theta = {(a, b): A.one() for a in A.serf_ids for b in A.serf_ids}
-    phi = {a: A.one() for a in A.serf_ids}
-    sigma = A.one()
-    for slot, k in zip(slots, exps):
-        val = A.field.exp(int(k))
-        if slot[0] == "theta":
-            theta[slot[1:3]][list(slot[3])] = val
-        elif slot[0] == "phi":
-            phi[slot[1]][slot[2]] = val
-        else:
-            sigma[slot[1]] = val
-    return GaugeTriple(A, theta, phi, sigma)
+    s, m = len(A.serf_ids), A.npoints
+    logs = np.where(lat.owner >= 0, np.asarray(exps, np.int64)[lat.owner], 0)
+    vals = A.field._exp_table[logs % (A.field.p - 1)]
+    theta = dict(zip(product(A.serf_ids, repeat=2), vals[: s * s * m].reshape(s * s, m)))
+    phi = dict(zip(A.serf_ids, vals[s * s * m : -m].reshape(s, m)))
+    return GaugeTriple(A, theta, phi, vals[-m:])
 
 
 def _gauge_gather(ambi: Ambi) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -519,19 +572,18 @@ def _gauge_lattice(ambi: Ambi) -> _GaugeLattice:
     slots = [("theta", a, b, orb) for a in nonunit for b in nonunit for orb in A.orbits]
     slots += [("phi", a, j) for a in nonunit for j in range(m)]
     slots += [("sigma", j) for j in range(m)]
-    # generator i: theta 1 on an orbit, or phi or sigma 1 at a point, in log coordinates
-    theta = np.zeros((len(slots), s, s, m), dtype=np.int64)
-    phi = np.zeros((len(slots), s, m), dtype=np.int64)
-    sigma = np.zeros((len(slots), m), dtype=np.int64)
+    # the gauge log coordinates of each slot (see _gauge_gather): theta on an
+    # orbit, or phi or sigma at a point
+    owner = np.full((s * s + s + 1) * m, -1)
     for i, slot in enumerate(slots):
         if slot[0] == "theta":
-            theta[i, at[slot[1]], at[slot[2]], list(slot[3])] = 1
+            owner[(at[slot[1]] * s + at[slot[2]]) * m + np.array(slot[3])] = i
         elif slot[0] == "phi":
-            phi[i, at[slot[1]], slot[2]] = 1
+            owner[(s * s + at[slot[1]]) * m + slot[2]] = i
         else:
-            sigma[i, slot[1]] = 1
-    logs = np.concatenate([theta.reshape(len(slots), -1), phi.reshape(len(slots), -1), sigma], axis=1)
-    return _GaugeLattice(slots, _shift_logs(A, logs), A.field.p - 1)
+            owner[(s * s + s) * m + slot[1]] = i
+    logs = (owner == np.arange(len(slots))[:, None]).astype(np.int64)  # generator i is 1 where it owns
+    return _GaugeLattice(slots, owner, _shift_logs(A, logs), A.field.p - 1)
 
 
 def gauge_equivalent_uber(u1: Uberderivation, u2: Uberderivation) -> GaugeTriple | None:
@@ -550,7 +602,7 @@ def gauge_equivalent_uber(u1: Uberderivation, u2: Uberderivation) -> GaugeTriple
     c = lat.solver.solve(uber_to_vec(u2) - uber_to_vec(u1), lat.n)
     if c is None:
         return None
-    g = _slot_gauge(A, lat.slots, c)
+    g = _slot_gauge(A, lat, c)
     if apply_gauge_uber(u1, g) != u2:
         raise ValidationError("gauge witness does not transform u1 to u2")
     return g
@@ -783,10 +835,7 @@ def uber_constraint_system(ambi: Ambi):
 
 
 def vec_to_uber(ambi: Ambi, vec: np.ndarray) -> Uberderivation:
-    vals = Units(ambi.field, ambi).exp(np.reshape(vec, (-1, ambi.npoints)))
-    pairs = list(product(ambi.serf_ids, repeat=2))
-    chi, ups = vals[:-1].reshape(2, len(pairs), ambi.npoints)
-    return Uberderivation(ambi, dict(zip(pairs, chi)), dict(zip(pairs, ups)), vals[-1])
+    return Uberderivation(ambi, *_split(ambi, Units(ambi.field, ambi).exp(np.reshape(vec, (-1, ambi.npoints)))))
 
 
 def uber_to_vec(u: Uberderivation) -> np.ndarray:

@@ -6,7 +6,9 @@ benchmark's classify workload, read from a rule file.  H3_DIGESTS holds the sha2
 keyed by their argument lists: every catalog group of order 6 to 8 at p=17
 (D3, Q8 and D4 are the non-abelian ones) and three smaller cases.
 FSYS_DIGESTS holds the sha256 of `fsys enumerate` reports (the brute-force
-search), keyed "rule@p".  A change that alters any byte of a report (class
+search), keyed "rule@p".  DICTIONARY_DIGESTS holds the sha256 of `uber
+reconstruct`, `uber psi`, `fsys verify` and `fsys gauge-apply` reports on
+Moore-Read and TY(Z2xZ2) documents.  A change that alters any byte of a report (class
 order, representatives, orbits, lattice figures, normalized cocycle values,
 enumerated systems) fails here.
 
@@ -21,11 +23,26 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 from pathlib import Path
 
 import pytest
 
-from fusionkit import cyclic, enumerate_feudal, jsonio, tambara_yamagami
+from fusionkit import (
+    Ambi,
+    Field,
+    FusionSystem,
+    apply_gauge,
+    cyclic,
+    enumerate_feudal,
+    enumerate_uber,
+    jsonio,
+    klein_four,
+    moore_read,
+    random_gauge,
+    reconstruct,
+    tambara_yamagami,
+)
 from fusionkit.cli import main
 
 DIGESTS = json.loads((Path(__file__).parent / "classify_digests.json").read_text())
@@ -73,6 +90,28 @@ FSYS_DIGESTS = {
     "builtin:ty_z2@17": "82a38013ad5619e1700ffc41d2c954e2dea0b1679b3d4ce824aa83e91faaa7a8",
     "builtin:ty_z2@7": "5ec0d8c488ec7920a16b3fd19b4bc46165003afb48d6810846b9100ed5891f4b",
     "builtin:z2xz2@3": "f23a1ea6e8f76d44ec1047c1d7b8d6e80ade0a288a6d5ea100339d9713de977f",
+}
+
+# The feudal dictionary both ways, at p=17, on the documents dictionary_documents
+# writes: "<rule>_uber.json" (the last gauge class representative),
+# "<rule>_normal.json" (the system it reconstructs to), "<rule>_xi.json" (a
+# seeded random gauge), "<rule>_gauged.json" (the normal system under it) and
+# "<rule>_bad.json" (the gauged system with one coefficient scaled), for the
+# rules "mr" (the document names builtin:mr) and "ty" (TY(Z2xZ2), inline);
+# keyed by the command line.
+DICTIONARY_DIGESTS = {
+    "fsys gauge-apply mr_normal.json --xi mr_xi.json": "28195641981e7cef2ce52f750a86c3ec2a93a9235abde6aa44b2aef71cae97ff",
+    "fsys gauge-apply ty_normal.json --xi ty_xi.json": "338a990f34464a3d0ee8a5c18d5896ba2b10378ba9fbd7ec097baf5fd1aa564f",
+    "fsys verify mr_bad.json": "688c29c1b8e8c33c136b9cf8f195ab3e28268f101c991279027fc23f6a9f3a36",
+    "fsys verify mr_gauged.json": "4f503ea02dc1137a442494ff716ff0089be307b954d43fd3267d10c0d3f45fa6",
+    "fsys verify ty_bad.json": "124e6fd0e47e02ddcb2b8dd7894efb258dc41f4f550b2bb8a898d901116961f7",
+    "fsys verify ty_gauged.json": "1bef1c83c55bd81eb129a782398973e0420ccc3d2aa00b24340ed506884b6a9d",
+    "uber psi mr_gauged.json": "b038af09421572d71d022068ee0e8485fe15293516bcac751877797fcb906f5d",
+    "uber psi mr_normal.json": "dddb15007f22f76ebc29c631244fb7afe76b878189da6372dd776137a6c09cd9",
+    "uber psi ty_gauged.json": "81f08ca8253865c8eb8e7d7d17b35b5302cc27411aa5074fd2d1a903a60d8b49",
+    "uber psi ty_normal.json": "5e37367690f85c191c08f1f9bdd8693d31708686ebfa455c2fb9f32f66073fa5",
+    "uber reconstruct mr_uber.json": "d483b3ca77ed291eaa5db5491774e05cee3fa02c39683bd39090b1e6dbc5095a",
+    "uber reconstruct ty_uber.json": "a026ea9fb6d4f6efe2d66b9055ce2dcbb472ed87abfa0413289c9a9ae31fc220",
 }
 
 # |H^3| and its invariant factors by universal coefficients (see the module docstring)
@@ -137,3 +176,36 @@ def test_fsys_enumerate_report_bytes(case):
     rule, p = case.split("@")
     argv = ["fsys", "enumerate", "--rule", rule, "--p", p]
     assert _report(argv)[0] == FSYS_DIGESTS[case]
+
+
+@pytest.fixture(scope="module")
+def dictionary_documents(tmp_path_factory):
+    where = tmp_path_factory.mktemp("dictionary")
+    F = Field(17)
+    rng = random.Random(13)
+    for name, fr in (("mr", moore_read()), ("ty", tambara_yamagami(klein_four()))):
+        u = enumerate_uber(Ambi(fr, F), with_orbits=False).class_reps[-1]
+        normal = reconstruct(u)
+        xi = random_gauge(fr.rule, F, rng)
+        gauged = apply_gauge(normal, xi)
+        coeffs = dict(gauged.coeffs)
+        key = rng.choice(sorted(coeffs))
+        coeffs[key] = coeffs[key] * 3 % F.p
+        docs = {
+            "uber": jsonio.uber_to_dict(u),
+            "normal": jsonio.system_to_dict(normal),
+            "xi": jsonio.gauge_to_dict(xi),
+            "gauged": jsonio.system_to_dict(gauged),
+            "bad": jsonio.system_to_dict(FusionSystem(fr.rule, F, coeffs)),
+        }
+        for kind, doc in docs.items():
+            if name == "mr":
+                doc["rule"] = "builtin:mr"
+            (where / f"{name}_{kind}.json").write_text(jsonio.dumps(doc))
+    return where
+
+
+@pytest.mark.parametrize("case", sorted(DICTIONARY_DIGESTS))
+def test_dictionary_report_bytes(case, dictionary_documents, monkeypatch):
+    monkeypatch.chdir(dictionary_documents)
+    assert _report(case.split())[0] == DICTIONARY_DIGESTS[case]

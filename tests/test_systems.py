@@ -472,6 +472,191 @@ def test_gauge_validation(f17, ty2):
         GaugeXi(ty2.rule, f17, bad)
 
 
+# ---- the array checks of the constructors and the gathered gauge -----------------------
+
+# FusionSystem.__init__, GaugeXi.__init__ and apply_gauge as they stood, with a
+# Python loop per key, kept verbatim as oracles for the array checks over the
+# cached key -> slot index and for the gather through the four gauge positions.
+def _reference_fusion_system_init(rule, field, coeffs) -> dict:
+    """The coefficient table FusionSystem.__init__ kept, or the error it raised."""
+    adm = admissible_sextuples(rule)
+    support = set(adm)
+    cleaned: dict[Sextuple, int] = {}
+    for k, val in coeffs.items():
+        k = tuple(int(i) for i in k)
+        if k not in support:
+            raise ValidationError(f"coefficient at inadmissible sextuple {k}")
+        val = int(val) % field.p
+        if val == 0:
+            raise ValidationError(f"zero coefficient at {k}")
+        cleaned[k] = val
+    missing = support - set(cleaned)
+    if missing:
+        raise ValidationError(f"missing coefficients, e.g. {sorted(missing)[0]}")
+    return {k: cleaned[k] for k in adm}
+
+
+def _reference_gauge_xi_init(rule, field, values) -> dict:
+    """The values GaugeXi.__init__ kept, or the error it raised."""
+    support = {(x, y, r) for x, y in product(range(rule.n), repeat=2) for r in rule.support(x, y)}
+    cleaned = {}
+    for k, val in values.items():
+        k = tuple(int(i) for i in k)
+        if k not in support:
+            raise ValidationError(f"gauge value at unsupported triple {k}")
+        val = int(val) % field.p
+        if val == 0:
+            raise ValidationError(f"gauge value must be invertible at {k}")
+        cleaned[k] = val
+    if support - set(cleaned):
+        raise ValidationError("gauge must be total on the support")
+    e = rule.unit
+    for r in range(rule.n):
+        if cleaned[(e, r, r)] != 1 or cleaned[(r, e, r)] != 1:
+            raise ValidationError("gauge must be normalized at the unit")
+    return {k: cleaned[k] for k in sorted(cleaned)}
+
+
+def _reference_apply_gauge(f: FusionSystem, xi: GaugeXi) -> dict:
+    """The coefficient table of the system apply_gauge returned."""
+    if xi.rule != f.rule or xi.field.p != f.field.p:
+        raise DomainError("gauge and system live on different data")
+    p, g = f.field.p, xi.values
+    out = {}
+    for key, val in f.coeffs.items():
+        x, y, z, u, r, v = key
+        out[key] = val * g[(y, z, v)] * g[(x, v, r)] * pow(g[(x, y, u)] * g[(u, z, r)], -1, p) % p
+    return _reference_fusion_system_init(f.rule, f.field, out)
+
+
+def _outcome(build, *args):
+    """What build(*args) gives: its items with the types of keys, key entries
+    and values, or the type and message of what it raised."""
+    try:
+        out = build(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    types = {(type(k), *map(type, k), type(v)) for k, v in out.items()}
+    return list(out.items()), types
+
+
+def _system_init(rule, field, coeffs) -> dict:
+    return FusionSystem(rule, field, coeffs).coeffs
+
+
+def _gauge_init(rule, field, values) -> dict:
+    return GaugeXi(rule, field, values).values
+
+
+def _key_forms(d: dict, n: int, p: int, rng) -> list[dict]:
+    """d in other forms each constructor accepts: shuffled, keyed by numpy
+    ints, by floats (values with a fraction), by digit strings (n <= 10),
+    with values off by multiples of p (beyond int64 too), and with a key whose
+    value is not 1 repeated as a digit string at the end, which wins."""
+    items = list(d.items())
+    rng.shuffle(items)
+    forms = [
+        dict(items),
+        {tuple(map(np.int64, k)): np.int64(v) for k, v in items},
+        {tuple(map(float, k)): v + 0.5 for k, v in items},
+        {k: v + p * rng.choice((2**70, -3, 1)) for k, v in items},
+    ]
+    if n <= 10:
+        forms.append({"".join(map(str, k)): str(v) for k, v in items})
+        k = rng.choice([k for k, v in items if v != 1] or [None])
+        if k is not None:
+            forms.append(d | {"".join(map(str, k)): d[k] % (p - 1) + 1})
+    return forms
+
+
+def _corrupt(d: dict, units: list, p: int, rng) -> dict:
+    """d with 1-3 faults at random items: a key d does not have, a value 0 mod
+    p, a dropped key, a key or value int() rejects, or a unit entry (for a
+    gauge, units lists them) other than 1.  A bad key may come with a bad
+    value, which the key's error comes before."""
+    items = list(d.items())
+    for _ in range(rng.randint(1, 3)):
+        i = rng.choice([j for j, (k, _) in enumerate(items) if isinstance(k, tuple)])
+        k, v = items[i]
+        kind = rng.choice(["outside", "outside", "zero", "zero", "drop", "drop", "key", "value"] + ["unit"] * bool(units))
+        if kind == "outside":
+            far = tuple(x + 1 for x in k) if rng.random() < 0.5 else k[:-1]
+            items[i] = (far if far not in d else k + (0,), rng.choice((v, 0, "x")))
+        elif kind == "zero":
+            items[i] = (k, p * rng.choice((0, 1, -2)))
+        elif kind == "drop" and len(items) > 1:
+            del items[i]
+        elif kind == "key":
+            items[i] = (rng.choice(("ab", 7)), rng.choice((v, 0, None)))
+        elif kind == "value":
+            items[i] = (k, rng.choice(("x", None)))
+        elif kind == "unit":
+            u = rng.choice(units)
+            items = [(key, 2 if key == u else val) for key, val in items]
+    return dict(items)
+
+
+SYSTEM_MESSAGES = ("coefficient at inadmissible sextuple (", "zero coefficient at (", "missing coefficients, e.g. (")
+GAUGE_MESSAGES = (
+    "gauge value at unsupported triple (",
+    "gauge value must be invertible at (",
+    "gauge must be total on the support",
+    "gauge must be normalized at the unit",
+)
+
+
+def _unit_off_at_b(field):
+    """The all-ones system on the three-label rule of _nonassociative_system
+    with 1.b = a, so that (1,b,b) is no gauge key: the gauge loop's unit check
+    raised KeyError there."""
+    from fusionkit import FusionRule
+
+    t = _nonassociative_system(field).rule.table.copy()
+    t[0, 2] = [0, 1, 0]
+    return trivial_system(FusionRule(["1", "a", "b"], t, 0, [0, 1, 2]), field)
+
+
+def test_constructors_reject_as_the_per_key_loops(check_systems, f5):
+    """Seeded broken coefficient tables and gauges raise what the per-key
+    loops raised first, type and message, and every ValidationError message
+    of both constructors is reached."""
+    rng = random.Random(21)
+    seen = set()
+    for f in check_systems + [trivial_system(group_rule(cyclic(2)), f5), _unit_off_at_b(f5)]:
+        rule, F = f.rule, f.field
+        e = rule.unit
+        support = [(x, y, r) for x, y in product(range(rule.n), repeat=2) for r in rule.support(x, y)]
+        gauge = {k: 1 if e in k[:2] else rng.randrange(1, F.p) for k in support}
+        units = [k for r in range(rule.n) for k in ((e, r, r), (r, e, r))]
+        for _ in range(40):
+            for build, reference, table, faults, messages in (
+                (_system_init, _reference_fusion_system_init, f.coeffs, [], SYSTEM_MESSAGES),
+                (_gauge_init, _reference_gauge_xi_init, gauge, units, GAUGE_MESSAGES),
+            ):
+                broken = _corrupt(table, faults, F.p, rng)
+                got = _outcome(build, rule, F, broken)
+                assert got == _outcome(reference, rule, F, broken)
+                kind, text = got
+                seen.add(next((m for m in messages if text.startswith(m)), None) if kind is ValidationError else kind)
+    assert seen == {*SYSTEM_MESSAGES, *GAUGE_MESSAGES, TypeError, ValueError, KeyError}
+
+
+def test_constructors_accept_what_the_per_key_loops_accepted(check_systems, f5):
+    """Tables and gauges keyed by numpy ints, floats or digit strings, with
+    values off by multiples of p, in any order, give the dict the per-key
+    loops gave: keys in order, values, and the types of both."""
+    rng = random.Random(22)
+    for f in check_systems + [trivial_system(group_rule(cyclic(2)), f5)]:
+        rule, F = f.rule, f.field
+        xi = random_gauge(rule, F, rng)
+        for coeffs in _key_forms(f.coeffs, rule.n, F.p, rng):
+            want = _outcome(_reference_fusion_system_init, rule, F, coeffs)
+            assert want[0] is not ValidationError and _outcome(_system_init, rule, F, coeffs) == want
+        for values in _key_forms(xi.values, rule.n, F.p, rng):
+            want = _outcome(_reference_gauge_xi_init, rule, F, values)
+            assert want[0] is not ValidationError and _outcome(_gauge_init, rule, F, values) == want
+
+
 # ---- brute force ------------------------------------------------------------------------
 
 

@@ -34,14 +34,14 @@ from fusionkit import (
     tambara_yamagami,
     verify_fusion_system,
 )
-from fusionkit.cohomology import Units
+from fusionkit.cohomology import Units, coboundary_logs
 from fusionkit.errors import DomainError
 from fusionkit.feudal import FeudalRule, detect_feudal
-from fusionkit.systems import FusionSystem, admissible_sextuples
+from fusionkit import systems
+from fusionkit.systems import FusionSystem, GaugeXi, admissible_sextuples
 from fusionkit import uber
 from fusionkit.uber import (
     Decomposition,
-    _GaugeLattice,
     _gauge_lattice,
     _shape_slots,
     _slot_gauge,
@@ -967,18 +967,36 @@ def _reference_uber_to_vec(u):
     return np.array([F.log(int(v)) for v in vals], dtype=np.int64)
 
 
+def _reference_slot_gauge(ambi: Ambi, slots: list[tuple], exps) -> GaugeTriple:
+    """_slot_gauge before the gather: the product of the generators at slots,
+    generator i to the power exps[i], one slot at a time."""
+    A = ambi
+    theta = {(a, b): A.one() for a in A.serf_ids for b in A.serf_ids}
+    phi = {a: A.one() for a in A.serf_ids}
+    sigma = A.one()
+    for slot, k in zip(slots, exps):
+        val = A.field.exp(int(k))
+        if slot[0] == "theta":
+            theta[slot[1:3]][list(slot[3])] = val
+        elif slot[0] == "phi":
+            phi[slot[1]][slot[2]] = val
+        else:
+            sigma[slot[1]] = val
+    return GaugeTriple(A, theta, phi, sigma)
+
+
 def _reference_gauge_lattice(ambi):
-    """_gauge_lattice before the gather: one GaugeTriple, one gauge_shift and
-    one uber_to_vec per generator."""
+    """(slots, shifts, n) of _gauge_lattice before the gather: one
+    GaugeTriple, one gauge_shift and one uber_to_vec per generator."""
     nonunit = [a for a in ambi.serf_ids if a != ambi.unit_serf]
     slots = [("theta", a, b, orb) for a in nonunit for b in nonunit for orb in ambi.orbits]
     slots += [("phi", a, j) for a in nonunit for j in range(ambi.npoints)]
     slots += [("sigma", j) for j in range(ambi.npoints)]
-    gens = (_slot_gauge(ambi, slots, row) for row in np.eye(len(slots), dtype=np.int64))
+    gens = (_reference_slot_gauge(ambi, slots, row) for row in np.eye(len(slots), dtype=np.int64))
     shifts = np.array(
         [_reference_uber_to_vec(Uberderivation(ambi, *_reference_gauge_shift(ambi, g))) for g in gens]
     )
-    return _GaugeLattice(slots, shifts, ambi.field.p - 1)
+    return slots, shifts, ambi.field.p - 1
 
 
 @pytest.fixture(scope="module")
@@ -998,7 +1016,8 @@ def _same_array(x, y):
 
 
 def _same_lattice(lat, ref):
-    return lat.slots == ref.slots and lat.n == ref.n and _same_array(lat.shifts, ref.shifts)
+    slots, shifts, n = ref
+    return lat.slots == slots and lat.n == n and _same_array(lat.shifts, shifts)
 
 
 def _same_shift(got, want):
@@ -1302,3 +1321,206 @@ def test_shape_slots_are_kept_per_rule_and_let_it_go(f17, monkeypatch):
     del fr, f, g, built
     gc.collect()
     assert rule() is None
+
+
+# ---- the normal system as one signed gather --------------------------------------------
+
+
+def _reference_reconstruct(u: Uberderivation) -> FusionSystem:
+    """reconstruct as it stood: alpha as -d(ups) over the serf group, then
+    alpha1, beta1-3 and gamma by the multiplicative formulas, one Ambi chain
+    per serf pair, assembled through the shape slots."""
+    u.validate()
+    A = u.ambi
+    fr = A.feudal
+    F = A.field
+    inv, mul = fr.serf_inv, fr.serf_mul
+    serfs = fr.serf_ids
+    chi, ups, tau = u.chi, u.ups, u.tau
+
+    # alpha = (d ups)^-1, one signed gather over the serf group in log coordinates
+    mod = Units(F, A)
+    ups_logs = mod.log([ups[k] for k in product(serfs, repeat=2)])
+    alpha_logs = -coboundary_logs(ups_logs, mod, fr.serf_group, 2, "left") % (F.p - 1)
+    alpha = dict(zip(product(serfs, repeat=3), Units(F).exp(alpha_logs[:, :1])))
+
+    alpha1, alpha2, alpha3 = {}, {}, {}
+    beta1, beta2, beta3, gamma = {}, {}, {}, {}
+    for s, t in product(serfs, repeat=2):
+        si, ti = inv(s), inv(t)
+        alpha2[(s, t)] = chi[(s, t)].copy()
+        alpha3[(s, t)] = ups[(s, t)].copy()
+        alpha1[(s, t)] = A.inv(A.ract(A.bar(ups[(s, t)]), mul(s, t)))
+        beta1[(s, t)] = A.div(
+            A.const(alpha[(ti, s, mul(si, t))]), A.act(mul(si, t), ups[(ti, s)])
+        )
+        beta2[(s, t)] = A.mul(
+            ups[(t, ti)], A.inv(A.ract(ups[(t, ti)], si)), A.ract(chi[(t, s)], si)
+        )
+        gamma[(s, t)] = A.div(
+            A.act(t, A.div(A.mul(tau, A.bar(ups[(si, s)])), A.ract(ups[(ti, t)], s))),
+            chi[(t, s)],
+        )
+        beta3[(s, t)] = A.div(
+            A.mul(A.bar(ups[(s, ti)]), A.ract(tau, si)),
+            A.mul(A.const(alpha[(s, ti, t)]), A.const(alpha[(mul(s, ti), mul(t, si), s)]), tau),
+        )
+    dec = Decomposition(fr, F, alpha, alpha1, alpha2, alpha3, beta1, beta2, beta3, gamma)
+    return _reference_assemble(dec)
+
+
+def _reference_apply_gauge_uber(u: Uberderivation, g: GaugeTriple) -> Uberderivation:
+    """apply_gauge_uber as it stood: one Ambi.mul per serf pair."""
+    A = u.ambi
+    chi_s, ups_s, tau_s = gauge_shift(A, g)
+    chi = {k: A.mul(v, chi_s[k]) for k, v in u.chi.items()}
+    ups = {k: A.mul(v, ups_s[k]) for k, v in u.ups.items()}
+    return Uberderivation(A, chi, ups, A.mul(u.tau, tau_s))
+
+
+def _reference_eq(u1: Uberderivation, u2: Uberderivation) -> bool:
+    """Uberderivation.__eq__ as it stood: one Ambi.eq per entry."""
+    A = u1.ambi
+    return (
+        A.feudal.rule == u2.ambi.feudal.rule
+        and A.field.p == u2.ambi.field.p
+        and all(A.eq(u1.chi[k], u2.chi[k]) for k in u1.chi)
+        and all(A.eq(u1.ups[k], u2.ups[k]) for k in u1.ups)
+        and A.eq(u1.tau, u2.tau)
+    )
+
+
+def _reference_zeros(u: Uberderivation) -> list:
+    """The invertibility scan of report as it stood: one check per serf pair."""
+    A = u.ambi
+    zeros = [k for k in u.chi if not (A.is_invertible(u.chi[k]) and A.is_invertible(u.ups[k]))]
+    if not A.is_invertible(u.tau):
+        zeros.append("tau")
+    return zeros
+
+
+def _same_triple(u1: Uberderivation, u2: Uberderivation) -> bool:
+    return _same_shift((u1.chi, u1.ups, u1.tau), (u2.chi, u2.ups, u2.tau))
+
+
+def _same_table(got: dict, want: dict) -> bool:
+    """Equal coefficient or gauge tables: keys in order, values, and int types throughout."""
+    types = {type(v) for v in got.values()} | {type(i) for k in got for i in k}
+    return list(got.items()) == list(want.items()) and types == {int}
+
+
+def _dictionary_triples(A, rng):
+    """Up to two gauge class representatives, and each under a seeded random
+    gauge triple (generic entries, so every exponent coordinate is used)."""
+    reps = enumerate_uber(A, with_orbits=False).class_reps[:2]
+    return reps + [_reference_apply_gauge_uber(u, _random_gauge_triple(A, rng)) for u in reps]
+
+
+def _dictionary_checks(A, rng) -> list[bool]:
+    """Whether reconstruct and apply_gauge give the per-pair and per-key loops
+    on each triple of A: the same tables, in order and types."""
+    from test_systems import _reference_apply_gauge
+
+    same = []
+    for u in _dictionary_triples(A, rng):
+        f = reconstruct(u)
+        same.append(_same_table(f.coeffs, _reference_reconstruct(u).coeffs))
+        xi = random_gauge(A.feudal.rule, A.field, rng)
+        same.append(_same_table(apply_gauge(f, xi).coeffs, _reference_apply_gauge(f, xi)))
+    return same
+
+
+def test_reconstruct_and_apply_gauge_match_reference(gauge_rules):
+    """On the 21 rules, the gathered reconstruct and apply_gauge give the
+    loops they replace, and both constructors keep what the per-key loops
+    kept on tables keyed by numpy ints, floats or digit strings."""
+    from test_systems import _key_forms, _reference_fusion_system_init, _reference_gauge_xi_init
+
+    rng = random.Random(51)
+    checks = []
+    for A in gauge_rules:
+        checks += _dictionary_checks(A, rng)
+        rule, F = A.feudal.rule, A.field
+        noise = {k: rng.randrange(1, F.p) for k in admissible_sextuples(rule)}
+        xi = random_gauge(rule, F, rng)
+        for coeffs in _key_forms(noise, rule.n, F.p, rng):
+            assert _same_table(FusionSystem(rule, F, coeffs).coeffs, _reference_fusion_system_init(rule, F, coeffs))
+        for values in _key_forms(xi.values, rule.n, F.p, rng):
+            assert _same_table(GaugeXi(rule, F, values).values, _reference_gauge_xi_init(rule, F, values))
+    assert len(checks) == 96 and all(checks)
+
+
+def _flip_last_term(name):
+    """The reconstruct gather with the last term of every row of one shape
+    entering with the wrong sign."""
+
+    def mutate(gather, A):
+        src, signs = gather
+        signs = signs.copy()
+        rows = _shape_slots(A.feudal)[name].ravel()
+        last = np.count_nonzero(signs[rows[0]]) - 1
+        signs[rows, last] *= -1
+        return src, signs
+
+    return mutate
+
+
+@pytest.mark.parametrize("name", ["alpha", "alpha1", "alpha2", "alpha3", "beta1", "beta2", "beta3", "gamma"])
+def test_reconstruct_reference_catches_a_sign_flip(gauge_rules, monkeypatch, name):
+    """A gather with one sign flipped in any shape fails the comparison."""
+    real, mutate = uber._reconstruct_gather, _flip_last_term(name)
+    monkeypatch.setattr(uber, "_reconstruct_gather", lambda A: mutate(real(A), A))
+    rng = random.Random(52)
+    assert not all(all(_dictionary_checks(A, rng)) for A in gauge_rules[-5:])
+
+
+@pytest.mark.parametrize("order", [[2, 1, 0, 3], [0, 3, 2, 1], [3, 1, 2, 0], [0, 2, 1, 3]])
+def test_apply_gauge_reference_catches_swapped_positions(gauge_rules, monkeypatch, order):
+    """A gauge gather with a numerator position (y,z,v) or (x,v,r) swapped
+    with a denominator one (x,y,u) or (u,z,r) fails the comparison."""
+    real = systems._gauge_positions
+    monkeypatch.setattr(systems, "_gauge_positions", lambda rule: real(rule)[order])
+    rng = random.Random(53)
+    assert not all(all(_dictionary_checks(A, rng)) for A in gauge_rules[-5:])
+
+
+def test_uberderivation_arrays_match_reference(gauge_rules):
+    """__eq__, the invertibility scan of report, apply_gauge_uber and
+    _slot_gauge, as array operations, give the per-pair loops: on triples
+    with their keys in shuffled order, with zero entries, and equal or not."""
+    rng = random.Random(54)
+    for A in gauge_rules:
+        lat = _gauge_lattice(A)
+        exps = [rng.randrange(-A.field.p, 2 * A.field.p) for _ in lat.slots]
+        got, want = _slot_gauge(A, lat, exps), _reference_slot_gauge(A, lat.slots, exps)
+        assert _same_shift((got.theta, got.phi, got.sigma), (want.theta, want.phi, want.sigma))
+        for u in _dictionary_triples(A, rng):
+            keys = list(u.chi)
+            rng.shuffle(keys)
+            shuffled = Uberderivation(A, {k: u.chi[k] for k in keys}, {k: u.ups[k] for k in keys[::-1]}, u.tau)
+            g = _random_gauge_triple(A, rng)
+            assert _same_triple(apply_gauge_uber(shuffled, g), _reference_apply_gauge_uber(shuffled, g))
+            moved = _reference_apply_gauge_uber(u, g)
+            for v in (u, shuffled, moved):
+                assert (shuffled == v) == _reference_eq(shuffled, v) and (v == shuffled) == _reference_eq(v, shuffled)
+            for part in rng.sample(["chi", "ups", "tau"], 2):
+                entry = shuffled.tau if part == "tau" else getattr(shuffled, part)[rng.choice(keys)]
+                entry[rng.randrange(A.npoints)] = 0
+            assert shuffled.report()["invertible"] == _reference_zeros(shuffled)
+
+
+def test_dictionary_detects_the_feudal_structure_once_per_rule(f17, monkeypatch):
+    """decompose, is_normal, normalize and psi without a FeudalRule verify the
+    rule once, however often they are called on its systems."""
+    from fusionkit import feudal
+
+    calls = []
+    real = feudal.verify_fusion_rule
+    monkeypatch.setattr(feudal, "verify_fusion_rule", lambda rule: calls.append(rule) or real(rule))
+    fr = tambara_yamagami(cyclic(4), lord_label="q")  # a rule no other test holds
+    f = reconstruct(enumerate_uber(Ambi(fr, f17), with_orbits=False).class_reps[0])
+    g = apply_gauge(f, random_gauge(fr.rule, f17, random.Random(3)))
+    for h in (f, g, f, g):
+        decompose(h), is_normal(h), normalize(h), psi(h)
+    assert len(calls) == 1
+    assert decompose(g).feudal.serfs == fr.serfs
