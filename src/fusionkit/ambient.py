@@ -38,6 +38,12 @@ class Ambi:
     def unit_serf(self) -> int:
         return self.feudal.rule.unit
 
+    @property
+    def key(self) -> tuple:
+        """The content key: rule, serf set, p and primitive root.  Plain numbers,
+        so the compiled store keeps no Field's log and exp tables alive."""
+        return self.feudal.key, self.field.p, self.field.generator
+
     # ---- elements ---------------------------------------------------------
 
     def one(self) -> np.ndarray:
@@ -96,5 +102,5 @@ class Ambi:
         return (tuple(range(self.npoints)),)
 
     def in_fix(self, mu) -> bool:
-        mu = np.asarray(mu) % self.field.p
-        return all(len({int(mu[i]) for i in orb}) == 1 for orb in self.orbits)
+        mu = (np.asarray(mu) % self.field.p).tolist()
+        return mu.count(mu[0]) == len(mu)  # constant on the one lord orbit

@@ -191,7 +191,7 @@ def coboundary(h: Cochain, side: str = "left") -> Cochain:
     if side not in ("left", "right"):
         raise DomainError("side must be 'left' or 'right'")
     A = h.module.ambi
-    if side == "right" and h.degree == 3 and A is not None and len(A.orbits) != A.npoints:
+    if side == "right" and h.degree == 3 and A is not None and A.npoints > 1:
         raise DomainError("degree-3 right coboundary is only defined for trivial actions")
     logs = coboundary_logs(h.logs(), h.module, h.group, h.degree, side)
     return Cochain.from_logs(h.group, h.degree + 1, logs, h.module)
@@ -269,11 +269,10 @@ def h3(g: FiniteGroup, field: Field) -> H3Report:
     D3 = _coboundary_matrix(g, 3)
     D2 = _coboundary_matrix(g, 2)
     kernel = nullspace_mod(D3, n)
-    image = [D2[:, j] % n for j in range(D2.shape[1])]
-    for v in image:
-        if (D3 @ v % n).any():
-            raise ValidationError("coboundary image is not closed")  # dd != 1
-    quot = quotient_structure(kernel, image, D3.shape[1], n)
+    src, signs, _, _ = _delta(g, 3, "left")  # D3 @ D2 as a gather of D2's rows
+    if (np.tensordot(D2[src], signs, (1, 0)) % n).any():
+        raise ValidationError("coboundary image is not closed")  # dd != 1
+    quot = quotient_structure(kernel, (D2 % n).T, D3.shape[1], n)
     mod = Units(field)
     reps = []
     for vec in quot.representatives(limit=4096):

@@ -129,6 +129,10 @@ class FeudalRule:
     def serf_inv(self, a: int) -> int:
         return int(self.rule.dual[a])
 
+    @property
+    def key(self) -> tuple:
+        return self.rule.key, self.serfs
+
     def __repr__(self):
         return f"FeudalRule({len(self.serfs)} serfs, {len(self.lords)} lords)"
 

@@ -114,6 +114,20 @@ class FusionRule:
         return FusionRule([self.labels[g] for g in ids], sub, pos[self.unit], dual)
 
 
+# every table compiled from a rule, a FeudalRule or an Ambi, by (build, owner.key)
+_COMPILED_CACHE: dict[tuple, object] = {}
+
+
+def compiled(owner, build):
+    """build(owner), built once per build and content key of owner (a
+    FusionRule, FeudalRule or Ambi), so equal owners made apart share it.
+    No value refers to its owner, so the store keeps no rule alive."""
+    key = (build, owner.key)
+    if key not in _COMPILED_CACHE:
+        _COMPILED_CACHE[key] = build(owner)
+    return _COMPILED_CACHE[key]
+
+
 def as_multiset(rule: FusionRule, x) -> np.ndarray:
     """Coerce labels / label->multiplicity dicts / vectors to a count vector."""
     if isinstance(x, np.ndarray):

@@ -15,9 +15,13 @@ position in FusionSystem.coeffs, or the trailing 0 slot for an inadmissible
 key.  The brute-force search holds one value per slot and propagates over the
 live instances of the compiled program, and the feudal dictionary of
 fusionkit.uber reads and writes the same slots.  FusionSystem and GaugeXi
-validate their tables as arrays over a key -> slot index kept per rule, and
-apply_gauge is one gather: the logs of the gauge at the four support
-positions of each slot, added and subtracted, back through the exp table.
+validate their tables as arrays over a key -> slot index, and apply_gauge is
+one gather: the logs of the gauge at the four support positions of each slot,
+added and subtracted, back through the exp table.
+
+The admissible sextuples, the slot and support indices, the gauge positions
+and the pentagon program are compiled once per rule content through
+rules.compiled, the one store of every table compiled from a rule.
 """
 
 from __future__ import annotations
@@ -30,24 +34,19 @@ import numpy as np
 
 from .errors import DomainError, ResourceError, ValidationError
 from .fields import Field
-from .rules import FusionRule
+from .rules import FusionRule, compiled
 
 Sextuple = tuple[int, int, int, int, int, int]
-
-_ADMISSIBLE_CACHE: dict[bytes, list[Sextuple]] = {}
-_SLOT_CACHE: dict[bytes, dict[Sextuple, int]] = {}
-_SUPPORT_CACHE: dict[bytes, dict[tuple[int, int, int], int]] = {}
-_GAUGE_CACHE: dict[bytes, np.ndarray] = {}
-_PENTAGON_CACHE: dict[bytes, _PentagonProgram] = {}
 
 
 def admissible_sextuples(rule: FusionRule) -> list[Sextuple]:
     """The exact support lattice of any fusion system on the rule."""
     if not rule.is_multiplicity_free:
         raise DomainError("only multiplicity-free rules carry fusion systems here")
-    cached = _ADMISSIBLE_CACHE.get(rule.key)
-    if cached is not None:
-        return cached
+    return compiled(rule, _admissible)
+
+
+def _admissible(rule: FusionRule) -> list[Sextuple]:
     out: list[Sextuple] = []
     n = rule.n
     for x, y, z in product(range(n), repeat=3):
@@ -58,27 +57,20 @@ def admissible_sextuples(rule: FusionRule) -> list[Sextuple]:
                 for r in uz:
                     if r in xv:
                         out.append((x, y, z, u, r, v))
-    _ADMISSIBLE_CACHE[rule.key] = out
     return out
 
 
 def _slot_index(rule: FusionRule) -> dict[Sextuple, int]:
     """Each admissible sextuple's slot, its position in admissible_sextuples,
-    in that order; built once per rule."""
-    cached = _SLOT_CACHE.get(rule.key)
-    if cached is None:
-        cached = _SLOT_CACHE[rule.key] = {k: i for i, k in enumerate(admissible_sextuples(rule))}
-    return cached
+    in that order."""
+    return {k: i for i, k in enumerate(admissible_sextuples(rule))}
 
 
 def _support_index(rule: FusionRule) -> dict[tuple[int, int, int], int]:
     """Each triple (x,y,r) of the gauge support, r in xy, at its position in
-    sorted order; built once per rule."""
-    cached = _SUPPORT_CACHE.get(rule.key)
-    if cached is None:
-        support = sorted((x, y, r) for x, y in product(range(rule.n), repeat=2) for r in rule.support(x, y))
-        cached = _SUPPORT_CACHE[rule.key] = {k: i for i, k in enumerate(support)}
-    return cached
+    sorted order."""
+    support = sorted((x, y, r) for x, y in product(range(rule.n), repeat=2) for r in rule.support(x, y))
+    return {k: i for i, k in enumerate(support)}
 
 
 def _residues(index: dict, values: dict, p: int, outside: str, zero: str) -> np.ndarray:
@@ -123,7 +115,7 @@ class FusionSystem:
     def __init__(self, rule: FusionRule, field: Field, coeffs: dict):
         self.rule = rule
         self.field = field
-        index = _slot_index(rule)
+        index = compiled(rule, _slot_index)
         c = _residues(index, coeffs, field.p, "coefficient at inadmissible sextuple {}", "zero coefficient at {}")
         missing = np.flatnonzero(c < 0)
         if missing.size:
@@ -290,12 +282,9 @@ class _PentagonProgram:
 
 
 def _pentagon_program(rule: FusionRule) -> _PentagonProgram:
-    """The rule's _PentagonProgram, compiled on first use: one walk of the
-    pentagon instances, one of the recoupling blocks."""
-    cached = _PENTAGON_CACHE.get(rule.key)
-    if cached is not None:
-        return cached
-    slot = _slot_index(rule)
+    """The rule's _PentagonProgram: one walk of the pentagon instances, one of
+    the recoupling blocks."""
+    slot = compiled(rule, _slot_index)
     zero = len(slot)
     n, e = rule.n, rule.unit
     sup = [rule.support(a, b) for a in range(n) for b in range(n)]
@@ -365,7 +354,7 @@ def _pentagon_program(rule: FusionRule) -> _PentagonProgram:
         at = (us.index(e), vs.index(e)) if e in us and e in vs else None
         rigidity.append((position.get((rb, r, rb, rb)), at, slot.get((r, rb, r, e, r, e), zero)))
     triples = [(x, y, r) for x, y in product(range(n), repeat=2) for r in sup[x * n + y]]
-    prog = _PentagonProgram(
+    return _PentagonProgram(
         total=total,
         lhs=np.frombuffer(lhs, np.intc).reshape(-1, 2),
         terms=np.frombuffer(terms, np.intc).reshape(-1, 3),
@@ -384,8 +373,6 @@ def _pentagon_program(rule: FusionRule) -> _PentagonProgram:
             [(slot.get((e, x, y, x, r, r), zero), slot.get((x, y, e, r, r, y), zero)) for x, y, r in triples], np.intp
         ).reshape(-1, 2),
     )
-    _PENTAGON_CACHE[rule.key] = prog
-    return prog
 
 
 @dataclass
@@ -420,7 +407,7 @@ class SystemReport:
 
 
 def verify_fusion_system(f: FusionSystem, witness_cap: int = 16) -> SystemReport:
-    prog = _pentagon_program(f.rule)
+    prog = compiled(f.rule, _pentagon_program)
     p = f.field.p
     raw = np.append(np.fromiter(f.coeffs.values(), np.int64, len(f.coeffs)), 0)
     c = raw % p
@@ -459,7 +446,7 @@ class GaugeXi:
     def __init__(self, rule: FusionRule, field: Field, values: dict):
         self.rule = rule
         self.field = field
-        index = _support_index(rule)
+        index = compiled(rule, _support_index)
         v = _residues(index, values, field.p, "gauge value at unsupported triple {}", "gauge value must be invertible at {}")
         if (v < 0).any():
             raise ValidationError("gauge must be total on the support")
@@ -497,16 +484,14 @@ def random_gauge(rule: FusionRule, field: Field, rng) -> GaugeXi:
 
 def _gauge_positions(rule: FusionRule) -> np.ndarray:
     """(4, K): for each admissible sextuple (x,y,z,u,r,v), the support
-    positions of (y,z,v), (x,v,r), (x,y,u) and (u,z,r); built once per rule."""
-    cached = _GAUGE_CACHE.get(rule.key)
-    if cached is None:
-        n, support = rule.n, _support_index(rule)
-        at = np.full((n, n, n), -1, np.intp)
-        at[tuple(np.array(list(support), np.intp).reshape(-1, 3).T)] = np.arange(len(support))
-        x, y, z, u, r, v = np.array(admissible_sextuples(rule), np.intp).reshape(-1, 6).T
-        cached = _GAUGE_CACHE[rule.key] = np.stack([at[y, z, v], at[x, v, r], at[x, y, u], at[u, z, r]])
-        cached.flags.writeable = False
-    return cached
+    positions of (y,z,v), (x,v,r), (x,y,u) and (u,z,r)."""
+    n, support = rule.n, compiled(rule, _support_index)
+    at = np.full((n, n, n), -1, np.intp)
+    at[tuple(np.array(list(support), np.intp).reshape(-1, 3).T)] = np.arange(len(support))
+    x, y, z, u, r, v = np.array(admissible_sextuples(rule), np.intp).reshape(-1, 6).T
+    out = np.stack([at[y, z, v], at[x, v, r], at[x, y, u], at[u, z, r]])
+    out.flags.writeable = False
+    return out
 
 
 def apply_gauge(f: FusionSystem, xi: GaugeXi) -> FusionSystem:
@@ -517,7 +502,7 @@ def apply_gauge(f: FusionSystem, xi: GaugeXi) -> FusionSystem:
         raise DomainError("gauge and system live on different data")
     F = f.field
     logs = F._log_table[np.fromiter(xi.values.values(), np.int64, len(xi.values))]
-    yzv, xvr, xyu, uzr = logs[_gauge_positions(f.rule)]
+    yzv, xvr, xyu, uzr = logs[compiled(f.rule, _gauge_positions)]
     c = np.fromiter(f.coeffs.values(), np.int64, len(f.coeffs))
     out = c * F._exp_table[(yzv + xvr - xyu - uzr) % (F.p - 1)] % F.p
     return FusionSystem(f.rule, F, dict(zip(f.coeffs, out.tolist())))
@@ -548,13 +533,13 @@ def enumerate_fusion_systems_bruteforce(
         raise ResourceError(f"search space of {bits} bits exceeds budget {budget_bits}")
 
     from .feudal import detect_feudal
-    from .uber import _per_ambi, _shape_slots
+    from .uber import _shape_slots
 
     p, e = field.p, rule.unit
     pinned = {i for i, k in enumerate(adm) if e in k[:3]}
     fr = detect_feudal(rule)
     if fr is not None:
-        shapes, at = _per_ambi(fr, _shape_slots), fr.serf_ids.index(e)
+        shapes, at = compiled(fr, _shape_slots), fr.serf_ids.index(e)
         s = len(fr.serf_ids)
         for name in ("beta1", "beta2"):
             pinned.update(shapes[name][at::s].ravel().tolist())
@@ -564,7 +549,7 @@ def enumerate_fusion_systems_bruteforce(
     variables = [i for i in range(len(adm)) if i not in pinned]
 
     # the live instances: their lhs pair, their term triples and every slot they read
-    prog = _pentagon_program(rule)
+    prog = compiled(rule, _pentagon_program)
     lhs, triples = prog.lhs.tolist(), prog.terms.tolist()
     terms = [[] for _ in lhs]
     bounds = [*prog.starts.tolist(), len(triples)]

@@ -4,13 +4,12 @@ A triple (chi, ups, tau) valued in the ambient algebra B = F^M classifies
 fusion systems on a feudal rule up to gauge.  The dictionary runs through
 psi() (read a triple off a system) and reconstruct() (build the unique normal
 system with that triple back).  Both go through the eight index shapes of a
-feudal rule, written once as slots into the coefficient vector of a system
-and built once per rule and serf set: decompose is a gather through them and
-assemble a scatter.  reconstruct is one signed gather too, from the
-exponent coordinates of a triple to the coefficient slots of its normal
-system (_reconstruct_gather, built once per Ambi): alpha2 and alpha3 are chi
-and ups, alpha is minus the coboundary of ups (cohomology._delta), and the
-other shapes are their monomial formulas in logs.
+feudal rule, written once as slots into the coefficient vector of a system:
+decompose is a gather through them and assemble a scatter.  reconstruct is
+one signed gather too, from the exponent coordinates of a triple to the
+coefficient slots of its normal system (_reconstruct_gather): alpha2 and
+alpha3 are chi and ups, alpha is minus the coboundary of ups
+(cohomology._delta), and the other shapes are their monomial formulas in logs.
 
 Gauge classing happens in discrete-log coordinates: every multiplicative
 axiom is an affine-linear equation over Z_(p-1), gauge shifts span a
@@ -19,24 +18,27 @@ post-filtered by the one non-monomial condition (the character-sum
 nondegeneracy).
 
 Each monomial axiom is encoded once, as named rows of uber_constraint_system
-(the axiom and its witness), built once per Ambi.  Uberderivation.report reads
-its failures off those rows and checks only the nondegeneracy directly.
+(the axiom and its witness).  Uberderivation.report reads its failures off
+those rows and checks only the nondegeneracy directly.
 
 The gauge action is encoded once, as the signed gather of _gauge_gather from
-gauge log coordinates (theta, phi, sigma) to exponent coordinates, built once
-per Ambi.  gauge_shift takes a gauge through it and back through the exp
-table; the gauge-shift lattice is the gather applied to the logs of all gauge
-generators at once.  Classification takes cosets of that lattice, and gauge
-equivalence is a span test on it (is the exponent difference of two triples a
-combination of the generator shifts?).
+gauge log coordinates (theta, phi, sigma) to exponent coordinates.
+gauge_shift takes a gauge through it and back through the exp table; the
+gauge-shift lattice is the gather applied to the logs of all gauge generators
+at once.  Classification takes cosets of that lattice, and gauge equivalence
+is a span test on it (is the exponent difference of two triples a combination
+of the generator shifts?).
 Equivalence classes are orbits of the gauge classes under the graded rule
 automorphisms: each automorphism permutes exponent coordinates, and the coset
 a moved class lands in is read off by its index in the quotient.
+
+The shape slots, the axiom rows, the gathers and the gauge-shift lattice are
+compiled through rules.compiled, keyed by the content of their FeudalRule or
+Ambi (rule, serf set, field), so every Ambi on the same data shares them.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -48,7 +50,7 @@ from .cohomology import Units, _delta
 from .errors import DomainError, ResourceError, UnsupportedFieldError, ValidationError
 from .fields import Field, nth_roots_of
 from .feudal import FeudalRule, detect_feudal
-from .rules import FusionRule, automorphisms as rule_automorphisms
+from .rules import FusionRule, automorphisms as rule_automorphisms, compiled
 from .systems import FusionSystem, GaugeXi, _slot_index, admissible_sextuples
 from .zmodlin import SmithMod, factor_mod, nullspace_mod, quotient_structure, solve_mod
 
@@ -98,7 +100,7 @@ class Uberderivation:
             zeros.append("tau")
         if zeros:
             return {"invertible": zeros}  # such a triple has no exponent coordinates
-        rows = _per_ambi(A, _axiom_rows)
+        rows = compiled(A, _axiom_rows)
         issues = rows.failures(uber_to_vec(self))
         degenerate = _degenerate_on_A(A, self.chi)
         if degenerate:
@@ -222,12 +224,13 @@ class Decomposition:
 def _shape_slots(fr: FeudalRule) -> dict[str, np.ndarray]:
     """decompose's eight sextuple formulas, each written once, as slots into the
     coefficient vector (the values of FusionSystem.coeffs, then a 0 at
-    len(adm) for an inadmissible key); _per_ambi keeps them.
+    len(adm) for an inadmissible key); compiled keeps them per rule and serf
+    set, so every FeudalRule on them finds them.
 
     Each shape is an (s^2, K) array: row (a,b) in product(serfs, repeat=2)
     order, and column c a serf for alpha, m a lord for the others.
     """
-    slot = _slot_index(fr.rule)
+    slot = compiled(fr.rule, _slot_index)
     zero = len(slot)
     serfs = fr.serf_ids
     inv, mul = fr.serf_inv, fr.serf_mul
@@ -256,14 +259,14 @@ def decompose(f: FusionSystem, fr: FeudalRule | None = None) -> Decomposition:
     """Read the eight coefficient functions off a fusion system: one gather of
     its coefficient vector through the shape slots."""
     if fr is None:
-        found = _per_ambi(f.rule, _feudal_structure)
+        found = compiled(f.rule, _feudal_structure)
         if found is None:
             raise DomainError("rule carries no feudal structure")
         fr = FeudalRule(f.rule, *found)
     if fr.rule != f.rule:
         raise DomainError("feudal structure belongs to a different rule")
     c = np.append(np.fromiter(f.coeffs.values(), np.int64, len(f.coeffs)), 0)
-    shapes = _per_ambi(fr, _shape_slots)
+    shapes = compiled(fr, _shape_slots)
     pairs = list(product(fr.serf_ids, repeat=2))
     alpha = dict(zip(product(fr.serf_ids, repeat=3), c[shapes["alpha"]].ravel().tolist()))
     rest = {name: dict(zip(pairs, c[slots])) for name, slots in shapes.items() if name != "alpha"}
@@ -271,7 +274,7 @@ def decompose(f: FusionSystem, fr: FeudalRule | None = None) -> Decomposition:
 
 
 def _feudal_structure(rule: FusionRule) -> tuple[frozenset, int] | None:
-    """The serf set and grading count of detect_feudal(rule), or None; _per_ambi
+    """The serf set and grading count of detect_feudal(rule), or None; compiled
     keeps it, so decompose without a FeudalRule detects once per rule."""
     fr = detect_feudal(rule)
     return None if fr is None else (fr.serfs, fr.grading_count)
@@ -283,7 +286,7 @@ def assemble(dec: Decomposition) -> FusionSystem:
     fr, F = dec.feudal, dec.field
     adm = admissible_sextuples(fr.rule)
     c = np.zeros(len(adm) + 1, np.int64)
-    for name, slots in _per_ambi(fr, _shape_slots).items():
+    for name, slots in compiled(fr, _shape_slots).items():
         vals = getattr(dec, name)
         c[slots.ravel()] = np.ravel([vals[k] for k in product(fr.serf_ids, repeat=3 if name == "alpha" else 2)])
     return FusionSystem(fr.rule, F, dict(zip(adm, (c % F.p).tolist())))
@@ -406,7 +409,7 @@ def reconstruct(u: Uberderivation) -> FusionSystem:
     u.validate()
     A = u.ambi
     F = A.field
-    src, signs = _per_ambi(A, _reconstruct_gather)
+    src, signs = compiled(A, _reconstruct_gather)
     logs = (uber_to_vec(u)[src] * signs).sum(axis=1) % (F.p - 1)
     adm = admissible_sextuples(A.feudal.rule)
     return FusionSystem(A.feudal.rule, F, dict(zip(adm, F._exp_table[logs].tolist())))
@@ -454,7 +457,7 @@ def _reconstruct_gather(ambi: Ambi) -> tuple[np.ndarray, np.ndarray]:
         ),
         "gamma": ([tau(k), ups(ai, a, bar[k]), ups(bi, b, act[e, a, k]), chi(b, a, j)], [1, 1, -1, -1]),
     }
-    slots = _per_ambi(fr, _shape_slots)
+    slots = compiled(fr, _shape_slots)
     width = max(len(term_signs) for _, term_signs in shapes.values())
     src = np.zeros((len(admissible_sextuples(fr.rule)), width), np.intp)
     signs = np.zeros(src.shape, np.int64)
@@ -489,26 +492,6 @@ class _GaugeLattice:
     def solver(self) -> SmithMod:
         """shifts.T factored once: solver.solve(v, n) gives c with c @ shifts = v."""
         return factor_mod(self.shifts.T, self.n)
-
-
-_PER_AMBI: "weakref.WeakKeyDictionary[Ambi | FusionRule, dict]" = weakref.WeakKeyDictionary()
-
-
-def _per_ambi(owner: Ambi | FeudalRule | FusionRule, build):
-    """build(owner), built on first use: the axiom rows, gauge-shift lattice
-    or gathers of an Ambi, kept while the Ambi lives; the shape slots of a
-    FeudalRule, kept per rule and serf set while the rule lives (so every
-    FeudalRule on one rule and serf set finds them); or the detected feudal
-    structure of a FusionRule, kept while the rule lives.  No value refers to
-    the object that keys it weakly, so each CLI run starts cold."""
-    if isinstance(owner, FeudalRule):
-        key, entry = owner.rule, (build, owner.serfs)
-    else:
-        key, entry = owner, build
-    derived = _PER_AMBI.setdefault(key, {})
-    if entry not in derived:
-        derived[entry] = build(owner)
-    return derived[entry]
 
 
 def _slot_gauge(ambi: Ambi, lat: _GaugeLattice, exps) -> GaugeTriple:
@@ -559,12 +542,13 @@ def _shift_logs(ambi: Ambi, logs: np.ndarray) -> np.ndarray:
     """The exponent-space shifts, mod p - 1, of gauges given by their log
     coordinates: one gauge, or a (K, coordinates) batch of K."""
     logs = np.asarray(logs)
-    out = [logs[..., src] @ signs for src, signs in _per_ambi(ambi, _gauge_gather)]
+    out = [logs[..., src] @ signs for src, signs in compiled(ambi, _gauge_gather)]
     return np.concatenate(out, axis=-1) % (ambi.field.p - 1)
 
 
 def _gauge_lattice(ambi: Ambi) -> _GaugeLattice:
-    """The gauge-shift lattice of ambi; _per_ambi keeps it."""
+    """The gauge-shift lattice of ambi; compiled keeps it per rule, serf set
+    and field, so every Ambi on them finds it."""
     A = ambi
     s, m = len(A.serf_ids), A.npoints
     at = {a: i for i, a in enumerate(A.serf_ids)}
@@ -598,7 +582,7 @@ def gauge_equivalent_uber(u1: Uberderivation, u2: Uberderivation) -> GaugeTriple
     A = u1.ambi
     if A.feudal.rule != u2.ambi.feudal.rule or A.field.p != u2.ambi.field.p:
         raise DomainError("uberderivations live on different data")
-    lat = _per_ambi(A, _gauge_lattice)
+    lat = compiled(A, _gauge_lattice)
     c = lat.solver.solve(uber_to_vec(u2) - uber_to_vec(u1), lat.n)
     if c is None:
         return None
@@ -829,7 +813,7 @@ def uber_constraint_system(ambi: Ambi):
     |A| tau taubar = 1, whose right-hand side is -log|A|.  When |A| vanishes
     in F there are no solutions at all, and matrix and rhs are None.
     """
-    rows = _per_ambi(ambi, _axiom_rows)
+    rows = compiled(ambi, _axiom_rows)
     keys = uber_unknown_keys(ambi)
     return (None, None, keys) if rows.a_vanishes else (rows.mat, rows.rhs, keys)
 
@@ -910,7 +894,7 @@ def enumerate_uber(ambi: Ambi, *, with_orbits: bool = True) -> UberClassificatio
     if x0 is None:
         return UberClassification(A, obst, [], [], [], lattice_info | {"consistent": False})
     hom = nullspace_mod(mat, n)
-    gauge = _per_ambi(A, _gauge_lattice).shifts
+    gauge = compiled(A, _gauge_lattice).shifts
     if (mat @ gauge.T % n).any():
         raise ValidationError("gauge shift violates the monomial axioms")
     shifts = [v for v in gauge if v.any()]
@@ -921,7 +905,7 @@ def enumerate_uber(ambi: Ambi, *, with_orbits: bool = True) -> UberClassificatio
         invariant_factors=quot.invariant_factors,
         gauge_generators=len(shifts),
     )
-    rows = _per_ambi(A, _axiom_rows)
+    rows = compiled(A, _axiom_rows)
     reps, vecs, class_at = [], [], {}  # class_at: coset index -> class number
     for k, h in enumerate(quot.representatives(limit=CLASS_LIMIT)):
         x = (x0 + h) % n

@@ -205,8 +205,36 @@ def test_degree3_right_bimodule_raises(f17, mr):
         for k in product(range(4), repeat=3)
     }
     h = Cochain(S, 3, vals, mod)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^degree-3 right coboundary is only defined for trivial actions$"):
         coboundary(h, "right")
+
+
+def test_degree3_right_coboundary_with_one_lord_is_the_left(f17):
+    """With one lord both serf actions on B^x are trivial, so the degree-3 right
+    coboundary is defined and agrees with the left."""
+    fr = tambara_yamagami(klein_four())
+    A = Ambi(fr, f17)
+    assert A.npoints == 1
+    h = random_cochain(fr.serf_group, 3, f17, random.Random(8), Units(f17, A))
+    left, right = coboundary(h, "left"), coboundary(h, "right")
+    assert all((left.values[k] == right.values[k]).all() for k in left.values)
+
+
+def test_h3_rejects_a_coboundary_image_that_is_not_closed(f17, monkeypatch):
+    """A corrupted delta^2 whose image delta^3 does not kill fails the closure check."""
+    from fusionkit import cohomology
+
+    real = cohomology._coboundary_matrix
+
+    def corrupt(g, degree):
+        D = real(g, degree)
+        if degree == 2:
+            D[0, 1] += 1
+        return D
+
+    monkeypatch.setattr(cohomology, "_coboundary_matrix", corrupt)
+    with pytest.raises(ValidationError, match="^coboundary image is not closed$"):
+        h3(cyclic(4), f17)
 
 
 def test_coboundary_matches_reference_trivial_action(f17):

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import random
+import sys
 import weakref
 from itertools import product
 
@@ -35,7 +36,7 @@ from fusionkit import (
     verify_fusion_system,
 )
 from fusionkit.cohomology import Units, coboundary_logs
-from fusionkit.errors import DomainError
+from fusionkit.errors import DomainError, ValidationError
 from fusionkit.feudal import FeudalRule, detect_feudal
 from fusionkit import systems
 from fusionkit.systems import FusionSystem, GaugeXi, admissible_sextuples
@@ -1321,6 +1322,72 @@ def test_shape_slots_are_kept_per_rule_and_let_it_go(f17, monkeypatch):
     del fr, f, g, built
     gc.collect()
     assert rule() is None
+
+
+def _count_builds(monkeypatch, *names) -> list:
+    """Wrap each named uber table builder so that every build records its
+    name; returns the record."""
+    built = []
+    for name in names:
+        real = getattr(uber, name)
+        monkeypatch.setattr(uber, name, lambda owner, name=name, real=real: built.append(name) or real(owner))
+    return built
+
+
+def test_equal_ambis_share_their_compiled_tables(f17, monkeypatch):
+    """Every Ambi on one rule, serf set and field (psi and normalize make one
+    per call without it) shares one set of axiom rows and one gauge-shift
+    lattice; an Ambi over another primitive root of the field builds its own."""
+    built = _count_builds(monkeypatch, "_axiom_rows", "_gauge_lattice")
+    fr = tambara_yamagami(klein_four())
+    A, B = Ambi(fr, f17), Ambi(fr, f17)
+    u = enumerate_uber(A, with_orbits=False).class_reps[0]
+    f = reconstruct(u)
+    g = apply_gauge(f, random_gauge(fr.rule, f17, random.Random(4)))
+    for _ in range(3):
+        psi(f, fr), psi(g, fr), normalize(g)
+        assert gauge_equivalent_uber(psi(g, fr, B), u) is not None
+    assert sorted(built) == ["_axiom_rows", "_gauge_lattice"]
+    enumerate_uber(Ambi(fr, Field(17, generator=5)), with_orbits=False)
+    assert sorted(built) == ["_axiom_rows", "_axiom_rows", "_gauge_lattice", "_gauge_lattice"]
+
+
+def test_emptying_the_caches_rebuilds_every_compiled_table(f17, monkeypatch):
+    """Emptying every dict named with CACHE in the fusionkit modules, as the
+    benchmark does before each cold CLI job, makes the next call on the same
+    live Ambi and FeudalRule build their tables again: no weak store outlives
+    the emptying."""
+    built = _count_builds(monkeypatch, "_axiom_rows", "_shape_slots")
+    fr = tambara_yamagami(klein_four())
+    A = Ambi(fr, f17)
+    f = reconstruct(enumerate_uber(A, with_orbits=False).class_reps[0])
+    psi(f, fr, A)
+    assert sorted(built) == ["_axiom_rows", "_shape_slots"]
+    modules = [m for name, m in sorted(sys.modules.items()) if name.startswith("fusionkit.")]
+    caches = [v for m in modules for attr, v in vars(m).items() if "CACHE" in attr and isinstance(v, dict)]
+    saved = [dict(c) for c in caches]
+    try:
+        for c in caches:
+            c.clear()
+        psi(f, fr, A)
+    finally:
+        for c, content in zip(caches, saved):
+            c.clear()
+            c.update(content)
+    assert sorted(built) == ["_axiom_rows", "_axiom_rows", "_shape_slots", "_shape_slots"]
+    assert not [v for m in modules for v in vars(m).values() if isinstance(v, weakref.WeakKeyDictionary)]
+
+
+def test_gauge_triple_rejects_a_theta_off_the_constants(f17, mr):
+    """theta must be fixed by the actions: constant on the one lord orbit."""
+    A = Ambi(mr, f17)
+    g = _random_gauge_triple(A, random.Random(5))
+    a = next(s for s in A.serf_ids if s != A.unit_serf)
+    g.theta[(a, a)] = np.array([2, 3])
+    with pytest.raises(ValidationError, match=rf"^theta\({a}, {a}\) is not fixed by the actions$"):
+        GaugeTriple(A, g.theta, g.phi, g.sigma)
+    g.theta[(a, a)] = np.array([2, 19])  # constant mod p
+    assert GaugeTriple(A, g.theta, g.phi, g.sigma).theta[(a, a)].tolist() == [2, 2]
 
 
 # ---- the normal system as one signed gather --------------------------------------------
