@@ -1,9 +1,11 @@
 """The pointwise algebra B = F^M on the lord set, with two-sided serf actions.
 
 Elements are integer vectors indexed by lord position; (a mu b)(m) reads mu at
-abar * m * bbar, and the involution reads at the dual lord.  Serfs and lords
-keep their carrier ids from the underlying rule so there is a single index
-space throughout.
+abar * m * bbar, and the involution reads at the dual lord.  Both are gathers
+through the FeudalRule's act_table and bar_perm, which read nothing of the
+field: an Ambi holds its FeudalRule's tables and adds only the field.  Serfs
+and lords keep their carrier ids from the underlying rule so there is a
+single index space throughout.
 """
 
 from __future__ import annotations
@@ -22,17 +24,8 @@ class Ambi:
         self.serf_ids = feudal.serf_ids
         self.lord_ids = feudal.lord_ids
         self.npoints = len(self.lord_ids)
-        rule, serfs, lords = feudal.rule, np.array(self.serf_ids), np.array(self.lord_ids)
-        pos = np.zeros(rule.n, dtype=np.int64)  # a lord's carrier id -> its position
-        pos[lords] = np.arange(self.npoints)
-        self.bar_perm = pos[rule.dual[lords]]
         self._serf_at = {a: i for i, a in enumerate(self.serf_ids)}
-        # act_table[i, k, j] = position of abar * m_j * bbar, a = serf_ids[i] and
-        # b = serf_ids[k]; both products are single-valued on a feudal rule
-        left = rule.table[rule.dual[serfs][:, None], lords].argmax(axis=2)
-        both = rule.table[left[:, None, :], rule.dual[serfs][None, :, None]].argmax(axis=3)
-        self.act_table = pos[both]
-        self.act_table.flags.writeable = False
+        self.act_table, self.bar_perm = feudal.act_table, feudal.bar_perm
 
     @property
     def unit_serf(self) -> int:

@@ -68,7 +68,11 @@ class HomDatum:
 
 
 class FeudalRule:
-    """A fusion rule with a chosen Z2 grading whose even part is a group."""
+    """A fusion rule with a chosen Z2 grading whose even part is a group.
+
+    serf_group's element i is serf_ids[i].  The serf actions on the lords are
+    the gathers act_table and bar_perm, read-only and built on first use, so
+    a FeudalRule that is only validated or compared never builds them."""
 
     def __init__(self, rule: FusionRule, serfs, grading_count: int = 1):
         self.rule = rule
@@ -116,6 +120,23 @@ class FeudalRule:
     @cached_property
     def adjoint_ids(self) -> tuple[int, ...]:
         return tuple(sorted(adjoint_subrule(self.rule)))
+
+    @cached_property
+    def bar_perm(self) -> np.ndarray:
+        """bar_perm[j] = position of the dual of lord j."""
+        out = np.searchsorted(self.lord_ids, self.rule.dual[list(self.lord_ids)])
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def act_table(self) -> np.ndarray:
+        """act_table[i, k, j] = position of abar * m_j * bbar, a = serf_ids[i], b = serf_ids[k]."""
+        r, serfs, lords = self.rule, np.array(self.serf_ids), np.array(self.lord_ids)
+        left = r.table[r.dual[serfs][:, None], lords].argmax(axis=2)
+        both = r.table[left[:, None, :], r.dual[serfs][None, :, None]].argmax(axis=3)
+        out = np.searchsorted(self.lord_ids, both)
+        out.flags.writeable = False
+        return out
 
     def act_left(self, a: int, m: int) -> int:
         return self.rule.support(a, m)[0]

@@ -18,8 +18,8 @@ post-filtered by the one non-monomial condition (the character-sum
 nondegeneracy).
 
 Each monomial axiom is encoded once, as named rows of uber_constraint_system
-(the axiom and its witness).  Uberderivation.report reads its failures off
-those rows and checks only the nondegeneracy directly.
+(the axiom and its witness) written as a signed gather; Uberderivation.report
+reads its failures off those rows and checks only the nondegeneracy directly.
 
 The gauge action is encoded once, as the signed gather of _gauge_gather from
 gauge log coordinates (theta, phi, sigma) to exponent coordinates.
@@ -32,9 +32,10 @@ Equivalence classes are orbits of the gauge classes under the graded rule
 automorphisms: each automorphism permutes exponent coordinates, and the coset
 a moved class lands in is read off by its index in the quotient.
 
-The shape slots, the axiom rows, the gathers and the gauge-shift lattice are
-compiled through rules.compiled, keyed by the content of their FeudalRule or
-Ambi (rule, serf set, field), so every Ambi on the same data shares them.
+Every table is compiled once through rules.compiled, keyed by content: the
+shape slots and the reconstruct and gauge gathers per FeudalRule, as they read
+nothing of the field, and the axiom rows (whose norm row reads log|A|) and the
+gauge-shift lattice (reduced mod p - 1) per Ambi.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .cohomology import Units, _delta
 from .errors import DomainError, ResourceError, UnsupportedFieldError, ValidationError
 from .fields import Field, nth_roots_of
 from .feudal import FeudalRule, detect_feudal
-from .rules import FusionRule, automorphisms as rule_automorphisms, compiled
+from .rules import FusionRule, automorphisms as rule_automorphisms, compiled, is_homomorphism
 from .systems import FusionSystem, GaugeXi, _slot_index, admissible_sextuples
 from .zmodlin import SmithMod, factor_mod, nullspace_mod, quotient_structure, solve_mod
 
@@ -78,12 +79,16 @@ class Uberderivation:
                 raise ValidationError(f"{where} must list one residue per lord")
             return v
 
+        pairs = set(product(A.serf_ids, repeat=2))
         for name in ("chi", "ups"):
             d = {tuple(k): v for k, v in getattr(self, name).items()}
-            off = sorted(set(d) ^ set(product(A.serf_ids, repeat=2)))
-            if off:
-                raise ValidationError(f"{name!r} must be keyed by the serf pairs; it differs at {show(off[0])!r}")
-            setattr(self, name, {k: residues(v, name, k) for k, v in d.items()})
+            if d.keys() != pairs:
+                off = show(sorted(d.keys() ^ pairs)[0])
+                raise ValidationError(f"{name!r} must be keyed by the serf pairs; it differs at {off!r}")
+            rows = _stacked(d.values(), A.field.p, A.npoints, np.int64)
+            if rows is None:  # name the first bad entry
+                rows = [residues(v, name, k) for k, v in d.items()]
+            setattr(self, name, dict(zip(d, rows)))
         self.tau = residues(self.tau, "tau")
 
     def report(self) -> dict:
@@ -101,8 +106,9 @@ class Uberderivation:
         if zeros:
             return {"invertible": zeros}  # such a triple has no exponent coordinates
         rows = compiled(A, _axiom_rows)
-        issues = rows.failures(uber_to_vec(self))
-        degenerate = _degenerate_on_A(A, self.chi)
+        x = uber_to_vec(self)
+        issues = rows.failures(x)
+        degenerate = _degenerate_on_A(A, x)
         if degenerate:
             issues["nondegenerate_on_A"] = degenerate
         if rows.a_vanishes:
@@ -146,14 +152,29 @@ class GaugeTriple:
 
     def __post_init__(self):
         A = self.ambi
-        self.sigma = np.asarray(self.sigma, dtype=np.int64) % A.field.p
-        self.theta = {tuple(k): np.asarray(v) % A.field.p for k, v in self.theta.items()}
-        self.phi = {int(k): np.asarray(v) % A.field.p for k, v in self.phi.items()}
+        p = A.field.p
+        self.sigma = np.asarray(self.sigma, dtype=np.int64) % p
+        theta = {tuple(k): v for k, v in self.theta.items()}
+        rows = _stacked(theta.values(), p, A.npoints)
+        self.theta = dict(zip(theta, [np.asarray(v) % p for v in theta.values()] if rows is None else rows))
+        self.phi = {int(k): np.asarray(v) % p for k, v in self.phi.items()}
         if not A.eq(self.phi[A.unit_serf], A.one()):
             raise ValidationError("phi must be normalized")
-        for k, v in self.theta.items():
-            if not A.in_fix(v):
+        fixed = map(A.in_fix, self.theta.values()) if rows is None else (rows == rows[:, :1]).all(axis=1)
+        for k, ok in zip(self.theta, fixed):
+            if not ok:
                 raise ValidationError(f"theta{k} is not fixed by the actions")
+
+
+def _stacked(values, p: int, m: int, dtype=None) -> np.ndarray | None:
+    """values as one (len(values), m) array mod p, or None where they do not
+    stack to that shape (the caller then takes them one at a time)."""
+    values = list(values)
+    try:
+        rows = np.array(values, dtype=dtype) % p
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return rows if rows.shape == (len(values), m) else None
 
 
 def _shift_values(ambi: Ambi, g: GaugeTriple) -> np.ndarray:
@@ -409,13 +430,13 @@ def reconstruct(u: Uberderivation) -> FusionSystem:
     u.validate()
     A = u.ambi
     F = A.field
-    src, signs = compiled(A, _reconstruct_gather)
+    src, signs = compiled(A.feudal, _reconstruct_gather)
     logs = (uber_to_vec(u)[src] * signs).sum(axis=1) % (F.p - 1)
     adm = admissible_sextuples(A.feudal.rule)
     return FusionSystem(A.feudal.rule, F, dict(zip(adm, F._exp_table[logs].tolist())))
 
 
-def _reconstruct_gather(ambi: Ambi) -> tuple[np.ndarray, np.ndarray]:
+def _reconstruct_gather(fr: FeudalRule) -> tuple[np.ndarray, np.ndarray]:
     """The normal system of a triple in exponent coordinates, as a signed gather.
 
     Row i is admissible sextuple i: its log is the sum over terms t of
@@ -426,12 +447,10 @@ def _reconstruct_gather(ambi: Ambi) -> tuple[np.ndarray, np.ndarray]:
     with mul -> +, div -> - and act, ract, bar as gathers.  Each shape's rows
     go to its shape slots.
     """
-    A = ambi
-    fr = A.feudal
-    s, m = len(A.serf_ids), A.npoints
+    s, m = len(fr.serf_ids), len(fr.lord_ids)
     g = fr.serf_group  # element i is serf_ids[i]
     prod, inv, e = g.table, g.inv, g.unit
-    act, bar = A.act_table, A.bar_perm
+    act, bar = fr.act_table, fr.bar_perm
     chi = lambda a, b, j: (a * s + b) * m + j
     ups = lambda a, b, j: ((s + a) * s + b) * m + j
     tau = lambda j: 2 * s * s * m + j
@@ -506,7 +525,7 @@ def _slot_gauge(ambi: Ambi, lat: _GaugeLattice, exps) -> GaugeTriple:
     return GaugeTriple(A, theta, phi, vals[-m:])
 
 
-def _gauge_gather(ambi: Ambi) -> list[tuple[np.ndarray, np.ndarray]]:
+def _gauge_gather(fr: FeudalRule) -> list[tuple[np.ndarray, np.ndarray]]:
     """The gauge action in exponent coordinates, as a signed gather.
 
     A gauge's log coordinates are theta at (a,b,j), then phi at (a,j), then
@@ -516,13 +535,9 @@ def _gauge_gather(ambi: Ambi) -> list[tuple[np.ndarray, np.ndarray]]:
     tau, in uber_unknown_keys order: row r of a block is the sum over terms t
     of signs[t] times the log coordinate src[r, t].
     """
-    A = ambi
-    s, m = len(A.serf_ids), A.npoints
-    at = {a: i for i, a in enumerate(A.serf_ids)}
-    e = at[A.unit_serf]
-    act = A.act_table
-    prod = np.array([[at[A.feudal.serf_mul(a, b)] for b in A.serf_ids] for a in A.serf_ids])
-    bar = A.bar_perm
+    s, m = len(fr.serf_ids), len(fr.lord_ids)
+    prod, e = fr.serf_group.table, fr.serf_group.unit
+    act, bar = fr.act_table, fr.bar_perm
     theta = lambda a, b, j: (a * s + b) * m + j
     phi = lambda a, j: (s * s + a) * m + j
     sigma = lambda j: (s * s + s) * m + j
@@ -542,7 +557,7 @@ def _shift_logs(ambi: Ambi, logs: np.ndarray) -> np.ndarray:
     """The exponent-space shifts, mod p - 1, of gauges given by their log
     coordinates: one gauge, or a (K, coordinates) batch of K."""
     logs = np.asarray(logs)
-    out = [logs[..., src] @ signs for src, signs in compiled(ambi, _gauge_gather)]
+    out = [logs[..., src] @ signs for src, signs in compiled(ambi.feudal, _gauge_gather)]
     return np.concatenate(out, axis=-1) % (ambi.field.p - 1)
 
 
@@ -598,20 +613,19 @@ def _relabeling(ambi: Ambi, perm: np.ndarray) -> np.ndarray:
     The relabeled triple reads each entry at the preimage serfs and lord, so
     uber_to_vec of it is uber_to_vec(u)[r] for the returned index array r.
     """
-    inv_perm = np.argsort(perm)
-    pos = {m: i for i, m in enumerate(ambi.lord_ids)}
-    lperm = [pos[int(inv_perm[m])] for m in ambi.lord_ids]
-    keys = uber_unknown_keys(ambi)
-    at = {k: i for i, k in enumerate(keys)}
-    pre = [
-        ("tau", lperm[k[1]]) if k[0] == "tau" else (k[0], int(inv_perm[k[1]]), int(inv_perm[k[2]]), lperm[k[3]])
-        for k in keys
-    ]
-    return np.array([at[k] for k in pre], dtype=np.int64)
+    s, m = len(ambi.serf_ids), ambi.npoints
+    pre = np.argsort(perm)
+    serf, lord = (np.searchsorted(ids, pre[list(ids)]) for ids in (ambi.serf_ids, ambi.lord_ids))
+    pairs = ((serf[:, None] * s + serf)[..., None] * m + lord).ravel()
+    return np.concatenate([pairs, s * s * m + pairs, 2 * s * s * m + lord])
 
 
 def transport(u: Uberderivation, perm: np.ndarray) -> Uberderivation:
     """Relabel an uberderivation along a graded rule automorphism."""
+    fr, perm = u.ambi.feudal, np.asarray(perm, dtype=np.int64)
+    graded = sorted(perm.tolist()) == list(range(fr.rule.n)) and set(perm[list(fr.serf_ids)].tolist()) == fr.serfs
+    if not (graded and is_homomorphism(perm, fr.rule, fr.rule)):
+        raise DomainError("transport needs a rule automorphism that maps serfs to serfs")
     return vec_to_uber(u.ambi, uber_to_vec(u)[_relabeling(u.ambi, perm)])
 
 
@@ -725,84 +739,57 @@ class _AxiomRows:
 
 
 def _axiom_rows(ambi: Ambi) -> _AxiomRows:
-    A = ambi
-    F = A.field
-    fr = A.feudal
-    n = F.p - 1
-    e = A.unit_serf
-    serfs, nm = A.serf_ids, A.npoints
-    lords = A.lord_ids
-    pos = {m: i for i, m in enumerate(lords)}
-    inv, mul = fr.serf_inv, fr.serf_mul
-    L, R = fr.act_left, fr.act_right
-    keys = uber_unknown_keys(ambi)
-    idx = {k: i for i, k in enumerate(keys)}
-    bar = lambda j: int(A.bar_perm[j])
-
-    rows, rhs, names = [], [], []
-
-    def new_row(name, value=0):
-        rows.append(np.zeros(len(keys), dtype=np.int64))
-        rhs.append(value)
-        names.append(name)
-        return rows[-1]
-
-    for a, b in product(serfs, repeat=2):
-        if a == e or b == e:
-            for j in range(nm):
-                new_row(("ups_normalized", (a, b)))[idx[("ups", a, b, j)]] = 1
-
-    for a, b in product(serfs, repeat=2):
-        for j, m in enumerate(lords):
-            q = pos[R(L(a, m), b)]  # a m b
-            qa = pos[L(a, m)]
-            qb = pos[R(m, b)]
-            row = new_row(("quasisymmetric", (a, b)))
-            row[idx[("chi", b, a, bar(j))]] += 1
-            row[idx[("chi", a, b, q)]] -= 1
-            row[idx[("tau", q)]] -= 1
-            row[idx[("tau", j)]] -= 1
-            row[idx[("tau", qa)]] += 1
-            row[idx[("tau", qb)]] += 1
-
-    # on A x A x A both actions are trivial, so these rows are also the
-    # bicharacter law chi(ab, c) = chi(a, c) chi(b, c)
-    for a, b, c in product(serfs, repeat=3):
-        ab = mul(a, b)
-        for j, m in enumerate(lords):
-            row = new_row(("biderivation", (a, b, c)))
-            row[idx[("ups", a, b, j)]] += 1
-            row[idx[("ups", a, b, pos[R(m, inv(c))])]] -= 1
-            row[idx[("chi", ab, c, j)]] += 1
-            row[idx[("chi", a, c, j)]] -= 1
-            row[idx[("chi", b, c, pos[L(inv(a), m)])]] -= 1
-
-    acts = A.trivial_actors
-    for a, b in product(acts, repeat=2):
-        if a >= b:
-            continue
-        for j in range(nm):
-            row = new_row(("symmetric_on_A", (a, b)))
-            row[idx[("chi", a, b, j)]] += 1
-            row[idx[("chi", b, a, j)]] -= 1
-
-    a_vanishes = len(acts) % F.p == 0
-    if not a_vanishes:
-        neg_log = (-F.log(len(acts) % F.p)) % n
-        for j in range(nm):
-            row = new_row(("tau_norm", "|A| tau taubar != 1"), neg_log)
-            row[idx[("tau", j)]] += 1
-            row[idx[("tau", bar(j))]] += 1
-
-    mat, rhs = np.vstack(rows), np.array(rhs, dtype=np.int64)
+    """One (terms, signs) family per named axiom over the serf and lord
+    indices, written into one matrix: a kept row adds signs[t] at the
+    coordinate terms[t] of uber_to_vec.  act, bar and the serf products are
+    gathers, as in _reconstruct_gather."""
+    A, F, fr = ambi, ambi.field, ambi.feudal
+    s, m = len(A.serf_ids), A.npoints
+    prod, inv, e = fr.serf_group.table, fr.serf_group.inv, fr.serf_group.unit  # serf i is serf_ids[i]
+    act, bar, ids = fr.act_table, fr.bar_perm, np.array(A.serf_ids)
+    on_A, a_vanishes = np.isin(ids, fr.adjoint_ids), len(fr.adjoint_ids) % F.p == 0
+    chi = lambda a, b, j: (a * s + b) * m + j
+    ups = lambda a, b, j: ((s + a) * s + b) * m + j
+    tau = lambda j: 2 * s * s * m + j
+    a, b, j = np.indices((s, s, m)).reshape(3, -1)
+    x, y, z, k = np.indices((s, s, s, m)).reshape(4, -1)
+    amb, am, mb = act[inv[a], inv[b], j], act[inv[a], e, j], act[e, inv[b], j]  # a m b, a m, m b
+    pairs = list(zip(ids[a].tolist(), ids[b].tolist()))
+    triples = list(zip(ids[x].tolist(), ids[y].tolist(), ids[z].tolist()))
+    quasi = [chi(b, a, bar[j]), chi(a, b, amb), tau(amb), tau(j), tau(am), tau(mb)]
+    # on A x A x A both actions are trivial, so the biderivation rows are also
+    # the bicharacter law chi(ab, c) = chi(a, c) chi(b, c)
+    bider = [ups(x, y, k), ups(x, y, act[e, z, k]), chi(prod[x, y], z, k), chi(x, z, k), chi(y, z, act[x, e, k])]
+    families = {  # name -> (witness per row, rows kept, terms, signs)
+        "ups_normalized": (pairs, (a == e) | (b == e), [ups(a, b, j)], [1]),
+        "quasisymmetric": (pairs, True, quasi, [1, -1, -1, -1, 1, 1]),
+        "biderivation": (triples, True, bider, [1, -1, 1, -1, -1]),
+        "symmetric_on_A": (pairs, on_A[a] & on_A[b] & (a < b), [chi(a, b, j), chi(b, a, j)], [1, -1]),
+        "tau_norm": (["|A| tau taubar != 1"] * m, not a_vanishes, [tau(np.arange(m)), tau(bar)], [1, 1]),
+    }
+    names, cells = [], []  # cells: (row, column, sign) per term of each kept row
+    for name, (witness, kept, terms, signs) in families.items():
+        kept = np.broadcast_to(kept, terms[0].shape)
+        terms = np.stack(terms, axis=1)[kept]
+        cells.append((len(names) + np.arange(terms.size) // len(signs), terms.ravel(), np.tile(signs, len(terms))))
+        names += [(name, w) for w, keep in zip(witness, kept) if keep]
+    rows, cols, signs = map(np.concatenate, zip(*cells))
+    mat = np.zeros((len(names), 2 * s * s * m + m), np.int64)
+    np.add.at(mat, (rows, cols), signs)
+    neg_log = 0 if a_vanishes else -F.log(len(fr.adjoint_ids) % F.p) % (F.p - 1)
+    rhs = np.array([neg_log if name == "tau_norm" else 0 for name, _ in names], np.int64)
     mat.flags.writeable = rhs.flags.writeable = False
-    return _AxiomRows(mat, rhs, names, n, a_vanishes)
+    return _AxiomRows(mat, rhs, names, F.p - 1, a_vanishes)
 
 
-def _degenerate_on_A(ambi: Ambi, chi: dict) -> list[int]:
-    """The a != e in A whose character sum over A, sum_b chi(a, b), is nonzero."""
-    acts = ambi.trivial_actors
-    return [a for a in acts if a != ambi.unit_serf and (sum(chi[(a, b)] for b in acts) % ambi.field.p).any()]
+def _degenerate_on_A(ambi: Ambi, x: np.ndarray) -> list[int]:
+    """The a != e in A whose character sum over A, sum_b chi(a, b), is
+    nonzero, read off the exponent vector x."""
+    s, acts = len(ambi.serf_ids), ambi.trivial_actors
+    on_A = np.searchsorted(ambi.serf_ids, acts)
+    chi = ambi.field._exp_table[x[: s * s * ambi.npoints].reshape(s, s, -1)[on_A[:, None], on_A]]
+    nonzero = (chi.sum(axis=1) % ambi.field.p).any(axis=1).tolist()
+    return [a for a, bad in zip(acts, nonzero) if bad and a != ambi.unit_serf]
 
 
 def uber_constraint_system(ambi: Ambi):
@@ -906,17 +893,16 @@ def enumerate_uber(ambi: Ambi, *, with_orbits: bool = True) -> UberClassificatio
         gauge_generators=len(shifts),
     )
     rows = compiled(A, _axiom_rows)
-    reps, vecs, class_at = [], [], {}  # class_at: coset index -> class number
+    vecs, class_at = [], {}  # class_at: coset index -> class number
     for k, h in enumerate(quot.representatives(limit=CLASS_LIMIT)):
         x = (x0 + h) % n
         broken = rows.failures(x)
         if broken:
             raise ValidationError(f"lattice representative violates monomial axioms: {sorted(broken)}")
-        cand = vec_to_uber(A, x)
-        if not _degenerate_on_A(A, cand.chi):
-            class_at[k] = len(reps)
-            reps.append(cand)
+        if not _degenerate_on_A(A, x):
+            class_at[k] = len(vecs)
             vecs.append(x)
+    reps = [vec_to_uber(A, x) for x in vecs]
     lattice_info["filtered_out"] = quot.order - len(reps)
 
     orbits: list[list[int]] = []
@@ -929,17 +915,14 @@ def enumerate_uber(ambi: Ambi, *, with_orbits: bool = True) -> UberClassificatio
         lattice_info["automorphisms_graded"] = len(perms)
         # the graded automorphisms form a group, so the classes a class is
         # moved to are its whole orbit
-        moves = [_relabeling(A, p) for p in perms]
+        moves = np.array([_relabeling(A, p) for p in perms])
         placed = set()
         for i, x in enumerate(vecs):
             if i in placed:
                 continue
-            orbit = set()
-            for r in moves:
-                j = class_at.get(quot.index(x[r] - x0))
-                if j is None:
-                    raise ValidationError("an automorphism moves a class onto a filtered-out coset")
-                orbit.add(j)
+            orbit = {class_at.get(k) for k in quot.index(x[moves] - x0)}
+            if None in orbit:
+                raise ValidationError("an automorphism moves a class onto a filtered-out coset")
             orbits.append(sorted(orbit))
             placed |= orbit
     elif reps:

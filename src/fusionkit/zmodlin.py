@@ -293,16 +293,17 @@ class QuotientStructure:
     def _solver(self) -> SmithMod:
         return factor_mod(self._gens.T, self._n)
 
-    def index(self, v) -> int:
-        """Position in representatives() of the coset of v, which must lie in span(H)."""
+    def index(self, v) -> int | list[int]:
+        """Position in representatives() of the coset of v, which must lie in
+        span(H); for a (K, dim) batch, the list of the K positions, from one
+        solve.  The last factor varies fastest."""
         n = self._n
-        c = self._solver.solve(np.asarray(v, dtype=np.int64) % n, n)
+        c = self._solver.solve(np.asarray(v, dtype=np.int64).T % n, n)
         if c is None:
             raise ValidationError("vector is not in the span of the quotient's generators")
-        pos = 0
-        for y, f in zip((c @ self._V % n).tolist(), self.factors):
-            pos = pos * f + y % f
-        return pos
+        places = [prod(self.factors[i + 1 :]) for i in range(len(self.factors))]
+        digits = c.T @ self._V % n % np.array(self.factors, dtype=np.int64)
+        return (digits @ np.array(places, dtype=np.int64 if self.order < 2**63 else object)).tolist()
 
 
 def quotient_structure(h_gens, t_gens, dim: int, n: int) -> QuotientStructure:

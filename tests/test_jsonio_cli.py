@@ -424,11 +424,18 @@ def test_cli_text_format():
 
 
 def test_module_entry_point_and_cross_process_determinism():
+    import os
     import subprocess
     import sys
 
+    import fusionkit
+
+    # the child finds the fusionkit this process imported, whether from an
+    # install or through pytest's pythonpath setting, which it does not inherit
+    path = [os.path.dirname(os.path.dirname(fusionkit.__file__)), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     cmd = [sys.executable, "-m", "fusionkit", "uber", "classify", "--rule", "builtin:ty_z2", "--p", "17"]
-    r1 = subprocess.run(cmd, capture_output=True, text=True)
-    r2 = subprocess.run(cmd, capture_output=True, text=True)
+    r1 = subprocess.run(cmd, capture_output=True, text=True, env=env)
+    r2 = subprocess.run(cmd, capture_output=True, text=True, env=env)
     assert r1.returncode == 0 and r1.stdout == r2.stdout
     assert json.loads(r1.stdout)["gauge_classes"] == 2

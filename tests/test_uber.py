@@ -712,6 +712,21 @@ def test_transport_by_automorphism_preserves_validity(f17, mr):
             assert A.eq(v.tau, u.tau[lords])
 
 
+def test_transport_rejects_a_permutation_off_the_graded_automorphisms(f17, mr):
+    """On Moore-Read, swapping serf -1 with lord i' (no grading kept) and
+    swapping the unit with serf -1 (no automorphism) both raise DomainError,
+    and so does a map that is no permutation."""
+    u = mr_uber(f17, mr)
+    assert mr.rule.labels[1] == "-1" and mr.rule.labels[4] == "i'"
+    for swap in ((1, 4), (0, 1)):
+        perm = np.arange(mr.rule.n)
+        perm[list(swap)] = perm[list(swap[::-1])]
+        with pytest.raises(DomainError, match="^transport needs a rule automorphism that maps serfs to serfs$"):
+            transport(u, perm)
+    with pytest.raises(DomainError):
+        transport(u, np.zeros(mr.rule.n, np.int64))
+
+
 # ---- the named rows against the multiplicative axioms -----------------------------------
 
 
@@ -1284,7 +1299,7 @@ def test_action_table_matches_reference(gauge_rules):
         for side, key in (("left", lambda s: (s, e)), ("right", lambda s: (e, s))):
             want = np.array([pts[ref[key(s)]] for s in A.serf_ids])
             assert _same_array(units.action(len(A.serf_ids), side), want)
-        got, want = uber._gauge_gather(A), _reference_gauge_gather(A, ref)
+        got, want = uber._gauge_gather(A.feudal), _reference_gauge_gather(A, ref)
         assert len(got) == len(want) == 3
         assert all(_same_array(g[0], w[0]) and _same_array(g[1], w[1]) for g, w in zip(got, want))
 
@@ -1521,10 +1536,10 @@ def _flip_last_term(name):
     """The reconstruct gather with the last term of every row of one shape
     entering with the wrong sign."""
 
-    def mutate(gather, A):
+    def mutate(gather, fr):
         src, signs = gather
         signs = signs.copy()
-        rows = _shape_slots(A.feudal)[name].ravel()
+        rows = _shape_slots(fr)[name].ravel()
         last = np.count_nonzero(signs[rows[0]]) - 1
         signs[rows, last] *= -1
         return src, signs
@@ -1536,7 +1551,7 @@ def _flip_last_term(name):
 def test_reconstruct_reference_catches_a_sign_flip(gauge_rules, monkeypatch, name):
     """A gather with one sign flipped in any shape fails the comparison."""
     real, mutate = uber._reconstruct_gather, _flip_last_term(name)
-    monkeypatch.setattr(uber, "_reconstruct_gather", lambda A: mutate(real(A), A))
+    monkeypatch.setattr(uber, "_reconstruct_gather", lambda fr: mutate(real(fr), fr))
     rng = random.Random(52)
     assert not all(all(_dictionary_checks(A, rng)) for A in gauge_rules[-5:])
 
@@ -1591,3 +1606,222 @@ def test_dictionary_detects_the_feudal_structure_once_per_rule(f17, monkeypatch)
         decompose(h), is_normal(h), normalize(h), psi(h)
     assert len(calls) == 1
     assert decompose(g).feudal.serfs == fr.serfs
+
+
+# ---- the axiom rows as one signed gather ------------------------------------------------
+
+
+def _reference_axiom_rows(ambi: Ambi) -> uber._AxiomRows:
+    """_axiom_rows as it stood: one Python row at a time, through the scalar
+    actions and products of the FeudalRule."""
+    A = ambi
+    F = A.field
+    fr = A.feudal
+    n = F.p - 1
+    e = A.unit_serf
+    serfs, nm = A.serf_ids, A.npoints
+    lords = A.lord_ids
+    pos = {m: i for i, m in enumerate(lords)}
+    inv, mul = fr.serf_inv, fr.serf_mul
+    L, R = fr.act_left, fr.act_right
+    keys = uber_unknown_keys(ambi)
+    idx = {k: i for i, k in enumerate(keys)}
+    bar = lambda j: int(A.bar_perm[j])
+
+    rows, rhs, names = [], [], []
+
+    def new_row(name, value=0):
+        rows.append(np.zeros(len(keys), dtype=np.int64))
+        rhs.append(value)
+        names.append(name)
+        return rows[-1]
+
+    for a, b in product(serfs, repeat=2):
+        if a == e or b == e:
+            for j in range(nm):
+                new_row(("ups_normalized", (a, b)))[idx[("ups", a, b, j)]] = 1
+
+    for a, b in product(serfs, repeat=2):
+        for j, m in enumerate(lords):
+            q = pos[R(L(a, m), b)]  # a m b
+            qa = pos[L(a, m)]
+            qb = pos[R(m, b)]
+            row = new_row(("quasisymmetric", (a, b)))
+            row[idx[("chi", b, a, bar(j))]] += 1
+            row[idx[("chi", a, b, q)]] -= 1
+            row[idx[("tau", q)]] -= 1
+            row[idx[("tau", j)]] -= 1
+            row[idx[("tau", qa)]] += 1
+            row[idx[("tau", qb)]] += 1
+
+    # on A x A x A both actions are trivial, so these rows are also the
+    # bicharacter law chi(ab, c) = chi(a, c) chi(b, c)
+    for a, b, c in product(serfs, repeat=3):
+        ab = mul(a, b)
+        for j, m in enumerate(lords):
+            row = new_row(("biderivation", (a, b, c)))
+            row[idx[("ups", a, b, j)]] += 1
+            row[idx[("ups", a, b, pos[R(m, inv(c))])]] -= 1
+            row[idx[("chi", ab, c, j)]] += 1
+            row[idx[("chi", a, c, j)]] -= 1
+            row[idx[("chi", b, c, pos[L(inv(a), m)])]] -= 1
+
+    acts = A.trivial_actors
+    for a, b in product(acts, repeat=2):
+        if a >= b:
+            continue
+        for j in range(nm):
+            row = new_row(("symmetric_on_A", (a, b)))
+            row[idx[("chi", a, b, j)]] += 1
+            row[idx[("chi", b, a, j)]] -= 1
+
+    a_vanishes = len(acts) % F.p == 0
+    if not a_vanishes:
+        neg_log = (-F.log(len(acts) % F.p)) % n
+        for j in range(nm):
+            row = new_row(("tau_norm", "|A| tau taubar != 1"), neg_log)
+            row[idx[("tau", j)]] += 1
+            row[idx[("tau", bar(j))]] += 1
+
+    mat, rhs = np.vstack(rows), np.array(rhs, dtype=np.int64)
+    mat.flags.writeable = rhs.flags.writeable = False
+    return uber._AxiomRows(mat, rhs, names, n, a_vanishes)
+
+
+def test_axiom_rows_match_reference(gauge_rules):
+    """The gathered rows are the row loop's: matrix, rhs, names (witness
+    types too), n and a_vanishes, row for row, on the 21 rules and the 41
+    feudal rules of order <= 11 at several primes, TY(Z3) at p=3 among them,
+    where |A| vanishes in F."""
+    rules = [A.feudal for A in gauge_rules] + list(enumerate_feudal(11).rules)
+    vanished = 0
+    for fr, p in product(rules, (3, 5, 13, 17)):
+        A = Ambi(fr, Field(p))
+        got, want = uber._axiom_rows(A), _reference_axiom_rows(A)
+        assert _same_array(got.mat, want.mat) and _same_array(got.rhs, want.rhs)
+        assert got.names == want.names and got.n == want.n and got.a_vanishes is want.a_vanishes
+        assert [type(x) for _, w in got.names for x in w] == [type(x) for _, w in want.names for x in w]
+        vanished += got.a_vanishes
+    assert len(rules) == 62 and vanished
+
+
+def test_field_free_tables_are_compiled_once_per_feudal_rule(monkeypatch):
+    """The gauge and reconstruct gathers read nothing of the field: Ambis of
+    one rule at Field(17), Field(17, generator=5) and Field(13) build each
+    once, while the axiom rows and the gauge lattice are built per field."""
+    built = _count_builds(monkeypatch, "_gauge_gather", "_reconstruct_gather", "_axiom_rows", "_gauge_lattice")
+    fr = tambara_yamagami(klein_four())
+    for F in (Field(17), Field(17, generator=5), Field(13)):
+        A = Ambi(fr, F)
+        u = enumerate_uber(A, with_orbits=False).class_reps[0]
+        reconstruct(u), gauge_shift(A, _random_gauge_triple(A, random.Random(6)))
+    assert sorted(built) == sorted(["_gauge_gather", "_reconstruct_gather"] + 3 * ["_axiom_rows", "_gauge_lattice"])
+
+
+# ---- the triple and the gauge triple validated as arrays ---------------------------------
+
+
+def _reference_uberderivation_init(A, chi, ups, tau):
+    """Uberderivation.__post_init__ as it stood: one residues call per entry;
+    returns the reduced (chi, ups, tau)."""
+    show = lambda k: ",".join(A.feudal.rule.labels[i] for i in k)
+
+    def residues(v, name, k=None):
+        v = np.asarray(v, dtype=np.int64) % A.field.p
+        if v.shape != (A.npoints,):
+            where = repr(name) if k is None else f"{name!r} at {show(k)!r}"
+            raise ValidationError(f"{where} must list one residue per lord")
+        return v
+
+    out = []
+    for name, table in (("chi", chi), ("ups", ups)):
+        d = {tuple(k): v for k, v in table.items()}
+        off = sorted(set(d) ^ set(product(A.serf_ids, repeat=2)))
+        if off:
+            raise ValidationError(f"{name!r} must be keyed by the serf pairs; it differs at {show(off[0])!r}")
+        out.append({k: residues(v, name, k) for k, v in d.items()})
+    return (*out, residues(tau, "tau"))
+
+
+def _reference_gauge_triple_init(A, theta, phi, sigma):
+    """GaugeTriple.__post_init__ as it stood: one in_fix call per theta entry;
+    returns the reduced (theta, phi, sigma)."""
+    sigma = np.asarray(sigma, dtype=np.int64) % A.field.p
+    theta = {tuple(k): np.asarray(v) % A.field.p for k, v in theta.items()}
+    phi = {int(k): np.asarray(v) % A.field.p for k, v in phi.items()}
+    if not A.eq(phi[A.unit_serf], A.one()):
+        raise ValidationError("phi must be normalized")
+    for k, v in theta.items():
+        if not A.in_fix(v):
+            raise ValidationError(f"theta{k} is not fixed by the actions")
+    return theta, phi, sigma
+
+
+def _outcome(build):
+    """What build() returns, or the type and message of what it raises."""
+    try:
+        return build()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _corrupt_entries(A, tables: dict, rng, kinds):
+    """1-3 seeded faults at distinct random entries of the dicts in tables,
+    then each dict in shuffled key order."""
+    pairs = list(product(A.serf_ids, repeat=2))
+    for name, k in rng.sample(list(product(sorted(tables), pairs)), rng.randint(1, 3)):
+        kind, d = rng.choice(kinds), tables[name]
+        v = np.asarray(d[k])
+        if kind == "short":
+            d[k] = v[:-1]
+        elif kind == "long":
+            d[k] = np.append(v, 1)
+        elif kind == "ragged":
+            d[k] = [*v[:-1].tolist(), [1, 2]]
+        elif kind == "huge":
+            d[k] = [2**70, *v[1:].tolist()]
+        elif kind == "missing":
+            del d[k]
+        elif kind == "extra":
+            d[(k[0], A.lord_ids[0])] = v
+        elif kind == "non-constant":
+            d[k] = np.where(np.arange(len(v)) == len(v) - 1, v % A.field.p % (A.field.p - 1) + 1, v)
+    for name, d in tables.items():
+        items = list(d.items())
+        rng.shuffle(items)
+        tables[name] = dict(items)
+
+
+def test_triples_validate_as_the_per_entry_loops(gauge_rules):
+    """Uberderivation and GaugeTriple, validating each field as one stack,
+    return what the per-entry loops returned, or raise the same type and
+    message at the same first bad key, on seeded corruptions: short, long,
+    ragged and out-of-int64 entries, a missing and an extra pair, a
+    non-constant theta and a phi off 1 at the unit."""
+    rng = random.Random(61)
+    raised = []
+
+    def agree(got, want):
+        if isinstance(want[0], type):
+            raised.append(want[1])
+            return got == want
+        return _same_shift(got, want)
+
+    for A in gauge_rules:
+        u = vec_to_uber(A, np.array([rng.randrange(A.field.p - 1) for _ in uber_unknown_keys(A)]))
+        for _ in range(12):
+            t = {"chi": dict(u.chi), "ups": dict(u.ups)}
+            _corrupt_entries(A, t, rng, ["short", "long", "ragged", "huge", "missing", "extra"])
+            tau = u.tau[:-1] if rng.random() < 0.2 else u.tau
+            got = _outcome(lambda: (lambda v: (v.chi, v.ups, v.tau))(Uberderivation(A, t["chi"], t["ups"], tau)))
+            assert agree(got, _outcome(lambda: _reference_uberderivation_init(A, t["chi"], t["ups"], tau)))
+            g = _random_gauge_triple(A, rng)
+            t = {"theta": dict(g.theta)}
+            _corrupt_entries(A, t, rng, ["short", "ragged", "extra"] + ["non-constant"] * (A.npoints > 1))
+            phi = dict(g.phi)
+            if rng.random() < 0.2:
+                phi[A.unit_serf] = A.const(2)
+            got = _outcome(lambda: (lambda v: (v.theta, v.phi, v.sigma))(GaugeTriple(A, t["theta"], phi, g.sigma)))
+            assert agree(got, _outcome(lambda: _reference_gauge_triple_init(A, t["theta"], phi, g.sigma)))
+    for part in ("one residue per lord", "keyed by the serf pairs", "phi must be normalized", "not fixed by the actions"):
+        assert any(part in m for m in raised), part

@@ -146,6 +146,47 @@ def test_quotient_structure_brute():
                 q.index(v)
 
 
+def _reference_index(q, v) -> int:
+    """QuotientStructure.index as it stood: one solve and a Horner loop per vector."""
+    n = q._n
+    c = q._solver.solve(np.asarray(v, dtype=np.int64) % n, n)
+    if c is None:
+        raise ValidationError("vector is not in the span of the quotient's generators")
+    pos = 0
+    for y, f in zip((c @ q._V % n).tolist(), q.factors):
+        pos = pos * f + y % f
+    return pos
+
+
+def test_quotient_index_batch_matches_reference():
+    """A (K, dim) batch gives the per-vector positions in one call, on the
+    brute-force cases (the trivial quotient with no factors among them) and
+    on an order beyond int64; one vector outside the span fails the batch."""
+    rng = random.Random(4)
+    probe = random.Random(6)
+    trivial = 0
+    for _ in range(150):
+        n = rng.choice([4, 6, 12, 16])
+        k = rng.randrange(1, 4)
+        H = [np.array([rng.randrange(n) for _ in range(k)]) for _ in range(rng.randrange(0, 3))]
+        T = [sum(rng.randrange(n) * h for h in H) % n for _ in range(rng.randrange(0, 3)) if H]
+        q = quotient_structure(H, T, k, n)
+        trivial += not q.factors
+        batch = np.array([sum(probe.randrange(n) * h for h in H) % n + np.zeros(k, np.int64) for _ in range(5)])
+        want = [_reference_index(q, v) for v in batch]
+        assert q.index(batch) == want and [q.index(v) for v in batch] == want
+        assert all(type(i) is int for i in q.index(batch)) and type(q.index(batch[0])) is int
+        outside = np.array([probe.randrange(n) for _ in range(k)])
+        if tuple(outside) not in span_of(H, k, n):
+            with pytest.raises(ValidationError):
+                q.index(np.vstack([batch, outside]))
+    assert trivial
+    q = quotient_structure(list(np.eye(40, dtype=np.int64)), [], 40, 16)
+    assert q.order == 16**40
+    batch = np.array([[probe.randrange(16) for _ in range(40)] for _ in range(4)])
+    assert q.index(batch) == [_reference_index(q, v) for v in batch]
+
+
 def test_quotient_representative_limit():
     q = quotient_structure([np.array([1, 0]), np.array([0, 1])], [], 2, 16)
     assert q.order == 256
