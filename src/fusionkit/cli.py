@@ -12,7 +12,7 @@ import sys
 
 from . import jsonio
 from .ambient import Ambi
-from .cohomology import h3, h3_via_uber
+from .cohomology import _via_uber, h3
 from .errors import DomainError, FusionkitError, ResourceError, ValidationError
 from .fields import Field
 from .feudal import detect_feudal, enumerate_feudal, gamma, phi
@@ -257,7 +257,8 @@ def cmd_uber_classify(args) -> dict:
 def cmd_cohom_h3(args) -> dict:
     g = _group_arg(args.group)
     field = Field(args.p)
-    report = h3(g, field).to_dict()
+    direct = h3(g, field)
+    report = direct.to_dict()
     if args.via_uber:
         serfs = None
         if args.via_uber != "auto":
@@ -275,8 +276,7 @@ def cmd_cohom_h3(args) -> dict:
             if not subs:
                 raise DomainError(f"{args.group} has no index-2 subgroup")
             serfs = subs[0]
-        via = h3_via_uber(g, serfs, field)
-        report["via_uber"] = via.to_dict()
+        report["via_uber"] = _via_uber(g, serfs, field, direct).to_dict()
     return report
 
 

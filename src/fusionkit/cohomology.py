@@ -378,7 +378,16 @@ class H3ViaUberReport:
 
 def h3_via_uber(g: FiniteGroup, serfs, field: Field) -> H3ViaUberReport:
     """Count gauge classes of uberderivations on an index-2 subgroup over F^(G-S),
-    and check the count against h3 directly."""
+    and check the count against h3 directly.  The serfs are checked and the
+    classes counted before h3 runs, so a bad input raises what the first
+    failing stage raises; `cohom h3 --via-uber` passes the H3Report it holds
+    instead of running h3 again."""
+    return _via_uber(g, serfs, field, None)
+
+
+def _via_uber(g: FiniteGroup, serfs, field: Field, direct: H3Report | None) -> H3ViaUberReport:
+    """h3_via_uber, checked against direct, the H3Report of g over field if
+    the caller holds it (h3 runs here otherwise, after the count)."""
     from .feudal import graded_group
     from .uber import enumerate_uber
 
@@ -388,7 +397,8 @@ def h3_via_uber(g: FiniteGroup, serfs, field: Field) -> H3ViaUberReport:
     fr = graded_group(g, serfs)
     ambi = Ambi(fr, field)
     cls = enumerate_uber(ambi, with_orbits=False)
-    direct = h3(g, field)
+    if direct is None:
+        direct = h3(g, field)
     report = H3ViaUberReport(g, tuple(sorted(serfs)), field, cls.gauge_classes, direct.order, cls)
     if not report.agree:
         raise ValidationError(

@@ -114,18 +114,27 @@ class FusionRule:
         return FusionRule([self.labels[g] for g in ids], sub, pos[self.unit], dual)
 
 
-# every table compiled from a rule, a FeudalRule or an Ambi, by (build, owner.key)
+# every table compiled from a rule, a FeudalRule or an Ambi, by (build, owner.key),
+# the least recently used first
 _COMPILED_CACHE: dict[tuple, object] = {}
+COMPILED_LIMIT = 64  # tables the store keeps; a benchmark process holds at most 20
 
 
 def compiled(owner, build):
     """build(owner), built once per build and content key of owner (a
     FusionRule, FeudalRule or Ambi), so equal owners made apart share it.
-    No value refers to its owner, so the store keeps no rule alive."""
+    No value refers to its owner, so the store keeps no rule alive; past
+    COMPILED_LIMIT tables it drops the least recently used, which its next
+    use builds again."""
     key = (build, owner.key)
-    if key not in _COMPILED_CACHE:
-        _COMPILED_CACHE[key] = build(owner)
-    return _COMPILED_CACHE[key]
+    try:
+        table = _COMPILED_CACHE.pop(key)
+    except KeyError:
+        table = build(owner)
+    _COMPILED_CACHE[key] = table
+    while len(_COMPILED_CACHE) > COMPILED_LIMIT:
+        del _COMPILED_CACHE[next(iter(_COMPILED_CACHE))]
+    return table
 
 
 def as_multiset(rule: FusionRule, x) -> np.ndarray:

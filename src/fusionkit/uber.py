@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 
@@ -108,7 +108,7 @@ class Uberderivation:
         rows = compiled(A, _axiom_rows)
         x = uber_to_vec(self)
         issues = rows.failures(x)
-        degenerate = _degenerate_on_A(A, x)
+        degenerate = [a for a, bad in zip(A.trivial_actors, _degenerate_on_A(A, x)) if bad]
         if degenerate:
             issues["nondegenerate_on_A"] = degenerate
         if rows.a_vanishes:
@@ -782,14 +782,15 @@ def _axiom_rows(ambi: Ambi) -> _AxiomRows:
     return _AxiomRows(mat, rhs, names, F.p - 1, a_vanishes)
 
 
-def _degenerate_on_A(ambi: Ambi, x: np.ndarray) -> list[int]:
-    """The a != e in A whose character sum over A, sum_b chi(a, b), is
-    nonzero, read off the exponent vector x."""
-    s, acts = len(ambi.serf_ids), ambi.trivial_actors
+def _degenerate_on_A(ambi: Ambi, x: np.ndarray) -> np.ndarray:
+    """Which a of ambi.trivial_actors, other than the unit, have a nonzero
+    character sum over A, sum_b chi(a, b), read off each exponent vector of
+    x: a (..., |A|) bool array for x of shape (..., dim)."""
+    s, acts = len(ambi.serf_ids), np.array(ambi.trivial_actors)
     on_A = np.searchsorted(ambi.serf_ids, acts)
-    chi = ambi.field._exp_table[x[: s * s * ambi.npoints].reshape(s, s, -1)[on_A[:, None], on_A]]
-    nonzero = (chi.sum(axis=1) % ambi.field.p).any(axis=1).tolist()
-    return [a for a, bad in zip(acts, nonzero) if bad and a != ambi.unit_serf]
+    chi = x[..., : s * s * ambi.npoints].reshape(*x.shape[:-1], s, s, -1)[..., on_A[:, None], on_A, :]
+    sums = ambi.field._exp_table[chi].sum(axis=-2) % ambi.field.p
+    return sums.any(axis=-1) & (acts != ambi.unit_serf)
 
 
 def uber_constraint_system(ambi: Ambi):
@@ -816,6 +817,7 @@ def uber_to_vec(u: Uberderivation) -> np.ndarray:
 
 
 CLASS_LIMIT = 100_000  # coset representatives enumerate_uber walks at most
+REP_BLOCK = 1024  # coset representatives enumerate_uber checks with one product
 
 
 @dataclass
@@ -894,14 +896,20 @@ def enumerate_uber(ambi: Ambi, *, with_orbits: bool = True) -> UberClassificatio
     )
     rows = compiled(A, _axiom_rows)
     vecs, class_at = [], {}  # class_at: coset index -> class number
-    for k, h in enumerate(quot.representatives(limit=CLASS_LIMIT)):
-        x = (x0 + h) % n
-        broken = rows.failures(x)
-        if broken:
-            raise ValidationError(f"lattice representative violates monomial axioms: {sorted(broken)}")
-        if not _degenerate_on_A(A, x):
-            class_at[k] = len(vecs)
-            vecs.append(x)
+    cosets, done = quot.representatives(limit=CLASS_LIMIT), 0
+    while block := list(islice(cosets, REP_BLOCK)):
+        X = (x0 + np.array(block)) % n  # one representative per row
+        residue = rows.mat @ X.T  # the largest array here, so reduced in place
+        residue -= rows.rhs[:, None]
+        residue %= n
+        broken = residue.any(axis=0)
+        if broken.any():
+            failures = rows.failures(X[broken.argmax()])
+            raise ValidationError(f"lattice representative violates monomial axioms: {sorted(failures)}")
+        for i in (~_degenerate_on_A(A, X).any(axis=1)).nonzero()[0].tolist():
+            class_at[done + i] = len(vecs)
+            vecs.append(X[i])
+        done += len(X)
     reps = [vec_to_uber(A, x) for x in vecs]
     lattice_info["filtered_out"] = quot.order - len(reps)
 

@@ -9,15 +9,16 @@ of a vector) all follow.
 Factor once, solve many: smith_mod carries any number of right-hand sides
 (the columns of a matrix rhs) through a single elimination, and
 back_substitute finishes each of them.  Right-hand sides known up front are
-passed together (quotient_structure solves all of its t_gens in one
-elimination); for ones that arrive later, factor_mod(A, n) factors A once and
-its .solve(b, n) answers each of them without another elimination.
+passed together; for ones that arrive later, factor_mod(A, n) factors A once
+and its .solve(b, n) answers each of them without another elimination.
+quotient_structure does both with one elimination of its generators: it
+carries the identity, which leaves the row transform its index solves
+against, alongside all of its t_gens.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, replace
 from itertools import product
 from math import gcd, prod
 
@@ -69,9 +70,14 @@ class SmithMod:
     cols: int
 
     def solve(self, b, n: int) -> np.ndarray | None:
-        """x with A @ x = b mod n, or None; self must come from factor_mod,
-        whose rhs is the row transform."""
+        """x with A @ x = b mod n, or None; self's rhs must be the row
+        transform, as factor_mod leaves it."""
         return back_substitute(self, self.rhs @ b % n, n)
+
+
+def _swap(X, i, j) -> None:
+    """Swap X[i] and X[j] in place."""
+    X[i], X[j] = X[j], X[i].copy()
 
 
 def smith_mod(A, n: int, rhs=None) -> SmithMod:
@@ -81,37 +87,38 @@ def smith_mod(A, n: int, rhs=None) -> SmithMod:
     n, first in row-major order.  Rows at or below t are zero left of column
     t, and A stays reduced mod n, so each operation writes only the cells it
     can change: the row step the rows with a nonzero multiplier in the
-    pivot row's nonzero columns, the column step row t.  Each row keeps a
-    count of its entries per gcd level, updated with every write, so the
-    pivot is found from the per-row lowest level without rescanning A.
+    pivot row's nonzero columns, the column step row t.  Each row below the
+    pivot keeps a count of its entries per gcd level, updated with every
+    write, so the pivot is found from the per-row lowest level, and the
+    chain condition from the levels a non-unit pivot does not divide,
+    without rescanning A.  Divisibility is scanned only on nonzero entries,
+    and not at all for a pivot of 1.
     """
     # column-major: the pivot column is read on every pass, and swapped whole
     A = np.mod(np.atleast_2d(np.asarray(A, dtype=np.int64)), n, order="F")
     m, k = A.shape
-    V = np.eye(k, dtype=np.int64)
+    VT = np.eye(k, dtype=np.int64)  # V transposed: its column operations act on rows
     Vi = np.eye(k, dtype=np.int64)
-    b = None if rhs is None else np.asarray(rhs, dtype=np.int64).copy() % n
+    b = None if rhs is None else np.asarray(rhs, dtype=np.int64) % n
     # level[v] orders residues by gcd(v, n), with 0 on the last level
     gcds = np.gcd(np.arange(n), n)
     gcds[0] = n + 1
     levels, level = np.unique(gcds, return_inverse=True)
     zero = len(levels) - 1
 
-    def counts(block):
-        """(rows, levels): how many entries of each row of block are on each level."""
-        r = len(block)
-        cells = np.arange(r)[:, None] * len(levels) + level[block]
-        return np.bincount(cells.ravel(), minlength=r * len(levels)).reshape(r, len(levels))
-
     # per-row level counts and lowest level; a row's are not read again once it holds a pivot
-    count = counts(A)
+    cells = np.arange(m)[:, None] * len(levels) + level[A]
+    count = np.bincount(cells.ravel(), minlength=m * len(levels)).reshape(m, len(levels))
     low = (count > 0).argmax(axis=1)
 
     def write(rows, cols, new, old):
-        """A[rows x cols] = new over old, keeping count and low of those (distinct) rows up to date."""
-        count[rows] += counts(new) - counts(old)
-        low[rows] = (count[rows] > 0).argmax(axis=1)
-        A[np.ix_(rows, cols)] = new
+        """A[rows, cols] = new over old, for a column of distinct rows,
+        keeping count and low of those rows up to date."""
+        np.add.at(count, (rows, level[new]), 1)
+        np.subtract.at(count, (rows, level[old]), 1)
+        r = rows[:, 0]
+        low[r] = (count[r] > 0).argmax(axis=1)
+        A[rows, cols] = new
 
     t = 0
     while t < min(m, k):
@@ -119,16 +126,15 @@ def smith_mod(A, n: int, rhs=None) -> SmithMod:
         if low[i0] == zero:
             break
         j0 = t + int(level[A[i0, t:]].argmin())
-        if i0 != t:
-            A[[t, i0]] = A[[i0, t]]
-            count[[t, i0]] = count[[i0, t]]
-            low[[t, i0]] = low[[i0, t]]
+        if i0 != t:  # row t's count and low are not read again
+            _swap(A[:, t:], t, i0)
+            count[i0], low[i0] = count[t], low[t]
             if b is not None:
-                b[[t, i0]] = b[[i0, t]]
+                _swap(b, t, i0)
         if j0 != t:
-            A[t:, [t, j0]] = A[t:, [j0, t]]
-            V[:, [t, j0]] = V[:, [j0, t]]
-            Vi[[t, j0]] = Vi[[j0, t]]
+            _swap(A[t:].T, t, j0)
+            _swap(VT, t, j0)
+            _swap(Vi, t, j0)
 
         guard = 0
         while True:
@@ -138,56 +144,60 @@ def smith_mod(A, n: int, rhs=None) -> SmithMod:
             a = int(A[t, t])  # never 0: every operation below keeps a nonzero pivot
             # make the pivot divide its column: combine with the first row it does not divide
             col = A[t + 1 :, t]
-            hard = np.flatnonzero(col % a)
+            nz = col.nonzero()[0]
+            hard = () if a == 1 else (col[nz] % a).nonzero()[0]
             if len(hard):
-                i2 = t + 1 + int(hard[0])
+                i2 = t + 1 + int(nz[hard[0]])
                 c = int(A[i2, t])
                 g, x, y = xgcd(a, c)
                 # [row t; row i2] <- M @ [row t; row i2], det M = 1
                 M = np.array([[x, y], [-c // g, a // g]])
                 old = A[[t, i2], t:]
-                write([t, i2], np.arange(t, k), M @ old % n, old)
+                write(np.array([[t], [i2]]), np.arange(t, k), M @ old % n, old)
                 if b is not None:
                     b[[t, i2]] = M @ b[[t, i2]] % n
                 continue
-            rows = t + 1 + np.flatnonzero(col)
-            if len(rows):
-                q = A[rows, t] // a
-                cols = t + np.flatnonzero(A[t, t:])
-                old = A[np.ix_(rows, cols)]
-                write(rows, cols, (old - np.outer(q, A[t, cols])) % n, old)
+            if len(nz):
+                q = col[nz] // a
+                rows = (t + 1 + nz)[:, None]
+                cols = t + A[t, t:].nonzero()[0]
+                old = A[rows, cols]
+                write(rows, cols, (old - q[:, None] * A[t, cols]) % n, old)
                 if b is not None:
-                    b[rows] = (b[rows] - np.multiply.outer(q, b[t])) % n
+                    b[rows[:, 0]] = (b[rows[:, 0]] - np.multiply.outer(q, b[t])) % n
             # column t is now zero off row t; make the pivot divide its row
             row = A[t, t + 1 :]
-            hard = np.flatnonzero(row % a)
+            nz = row.nonzero()[0]
+            hard = () if a == 1 else (row[nz] % a).nonzero()[0]
             if len(hard):
-                j2 = t + 1 + int(hard[0])
+                j2 = t + 1 + int(nz[hard[0]])
                 c = int(A[t, j2])
                 g, x, y = xgcd(a, c)
                 u, v = -c // g, a // g
                 # [col t, col j2] <- [col t, col j2] @ N, det N = 1; N^-1 acts on the rows of Vi
                 N = np.array([[x, u], [y, v]])
-                rows = t + np.flatnonzero(A[t:, j2])  # column t is zero below row t
-                old = A[np.ix_(rows, [t, j2])]
-                write(rows, [t, j2], old @ N % n, old)
-                V[:, [t, j2]] = V[:, [t, j2]] @ N % n
+                rows = (t + A[t:, j2].nonzero()[0])[:, None]  # column t is zero below row t
+                cols = np.array([t, j2])
+                old = A[rows, cols]
+                write(rows, cols, old @ N % n, old)
+                VT[[t, j2]] = N.T @ VT[[t, j2]] % n
                 Vi[[t, j2]] = np.array([[v, -u], [-y, x]]) @ Vi[[t, j2]] % n
                 continue
-            cols = t + 1 + np.flatnonzero(row)
-            if len(cols):
-                q = A[t, cols] // a
+            if len(nz):
+                q = row[nz] // a
+                cols = t + 1 + nz
                 A[t, cols] = 0  # only row t meets the nonzero of column t
-                vr = np.flatnonzero(V[:, t])
-                cell = np.ix_(vr, cols)
-                V[cell] = (V[cell] - np.outer(V[vr, t], q)) % n
+                vr = VT[t].nonzero()[0]
+                cell = (cols[:, None], vr)
+                VT[cell] = (VT[cell] - q[:, None] * VT[t, vr]) % n
                 Vi[t] = (Vi[t] + q @ Vi[cols]) % n
-            # chain condition: pivot must divide the remaining submatrix
+            # chain condition: pivot must divide the remaining submatrix, whose
+            # rows' nonzero levels it divides exactly when it divides their entries
             g = gcd(a, n)
             if g > 1:
-                bad = np.flatnonzero((A[t + 1 :, t + 1 :] % g).any(axis=1))
-                if len(bad):
-                    i2 = t + 1 + int(bad[0])
+                bad = count[t + 1 :, :zero][:, levels[:zero] % g != 0].any(axis=1)
+                if bad.any():
+                    i2 = t + 1 + int(bad.argmax())
                     A[t, t:] = (A[t, t:] + A[i2, t:]) % n
                     if b is not None:
                         b[t] = (b[t] + b[i2]) % n
@@ -199,12 +209,12 @@ def smith_mod(A, n: int, rhs=None) -> SmithMod:
         if a != g:
             w = _unit_scale(a, g, n)
             A[t, t] = a * w % n
-            V[:, t] = V[:, t] * w % n
+            VT[t] = VT[t] * w % n
             Vi[t] = Vi[t] * pow(w, -1, n) % n
         t += 1
 
-    diag = [gcd(int(A[i, i]), n) for i in range(t)]
-    return SmithMod(diag=diag, V=V, Vinv=Vi, rhs=b, rows=m, cols=k)
+    diag = np.gcd(A.diagonal()[:t], n).tolist()
+    return SmithMod(diag=diag, V=np.ascontiguousarray(VT.T), Vinv=Vi, rhs=b, rows=m, cols=k)
 
 
 def factor_mod(A, n: int) -> SmithMod:
@@ -274,6 +284,7 @@ class QuotientStructure:
     _V: np.ndarray
     _Vinv: np.ndarray
     _gens: np.ndarray
+    _solver: SmithMod  # factor_mod(_gens.T): solves for coefficients over the gens
     _n: int
 
     @property
@@ -288,10 +299,6 @@ class QuotientStructure:
         for y in product(*(range(f) for f in self.factors)):
             c = np.array(y, dtype=np.int64) @ self._Vinv % n
             yield c @ self._gens % n
-
-    @cached_property
-    def _solver(self) -> SmithMod:
-        return factor_mod(self._gens.T, self._n)
 
     def index(self, v) -> int | list[int]:
         """Position in representatives() of the coset of v, which must lie in
@@ -312,16 +319,20 @@ def quotient_structure(h_gens, t_gens, dim: int, n: int) -> QuotientStructure:
     H = [g for g in H if g.any()]
     if not H:
         empty = np.eye(0, dtype=np.int64)
-        return QuotientStructure(1, [], empty, empty, np.zeros((0, dim), dtype=np.int64), n)
+        solver = SmithMod([], empty, empty, np.eye(dim, dtype=np.int64), dim, 0)  # factor_mod of no columns
+        return QuotientStructure(1, [], empty, empty, np.zeros((0, dim), dtype=np.int64), solver, n)
     GH = np.vstack(H)
     r = GH.shape[0]
     rel = nullspace_mod(GH.T, n)
-    if len(t_gens):
-        C = solve_mod(GH.T, np.array(t_gens, dtype=np.int64).T, n)
-        if C is None:
-            raise ValidationError("t_gens are not contained in span(h_gens)")
-        rel.extend(C.T)
+    # pivots depend only on GH, so one elimination of GH.T carries both the row
+    # transform, which index solves against, and t_gens, solved here
+    T = np.array(t_gens, dtype=np.int64).reshape(len(t_gens), dim).T
+    fac = smith_mod(GH.T, n, rhs=np.hstack([np.eye(dim, dtype=np.int64), T]))
+    C = back_substitute(fac, fac.rhs[:, dim:], n)
+    if C is None:
+        raise ValidationError("t_gens are not contained in span(h_gens)")
+    rel.extend(C.T)
     M = np.vstack(rel) if rel else np.zeros((0, r), dtype=np.int64)
     sm = smith_mod(M, n)
     factors = [sm.diag[i] if i < len(sm.diag) else n for i in range(r)]
-    return QuotientStructure(prod(factors), factors, sm.V, sm.Vinv, GH, n)
+    return QuotientStructure(prod(factors), factors, sm.V, sm.Vinv, GH, replace(fac, rhs=fac.rhs[:, :dim]), n)

@@ -34,7 +34,7 @@ from fusionkit import (
     verify_fusion_system,
 )
 from fusionkit.cohomology import Cochain, Units, coboundary_logs, trivial_cochain
-from fusionkit.errors import DomainError, ValidationError
+from fusionkit.errors import DomainError, ResourceError, ValidationError
 from fusionkit.uber import uber_constraint_system, vec_to_uber
 from fusionkit.zmodlin import nullspace_mod, solve_mod
 from test_report_digests import H3_UNIVERSAL_COEFFICIENTS
@@ -490,6 +490,24 @@ def test_degenerate_two_element_field():
     assert h3(cyclic(4), f2).order == 1
     rep = h3_via_uber(cyclic(4), frozenset({0, 2}), f2)
     assert rep.count == 1 and rep.agree
+
+
+@pytest.mark.parametrize(
+    "g, serfs, p, error, message",
+    [
+        (cyclic(4), {0}, 17, DomainError, "serfs must form an index-2 subgroup"),
+        (cyclic(4), {0, 1}, 17, ValidationError, "serf/lord split is not a Z2 grading"),
+        (cyclic(4), {0, 2}, 263, ResourceError, "enumeration is bounded at p <= 257"),
+        (cyclic(10), {0, 2, 4, 6, 8}, 11, ResourceError, "h3 is bounded at |G| <= 8"),
+    ],
+    ids=["not_index_2", "not_a_subgroup", "p_past_the_count_bound", "group_past_the_h3_bound"],
+)
+def test_h3_via_uber_errors_keep_their_order(g, serfs, p, error, message):
+    """h3_via_uber checks the serfs and counts the classes before it runs h3,
+    so a bad input raises what the first failing stage raises."""
+    with pytest.raises(error) as raised:
+        h3_via_uber(g, serfs, Field(p))
+    assert str(raised.value) == message
 
 
 def test_h3_resource_bounds():

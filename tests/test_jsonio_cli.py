@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 
@@ -149,6 +150,57 @@ def test_cli_cohom_h3():
     assert doc["order"] == 4
     assert sorted(doc["roots_of_unity"].values()) == [1, 4, 13, 16]
     assert doc["via_uber"]["agree"] is True
+
+
+def test_cli_h3_via_uber_runs_h3_once(monkeypatch):
+    """cohom h3 --via-uber compares the uber count with the H^3 it has just
+    reported, instead of computing H^3 a second time."""
+    from fusionkit import cli, cohomology
+
+    calls = []
+    real = cohomology.h3
+    counted = lambda g, field: calls.append((g.name, field.p)) or real(g, field)
+    monkeypatch.setattr(cli, "h3", counted)
+    monkeypatch.setattr(cohomology, "h3", counted)
+    for argv in (["--via-uber", "auto"], ["--via-uber", "Z2"]):
+        calls.clear()
+        code, out, _ = run_cli(["cohom", "h3", "--group", "Z4", "--p", "17", *argv])
+        assert code == 0 and json.loads(out)["via_uber"]["agree"] is True
+        assert calls == [("Z4", 17)]
+
+
+@pytest.mark.parametrize(
+    "args, code, message",
+    [
+        (["Z9", "17", "auto"], 2, "resource budget exceeded: h3 is bounded at |G| <= 8"),
+        (["Z9", "17", "x"], 2, "resource budget exceeded: h3 is bounded at |G| <= 8"),
+        (["Z4", "263", "auto"], 2, "resource budget exceeded: h3 is bounded at p <= 257"),
+        (["Z3", "17", "auto"], 1, "error: Z3 has no index-2 subgroup"),
+        (["1", "17", "auto"], 1, "error: 1 has no index-2 subgroup"),
+        (["Z4", "17", "Z3"], 1, "error: Z3 is not an index-2 subgroup of Z4"),
+        (["Z4", "17", "Z4"], 1, "error: Z4 is not an index-2 subgroup of Z4"),
+        (["Z4", "17", "Z1"], 1, "error: Z1 is not an index-2 subgroup of Z4"),
+        (["Z2", "17", "Z2"], 1, "error: Z2 is not an index-2 subgroup of Z2"),
+        (["Z4", "17", "x"], 1, "error: unknown group name 'x'"),
+        (["x", "17", "auto"], 1, "error: unknown group name 'x'"),
+    ],
+)
+def test_cli_h3_via_uber_bad_input_keeps_its_error(args, code, message):
+    """Each bad --via-uber input exits with the code and the one line it gave
+    when the comparison ran H^3 a second time: H^3's own bounds come first."""
+    group, p, via = args
+    got, out, err = run_cli(["cohom", "h3", "--group", group, "--p", p, "--via-uber", via])
+    assert (got, out, err.strip()) == (code, "", message)
+
+
+def test_cli_h3_via_uber_reports_a_disagreement(monkeypatch):
+    """An uber count that differs from the reported |H^3| is one error line."""
+    from fusionkit import cli
+
+    real = cli.h3
+    monkeypatch.setattr(cli, "h3", lambda g, field: dataclasses.replace(real(g, field), order=5))
+    code, out, err = run_cli(["cohom", "h3", "--group", "Z4", "--p", "17", "--via-uber", "auto"])
+    assert (code, out, err.strip()) == (1, "", "error: uber count 4 disagrees with h3 order 5")
 
 
 def test_cli_feudal_phi_gamma(tmp_path):

@@ -1393,6 +1393,69 @@ def test_emptying_the_caches_rebuilds_every_compiled_table(f17, monkeypatch):
     assert not [v for m in modules for v in vars(m).values() if isinstance(v, weakref.WeakKeyDictionary)]
 
 
+def _same_compiled(a, b) -> bool:
+    """Whether two compiled tables are equal array for array: the same types
+    throughout, and arrays of the same dtype, shape and entries."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and bool((a == b).all())
+    if dataclasses.is_dataclass(a):
+        return all(_same_compiled(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(_same_compiled(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(_same_compiled, a, b))
+    return a == b
+
+
+def test_compiled_store_keeps_at_most_its_limit(f17, mr, monkeypatch):
+    """Over many (rule, p) pairs the store never holds more than
+    COMPILED_LIMIT tables: it drops the least recently used, keeps one in
+    use, and a dropped table built again equals the first build array for
+    array."""
+    from fusionkit import rules
+
+    monkeypatch.setattr(rules, "_COMPILED_CACHE", {})
+    monkeypatch.setattr(rules, "COMPILED_LIMIT", 8)
+    hot, cold = Ambi(tambara_yamagami(cyclic(2)), f17), Ambi(mr, f17)
+    rows, lattice = rules.compiled(hot, uber._axiom_rows), rules.compiled(cold, uber._gauge_lattice)
+    sizes = []
+    for fr in enumerate_feudal(8).rules[:6]:
+        for p in (5, 13, 17, 41):
+            enumerate_uber(Ambi(fr, Field(p)), with_orbits=False)
+            sizes.append(len(rules._COMPILED_CACHE))
+            assert rules.compiled(hot, uber._axiom_rows) is rows
+    assert max(sizes) == 8 and (uber._gauge_lattice, cold.key) not in rules._COMPILED_CACHE
+    again = rules.compiled(cold, uber._gauge_lattice)
+    assert again is not lattice and _same_compiled(again, lattice)
+    assert _same_compiled(uber._axiom_rows(hot), rows)
+
+
+def test_enumerate_uber_names_the_first_representative_off_the_axioms(f17, monkeypatch):
+    """The stacked axiom check raises on the first representative that fails
+    a monomial axiom, naming its failed axioms as a per-representative check
+    does; a class found before it does not hide it."""
+    A = Ambi(tambara_yamagami(klein_four()), f17)
+    real = uber.quotient_structure
+    bad = {}
+
+    def spoiled(*args):
+        q = real(*args)
+        reps = list(q.representatives())
+        x = (reps[1] + 1) % q._n  # no longer a solution of the homogeneous rows
+        bad["x"] = x
+        q.representatives = lambda limit: iter([reps[0], x, *reps[2:]])
+        return q
+
+    monkeypatch.setattr(uber, "quotient_structure", spoiled)
+    with pytest.raises(ValidationError) as raised:
+        enumerate_uber(A, with_orbits=False)
+    x0 = solve_mod(*uber_constraint_system(A)[:2], f17.p - 1)
+    failures = uber._axiom_rows(A).failures((x0 + bad["x"]) % (f17.p - 1))
+    assert failures and str(raised.value) == f"lattice representative violates monomial axioms: {sorted(failures)}"
+
+
 def test_gauge_triple_rejects_a_theta_off_the_constants(f17, mr):
     """theta must be fixed by the actions: constant on the one lord orbit."""
     A = Ambi(mr, f17)

@@ -378,6 +378,66 @@ def test_smith_matches_reference_elimination():
     assert chain_adds > 0 and non_units > 0
 
 
+def _pivot_kind_cases():
+    """(n, A, rhs) for n in 6, 12, 16, 40 and 256: a pivot of exactly 1 (an
+    entry 1 in a random matrix), unit pivots other than 1 (every entry n - 1,
+    or random units), chains of non-unit pivots (the entries multiples of a
+    divisor of n, or of different divisors per row), each with no rhs, a
+    vector or a matrix."""
+    rng = np.random.default_rng(23)
+    for n in (6, 12, 16, 40, 256):
+        units = np.array([u for u in range(2, n) if gcd(u, n) == 1])
+        divisors = np.array([d for d in range(2, n) if n % d == 0])
+        for m, k in ((1, 1), (3, 4), (7, 5), (12, 12), (30, 18)):
+            one = rng.integers(0, n, (m, k))
+            one[rng.integers(m), rng.integers(k)] = 1
+            kinds = [
+                one,
+                np.full((m, k), n - 1),
+                rng.choice(units, (m, k)) * (rng.random((m, k)) < 0.6),
+                rng.integers(0, n, (m, k)) * rng.choice(divisors),
+                rng.integers(0, n, (m, k)) * rng.choice(divisors, (m, 1)),
+            ]
+            for i, A in enumerate(kinds):
+                rhs = [None, rng.integers(0, n, m), rng.integers(0, n, (m, 2))][(i + k) % 3]
+                yield n, A, rhs
+
+
+def test_smith_matches_reference_on_pivot_kinds():
+    """smith_mod skips the divisibility scans for a pivot of 1 and reads the
+    chain condition off its level counts; on every kind of pivot it returns
+    what the dense elimination returns, bit for bit."""
+    seen = set()
+    for n, A, rhs in _pivot_kind_cases():
+        want, got = _reference_smith_mod(A, n, rhs), smith_mod(A, n, rhs)
+        assert got.diag == want.diag
+        for name in ("V", "Vinv", "rhs"):
+            w, g = getattr(want, name), getattr(got, name)
+            assert (w is None) == (g is None)
+            if w is not None:
+                assert g.dtype == w.dtype and g.shape == w.shape and (g == w).all(), name
+        seen |= {"unit" if d == 1 else "non-unit" for d in want.diag}
+        seen.add("rhs" if rhs is None else f"rhs{np.ndim(rhs)}")
+    assert seen == {"unit", "non-unit", "rhs", "rhs1", "rhs2"}
+
+
+def test_quotient_structure_and_index_eliminate_the_generators_once(monkeypatch):
+    """quotient_structure solves t_gens and keeps the row transform index
+    solves against from one elimination of GH.T; index adds none."""
+    from fusionkit import zmodlin
+
+    real, calls = zmodlin.smith_mod, []
+    monkeypatch.setattr(zmodlin, "smith_mod", lambda A, n, rhs=None: calls.append((np.array(A), rhs)) or real(A, n, rhs))
+    n, H = 12, [np.array([2, 0, 4]), np.array([0, 3, 3]), np.array([1, 1, 1])]
+    q = quotient_structure(H, [(2 * H[0] + H[1]) % n], 3, n)
+    reps = list(q.representatives())
+    assert [q.index(r) for r in reps] == list(range(q.order)) and q.index(np.array(reps)) == list(range(q.order))
+    GHT = np.vstack(H).T
+    with_rhs = [A for A, rhs in calls if rhs is not None]
+    assert len(with_rhs) == 1 and (with_rhs[0] == GHT).all()
+    assert len(calls) == 3  # the kernel of GH.T, GH.T with its rhs, the relations
+
+
 def test_unique_rows_matches_numpy_unique():
     """The byte-view dedupe nullspace_mod runs before eliminating gives the
     rows of np.unique(axis=0), in the same order, on matrices with duplicate
