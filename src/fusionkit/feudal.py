@@ -18,7 +18,6 @@ from .errors import DomainError, ValidationError
 from .groups import FiniteGroup, cyclic, homomorphisms, isomorphisms, standard_catalog, CATALOG_COMPLETE_THROUGH
 from .rules import (
     FusionRule,
-    adjoint_subrule,
     group_from_members,
     is_grading,
     nilpotency_class,
@@ -45,9 +44,12 @@ class HomDatum:
         S, G, u = self.source, self.target, self.mapping
         if self.mapping.shape != (len(S),):
             raise ValidationError("mapping must be total on the source")
-        if (G.table[u[:, None], u] != u[S.table]).any():
+        im = self.image_ids  # sorted
+        if im[0] < 0 or im[-1] >= len(G):
+            raise ValidationError("mapping must take values in the target")
+        if G.table[u[:, None], u].tobytes() != u[S.table].tobytes():
             raise ValidationError("mapping is not a homomorphism")
-        if 2 * len(self.image_ids) != len(G):
+        if 2 * len(im) != len(G):
             raise ValidationError("cokernel must have order 2")
 
     @cached_property
@@ -60,8 +62,7 @@ class HomDatum:
 
     @cached_property
     def lord_ids(self) -> tuple[int, ...]:
-        im = set(self.image_ids)
-        return tuple(m for m in range(len(self.target)) if m not in im)
+        return tuple(sorted(set(range(len(self.target))).difference(self.image_ids)))
 
     def __repr__(self):
         return f"HomDatum({self.source.name} -> {self.target.name}, |ker|={len(self.kernel_ids)})"
@@ -85,41 +86,44 @@ class FeudalRule:
 
     def _validate(self):
         r = self.rule
+        if not self.serfs.issubset(range(r.n)):
+            raise ValidationError("serfs must be elements of the carrier")
         if not self.lords:
             raise ValidationError("a feudal rule needs at least one lord")
         if not r.is_multiplicity_free:
             raise ValidationError("feudal rules are multiplicity-free")
-        is_lord = np.array([x in self.lords for x in range(r.n)])
-        if not is_grading(r, is_lord.astype(np.int64), _Z2):
+        is_lord = np.ones(r.n, dtype=np.int64)
+        is_lord[list(self.serf_ids)] = 0
+        if not is_grading(r, is_lord, _Z2):
             raise ValidationError("serf/lord split is not a Z2 grading")
         self.serf_group = group_from_members(r, self.serfs)  # serfs must fuse as a group
-        # serf actions on lords are transitive on both sides: act[a, j] = a.m_j, then m_j.a
+        # serf actions on lords, both sides in one gather: act[0, a, j, k] = <a.m_j, m_k> and
+        # act[1, a, j, k] = <m_j.a, m_k>; the Z2 grading has kept serfs out of these products
         serfs, lords = np.array(self.serf_ids), np.array(self.lord_ids)
-        cols = np.arange(len(lords))
-        for act in (r.table[serfs[:, None], lords], r.table[lords[:, None], serfs].transpose(1, 0, 2)):
-            single = (act.sum(axis=2) == 1).all(axis=0)
-            orbit = np.zeros((r.n, len(lords)), dtype=bool)
-            orbit[act.argmax(axis=2), cols] = True
-            orbit[lords, cols] = True
-            transitive = (orbit == is_lord[:, None]).all(axis=0)
-            bad = np.flatnonzero(~(single & transitive))
-            if len(bad) and not single[bad[0]]:
-                raise ValidationError("serf action on lords is not single-valued")
-            if len(bad):
-                raise ValidationError("serf action on lords is not transitive")
+        pair = np.empty((2, len(serfs), len(lords), 1), dtype=np.int64)
+        pair[0], pair[1] = serfs[:, None, None], lords[:, None]
+        act = r.table[pair, pair[::-1], lords]
+        single = (act.sum(axis=3) == 1).all(axis=1)
+        # where single-valued, m_j's orbit is the lords hit by some serf, plus m_j itself
+        transitive = (act.any(axis=1) | np.eye(len(lords), dtype=bool)).all(axis=2)
+        bad = (~(single & transitive)).nonzero()
+        if len(bad[0]) and not single[bad[0][0], bad[1][0]]:
+            raise ValidationError("serf action on lords is not single-valued")
+        if len(bad[0]):
+            raise ValidationError("serf action on lords is not transitive")
         # each lord product m.l must be a coset ad.b of the adjoint subrule, b any of its
         # members; the Z2 grading has already kept lords out of these products
         ad = np.array(self.adjoint_ids)
         prods = r.table[lords[:, None], lords] > 0
-        coset = (r.table[ad][:, prods.argmax(axis=2)] > 0).any(axis=0)
-        if (prods != coset).any():
+        coset = r.table[ad[:, None, None], prods.argmax(axis=2)].any(axis=0)
+        if prods.tobytes() != coset.tobytes():
             raise ValidationError("lord products are not adjoint cosets")
 
     # ---- derived structure -------------------------------------------------
 
     @cached_property
     def adjoint_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(adjoint_subrule(self.rule)))
+        return tuple(sorted(self.rule.adjoint))
 
     @cached_property
     def bar_perm(self) -> np.ndarray:
@@ -264,16 +268,13 @@ def phi(h: HomDatum) -> FeudalRule:
     ns = len(S)
     lords = np.array(h.lord_ids, dtype=np.int64)
     n = ns + len(lords)
-    lpos = np.full(len(G), -1, dtype=np.int64)  # a lord of G -> its carrier id
-    lpos[lords] = np.arange(ns, n)
     labels = list(S.labels) + _fresh_lord_labels(S.labels, [G.labels[m] for m in h.lord_ids])
-    table = np.zeros((n, n, n), dtype=np.int64)
-    serfs, mpos = np.arange(ns)[:, None], np.arange(ns, n)
-    table[serfs, serfs.T, S.table] = 1
-    table[serfs, mpos, lpos[G.table[u[:, None], lords]]] = 1
-    table[mpos[:, None], serfs.T, lpos[G.table[lords[:, None], u]]] = 1
-    table[ns:, ns:, :ns] = G.table[lords[:, None], lords][:, :, None] == u
-    dual = S.inv.tolist() + lpos[G.inv[lords]].tolist()
+    # x.y is every z with image g[z] = g[x]g[y]: one lord when one factor is a lord (the image
+    # has index 2), the serfs over it when both are; serf products come from S itself
+    g = np.concatenate([u, lords])
+    table = G.table[g[:, None], g][:, :, None] == g
+    table[:ns, :ns] = S.table[:, :, None] == np.arange(n)
+    dual = S.inv.tolist() + (ns + np.searchsorted(lords, G.inv[lords])).tolist()
     rule = require_valid(FusionRule(labels, table, S.unit, dual))
     return FeudalRule(rule, range(ns))
 
@@ -294,14 +295,15 @@ def hom_datum_isomorphic(h1: HomDatum, h2: HomDatum):
     if not targets:
         return None
     # each admissible t (lords to lords) by the image t.u1 it gives, the first t for each image
-    stacked = np.array(targets)
+    stacked = np.array(targets, dtype=np.int64)  # a stated dtype spares numpy a scan of every row
     is_lord2 = np.zeros(len(h2.target), dtype=bool)
     is_lord2[list(h2.lord_ids)] = True
-    admissible = is_lord2[stacked[:, list(h1.lord_ids)]].all(axis=1)
-    images = stacked[:, h1.mapping]
+    admissible = np.flatnonzero(is_lord2[stacked[:, list(h1.lord_ids)]].all(axis=1)).tolist()
+    rows = stacked[admissible][:, h1.mapping]
+    images, w = rows.tobytes(), rows.itemsize * len(h1.mapping)  # w bytes per image
     by_image = {}
-    for k in np.flatnonzero(admissible).tolist():
-        by_image.setdefault(images[k].tobytes(), targets[k])
+    for k, j in enumerate(admissible):
+        by_image.setdefault(images[k * w : (k + 1) * w], targets[j])
     for h0 in sources:
         t = by_image.get(h2.mapping[h0].tobytes())
         if t is not None:

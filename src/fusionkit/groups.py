@@ -23,24 +23,24 @@ class FiniteGroup:
         self.table = np.asarray(table, dtype=np.int64)
         if self.table.shape != (n, n):
             raise ValidationError(f"table must be {n}x{n}")
-        if ((self.table < 0) | (self.table >= n)).any():
+        if (self.table.view(np.uint64) >= n).any():  # read unsigned, a negative entry is at least 2**63
             raise ValidationError("table entries out of range")
         self.table.setflags(write=False)
         self.name = name or f"group{n}"
         self._index = {lab: i for i, lab in enumerate(self.labels)}
 
         t, ar = self.table, np.arange(n)
-        units = np.flatnonzero((t == ar).all(axis=1) & (t == ar[:, None]).all(axis=0))
+        units = ((t == ar) & (t.T == ar)).all(axis=1).nonzero()[0]  # row and column are the identity
         if len(units) != 1:
             raise ValidationError("table has no two-sided unit")
         self.unit = int(units[0])
         left = t[t]               # left[a,b,c] = (ab)c
         right = t[:, t]           # right[a,b,c] = a(bc)
-        if not (left == right).all():
+        if left.tobytes() != right.tobytes():  # arrays of one shape and dtype: equal iff their bytes are
             raise ValidationError("table is not associative")
         hits = t == self.unit
         inv = hits.argmax(axis=1)
-        bad = np.flatnonzero((hits.sum(axis=1) != 1) | (t[inv, ar] != self.unit))
+        bad = ((hits.sum(axis=1) != 1) | (t[inv, ar] != self.unit)).nonzero()[0]
         if len(bad):
             raise ValidationError(f"element {self.labels[bad[0]]} has no two-sided inverse")
         self.inv = inv

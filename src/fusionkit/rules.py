@@ -7,13 +7,18 @@ integer vectors.  All queries are exact and pure.  Associativity is checked
 with float64 matrix products; they are exact because every multiplicity is at
 most ``MAX_MULTIPLICITY`` = 2**16, so each entry of ``(xy)z`` is an integer of
 at most n * 2**32 < 2**53 for every table that fits in memory (n < 2**21).
+
+The tables are small (n is at most a few dozen), so the kernels are bounded
+by the number of numpy calls, not by arithmetic: each axiom is one comparison
+over the whole table, witnesses are gathered only for an axiom that fails,
+and a fact of one rule (its adjoint subrule) is derived once per rule object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import accumulate, product
 
 import numpy as np
 
@@ -40,14 +45,15 @@ class FusionRule:
         self.table = np.asarray(table, dtype=np.int64)
         if self.table.shape != (n, n, n):
             raise ValidationError(f"table must have shape ({n},{n},{n})")
-        if (self.table < 0).any():
-            raise ValidationError("multiplicities must be nonnegative")
-        if (self.table > MAX_MULTIPLICITY).any():
+        # read unsigned, a negative entry is at least 2**63: one comparison finds both faults
+        if (self.table.view(np.uint64) > MAX_MULTIPLICITY).any():
+            if (self.table < 0).any():
+                raise ValidationError("multiplicities must be nonnegative")
             raise ResourceError(f"multiplicity {int(self.table.max())} exceeds the bound {MAX_MULTIPLICITY}")
         self.table.setflags(write=False)
         self.unit = int(unit)
         self.dual = np.asarray(dual, dtype=np.int64)
-        if self.dual.shape != (n,) or ((self.dual < 0) | (self.dual >= n)).any():
+        if self.dual.shape != (n,) or (self.dual.view(np.uint64) >= n).any():
             raise ValidationError("dual must be a self-map of the carrier")
         self.dual.setflags(write=False)
         if not (0 <= self.unit < n):
@@ -99,6 +105,13 @@ class FusionRule:
     @cached_property
     def is_multiplicity_free(self) -> bool:
         return bool((self.table <= 1).all())
+
+    @cached_property
+    def adjoint(self) -> frozenset[int]:
+        """Smallest subrule containing the support of every x*xbar; the table
+        and dual are read-only, so it is derived once per rule."""
+        seed = np.flatnonzero(self.table[np.arange(self.n), self.dual].any(axis=0))
+        return subrule_generated(self, seed.tolist())
 
     def restrict(self, members) -> "FusionRule":
         """Sub-multimagma on a dual-closed, fusion-closed member set."""
@@ -206,28 +219,38 @@ class RuleReport:
 
 
 def verify_fusion_rule(rule: FusionRule) -> RuleReport:
-    """Check all defining axioms; failures are reported with witnesses, not raised."""
+    """Check all defining axioms; failures are reported with witnesses, not raised.
+
+    Each axiom is one comparison over the whole table; its witnesses are
+    gathered only when that comparison fails."""
     T, n, e = rule.table, rule.n, rule.unit
     # exact: entries are integers below 2**53 (see MAX_MULTIPLICITY)
     Tf = T.astype(np.float64).reshape(n * n, n)
-    lhs = Tf @ Tf.reshape(n, n * n)  # [(x,y), (z,w)]: <(xy)z, w>
-    rhs = np.matmul(Tf, Tf.reshape(n, n, n))  # [x, (y,z), w]: <x(yz), w>
-    cells = np.flatnonzero(lhs.ravel() != rhs.ravel()) // n  # ascending (x,y,z) cells, once per bad w
-    bad = cells[np.diff(cells, prepend=-1) > 0][:WITNESS_CAP]
-    assoc_witnesses = list(zip(*(ax.tolist() for ax in np.unravel_index(bad, (n, n, n)))))
+    lhs = (Tf @ Tf.reshape(n, n * n)).ravel()  # [(x,y), (z,w)]: <(xy)z, w>
+    rhs = np.matmul(Tf, Tf.reshape(n, n, n)).ravel()  # [x, (y,z), w]: <x(yz), w>
+    assoc_witnesses = []
+    if not np.array_equal(lhs, rhs):
+        cells = (lhs != rhs).nonzero()[0] // n  # ascending (x,y,z) cells, once per bad w
+        bad = cells[np.diff(cells, prepend=-1) > 0][:WITNESS_CAP]
+        assoc_witnesses = list(zip(*(ax.tolist() for ax in np.unravel_index(bad, (n, n, n)))))
 
-    eye = np.eye(n, dtype=np.int64)
-    unit_bad = np.flatnonzero((T[e] != eye).any(axis=1) | (T[:, e] != eye).any(axis=1)).tolist()
+    # nonnegative integers: ux = x exactly when |ux| = 1 and <ux, x> = 1
+    ar, sizes = np.arange(n), (Tf @ np.ones(n)).reshape(n, n)  # sizes[x, y] = |xy|, exact
+    one = sizes == 1
+    ident = one & one.T & (T[:, ar, ar] == 1) & (T[ar, :, ar].T == 1)  # [u, x]: ux = x = xu
+    units = ident.all(axis=1)
+    unit_bad = [] if units[e] else (~ident[e]).nonzero()[0].tolist()
 
-    want, Te = eye[rule.dual], T[:, :, e]
-    dual_bad = [
-        (x, int(rule.dual[x]))
-        for x in np.flatnonzero((Te != want).any(axis=1) | (Te.T != want).any(axis=1)).tolist()
-    ]
+    want, Te = rule.dual[:, None] == ar, T[:, :, e]  # want[x, y]: y = xbar
+    dual_fail = (Te != want) | (Te.T != want)
+    dual_bad = []
+    if dual_fail.any():
+        dual_bad = [(x, int(rule.dual[x])) for x in dual_fail.any(axis=1).nonzero()[0].tolist()]
 
-    empt = np.argwhere(T.sum(axis=2) == 0)
-    units = np.flatnonzero((T == eye).all(axis=(1, 2)) & (T == eye[:, None, :]).all(axis=(0, 2)))
-    dual_inv = bool((rule.dual[rule.dual] == np.arange(n)).all()) and rule.dual[e] == e
+    empty_witnesses = []
+    if not sizes.all():
+        empty_witnesses = [tuple(map(int, w)) for w in np.argwhere(sizes == 0)[:WITNESS_CAP]]
+    dual_inv = bool((rule.dual[rule.dual] == ar).all()) and rule.dual[e] == e
 
     return RuleReport(
         associative=not assoc_witnesses,
@@ -236,9 +259,9 @@ def verify_fusion_rule(rule: FusionRule) -> RuleReport:
         unit_witnesses=unit_bad[:WITNESS_CAP],
         duals_ok=not dual_bad,
         dual_witnesses=dual_bad[:WITNESS_CAP],
-        products_nonempty=empt.size == 0,
-        empty_witnesses=[tuple(map(int, w)) for w in empt[:WITNESS_CAP]],
-        unit_unique=len(units) == 1,
+        products_nonempty=not empty_witnesses,
+        empty_witnesses=empty_witnesses,
+        unit_unique=np.count_nonzero(units) == 1,
         dual_involutive=dual_inv,
         multiplicity_free=rule.is_multiplicity_free,
     )
@@ -294,7 +317,7 @@ def subrule_generated(rule: FusionRule, seed) -> frozenset[int]:
         ids = np.flatnonzero(members)
         grown = members | nonzero[ids[:, None], ids].any(axis=(0, 1))
         grown[rule.dual[members]] = True
-        if (grown == members).all():
+        if grown.tobytes() == members.tobytes():
             return frozenset(np.flatnonzero(members).tolist())
         members = grown
 
@@ -316,28 +339,33 @@ class CosetDecomposition:
 
 
 def left_cosets(rule: FusionRule, members) -> CosetDecomposition:
-    """All sets floor(xS) with the max-multiplicity operation, plus the index."""
-    ind = as_multiset(rule, sorted(members))
-    ind = (ind > 0).astype(np.int64)
-    raw = np.einsum("s,xsz->xz", ind, rule.table)
-    cosets = sorted({frozenset(np.flatnonzero(row).tolist()) for row in raw}, key=sorted)
-    k = len(cosets)
-    mask = np.zeros((k, rule.n), dtype=np.int64)
-    for i, c in enumerate(cosets):
-        mask[i, list(c)] = 1
-    # max over the coset blocks, one axis per step: [x,y,z] -> [l,x,y] -> [j,l,x] -> [i,j,l]
-    table = rule.table
-    for _ in range(3):
-        table = (table[..., None, :] * mask).max(axis=-1, initial=0).transpose(2, 0, 1)
-    cover = set().union(*cosets) == set(range(rule.n)) if cosets else False
-    disjoint = sum(len(c) for c in cosets) == rule.n
-    return CosetDecomposition(tuple(cosets), table, cover and disjoint)
+    """All sets floor(xS) with the max-multiplicity operation, plus the index.
+
+    The sorted cosets are laid end to end in one id list (cosets that overlap
+    repeat their shared ids), the table is gathered on that list once, and one
+    max-reduceat per axis takes the max over every block.  The cosets
+    partition the carrier when they cover it with n ids in all."""
+    ind = as_multiset(rule, sorted(members)) > 0
+    xs, zs = rule.table[:, ind].any(axis=1).nonzero()  # z in xS
+    ends = np.bincount(xs, minlength=rule.n).cumsum().tolist()
+    zs = zs.tolist()
+    cosets = sorted({tuple(zs[s:t]) for s, t in zip([0, *ends], ends)})
+    empty = not cosets[0]  # an empty xS (no member, or a rule off the axioms) sorts first
+    full = cosets[empty:]
+    idx = np.array([z for c in full for z in c], dtype=np.int64)
+    starts = [0, *accumulate(len(c) for c in full)][: len(full)]
+    table = rule.table[idx[:, None, None], idx[:, None], idx]
+    for axis in range(3):
+        table = np.maximum.reduceat(table, starts, axis=axis)
+    if empty:
+        table = np.pad(table, (1, 0))  # the empty coset's blocks: a max over nothing, 0
+    partitions = len(idx) == rule.n and len(set(zs)) == rule.n
+    return CosetDecomposition(tuple(map(frozenset, cosets)), table, partitions)
 
 
 def adjoint_subrule(rule: FusionRule) -> frozenset[int]:
     """Smallest subrule containing the support of every x*xbar."""
-    seed = np.flatnonzero(rule.table[np.arange(rule.n), rule.dual].any(axis=0))
-    return subrule_generated(rule, seed.tolist())
+    return rule.adjoint
 
 
 def nilpotency_class(rule: FusionRule) -> int | None:
@@ -345,7 +373,7 @@ def nilpotency_class(rule: FusionRule) -> int | None:
     current = rule
     k = 0
     while len(current) > 1:
-        nxt = adjoint_subrule(current)
+        nxt = current.adjoint
         if len(nxt) == len(current):
             return None
         current = current.restrict(nxt)
@@ -370,17 +398,19 @@ def _coset_label(rule: FusionRule, c: frozenset[int]) -> str:
 
 def universal_grading(rule: FusionRule) -> GradingReport:
     """Quotient by the adjoint subrule, checked to be a group partitioning the carrier."""
-    ad = adjoint_subrule(rule)
+    ad = rule.adjoint
     dec = left_cosets(rule, ad)
     if not dec.partitions:
         raise ValidationError("adjoint cosets do not partition the carrier")
     if ((dec.table != 0).sum(axis=2) != 1).any():
         raise ValidationError("adjoint quotient is not single-valued")
-    gtab = (dec.table != 0).argmax(axis=2)
-    group = FiniteGroup([_coset_label(rule, c) for c in dec.cosets], gtab, name="grading")
-    proj = np.zeros(rule.n, dtype=np.int64)
+    # each row holds one nonzero entry, and entries are nonnegative: argmax finds it
+    group = FiniteGroup([_coset_label(rule, c) for c in dec.cosets], dec.table.argmax(axis=2), name="grading")
+    proj = [0] * rule.n
     for i, c in enumerate(dec.cosets):
-        proj[list(c)] = i
+        for x in c:
+            proj[x] = i
+    proj = np.array(proj, dtype=np.int64)
     if not is_grading(rule, proj, group):
         raise ValidationError("universal projection is not a grading")
     return GradingReport(ad, dec.cosets, proj, group)
@@ -391,7 +421,7 @@ def is_grading(rule: FusionRule, projection, group: FiniteGroup) -> bool:
     proj = np.asarray(projection, dtype=np.int64)
     if set(proj.tolist()) != set(range(len(group))):
         return False
-    target = group.table[proj][:, proj]  # (n, n): required class of every product
+    target = group.table[proj[:, None], proj]  # (n, n): required class of every product
     mask = rule.table > 0
     return not (mask & (proj[None, None, :] != target[:, :, None])).any()
 
@@ -411,12 +441,14 @@ def simple_currents(rule: FusionRule) -> tuple[frozenset[int], int]:
 
 def group_from_members(rule: FusionRule, members) -> FiniteGroup:
     """The member set as a group, when fusion restricted to it is single-valued."""
-    ids = np.array(sorted(members), dtype=np.int64)
-    rows = rule.table[ids[:, None], ids]
+    ids = sorted(members)
+    at = np.array(ids, dtype=np.int64)
+    rows = rule.table[at[:, None], at]
+    inside = rows[:, :, at]
     # a unit vector onto a member: row sum 1 (nonnegative integers) and all of it inside
-    if (rows.sum(axis=2) != 1).any() or (rows[:, :, ids].sum(axis=2) != 1).any():
+    if not ((rows.sum(axis=2) == 1) & (inside.sum(axis=2) == 1)).all():
         raise ValidationError("member set does not fuse as a group")
-    return FiniteGroup([rule.labels[g] for g in ids], rows[:, :, ids] @ np.arange(len(ids)))
+    return FiniteGroup([rule.labels[g] for g in ids], inside.argmax(axis=2))
 
 
 # ---- isomorphism search --------------------------------------------------------
@@ -440,17 +472,14 @@ def rule_isomorphisms(
     if len(a) > bound:
         raise ResourceError(f"carrier of size {len(a)} exceeds search bound {bound}")
     n = len(a)
-    sec_a = sector[0] if sector is not None else np.zeros(n, dtype=np.int64)
-    sec_b = sector[1] if sector is not None else np.zeros(n, dtype=np.int64)
+    sec = np.zeros((2, n), dtype=np.int64) if sector is None else np.asarray(sector, dtype=np.int64)
 
-    # cheap invariants to prune candidates: sector, unit, self-dual, sorted row and column sums
-    def profiles(r: FusionRule, sec) -> np.ndarray:
-        ar, sums = np.arange(n), r.table.sum(axis=2)
-        flags = np.stack([np.asarray(sec, dtype=np.int64), ar == r.unit, r.dual == ar], axis=1)
-        return np.concatenate([flags, np.sort(sums, axis=1), np.sort(sums.T, axis=1)], axis=1)
-
-    prof_a, prof_b = profiles(a, sec_a), profiles(b, sec_b)
-    match = (prof_a[:, None, :] == prof_b[None, :, :]).all(axis=2)
+    # cheap invariants to prune candidates: sector, unit, self-dual, sorted row and column
+    # sums; row 0 of each stack is a, row 1 is b
+    ar, sums = np.arange(n), np.stack([a.table, b.table]).sum(axis=3)
+    flags = np.stack([sec, ar == [[a.unit], [b.unit]], np.stack([a.dual, b.dual]) == ar], axis=2)
+    prof = np.concatenate([flags, np.sort(sums, axis=2), np.sort(sums.transpose(0, 2, 1), axis=2)], axis=2)
+    match = (prof[0][:, None] == prof[1]).all(axis=2)
     cands = [[] for _ in range(n)]
     for x, y in np.argwhere(match).tolist():
         cands[x].append(y)
@@ -463,20 +492,22 @@ def rule_isomorphisms(
     perm[a.unit] = b.unit
     used[b.unit] = True
     order = sorted((x for x in range(n) if x != a.unit), key=lambda x: len(cands[x]))
-    # the points placed at depth i are the unit and order[:i+1]; only the triples that
-    # mention the new point order[i] can break: its row, column and fiber blocks
-    placed = [np.array([a.unit, *order[: i + 1]]) for i in range(len(order))]
+    # the points placed at depth i are p[:i+2], the unit and order[:i+1]; only the triples
+    # that mention the new point p[i+1] can break: its row, column and fiber blocks, which
+    # for a are corners of a's table relabelled by p, compared as bytes
+    p = np.array([a.unit, *order])
+    pa = a.table[p[:, None, None], p[:, None], p]
+    slices_a = np.stack([pa, pa.transpose(1, 0, 2), pa.transpose(2, 0, 1)], axis=1)
+    blocks_a = [slices_a[i + 1, :, : i + 2, : i + 2].tobytes() for i in range(len(order))]
     slices_b = np.stack([b.table, b.table.transpose(1, 0, 2), b.table.transpose(2, 0, 1)], axis=1)
-    slices_a = np.stack([a.table, a.table.transpose(1, 0, 2), a.table.transpose(2, 0, 1)], axis=1)
-    blocks_a = [slices_a[x][:, u[:, None], u] for x, u in zip(order, placed)]
+    dual_a, dual_b = a.dual.tolist(), b.dual.tolist()
 
-    def consistent(i: int, x: int) -> bool:
-        y = int(perm[x])
-        xd = int(a.dual[x])
-        if perm[xd] >= 0 and int(perm[xd]) != int(b.dual[y]):
+    def consistent(i: int, x: int, y: int) -> bool:
+        yd = int(perm[dual_a[x]])
+        if yd >= 0 and yd != dual_b[y]:
             return False
-        pu = perm[placed[i]]
-        return bool((blocks_a[i] == slices_b[y][:, pu[:, None], pu]).all())
+        pu = perm[p[: i + 2]]
+        return slices_b[y].take(pu, axis=1).take(pu, axis=2).tobytes() == blocks_a[i]
 
     def rec(i: int):
         if out and first_only:
@@ -490,7 +521,7 @@ def rule_isomorphisms(
                 continue
             perm[x] = y
             used[y] = True
-            if consistent(i, x):
+            if consistent(i, x, y):
                 rec(i + 1)
             perm[x] = -1
             used[y] = False

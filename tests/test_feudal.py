@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import product
 
@@ -275,6 +276,8 @@ def _reference_feudal_check(rule, serfs):
         return tuple(np.nonzero(r.table[x, y])[0].tolist())
 
     try:
+        if any(x not in range(r.n) for x in serfs):
+            raise ValidationError("serfs must be elements of the carrier")
         if not lords:
             raise ValidationError("a feudal rule needs at least one lord")
         if not r.is_multiplicity_free:
@@ -329,6 +332,8 @@ def _reference_hom_datum_check(S, G, mapping):
     u = np.asarray(mapping, dtype=np.int64)
     if u.shape != (len(S),):
         return "mapping must be total on the source"
+    if any(not 0 <= v < len(G) for v in u.tolist()):
+        return "mapping must take values in the target"
     for a, b in product(range(len(S)), repeat=2):
         if G.mul(int(u[a]), int(u[b])) != int(u[S.mul(a, b)]):
             return "mapping is not a homomorphism"
@@ -423,3 +428,37 @@ def test_feudal_validation_matches_reference(phi_rules_8):
             seen[want] = seen.get(want, 0) + 1
     # every check is reached but "lords do not fuse into serfs", which the Z2 grading check subsumes
     assert len(seen) == 8 and "lords do not fuse into serfs" not in seen, seen
+
+
+def test_ids_outside_the_carrier_are_validation_errors(mr):
+    for mapping in ([0, 6], [0, -1], [9, 2]):
+        want = _reference_hom_datum_check(cyclic(2), cyclic(4), mapping)
+        assert want == "mapping must take values in the target"
+        with pytest.raises(ValidationError, match=want):
+            HomDatum(cyclic(2), cyclic(4), mapping)
+    # range(7) also leaves no lord on the six elements
+    for serfs in ([0, 1, 2, 3, 99], [0, 1, 2, 3, -1], range(7)):
+        want = _reference_feudal_check(mr.rule, serfs)
+        assert want == "serfs must be elements of the carrier"
+        assert _feudal_check(mr.rule, serfs) == want
+
+
+# sha256 of the round trip on all 834 hom data, recorded once; a kernel rewrite must
+# reproduce it, never re-record it
+ROUND_TRIP_SHA256 = "73292f3dac9e4e02af77c3f79d3a0ec972e3ecf24bed6d63e07ba38292e2c46a"
+
+
+def test_round_trip_digest(hom_data_8, phi_rules_8):
+    """phi's labels, table and dual, gamma's mapping and target table, and both isomorphism witnesses."""
+    digest = hashlib.sha256()
+    for h, fr in zip(hom_data_8, phi_rules_8):
+        back = gamma(fr)
+        perm = graded_isomorphic(phi(back), fr)
+        r = fr.rule
+        digest.update(repr((
+            r.labels, r.table.tolist(), r.dual.tolist(),
+            back.mapping.tolist(), back.target.table.tolist(),
+            _pair(hom_datum_isomorphic(back, h)),
+            None if perm is None else perm.tolist(),
+        )).encode())
+    assert digest.hexdigest() == ROUND_TRIP_SHA256

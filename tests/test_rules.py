@@ -594,3 +594,67 @@ def test_rule_isomorphisms_match_reference(ty3, hom_data_8, phi_rules_8):
             for first_only in (True, False)[: 1 + (a.rule.n <= 10)]:  # every isomorphism only when small
                 got = rule_isomorphisms(a.rule, b.rule, sector=sec, first_only=first_only, bound=16)
                 assert _perms(got) == _perms(_reference_rule_isomorphisms(a.rule, b.rule, sec, first_only))
+
+
+def test_verify_fusion_rule_each_check_failing_alone_matches_reference(phi_rules_8):
+    """Each axiom failing by itself, so that each witness branch runs alone."""
+    rng = random.Random(13)
+    g = dihedral(4)
+    gr = group_rule(g)
+    # declared unit the central r2 of D4, duals x -> x^-1 r2: x.y and y.x hold it exactly when y = xbar
+    c = 2
+    unit_only = FusionRule(gr.labels, gr.table, c, [g.mul(int(g.inv[x]), c) for x in range(len(g))])
+    dual = gr.dual.copy()
+    dual[1], dual[3] = 1, 3  # r1 and r3 declared self-dual
+    cases = [(unit_only, "unit_ok"), (FusionRule(gr.labels, gr.table, gr.unit, dual), "duals_ok")]
+    for fr in rng.sample(phi_rules_8, 40):
+        r = fr.rule
+        # one more summand in a product x.y that holds neither the unit nor any unit row or column
+        x, y = (int(v) for v in rng.sample([v for v in range(r.n) if v != r.unit], 2))
+        if int(r.dual[x]) == y:
+            continue
+        table = r.table.copy()
+        table[x, y, [z for z in range(r.n) if z != r.unit and table[x, y, z] == 0][0]] = 1
+        cases.append((FusionRule(r.labels, table, r.unit, r.dual), "associative"))
+        # an empty product x.y fails associativity too: (x.y).ybar is empty, x.(y.ybar) holds x
+        table = r.table.copy()
+        table[x, y] = 0
+        cases.append((FusionRule(r.labels, table, r.unit, r.dual), "products_nonempty"))
+    checks = ("associative", "unit_ok", "duals_ok", "products_nonempty")
+    seen = set()
+    for rule, failing in cases:
+        rep = verify_fusion_rule(rule)
+        assert rep == _reference_verify(rule)
+        failed = {k for k in checks if not getattr(rep, k)}
+        assert failed == ({failing, "associative"} if failing == "products_nonempty" else {failing}), rep
+        seen.add(failing)
+    assert seen == set(checks)
+
+
+def test_left_cosets_overlapping_and_unit_match_reference(phi_rules_8):
+    rng = random.Random(17)
+    overlapping = 0
+    for fr in rng.sample(phi_rules_8, 150):
+        r = fr.rule
+        for members in ({r.unit}, set(rng.sample(range(r.n), 4))):
+            dec = left_cosets(r, members)
+            assert (list(dec.cosets), dec.table.tolist(), dec.partitions) == _reference_left_cosets(r, members)
+            overlapping += sum(map(len, dec.cosets)) > r.n
+    assert overlapping > 50, overlapping
+    # no member: every xS is empty, one empty coset whose block is a max over nothing
+    dec = left_cosets(phi_rules_8[0].rule, [])
+    assert dec.cosets == (frozenset(),) and dec.table.tolist() == [[[0]]] and not dec.partitions
+
+
+def test_round_trip_derives_the_adjoint_once(hom_data_8, monkeypatch):
+    calls = []
+    real = subrule_generated
+
+    def counted(rule, seed):
+        calls.append(rule)
+        return real(rule, seed)
+
+    monkeypatch.setattr("fusionkit.rules.subrule_generated", counted)
+    h = hom_data_8[-1]
+    gamma(phi(HomDatum(h.source, h.target, h.mapping)))
+    assert len(calls) == 1
