@@ -12,7 +12,7 @@ import sys
 
 from . import jsonio
 from .ambient import Ambi
-from .cohomology import _via_uber, h3
+from .cohomology import h3, h3_via_uber
 from .errors import DomainError, FusionkitError, ResourceError, ValidationError
 from .fields import Field
 from .feudal import detect_feudal, enumerate_feudal, gamma, phi
@@ -276,7 +276,7 @@ def cmd_cohom_h3(args) -> dict:
             if not subs:
                 raise DomainError(f"{args.group} has no index-2 subgroup")
             serfs = subs[0]
-        report["via_uber"] = _via_uber(g, serfs, field, direct).to_dict()
+        report["via_uber"] = h3_via_uber(g, serfs, field, direct).to_dict()
     return report
 
 

@@ -376,18 +376,12 @@ class H3ViaUberReport:
         }
 
 
-def h3_via_uber(g: FiniteGroup, serfs, field: Field) -> H3ViaUberReport:
+def h3_via_uber(g: FiniteGroup, serfs, field: Field, direct: H3Report | None = None) -> H3ViaUberReport:
     """Count gauge classes of uberderivations on an index-2 subgroup over F^(G-S),
-    and check the count against h3 directly.  The serfs are checked and the
-    classes counted before h3 runs, so a bad input raises what the first
-    failing stage raises; `cohom h3 --via-uber` passes the H3Report it holds
-    instead of running h3 again."""
-    return _via_uber(g, serfs, field, None)
-
-
-def _via_uber(g: FiniteGroup, serfs, field: Field, direct: H3Report | None) -> H3ViaUberReport:
-    """h3_via_uber, checked against direct, the H3Report of g over field if
-    the caller holds it (h3 runs here otherwise, after the count)."""
+    and check the count against h3 directly.  direct is the H3Report of g over
+    field when the caller holds one, as `cohom h3 --via-uber` does; otherwise
+    h3 runs here.  The serfs are checked and the classes counted before h3
+    runs, so a bad input raises what the first failing stage raises."""
     from .feudal import graded_group
     from .uber import enumerate_uber
 

@@ -4,18 +4,20 @@ A feudal rule splits as serfs (a group) and lords (the odd part of a Z2
 grading).  The two functors implemented here, :func:`phi` from homomorphism
 data to graded rules and :func:`gamma` back, are mutually inverse up to the
 labeling conventions that keep serf and lord carriers disjoint.
+
+The named rules are images of phi: a Tambara-Yamagami rule is phi of the
+trivial map A -> Z2, and the Moore-Read rule phi of squaring on Z4.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .groups import FiniteGroup, cyclic, homomorphisms, isomorphisms, standard_catalog, CATALOG_COMPLETE_THROUGH
+from .groups import FiniteGroup, cyclic, from_mul, homomorphisms, isomorphisms, standard_catalog, CATALOG_COMPLETE_THROUGH
 from .rules import (
     FusionRule,
     group_from_members,
@@ -40,7 +42,8 @@ class HomDatum:
     mapping: np.ndarray
 
     def __post_init__(self):
-        self.mapping = np.asarray(self.mapping, dtype=np.int64)
+        self.mapping = np.array(self.mapping, dtype=np.int64)  # a copy: the caller's array stays theirs
+        self.mapping.setflags(write=False)
         S, G, u = self.source, self.target, self.mapping
         if self.mapping.shape != (len(S),):
             raise ValidationError("mapping must be total on the source")
@@ -167,11 +170,7 @@ class FeudalRule:
 
 def group_rule(g: FiniteGroup) -> FusionRule:
     """A group, viewed as the fusion rule with single-valued fusion."""
-    n = len(g)
-    table = np.zeros((n, n, n), dtype=np.int64)
-    for a, b in product(range(n), repeat=2):
-        table[a, b, g.mul(a, b)] = 1
-    return FusionRule(g.labels, table, g.unit, g.inv)
+    return FusionRule(g.labels, g.table[:, :, None] == np.arange(len(g)), g.unit, g.inv)
 
 
 def graded_group(g: FiniteGroup, serfs) -> FeudalRule:
@@ -181,49 +180,20 @@ def graded_group(g: FiniteGroup, serfs) -> FeudalRule:
 
 
 def tambara_yamagami(a: FiniteGroup, lord_label: str = "m") -> FeudalRule:
-    """Serf group A plus a lone lord m with m*m = A."""
-    n = len(a)
-    labels = list(a.labels) + [lord_label]
-    table = np.zeros((n + 1, n + 1, n + 1), dtype=np.int64)
-    for x, y in product(range(n), repeat=2):
-        table[x, y, a.mul(x, y)] = 1
-    table[n, : n + 1, :], table[: n + 1, n, :] = 0, 0
-    for x in range(n):
-        table[x, n, n] = 1
-        table[n, x, n] = 1
-    table[n, n, :n] = 1
-    dual = list(a.inv) + [n]
-    rule = require_valid(FusionRule(labels, table, a.unit, dual))
-    return FeudalRule(rule, range(n))
+    """Serf group A plus a lone lord m with m*m = A: phi of the trivial map A -> Z2."""
+    if lord_label in a.labels:
+        raise ValidationError("duplicate labels")  # phi would rename the lord instead
+    z2 = FiniteGroup([lord_label + "'", lord_label], [[0, 1], [1, 0]])  # the unit's label never reaches the carrier
+    return phi(HomDatum(a, z2, np.zeros(len(a), dtype=np.int64)))
 
 
 def moore_read() -> FeudalRule:
-    """The six-element rule with serfs {1,-1,i,-i} and lords {i',-i'}."""
-    labels = ["1", "-1", "i", "-i", "i'", "-i'"]
+    """The six-element rule with serfs {1,-1,i,-i} and lords {i',-i'}: phi of
+    squaring on Z4, whose lords i and -i take fresh labels."""
     vals = {"1": 1, "-1": -1, "i": 1j, "-i": -1j}
-    serf_of = {v: k for k, v in vals.items()}
-    lord_of = {1j: "i'", -1j: "-i'"}
-    idx = {lab: k for k, lab in enumerate(labels)}
-    table = np.zeros((6, 6, 6), dtype=np.int64)
-    for x, p in vals.items():
-        for y, q in vals.items():
-            table[idx[x], idx[y], idx[serf_of[p * q]]] = 1
-    for x, p in vals.items():
-        for lm, q in (("i'", 1j), ("-i'", -1j)):
-            table[idx[x], idx[lm], idx[lord_of[p * p * q]]] = 1
-            table[idx[lm], idx[x], idx[lord_of[p * p * q]]] = 1
-    # lord products: p' * q' = the two square roots of p*q
-    table[idx["i'"], idx["i'"], idx["i"]] = 1
-    table[idx["i'"], idx["i'"], idx["-i"]] = 1
-    table[idx["-i'"], idx["-i'"], idx["i"]] = 1
-    table[idx["-i'"], idx["-i'"], idx["-i"]] = 1
-    table[idx["i'"], idx["-i'"], idx["1"]] = 1
-    table[idx["i'"], idx["-i'"], idx["-1"]] = 1
-    table[idx["-i'"], idx["i'"], idx["1"]] = 1
-    table[idx["-i'"], idx["i'"], idx["-1"]] = 1
-    dual = [idx["1"], idx["-1"], idx["-i"], idx["i"], idx["-i'"], idx["i'"]]
-    rule = require_valid(FusionRule(labels, table, 0, dual))
-    return FeudalRule(rule, [idx[x] for x in ("1", "-1", "i", "-i")])
+    label = {v: k for k, v in vals.items()}
+    z4 = from_mul(list(vals), lambda x, y: label[vals[x] * vals[y]], name="Z4")
+    return phi(HomDatum(z4, z4, [z4.index(label[v * v]) for v in vals.values()]))
 
 
 # ---- detection -------------------------------------------------------------------

@@ -20,7 +20,7 @@ class FiniteGroup:
         n = len(self.labels)
         if len(set(self.labels)) != n:
             raise ValidationError("duplicate group labels")
-        self.table = np.asarray(table, dtype=np.int64)
+        self.table = np.array(table, dtype=np.int64)  # a copy: the caller's array stays theirs
         if self.table.shape != (n, n):
             raise ValidationError(f"table must be {n}x{n}")
         if (self.table.view(np.uint64) >= n).any():  # read unsigned, a negative entry is at least 2**63

@@ -42,7 +42,7 @@ class FusionRule:
         n = len(self.labels)
         if len(set(self.labels)) != n:
             raise ValidationError("duplicate labels")
-        self.table = np.asarray(table, dtype=np.int64)
+        self.table = np.array(table, dtype=np.int64)  # a copy: the caller's array stays theirs
         if self.table.shape != (n, n, n):
             raise ValidationError(f"table must have shape ({n},{n},{n})")
         # read unsigned, a negative entry is at least 2**63: one comparison finds both faults
@@ -52,7 +52,7 @@ class FusionRule:
             raise ResourceError(f"multiplicity {int(self.table.max())} exceeds the bound {MAX_MULTIPLICITY}")
         self.table.setflags(write=False)
         self.unit = int(unit)
-        self.dual = np.asarray(dual, dtype=np.int64)
+        self.dual = np.array(dual, dtype=np.int64)
         if self.dual.shape != (n,) or (self.dual.view(np.uint64) >= n).any():
             raise ValidationError("dual must be a self-map of the carrier")
         self.dual.setflags(write=False)
@@ -150,6 +150,15 @@ def compiled(owner, build):
     return table
 
 
+def _member_ids(rule: FusionRule, members) -> np.ndarray:
+    """Labels or ids as an id array, every id checked to lie in the carrier."""
+    ids = np.array([rule.index(x) if isinstance(x, str) else int(x) for x in members], dtype=np.int64)
+    bad = ids.view(np.uint64) >= rule.n  # read unsigned, a negative id is at least 2**63
+    if bad.any():
+        raise DomainError(f"member id {ids[bad.argmax()]} is outside the carrier 0..{rule.n - 1}")
+    return ids
+
+
 def as_multiset(rule: FusionRule, x) -> np.ndarray:
     """Coerce labels / label->multiplicity dicts / vectors to a count vector."""
     if isinstance(x, np.ndarray):
@@ -157,15 +166,12 @@ def as_multiset(rule: FusionRule, x) -> np.ndarray:
         if v.shape != (rule.n,):
             raise DomainError("multiset vector has wrong length")
         return v
+    if isinstance(x, (int, np.integer)):
+        x = [x]
+    if not isinstance(x, dict):
+        return np.bincount(_member_ids(rule, x), minlength=rule.n)
     v = np.zeros(rule.n, dtype=np.int64)
-    if isinstance(x, dict):
-        for lab, m in x.items():
-            v[rule.index(lab) if isinstance(lab, str) else int(lab)] += int(m)
-    elif isinstance(x, (int, np.integer)):
-        v[int(x)] = 1
-    else:
-        for lab in x:
-            v[rule.index(lab) if isinstance(lab, str) else int(lab)] += 1
+    np.add.at(v, _member_ids(rule, x), [int(m) for m in x.values()])
     if (v < 0).any():
         raise DomainError("negative multiplicity")
     return v
@@ -311,7 +317,8 @@ def _as_map(mapping, rule: FusionRule, other: FusionRule) -> np.ndarray:
 def subrule_generated(rule: FusionRule, seed) -> frozenset[int]:
     """Least subset containing unit and seed, closed under duals and fusion support."""
     members = np.zeros(rule.n, dtype=bool)
-    members[[rule.unit, *(rule.index(s) if isinstance(s, str) else int(s) for s in seed)]] = True
+    members[rule.unit] = True
+    members[_member_ids(rule, seed)] = True
     nonzero = rule.table > 0
     while True:
         ids = np.flatnonzero(members)
@@ -324,7 +331,7 @@ def subrule_generated(rule: FusionRule, seed) -> frozenset[int]:
 
 def is_subrule(rule: FusionRule, members) -> bool:
     m = frozenset(members)
-    return rule.unit in m and subrule_generated(rule, m) == m
+    return subrule_generated(rule, m) == m  # the generated subrule holds the unit
 
 
 @dataclass

@@ -17,9 +17,11 @@ sublattice, and classes are coset representatives of the quotient,
 post-filtered by the one non-monomial condition (the character-sum
 nondegeneracy).
 
-Each monomial axiom is encoded once, as named rows of uber_constraint_system
-(the axiom and its witness) written as a signed gather; Uberderivation.report
-reads its failures off those rows and checks only the nondegeneracy directly.
+Each monomial axiom is encoded once, as named rows (the axiom and its
+witness) kept as a padded signed gather, _AxiomRows; uber_constraint_system
+writes their dense matrix for the solver with one scatter, and
+Uberderivation.report reads its failures off the gather and checks only the
+nondegeneracy directly.
 
 The gauge action is encoded once, as the signed gather of _gauge_gather from
 gauge log coordinates (theta, phi, sigma) to exponent coordinates.
@@ -34,8 +36,9 @@ a moved class lands in is read off by its index in the quotient.
 
 Every table is compiled once through rules.compiled, keyed by content: the
 shape slots and the reconstruct and gauge gathers per FeudalRule, as they read
-nothing of the field, and the axiom rows (whose norm row reads log|A|) and the
-gauge-shift lattice (reduced mod p - 1) per Ambi.
+nothing of the field, and the axiom rows (whose norm row reads log|A|; the
+gather, not the dense matrix) and the gauge-shift lattice (reduced mod p - 1)
+per Ambi.
 """
 
 from __future__ import annotations
@@ -716,14 +719,18 @@ def uber_unknown_keys(ambi: Ambi) -> list[tuple]:
 
 @dataclass
 class _AxiomRows:
-    """The monomial axioms of an Ambi as affine rows over Z/n, each written once.
+    """The monomial axioms of an Ambi as affine rows over Z/n, each written once,
+    as a signed gather.
 
-    An exponent vector x satisfies row i iff mat[i] @ x = rhs[i] mod n, and
-    names[i] is the row's (axiom, witness).  When |A| vanishes in F the norm
-    rows are left out and a_vanishes is set: no tau satisfies the norm.
+    An exponent vector x satisfies row i iff the sum over t of
+    signs[i, t] * x[src[i, t]] is rhs[i] mod n; a row with fewer terms than
+    the widest (6, quasisymmetry) is padded with sign 0.  names[i] is the
+    row's (axiom, witness).  When |A| vanishes in F the norm rows are left
+    out and a_vanishes is set: no tau satisfies the norm.
     """
 
-    mat: np.ndarray
+    src: np.ndarray
+    signs: np.ndarray
     rhs: np.ndarray
     names: list[tuple]
     n: int
@@ -732,7 +739,7 @@ class _AxiomRows:
     def failures(self, x: np.ndarray) -> dict:
         """The witnesses of the rows x fails, grouped by axiom, in row order."""
         out: dict[str, dict] = {}
-        for i in np.flatnonzero((self.mat @ x - self.rhs) % self.n):
+        for i in np.flatnonzero(((self.signs * x[self.src]).sum(axis=1) - self.rhs) % self.n):
             axiom, witness = self.names[i]
             out.setdefault(axiom, {})[witness] = None
         return {axiom: list(witnesses) for axiom, witnesses in out.items()}
@@ -740,9 +747,9 @@ class _AxiomRows:
 
 def _axiom_rows(ambi: Ambi) -> _AxiomRows:
     """One (terms, signs) family per named axiom over the serf and lord
-    indices, written into one matrix: a kept row adds signs[t] at the
-    coordinate terms[t] of uber_to_vec.  act, bar and the serf products are
-    gathers, as in _reconstruct_gather."""
+    indices, its kept rows laid into one padded gather: a row adds signs[t]
+    times the coordinate terms[t] of uber_to_vec.  act, bar and the serf
+    products are gathers, as in _reconstruct_gather."""
     A, F, fr = ambi, ambi.field, ambi.feudal
     s, m = len(A.serf_ids), A.npoints
     prod, inv, e = fr.serf_group.table, fr.serf_group.inv, fr.serf_group.unit  # serf i is serf_ids[i]
@@ -767,19 +774,20 @@ def _axiom_rows(ambi: Ambi) -> _AxiomRows:
         "symmetric_on_A": (pairs, on_A[a] & on_A[b] & (a < b), [chi(a, b, j), chi(b, a, j)], [1, -1]),
         "tau_norm": (["|A| tau taubar != 1"] * m, not a_vanishes, [tau(np.arange(m)), tau(bar)], [1, 1]),
     }
-    names, cells = [], []  # cells: (row, column, sign) per term of each kept row
-    for name, (witness, kept, terms, signs) in families.items():
+    width = max(len(term_signs) for *_, term_signs in families.values())
+    names, src, signs = [], [], []  # src and signs: each family's kept rows, padded to width
+    for name, (witness, kept, terms, term_signs) in families.items():
         kept = np.broadcast_to(kept, terms[0].shape)
         terms = np.stack(terms, axis=1)[kept]
-        cells.append((len(names) + np.arange(terms.size) // len(signs), terms.ravel(), np.tile(signs, len(terms))))
+        pad = ((0, 0), (0, width - len(term_signs)))
+        src.append(np.pad(terms, pad))
+        signs.append(np.pad(np.broadcast_to(term_signs, terms.shape), pad))
         names += [(name, w) for w, keep in zip(witness, kept) if keep]
-    rows, cols, signs = map(np.concatenate, zip(*cells))
-    mat = np.zeros((len(names), 2 * s * s * m + m), np.int64)
-    np.add.at(mat, (rows, cols), signs)
+    src, signs = np.concatenate(src), np.concatenate(signs)
     neg_log = 0 if a_vanishes else -F.log(len(fr.adjoint_ids) % F.p) % (F.p - 1)
     rhs = np.array([neg_log if name == "tau_norm" else 0 for name, _ in names], np.int64)
-    mat.flags.writeable = rhs.flags.writeable = False
-    return _AxiomRows(mat, rhs, names, F.p - 1, a_vanishes)
+    src.flags.writeable = signs.flags.writeable = rhs.flags.writeable = False
+    return _AxiomRows(src, signs, rhs, names, F.p - 1, a_vanishes)
 
 
 def _degenerate_on_A(ambi: Ambi, x: np.ndarray) -> np.ndarray:
@@ -799,11 +807,17 @@ def uber_constraint_system(ambi: Ambi):
     Homogeneous rows: ups normalization, quasisymmetry, the biderivation law,
     and symmetry of chi on A x A.  The single affine family is the norm
     |A| tau taubar = 1, whose right-hand side is -log|A|.  When |A| vanishes
-    in F there are no solutions at all, and matrix and rhs are None.
+    in F there are no solutions at all, and matrix and rhs are None.  The
+    matrix is written from the compiled gather on every call; only the
+    gather is kept.
     """
     rows = compiled(ambi, _axiom_rows)
     keys = uber_unknown_keys(ambi)
-    return (None, None, keys) if rows.a_vanishes else (rows.mat, rows.rhs, keys)
+    if rows.a_vanishes:
+        return None, None, keys
+    mat = np.zeros((len(rows.rhs), len(keys)), np.int64)
+    np.add.at(mat, (np.arange(len(rows.rhs))[:, None], rows.src), rows.signs)  # repeated columns add up
+    return mat, rows.rhs, keys
 
 
 def vec_to_uber(ambi: Ambi, vec: np.ndarray) -> Uberderivation:
@@ -894,17 +908,16 @@ def enumerate_uber(ambi: Ambi, *, with_orbits: bool = True) -> UberClassificatio
         invariant_factors=quot.invariant_factors,
         gauge_generators=len(shifts),
     )
-    rows = compiled(A, _axiom_rows)
     vecs, class_at = [], {}  # class_at: coset index -> class number
     cosets, done = quot.representatives(limit=CLASS_LIMIT), 0
     while block := list(islice(cosets, REP_BLOCK)):
         X = (x0 + np.array(block)) % n  # one representative per row
-        residue = rows.mat @ X.T  # the largest array here, so reduced in place
-        residue -= rows.rhs[:, None]
+        residue = mat @ X.T  # the largest array here, so reduced in place
+        residue -= rhs[:, None]
         residue %= n
         broken = residue.any(axis=0)
         if broken.any():
-            failures = rows.failures(X[broken.argmax()])
+            failures = compiled(A, _axiom_rows).failures(X[broken.argmax()])
             raise ValidationError(f"lattice representative violates monomial axioms: {sorted(failures)}")
         for i in (~_degenerate_on_A(A, X).any(axis=1)).nonzero()[0].tolist():
             class_at[done + i] = len(vecs)

@@ -16,13 +16,15 @@ from fusionkit import (
     graded_isomorphic,
     group_rule,
     hom_datum_isomorphic,
+    moore_read,
     phi,
     round_trip_check,
+    tambara_yamagami,
 )
 from fusionkit.errors import ValidationError
 from fusionkit.feudal import FeudalRule, HomDatum, enumerate_feudal
-from fusionkit.groups import homomorphisms, isomorphisms, standard_catalog
-from fusionkit.rules import group_from_members, is_grading
+from fusionkit.groups import direct_product, homomorphisms, isomorphisms, standard_catalog
+from fusionkit.rules import group_from_members, is_grading, require_valid
 
 
 def z2_feudal_gradings(rule: FusionRule) -> list[frozenset[int]]:
@@ -462,3 +464,80 @@ def test_round_trip_digest(hom_data_8, phi_rules_8):
             None if perm is None else perm.tolist(),
         )).encode())
     assert digest.hexdigest() == ROUND_TRIP_SHA256
+
+
+# ---- the named rules as images of phi ----------------------------------------------------
+
+
+def _reference_group_rule(g):
+    n = len(g)
+    table = np.zeros((n, n, n), dtype=np.int64)
+    for a, b in product(range(n), repeat=2):
+        table[a, b, g.mul(a, b)] = 1
+    return FusionRule(g.labels, table, g.unit, g.inv)
+
+
+def _reference_tambara_yamagami(a, lord_label="m"):
+    n = len(a)
+    labels = list(a.labels) + [lord_label]
+    table = np.zeros((n + 1, n + 1, n + 1), dtype=np.int64)
+    for x, y in product(range(n), repeat=2):
+        table[x, y, a.mul(x, y)] = 1
+    table[n, : n + 1, :], table[: n + 1, n, :] = 0, 0
+    for x in range(n):
+        table[x, n, n] = 1
+        table[n, x, n] = 1
+    table[n, n, :n] = 1
+    dual = list(a.inv) + [n]
+    rule = require_valid(FusionRule(labels, table, a.unit, dual))
+    return FeudalRule(rule, range(n))
+
+
+def _reference_moore_read():
+    labels = ["1", "-1", "i", "-i", "i'", "-i'"]
+    vals = {"1": 1, "-1": -1, "i": 1j, "-i": -1j}
+    serf_of = {v: k for k, v in vals.items()}
+    lord_of = {1j: "i'", -1j: "-i'"}
+    idx = {lab: k for k, lab in enumerate(labels)}
+    table = np.zeros((6, 6, 6), dtype=np.int64)
+    for x, p in vals.items():
+        for y, q in vals.items():
+            table[idx[x], idx[y], idx[serf_of[p * q]]] = 1
+    for x, p in vals.items():
+        for lm, q in (("i'", 1j), ("-i'", -1j)):
+            table[idx[x], idx[lm], idx[lord_of[p * p * q]]] = 1
+            table[idx[lm], idx[x], idx[lord_of[p * p * q]]] = 1
+    # lord products: p' * q' = the two square roots of p*q
+    table[idx["i'"], idx["i'"], idx["i"]] = 1
+    table[idx["i'"], idx["i'"], idx["-i"]] = 1
+    table[idx["-i'"], idx["-i'"], idx["i"]] = 1
+    table[idx["-i'"], idx["-i'"], idx["-i"]] = 1
+    table[idx["i'"], idx["-i'"], idx["1"]] = 1
+    table[idx["i'"], idx["-i'"], idx["-1"]] = 1
+    table[idx["-i'"], idx["i'"], idx["1"]] = 1
+    table[idx["-i'"], idx["i'"], idx["-1"]] = 1
+    dual = [idx["1"], idx["-1"], idx["-i"], idx["i"], idx["-i'"], idx["i'"]]
+    rule = require_valid(FusionRule(labels, table, 0, dual))
+    return FeudalRule(rule, [idx[x] for x in ("1", "-1", "i", "-i")])
+
+
+def _same_feudal(got, want):
+    return got.rule.key == want.rule.key and got.serfs == want.serfs and got.grading_count == want.grading_count
+
+
+def test_named_rules_match_reference():
+    """Tambara-Yamagami and the group rules, built through phi and one
+    comparison, equal the cell-by-cell tables on the catalog through order 15
+    plus Z2xD3, with lord labels m, q and x'; a lord label that is already a
+    serf label is refused as before; Moore-Read equals its hand-filled table."""
+    groups = standard_catalog(15) + [direct_product(cyclic(2), dihedral(3))]
+    assert len(groups) == 27
+    for g in groups:
+        assert group_rule(g).key == _reference_group_rule(g).key
+        for lord in ("m", "q", "x'"):
+            assert _same_feudal(tambara_yamagami(g, lord), _reference_tambara_yamagami(g, lord))
+        for lord in g.labels:
+            for build in (tambara_yamagami, _reference_tambara_yamagami):
+                with pytest.raises(ValidationError, match="^duplicate labels$"):
+                    build(g, lord)
+    assert _same_feudal(moore_read(), _reference_moore_read())

@@ -8,7 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusionkit import Ambi, cyclic, detect_feudal, enumerate_uber, gamma, reconstruct, verify_fusion_rule
+from fusionkit import (
+    Ambi,
+    cyclic,
+    detect_feudal,
+    enumerate_uber,
+    gamma,
+    group_rule,
+    klein_four,
+    moore_read,
+    reconstruct,
+    tambara_yamagami,
+    verify_fusion_rule,
+)
 from fusionkit.cli import main
 from fusionkit.errors import ValidationError
 from fusionkit.jsonio import (
@@ -52,6 +64,21 @@ def test_builtin_fixtures_load():
         assert verify_fusion_rule(rule).passed
     broken = load_rule("builtin:broken")
     assert not verify_fusion_rule(broken).passed
+
+
+def test_builtin_fixtures_are_their_constructors():
+    """The bundled rules are the named constructors' rules, labels, carrier
+    order and duals included, so the data files and the code cannot drift."""
+    fixtures = {
+        "ty_z2": tambara_yamagami(cyclic(2)).rule,
+        "ty_z3": tambara_yamagami(cyclic(3)).rule,
+        "mr": moore_read().rule,
+        "z2xz2": group_rule(klein_four()),
+        "z4_graded": group_rule(cyclic(4, labels=["1", "i", "-1", "-i"])),
+    }
+    assert sorted(fixtures) == sorted(set(BUILTIN_RULES) - {"broken"})
+    for name, rule in fixtures.items():
+        assert load_rule(f"builtin:{name}").key == rule.key, name
 
 
 def test_hom_datum_round_trip(mr):

@@ -27,8 +27,15 @@ from fusionkit import (
 )
 from fusionkit.errors import DomainError, ResourceError, ValidationError
 from fusionkit.feudal import HomDatum, enumerate_feudal
-from fusionkit.groups import homomorphisms, identify_group, standard_catalog
-from fusionkit.rules import MAX_MULTIPLICITY, WITNESS_CAP, group_from_members, is_subrule, rule_isomorphisms
+from fusionkit.groups import FiniteGroup, homomorphisms, identify_group, standard_catalog
+from fusionkit.rules import (
+    MAX_MULTIPLICITY,
+    WITNESS_CAP,
+    as_multiset,
+    group_from_members,
+    is_subrule,
+    rule_isomorphisms,
+)
 
 
 def fibonacci_rule():
@@ -157,6 +164,46 @@ def test_subrule_generated_anchors(mr, ty3):
     assert subrule_generated(r, []) == {r.unit}
     t3 = ty3.rule
     assert subrule_generated(t3, [t3.index("m")]) == set(range(t3.n))
+
+
+def test_member_ids_outside_the_carrier_raise(mr):
+    """An id below 0 or at n is refused by every entry point that takes member
+    ids, naming the id, instead of wrapping to the end of the carrier or
+    raising a bare IndexError."""
+    r = mr.rule
+    entry_points = [
+        lambda i: as_multiset(r, i),
+        lambda i: as_multiset(r, [0, i]),
+        lambda i: as_multiset(r, {0: 1, i: 2}),
+        lambda i: subrule_generated(r, [i]),
+        lambda i: left_cosets(r, [i]),
+        lambda i: fuse_multisets(r, [0], [i]),
+        lambda i: is_subrule(r, [i]),
+    ]
+    for bad in (-1, r.n):
+        for call in entry_points:
+            with pytest.raises(DomainError, match=f"^member id {bad} is outside the carrier 0..5$"):
+                call(bad)
+    assert (as_multiset(r, r.n - 1) == np.eye(r.n, dtype=np.int64)[-1]).all()
+
+
+def test_constructors_keep_their_own_copy_of_array_inputs(mr):
+    """FusionRule, FiniteGroup and HomDatum keep a read-only copy of the arrays
+    they are given: the caller's arrays stay writeable, and writing to them
+    changes nothing that was built from them."""
+    r, z4 = mr.rule, cyclic(4)
+    table, dual, group_table, mapping = np.array(r.table), np.array(r.dual), np.array(z4.table), np.array([0, 2, 0, 2])
+    rule = FusionRule(r.labels, table, r.unit, dual)
+    group = FiniteGroup(z4.labels, group_table)
+    datum = HomDatum(z4, z4, mapping)
+    assert all(a.flags.writeable for a in (table, dual, group_table, mapping))
+    assert not any(a.flags.writeable for a in (rule.table, rule.dual, group.table, datum.mapping))
+    table[0, 0] = 7
+    dual[:] = 0
+    group_table[:] = 0
+    mapping[:] = 1
+    assert rule == r and group == z4
+    assert datum.mapping.tolist() == [0, 2, 0, 2] and datum.image_ids == (0, 2) and datum.lord_ids == (1, 3)
 
 
 def test_left_cosets_anchors(mr, ty2):

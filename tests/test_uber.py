@@ -1674,9 +1674,10 @@ def test_dictionary_detects_the_feudal_structure_once_per_rule(f17, monkeypatch)
 # ---- the axiom rows as one signed gather ------------------------------------------------
 
 
-def _reference_axiom_rows(ambi: Ambi) -> uber._AxiomRows:
-    """_axiom_rows as it stood: one Python row at a time, through the scalar
-    actions and products of the FeudalRule."""
+def _reference_axiom_rows(ambi: Ambi) -> tuple:
+    """_axiom_rows as it stood, as (mat, rhs, names, n, a_vanishes): one
+    Python row of the dense matrix at a time, through the scalar actions and
+    products of the FeudalRule."""
     A = ambi
     F = A.field
     fr = A.feudal
@@ -1746,24 +1747,29 @@ def _reference_axiom_rows(ambi: Ambi) -> uber._AxiomRows:
             row[idx[("tau", j)]] += 1
             row[idx[("tau", bar(j))]] += 1
 
-    mat, rhs = np.vstack(rows), np.array(rhs, dtype=np.int64)
-    mat.flags.writeable = rhs.flags.writeable = False
-    return uber._AxiomRows(mat, rhs, names, n, a_vanishes)
+    return np.vstack(rows), np.array(rhs, dtype=np.int64), names, n, a_vanishes
 
 
 def test_axiom_rows_match_reference(gauge_rules):
-    """The gathered rows are the row loop's: matrix, rhs, names (witness
-    types too), n and a_vanishes, row for row, on the 21 rules and the 41
-    feudal rules of order <= 11 at several primes, TY(Z3) at p=3 among them,
-    where |A| vanishes in F."""
+    """The gathered rows are the row loop's: the dense form of the gather (as
+    uber_constraint_system writes it) is its matrix, and rhs, names (witness
+    types too), n and a_vanishes agree, row for row, on the 21 rules and the
+    41 feudal rules of order <= 11 at several primes, TY(Z3) at p=3 among
+    them, where |A| vanishes in F.  The gather is 6 terms wide."""
     rules = [A.feudal for A in gauge_rules] + list(enumerate_feudal(11).rules)
     vanished = 0
     for fr, p in product(rules, (3, 5, 13, 17)):
         A = Ambi(fr, Field(p))
-        got, want = uber._axiom_rows(A), _reference_axiom_rows(A)
-        assert _same_array(got.mat, want.mat) and _same_array(got.rhs, want.rhs)
-        assert got.names == want.names and got.n == want.n and got.a_vanishes is want.a_vanishes
-        assert [type(x) for _, w in got.names for x in w] == [type(x) for _, w in want.names for x in w]
+        got = uber._axiom_rows(A)
+        mat, rhs, names, n, a_vanishes = _reference_axiom_rows(A)
+        assert got.src.shape == got.signs.shape == (len(mat), 6)
+        dense = np.zeros(mat.shape, np.int64)
+        np.add.at(dense, (np.arange(len(mat))[:, None], got.src), got.signs)
+        assert _same_array(dense, mat) and _same_array(got.rhs, rhs)
+        if not a_vanishes:
+            assert _same_array(uber_constraint_system(A)[0], mat)
+        assert got.names == names and got.n == n and got.a_vanishes is a_vanishes
+        assert [type(x) for _, w in got.names for x in w] == [type(x) for _, w in names for x in w]
         vanished += got.a_vanishes
     assert len(rules) == 62 and vanished
 
