@@ -166,7 +166,7 @@ def as_multiset(rule: FusionRule, x) -> np.ndarray:
         if v.shape != (rule.n,):
             raise DomainError("multiset vector has wrong length")
         return v
-    if isinstance(x, (int, np.integer)):
+    if isinstance(x, (int, np.integer, str)):  # one label or id
         x = [x]
     if not isinstance(x, dict):
         return np.bincount(_member_ids(rule, x), minlength=rule.n)
@@ -330,7 +330,7 @@ def subrule_generated(rule: FusionRule, seed) -> frozenset[int]:
 
 
 def is_subrule(rule: FusionRule, members) -> bool:
-    m = frozenset(members)
+    m = frozenset(_member_ids(rule, members).tolist())  # labels or ids, as ids
     return subrule_generated(rule, m) == m  # the generated subrule holds the unit
 
 

@@ -1,22 +1,27 @@
 """Fusion systems on multiplicity-free rules: recoupling tables over GF(p).
 
-Coefficients are stored sparsely, keyed by admissible sextuple (x,y,z,u,r,v)
-with u in xy, v in yz, r in uz and xv.  Verification compiles every check for
-a rule once into index arrays over the coefficient vector: the live pentagon
-instances (an instance can fail only if r is in uz and in wv, since every key
-it reads is inadmissible otherwise), the recoupling blocks, the rigidity
-blocks and the triangle and unit entries.  A system is then checked with
-gathers: a multiply and segmented sum for the pentagon, a nonzero test for
-each 1x1 block, and an inverse mod p only for the few larger blocks.
+A system is its slot vector: one nonzero residue mod p per admissible
+sextuple (x,y,z,u,r,v) with u in xy, v in yz, r in uz and xv, in
+admissible_sextuples order; FusionSystem.coeffs is a read-only view of it
+keyed by sextuple.  A gauge is likewise its vector over the support triples
+(x,y,r), r in xy, in sorted order, with GaugeXi.values the keyed view.
+Verification compiles every check for a rule once into index arrays over
+the slot vector: the live pentagon instances (an instance can fail only if r
+is in uz and in wv, since every key it reads is inadmissible otherwise), the
+recoupling blocks, the rigidity blocks and the triangle and unit entries.  A
+system is then checked with gathers: a multiply and segmented sum for the
+pentagon, a nonzero test for each 1x1 block, and an inverse mod p only for
+the few larger blocks.
 
 Outside the reference evaluators (pentagon_instances and
 pentagon_instance_value), a coefficient is addressed by its slot: its
-position in FusionSystem.coeffs, or the trailing 0 slot for an inadmissible
+position in FusionSystem.vec, or the trailing 0 slot for an inadmissible
 key.  The brute-force search holds one value per slot and propagates over the
 live instances of the compiled program, and the feudal dictionary of
-fusionkit.uber reads and writes the same slots.  FusionSystem and GaugeXi
-validate their tables as arrays over a key -> slot index, and apply_gauge is
-one gather: the logs of the gauge at the four support positions of each slot,
+fusionkit.uber reads and writes the same slots.  The dict constructors of
+FusionSystem and GaugeXi validate a keyed table as an array over a key ->
+slot index, and from_vec takes the vector as it is; apply_gauge is one
+gather: the logs of the gauge at the four support positions of each slot,
 added and subtracted, back through the exp table.
 
 The admissible sextuples, the slot and support indices, the gauge positions
@@ -28,7 +33,9 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product, repeat
+from types import MappingProxyType
 
 import numpy as np
 
@@ -111,17 +118,49 @@ def _residues(index: dict, values: dict, p: int, outside: str, zero: str) -> np.
     return out
 
 
+def _frozen_residues(vec, p: int, keys, noun: str, zero: str) -> np.ndarray:
+    """vec mod p as a read-only int64 array, checked to hold one value per key
+    (keys is a rule's sextuple list or support index), none of them 0 mod p."""
+    vec = np.asarray(vec, np.int64) % p
+    if vec.shape != (len(keys),):
+        raise ValidationError(f"expected {len(keys)} {noun}, got an array of shape {vec.shape}")
+    zeros = np.flatnonzero(vec == 0)
+    if zeros.size:
+        raise ValidationError(zero.format(list(keys)[zeros[0]]))
+    vec.flags.writeable = False
+    return vec
+
+
 class FusionSystem:
+    """A fusion system on a multiplicity-free rule: its slot vector vec, a
+    read-only int64 array with one nonzero residue mod p per admissible
+    sextuple, in admissible_sextuples order.  coeffs is a read-only view of
+    it keyed by sextuple, built on first read."""
+
     def __init__(self, rule: FusionRule, field: Field, coeffs: dict):
-        self.rule = rule
-        self.field = field
         index = compiled(rule, _slot_index)
         c = _residues(index, coeffs, field.p, "coefficient at inadmissible sextuple {}", "zero coefficient at {}")
         missing = np.flatnonzero(c < 0)
         if missing.size:
             adm = admissible_sextuples(rule)
             raise ValidationError(f"missing coefficients, e.g. {min(adm[i] for i in missing)}")
-        self.coeffs = dict(zip(index, c.tolist()))
+        self._set(rule, field, c)
+
+    @classmethod
+    def from_vec(cls, rule: FusionRule, field: Field, vec) -> FusionSystem:
+        """The system with slot vector vec, reduced mod p: one value per
+        admissible sextuple, none of them 0 mod p."""
+        f = cls.__new__(cls)
+        f._set(rule, field, vec)
+        return f
+
+    def _set(self, rule: FusionRule, field: Field, vec) -> None:
+        self.rule, self.field = rule, field
+        self.vec = _frozen_residues(vec, field.p, admissible_sextuples(rule), "coefficients", "zero coefficient at {}")
+
+    @cached_property
+    def coeffs(self) -> MappingProxyType:
+        return MappingProxyType(dict(zip(admissible_sextuples(self.rule), self.vec.tolist())))
 
     def coeff(self, x, y, z, u, r, v) -> int:
         return self.coeffs.get((x, y, z, u, r, v), 0)
@@ -131,11 +170,11 @@ class FusionSystem:
             isinstance(other, FusionSystem)
             and self.rule == other.rule
             and self.field.p == other.field.p
-            and self.coeffs == other.coeffs
+            and np.array_equal(self.vec, other.vec)
         )
 
     def __repr__(self):
-        return f"FusionSystem(|L|={self.rule.n}, p={self.field.p}, {len(self.coeffs)} coeffs)"
+        return f"FusionSystem(|L|={self.rule.n}, p={self.field.p}, {len(self.vec)} coeffs)"
 
 
 def recoupling_matrix(f: FusionSystem, x: int, y: int, z: int, r: int):
@@ -151,26 +190,22 @@ def recoupling_matrix(f: FusionSystem, x: int, y: int, z: int, r: int):
 
 
 def matrix_inverse_modp(mat: np.ndarray, p: int) -> np.ndarray | None:
-    """Inverse of a square matrix over GF(p), or None if singular."""
+    """Inverse of a square matrix over GF(p), or None if singular: Gauss-Jordan
+    on [A | I], one rank-1 update per column."""
     n = mat.shape[0]
-    a = mat.astype(np.int64) % p
-    inv = np.eye(n, dtype=np.int64)
+    a = np.concatenate([mat.astype(np.int64) % p, np.eye(n, dtype=np.int64)], axis=1)
     for col in range(n):
-        piv = next((r for r in range(col, n) if a[r, col] % p), None)
-        if piv is None:
+        nz = np.flatnonzero(a[col:, col])
+        if not nz.size:
             return None
+        piv = col + nz[0]
         if piv != col:
             a[[col, piv]] = a[[piv, col]]
-            inv[[col, piv]] = inv[[piv, col]]
-        w = pow(int(a[col, col]), -1, p)
-        a[col] = a[col] * w % p
-        inv[col] = inv[col] * w % p
-        for r in range(n):
-            if r != col and a[r, col] % p:
-                q = int(a[r, col])
-                a[r] = (a[r] - q * a[col]) % p
-                inv[r] = (inv[r] - q * inv[col]) % p
-    return inv
+        a[col] = a[col] * pow(int(a[col, col]), -1, p) % p
+        q = a[:, col].copy()
+        q[col] = 0
+        a = (a - np.outer(q, a[col])) % p
+    return a[:, n:].copy()
 
 
 def pentagon_instances(rule: FusionRule) -> list:
@@ -213,8 +248,8 @@ def pentagon_instance_value(f: FusionSystem, inst) -> tuple[int, int]:
 @dataclass(frozen=True)
 class _PentagonProgram:
     """Every check of verify_fusion_system for one rule, as index arrays into the
-    coefficient vector: the values of FusionSystem.coeffs, which lists them in
-    admissible-sextuple order, then a 0 at index len(adm) for inadmissible keys.
+    coefficient vector: FusionSystem.vec, in admissible-sextuple order, then a
+    0 at index len(adm) for inadmissible keys.
 
     An instance of pentagon_instances can fail only if r is in uz and in wv:
     otherwise every key on both sides is inadmissible.  On a live instance the
@@ -261,9 +296,9 @@ class _PentagonProgram:
         bad = np.concatenate([self.nonsquare, self.single[c[self.single_slots] == 0], np.array(square, np.intp)])
         return np.sort(bad)
 
-    def not_rigid(self, raw: np.ndarray, c: np.ndarray, p: int, inverses: list) -> list[int]:
+    def not_rigid(self, c: np.ndarray, p: int, inverses: list) -> list[int]:
         """The labels r whose (rb,r,rb,rb) block has no inverse with unit entry
-        raw[(r,rb,r,e,r,e)]: for a 1x1 block [x], raw * x = 1 mod p; a larger
+        c[(r,rb,r,e,r,e)]: for a 1x1 block [x], c * x = 1 mod p; a larger
         block reads its inverse off inverses."""
         single = dict(zip(self.single.tolist(), self.single_slots.tolist()))
         square = {i: inv for (i, _), inv in zip(self.square, inverses)}
@@ -272,10 +307,10 @@ class _PentagonProgram:
             if at is None:
                 ok = False
             elif i in single:
-                ok = raw[s] * c[single[i]] % p == 1
+                ok = c[s] * c[single[i]] % p == 1
             else:
                 inv = square.get(i)  # None for a singular or a non-square block
-                ok = inv is not None and inv[at] != 0 and raw[s] == inv[at]
+                ok = inv is not None and inv[at] != 0 and c[s] == inv[at]
             if not ok:
                 out.append(r)
         return out
@@ -409,8 +444,7 @@ class SystemReport:
 def verify_fusion_system(f: FusionSystem, witness_cap: int = 16) -> SystemReport:
     prog = compiled(f.rule, _pentagon_program)
     p = f.field.p
-    raw = np.append(np.fromiter(f.coeffs.values(), np.int64, len(f.coeffs)), 0)
-    c = raw % p
+    c = np.append(f.vec, 0)
     witnesses = lambda arr, bad: [tuple(w) for w in arr[bad][:witness_cap].tolist()]
 
     inverses = [matrix_inverse_modp(c[slots], p) for _, slots in prog.square]
@@ -418,9 +452,9 @@ def verify_fusion_system(f: FusionSystem, witness_cap: int = 16) -> SystemReport
     # the cap keeps at least one witness, so pentagon_ok reads off the list
     bad = prog.failures(c, p)[: max(witness_cap, 1)]
     pent_fail = [tuple(w) for w in prog.witnesses[bad].tolist()]
-    tri_fail = np.flatnonzero(raw[prog.triangle] != 1)
-    rig_fail = prog.not_rigid(raw, c, p, inverses)
-    ot_fail = np.flatnonzero((raw[prog.one_top] != 1).any(axis=1))
+    tri_fail = np.flatnonzero(c[prog.triangle] != 1)
+    rig_fail = prog.not_rigid(c, p, inverses)
+    ot_fail = np.flatnonzero((c[prog.one_top] != 1).any(axis=1))
 
     return SystemReport(
         invertibility_ok=not non_inv.size,
@@ -441,45 +475,58 @@ def verify_fusion_system(f: FusionSystem, witness_cap: int = 16) -> SystemReport
 
 
 class GaugeXi:
-    """Invertible rescaling xi with support {(x,y,r) : r in xy}, normalized at the unit."""
+    """Invertible rescaling xi with support {(x,y,r) : r in xy}, normalized at
+    the unit: its vector vec, a read-only int64 array with one residue mod p
+    per support triple in sorted order.  values is a read-only view of it
+    keyed by triple, built on first read."""
 
     def __init__(self, rule: FusionRule, field: Field, values: dict):
-        self.rule = rule
-        self.field = field
         index = compiled(rule, _support_index)
         v = _residues(index, values, field.p, "gauge value at unsupported triple {}", "gauge value must be invertible at {}")
         if (v < 0).any():
             raise ValidationError("gauge must be total on the support")
+        self._set(rule, field, v)
+
+    @classmethod
+    def from_vec(cls, rule: FusionRule, field: Field, vec) -> GaugeXi:
+        """The gauge with vector vec, reduced mod p: one value per support
+        triple, none of them 0 mod p, and 1 at every (e,r,r) and (r,e,r)."""
+        xi = cls.__new__(cls)
+        xi._set(rule, field, vec)
+        return xi
+
+    def _set(self, rule: FusionRule, field: Field, vec) -> None:
+        index = compiled(rule, _support_index)
+        vec = _frozen_residues(vec, field.p, index, "gauge values", "gauge value must be invertible at {}")
         e = rule.unit
         units = [k for r in range(rule.n) for k in ((e, r, r), (r, e, r))]
         at = np.fromiter(map(index.get, units, repeat(-1)), np.intp, len(units))
-        bad = np.flatnonzero((at < 0) | (v[at] != 1))
+        bad = np.flatnonzero((at < 0) | (vec[at] != 1))
         if bad.size and at[bad[0]] < 0:
             raise KeyError(units[bad[0]])
         if bad.size:
             raise ValidationError("gauge must be normalized at the unit")
-        self.values = dict(zip(index, v.tolist()))
+        self.rule, self.field, self.vec = rule, field, vec
+
+    @cached_property
+    def values(self) -> MappingProxyType:
+        return MappingProxyType(dict(zip(compiled(self.rule, _support_index), self.vec.tolist())))
 
     def __getitem__(self, key):
         return self.values[tuple(int(i) for i in key)]
 
     def inverse(self) -> "GaugeXi":
-        inv = {k: self.field.inv(v) for k, v in self.values.items()}
-        return GaugeXi(self.rule, self.field, inv)
+        return GaugeXi.from_vec(self.rule, self.field, [self.field.inv(v) for v in self.vec.tolist()])
 
 
 def identity_gauge(rule: FusionRule, field: Field) -> GaugeXi:
-    vals = {(x, y, r): 1 for x, y in product(range(rule.n), repeat=2) for r in rule.support(x, y)}
-    return GaugeXi(rule, field, vals)
+    return GaugeXi.from_vec(rule, field, np.ones(len(compiled(rule, _support_index)), np.int64))
 
 
 def random_gauge(rule: FusionRule, field: Field, rng) -> GaugeXi:
     e = rule.unit
-    vals = {}
-    for x, y in product(range(rule.n), repeat=2):
-        for r in rule.support(x, y):
-            vals[(x, y, r)] = 1 if e in (x, y) else rng.randrange(1, field.p)
-    return GaugeXi(rule, field, vals)
+    vals = [1 if e in (x, y) else rng.randrange(1, field.p) for x, y, _ in compiled(rule, _support_index)]
+    return GaugeXi.from_vec(rule, field, vals)
 
 
 def _gauge_positions(rule: FusionRule) -> np.ndarray:
@@ -501,11 +548,8 @@ def apply_gauge(f: FusionSystem, xi: GaugeXi) -> FusionSystem:
     if xi.rule != f.rule or xi.field.p != f.field.p:
         raise DomainError("gauge and system live on different data")
     F = f.field
-    logs = F._log_table[np.fromiter(xi.values.values(), np.int64, len(xi.values))]
-    yzv, xvr, xyu, uzr = logs[compiled(f.rule, _gauge_positions)]
-    c = np.fromiter(f.coeffs.values(), np.int64, len(f.coeffs))
-    out = c * F._exp_table[(yzv + xvr - xyu - uzr) % (F.p - 1)] % F.p
-    return FusionSystem(f.rule, F, dict(zip(f.coeffs, out.tolist())))
+    yzv, xvr, xyu, uzr = F._log_table[xi.vec][compiled(f.rule, _gauge_positions)]
+    return FusionSystem.from_vec(f.rule, F, f.vec * F._exp_table[(yzv + xvr - xyu - uzr) % (F.p - 1)])
 
 
 # ---- brute-force enumeration ----------------------------------------------------
@@ -600,7 +644,7 @@ def enumerate_fusion_systems_bruteforce(
         if propagate(pending, trail):
             free = next((i for i in variables if val[i] is None), None)
             if free is None:
-                cand = FusionSystem(rule, field, dict(zip(adm, val)))
+                cand = FusionSystem.from_vec(rule, field, val[:-1])
                 if verify_fusion_system(cand).passed:
                     results.append(cand)
             else:

@@ -247,8 +247,8 @@ class Decomposition:
 
 def _shape_slots(fr: FeudalRule) -> dict[str, np.ndarray]:
     """decompose's eight sextuple formulas, each written once, as slots into the
-    coefficient vector (the values of FusionSystem.coeffs, then a 0 at
-    len(adm) for an inadmissible key); compiled keeps them per rule and serf
+    coefficient vector (FusionSystem.vec, then a 0 at len(adm) for an
+    inadmissible key); compiled keeps them per rule and serf
     set, so every FeudalRule on them finds them.
 
     Each shape is an (s^2, K) array: row (a,b) in product(serfs, repeat=2)
@@ -289,7 +289,7 @@ def decompose(f: FusionSystem, fr: FeudalRule | None = None) -> Decomposition:
         fr = FeudalRule(f.rule, *found)
     if fr.rule != f.rule:
         raise DomainError("feudal structure belongs to a different rule")
-    c = np.append(np.fromiter(f.coeffs.values(), np.int64, len(f.coeffs)), 0)
+    c = np.append(f.vec, 0)
     shapes = compiled(fr, _shape_slots)
     pairs = list(product(fr.serf_ids, repeat=2))
     alpha = dict(zip(product(fr.serf_ids, repeat=3), c[shapes["alpha"]].ravel().tolist()))
@@ -305,15 +305,14 @@ def _feudal_structure(rule: FusionRule) -> tuple[frozenset, int] | None:
 
 
 def assemble(dec: Decomposition) -> FusionSystem:
-    """Rebuild the sparse coefficient table from the eight functions: one
-    scatter through the shape slots, which partition the admissible sextuples."""
+    """Rebuild the slot vector from the eight functions: one scatter through
+    the shape slots, which partition the admissible sextuples."""
     fr, F = dec.feudal, dec.field
-    adm = admissible_sextuples(fr.rule)
-    c = np.zeros(len(adm) + 1, np.int64)
+    c = np.zeros(len(admissible_sextuples(fr.rule)) + 1, np.int64)
     for name, slots in compiled(fr, _shape_slots).items():
         vals = getattr(dec, name)
         c[slots.ravel()] = np.ravel([vals[k] for k in product(fr.serf_ids, repeat=3 if name == "alpha" else 2)])
-    return FusionSystem(fr.rule, F, dict(zip(adm, (c % F.p).tolist())))
+    return FusionSystem.from_vec(fr.rule, F, c[:-1])
 
 
 def psi(f: FusionSystem, fr: FeudalRule | None = None, ambi: Ambi | None = None) -> Uberderivation:
@@ -351,10 +350,11 @@ def xi_components(xi: GaugeXi, fr: FeudalRule):
 
 def xi_from_components(fr: FeudalRule, field: Field, theta, phi, psi_, omega) -> GaugeXi:
     """The fusion-system gauge with components (theta, phi, psi, omega); the
-    inverse of xi_components, walking the support once by the lordness of x, y."""
+    inverse of xi_components, walking the support once, in sorted order, by
+    the lordness of x, y."""
     rule = fr.rule
     pos = {m: i for i, m in enumerate(fr.lord_ids)}
-    vals = {}
+    vals = []
     for x, y in product(range(rule.n), repeat=2):
         for r in rule.support(x, y):
             if x in fr.serfs and y in fr.serfs:
@@ -365,8 +365,8 @@ def xi_from_components(fr: FeudalRule, field: Field, theta, phi, psi_, omega) ->
                 v = psi_[y][pos[r]]
             else:
                 v = omega[r][pos[x]]
-            vals[(x, y, r)] = int(v)
-    return GaugeXi(rule, field, vals)
+            vals.append(v)
+    return GaugeXi.from_vec(rule, field, vals)
 
 
 def psi_gauge(xi: GaugeXi, fr: FeudalRule, ambi: Ambi | None = None) -> GaugeTriple:
@@ -435,8 +435,7 @@ def reconstruct(u: Uberderivation) -> FusionSystem:
     F = A.field
     src, signs = compiled(A.feudal, _reconstruct_gather)
     logs = (uber_to_vec(u)[src] * signs).sum(axis=1) % (F.p - 1)
-    adm = admissible_sextuples(A.feudal.rule)
-    return FusionSystem(A.feudal.rule, F, dict(zip(adm, F._exp_table[logs].tolist())))
+    return FusionSystem.from_vec(A.feudal.rule, F, F._exp_table[logs])
 
 
 def _reconstruct_gather(fr: FeudalRule) -> tuple[np.ndarray, np.ndarray]:

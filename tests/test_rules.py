@@ -187,6 +187,24 @@ def test_member_ids_outside_the_carrier_raise(mr):
     assert (as_multiset(r, r.n - 1) == np.eye(r.n, dtype=np.int64)[-1]).all()
 
 
+def test_labels_and_ids_name_the_same_members(mr):
+    """is_subrule and as_multiset read a label as the id it names, a single
+    label string included, whatever its length."""
+    r = mr.rule
+    one, minus = r.index("1"), r.index("-1")
+    assert is_subrule(r, ["1", "-1"]) and is_subrule(r, [one, minus]) and is_subrule(r, {"1", minus})
+    assert not is_subrule(r, ["-1"]) and not is_subrule(r, ["1", "i"])
+    for label in r.labels:
+        i = r.index(label)
+        unit = np.eye(r.n, dtype=np.int64)[i]
+        for form in (label, i, [label], [i]):
+            assert (as_multiset(r, form) == unit).all()
+    assert len(max(r.labels, key=len)) > 1
+    assert (as_multiset(r, ["-i", "-i", "i"]) == as_multiset(r, {"-i": 2, "i": 1})).all()
+    with pytest.raises(DomainError, match="unknown label"):
+        as_multiset(r, "-j")
+
+
 def test_constructors_keep_their_own_copy_of_array_inputs(mr):
     """FusionRule, FiniteGroup and HomDatum keep a read-only copy of the arrays
     they are given: the caller's arrays stay writeable, and writing to them

@@ -184,9 +184,55 @@ def test_compiled_pentagon_matches_scalar_reference(check_systems):
     assert checked[::5] == [3072, 58368]  # Moore-Read, TY(Z2^3)
 
 
+def _reference_matrix_inverse_modp(mat: np.ndarray, p: int) -> np.ndarray | None:
+    """matrix_inverse_modp as it stood: Gauss-Jordan with a Python loop over
+    the rows of each column."""
+    n = mat.shape[0]
+    a = mat.astype(np.int64) % p
+    inv = np.eye(n, dtype=np.int64)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r, col] % p), None)
+        if piv is None:
+            return None
+        if piv != col:
+            a[[col, piv]] = a[[piv, col]]
+            inv[[col, piv]] = inv[[piv, col]]
+        w = pow(int(a[col, col]), -1, p)
+        a[col] = a[col] * w % p
+        inv[col] = inv[col] * w % p
+        for r in range(n):
+            if r != col and a[r, col] % p:
+                q = int(a[r, col])
+                a[r] = (a[r] - q * a[col]) % p
+                inv[r] = (inv[r] - q * inv[col]) % p
+    return inv
+
+
+def test_matrix_inverse_matches_reference():
+    """The rank-1-update inverse gives the row loop's inverse, or None with
+    it, on random and singular matrices of size 1-8 over five primes."""
+    rng = np.random.default_rng(31)
+    singular = 0
+    for p in (5, 7, 13, 17, 41):
+        for n in range(1, 9):
+            for trial in range(12):
+                mat = rng.integers(-3 * p, 3 * p, size=(n, n))
+                if trial % 3 == 0:  # a dependent row, or a zero one for n = 1
+                    i, j = rng.integers(n, size=2)
+                    mat[i] = 0 if i == j else mat[j] * rng.integers(p) + p * rng.integers(-2, 3, size=n)
+                got, want = matrix_inverse_modp(mat, p), _reference_matrix_inverse_modp(mat, p)
+                assert (got is None) == (want is None)
+                if want is None:
+                    singular += 1
+                    continue
+                assert got.dtype == np.int64 and got.tolist() == want.tolist()
+                assert (mat % p @ got % p == np.eye(n, dtype=np.int64)).all()
+    assert singular >= 5 * 8 * 4
+
+
 def _reference_checks(f, witness_cap=16) -> dict:
     """The invertibility, triangle, rigidity and one-top checks as loops over
-    recoupling_matrix, matrix_inverse_modp and FusionSystem.coeff."""
+    recoupling_matrix, the row-loop matrix inverse and FusionSystem.coeff."""
     rule, p = f.rule, f.field.p
     n, e = rule.n, rule.unit
     non_inv = []
@@ -200,7 +246,7 @@ def _reference_checks(f, witness_cap=16) -> dict:
                 mat, vs, us = recoupling_matrix(f, x, y, z, r)
                 if mat.size == 0:
                     continue
-                if mat.shape[0] != mat.shape[1] or matrix_inverse_modp(mat, p) is None:
+                if mat.shape[0] != mat.shape[1] or _reference_matrix_inverse_modp(mat, p) is None:
                     non_inv.append((x, y, z, r))
     tri_fail = []
     for x, y in product(range(n), repeat=2):
@@ -211,7 +257,7 @@ def _reference_checks(f, witness_cap=16) -> dict:
     for r in range(n):
         rb = int(rule.dual[r])
         mat, vs, us = recoupling_matrix(f, rb, r, rb, rb)
-        inv = matrix_inverse_modp(mat, p)
+        inv = _reference_matrix_inverse_modp(mat, p)
         ok = False
         if inv is not None and e in vs and e in us:
             # inverse is indexed (u, v); take the unit-unit entry
@@ -236,6 +282,16 @@ def _reference_checks(f, witness_cap=16) -> dict:
     }
 
 
+def _zeroed(f, key):
+    """A copy of f with the coefficient at key set to 0, which every
+    constructor refuses: its slot vector is replaced after construction."""
+    out = FusionSystem.from_vec(f.rule, f.field, f.vec)
+    vec = out.vec.copy()
+    vec[list(f.coeffs).index(key)] = 0
+    out.vec = vec
+    return out
+
+
 def _corruptions(f, rng):
     """Copies of f with: a 1x1 coefficient zeroed after construction; a larger
     block made singular by copying one row onto another, together with such a
@@ -246,17 +302,14 @@ def _corruptions(f, rng):
     one_by_one = [k for k in f.coeffs if blocks[(*k[:3], k[4])][0].shape == (1, 1)]
     larger = sorted(b for b, (mat, _, _) in blocks.items() if 2 <= mat.shape[0] == mat.shape[1])
     out = []
-    zeroed = FusionSystem(rule, F, f.coeffs)
-    zeroed.coeffs[rng.choice(one_by_one)] = 0
-    out.append(zeroed)
+    out.append(_zeroed(f, rng.choice(one_by_one)))
     if larger:
         x, y, z, r = rng.choice(larger)
         _, vs, us = blocks[(x, y, z, r)]
         v0, v1 = rng.sample(vs, 2)
         coeffs = {**f.coeffs, **{(x, y, z, u, r, v1): f.coeffs[(x, y, z, u, r, v0)] for u in us}}
         out.append(FusionSystem(rule, F, coeffs))
-        out.append(FusionSystem(rule, F, coeffs))
-        out[-1].coeffs[rng.choice(one_by_one)] = 0
+        out.append(_zeroed(out[-1], rng.choice(one_by_one)))
     triples = [(x, y, r) for x, y in product(range(rule.n), repeat=2) for r in rule.support(x, y)]
     x, y, r = rng.choice(triples)
     rb = int(rule.dual[r])
@@ -655,6 +708,58 @@ def test_constructors_accept_what_the_per_key_loops_accepted(check_systems, f5):
         for values in _key_forms(xi.values, rule.n, F.p, rng):
             want = _outcome(_reference_gauge_xi_init, rule, F, values)
             assert want[0] is not ValidationError and _outcome(_gauge_init, rule, F, values) == want
+
+
+def test_from_vec_checks_as_the_dict_constructors(check_systems):
+    """from_vec reduces mod p and gives the system or gauge of the keyed
+    table; a wrong length, a zero slot and a gauge off the unit are refused,
+    the zero slot with the dict constructor's message for its first zero; the
+    vector and the keyed views are read-only."""
+    rng = random.Random(23)
+    for f in check_systems:
+        rule, F = f.rule, f.field
+        keys = list(f.coeffs)
+        assert keys == admissible_sextuples(rule)
+        g = FusionSystem.from_vec(rule, F, f.vec + F.p * rng.choice((1, -2)))
+        assert g == f and g == FusionSystem(rule, F, dict(f.coeffs)) and list(g.coeffs.items()) == list(f.coeffs.items())
+        assert {type(v) for v in g.coeffs.values()} == {int}
+        for bad in (f.vec[:-1], np.append(f.vec, 1), f.vec.reshape(1, -1)):
+            with pytest.raises(ValidationError, match="^expected .* coefficients"):
+                FusionSystem.from_vec(rule, F, bad)
+        vec = f.vec.copy()
+        at = sorted(rng.sample(range(len(vec)), 2))
+        vec[at] = F.p * np.array([0, 3])
+        with pytest.raises(ValidationError) as got:
+            FusionSystem.from_vec(rule, F, vec)
+        with pytest.raises(ValidationError) as want:
+            FusionSystem(rule, F, dict(zip(keys, vec.tolist())))
+        assert str(got.value) == str(want.value) == f"zero coefficient at {keys[at[0]]}"
+        with pytest.raises(TypeError):
+            f.coeffs[keys[0]] = 1
+        with pytest.raises(ValueError):
+            f.vec[0] = 1
+
+        xi = random_gauge(rule, F, rng)
+        support = list(xi.values)
+        assert GaugeXi.from_vec(rule, F, xi.vec - F.p).values == GaugeXi(rule, F, dict(xi.values)).values == xi.values
+        with pytest.raises(ValidationError, match="^expected .* gauge values"):
+            GaugeXi.from_vec(rule, F, xi.vec[1:])
+        e = rule.unit
+        for unit in ((e, e, e), (e, rule.n - 1, rule.n - 1), (rule.n - 1, e, rule.n - 1)):
+            vec = xi.vec.copy()
+            vec[support.index(unit)] = 2
+            with pytest.raises(ValidationError, match="^gauge must be normalized at the unit$"):
+                GaugeXi.from_vec(rule, F, vec)
+        vec = xi.vec.copy()
+        vec[-1] = 0
+        with pytest.raises(ValidationError) as got:
+            GaugeXi.from_vec(rule, F, vec)
+        assert str(got.value) == f"gauge value must be invertible at {support[-1]}"
+        with pytest.raises(TypeError):
+            xi.values[support[0]] = 1
+        with pytest.raises(ValueError):
+            xi.vec[0] = 1
+        assert GaugeXi.from_vec(rule, F, xi.inverse().vec * xi.vec).values == identity_gauge(rule, F).values
 
 
 # ---- brute force ------------------------------------------------------------------------

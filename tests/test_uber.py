@@ -1,5 +1,7 @@
 import dataclasses
 import gc
+import hashlib
+import json
 import random
 import sys
 import weakref
@@ -38,7 +40,7 @@ from fusionkit import (
 from fusionkit.cohomology import Units, coboundary_logs
 from fusionkit.errors import DomainError, ValidationError
 from fusionkit.feudal import FeudalRule, detect_feudal
-from fusionkit import systems
+from fusionkit import jsonio, systems
 from fusionkit.systems import FusionSystem, GaugeXi, admissible_sextuples
 from fusionkit import uber
 from fusionkit.uber import (
@@ -1593,6 +1595,32 @@ def test_reconstruct_and_apply_gauge_match_reference(gauge_rules):
         for values in _key_forms(xi.values, rule.n, F.p, rng):
             assert _same_table(GaugeXi(rule, F, values).values, _reference_gauge_xi_init(rule, F, values))
     assert len(checks) == 96 and all(checks)
+
+
+# sha256 of the dictionary's outputs on every gauge class of TY(Z2^3)@17 and
+# Moore-Read@17, recorded once while systems were stored keyed by sextuple; a
+# rewrite must reproduce it, never re-record it
+DICTIONARY_SHA256 = "8b234b6ca53a7400896d720901949b2957e7c31da301eddca1d57df0a5d98812"
+
+
+def test_dictionary_outputs_digest(f17, mr):
+    """reconstruct, apply_gauge under a seeded random gauge, normalize (the
+    system and its gauge) and assemble(decompose(.)) on the 60 classes, as
+    jsonio documents."""
+    rng = random.Random(19)
+    digest = hashlib.sha256()
+    classes = 0
+    for fr in (tambara_yamagami(named_group("Z2xZ2xZ2")), mr):
+        for u in enumerate_uber(Ambi(fr, f17), with_orbits=False).class_reps:
+            classes += 1
+            f = reconstruct(u)
+            g = apply_gauge(f, random_gauge(fr.rule, f17, rng))
+            normal, xi = normalize(g)
+            for out in (f, g, normal, assemble(decompose(g))):
+                digest.update(json.dumps(jsonio.system_to_dict(out)).encode())
+            digest.update(json.dumps(jsonio.gauge_to_dict(xi)).encode())
+    assert classes == 60
+    assert digest.hexdigest() == DICTIONARY_SHA256
 
 
 def _flip_last_term(name):
