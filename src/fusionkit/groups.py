@@ -59,6 +59,8 @@ class FiniteGroup:
         return f"FiniteGroup({self.name}, order {len(self)})"
 
     def index(self, label: str) -> int:
+        if label not in self._index:
+            raise DomainError(f"unknown label {label!r}")
         return self._index[label]
 
     def mul(self, a: int, b: int) -> int:
@@ -250,8 +252,8 @@ def _derivations(g: FiniteGroup):
 def homomorphisms(g: FiniteGroup, h: FiniteGroup) -> list[np.ndarray]:
     """All group homomorphisms g -> h, as index arrays, deterministic order.
 
-    Results are cached by table content (labels play no role); treat the
-    returned arrays as read-only.
+    Results are cached by table content (labels play no role); the arrays
+    are read-only, and the list is the cache's own, so treat it as read-only.
     """
     cache_key = (g.table_key, h.table_key)
     cached = _HOM_CACHE.get(cache_key)
@@ -278,6 +280,7 @@ def homomorphisms(g: FiniteGroup, h: FiniteGroup) -> list[np.ndarray]:
         f = build(dict(zip(gens, combo)))
         ft = h.table[f][:, f]
         if (ft == f[g.table]).all():
+            f.flags.writeable = False
             results.append(f)
     _HOM_CACHE[cache_key] = results
     return results

@@ -130,7 +130,7 @@ class FusionRule:
 # every table compiled from a rule, a FeudalRule or an Ambi, by (build, owner.key),
 # the least recently used first
 _COMPILED_CACHE: dict[tuple, object] = {}
-COMPILED_LIMIT = 64  # tables the store keeps; a benchmark process holds at most 20
+COMPILED_LIMIT = 64  # tables the store keeps; a benchmark process holds at most 22
 
 
 def compiled(owner, build):

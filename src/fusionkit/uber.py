@@ -34,11 +34,15 @@ Equivalence classes are orbits of the gauge classes under the graded rule
 automorphisms: each automorphism permutes exponent coordinates, and the coset
 a moved class lands in is read off by its index in the quotient.
 
+One check, _keyed_rows, takes every keyed table of a triple or a gauge.  A
+fusion-system gauge is its components at their support positions:
+xi_components is a gather through them, xi_from_components a scatter.
+
 Every table is compiled once through rules.compiled, keyed by content: the
-shape slots and the reconstruct and gauge gathers per FeudalRule, as they read
-nothing of the field, and the axiom rows (whose norm row reads log|A|; the
-gather, not the dense matrix) and the gauge-shift lattice (reduced mod p - 1)
-per Ambi.
+shape slots, the reconstruct and gauge gathers and the gauge component
+positions per FeudalRule, as they read nothing of the field, and the axiom
+rows (whose norm row reads log|A|; the gather, not the dense matrix) and the
+gauge-shift lattice (reduced mod p - 1) per Ambi.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ from .errors import DomainError, ResourceError, UnsupportedFieldError, Validatio
 from .fields import Field, nth_roots_of
 from .feudal import FeudalRule, detect_feudal
 from .rules import FusionRule, automorphisms as rule_automorphisms, compiled, is_homomorphism
-from .systems import FusionSystem, GaugeXi, _slot_index, admissible_sextuples
+from .systems import FusionSystem, GaugeXi, _slot_index, _support_index, admissible_sextuples
 from .zmodlin import SmithMod, factor_mod, nullspace_mod, quotient_structure, solve_mod
 
 
@@ -73,26 +77,10 @@ class Uberderivation:
         """Reduce every entry mod p; chi and ups must be keyed by exactly the
         serf pairs, and every vector must hold one residue per lord."""
         A = self.ambi
-        show = lambda k: ",".join(A.feudal.rule.labels[i] for i in k)
-
-        def residues(v, name, k=None):
-            v = np.asarray(v, dtype=np.int64) % A.field.p
-            if v.shape != (A.npoints,):
-                where = repr(name) if k is None else f"{name!r} at {show(k)!r}"
-                raise ValidationError(f"{where} must list one residue per lord")
-            return v
-
-        pairs = set(product(A.serf_ids, repeat=2))
         for name in ("chi", "ups"):
-            d = {tuple(k): v for k, v in getattr(self, name).items()}
-            if d.keys() != pairs:
-                off = show(sorted(d.keys() ^ pairs)[0])
-                raise ValidationError(f"{name!r} must be keyed by the serf pairs; it differs at {off!r}")
-            rows = _stacked(d.values(), A.field.p, A.npoints, np.int64)
-            if rows is None:  # name the first bad entry
-                rows = [residues(v, name, k) for k, v in d.items()]
-            setattr(self, name, dict(zip(d, rows)))
-        self.tau = residues(self.tau, "tau")
+            keys, rows = _keyed_rows(A, name, getattr(self, name), list(product(A.serf_ids, repeat=2)), np.int64)
+            setattr(self, name, dict(zip(keys, rows)))
+        self.tau = _lord_residues(A, self.tau, "'tau'")
 
     def report(self) -> dict:
         """The failed axioms, each with its witnesses; empty on a valid triple.
@@ -155,29 +143,44 @@ class GaugeTriple:
 
     def __post_init__(self):
         A = self.ambi
-        p = A.field.p
-        self.sigma = np.asarray(self.sigma, dtype=np.int64) % p
-        theta = {tuple(k): v for k, v in self.theta.items()}
-        rows = _stacked(theta.values(), p, A.npoints)
-        self.theta = dict(zip(theta, [np.asarray(v) % p for v in theta.values()] if rows is None else rows))
-        self.phi = {int(k): np.asarray(v) % p for k, v in self.phi.items()}
+        self.sigma = _lord_residues(A, self.sigma, "'sigma'")
+        keys, rows = _keyed_rows(A, "theta", self.theta, list(product(A.serf_ids, repeat=2)))
+        self.theta = dict(zip(keys, rows))
+        self.phi = dict(zip(*_keyed_rows(A, "phi", self.phi, list(A.serf_ids))))
         if not A.eq(self.phi[A.unit_serf], A.one()):
             raise ValidationError("phi must be normalized")
-        fixed = map(A.in_fix, self.theta.values()) if rows is None else (rows == rows[:, :1]).all(axis=1)
-        for k, ok in zip(self.theta, fixed):
-            if not ok:
-                raise ValidationError(f"theta{k} is not fixed by the actions")
+        moved = (rows != rows[:, :1]).any(axis=1)
+        if moved.any():
+            raise ValidationError(f"theta{keys[moved.argmax()]} is not fixed by the actions")
 
 
-def _stacked(values, p: int, m: int, dtype=None) -> np.ndarray | None:
-    """values as one (len(values), m) array mod p, or None where they do not
-    stack to that shape (the caller then takes them one at a time)."""
-    values = list(values)
+def _lord_residues(A: Ambi, v, where: str, dtype=np.int64) -> np.ndarray:
+    """v mod p, which must hold one residue per lord; where names it in the error."""
+    v = np.asarray(v, dtype) % A.field.p
+    if v.shape != (A.npoints,):
+        raise ValidationError(f"{where} must list one residue per lord")
+    return v
+
+
+def _keyed_rows(A: Ambi, name: str, table: dict, keys: list, dtype=None) -> tuple[list, np.ndarray]:
+    """table's keys, tuple- or int-normalized as keys are, in its order, and its
+    entries mod p stacked once, checked: the keys must be exactly keys and each
+    entry one residue per lord, or it raises at its first bad entry."""
+    pairs = isinstance(keys[0], tuple)
+    show = lambda k: ",".join(A.feudal.rule.labels[i] for i in (k if pairs else [k]))
+    d = {tuple(k) if pairs else int(k): v for k, v in table.items()}
+    if d.keys() != set(keys):
+        off = show(sorted(d.keys() ^ set(keys))[0])
+        raise ValidationError(f"{name!r} must be keyed by the serf{' pairs' if pairs else 's'}; it differs at {off!r}")
     try:
-        rows = np.array(values, dtype=dtype) % p
+        rows = np.array(list(d.values()), dtype) % A.field.p
+        if rows.shape != (len(d), A.npoints):
+            raise ValueError(f"{name!r} does not stack to one row per key")
     except (TypeError, ValueError, OverflowError):
-        return None
-    return rows if rows.shape == (len(values), m) else None
+        for k, v in d.items():  # name the first bad entry
+            _lord_residues(A, v, f"{name!r} at {show(k)!r}", dtype)
+        raise
+    return list(d), rows
 
 
 def _shift_values(ambi: Ambi, g: GaugeTriple) -> np.ndarray:
@@ -335,38 +338,40 @@ def psi(f: FusionSystem, fr: FeudalRule | None = None, ambi: Ambi | None = None)
     return u.validate()
 
 
+def _component_positions(fr: FeudalRule) -> np.ndarray:
+    """The support positions of a gauge's components, which partition it: theta
+    at (a, b, ab) for the serf pairs, then phi at (a, a^-1 m, m), psi at
+    (m a^-1, a, m) and omega at (m, mbar a, a) for the serfs a and lords m."""
+    index = compiled(fr.rule, _support_index)
+    inv, L, R, dual = fr.serf_inv, fr.act_left, fr.act_right, fr.rule.dual
+    keys = [(a, b, fr.serf_mul(a, b)) for a, b in product(fr.serf_ids, repeat=2)]
+    for at in (lambda a, m: (a, L(inv(a), m), m), lambda a, m: (R(m, inv(a)), a, m), lambda a, m: (m, R(dual[m], a), a)):
+        keys += [at(a, m) for a in fr.serf_ids for m in fr.lord_ids]
+    out = np.array([index[k] for k in keys], np.intp)
+    out.flags.writeable = False
+    return out
+
+
 def xi_components(xi: GaugeXi, fr: FeudalRule):
-    """(theta, phi, psi, omega) read off a fusion-system gauge."""
-    serfs, lords = fr.serf_ids, fr.lord_ids
-    inv = fr.serf_inv
-    L, R = fr.act_left, fr.act_right
-    dual = lambda m: int(fr.rule.dual[m])
-    theta = {(a, b): xi[(a, b, fr.serf_mul(a, b))] for a in serfs for b in serfs}
-    phi = {a: np.array([xi[(a, L(inv(a), m), m)] for m in lords], dtype=np.int64) for a in serfs}
-    psi_ = {a: np.array([xi[(R(m, inv(a)), a, m)] for m in lords], dtype=np.int64) for a in serfs}
-    omega = {a: np.array([xi[(m, R(dual(m), a), a)] for m in lords], dtype=np.int64) for a in serfs}
+    """(theta, phi, psi, omega) read off a fusion-system gauge: one gather of
+    its vector through the component positions."""
+    if xi.rule != fr.rule:
+        raise DomainError("gauge and feudal structure live on different rules")
+    s, m = len(fr.serf_ids), len(fr.lord_ids)
+    v = xi.vec[compiled(fr, _component_positions)]
+    theta = dict(zip(product(fr.serf_ids, repeat=2), v[: s * s].tolist()))
+    phi, psi_, omega = (dict(zip(fr.serf_ids, rows)) for rows in v[s * s :].reshape(3, s, m))
     return theta, phi, psi_, omega
 
 
 def xi_from_components(fr: FeudalRule, field: Field, theta, phi, psi_, omega) -> GaugeXi:
     """The fusion-system gauge with components (theta, phi, psi, omega); the
-    inverse of xi_components, walking the support once, in sorted order, by
-    the lordness of x, y."""
-    rule = fr.rule
-    pos = {m: i for i, m in enumerate(fr.lord_ids)}
-    vals = []
-    for x, y in product(range(rule.n), repeat=2):
-        for r in rule.support(x, y):
-            if x in fr.serfs and y in fr.serfs:
-                v = theta[(x, y)]
-            elif x in fr.serfs:
-                v = phi[x][pos[r]]
-            elif y in fr.serfs:
-                v = psi_[y][pos[r]]
-            else:
-                v = omega[r][pos[x]]
-            vals.append(v)
-    return GaugeXi.from_vec(rule, field, vals)
+    inverse of xi_components, one scatter through the component positions."""
+    at = compiled(fr, _component_positions)
+    vals = [theta[k] for k in product(fr.serf_ids, repeat=2)]
+    vec = np.zeros(len(at), np.int64)
+    vec[at] = np.concatenate([vals, *(c[a] for c in (phi, psi_, omega) for a in fr.serf_ids)])
+    return GaugeXi.from_vec(fr.rule, field, vec)
 
 
 def psi_gauge(xi: GaugeXi, fr: FeudalRule, ambi: Ambi | None = None) -> GaugeTriple:
@@ -379,16 +384,11 @@ def psi_gauge(xi: GaugeXi, fr: FeudalRule, ambi: Ambi | None = None) -> GaugeTri
 
 def gauge_xi_from_triple(g: GaugeTriple) -> GaugeXi:
     """Lift an uberderivation gauge to a fusion-system gauge via the morphism formulas."""
-    A = g.ambi
-    fr = A.feudal
-    inv = fr.serf_inv
-    serfs = fr.serf_ids
+    A, fr = g.ambi, g.ambi.feudal
+    inv, serfs = fr.serf_inv, fr.serf_ids
     theta = {k: v[0] for k, v in g.theta.items()}
     psi_ = {a: A.mul(A.ract(A.bar(g.phi[a]), a), A.ract(g.sigma, a), A.inv(g.sigma)) for a in serfs}
-    omega = {
-        a: A.div(A.mul(A.act(a, g.phi[inv(a)]), A.act(a, g.sigma)), g.theta[(inv(a), a)])
-        for a in serfs
-    }
+    omega = {a: A.div(A.mul(A.act(a, g.phi[inv(a)]), A.act(a, g.sigma)), g.theta[(inv(a), a)]) for a in serfs}
     return xi_from_components(fr, A.field, theta, g.phi, psi_, omega)
 
 
@@ -411,10 +411,8 @@ def _normalize(f: FusionSystem, dec: Decomposition, A: Ambi) -> tuple[FusionSyst
     also returns the decomposition of the result."""
     from .systems import apply_gauge
 
-    fr = dec.feudal
-    e = A.unit_serf
-    inv = fr.serf_inv
-    serfs = fr.serf_ids
+    fr, e = dec.feudal, A.unit_serf
+    inv, serfs = fr.serf_inv, fr.serf_ids
     theta = {(a, b): 1 for a in serfs for b in serfs}
     phi = {a: A.one() for a in serfs}
     omega = {a: A.inv(dec.beta1[(inv(a), e)]) for a in serfs}
@@ -824,9 +822,7 @@ def vec_to_uber(ambi: Ambi, vec: np.ndarray) -> Uberderivation:
 
 
 def uber_to_vec(u: Uberderivation) -> np.ndarray:
-    pairs = list(product(u.ambi.serf_ids, repeat=2))
-    vals = [u.chi[k] for k in pairs] + [u.ups[k] for k in pairs] + [u.tau]
-    return Units(u.ambi.field, u.ambi).log(vals).ravel()
+    return Units(u.ambi.field, u.ambi).log(u._stack(list(product(u.ambi.serf_ids, repeat=2)))).ravel()
 
 
 CLASS_LIMIT = 100_000  # coset representatives enumerate_uber walks at most

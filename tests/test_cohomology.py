@@ -518,3 +518,15 @@ def test_h3_resource_bounds():
         h3(dihedral(5), Field(17))  # order 10 exceeds the bound
     with pytest.raises(ResourceError):
         h3(cyclic(2), Field(263))
+
+
+def test_cochain_inverse_is_pointwise(f17):
+    """inv inverts each value in the module: c times c.inv() is the trivial
+    cochain, and inverting twice gives c back."""
+    rng = random.Random(12)
+    A = Ambi(tambara_yamagami(cyclic(2)), f17)
+    for module in (Units(f17), Units(f17, A)):
+        c = random_cochain(cyclic(3), 2, f17, rng, module)
+        inv = c.inv()
+        assert all(module.eq(module.mul(v, inv.values[k]), module.one()) for k, v in c.values.items())
+        assert c.mul(inv).eq(trivial_cochain(cyclic(3), 2, f17)) and inv.inv().eq(c)

@@ -541,3 +541,11 @@ def test_named_rules_match_reference():
                 with pytest.raises(ValidationError, match="^duplicate labels$"):
                     build(g, lord)
     assert _same_feudal(moore_read(), _reference_moore_read())
+
+
+def test_an_odd_group_rule_has_no_feudal_structure():
+    """A group of odd order has no index-2 subgroup, so its rule has no serf
+    set; Z4 has one, and is feudal on it."""
+    for g in (cyclic(3), cyclic(5)):
+        assert detect_feudal(group_rule(g)) is None
+    assert detect_feudal(group_rule(cyclic(4))).serf_ids == (0, 2)

@@ -140,3 +140,24 @@ def test_isomorphisms_match_reference():
             # the same arrays of the homomorphism cache, in its order, on a miss and on a hit
             for got in (cold, warm):
                 assert len(got) == len(want) and all(f is w for f, w in zip(got, want))
+
+
+def test_homomorphism_cache_refuses_writes():
+    """homomorphisms hands out its cached arrays (isomorphisms the same ones):
+    a write raises, and later calls, on tables built apart, return the full
+    lists."""
+    z4 = cyclic(4)
+    with pytest.raises(ValueError, match="read-only"):
+        homomorphisms(z4, z4)[1][1] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        isomorphisms(z4, z4)[1][3] = 0
+    assert [f.tolist() for f in homomorphisms(cyclic(4), cyclic(4))] == [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 0, 2], [0, 3, 2, 1]]
+    assert [f.tolist() for f in isomorphisms(cyclic(4), cyclic(4))] == [[0, 1, 2, 3], [0, 3, 2, 1]]
+
+
+def test_index_names_an_unknown_label():
+    g = cyclic(3)
+    assert [g.index(lab) for lab in g.labels] == [0, 1, 2]
+    for label in ("x", "", 1):
+        with pytest.raises(DomainError, match=f"unknown label {label!r}"):
+            g.index(label)

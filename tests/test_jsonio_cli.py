@@ -518,3 +518,17 @@ def test_module_entry_point_and_cross_process_determinism():
     r2 = subprocess.run(cmd, capture_output=True, text=True, env=env)
     assert r1.returncode == 0 and r1.stdout == r2.stdout
     assert json.loads(r1.stdout)["gauge_classes"] == 2
+
+
+def test_cli_needs_feudal_structure(tmp_path):
+    """The commands that read serfs and lords exit 1 with one error line on a
+    rule that has none."""
+    doc = tmp_path / "u.json"
+    doc.write_text(json.dumps({"rule": "builtin:broken", "p": 17, "chi": {}, "ups": {}, "tau": [1]}))
+    for argv in (
+        ["feudal", "gamma", "builtin:broken"],
+        ["uber", "obstructions", "--rule", "builtin:broken", "--p", "17"],
+        ["uber", "reconstruct", str(doc)],
+    ):
+        code, out, err = run_cli(argv)
+        assert (code, out, err) == (1, "", "error: rule carries no feudal structure\n"), argv

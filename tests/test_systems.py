@@ -987,3 +987,20 @@ def test_bruteforce_matches_reference(name, p, ty2):
     got = enumerate_fusion_systems_bruteforce(rule, Field(p))
     want = _reference_bruteforce(rule, Field(p))
     assert [list(f.coeffs.items()) for f in got] == [list(f.coeffs.items()) for f in want]
+
+
+def test_report_summary_text(f17, mr):
+    """The one-line summary of a passing and of a failing report, word for
+    word: the verify benchmark digests these lines."""
+    from fusionkit import Ambi, enumerate_uber, reconstruct
+
+    f = reconstruct(enumerate_uber(Ambi(mr, f17), with_orbits=False).class_reps[0])
+    assert verify_fusion_system(f).summary() == (
+        "invertible=True, pentagon=True (3072 instances), triangle=True, rigidity=True, unit_matrices=True"
+    )
+    coeffs = dict(f.coeffs)
+    coeffs[(0, 0, 5, 0, 5, 5)] = coeffs[(0, 0, 5, 0, 5, 5)] * 3 % 17
+    assert verify_fusion_system(FusionSystem(f.rule, f17, coeffs)).summary() == (
+        "invertible=True, pentagon=False (3072 instances), triangle=False, rigidity=True, unit_matrices=False, "
+        "pentagon_fail_at=[(0, 0, 1, 5, 0, 1, 5, 5, 5), (0, 0, 2, 4, 0, 2, 5, 5, 5)]"
+    )

@@ -656,6 +656,98 @@ def test_xi_components_round_trip(f17, mr, ty2):
         assert xi_from_components(fr, f17, *xi_components(xi, fr)).values == xi.values
 
 
+def _reference_xi_components(xi: GaugeXi, fr: FeudalRule):
+    """xi_components as it stood: one keyed read per component entry."""
+    serfs, lords = fr.serf_ids, fr.lord_ids
+    inv = fr.serf_inv
+    L, R = fr.act_left, fr.act_right
+    dual = lambda m: int(fr.rule.dual[m])
+    theta = {(a, b): xi[(a, b, fr.serf_mul(a, b))] for a in serfs for b in serfs}
+    phi = {a: np.array([xi[(a, L(inv(a), m), m)] for m in lords], dtype=np.int64) for a in serfs}
+    psi_ = {a: np.array([xi[(R(m, inv(a)), a, m)] for m in lords], dtype=np.int64) for a in serfs}
+    omega = {a: np.array([xi[(m, R(dual(m), a), a)] for m in lords], dtype=np.int64) for a in serfs}
+    return theta, phi, psi_, omega
+
+
+def _reference_xi_from_components(fr: FeudalRule, field: Field, theta, phi, psi_, omega) -> GaugeXi:
+    """xi_from_components as it stood: the support walked once, in sorted
+    order, by the lordness of x, y."""
+    rule = fr.rule
+    pos = {m: i for i, m in enumerate(fr.lord_ids)}
+    vals = []
+    for x, y in product(range(rule.n), repeat=2):
+        for r in rule.support(x, y):
+            if x in fr.serfs and y in fr.serfs:
+                v = theta[(x, y)]
+            elif x in fr.serfs:
+                v = phi[x][pos[r]]
+            elif y in fr.serfs:
+                v = psi_[y][pos[r]]
+            else:
+                v = omega[r][pos[x]]
+            vals.append(v)
+    return GaugeXi.from_vec(rule, field, vals)
+
+
+def test_gauge_components_match_reference(gauge_rules):
+    """xi_components, one gather through the component positions, and
+    xi_from_components, one scatter, equal the support walks on every rule
+    under seeded random gauges and components: keys, order, values and types."""
+    from fusionkit.uber import xi_components, xi_from_components
+
+    rng = random.Random(29)
+    for A in gauge_rules:
+        fr, F, e = A.feudal, A.field, A.unit_serf
+        point = lambda: np.array([rng.randrange(1, F.p) for _ in range(A.npoints)])
+        for _ in range(3):
+            xi = random_gauge(fr.rule, F, rng)
+            got, want = xi_components(xi, fr), _reference_xi_components(xi, fr)
+            assert [(k, v, type(v)) for k, v in got[0].items()] == [(k, v, type(v)) for k, v in want[0].items()]
+            for g, w in zip(got[1:], want[1:]):
+                assert list(g) == list(w) and all(type(g[a]) is np.ndarray and _same_array(g[a], w[a]) for a in w)
+            comps = (
+                {k: 1 if e in k else rng.randrange(1, F.p) for k in product(A.serf_ids, repeat=2)},
+                *({a: A.one() if a == e else point() for a in A.serf_ids} for _ in range(2)),
+                {a: point() for a in A.serf_ids},
+            )
+            for c in (want, comps):
+                assert _same_array(xi_from_components(fr, F, *c).vec, _reference_xi_from_components(fr, F, *c).vec)
+    other = gauge_rules[0].feudal.rule  # not the graded D4 of the last loop
+    with pytest.raises(DomainError, match="different rules"):
+        xi_components(random_gauge(other, F, rng), fr)
+
+
+def test_gauge_triple_names_its_first_bad_entry(f17, mr, ty2):
+    """A gauge keyed other than by the serf pairs (theta) or the serfs (phi),
+    or with an entry that is not one residue per lord, raises a
+    ValidationError naming the field and the entry, also where every entry
+    has the same wrong shape; the per-entry loop accepted these, or failed
+    later with a bare KeyError, AttributeError or numpy ValueError."""
+    for fr in (mr, ty2):
+        A = Ambi(fr, f17)
+        g = _random_gauge_triple(A, random.Random(4))
+        e, a, m = A.unit_serf, A.serf_ids[1], A.lord_ids[0]
+        show = lambda *k: ",".join(fr.rule.labels[i] for i in k)
+        without = lambda d, k: {j: v for j, v in d.items() if j != k}
+        cases = [
+            ({**g.theta, (a, a): g.theta[(a, a)][:1]} if A.npoints > 1 else None, g.phi, g.sigma, f"'theta' at {show(a, a)!r}"),
+            ({**g.theta, (a, a): [[1, 2]]} if A.npoints == 1 else None, g.phi, g.sigma, f"'theta' at {show(a, a)!r}"),
+            (without(g.theta, (a, a)), g.phi, g.sigma, f"'theta' must be keyed by the serf pairs; it differs at {show(a, a)!r}"),
+            ({**g.theta, (a, m): A.one()}, g.phi, g.sigma, f"'theta' must be keyed by the serf pairs; it differs at {show(a, m)!r}"),
+            (g.theta, without(g.phi, a), g.sigma, f"'phi' must be keyed by the serfs; it differs at {show(a)!r}"),
+            (g.theta, without(g.phi, e), g.sigma, f"'phi' must be keyed by the serfs; it differs at {show(e)!r}"),
+            ({k: 1 for k in g.theta}, g.phi, g.sigma, f"'theta' at {show(e, e)!r} must list one residue per lord"),
+            (g.theta, {**g.phi, a: [1, 2, 3]}, g.sigma, f"'phi' at {show(a)!r} must list one residue per lord"),
+            (g.theta, {b: [1] * 3 for b in g.phi}, g.sigma, f"'phi' at {show(e)!r} must list one residue per lord"),
+            (g.theta, g.phi, [1] * 5, "'sigma' must list one residue per lord"),
+        ]
+        for theta, phi, sigma, message in cases:
+            if theta is not None:
+                with pytest.raises(ValidationError) as exc:
+                    GaugeTriple(A, theta, phi, sigma)
+                assert str(exc.value).startswith(message)
+
+
 def test_gauge_equivalence_is_an_equivalence(f17, mr):
     rng = random.Random(8)
     A = Ambi(mr, f17)
@@ -1854,6 +1946,20 @@ def _reference_gauge_triple_init(A, theta, phi, sigma):
     return theta, phi, sigma
 
 
+def _reference_theta_fault(A, theta):
+    """The per-entry loop of _reference_uberderivation_init run on theta, as
+    entries kept as given: its keys must be exactly the serf pairs and each
+    entry one residue per lord.  Raises at the first bad entry, or returns None."""
+    show = lambda k: ",".join(A.feudal.rule.labels[i] for i in k)
+    d = {tuple(k): v for k, v in theta.items()}
+    off = sorted(set(d) ^ set(product(A.serf_ids, repeat=2)))
+    if off:
+        raise ValidationError(f"'theta' must be keyed by the serf pairs; it differs at {show(off[0])!r}")
+    for k, v in d.items():
+        if (np.asarray(v) % A.field.p).shape != (A.npoints,):
+            raise ValidationError(f"'theta' at {show(k)!r} must list one residue per lord")
+
+
 def _outcome(build):
     """What build() returns, or the type and message of what it raises."""
     try:
@@ -1894,9 +2000,12 @@ def test_triples_validate_as_the_per_entry_loops(gauge_rules):
     return what the per-entry loops returned, or raise the same type and
     message at the same first bad key, on seeded corruptions: short, long,
     ragged and out-of-int64 entries, a missing and an extra pair, a
-    non-constant theta and a phi off 1 at the unit."""
+    non-constant theta and a phi off 1 at the unit.  A theta keyed other
+    than by the serf pairs, or with an entry not one residue per lord, raises
+    at its first bad entry as chi does, where the GaugeTriple loop accepted it
+    or failed on it later (a bare IndexError, or another field's message)."""
     rng = random.Random(61)
-    raised = []
+    raised, faults = [], []
 
     def agree(got, want):
         if isinstance(want[0], type):
@@ -1919,6 +2028,38 @@ def test_triples_validate_as_the_per_entry_loops(gauge_rules):
             if rng.random() < 0.2:
                 phi[A.unit_serf] = A.const(2)
             got = _outcome(lambda: (lambda v: (v.theta, v.phi, v.sigma))(GaugeTriple(A, t["theta"], phi, g.sigma)))
-            assert agree(got, _outcome(lambda: _reference_gauge_triple_init(A, t["theta"], phi, g.sigma)))
+            fault = _outcome(lambda: _reference_theta_fault(A, t["theta"]))
+            if fault is not None:  # a malformed theta, which the per-entry loops let through or met later
+                faults.append(fault)
+                assert got == fault
+            else:
+                assert agree(got, _outcome(lambda: _reference_gauge_triple_init(A, t["theta"], phi, g.sigma)))
     for part in ("one residue per lord", "keyed by the serf pairs", "phi must be normalized", "not fixed by the actions"):
         assert any(part in m for m in raised), part
+    for part in ("'theta' at", "'theta' must be keyed by the serf pairs", "inhomogeneous shape"):
+        assert any(part in m for _, m in faults), part
+
+
+def test_a_vanishing_order_of_a_leaves_no_uberderivation():
+    """At TY(Z3)@3, |A| = 3 vanishes in F: a triple of ones fails only the tau
+    norm (its character sums over A are 3 = 0), and enumeration finds the
+    axioms inconsistent."""
+    A = Ambi(tambara_yamagami(cyclic(3)), Field(3))
+    ones = {k: A.one() for k in product(A.serf_ids, repeat=2)}
+    assert Uberderivation(A, ones, ones, A.one()).report() == {"tau_norm": ["|A| tau taubar != 1"]}
+    cls = enumerate_uber(A)
+    assert cls.lattice == {"unknowns": 19, "consistent": False}
+    assert (cls.class_reps, cls.orbits, cls.gauge_classes) == ([], [], 0)
+
+
+def test_psi_gauge_builds_its_own_ambi(f17, mr):
+    """Without an Ambi, psi_gauge builds one on the gauge's field and reads
+    back the triple-level gauge that gauge_xi_from_triple lifted."""
+    from fusionkit.uber import gauge_xi_from_triple, psi_gauge
+
+    A = Ambi(mr, f17)
+    g = _random_gauge_triple(A, random.Random(14))
+    back = psi_gauge(gauge_xi_from_triple(g), mr)
+    assert back.ambi is not A and back.ambi.key == A.key
+    assert all(A.eq(back.theta[k], g.theta[k]) for k in g.theta) and list(back.theta) == list(g.theta)
+    assert all(A.eq(back.phi[a], g.phi[a]) for a in g.phi) and A.eq(back.sigma, g.sigma)
