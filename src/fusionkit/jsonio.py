@@ -50,7 +50,7 @@ def _field(doc, key: str):
 
 
 def _checked(cast, val, where: str):
-    """cast(val) for a value read off a document (int, dict.items, a list of
+    """cast(val) for a value read off a document (_int, dict.items, a list of
     residues, _labels, a label lookup), or a ValidationError naming the field whose
     value has the wrong type or names no label."""
     try:
@@ -61,6 +61,13 @@ def _checked(cast, val, where: str):
         raise ValidationError(f"field {where!r} names no label: {val!r}") from e
 
 
+def _int(val) -> int:
+    """val if it is a JSON integer: an int, not a bool, a float or a string."""
+    if not isinstance(val, int) or isinstance(val, bool):
+        raise TypeError(f"expected an integer, not {type(val).__name__}")
+    return val
+
+
 def _labels(vec) -> list[str]:
     labels = list(vec)
     if not all(isinstance(lab, str) for lab in labels):
@@ -69,13 +76,14 @@ def _labels(vec) -> list[str]:
 
 
 def _keyed(doc, name: str, idx: dict, arity: int, cast) -> dict:
-    """Object field name of doc: label tuples (arity labels joined by commas) to cast values."""
+    """Object field name of doc: label tuples (arity labels joined by commas)
+    to cast values; an error names the field and the key, as 'name:key'."""
     out = {}
     for key, val in _checked(dict.items, _field(doc, name), name):
         parts = key.split(",")
         if len(parts) != arity or any(p not in idx for p in parts):
             raise ValidationError(f"bad key {key!r} in {name!r}")
-        out[tuple(idx[p] for p in parts)] = _checked(cast, val, key)
+        out[tuple(idx[p] for p in parts)] = _checked(cast, val, f"{name}:{key}")
     return out
 
 
@@ -132,10 +140,10 @@ def rule_from_dict(doc: dict) -> FusionRule:
         if len(parts) != 2 or parts[0] not in idx or parts[1] not in idx:
             raise ValidationError(f"bad table key {key!r}")
         x, y = idx[parts[0]], idx[parts[1]]
-        for lab, mult in _checked(dict.items, cell, key):
+        for lab, mult in _checked(dict.items, cell, f"table:{key}"):
             if lab not in idx:
                 raise ValidationError(f"bad product label {lab!r} at {key!r}")
-            table[x, y, idx[lab]] = _checked(lambda m: np.int64(int(m)), mult, key)
+            table[x, y, idx[lab]] = _checked(lambda m: np.int64(_int(m)), mult, f"table:{key}")
     return FusionRule(labels, table, unit, dual)
 
 
@@ -218,9 +226,9 @@ def load_hom_datum(path) -> HomDatum:
 
 def system_from_dict(doc: dict) -> FusionSystem:
     rule = _rule_field(doc)
-    field = Field(_checked(int, _field(doc, "p"), "p"))
+    field = Field(_checked(_int, _field(doc, "p"), "p"))
     idx = {lab: i for i, lab in enumerate(rule.labels)}
-    return FusionSystem(rule, field, _keyed(doc, "coeffs", idx, 6, int))
+    return FusionSystem(rule, field, _keyed(doc, "coeffs", idx, 6, _int))
 
 
 def system_to_dict(f: FusionSystem) -> dict:
@@ -242,9 +250,9 @@ def gauge_from_dict(doc: dict, rule: FusionRule | None = None, field: Field | No
     if rule is None:
         rule = _rule_field(doc)
     if field is None:
-        field = Field(_checked(int, _field(doc, "p"), "p"))
+        field = Field(_checked(_int, _field(doc, "p"), "p"))
     idx = {lab: i for i, lab in enumerate(rule.labels)}
-    return GaugeXi(rule, field, _keyed(doc, "values", idx, 3, int))
+    return GaugeXi(rule, field, _keyed(doc, "values", idx, 3, _int))
 
 
 def gauge_to_dict(xi: GaugeXi) -> dict:
@@ -261,13 +269,13 @@ def gauge_to_dict(xi: GaugeXi) -> dict:
 
 def uber_from_dict(doc: dict) -> Uberderivation:
     rule = _rule_field(doc)
-    field = Field(_checked(int, _field(doc, "p"), "p"))
+    field = Field(_checked(_int, _field(doc, "p"), "p"))
     fr = detect_feudal(rule)
     if fr is None:
         raise ValidationError("rule carries no feudal structure")
     ambi = Ambi(fr, field)
     idx = {lab: i for i, lab in enumerate(rule.labels)}
-    residues = lambda vec: [int(v) % field.p for v in vec]
+    residues = lambda vec: [_int(v) % field.p for v in vec]
     chi, ups = (_keyed(doc, name, idx, 2, residues) for name in ("chi", "ups"))
     return Uberderivation(ambi, chi, ups, _checked(residues, _field(doc, "tau"), "tau"))
 

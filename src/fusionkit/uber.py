@@ -34,7 +34,12 @@ Equivalence classes are orbits of the gauge classes under the graded rule
 automorphisms: each automorphism permutes exponent coordinates, and the coset
 a moved class lands in is read off by its index in the quotient.
 
-One check, _keyed_rows, takes every keyed table of a triple or a gauge.  A
+A triple is its vector (Uberderivation.vec) and so is a triple-level gauge
+(GaugeTriple.vec), each in one coordinate layout written once, _layout: chi,
+ups, theta and phi are read-only views of the vector keyed by the serf pairs
+or serfs, tau and sigma slices of it, and every gather above indexes the
+layout.  Internal hand-offs go through from_vec; the dict constructors serve
+outside callers, and _entries checks their tables entry by entry.  A
 fusion-system gauge is its components at their support positions:
 xi_components is a gather through them, xi_from_components a scatter.
 
@@ -47,9 +52,11 @@ gauge-shift lattice (reduced mod p - 1) per Ambi.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import islice, product
+from types import MappingProxyType
 
 import numpy as np
 
@@ -66,21 +73,82 @@ from .zmodlin import SmithMod, factor_mod, nullspace_mod, quotient_structure, so
 # ---- the triple ------------------------------------------------------------------
 
 
-@dataclass
-class Uberderivation:
-    ambi: Ambi
-    chi: dict
-    ups: dict
-    tau: np.ndarray
+_Layout = namedtuple("_Layout", "chi ups tau theta phi sigma size gauge_size")
 
-    def __post_init__(self):
-        """Reduce every entry mod p; chi and ups must be keyed by exactly the
-        serf pairs, and every vector must hold one residue per lord."""
-        A = self.ambi
-        for name in ("chi", "ups"):
-            keys, rows = _keyed_rows(A, name, getattr(self, name), list(product(A.serf_ids, repeat=2)), np.int64)
-            setattr(self, name, dict(zip(keys, rows)))
-        self.tau = _lord_residues(A, self.tau, "'tau'")
+
+@cache  # a few small arrays per (s, m), shared by every rule of that shape
+def _layout(s: int, m: int) -> _Layout:
+    """The coordinate layouts of a triple and of a gauge on s serfs and m
+    lords, written here only: the coordinate of each entry of each field, as
+    a read-only array indexed by serf positions (serf_ids order) and a lord
+    position, and the lengths of the two vectors.  A triple is chi at (a, b,
+    j), then ups at (a, b, j), then tau at j; a gauge is theta at (a, b, j),
+    then phi at (a, j), then sigma at j.  Each field is one range of
+    coordinates in C order, so its block of a vector is a slice."""
+    n = s * s * m  # coordinates of a field at the serf pairs
+    triple, gauge = np.arange(2 * n + m), np.arange(n + s * m + m)
+    triple.flags.writeable = gauge.flags.writeable = False  # and so every slice of them
+    chi, ups, tau = triple[:n].reshape(s, s, m), triple[n : 2 * n].reshape(s, s, m), triple[2 * n :]
+    theta, phi, sigma = gauge[:n].reshape(s, s, m), gauge[n : n + s * m].reshape(s, m), gauge[n + s * m :]
+    return _Layout(chi, ups, tau, theta, phi, sigma, len(triple), len(gauge))
+
+
+def _layout_of(x) -> _Layout:
+    """The layout of an Ambi or a FeudalRule."""
+    return _layout(len(x.serf_ids), len(x.lord_ids))
+
+
+class _OnLayout:
+    """A triple or a gauge: its vector vec, a read-only int64 array of
+    residues mod p in its layout.  Each field is a slice of vec, so read-only
+    too: tau and sigma as they are, the others in a read-only view keyed by
+    the serf pairs (the serfs for phi) in product(serf_ids) order; each is
+    built on first read."""
+
+    _size, _invertible = "size", False  # its length in _Layout; whether 0 mod p is refused
+
+    @classmethod
+    def from_vec(cls, ambi: Ambi, vec) -> _OnLayout:
+        """The one on ambi with vector vec in its layout, reduced mod p."""
+        x = cls.__new__(cls)
+        x._set(ambi, vec)
+        return x
+
+    def _set(self, ambi: Ambi, vec) -> None:
+        vec = np.asarray(vec, np.int64) % ambi.field.p
+        size = getattr(_layout_of(ambi), self._size)
+        if vec.shape != (size,):
+            raise ValidationError(f"expected {size} entries, got an array of shape {vec.shape}")
+        if self._invertible and not vec.all():
+            raise ValidationError(f"entry {int(vec.argmin())} is 0 mod p, not invertible")
+        vec.flags.writeable = False
+        self.__dict__.update(ambi=ambi, vec=vec)
+
+    def __setattr__(self, name, value):  # a field set apart from vec would disagree with it
+        raise AttributeError(f"{type(self).__name__} is read-only; from_vec builds a new one")
+
+    def __reduce__(self):  # copy and pickle vec alone; the views are rebuilt on first read
+        return type(self).from_vec, (self.ambi, self.vec)
+
+    def _field(self, name: str):
+        at = getattr(_layout_of(self.ambi), name)
+        block = self.vec[at.flat[0] : at.flat[-1] + 1].reshape(at.shape)
+        if block.ndim == 1:
+            return block
+        keys = list(product(self.ambi.serf_ids, repeat=2)) if block.ndim == 3 else self.ambi.serf_ids
+        return MappingProxyType(dict(zip(keys, block.reshape(len(keys), -1))))
+
+
+class Uberderivation(_OnLayout):
+    """A triple (chi, ups, tau), chi and ups keyed by the serf pairs; the
+    dict constructor checks its tables with _entries."""
+
+    chi = cached_property(lambda self: self._field("chi"))
+    ups = cached_property(lambda self: self._field("ups"))
+    tau = cached_property(lambda self: self._field("tau"))
+
+    def __init__(self, ambi: Ambi, chi: dict, ups: dict, tau):
+        self._set(ambi, _entries(ambi, chi=chi, ups=ups, tau=tau)[0])
 
     def report(self) -> dict:
         """The failed axioms, each with its witnesses; empty on a valid triple.
@@ -89,13 +157,12 @@ class Uberderivation:
         system; only the character-sum nondegeneracy is checked directly.
         """
         A = self.ambi
-        keys = list(self.chi)
-        zero = (self._stack(keys) % A.field.p == 0).any(axis=1)
-        zeros = [keys[i] for i in np.flatnonzero(zero[:-1].reshape(2, -1).any(axis=0))]
-        if zero[-1]:
-            zeros.append("tau")
-        if zeros:
-            return {"invertible": zeros}  # such a triple has no exponent coordinates
+        zero = self.vec == 0
+        if zero.any():  # such a triple has no exponent coordinates
+            lay = _layout_of(A)
+            pairs = (zero[lay.chi] | zero[lay.ups]).any(axis=-1).ravel()
+            zeros = [k for k, z in zip(product(A.serf_ids, repeat=2), pairs) if z]
+            return {"invertible": zeros + ["tau"] * bool(zero[lay.tau].any())}
         rows = compiled(A, _axiom_rows)
         x = uber_to_vec(self)
         issues = rows.failures(x)
@@ -115,105 +182,101 @@ class Uberderivation:
             raise DomainError(f"not an uberderivation: {rep}")
         return self
 
-    def _stack(self, keys) -> np.ndarray:
-        """chi at keys, then ups at keys, then tau: a (2 len(keys) + 1, M) array."""
-        return np.array([*(self.chi[k] for k in keys), *(self.ups[k] for k in keys), self.tau])
-
     def __eq__(self, other):
         if not isinstance(other, Uberderivation):
             return NotImplemented
         A = self.ambi
-        keys = list(self.chi)
         return (
             A.feudal.rule == other.ambi.feudal.rule
             and A.field.p == other.ambi.field.p
-            and not ((self._stack(keys) - other._stack(keys)) % A.field.p).any()
+            and np.array_equal(self.vec, other.vec)
         )
 
     def __repr__(self):
         return f"Uberderivation(|S|={len(self.ambi.serf_ids)}, |M|={self.ambi.npoints}, p={self.ambi.field.p})"
 
 
-@dataclass
-class GaugeTriple:
-    ambi: Ambi
-    theta: dict  # (a,b) -> element of fix(S)
-    phi: dict  # a -> B^x, normalized at the unit serf
-    sigma: np.ndarray
+class GaugeTriple(_OnLayout):
+    """A gauge (theta, phi, sigma) of triples, no entry 0 mod p: theta keyed
+    by the serf pairs and fixed by the actions, phi keyed by the serfs and 1
+    at the unit serf.  The dict constructor checks its tables with _entries,
+    then phi at the unit and theta, in the caller's key order."""
 
-    def __post_init__(self):
-        A = self.ambi
-        self.sigma = _lord_residues(A, self.sigma, "'sigma'")
-        keys, rows = _keyed_rows(A, "theta", self.theta, list(product(A.serf_ids, repeat=2)))
-        self.theta = dict(zip(keys, rows))
-        self.phi = dict(zip(*_keyed_rows(A, "phi", self.phi, list(A.serf_ids))))
-        if not A.eq(self.phi[A.unit_serf], A.one()):
+    _size, _invertible = "gauge_size", True
+    theta = cached_property(lambda self: self._field("theta"))
+    phi = cached_property(lambda self: self._field("phi"))
+    sigma = cached_property(lambda self: self._field("sigma"))
+
+    def __init__(self, ambi: Ambi, theta: dict, phi: dict, sigma):
+        vec, rows = _entries(ambi, nonzero=True, sigma=sigma, theta=theta, phi=phi)
+        if (rows["phi"][ambi.unit_serf] != 1).any():
             raise ValidationError("phi must be normalized")
-        moved = (rows != rows[:, :1]).any(axis=1)
-        if moved.any():
-            raise ValidationError(f"theta{keys[moved.argmax()]} is not fixed by the actions")
+        moved = [k for k, v in rows["theta"].items() if (v != v[0]).any()]  # in the caller's order
+        if moved:
+            raise ValidationError(f"theta{moved[0]} is not fixed by the actions")
+        self._set(ambi, vec)
 
 
-def _lord_residues(A: Ambi, v, where: str, dtype=np.int64) -> np.ndarray:
-    """v mod p, which must hold one residue per lord; where names it in the error."""
-    v = np.asarray(v, dtype) % A.field.p
-    if v.shape != (A.npoints,):
+def _entries(A: Ambi, nonzero: bool = False, **tables) -> tuple[np.ndarray, dict]:
+    """The vector of a triple or a gauge from its fields' tables, and each keyed
+    table's entries mod p, keys normalized, in the caller's order.  chi, ups
+    and theta must be keyed by exactly the serf pairs and phi by the serfs;
+    each entry, and tau or sigma, must list one integer per lord that int64
+    holds, none 0 mod p if nonzero.  Tables are checked in argument order and
+    entries in the caller's order, and the first bad one raises."""
+    lay, rows = _layout_of(A), {}
+    vec = np.empty(sum(getattr(lay, name).size for name in tables), np.int64)
+    for name, table in tables.items():
+        at = getattr(lay, name)
+        if at.ndim == 1:
+            vec[at] = _lord_residues(A, table, repr(name), nonzero)
+            continue
+        pairs = at.ndim == 3
+        keys = list(product(A.serf_ids, repeat=2)) if pairs else A.serf_ids
+        show = lambda k: ",".join(A.feudal.rule.labels[i] for i in (k if pairs else [k]))
+        d = {tuple(k) if pairs else int(k): v for k, v in table.items()}
+        if d.keys() != set(keys):
+            off, by = show(sorted(d.keys() ^ set(keys))[0]), "serf pairs" if pairs else "serfs"
+            raise ValidationError(f"{name!r} must be keyed by the {by}; it differs at {off!r}")
+        rows[name] = {k: _lord_residues(A, v, f"{name!r} at {show(k)!r}", nonzero) for k, v in d.items()}
+        vec[at] = np.reshape([rows[name][k] for k in keys], at.shape)
+    return vec, rows
+
+
+def _lord_residues(A: Ambi, v, where: str, nonzero: bool) -> np.ndarray:
+    """v mod p, checked as an entry of _entries; where names it in the error."""
+    try:
+        v = np.asarray(v)
+    except ValueError:  # a ragged sequence
+        v = None
+    if v is None or v.shape != (A.npoints,):
         raise ValidationError(f"{where} must list one residue per lord")
+    if v.dtype.kind not in "iu" or not np.can_cast(v.dtype, np.int64):
+        raise ValidationError(f"{where} must list integers that fit int64")
+    v = v.astype(np.int64) % A.field.p
+    if nonzero and not v.all():
+        raise ValidationError(f"{where} has an entry 0 mod p, not invertible")
     return v
 
 
-def _keyed_rows(A: Ambi, name: str, table: dict, keys: list, dtype=None) -> tuple[list, np.ndarray]:
-    """table's keys, tuple- or int-normalized as keys are, in its order, and its
-    entries mod p stacked once, checked: the keys must be exactly keys and each
-    entry one residue per lord, or it raises at its first bad entry."""
-    pairs = isinstance(keys[0], tuple)
-    show = lambda k: ",".join(A.feudal.rule.labels[i] for i in (k if pairs else [k]))
-    d = {tuple(k) if pairs else int(k): v for k, v in table.items()}
-    if d.keys() != set(keys):
-        off = show(sorted(d.keys() ^ set(keys))[0])
-        raise ValidationError(f"{name!r} must be keyed by the serf{' pairs' if pairs else 's'}; it differs at {off!r}")
-    try:
-        rows = np.array(list(d.values()), dtype) % A.field.p
-        if rows.shape != (len(d), A.npoints):
-            raise ValueError(f"{name!r} does not stack to one row per key")
-    except (TypeError, ValueError, OverflowError):
-        for k, v in d.items():  # name the first bad entry
-            _lord_residues(A, v, f"{name!r} at {show(k)!r}", dtype)
-        raise
-    return list(d), rows
-
-
 def _shift_values(ambi: Ambi, g: GaugeTriple) -> np.ndarray:
-    """The multiplicative shifts of a gauge, one row per uber_unknown_keys
-    entry (chi, then ups, at the serf pairs in product order, then tau): the
-    logs of its entries through the gauge gather, back through the exp table."""
+    """The multiplicative shifts of a gauge, in the triple layout: the logs of
+    its entries through the gauge gather, back through the exp table."""
     F = ambi.field
-    pairs = product(ambi.serf_ids, repeat=2)
-    parts = [g.theta[k] for k in pairs] + [g.phi[a] for a in ambi.serf_ids] + [g.sigma]
-    x = np.concatenate(parts).astype(np.int64) % F.p
-    if (x == 0).any():
-        raise DomainError("element is not invertible")
-    return F._exp_table[_shift_logs(ambi, F._log_table[x])].reshape(-1, ambi.npoints)
-
-
-def _split(ambi: Ambi, rows: np.ndarray) -> tuple[dict, dict, np.ndarray]:
-    """(chi, ups, tau) of rows in uber_unknown_keys order, keyed by the serf pairs."""
-    pairs = list(product(ambi.serf_ids, repeat=2))
-    chi, ups = rows[:-1].reshape(2, len(pairs), ambi.npoints)
-    return dict(zip(pairs, chi)), dict(zip(pairs, ups)), rows[-1]
+    return F._exp_table[_shift_logs(ambi, F._log_table[g.vec])]
 
 
 def gauge_shift(ambi: Ambi, g: GaugeTriple):
-    """Multiplicative shifts (chi, ups, tau pointwise factors) of a gauge."""
-    return _split(ambi, _shift_values(ambi, g))
+    """Multiplicative shifts (chi, ups, tau pointwise factors) of a gauge:
+    chi and ups as plain dicts keyed by the serf pairs."""
+    shift = Uberderivation.from_vec(ambi, _shift_values(ambi, g))
+    return dict(shift.chi), dict(shift.ups), shift.tau
 
 
 def apply_gauge_uber(u: Uberderivation, g: GaugeTriple) -> Uberderivation:
-    """u times the shifts of g: one multiply on the stacked entries."""
+    """u times the shifts of g: one multiply of the two vectors."""
     A = u.ambi
-    pairs = list(product(A.serf_ids, repeat=2))
-    chi, ups, tau = _split(A, u._stack(pairs) * _shift_values(A, g) % A.field.p)
-    return Uberderivation(A, {k: chi[k] for k in u.chi}, {k: ups[k] for k in u.ups}, tau)
+    return Uberderivation.from_vec(A, u.vec * _shift_values(A, g) % A.field.p)
 
 
 # ---- decomposition of a fusion system --------------------------------------------
@@ -285,6 +348,17 @@ def _shape_slots(fr: FeudalRule) -> dict[str, np.ndarray]:
 def decompose(f: FusionSystem, fr: FeudalRule | None = None) -> Decomposition:
     """Read the eight coefficient functions off a fusion system: one gather of
     its coefficient vector through the shape slots."""
+    fr = _feudal_of(f, fr)
+    c = np.append(f.vec, 0)
+    shapes = compiled(fr, _shape_slots)
+    pairs = list(product(fr.serf_ids, repeat=2))
+    alpha = dict(zip(product(fr.serf_ids, repeat=3), c[shapes["alpha"]].ravel().tolist()))
+    rest = {name: dict(zip(pairs, c[slots])) for name, slots in shapes.items() if name != "alpha"}
+    return Decomposition(fr, f.field, alpha, **rest)
+
+
+def _feudal_of(f: FusionSystem, fr: FeudalRule | None) -> FeudalRule:
+    """fr, checked to be on f's rule, or the feudal structure of f's rule."""
     if fr is None:
         found = compiled(f.rule, _feudal_structure)
         if found is None:
@@ -292,12 +366,7 @@ def decompose(f: FusionSystem, fr: FeudalRule | None = None) -> Decomposition:
         fr = FeudalRule(f.rule, *found)
     if fr.rule != f.rule:
         raise DomainError("feudal structure belongs to a different rule")
-    c = np.append(f.vec, 0)
-    shapes = compiled(fr, _shape_slots)
-    pairs = list(product(fr.serf_ids, repeat=2))
-    alpha = dict(zip(product(fr.serf_ids, repeat=3), c[shapes["alpha"]].ravel().tolist()))
-    rest = {name: dict(zip(pairs, c[slots])) for name, slots in shapes.items() if name != "alpha"}
-    return Decomposition(fr, f.field, alpha, **rest)
+    return fr
 
 
 def _feudal_structure(rule: FusionRule) -> tuple[frozenset, int] | None:
@@ -326,16 +395,29 @@ def psi(f: FusionSystem, fr: FeudalRule | None = None, ambi: Ambi | None = None)
     classify (it can fail the tau-tied conditions, or land in a different
     gauge class even when it happens to satisfy them), so the triple is
     taken from the normal representative of f instead; either way the
-    result represents f's gauge class.
+    result represents f's gauge class.  Both the normal check and the
+    triple are gathers of the coefficient vector through the shape slots.
     """
-    dec = decompose(f, fr)
+    fr = _feudal_of(f, fr)
     if ambi is None:
-        ambi = dec.ambi
-    if not dec.is_normal():
-        _, _, dec = _normalize(f, dec, ambi)
-    e = ambi.unit_serf
-    u = Uberderivation(ambi, dict(dec.alpha2), dict(dec.alpha3), dec.gamma[(e, e)])
-    return u.validate()
+        ambi = Ambi(fr, f.field)
+    units = _unit_columns(f, fr)
+    if (units != 1).any():
+        f, _ = _normalize(f, fr, ambi, units)
+    shapes, lay, e = compiled(fr, _shape_slots), _layout_of(fr), fr.serf_group.unit
+    slots = np.empty(lay.size, np.intp)  # the triple is alpha2, alpha3 and gamma(e, e)
+    slots[lay.chi] = shapes["alpha2"].reshape(lay.chi.shape)
+    slots[lay.ups] = shapes["alpha3"].reshape(lay.ups.shape)
+    slots[lay.tau] = shapes["gamma"].reshape(lay.chi.shape)[e, e]
+    return Uberderivation.from_vec(ambi, np.append(f.vec, 0)[slots]).validate()
+
+
+def _unit_columns(f: FusionSystem, fr: FeudalRule) -> np.ndarray:
+    """beta1(a, e) and beta2(a, e) of f for the serfs a, a (2, s, M) array
+    gathered through the shape slots: all 1 exactly on the normal slice."""
+    shapes, s = compiled(fr, _shape_slots), len(fr.serf_ids)
+    slots = [shapes[name].reshape(s, s, -1)[:, fr.serf_group.unit] for name in ("beta1", "beta2")]
+    return np.append(f.vec, 0)[np.stack(slots)]
 
 
 def _component_positions(fr: FeudalRule) -> np.ndarray:
@@ -375,11 +457,17 @@ def xi_from_components(fr: FeudalRule, field: Field, theta, phi, psi_, omega) ->
 
 
 def psi_gauge(xi: GaugeXi, fr: FeudalRule, ambi: Ambi | None = None) -> GaugeTriple:
+    """The triple-level gauge (theta, phi, sigma) of a fusion-system gauge:
+    theta constant at each serf pair, phi, and sigma = omega at the unit serf."""
     if ambi is None:
         ambi = Ambi(fr, xi.field)
     theta, phi, _, omega = xi_components(xi, fr)
-    theta_b = {k: ambi.const(v) for k, v in theta.items()}
-    return GaugeTriple(ambi, theta_b, phi, omega[ambi.unit_serf])
+    lay = _layout_of(fr)
+    vec = np.empty(lay.gauge_size, np.int64)
+    vec[lay.theta] = np.reshape(list(theta.values()), lay.theta.shape[:2] + (1,))
+    vec[lay.phi] = list(phi.values())
+    vec[lay.sigma] = omega[fr.rule.unit]
+    return GaugeTriple.from_vec(ambi, vec)
 
 
 def gauge_xi_from_triple(g: GaugeTriple) -> GaugeXi:
@@ -401,28 +489,25 @@ def is_normal(f: FusionSystem, fr: FeudalRule | None = None) -> bool:
 
 def normalize(f: FusionSystem, fr: FeudalRule | None = None) -> tuple[FusionSystem, GaugeXi]:
     """A normal system gauge equivalent to f, with the witnessing gauge."""
-    dec = decompose(f, fr)
-    out, xi, _ = _normalize(f, dec, dec.ambi)
-    return out, xi
+    fr = _feudal_of(f, fr)
+    return _normalize(f, fr, Ambi(fr, f.field), _unit_columns(f, fr))
 
 
-def _normalize(f: FusionSystem, dec: Decomposition, A: Ambi) -> tuple[FusionSystem, GaugeXi, Decomposition]:
-    """normalize, given the decomposition of f and the Ambi of its feudal rule;
-    also returns the decomposition of the result."""
+def _normalize(f: FusionSystem, fr: FeudalRule, A: Ambi, units: np.ndarray) -> tuple[FusionSystem, GaugeXi]:
+    """normalize, given the Ambi of fr and the _unit_columns of f."""
     from .systems import apply_gauge
 
-    fr, e = dec.feudal, A.unit_serf
-    inv, serfs = fr.serf_inv, fr.serf_ids
+    beta1, beta2 = units
+    inv, serfs, at = fr.serf_inv, fr.serf_ids, A._serf_at
     theta = {(a, b): 1 for a in serfs for b in serfs}
     phi = {a: A.one() for a in serfs}
-    omega = {a: A.inv(dec.beta1[(inv(a), e)]) for a in serfs}
-    psi_ = {a: A.ract(dec.beta2[(a, e)], a) for a in serfs}
+    omega = {a: A.inv(beta1[at[inv(a)]]) for a in serfs}
+    psi_ = {a: A.ract(beta2[at[a]], a) for a in serfs}
     xi = xi_from_components(fr, f.field, theta, phi, psi_, omega)
     out = apply_gauge(f, xi)
-    out_dec = decompose(out, fr)
-    if not out_dec.is_normal():
+    if (_unit_columns(out, fr) != 1).any():
         raise ValidationError("normalization failed to produce a normal system")
-    return out, xi, out_dec
+    return out, xi
 
 
 def reconstruct(u: Uberderivation) -> FusionSystem:
@@ -451,30 +536,30 @@ def _reconstruct_gather(fr: FeudalRule) -> tuple[np.ndarray, np.ndarray]:
     g = fr.serf_group  # element i is serf_ids[i]
     prod, inv, e = g.table, g.inv, g.unit
     act, bar = fr.act_table, fr.bar_perm
-    chi = lambda a, b, j: (a * s + b) * m + j
-    ups = lambda a, b, j: ((s + a) * s + b) * m + j
-    tau = lambda j: 2 * s * s * m + j
-    # alpha(a,b,c) = -d(ups)(a,b,c) at the first lord, in row (a*s + b)*s + c
+    lay = _layout_of(fr)
+    chi, ups, tau = lay.chi, lay.ups, lay.tau
+    # alpha(a,b,c) = -d(ups)(a,b,c) at the first lord; d reads the serf pair
+    # at row d_src of the cochain, in product order
     d_src, d_signs, acted, actor = _delta(g, 2, "left")
     point = np.zeros(d_src.shape, np.intp)
     point[:, acted] = act[actor, e, 0]
-    alpha_src, alpha_signs = ups(0, 0, 0) + d_src * m + point, -d_signs
-    alpha = lambda a, b, c: alpha_src[(a * s + b) * s + c]
+    alpha_src, alpha_signs = ups.reshape(s * s, m)[d_src, point], -d_signs
+    alpha = alpha_src.reshape(s, s, s, -1)
     a, b, j = (x.ravel() for x in np.indices((s, s, m)))
     ai, bi = inv[a], inv[b]
     k = act[b, e, j]
     shapes = {  # name -> (terms, signs), rows (a,b,c) for alpha and (a,b,j) for the others
         "alpha": ([alpha_src], alpha_signs),
-        "alpha1": ([ups(a, b, bar[act[e, prod[a, b], j]])], [-1]),
-        "alpha2": ([chi(a, b, j)], [1]),
-        "alpha3": ([ups(a, b, j)], [1]),
-        "beta1": ([alpha(bi, a, prod[ai, b]), ups(bi, a, act[prod[ai, b], e, j])], [*alpha_signs, -1]),
-        "beta2": ([ups(b, bi, j), ups(b, bi, act[e, ai, j]), chi(b, a, act[e, ai, j])], [1, -1, 1]),
+        "alpha1": ([ups[a, b, bar[act[e, prod[a, b], j]]]], [-1]),
+        "alpha2": ([chi[a, b, j]], [1]),
+        "alpha3": ([ups[a, b, j]], [1]),
+        "beta1": ([alpha[bi, a, prod[ai, b]], ups[bi, a, act[prod[ai, b], e, j]]], [*alpha_signs, -1]),
+        "beta2": ([ups[b, bi, j], ups[b, bi, act[e, ai, j]], chi[b, a, act[e, ai, j]]], [1, -1, 1]),
         "beta3": (
-            [ups(a, bi, bar[j]), tau(act[e, ai, j]), alpha(a, bi, b), alpha(prod[a, bi], prod[b, ai], a), tau(j)],
+            [ups[a, bi, bar[j]], tau[act[e, ai, j]], alpha[a, bi, b], alpha[prod[a, bi], prod[b, ai], a], tau[j]],
             [1, 1, *-alpha_signs, *-alpha_signs, -1],
         ),
-        "gamma": ([tau(k), ups(ai, a, bar[k]), ups(bi, b, act[e, a, k]), chi(b, a, j)], [1, 1, -1, -1]),
+        "gamma": ([tau[k], ups[ai, a, bar[k]], ups[bi, b, act[e, a, k]], chi[b, a, j]], [1, 1, -1, -1]),
     }
     slots = compiled(fr, _shape_slots)
     width = max(len(term_signs) for _, term_signs in shapes.values())
@@ -498,7 +583,7 @@ class _GaugeLattice:
     Generator i is the field generator at slots[i] and 1 everywhere else;
     a slot is ("theta", a, b, orbit), ("phi", a, j) or ("sigma", j).
     owner[c] is the generator whose slot holds gauge log coordinate c (see
-    _gauge_gather), or -1.  shifts[i] is the uber_to_vec image of its
+    _layout), or -1.  shifts[i] is the uber_to_vec image of its
     gauge_shift.
     """
 
@@ -516,36 +601,30 @@ class _GaugeLattice:
 def _slot_gauge(ambi: Ambi, lat: _GaugeLattice, exps) -> GaugeTriple:
     """The product of the generators of lat, generator i to the power exps[i]:
     one gather of the exponents through lat.owner, through the exp table."""
-    A = ambi
-    s, m = len(A.serf_ids), A.npoints
     logs = np.where(lat.owner >= 0, np.asarray(exps, np.int64)[lat.owner], 0)
-    vals = A.field._exp_table[logs % (A.field.p - 1)]
-    theta = dict(zip(product(A.serf_ids, repeat=2), vals[: s * s * m].reshape(s * s, m)))
-    phi = dict(zip(A.serf_ids, vals[s * s * m : -m].reshape(s, m)))
-    return GaugeTriple(A, theta, phi, vals[-m:])
+    return GaugeTriple.from_vec(ambi, ambi.field._exp_table[logs % (ambi.field.p - 1)])
 
 
 def _gauge_gather(fr: FeudalRule) -> list[tuple[np.ndarray, np.ndarray]]:
     """The gauge action in exponent coordinates, as a signed gather.
 
-    A gauge's log coordinates are theta at (a,b,j), then phi at (a,j), then
-    sigma at j (serfs in serf_ids order, j a lord position).  The formulas
-    are gauge_shift's multiplicative ones, with mul -> +, div -> - and act,
-    ract, bar as gathers.  Returns the blocks (src, signs) for chi, ups and
-    tau, in uber_unknown_keys order: row r of a block is the sum over terms t
-    of signs[t] times the log coordinate src[r, t].
+    A gauge's log coordinates are in the gauge layout (_layout).  The
+    formulas are gauge_shift's multiplicative ones, with mul -> +, div -> -
+    and act, ract, bar as gathers.  Returns the blocks (src, signs) for chi,
+    ups and tau, each with its rows in C order of its positions: row r of a
+    block is the sum over terms t of signs[t] times the log coordinate
+    src[r, t].
     """
     s, m = len(fr.serf_ids), len(fr.lord_ids)
     prod, e = fr.serf_group.table, fr.serf_group.unit
     act, bar = fr.act_table, fr.bar_perm
-    theta = lambda a, b, j: (a * s + b) * m + j
-    phi = lambda a, j: (s * s + a) * m + j
-    sigma = lambda j: (s * s + s) * m + j
+    lay = _layout_of(fr)
+    theta, phi, sigma = lay.theta, lay.phi, lay.sigma
     a, b, j = (x.ravel() for x in np.indices((s, s, m)))
     ab, eb, ae = act[a, b, j], act[e, b, j], act[a, e, j]
-    chi = [phi(a, j), phi(b, bar[ab]), sigma(ab), sigma(j), phi(a, eb), phi(b, bar[eb]), sigma(ae), sigma(eb)]
-    ups = [phi(a, j), phi(b, ae), phi(prod[a, b], j), theta(a, b, j)]
-    tau = [sigma(bar), sigma(np.arange(m))]
+    chi = [phi[a, j], phi[b, bar[ab]], sigma[ab], sigma[j], phi[a, eb], phi[b, bar[eb]], sigma[ae], sigma[eb]]
+    ups = [phi[a, j], phi[b, ae], phi[prod[a, b], j], theta[a, b, j]]
+    tau = [sigma[bar], sigma]
     return [
         (np.stack(chi, axis=1), np.array([1, 1, 1, 1, -1, -1, -1, -1])),
         (np.stack(ups, axis=1), np.array([1, 1, -1, -1])),
@@ -556,31 +635,26 @@ def _gauge_gather(fr: FeudalRule) -> list[tuple[np.ndarray, np.ndarray]]:
 def _shift_logs(ambi: Ambi, logs: np.ndarray) -> np.ndarray:
     """The exponent-space shifts, mod p - 1, of gauges given by their log
     coordinates: one gauge, or a (K, coordinates) batch of K."""
-    logs = np.asarray(logs)
-    out = [logs[..., src] @ signs for src, signs in compiled(ambi.feudal, _gauge_gather)]
-    return np.concatenate(out, axis=-1) % (ambi.field.p - 1)
+    logs, lay = np.asarray(logs), _layout_of(ambi)
+    out = np.empty(logs.shape[:-1] + (lay.size,), np.int64)
+    for at, (src, signs) in zip((lay.chi, lay.ups, lay.tau), compiled(ambi.feudal, _gauge_gather)):
+        out[..., at.ravel()] = logs[..., src] @ signs
+    return out % (ambi.field.p - 1)
 
 
 def _gauge_lattice(ambi: Ambi) -> _GaugeLattice:
     """The gauge-shift lattice of ambi; compiled keeps it per rule, serf set
     and field, so every Ambi on them finds it."""
-    A = ambi
-    s, m = len(A.serf_ids), A.npoints
-    at = {a: i for i, a in enumerate(A.serf_ids)}
+    A, m, lay = ambi, ambi.npoints, _layout_of(ambi)
     nonunit = [a for a in A.serf_ids if a != A.unit_serf]
     slots = [("theta", a, b, orb) for a in nonunit for b in nonunit for orb in A.orbits]
     slots += [("phi", a, j) for a in nonunit for j in range(m)]
     slots += [("sigma", j) for j in range(m)]
-    # the gauge log coordinates of each slot (see _gauge_gather): theta on an
-    # orbit, or phi or sigma at a point
-    owner = np.full((s * s + s + 1) * m, -1)
-    for i, slot in enumerate(slots):
-        if slot[0] == "theta":
-            owner[(at[slot[1]] * s + at[slot[2]]) * m + np.array(slot[3])] = i
-        elif slot[0] == "phi":
-            owner[(s * s + at[slot[1]]) * m + slot[2]] = i
-        else:
-            owner[(s * s + s) * m + slot[1]] = i
+    # the gauge log coordinates of each slot: its field at its serfs and at
+    # its lords (an orbit for theta, a point for phi and sigma)
+    owner = np.full(lay.gauge_size, -1)
+    for i, (name, *serfs, lords) in enumerate(slots):
+        owner[getattr(lay, name)[(*(A._serf_at[a] for a in serfs), np.array(lords))]] = i
     logs = (owner == np.arange(len(slots))[:, None]).astype(np.int64)  # generator i is 1 where it owns
     return _GaugeLattice(slots, owner, _shift_logs(A, logs), A.field.p - 1)
 
@@ -613,11 +687,14 @@ def _relabeling(ambi: Ambi, perm: np.ndarray) -> np.ndarray:
     The relabeled triple reads each entry at the preimage serfs and lord, so
     uber_to_vec of it is uber_to_vec(u)[r] for the returned index array r.
     """
-    s, m = len(ambi.serf_ids), ambi.npoints
+    lay = _layout_of(ambi)
     pre = np.argsort(perm)
     serf, lord = (np.searchsorted(ids, pre[list(ids)]) for ids in (ambi.serf_ids, ambi.lord_ids))
-    pairs = ((serf[:, None] * s + serf)[..., None] * m + lord).ravel()
-    return np.concatenate([pairs, s * s * m + pairs, 2 * s * s * m + lord])
+    out = np.empty(lay.size, np.intp)
+    for at in (lay.chi, lay.ups):
+        out[at] = at[serf[:, None, None], serf[:, None], lord]
+    out[lay.tau] = lay.tau[lord]
+    return out
 
 
 def transport(u: Uberderivation, perm: np.ndarray) -> Uberderivation:
@@ -649,11 +726,11 @@ def canonicalize_tau(u: Uberderivation) -> Uberderivation:
     roots = nth_roots_of(F, F.div(t1, t2), 2)
     if not roots:
         raise UnsupportedFieldError("tau ratio has no square root")
-    best = None
+    best, lay = None, _layout_of(A)
     for s in roots:
-        sigma = np.array([s, 1], dtype=np.int64)
-        g = GaugeTriple(A, {k: A.one() for k in u.ups}, {a: A.one() for a in A.serf_ids}, sigma)
-        cand = apply_gauge_uber(u, g)
+        vec = np.ones(lay.gauge_size, np.int64)
+        vec[lay.sigma] = [s, 1]
+        cand = apply_gauge_uber(u, GaugeTriple.from_vec(A, vec))
         if best is None or int(cand.tau[0]) < int(best.tau[0]):
             best = cand
     assert best is not None and int(best.tau[0]) == int(best.tau[1])
@@ -707,10 +784,13 @@ def check_existence_obstructions(fr: FeudalRule, field: Field) -> ObstructionRep
 
 
 def uber_unknown_keys(ambi: Ambi) -> list[tuple]:
-    serfs, nm = ambi.serf_ids, ambi.npoints
-    keys = [("chi", a, b, j) for a in serfs for b in serfs for j in range(nm)]
-    keys += [("ups", a, b, j) for a in serfs for b in serfs for j in range(nm)]
-    keys += [("tau", j) for j in range(nm)]
+    """The name of each coordinate of a triple: ("chi", a, b, j), ("ups", a,
+    b, j) or ("tau", j), for serfs a, b and a lord position j."""
+    lay, serfs = _layout_of(ambi), ambi.serf_ids
+    keys: list = [None] * lay.size
+    for name in ("chi", "ups", "tau"):
+        for pos, i in np.ndenumerate(getattr(lay, name)):
+            keys[i] = (name, *(serfs[k] for k in pos[:-1]), pos[-1])
     return keys
 
 
@@ -752,24 +832,23 @@ def _axiom_rows(ambi: Ambi) -> _AxiomRows:
     prod, inv, e = fr.serf_group.table, fr.serf_group.inv, fr.serf_group.unit  # serf i is serf_ids[i]
     act, bar, ids = fr.act_table, fr.bar_perm, np.array(A.serf_ids)
     on_A, a_vanishes = np.isin(ids, fr.adjoint_ids), len(fr.adjoint_ids) % F.p == 0
-    chi = lambda a, b, j: (a * s + b) * m + j
-    ups = lambda a, b, j: ((s + a) * s + b) * m + j
-    tau = lambda j: 2 * s * s * m + j
+    lay = _layout_of(A)
+    chi, ups, tau = lay.chi, lay.ups, lay.tau
     a, b, j = np.indices((s, s, m)).reshape(3, -1)
     x, y, z, k = np.indices((s, s, s, m)).reshape(4, -1)
     amb, am, mb = act[inv[a], inv[b], j], act[inv[a], e, j], act[e, inv[b], j]  # a m b, a m, m b
     pairs = list(zip(ids[a].tolist(), ids[b].tolist()))
     triples = list(zip(ids[x].tolist(), ids[y].tolist(), ids[z].tolist()))
-    quasi = [chi(b, a, bar[j]), chi(a, b, amb), tau(amb), tau(j), tau(am), tau(mb)]
+    quasi = [chi[b, a, bar[j]], chi[a, b, amb], tau[amb], tau[j], tau[am], tau[mb]]
     # on A x A x A both actions are trivial, so the biderivation rows are also
     # the bicharacter law chi(ab, c) = chi(a, c) chi(b, c)
-    bider = [ups(x, y, k), ups(x, y, act[e, z, k]), chi(prod[x, y], z, k), chi(x, z, k), chi(y, z, act[x, e, k])]
+    bider = [ups[x, y, k], ups[x, y, act[e, z, k]], chi[prod[x, y], z, k], chi[x, z, k], chi[y, z, act[x, e, k]]]
     families = {  # name -> (witness per row, rows kept, terms, signs)
-        "ups_normalized": (pairs, (a == e) | (b == e), [ups(a, b, j)], [1]),
+        "ups_normalized": (pairs, (a == e) | (b == e), [ups[a, b, j]], [1]),
         "quasisymmetric": (pairs, True, quasi, [1, -1, -1, -1, 1, 1]),
         "biderivation": (triples, True, bider, [1, -1, 1, -1, -1]),
-        "symmetric_on_A": (pairs, on_A[a] & on_A[b] & (a < b), [chi(a, b, j), chi(b, a, j)], [1, -1]),
-        "tau_norm": (["|A| tau taubar != 1"] * m, not a_vanishes, [tau(np.arange(m)), tau(bar)], [1, 1]),
+        "symmetric_on_A": (pairs, on_A[a] & on_A[b] & (a < b), [chi[a, b, j], chi[b, a, j]], [1, -1]),
+        "tau_norm": (["|A| tau taubar != 1"] * m, not a_vanishes, [tau, tau[bar]], [1, 1]),
     }
     width = max(len(term_signs) for *_, term_signs in families.values())
     names, src, signs = [], [], []  # src and signs: each family's kept rows, padded to width
@@ -791,9 +870,9 @@ def _degenerate_on_A(ambi: Ambi, x: np.ndarray) -> np.ndarray:
     """Which a of ambi.trivial_actors, other than the unit, have a nonzero
     character sum over A, sum_b chi(a, b), read off each exponent vector of
     x: a (..., |A|) bool array for x of shape (..., dim)."""
-    s, acts = len(ambi.serf_ids), np.array(ambi.trivial_actors)
+    acts = np.array(ambi.trivial_actors)
     on_A = np.searchsorted(ambi.serf_ids, acts)
-    chi = x[..., : s * s * ambi.npoints].reshape(*x.shape[:-1], s, s, -1)[..., on_A[:, None], on_A, :]
+    chi = x[..., _layout_of(ambi).chi[on_A[:, None], on_A]]
     sums = ambi.field._exp_table[chi].sum(axis=-2) % ambi.field.p
     return sums.any(axis=-1) & (acts != ambi.unit_serf)
 
@@ -818,11 +897,11 @@ def uber_constraint_system(ambi: Ambi):
 
 
 def vec_to_uber(ambi: Ambi, vec: np.ndarray) -> Uberderivation:
-    return Uberderivation(ambi, *_split(ambi, Units(ambi.field, ambi).exp(np.reshape(vec, (-1, ambi.npoints)))))
+    return Uberderivation.from_vec(ambi, Units(ambi.field, ambi).exp(vec))
 
 
 def uber_to_vec(u: Uberderivation) -> np.ndarray:
-    return Units(u.ambi.field, u.ambi).log(u._stack(list(product(u.ambi.serf_ids, repeat=2)))).ravel()
+    return Units(u.ambi.field).log(u.vec).ravel()
 
 
 CLASS_LIMIT = 100_000  # coset representatives enumerate_uber walks at most

@@ -35,7 +35,7 @@ from fusionkit import (
 )
 from fusionkit.cohomology import Cochain, Units, coboundary_logs, trivial_cochain
 from fusionkit.errors import DomainError, ResourceError, ValidationError
-from fusionkit.uber import uber_constraint_system, vec_to_uber
+from fusionkit.uber import Uberderivation, uber_constraint_system, vec_to_uber
 from fusionkit.zmodlin import nullspace_mod, solve_mod
 from test_report_digests import H3_UNIVERSAL_COEFFICIENTS
 
@@ -293,7 +293,7 @@ def test_reconstruct_rejects_nonscalar_coboundary_of_ups(f17, mr):
     """alpha = (d ups)^-1 must be scalar; such a ups also fails the biderivation rows."""
     u = enumerate_uber(Ambi(mr, f17), with_orbits=False).class_reps[0]
     a = mr.serf_ids[1]
-    u.ups[(a, a)] = u.ups[(a, a)] * [3, 1] % 17
+    u = Uberderivation(u.ambi, u.chi, {**u.ups, (a, a): u.ups[(a, a)] * [3, 1] % 17}, u.tau)
     assert any(len(set(v.tolist())) > 1 for v in _reference_coboundary(_ups_cochain(u), "left").values())
     with pytest.raises(DomainError):
         reconstruct(u)

@@ -394,6 +394,48 @@ def test_cli_bad_input_is_one_error_line(tmp_path, argv):
         assert f"'{name.split('_')[0]}'" in err
 
 
+def _retyped_documents(tmp_path, f17, ty2):
+    """name -> (argv without the document's path, document, field named in
+    the error): each document a valid one with one integer field given as a
+    float, a digit string or a bool."""
+    from fusionkit import identity_gauge
+
+    u = enumerate_uber(Ambi(ty2, f17), with_orbits=False).class_reps[0]
+    system, triple = system_to_dict(reconstruct(u)), uber_to_dict(u)
+    gauge = gauge_to_dict(identity_gauge(ty2.rule, f17))
+    (tmp_path / "system.json").write_text(dumps(system))
+    key = sorted(system["coeffs"])[0]
+    rule = rule_to_dict(ty2.rule)
+    retyped = lambda doc, field, key, val: doc | {field: doc[field] | {key: val}}
+    return {
+        "p_float": (["fsys", "verify"], system | {"p": 17.9}, "'p'"),
+        "coeff_float": (["fsys", "verify"], retyped(system, "coeffs", key, 1.5), f"'coeffs:{key}'"),
+        "coeff_string": (["fsys", "verify"], retyped(system, "coeffs", key, "1"), f"'coeffs:{key}'"),
+        "coeff_bool": (["fsys", "verify"], retyped(system, "coeffs", key, True), f"'coeffs:{key}'"),
+        "gauge_float": (["fsys", "gauge-apply", str(tmp_path / "system.json"), "--xi"], retyped(gauge, "values", "1,1,1", 1.0), "'values:1,1,1'"),
+        "chi_half": (["uber", "reconstruct"], retyped(triple, "chi", "g,g", [v + 0.5 for v in triple["chi"]["g,g"]]), "'chi:g,g'"),
+        "tau_bool": (["uber", "reconstruct"], triple | {"tau": [True]}, "'tau'"),
+        "rule_multiplicity": (["rule", "verify"], retyped(rule, "table", "g,g", {"1": 1.0}), "'table:g,g'"),
+    }
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["p_float", "coeff_float", "coeff_string", "coeff_bool", "gauge_float", "chi_half", "tau_bool", "rule_multiplicity"],
+)
+def test_cli_reads_integer_fields_strictly(tmp_path, f17, ty2, name):
+    """p, coefficients, gauge values, triple residues and rule multiplicities
+    must be JSON integers: a float, a digit string or a bool exits 1 with one
+    error line naming the field, where each used to be cast by int() and
+    verified (a p of 17.9 read as 17, a chi entry v + 0.5 as v)."""
+    argv, doc, field = _retyped_documents(tmp_path, f17, ty2)[name]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli([*argv, str(path)])
+    assert (code, out) == (1, "") and err.count("\n") == 1
+    assert err.startswith(f"error: field {field} has a value of the wrong type: "), err
+
+
 _JUNK = ([], [1, "a"], 0, -1, 2**70, 1.5, True, "", "x", None, {}, {"a": 1})
 
 

@@ -1,11 +1,15 @@
+import copy
 import dataclasses
 import gc
 import hashlib
 import json
+import pickle
 import random
+import re
 import sys
 import weakref
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -313,8 +317,8 @@ def test_psi_on_non_normal_system_classifies_through_normal_form(f17, mr):
 
 
 def test_psi_decomposes_each_system_once(f17, mr, monkeypatch):
-    """psi decomposes its input, and on a non-normal input the normalized
-    system once more; normalize hands its decomposition back."""
+    """psi builds no Decomposition: it gathers the normal check and the
+    triple off the coefficient vector, on a normal and a non-normal input."""
     import fusionkit.uber as uber_mod
 
     u = mr_uber(f17, mr)
@@ -324,10 +328,9 @@ def test_psi_decomposes_each_system_once(f17, mr, monkeypatch):
     calls = []
     real = uber_mod.decompose
     monkeypatch.setattr(uber_mod, "decompose", lambda *a: calls.append(a[0]) or real(*a))
-    assert psi(g, mr, u.ambi) == want
-    assert len(calls) == 2 and calls[0] is g and is_normal(calls[1], mr)
-    calls.clear()
-    assert psi(f, mr, u.ambi) == u and len(calls) == 1
+    assert psi(g, mr, u.ambi) == want and not is_normal(g, mr)
+    assert psi(f, mr, u.ambi) == u
+    assert len(calls) == 1 and calls[0] is g  # is_normal's, not psi's
 
 
 def test_psi_is_class_functorial_with_self_dual_lords(f17):
@@ -929,7 +932,9 @@ def test_report_on_zero_entries_names_invertible(f17, ty2):
     a = ty2.serf_ids[1]
     for part in ("chi", "ups"):
         u = ty2_uber(f17, ty2)
-        getattr(u, part)[(a, a)] = u.ambi.zero()
+        tables = {"chi": dict(u.chi), "ups": dict(u.ups)}
+        tables[part][(a, a)] = u.ambi.zero()
+        u = Uberderivation(u.ambi, tables["chi"], tables["ups"], u.tau)
         assert u.report() == {"invertible": [(a, a)]}
     u = ty2_uber(f17, ty2, tau=0)
     assert u.report() == {"invertible": ["tau"]}
@@ -1157,22 +1162,30 @@ def test_gauge_shift_matches_reference(gauge_rules):
 
 
 def test_gauge_shift_zero_entry_is_not_invertible(f17, mr):
-    """A zero anywhere in theta, phi or sigma raises the DomainError the
-    multiplicative inverse raised."""
+    """A zero anywhere in theta, phi or sigma, where the multiplicative inverse
+    raised a DomainError, is rejected when the gauge is built: a
+    ValidationError naming the field and the key."""
     A = Ambi(mr, f17)
     rng = random.Random(4)
     a = next(s for s in A.serf_ids if s != A.unit_serf)
-    for where in ("theta", "phi", "sigma"):
+    label = mr.rule.labels[a]
+    for where, message in (("theta", f"'theta' at '{label},{label}'"), ("phi", f"'phi' at '{label}'"), ("sigma", "'sigma'")):
         g = _random_gauge_triple(A, rng)
+        theta, phi, sigma = dict(g.theta), dict(g.phi), g.sigma.copy()
         if where == "theta":
-            g.theta[(a, a)] = A.zero()
+            theta[(a, a)] = A.zero()
         elif where == "phi":
-            g.phi[a][-1] = 0
+            phi[a] = np.append(phi[a][:-1], 0)
         else:
-            g.sigma[0] = 0
-        for shift in (gauge_shift, _reference_gauge_shift):
-            with pytest.raises(DomainError, match="^element is not invertible$"):
-                shift(A, g)
+            sigma[0] = 0
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)} has an entry 0 mod p, not invertible$"):
+            GaugeTriple(A, theta, phi, sigma)
+        with pytest.raises(DomainError, match="^element is not invertible$"):
+            _reference_gauge_shift(A, SimpleNamespace(theta=theta, phi=phi, sigma=sigma))
+    vec = g.vec.copy()
+    vec[-1] = 0
+    with pytest.raises(ValidationError, match=f"^entry {len(vec) - 1} is 0 mod p, not invertible$"):
+        GaugeTriple.from_vec(A, vec)
 
 
 def _drop_left_sigma(blocks):
@@ -1216,7 +1229,8 @@ def test_vec_to_uber_and_back_match_reference(gauge_rules):
             assert _same_array(uber_to_vec(u), _reference_uber_to_vec(u))
             assert _same_array(uber_to_vec(u), vec % n)
     u = vec_to_uber(A, np.zeros(len(uber_unknown_keys(A)), dtype=np.int64))
-    u.ups[(A.unit_serf, A.unit_serf)][0] = 0
+    e = A.unit_serf
+    u = Uberderivation(A, u.chi, {**u.ups, (e, e): np.append(0, u.ups[(e, e)][1:])}, u.tau)
     with pytest.raises(DomainError, match="^discrete log of 0 is undefined$"):
         uber_to_vec(u)
 
@@ -1555,11 +1569,12 @@ def test_gauge_triple_rejects_a_theta_off_the_constants(f17, mr):
     A = Ambi(mr, f17)
     g = _random_gauge_triple(A, random.Random(5))
     a = next(s for s in A.serf_ids if s != A.unit_serf)
-    g.theta[(a, a)] = np.array([2, 3])
+    theta = dict(g.theta)
+    theta[(a, a)] = np.array([2, 3])
     with pytest.raises(ValidationError, match=rf"^theta\({a}, {a}\) is not fixed by the actions$"):
-        GaugeTriple(A, g.theta, g.phi, g.sigma)
-    g.theta[(a, a)] = np.array([2, 19])  # constant mod p
-    assert GaugeTriple(A, g.theta, g.phi, g.sigma).theta[(a, a)].tolist() == [2, 2]
+        GaugeTriple(A, theta, g.phi, g.sigma)
+    theta[(a, a)] = np.array([2, 19])  # constant mod p
+    assert GaugeTriple(A, theta, g.phi, g.sigma).theta[(a, a)].tolist() == [2, 2]
 
 
 # ---- the normal system as one signed gather --------------------------------------------
@@ -1768,10 +1783,16 @@ def test_uberderivation_arrays_match_reference(gauge_rules):
             moved = _reference_apply_gauge_uber(u, g)
             for v in (u, shuffled, moved):
                 assert (shuffled == v) == _reference_eq(shuffled, v) and (v == shuffled) == _reference_eq(v, shuffled)
+            tables = {"chi": {k: shuffled.chi[k] for k in keys}, "ups": {k: shuffled.ups[k] for k in keys[::-1]}}
+            tau = shuffled.tau.copy()
             for part in rng.sample(["chi", "ups", "tau"], 2):
-                entry = shuffled.tau if part == "tau" else getattr(shuffled, part)[rng.choice(keys)]
+                k = None if part == "tau" else rng.choice(keys)
+                entry = tau if k is None else tables[part][k].copy()
                 entry[rng.randrange(A.npoints)] = 0
-            assert shuffled.report()["invertible"] == _reference_zeros(shuffled)
+                if k is not None:
+                    tables[part][k] = entry
+            zeroed = Uberderivation(A, tables["chi"], tables["ups"], tau)
+            assert zeroed.report()["invertible"] == _reference_zeros(zeroed)
 
 
 def test_dictionary_detects_the_feudal_structure_once_per_rule(f17, monkeypatch):
@@ -1912,13 +1933,19 @@ def test_field_free_tables_are_compiled_once_per_feudal_rule(monkeypatch):
 
 def _reference_uberderivation_init(A, chi, ups, tau):
     """Uberderivation.__post_init__ as it stood: one residues call per entry;
-    returns the reduced (chi, ups, tau)."""
+    returns the reduced (chi, ups, tau).  A ragged entry or one past int64,
+    where numpy's own error escaped, raises a ValidationError naming it."""
     show = lambda k: ",".join(A.feudal.rule.labels[i] for i in k)
 
     def residues(v, name, k=None):
-        v = np.asarray(v, dtype=np.int64) % A.field.p
+        where = repr(name) if k is None else f"{name!r} at {show(k)!r}"
+        try:
+            v = np.asarray(v, dtype=np.int64) % A.field.p
+        except ValueError:  # ragged
+            raise ValidationError(f"{where} must list one residue per lord") from None
+        except OverflowError:
+            raise ValidationError(f"{where} must list integers that fit int64") from None
         if v.shape != (A.npoints,):
-            where = repr(name) if k is None else f"{name!r} at {show(k)!r}"
             raise ValidationError(f"{where} must list one residue per lord")
         return v
 
@@ -1956,7 +1983,11 @@ def _reference_theta_fault(A, theta):
     if off:
         raise ValidationError(f"'theta' must be keyed by the serf pairs; it differs at {show(off[0])!r}")
     for k, v in d.items():
-        if (np.asarray(v) % A.field.p).shape != (A.npoints,):
+        try:
+            shape = np.shape(np.asarray(v) % A.field.p)
+        except ValueError:  # ragged
+            shape = None
+        if shape != (A.npoints,):
             raise ValidationError(f"'theta' at {show(k)!r} must list one residue per lord")
 
 
@@ -2034,9 +2065,9 @@ def test_triples_validate_as_the_per_entry_loops(gauge_rules):
                 assert got == fault
             else:
                 assert agree(got, _outcome(lambda: _reference_gauge_triple_init(A, t["theta"], phi, g.sigma)))
-    for part in ("one residue per lord", "keyed by the serf pairs", "phi must be normalized", "not fixed by the actions"):
+    for part in ("one residue per lord", "fit int64", "keyed by the serf pairs", "phi must be normalized", "not fixed by the actions"):
         assert any(part in m for m in raised), part
-    for part in ("'theta' at", "'theta' must be keyed by the serf pairs", "inhomogeneous shape"):
+    for part in ("'theta' at", "'theta' must be keyed by the serf pairs"):
         assert any(part in m for _, m in faults), part
 
 
@@ -2063,3 +2094,112 @@ def test_psi_gauge_builds_its_own_ambi(f17, mr):
     assert back.ambi is not A and back.ambi.key == A.key
     assert all(A.eq(back.theta[k], g.theta[k]) for k in g.theta) and list(back.theta) == list(g.theta)
     assert all(A.eq(back.phi[a], g.phi[a]) for a in g.phi) and A.eq(back.sigma, g.sigma)
+
+
+# ---- one coordinate layout, read-only triples and gauges --------------------------------
+
+
+def test_one_layout_names_every_coordinate(gauge_rules):
+    """On every rule, uber_unknown_keys(A)[i] names coordinate i of the triple
+    (chi, then ups at the serf pairs in product order, then tau), which is
+    where the keyed views read it; relabeling by the identity is the
+    identity; and each gauge coordinate is owned by at most one generator of
+    the gauge-shift lattice."""
+    rng = np.random.default_rng(71)
+    for A in gauge_rules:
+        serfs, m, n = A.serf_ids, A.npoints, A.field.p - 1
+        keys = uber_unknown_keys(A)
+        want = [(name, a, b, j) for name in ("chi", "ups") for a in serfs for b in serfs for j in range(m)]
+        assert keys == want + [("tau", j) for j in range(m)]
+        x = rng.integers(0, n, len(keys))
+        u = vec_to_uber(A, x)
+        read = [u.tau[k[1]] if k[0] == "tau" else getattr(u, k[0])[k[1:3]][k[3]] for k in keys]
+        assert read == [A.field.exp(int(v)) for v in x]
+        assert _same_array(uber._relabeling(A, np.arange(A.feudal.rule.n)), np.arange(len(keys)))
+        lat = _gauge_lattice(A)
+        owned = np.bincount(lat.owner[lat.owner >= 0], minlength=len(lat.slots))
+        assert owned.tolist() == [len(slot[3]) if slot[0] == "theta" else 1 for slot in lat.slots]
+
+
+def test_triples_and_gauges_are_read_only(f17, mr):
+    """A triple and a gauge are their vectors: the keyed views, their rows,
+    tau, sigma and vec refuse writes, and so does rebinding a field, and a
+    vector handed to from_vec is copied.  The views list their keys in serf-pair (serf) order whatever
+    the caller's order, and so does report's invertible list; gauge_shift
+    still returns plain dicts.  Both still pickle and deep-copy once their
+    views are built, as the dataclasses they replace did."""
+    A = Ambi(mr, f17)
+    u = mr_uber(f17, mr)
+    g = _random_gauge_triple(A, random.Random(72))
+    pairs = list(product(A.serf_ids, repeat=2))
+    k, a = pairs[5], A.serf_ids[1]
+    for table, key in ((u.chi, k), (u.ups, k), (g.theta, k), (g.phi, a)):
+        with pytest.raises(TypeError):
+            table[key] = A.one()
+        with pytest.raises(ValueError, match="read-only"):
+            table[key][0] = 2
+    for vec in (u.tau, u.vec, g.sigma, g.vec):
+        with pytest.raises(ValueError, match="read-only"):
+            vec[0] = 2
+    for x, name in ((u, "chi"), (u, "tau"), (u, "vec"), (g, "phi"), (g, "sigma")):
+        with pytest.raises(AttributeError, match="read-only"):
+            setattr(x, name, getattr(x, name))
+    x = uber_to_vec(u)
+    v = vec_to_uber(A, x)
+    x[0] += 1
+    assert v == u
+    raw = u.vec.copy()
+    w = Uberderivation.from_vec(A, raw)
+    raw[0] = 0
+    assert w == u
+    with pytest.raises(ValidationError, match="^expected 66 entries"):
+        Uberderivation.from_vec(A, raw[:-1])
+    with pytest.raises(ValidationError, match="^expected 42 entries"):
+        GaugeTriple.from_vec(A, g.vec[1:])
+    backwards = Uberderivation(A, {k: u.chi[k] for k in pairs[::-1]}, {**u.ups, pairs[7]: A.zero(), pairs[2]: A.zero()}, u.tau)
+    assert list(backwards.chi) == list(backwards.ups) == pairs
+    assert list(GaugeTriple(A, dict(reversed(g.theta.items())), dict(reversed(g.phi.items())), g.sigma).phi) == list(A.serf_ids)
+    assert backwards.report() == {"invertible": [pairs[2], pairs[7]]}
+    shifts = gauge_shift(A, g)
+    assert type(shifts[0]) is dict and type(shifts[1]) is dict and list(shifts[0]) == pairs
+    for x in (u, g):  # their views read, so held in the instance
+        copied = pickle.loads(pickle.dumps(x))
+        assert _same_array(copied.vec, x.vec) and not copied.vec.flags.writeable
+        assert _same_array(copy.deepcopy(x).vec, x.vec)
+
+
+def test_triples_reject_malformed_entries_at_the_door(f17, mr):
+    """A ragged entry, an entry past int64 or a non-integer one raises a
+    ValidationError naming the field and the key, in a triple and in a gauge;
+    numpy's own error escaped before, and a float theta of 2.5 was read as 2.
+    A gauge also rejects an entry 0 mod p, where a triple keeps it for
+    report to name."""
+    A = Ambi(mr, f17)
+    u = mr_uber(f17, mr)
+    g = _random_gauge_triple(A, random.Random(73))
+    a = A.serf_ids[1]
+    lab = mr.rule.labels[a]
+    bad = {
+        "ragged": ([1, [1, 2]], "must list one residue per lord"),
+        "huge": ([2**70, 1], "must list integers that fit int64"),
+        "huge unsigned": ([2**63, 1], "must list integers that fit int64"),
+        "float": ([2.5, 2.5], "must list integers that fit int64"),
+        "bool": ([True, False], "must list integers that fit int64"),
+        "string": (["1", "1"], "must list integers that fit int64"),
+    }
+    for entry, message in bad.values():
+        for build, where in (
+            (lambda: Uberderivation(A, {**u.chi, (a, a): entry}, u.ups, u.tau), f"'chi' at '{lab},{lab}'"),
+            (lambda: Uberderivation(A, u.chi, {**u.ups, (a, a): entry}, u.tau), f"'ups' at '{lab},{lab}'"),
+            (lambda: Uberderivation(A, u.chi, u.ups, entry), "'tau'"),
+            (lambda: GaugeTriple(A, {**g.theta, (a, a): entry}, g.phi, g.sigma), f"'theta' at '{lab},{lab}'"),
+            (lambda: GaugeTriple(A, g.theta, {**g.phi, a: entry}, g.sigma), f"'phi' at '{lab}'"),
+            (lambda: GaugeTriple(A, g.theta, g.phi, entry), "'sigma'"),
+        ):
+            with pytest.raises(ValidationError) as exc:
+                build()
+            assert str(exc.value) == f"{where} {message}"
+    zero = Uberderivation(A, u.chi, u.ups, [0, 3])
+    assert zero.report() == {"invertible": ["tau"]}
+    with pytest.raises(ValidationError, match="^'sigma' has an entry 0 mod p, not invertible$"):
+        GaugeTriple(A, g.theta, g.phi, [0, 3])
