@@ -288,74 +288,122 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+_PATH = ("path", {})
+_RULE_P = (("--rule", {"required": True}), ("--p", {"type": int, "required": True}))
+
+# command -> (help, {sub-command -> (handler, argument specs)}), in help order;
+# an argument spec is (name, add_argument keywords).
+_COMMANDS = {
+    "rule": (
+        "fusion-rule structure",
+        {"verify": (cmd_rule_verify, (_PATH,)), "analyze": (cmd_rule_analyze, (_PATH,))},
+    ),
+    "feudal": (
+        "serf/lord structure and the hom dictionary",
+        {
+            "phi": (cmd_feudal_phi, (_PATH,)),
+            "gamma": (cmd_feudal_gamma, (_PATH,)),
+            "enumerate": (cmd_feudal_enumerate, (("--max-order", {"type": int, "required": True}),)),
+        },
+    ),
+    "fsys": (
+        "fusion systems",
+        {
+            "verify": (cmd_fsys_verify, (_PATH,)),
+            "gauge-apply": (cmd_fsys_gauge_apply, (_PATH, ("--xi", {"required": True}))),
+            "enumerate": (
+                cmd_fsys_enumerate,
+                (*_RULE_P, ("--budget-bits", {"type": int, "default": DEFAULT_BUDGET_BITS})),
+            ),
+        },
+    ),
+    "uber": (
+        "uberderivations and classification",
+        {
+            "psi": (cmd_uber_psi, (_PATH,)),
+            "reconstruct": (cmd_uber_reconstruct, (_PATH,)),
+            "classify": (cmd_uber_classify, _RULE_P),
+            "obstructions": (cmd_uber_obstructions, _RULE_P),
+        },
+    ),
+    "cohom": (
+        "group cohomology",
+        {
+            "h3": (
+                cmd_cohom_h3,
+                (
+                    ("--group", {"required": True}),
+                    ("--p", {"type": int, "required": True}),
+                    ("--via-uber", {"default": None, "help": "an index-2 subgroup name, or 'auto'"}),
+                ),
+            ),
+        },
+    ),
+}
+_GLOBAL_OPTIONS = ("--format", "--out")  # each takes one value
+
+
+def _build(commands: dict) -> _Parser:
+    """The parser tree of commands, a table shaped like _COMMANDS."""
     ap = _Parser(prog="fusionkit", description=__doc__)
     ap.add_argument("--format", choices=("json", "text"), default="json")
     ap.add_argument("--out", default=None, help="write the report to a file")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    rule = sub.add_parser("rule", help="fusion-rule structure").add_subparsers(dest="sub", required=True)
-    v = rule.add_parser("verify")
-    v.add_argument("path")
-    v.set_defaults(fn=cmd_rule_verify)
-    a = rule.add_parser("analyze")
-    a.add_argument("path")
-    a.set_defaults(fn=cmd_rule_analyze)
-
-    feu = sub.add_parser("feudal", help="serf/lord structure and the hom dictionary").add_subparsers(dest="sub", required=True)
-    p = feu.add_parser("phi")
-    p.add_argument("path")
-    p.set_defaults(fn=cmd_feudal_phi)
-    g = feu.add_parser("gamma")
-    g.add_argument("path")
-    g.set_defaults(fn=cmd_feudal_gamma)
-    e = feu.add_parser("enumerate")
-    e.add_argument("--max-order", type=int, required=True)
-    e.set_defaults(fn=cmd_feudal_enumerate)
-
-    fsys = sub.add_parser("fsys", help="fusion systems").add_subparsers(dest="sub", required=True)
-    fv = fsys.add_parser("verify")
-    fv.add_argument("path")
-    fv.set_defaults(fn=cmd_fsys_verify)
-    fg = fsys.add_parser("gauge-apply")
-    fg.add_argument("path")
-    fg.add_argument("--xi", required=True)
-    fg.set_defaults(fn=cmd_fsys_gauge_apply)
-    fe = fsys.add_parser("enumerate")
-    fe.add_argument("--rule", required=True)
-    fe.add_argument("--p", type=int, required=True)
-    fe.add_argument("--budget-bits", type=int, default=DEFAULT_BUDGET_BITS)
-    fe.set_defaults(fn=cmd_fsys_enumerate)
-
-    uber = sub.add_parser("uber", help="uberderivations and classification").add_subparsers(dest="sub", required=True)
-    up = uber.add_parser("psi")
-    up.add_argument("path")
-    up.set_defaults(fn=cmd_uber_psi)
-    ur = uber.add_parser("reconstruct")
-    ur.add_argument("path")
-    ur.set_defaults(fn=cmd_uber_reconstruct)
-    uc = uber.add_parser("classify")
-    uc.add_argument("--rule", required=True)
-    uc.add_argument("--p", type=int, required=True)
-    uc.set_defaults(fn=cmd_uber_classify)
-    uo = uber.add_parser("obstructions")
-    uo.add_argument("--rule", required=True)
-    uo.add_argument("--p", type=int, required=True)
-    uo.set_defaults(fn=cmd_uber_obstructions)
-
-    coh = sub.add_parser("cohom", help="group cohomology").add_subparsers(dest="sub", required=True)
-    ch = coh.add_parser("h3")
-    ch.add_argument("--group", required=True)
-    ch.add_argument("--p", type=int, required=True)
-    ch.add_argument("--via-uber", default=None, help="an index-2 subgroup name, or 'auto'")
-    ch.set_defaults(fn=cmd_cohom_h3)
-
+    groups = ap.add_subparsers(dest="command", required=True)
+    for command, (help_, leaves) in commands.items():
+        subs = groups.add_parser(command, help=help_).add_subparsers(dest="sub", required=True)
+        for sub, (fn, specs) in leaves.items():
+            leaf = subs.add_parser(sub)
+            for name, kw in specs:
+                leaf.add_argument(name, **kw)
+            leaf.set_defaults(fn=fn)
     return ap
 
 
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser tree: every command and sub-command."""
+    return _build(_COMMANDS)
+
+
+def _branch(argv: list) -> dict | None:
+    """The one-leaf table of the (command, sub) pair argv selects, or None.
+
+    The scan is conservative: before the pair it skips only the global
+    options with their values (--opt V or --opt=V), so any other token there
+    (-h, an abbreviation, a stray value) falls back to the full tree.
+    """
+    i = 0
+    while i < len(argv) and argv[i].split("=", 1)[0] in _GLOBAL_OPTIONS:
+        i += 1 if "=" in argv[i] else 2
+    command, sub = (argv[i : i + 2] + [None, None])[:2]
+    if command not in _COMMANDS or sub not in _COMMANDS[command][1]:
+        return None
+    help_, leaves = _COMMANDS[command]
+    return {command: (help_, {sub: leaves[sub]})}
+
+
+def _parse(argv: list) -> argparse.Namespace:
+    """argv parsed as the full tree parses it, building only the branch it
+    selects (the root, a group and a leaf) when _branch finds one.  A usage
+    error parses again with the full tree, which words every message; help
+    for the leaf is the same text in either tree."""
+    branch = _branch(argv)
+    if branch is not None:
+        try:
+            return _build(branch).parse_args(argv)
+        except ValidationError:
+            pass
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
+    """Run one command (argv, or sys.argv[1:]) and return its exit code.
+
+    The parser is built per call: only the branch of the selected command
+    (see _parse), with every message, exit code and help text that of the
+    full tree, build_parser.
+    """
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
         report = args.fn(args)
     except ResourceError as e:
         sys.stderr.write(f"resource budget exceeded: {e}\n")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from importlib import resources
 from itertools import product
+from json.encoder import encode_basestring_ascii as _encode
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,10 @@ from .feudal import HomDatum, detect_feudal
 from .groups import FiniteGroup
 from .rules import FusionRule
 from .systems import FusionSystem, GaugeXi
-from .uber import Uberderivation
+from .uber import Uberderivation, _layout_of
+
+_INF = float("inf")
+_SCALARS = {None: "null", True: "true", False: "false"}
 
 BUILTIN_RULES = ("ty_z2", "ty_z3", "mr", "z4_graded", "z2xz2", "broken")
 
@@ -115,8 +119,80 @@ def _json_default(o):
     raise TypeError(f"cannot serialize {type(o).__name__}")
 
 
+def _floatstr(o: float) -> str:
+    """A float as json writes it, nan and the infinities included."""
+    if o != o:
+        return "NaN"
+    if o == _INF:
+        return "Infinity"
+    if o == -_INF:
+        return "-Infinity"
+    return float.__repr__(o)
+
+
+def _key(k) -> str:
+    """An object key as json converts it to a string."""
+    if isinstance(k, str):
+        return k
+    if isinstance(k, float):
+        return _floatstr(k)
+    if k is True or k is False or k is None:
+        return _SCALARS[k]
+    if isinstance(k, int):
+        return int.__repr__(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+def _write(o, out: list, nl: str) -> None:
+    """Append the text of o to out; nl is a newline and o's indent."""
+    if isinstance(o, str):
+        out.append(_encode(o))
+    elif o is None or o is True or o is False:
+        out.append(_SCALARS[o])
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        out.append(_floatstr(o))
+    elif isinstance(o, (list, tuple)):
+        inner = nl + "  "
+        if not o:
+            out.append("[]")
+        elif all(type(v) is int for v in o):  # a list of plain ints in one join
+            out.append(f"[{inner}{(',' + inner).join(map(int.__repr__, o))}{nl}]")
+        else:
+            sep = "[" + inner
+            for v in o:
+                out.append(sep)
+                _write(v, out, inner)
+                sep = "," + inner
+            out.append(nl + "]")
+    elif isinstance(o, dict):
+        inner = nl + "  "
+        if not o:
+            out.append("{}")
+            return
+        sep = "{" + inner
+        for k, v in sorted(o.items()):
+            out.append(f"{sep}{_encode(_key(k))}: ")
+            _write(v, out, inner)
+            sep = "," + inner
+        out.append(nl + "}")
+    else:
+        _write(_json_default(o), out, nl)
+
+
 def dumps(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True, default=_json_default) + "\n"
+    """The report text of doc: exactly json.dumps(doc, indent=2,
+    sort_keys=True, default=_json_default) and a newline, for any acyclic
+    doc, written in one pass into one list.  json's indented encoder is
+    pure Python and yields every token through a chain of generators; here
+    each list of plain ints is one join.  Strings go through json's own
+    ASCII escaper, keys, bools, None and floats follow json's rules, and
+    an unsortable or unknown key or an unknown value raises as json does."""
+    out = []
+    _write(doc, out, "\n")
+    out.append("\n")
+    return "".join(out)
 
 
 # ---- fusion rules -------------------------------------------------------------
@@ -154,16 +230,16 @@ def _check_labels(labels):
 
 
 def rule_to_dict(rule: FusionRule) -> dict:
-    _check_labels(rule.labels)
+    labels = rule.labels
+    _check_labels(labels)
     table = {}
-    for x, y in product(range(rule.n), repeat=2):
-        cell = {rule.labels[z]: int(rule.table[x, y, z]) for z in rule.support(x, y)}
-        if cell:
-            table[f"{rule.labels[x]},{rule.labels[y]}"] = cell
+    at = np.nonzero(rule.table)  # the products in (x, y, z) order
+    for x, y, z, mult in zip(*(a.tolist() for a in at), rule.table[at].tolist()):
+        table.setdefault(f"{labels[x]},{labels[y]}", {})[labels[z]] = mult
     return {
-        "labels": list(rule.labels),
-        "unit": rule.labels[rule.unit],
-        "dual": {rule.labels[i]: rule.labels[int(rule.dual[i])] for i in range(rule.n)},
+        "labels": list(labels),
+        "unit": labels[rule.unit],
+        "dual": dict(zip(labels, (labels[d] for d in rule.dual.tolist()))),
         "table": table,
     }
 
@@ -281,17 +357,17 @@ def uber_from_dict(doc: dict) -> Uberderivation:
 
 
 def uber_to_dict(u: Uberderivation) -> dict:
-    labels = u.ambi.feudal.rule.labels
+    A = u.ambi
+    labels, lay, vals = A.feudal.rule.labels, _layout_of(A), u.vec.tolist()
+    pairs = [f"{labels[a]},{labels[b]}" for a, b in product(A.serf_ids, repeat=2)]
+    m = len(A.lord_ids)
+    keyed = lambda at: {k: vals[i : i + m] for k, i in zip(pairs, at[..., 0].ravel().tolist())}
     return {
-        "rule": rule_to_dict(u.ambi.feudal.rule),
-        "p": u.ambi.field.p,
-        "chi": {
-            f"{labels[a]},{labels[b]}": [int(v) for v in vec] for (a, b), vec in sorted(u.chi.items())
-        },
-        "ups": {
-            f"{labels[a]},{labels[b]}": [int(v) for v in vec] for (a, b), vec in sorted(u.ups.items())
-        },
-        "tau": [int(v) for v in u.tau],
+        "rule": rule_to_dict(A.feudal.rule),
+        "p": A.field.p,
+        "chi": keyed(lay.chi),
+        "ups": keyed(lay.ups),
+        "tau": vals[lay.tau[0] : lay.tau[-1] + 1],
     }
 
 

@@ -131,7 +131,19 @@ def _frozen_residues(vec, p: int, keys, noun: str, zero: str) -> np.ndarray:
     return vec
 
 
-class FusionSystem:
+class _OnVec:
+    """A system or a gauge: rule, field and its vector vec, set once by _set.
+    Its attributes are read-only, since a keyed view set apart from vec would
+    disagree with it; copy and pickle rebuild it from vec through from_vec."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only; from_vec builds a new one")
+
+    def __reduce__(self):
+        return type(self).from_vec, (self.rule, self.field, self.vec)
+
+
+class FusionSystem(_OnVec):
     """A fusion system on a multiplicity-free rule: its slot vector vec, a
     read-only int64 array with one nonzero residue mod p per admissible
     sextuple, in admissible_sextuples order.  coeffs is a read-only view of
@@ -155,8 +167,8 @@ class FusionSystem:
         return f
 
     def _set(self, rule: FusionRule, field: Field, vec) -> None:
-        self.rule, self.field = rule, field
-        self.vec = _frozen_residues(vec, field.p, admissible_sextuples(rule), "coefficients", "zero coefficient at {}")
+        vec = _frozen_residues(vec, field.p, admissible_sextuples(rule), "coefficients", "zero coefficient at {}")
+        self.__dict__.update(rule=rule, field=field, vec=vec)
 
     @cached_property
     def coeffs(self) -> MappingProxyType:
@@ -474,7 +486,7 @@ def verify_fusion_system(f: FusionSystem, witness_cap: int = 16) -> SystemReport
 # ---- gauge transformations ----------------------------------------------------
 
 
-class GaugeXi:
+class GaugeXi(_OnVec):
     """Invertible rescaling xi with support {(x,y,r) : r in xy}, normalized at
     the unit: its vector vec, a read-only int64 array with one residue mod p
     per support triple in sorted order.  values is a read-only view of it
@@ -506,7 +518,7 @@ class GaugeXi:
             raise KeyError(units[bad[0]])
         if bad.size:
             raise ValidationError("gauge must be normalized at the unit")
-        self.rule, self.field, self.vec = rule, field, vec
+        self.__dict__.update(rule=rule, field=field, vec=vec)
 
     @cached_property
     def values(self) -> MappingProxyType:

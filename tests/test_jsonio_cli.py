@@ -1,9 +1,14 @@
+import argparse
 import contextlib
 import copy
 import dataclasses
 import io
 import json
+import math
+import os
+from types import MappingProxyType
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +26,7 @@ from fusionkit import (
     tambara_yamagami,
     verify_fusion_rule,
 )
+from fusionkit import cli, jsonio
 from fusionkit.cli import main
 from fusionkit.errors import ValidationError
 from fusionkit.jsonio import (
@@ -40,6 +46,7 @@ from fusionkit.jsonio import (
     uber_from_dict,
     uber_to_dict,
 )
+from fusionkit.systems import DEFAULT_BUDGET_BITS
 
 
 def run_cli(argv):
@@ -574,3 +581,268 @@ def test_cli_needs_feudal_structure(tmp_path):
     ):
         code, out, err = run_cli(argv)
         assert (code, out, err) == (1, "", "error: rule carries no feudal structure\n"), argv
+
+
+# ---- the branch parser and the one-pass writer ------------------------------------
+
+
+def _reference_build_parser() -> argparse.ArgumentParser:
+    """cli.build_parser written out command by command, as it was before the
+    full tree and main's branch were both read off cli._COMMANDS."""
+    ap = cli._Parser(prog="fusionkit", description=cli.__doc__)
+    ap.add_argument("--format", choices=("json", "text"), default="json")
+    ap.add_argument("--out", default=None, help="write the report to a file")
+    sub = ap.add_subparsers(dest="command", required=True)
+
+    rule = sub.add_parser("rule", help="fusion-rule structure").add_subparsers(dest="sub", required=True)
+    v = rule.add_parser("verify")
+    v.add_argument("path")
+    v.set_defaults(fn=cli.cmd_rule_verify)
+    a = rule.add_parser("analyze")
+    a.add_argument("path")
+    a.set_defaults(fn=cli.cmd_rule_analyze)
+
+    feu = sub.add_parser("feudal", help="serf/lord structure and the hom dictionary").add_subparsers(dest="sub", required=True)
+    p = feu.add_parser("phi")
+    p.add_argument("path")
+    p.set_defaults(fn=cli.cmd_feudal_phi)
+    g = feu.add_parser("gamma")
+    g.add_argument("path")
+    g.set_defaults(fn=cli.cmd_feudal_gamma)
+    e = feu.add_parser("enumerate")
+    e.add_argument("--max-order", type=int, required=True)
+    e.set_defaults(fn=cli.cmd_feudal_enumerate)
+
+    fsys = sub.add_parser("fsys", help="fusion systems").add_subparsers(dest="sub", required=True)
+    fv = fsys.add_parser("verify")
+    fv.add_argument("path")
+    fv.set_defaults(fn=cli.cmd_fsys_verify)
+    fg = fsys.add_parser("gauge-apply")
+    fg.add_argument("path")
+    fg.add_argument("--xi", required=True)
+    fg.set_defaults(fn=cli.cmd_fsys_gauge_apply)
+    fe = fsys.add_parser("enumerate")
+    fe.add_argument("--rule", required=True)
+    fe.add_argument("--p", type=int, required=True)
+    fe.add_argument("--budget-bits", type=int, default=DEFAULT_BUDGET_BITS)
+    fe.set_defaults(fn=cli.cmd_fsys_enumerate)
+
+    uber = sub.add_parser("uber", help="uberderivations and classification").add_subparsers(dest="sub", required=True)
+    up = uber.add_parser("psi")
+    up.add_argument("path")
+    up.set_defaults(fn=cli.cmd_uber_psi)
+    ur = uber.add_parser("reconstruct")
+    ur.add_argument("path")
+    ur.set_defaults(fn=cli.cmd_uber_reconstruct)
+    uc = uber.add_parser("classify")
+    uc.add_argument("--rule", required=True)
+    uc.add_argument("--p", type=int, required=True)
+    uc.set_defaults(fn=cli.cmd_uber_classify)
+    uo = uber.add_parser("obstructions")
+    uo.add_argument("--rule", required=True)
+    uo.add_argument("--p", type=int, required=True)
+    uo.set_defaults(fn=cli.cmd_uber_obstructions)
+
+    coh = sub.add_parser("cohom", help="group cohomology").add_subparsers(dest="sub", required=True)
+    ch = coh.add_parser("h3")
+    ch.add_argument("--group", required=True)
+    ch.add_argument("--p", type=int, required=True)
+    ch.add_argument("--via-uber", default=None, help="an index-2 subgroup name, or 'auto'")
+    ch.set_defaults(fn=cli.cmd_cohom_h3)
+
+    return ap
+
+
+@pytest.fixture(scope="module")
+def parser_corpus(tmp_path_factory):
+    """argv lists for the parser oracle, with {d} (a hom datum), {s} (a
+    TY(Z2) system), {u} (its triple), {x} (a gauge) and {o} (an --out file)
+    filled in: every (command, sub) with valid arguments, help at the root, a
+    group and a leaf, missing, repeated and abbreviated options, the global
+    options before the command in both forms, unknown commands and subs,
+    stray tokens and an empty argv."""
+    from fusionkit import Field, identity_gauge, tambara_yamagami
+
+    tmp = tmp_path_factory.mktemp("parser")
+    ty2, f17 = tambara_yamagami(cyclic(2)), Field(17)
+    u = enumerate_uber(Ambi(ty2, f17), with_orbits=False).class_reps[0]
+    files = {
+        "d": hom_datum_to_dict(gamma(ty2)),
+        "s": system_to_dict(reconstruct(u)),
+        "u": uber_to_dict(u),
+        "x": gauge_to_dict(identity_gauge(ty2.rule, f17)),
+    }
+    for name, doc in files.items():
+        (tmp / f"{name}.json").write_text(dumps(doc))
+    paths = {name: str(tmp / f"{name}.json") for name in files} | {"o": str(tmp / "out.txt")}
+    R, P = ["--rule", "builtin:ty_z2"], ["--p", "17"]
+    corpus = [
+        ["rule", "verify", "builtin:ty_z2"],
+        ["rule", "analyze", "builtin:ty_z2"],
+        ["feudal", "phi", "{d}"],
+        ["feudal", "gamma", "builtin:ty_z2"],
+        ["feudal", "enumerate", "--max-order", "3"],
+        ["fsys", "verify", "{s}"],
+        ["fsys", "gauge-apply", "{s}", "--xi", "{x}"],
+        ["fsys", "enumerate", *R, "--p", "5"],
+        ["fsys", "enumerate", *R, "--p", "5", "--budget-bits", "4"],
+        ["uber", "psi", "{s}"],
+        ["uber", "reconstruct", "{u}"],
+        ["uber", "classify", *R, *P],
+        ["uber", "obstructions", *P, *R],
+        ["cohom", "h3", "--group", "Z2", *P],
+        ["cohom", "h3", "--group", "Z4", *P, "--via-uber", "Z2"],
+        # help
+        ["-h"], ["--help"], ["uber", "-h"], ["uber", "classify", "-h"], ["--format", "text", "cohom", "h3", "--help"],
+        ["-h", "uber", "classify"], ["uber", "-h", "classify"], ["uber", "classify", *R, *P, "-h"],
+        # missing options and values
+        ["uber", "classify", *R], ["uber", "classify"], ["uber"], ["rule", "verify"], ["fsys", "gauge-apply", "{s}"],
+        ["uber", "classify", *R, "--p"], ["--format"], ["--out"], ["--format", "text"], ["--out", "{o}", "uber"],
+        # repeated options
+        ["uber", "classify", *R, "--p", "5", *P],
+        ["--format", "text", "--format", "json", "rule", "verify", "builtin:ty_z2"],
+        ["--out=x", "--out", "{o}", "rule", "verify", "builtin:ty_z2"],
+        ["rule", "verify", "builtin:ty_z2", "builtin:ty_z3"],
+        # abbreviated options and subs
+        ["uber", "classify", "--ru", "builtin:ty_z2", *P],
+        ["cohom", "h3", "--gr", "Z2", *P, "--via", "auto"],
+        ["--form", "text", "rule", "verify", "builtin:ty_z2"],
+        ["--fo=text", "rule", "verify", "builtin:ty_z2"],
+        ["--o", "{o}", "rule", "verify", "builtin:ty_z2"],
+        ["uber", "class", *R, *P],
+        # the global options before the command, in both forms, good and bad
+        ["--format", "text", "uber", "obstructions", *R, *P],
+        ["--format=text", "uber", "obstructions", *R, *P],
+        ["--out", "{o}", "rule", "analyze", "builtin:ty_z2"],
+        ["--out={o}", "--format=text", "rule", "analyze", "builtin:ty_z2"],
+        ["--format", "xml", "rule", "verify", "builtin:ty_z2"],
+        ["--format=", "rule", "verify", "builtin:ty_z2"],
+        ["--format", "--out", "{o}", "rule", "verify", "builtin:ty_z2"],
+        ["--out", "rule", "verify", "builtin:ty_z2"],
+        # unknown commands and subs, stray and misplaced tokens
+        ["bogus"], ["bogus", "classify"], ["uber", "bogus"], ["rule", "classify", *R, *P], ["cohom", "h3", "h3"],
+        ["uber", "classify", *R, *P, "--format", "text"], ["uber", "classify", *R, "--p", "x"],
+        ["--", "rule", "verify", "builtin:ty_z2"], ["rule", "verify", "--", "builtin:ty_z2"],
+        ["x", "uber", "classify", *R, *P], ["--x", "uber", "classify", *R, *P],
+        [],
+    ]
+    return [[a.format(**paths) for a in argv] for argv in corpus], paths["o"]
+
+
+def _main_outcome(monkeypatch, argv, parse, out_file):
+    """main(argv) with cli._parse replaced by parse, recording its namespace:
+    (exit code, stdout, stderr, the namespace's fields, the --out file)."""
+    seen, out, err = [], io.StringIO(), io.StringIO()
+    monkeypatch.setattr(cli, "_parse", lambda a: seen.append(parse(a)) or seen[-1])
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # help
+            code = ("exit", exc.code)
+    written = None
+    if os.path.exists(out_file):
+        with open(out_file) as fh:
+            written = fh.read()
+        os.remove(out_file)
+    return code, out.getvalue(), err.getvalue(), vars(seen[0]) if seen else None, written
+
+
+def test_main_parses_as_the_full_tree(monkeypatch, parser_corpus):
+    """main, which builds only the branch argv selects, gives the exit code,
+    stdout, stderr, namespace and --out file of the hand-written full tree on
+    every argv of the corpus; help text included."""
+    corpus, out_file = parser_corpus
+    real = cli._parse
+    codes = set()
+    for argv in corpus:
+        want = _main_outcome(monkeypatch, argv, lambda a: _reference_build_parser().parse_args(a), out_file)
+        assert _main_outcome(monkeypatch, argv, real, out_file) == want, argv
+        codes.add(want[0])
+        if want[0] == ("exit", 0):
+            assert want[1].startswith("usage: fusionkit")
+    assert codes == {0, 1, 2, ("exit", 0)}
+    assert vars(cli.build_parser().parse_args(corpus[0])) == vars(_reference_build_parser().parse_args(corpus[0]))
+
+
+def test_main_builds_three_parsers_for_a_valid_command(monkeypatch):
+    """A valid uber classify builds the root, its group and its leaf, not the
+    19 parsers of the full tree; a usage error builds both."""
+    built = []
+    init = cli._Parser.__init__
+    monkeypatch.setattr(cli._Parser, "__init__", lambda self, *a, **kw: built.append(1) or init(self, *a, **kw))
+    assert run_cli(["uber", "classify", "--rule", "builtin:ty_z2", "--p", "17"])[0] == 0
+    assert len(built) == 3
+    built.clear()
+    cli.build_parser()
+    assert len(built) == 19
+    built.clear()
+    assert run_cli(["uber", "classify", "--rule", "builtin:ty_z2"])[0] == 1
+    assert len(built) == 3 + 19
+
+
+def _reference_dumps(doc) -> str:
+    """jsonio.dumps as it was: json's indented (pure-Python) encoder."""
+    return json.dumps(doc, indent=2, sort_keys=True, default=jsonio._json_default) + "\n"
+
+
+def _dumps_outcome(fn, doc):
+    try:
+        return fn(doc)
+    except Exception as exc:  # the exception type is compared
+        return type(exc)
+
+
+_STRINGS = st.one_of(st.text(max_size=8), st.sampled_from(['"', "\\", "\x00\x1f\n\t\r\x7f", "é☃\U0001f600", "\ud800", "a\"b\\c"]))
+_JSON_SCALARS = st.one_of(
+    _STRINGS,
+    st.integers(),
+    st.integers(2**63 - 2, 2**70),
+    st.integers(-(2**70), -(2**63) + 2),
+    st.booleans(),
+    st.none(),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300, 5e-324]),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.lists(st.integers(-(2**40), 2**40), max_size=4).map(lambda v: np.array(v, dtype=np.int64)),
+    st.lists(st.booleans(), max_size=3).map(np.array),
+)
+_KEY_TYPES = [_STRINGS, st.integers(), st.floats(), st.booleans(), st.none()]
+
+
+def _containers(inner):
+    keyed = [st.dictionaries(k, inner, max_size=4) for k in _KEY_TYPES]
+    mixed = st.dictionaries(st.one_of(*_KEY_TYPES), inner, max_size=3)  # mostly unsortable
+    return st.one_of(st.lists(inner, max_size=5), st.lists(inner, max_size=5).map(tuple), *keyed, mixed)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(doc=st.recursive(_JSON_SCALARS, _containers, max_leaves=24))
+def test_dumps_is_json_dumps(doc):
+    """jsonio.dumps writes the bytes of json.dumps(indent=2, sort_keys=True)
+    and a newline, or raises the same exception type."""
+    assert _dumps_outcome(jsonio.dumps, doc) == _dumps_outcome(_reference_dumps, doc)
+
+
+def test_dumps_raises_as_json_dumps():
+    """A mixed-key sort, an unknown key type and an unknown value type raise
+    what json raises, at any depth; reports of every kind are byte-identical."""
+    bad = [
+        {1: 0, "a": 0},
+        {None: 0, False: 1},
+        [{(1, 2): 0}],
+        {"k": {np.int64(3): 0}},
+        {"k": [1, {2, 3}]},
+        (object(),),
+        {"k": np.float32(1.5)},
+        MappingProxyType({"a": 1}),
+    ]
+    for doc in bad:
+        want = _dumps_outcome(_reference_dumps, doc)
+        assert want is TypeError and _dumps_outcome(jsonio.dumps, doc) is want, doc
+    from fusionkit import Field
+
+    mr = moore_read()
+    u = enumerate_uber(Ambi(mr, Field(17)), with_orbits=False).class_reps[0]
+    for doc in (uber_to_dict(u), system_to_dict(reconstruct(u)), hom_datum_to_dict(gamma(mr))):
+        assert jsonio.dumps(doc) == _reference_dumps(doc)

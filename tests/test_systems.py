@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from itertools import product
 
@@ -284,11 +286,12 @@ def _reference_checks(f, witness_cap=16) -> dict:
 
 def _zeroed(f, key):
     """A copy of f with the coefficient at key set to 0, which every
-    constructor refuses: its slot vector is replaced after construction."""
+    constructor refuses: its slot vector is replaced after construction,
+    past the read-only guard."""
     out = FusionSystem.from_vec(f.rule, f.field, f.vec)
     vec = out.vec.copy()
     vec[list(f.coeffs).index(key)] = 0
-    out.vec = vec
+    object.__setattr__(out, "vec", vec)
     return out
 
 
@@ -760,6 +763,28 @@ def test_from_vec_checks_as_the_dict_constructors(check_systems):
         with pytest.raises(ValueError):
             xi.vec[0] = 1
         assert GaugeXi.from_vec(rule, F, xi.inverse().vec * xi.vec).values == identity_gauge(rule, F).values
+
+
+def test_systems_and_gauges_are_read_only_and_copy(check_systems):
+    """A system and a gauge refuse rebinding any attribute: f.coeffs = {}
+    was accepted, and verify_fusion_system still passed on the untouched
+    vec.  Once their keyed views are read they still copy, deep-copy and
+    pickle (a mappingproxy does not), to the same vec, and still verify."""
+    f = check_systems[0]  # a Moore-Read class at p = 17
+    xi = random_gauge(f.rule, f.field, random.Random(24))
+    assert f.coeffs and xi.values  # the views, built and held in the instances
+    for x, view in ((f, "coeffs"), (xi, "values")):
+        for name in (view, "vec", "rule", "field", "other"):
+            with pytest.raises(AttributeError, match="read-only"):
+                setattr(x, name, {})
+    assert len(f.coeffs) == len(f.vec) and verify_fusion_system(f).passed
+    for copied in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert type(copied) is FusionSystem and np.array_equal(copied.vec, f.vec) and not copied.vec.flags.writeable
+        assert copied == f and verify_fusion_system(copied).passed
+    for copied in (copy.deepcopy(xi), pickle.loads(pickle.dumps(xi))):
+        assert type(copied) is GaugeXi and np.array_equal(copied.vec, xi.vec) and copied.values == xi.values
+    gauged = apply_gauge(copy.deepcopy(f), pickle.loads(pickle.dumps(xi)))
+    assert gauged == apply_gauge(f, xi) and verify_fusion_system(gauged).passed
 
 
 # ---- brute force ------------------------------------------------------------------------
