@@ -383,16 +383,10 @@ def _branch(argv: list) -> dict | None:
 
 def _parse(argv: list) -> argparse.Namespace:
     """argv parsed as the full tree parses it, building only the branch it
-    selects (the root, a group and a leaf) when _branch finds one.  A usage
-    error parses again with the full tree, which words every message; help
-    for the leaf is the same text in either tree."""
-    branch = _branch(argv)
-    if branch is not None:
-        try:
-            return _build(branch).parse_args(argv)
-        except ValidationError:
-            pass
-    return build_parser().parse_args(argv)
+    selects (the root, a group and a leaf) when _branch finds one.  The
+    branch's parsers are the full tree's, built from the same specs, so
+    every message, exit code and help text is the full tree's too."""
+    return _build(_branch(argv) or _COMMANDS).parse_args(argv)
 
 
 def main(argv=None) -> int:

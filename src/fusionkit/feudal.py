@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .groups import FiniteGroup, cyclic, from_mul, homomorphisms, isomorphisms, stacked_isomorphisms, standard_catalog, CATALOG_COMPLETE_THROUGH
+from .groups import FiniteGroup, cyclic, from_mul, homomorphisms, isomorphisms, standard_catalog, CATALOG_COMPLETE_THROUGH
 from .rules import (
     FusionRule,
     group_from_members,
@@ -265,7 +265,7 @@ def hom_datum_isomorphic(h1: HomDatum, h2: HomDatum):
     if not targets:
         return None
     # each admissible t (lords to lords) by the image t.u1 it gives, the first t for each image
-    stacked = stacked_isomorphisms(h1.target, h2.target)
+    stacked = targets.stacked
     is_lord2 = np.zeros(len(h2.target), dtype=bool)
     is_lord2[list(h2.lord_ids)] = True
     admissible = np.flatnonzero(is_lord2[stacked[:, list(h1.lord_ids)]].all(axis=1)).tolist()

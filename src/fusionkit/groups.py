@@ -286,25 +286,21 @@ def homomorphisms(g: FiniteGroup, h: FiniteGroup) -> list[np.ndarray]:
     return results
 
 
+class _Isomorphisms(list):
+    """The isomorphisms g -> h, the very arrays of homomorphisms(g, h), with
+    stacked: the same maps as the rows of one read-only int64 array."""
+
+    __slots__ = ("stacked",)
+
+
 def isomorphisms(g: FiniteGroup, h: FiniteGroup) -> list[np.ndarray]:
     """The bijective homomorphisms g -> h, in the order of homomorphisms(g, h).
 
-    Cached by table content like homomorphisms, in one entry with their
-    stack (stacked_isomorphisms); treat the list as read-only.
+    Cached by table content like homomorphisms; for g and h of one order the
+    list also holds their stack, .stacked.  Treat both as read-only.
     """
-    return _isomorphism_entry(g, h)[0] if len(g) == len(h) else []
-
-
-def stacked_isomorphisms(g: FiniteGroup, h: FiniteGroup) -> np.ndarray:
-    """isomorphisms(g, h) as the rows of one read-only int64 array, from the
-    same cache entry; g and h of one order."""
     if len(g) != len(h):
-        raise DomainError(f"groups of orders {len(g)} and {len(h)} have no isomorphisms to stack")
-    return _isomorphism_entry(g, h)[1]
-
-
-def _isomorphism_entry(g: FiniteGroup, h: FiniteGroup) -> tuple[list[np.ndarray], np.ndarray]:
-    """The _ISO_CACHE entry of g and h, of one order: the isomorphisms and their stack."""
+        return []
     cache_key = (g.table_key, h.table_key)
     cached = _ISO_CACHE.get(cache_key)
     if cached is None:
@@ -312,10 +308,9 @@ def _isomorphism_entry(g: FiniteGroup, h: FiniteGroup) -> tuple[list[np.ndarray]
         stacked = np.array(homs, dtype=np.int64)
         # a homomorphism between groups of one order is bijective iff its kernel is trivial
         trivial_kernel = (stacked == h.unit).sum(axis=1) == 1
-        stacked = stacked[trivial_kernel]
-        stacked.flags.writeable = False
-        isos = [f for f, ok in zip(homs, trivial_kernel.tolist()) if ok]
-        cached = _ISO_CACHE[cache_key] = (isos, stacked)
+        cached = _ISO_CACHE[cache_key] = _Isomorphisms(f for f, ok in zip(homs, trivial_kernel.tolist()) if ok)
+        cached.stacked = stacked[trivial_kernel]
+        cached.stacked.flags.writeable = False
     return cached
 
 

@@ -23,7 +23,7 @@ from .feudal import HomDatum, detect_feudal
 from .groups import FiniteGroup
 from .rules import FusionRule
 from .systems import FusionSystem, GaugeXi
-from .uber import Uberderivation, _layout_of
+from .uber import Uberderivation
 
 _INF = float("inf")
 _SCALARS = {None: "null", True: "true", False: "false"}
@@ -358,16 +358,14 @@ def uber_from_dict(doc: dict) -> Uberderivation:
 
 def uber_to_dict(u: Uberderivation) -> dict:
     A = u.ambi
-    labels, lay, vals = A.feudal.rule.labels, _layout_of(A), u.vec.tolist()
-    pairs = [f"{labels[a]},{labels[b]}" for a, b in product(A.serf_ids, repeat=2)]
-    m = len(A.lord_ids)
-    keyed = lambda at: {k: vals[i : i + m] for k, i in zip(pairs, at[..., 0].ravel().tolist())}
+    labels = A.feudal.rule.labels
+    keyed = lambda view: {f"{labels[a]},{labels[b]}": row.tolist() for (a, b), row in view.items()}
     return {
         "rule": rule_to_dict(A.feudal.rule),
         "p": A.field.p,
-        "chi": keyed(lay.chi),
-        "ups": keyed(lay.ups),
-        "tau": vals[lay.tau[0] : lay.tau[-1] + 1],
+        "chi": keyed(u.chi),
+        "ups": keyed(u.ups),
+        "tau": u.tau.tolist(),
     }
 
 

@@ -132,15 +132,18 @@ def _frozen_residues(vec, p: int, keys, noun: str, zero: str) -> np.ndarray:
 
 
 class _OnVec:
-    """A system or a gauge: rule, field and its vector vec, set once by _set.
-    Its attributes are read-only, since a keyed view set apart from vec would
-    disagree with it; copy and pickle rebuild it from vec through from_vec."""
+    """An object that is its vector vec, set once by _set: a system, a gauge,
+    or a triple of uber.  Its attributes are read-only, since a keyed view
+    set apart from vec would disagree with it; copy and pickle rebuild it
+    through from_vec, from the attributes named in _from_vec_args."""
+
+    _from_vec_args = ("rule", "field", "vec")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is read-only; from_vec builds a new one")
 
-    def __reduce__(self):
-        return type(self).from_vec, (self.rule, self.field, self.vec)
+    def __reduce__(self):  # the views are rebuilt on first read
+        return type(self).from_vec, tuple(getattr(self, a) for a in self._from_vec_args)
 
 
 class FusionSystem(_OnVec):

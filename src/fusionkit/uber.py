@@ -66,7 +66,7 @@ from .errors import DomainError, ResourceError, UnsupportedFieldError, Validatio
 from .fields import Field, nth_roots_of
 from .feudal import FeudalRule, detect_feudal
 from .rules import FusionRule, automorphisms as rule_automorphisms, compiled, is_homomorphism
-from .systems import FusionSystem, GaugeXi, _slot_index, _support_index, admissible_sextuples
+from .systems import FusionSystem, GaugeXi, _OnVec, _slot_index, _support_index, admissible_sextuples
 from .zmodlin import SmithMod, factor_mod, nullspace_mod, quotient_structure, solve_mod
 
 
@@ -98,7 +98,7 @@ def _layout_of(x) -> _Layout:
     return _layout(len(x.serf_ids), len(x.lord_ids))
 
 
-class _OnLayout:
+class _OnLayout(_OnVec):
     """A triple or a gauge: its vector vec, a read-only int64 array of
     residues mod p in its layout.  Each field is a slice of vec, so read-only
     too: tau and sigma as they are, the others in a read-only view keyed by
@@ -106,6 +106,7 @@ class _OnLayout:
     built on first read."""
 
     _size, _invertible = "size", False  # its length in _Layout; whether 0 mod p is refused
+    _from_vec_args = ("ambi", "vec")
 
     @classmethod
     def from_vec(cls, ambi: Ambi, vec) -> _OnLayout:
@@ -123,12 +124,6 @@ class _OnLayout:
             raise ValidationError(f"entry {int(vec.argmin())} is 0 mod p, not invertible")
         vec.flags.writeable = False
         self.__dict__.update(ambi=ambi, vec=vec)
-
-    def __setattr__(self, name, value):  # a field set apart from vec would disagree with it
-        raise AttributeError(f"{type(self).__name__} is read-only; from_vec builds a new one")
-
-    def __reduce__(self):  # copy and pickle vec alone; the views are rebuilt on first read
-        return type(self).from_vec, (self.ambi, self.vec)
 
     def _field(self, name: str):
         at = getattr(_layout_of(self.ambi), name)

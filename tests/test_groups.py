@@ -16,7 +16,7 @@ from fusionkit import (
     trivial_group,
 )
 from fusionkit.errors import DomainError, ValidationError
-from fusionkit.groups import _ISO_CACHE, FiniteGroup, automorphisms, identify_group, stacked_isomorphisms
+from fusionkit.groups import _ISO_CACHE, FiniteGroup, automorphisms, identify_group
 
 
 def test_construction_validates():
@@ -141,12 +141,8 @@ def test_isomorphisms_match_reference():
             for got in (cold, warm):
                 assert len(got) == len(want) and all(f is w for f, w in zip(got, want))
             if len(g) == len(h):  # and stacked once, read-only, in the same cache entry
-                _ISO_CACHE.clear()
-                stacked = stacked_isomorphisms(g, h)
-                assert stacked is stacked_isomorphisms(g, h) and not stacked.flags.writeable
-                assert stacked.dtype == np.int64 and stacked.tolist() == [f.tolist() for f in want]
-    with pytest.raises(DomainError, match="orders 2 and 3"):
-        stacked_isomorphisms(cat[1], cat[2])
+                assert cold is warm and not cold.stacked.flags.writeable
+                assert cold.stacked.dtype == np.int64 and cold.stacked.tolist() == [f.tolist() for f in want]
 
 
 def test_homomorphism_cache_refuses_writes():
