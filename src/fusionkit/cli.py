@@ -241,13 +241,14 @@ def cmd_uber_classify(args) -> dict:
         out.update(gauge_classes=0, equivalence_classes=0, classes=[])
         return out
     cls = enumerate_uber(Ambi(fr, field))
+    rule_doc = jsonio.rule_to_dict(fr.rule)  # every class shares it
     out.update(
         gauge_classes=cls.gauge_classes,
         equivalence_classes=cls.equivalence_classes,
         orbits=cls.orbits,
         lattice=cls.lattice,
         classes=[
-            {"invariants": inv, "uber": jsonio.uber_to_dict(u)}
+            {"invariants": inv, "uber": jsonio.uber_to_dict(u, rule_doc)}
             for inv, u in zip(cls.invariants, cls.class_reps)
         ],
     )

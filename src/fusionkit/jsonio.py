@@ -356,12 +356,14 @@ def uber_from_dict(doc: dict) -> Uberderivation:
     return Uberderivation(ambi, chi, ups, _checked(residues, _field(doc, "tau"), "tau"))
 
 
-def uber_to_dict(u: Uberderivation) -> dict:
+def uber_to_dict(u: Uberderivation, rule: dict | None = None) -> dict:
+    """u's document; rule, when given, is rule_to_dict of u's rule, built once
+    by a caller that writes many triples on that rule."""
     A = u.ambi
     labels = A.feudal.rule.labels
     keyed = lambda view: {f"{labels[a]},{labels[b]}": row.tolist() for (a, b), row in view.items()}
     return {
-        "rule": rule_to_dict(A.feudal.rule),
+        "rule": rule_to_dict(A.feudal.rule) if rule is None else rule,
         "p": A.field.p,
         "chi": keyed(u.chi),
         "ups": keyed(u.ups),

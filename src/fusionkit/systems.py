@@ -10,8 +10,8 @@ the slot vector: the live pentagon instances (an instance can fail only if r
 is in uz and in wv, since every key it reads is inadmissible otherwise), the
 recoupling blocks, the rigidity blocks and the triangle and unit entries.  A
 system is then checked with gathers: a multiply and segmented sum for the
-pentagon, a nonzero test for each 1x1 block, and an inverse mod p only for
-the few larger blocks.
+pentagon, a nonzero test for each 1x1 block, and one batched inverse mod p
+for the few larger blocks of each size.
 
 Outside the reference evaluators (pentagon_instances and
 pentagon_instance_value), a coefficient is addressed by its slot: its
@@ -31,7 +31,6 @@ rules.compiled, the one store of every table compiled from a rule.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product, repeat
@@ -204,23 +203,49 @@ def recoupling_matrix(f: FusionSystem, x: int, y: int, z: int, r: int):
     return mat, vs, us
 
 
-def matrix_inverse_modp(mat: np.ndarray, p: int) -> np.ndarray | None:
-    """Inverse of a square matrix over GF(p), or None if singular: Gauss-Jordan
-    on [A | I], one rank-1 update per column."""
-    n = mat.shape[0]
-    a = np.concatenate([mat.astype(np.int64) % p, np.eye(n, dtype=np.int64)], axis=1)
-    for col in range(n):
-        nz = np.flatnonzero(a[col:, col])
-        if not nz.size:
-            return None
-        piv = col + nz[0]
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-        a[col] = a[col] * pow(int(a[col, col]), -1, p) % p
-        q = a[:, col].copy()
-        q[col] = 0
-        a = (a - np.outer(q, a[col])) % p
-    return a[:, n:].copy()
+def matrix_inverse_modp(mats: np.ndarray, field: Field) -> list[np.ndarray | None]:
+    """The inverses over GF(p) of a (B, k, k) stack of matrices, one Gauss-Jordan
+    elimination for the whole stack: a list with each member's (k, k) int64
+    inverse, or None where it is singular.
+
+    The elimination is fraction-free, one rank-1 update of every [A | I] per
+    column: each row r != j becomes d r - r[j] row_j, with d the pivot
+    row_j[j], so no pivot is inverted along the way and the left halves end
+    diagonal.  Their diagonals are inverted at the end through the field's
+    log and exp tables.  Members that meet a zero pivot are eliminated again
+    with row exchanges (row_j gains the first row below with a nonzero entry
+    in column j), and those whose diagonal still holds a 0 are singular.
+    """
+    p = field.p
+    mats = np.asarray(mats, np.int64) % p
+    k = mats.shape[1]
+    a = _eliminate(mats, p, exchange=False)
+    diag = np.diagonal(a, axis1=1, axis2=2)  # a view, so it follows the redo below
+    ok = diag.all(axis=1).tolist()
+    if not all(ok):
+        redo = [i for i, good in enumerate(ok) if not good]
+        a[redo] = _eliminate(mats[redo], p, exchange=True)
+        ok = diag.all(axis=1).tolist()
+    inv = a[:, :, k:] * field._exp_table[-field._log_table[diag]][:, :, None] % p  # exp[-log d] = 1/d
+    return [m if good else None for m, good in zip(inv, ok)]
+
+
+def _eliminate(mats: np.ndarray, p: int, exchange: bool) -> np.ndarray:
+    """[D M | M] mod p for each matrix A of the (B, k, k) stack mats, reduced
+    mod p, by the fraction-free Gauss-Jordan of matrix_inverse_modp: M A = D
+    is diagonal, and invertible iff A is and, without exchange, every pivot
+    is nonzero.  Entries stay below p**2, so any p of a Field is exact."""
+    b, k, _ = mats.shape
+    a = np.zeros((b, k, 2 * k), np.int64)
+    a[:, :, :k] = mats
+    a.reshape(b, 2 * k * k)[:, k :: 2 * k + 1] = 1  # the identity on the right
+    off = 1 - np.eye(k, dtype=np.int64)
+    for j in range(k):
+        if exchange:
+            below = (a[:, j:, j] != 0).argmax(axis=1) + j
+            a[:, j] = (a[:, j] + (a[:, j, j] == 0)[:, None] * a[np.arange(b), below]) % p
+        a = (a[:, j, j, None, None] * a - (a[:, :, j] * off[j])[:, :, None] * a[:, None, j]) % p
+    return a
 
 
 def pentagon_instances(rule: FusionRule) -> list:
@@ -269,45 +294,57 @@ class _PentagonProgram:
     An instance of pentagon_instances can fail only if r is in uz and in wv:
     otherwise every key on both sides is inadmissible.  On a live instance the
     left side is live iff r is in pq, and the right-side term for s in xy iff
-    v is in sz and u is in ws.  Live instances and terms keep instance order.
+    v is in sz and u is in ws.  Live instances and terms keep instance order,
+    and a live instance with no live term gets one term of 0 slots, so that
+    the terms of every live instance start at its entry of starts.
 
     The recoupling blocks (x,y,z,r) are the nonempty matrices of
     recoupling_matrix, in the order verify_fusion_system reports them.  A
     non-square block is never invertible, a 1x1 block is invertible iff its
-    coefficient is nonzero, and each larger block is a (k,k) slot matrix.
+    coefficient is nonzero, and the larger blocks of each size k are one
+    (B,k,k) slot stack, inverted by one matrix_inverse_modp call.
+
+    Every slot index is intp, so a gather converts nothing, and the factors
+    of the products are contiguous rows: lhs[i] and terms[i] are the slots of
+    the i-th factor of every left side and right-side term.
     """
 
     total: int  # len(pentagon_instances(rule))
-    lhs: np.ndarray  # (live, 2) int32
-    terms: np.ndarray  # (terms, 3) int32
-    grouped: np.ndarray  # live instances with at least one term
-    starts: np.ndarray  # first term of each grouped instance
+    lhs: np.ndarray  # (2, live) intp: slots of (w,x,q,p,r,v) and (p,y,z,u,r,q), or 0 slots
+    terms: np.ndarray  # (3, terms) intp: slots of (x,y,z,s,v,q), (w,s,z,u,r,v), (w,x,y,p,u,s)
+    starts: np.ndarray  # (live,) intp: first term of each live instance
     witnesses: np.ndarray  # (live, 9) int16: (w,x,y,z,p,u,r,v,q)
     blocks: np.ndarray  # (blocks, 4) int16: (x,y,z,r)
-    nonsquare: np.ndarray  # positions of the non-square blocks
-    single: np.ndarray  # positions of the 1x1 blocks
-    single_slots: np.ndarray  # their coefficients
-    square: tuple  # (position, (k,k) slots) of each square block with k >= 2
-    # per label r: the position in blocks of the (rb,r,rb,rb) block, the (u,v)
-    # position of its unit entry (either None on a rule with broken duals), and
-    # the slot of (r,rb,r,e,r,e)
-    rigidity: tuple
+    nonsquare: np.ndarray  # intp: positions of the non-square blocks
+    single: np.ndarray  # intp: positions of the 1x1 blocks
+    single_slots: np.ndarray  # intp: their coefficients
+    square: tuple  # per size k >= 2, ascending: (B,) intp positions and (B,k,k) intp slots
+    # the rigidity check, per label r with rb its dual: the labels that fail on
+    # every vector (the (rb,r,rb,rb) block has no (e,e) entry, on a rule with
+    # broken duals, or is not square); (3, m) intp rows of the labels with a
+    # 1x1 block, the slot of (r,rb,r,e,r,e) and the block's slot; and for the
+    # labels with a larger block, (r, stack, member, (u,v) of the (e,e) entry,
+    # slot of (r,rb,r,e,r,e)) with the block at square[stack][1][member]
+    rigid_never: np.ndarray
+    rigid_single: np.ndarray
+    rigid_square: tuple
     triples: np.ndarray  # (triples, 3) int16: (x,y,r) with r in xy
-    triangle: np.ndarray  # slot of (x,e,y,x,r,y) per triple
-    one_top: np.ndarray  # (triples, 2) slots of (e,x,y,x,r,r) and (x,y,e,r,r,y)
+    triangle: np.ndarray  # intp: slot of (x,e,y,x,r,y) per triple
+    one_top: np.ndarray  # (triples, 2) intp: slots of (e,x,y,x,r,r) and (x,y,e,r,r,y)
 
     def failures(self, c: np.ndarray, p: int) -> np.ndarray:
-        """Positions of the live instances whose two sides differ on the coefficient vector c."""
-        lhs = c[self.lhs[:, 0]] * c[self.lhs[:, 1]] % p
-        t = c[self.terms[:, 0]] * c[self.terms[:, 1]] % p * c[self.terms[:, 2]] % p
-        rhs = np.zeros(len(lhs), np.int64)
-        rhs[self.grouped] = np.add.reduceat(t, self.starts) % p
-        return np.flatnonzero(lhs != rhs)
+        """Positions of the live instances whose two sides differ mod p on the
+        coefficient vector c (entries in [0, p)): each three-factor term is
+        reduced once, exact since p**3 < 2**63 for every p up to
+        fields.MAX_MODULUS, and so is each left side minus its sum of terms."""
+        (a, b), (x, y, z) = self.lhs, self.terms
+        rhs = np.add.reduceat(_mod(c[x] * c[y] * c[z], p), self.starts)
+        return np.flatnonzero(_mod(c[a] * c[b] - rhs, p))
 
     def singular(self, c: np.ndarray, inverses: list) -> np.ndarray:
         """Positions, ascending, of the blocks that are not invertible mod p, given
-        the inverses (or None) of the square blocks."""
-        square = [i for (i, _), inv in zip(self.square, inverses) if inv is None]
+        for each stack of square the inverses (or None) of its blocks."""
+        square = [i for (at, _), invs in zip(self.square, inverses) for i, inv in zip(at, invs) if inv is None]
         bad = np.concatenate([self.nonsquare, self.single[c[self.single_slots] == 0], np.array(square, np.intp)])
         return np.sort(bad)
 
@@ -315,113 +352,147 @@ class _PentagonProgram:
         """The labels r whose (rb,r,rb,rb) block has no inverse with unit entry
         c[(r,rb,r,e,r,e)]: for a 1x1 block [x], c * x = 1 mod p; a larger
         block reads its inverse off inverses."""
-        single = dict(zip(self.single.tolist(), self.single_slots.tolist()))
-        square = {i: inv for (i, _), inv in zip(self.square, inverses)}
-        out = []
-        for r, (i, at, s) in enumerate(self.rigidity):
-            if at is None:
-                ok = False
-            elif i in single:
-                ok = c[s] * c[single[i]] % p == 1
-            else:
-                inv = square.get(i)  # None for a singular or a non-square block
-                ok = inv is not None and inv[at] != 0 and c[s] == inv[at]
-            if not ok:
-                out.append(r)
-        return out
+        labels, unit, single = self.rigid_single
+        bad = [*self.rigid_never.tolist(), *labels[c[unit] * c[single] % p != 1].tolist()]
+        for r, stack, member, at, s in self.rigid_square:
+            inv = inverses[stack][member]
+            if inv is None or inv[at] == 0 or c[s] != inv[at]:
+                bad.append(r)
+        return sorted(bad)
+
+
+def _mod(x: np.ndarray, p: int) -> np.ndarray:
+    """x % p for an int64 array x, as x - x // p * p: numpy divides by a scalar
+    through a precomputed reciprocal, which is 2-3x faster than its %."""
+    return x - x // p * p
+
+
+def _slot_lookup(rule: FusionRule):
+    """slots(x, y, z, u, r, v): the slot of each key given as index arrays,
+    broadcast together, or the 0 slot where the key is inadmissible; a binary
+    search in the sorted codes of the admissible sextuples."""
+    adm = np.array(admissible_sextuples(rule), np.intp).reshape(-1, 6)
+    shape, zero = (rule.n,) * 6, len(adm)
+    codes = np.ravel_multi_index(adm.T, shape)
+    order = np.argsort(codes)
+    codes, order = np.append(codes[order], -1), np.append(order, zero)  # -1 matches no key
+
+    def slots(*key):
+        code = np.zeros(np.broadcast_shapes(*map(np.shape, key)), np.intp)
+        for part in key:  # the code of ravel_multi_index, in place
+            code *= rule.n
+            code += part
+        at = np.searchsorted(codes[:-1], code)
+        return np.where(codes[at] == code, order[at], zero)
+
+    return slots
+
+
+def _expand(table: np.ndarray, cols, a, b):
+    """The rows of the int16 label arrays cols, each repeated once per c in ab
+    (table[a, b, c]), and c, ascending under each row."""
+    i, c = np.nonzero(table[a, b])
+    return [col[i] for col in cols], c.astype(np.short)
+
+
+def _pentagon_walk(rule: FusionRule, slots) -> tuple:
+    """(total, lhs, terms, starts, witnesses) of the rule's _PentagonProgram.
+
+    The loops of pentagon_instances over w, x, y, z, p, q, u and v are
+    successive expansions of index arrays, and r and s are the nonzero
+    positions, row by row, of boolean (tuples, n) tables, so instances and
+    terms keep instance order.  A left side with r not in pq reads the 0 slot:
+    its keys are inadmissible.
+    """
+    table, zero = rule.table > 0, len(admissible_sextuples(rule))
+    w, x, y, z = np.indices((rule.n,) * 4, np.short).reshape(4, -1)
+    (w, x, y, z), p = _expand(table, (w, x, y, z), w, x)
+    (w, x, y, z, p), q = _expand(table, (w, x, y, z, p), y, z)
+    (w, x, y, z, p, q), u = _expand(table, (w, x, y, z, p, q), p, y)
+    (w, x, y, z, p, q, u), v = _expand(table, (w, x, y, z, p, q, u), x, q)
+    uz, wv = table[u, z], table[w, v]
+    total = int((uz | wv | table[p, q]).sum())
+    i, r = np.nonzero(uz & wv)  # the live instances
+    w, x, y, z, p, q, u, v = (col[i] for col in (w, x, y, z, p, q, u, v))
+    lhs = np.stack([slots(w, x, q, p, r, v), slots(p, y, z, u, r, q)])
+    witnesses = np.stack([w, x, y, z, p, u, r.astype(np.short), v, q], axis=1)
+    i, s = np.nonzero(table[x, y] & table[:, z, v].T & table[w, :, u])  # their live terms
+    empty = np.bincount(i, minlength=len(r)) == 0  # such an instance gets one 0 term
+    before = np.cumsum(empty) - empty  # 0 terms ahead of each instance
+    starts = np.searchsorted(i, np.arange(len(r))) + before
+    terms = np.full((3, len(i) + empty.sum()), zero, np.intp)
+    at = np.arange(len(i)) + before[i]
+    w, x, y, z, p, q, u, v, r = (col[i] for col in (w, x, y, z, p, q, u, v, r))
+    terms[0, at] = slots(x, y, z, s, v, q)
+    terms[1, at] = slots(w, s, z, u, r, v)
+    terms[2, at] = slots(w, x, y, p, u, s)
+    return total, lhs, terms, starts, witnesses
 
 
 def _pentagon_program(rule: FusionRule) -> _PentagonProgram:
-    """The rule's _PentagonProgram: one walk of the pentagon instances, one of
-    the recoupling blocks."""
-    slot = compiled(rule, _slot_index)
-    zero = len(slot)
+    """The rule's _PentagonProgram: the pentagon walk, and the recoupling
+    blocks as index arrays in the same way."""
+    slots = _slot_lookup(rule)
     n, e = rule.n, rule.unit
-    sup = [rule.support(a, b) for a in range(n) for b in range(n)]
-    mask = [sum(1 << r for r in s) for s in sup]
-    total = 0
-    lhs, terms, starts, wit = array("i"), array("i"), array("i"), array("h")
-    for w, x, y, z in product(range(n), repeat=4):
-        xy = sup[x * n + y]
-        for pp in sup[w * n + x]:
-            for q in sup[y * n + z]:
-                m_pq = mask[pp * n + q]
-                for u in sup[pp * n + y]:
-                    m_uz = mask[u * n + z]
-                    for v in sup[x * n + q]:
-                        m_wv = mask[w * n + v]
-                        total += (m_uz | m_wv | m_pq).bit_count()
-                        live = m_uz & m_wv
-                        if not live:
-                            continue
-                        ss = [s for s in xy if mask[s * n + z] >> v & 1 and mask[w * n + s] >> u & 1]
-                        for r in sup[u * n + z]:  # ascending, as in pentagon_instances
-                            if not live >> r & 1:
-                                continue
-                            if m_pq >> r & 1:
-                                lhs.extend((slot[(w, x, q, pp, r, v)], slot[(pp, y, z, u, r, q)]))
-                            else:
-                                lhs.extend((zero, zero))
-                            starts.append(len(terms) // 3)
-                            for s in ss:
-                                terms.extend(
-                                    (slot[(x, y, z, s, v, q)], slot[(w, s, z, u, r, v)], slot[(w, x, y, pp, u, s)])
-                                )
-                            wit.extend((w, x, y, z, pp, u, r, v, q))
-    starts = np.frombuffer(starts, np.intc)
-    counts = np.diff(starts, append=len(terms) // 3)
-    grouped = np.flatnonzero(counts)
+    table = rule.table > 0
+    total, lhs, terms, starts, witnesses = _pentagon_walk(rule, slots)
 
-    def block(x, y, z, r):
-        """The slot matrix of recoupling_matrix(f, x, y, z, r), and its u and v labels."""
-        us = [u for u in sup[x * n + y] if mask[u * n + z] >> r & 1]
-        vs = [v for v in sup[y * n + z] if mask[x * n + v] >> r & 1]
-        slots = np.array([[slot[(x, y, z, u, r, v)] for u in us] for v in vs], np.intp)
-        return slots.reshape(len(vs), len(us)), us, vs
-
-    keys, nonsquare, single, single_slots, square, position = array("h"), [], [], [], [], {}
-    for x, y, z in product(range(n), repeat=3):
-        rs = dict.fromkeys(r for u in sup[x * n + y] for r in sup[u * n + z])  # first-seen order
-        for r in rs:
-            slots, _, _ = block(x, y, z, r)
-            if not slots.size:
-                continue
-            i = position[(x, y, z, r)] = len(keys) // 4
-            keys.extend((x, y, z, r))
-            if slots.shape[0] != slots.shape[1]:
-                nonsquare.append(i)
-            elif len(slots) == 1:
-                single.append(i)
-                single_slots.append(slots[0, 0])
-            else:
-                square.append((i, slots))
+    # the blocks (x,y,z,r): under each (x,y,z), each r in uz for a u in xy, in
+    # first-seen order, that has a v in yz with r in xv
+    x, y, z = np.indices((n,) * 3, np.short).reshape(3, -1)
+    (x, y, z), u = _expand(table, (x, y, z), x, y)
+    (x, y, z), r = _expand(table, (x, y, z), u, z)
+    first = np.sort(np.unique(np.ravel_multi_index((x, y, z, r), (n,) * 4), return_index=True)[1])
+    x, y, z, r = x[first], y[first], z[first], r[first]
+    us, vs = table[x, y] & table[:, z, r].T, table[y, z] & table[x, :, r]  # the columns u and rows v
+    live = vs.any(axis=1)
+    x, y, z, r, us, vs = (a[live] for a in (x, y, z, r, us, vs))
+    blocks = np.stack([x, y, z, r], axis=1)
+    k = us.sum(axis=1)
+    square = k == vs.sum(axis=1)
+    single = np.flatnonzero(square & (k == 1))
+    single_slots = slots(*(a[single] for a in (x, y, z, us.argmax(axis=1), r, vs.argmax(axis=1))))
+    stacks, position = [], {}  # position: (x,y,z,r) -> (stack, member) of each larger square block
+    for size in sorted(set(k[square & (k > 1)].tolist())):
+        i = np.flatnonzero(square & (k == size))
+        cols = [a[i, None, None] for a in (x, y, z, r)]
+        u, v = np.nonzero(us[i])[1].reshape(-1, 1, size), np.nonzero(vs[i])[1].reshape(-1, size, 1)
+        position.update((key, (len(stacks), m)) for m, key in enumerate(map(tuple, blocks[i].tolist())))
+        stacks.append((i, slots(*cols[:3], u, cols[3], v)))
     # with valid duals the (rb,r,rb,rb) block is compiled and holds the unit
     # entry (e,e): e is in rb r, and rb in e rb
-    rigidity = []
+    never, rigid_single, rigid_square = [], [], []
     for r in range(n):
         rb = int(rule.dual[r])
-        _, us, vs = block(rb, r, rb, rb)
-        at = (us.index(e), vs.index(e)) if e in us and e in vs else None
-        rigidity.append((position.get((rb, r, rb, rb)), at, slot.get((r, rb, r, e, r, e), zero)))
-    triples = [(x, y, r) for x, y in product(range(n), repeat=2) for r in sup[x * n + y]]
+        cols = [u for u in rule.support(rb, r) if table[u, rb, rb]]
+        rows = [v for v in rule.support(r, rb) if table[rb, v, rb]]
+        s = int(slots(r, rb, r, e, r, e))
+        unit = (cols.index(e), rows.index(e)) if e in cols and e in rows else None
+        if unit is not None and len(cols) == len(rows) == 1:
+            rigid_single.append((r, s, int(slots(rb, r, rb, e, rb, e))))
+        elif unit is not None and (rb, r, rb, rb) in position:
+            rigid_square.append((r, *position[(rb, r, rb, rb)], unit, s))
+        else:
+            never.append(r)
+    x, y = np.indices((n, n), np.short).reshape(2, -1)
+    (x, y), r = _expand(table, (x, y), x, y)  # the triples (x,y,r), r in xy, sorted
     return _PentagonProgram(
         total=total,
-        lhs=np.frombuffer(lhs, np.intc).reshape(-1, 2),
-        terms=np.frombuffer(terms, np.intc).reshape(-1, 3),
-        grouped=grouped,
-        starts=starts[grouped],
-        witnesses=np.frombuffer(wit, np.short).reshape(-1, 9),
-        blocks=np.frombuffer(keys, np.short).reshape(-1, 4),
-        nonsquare=np.array(nonsquare, np.intp),
-        single=np.array(single, np.intp),
-        single_slots=np.array(single_slots, np.intp),
-        square=tuple(square),
-        rigidity=tuple(rigidity),
-        triples=np.array(triples, np.short).reshape(-1, 3),
-        triangle=np.array([slot.get((x, e, y, x, r, y), zero) for x, y, r in triples], np.intp),
-        one_top=np.array(
-            [(slot.get((e, x, y, x, r, r), zero), slot.get((x, y, e, r, r, y), zero)) for x, y, r in triples], np.intp
-        ).reshape(-1, 2),
+        lhs=lhs,
+        terms=terms,
+        starts=starts,
+        witnesses=witnesses,
+        blocks=blocks,
+        nonsquare=np.flatnonzero(~square),
+        single=single,
+        single_slots=single_slots,
+        square=tuple(stacks),
+        rigid_never=np.array(never, np.intp),
+        rigid_single=np.array(rigid_single, np.intp).reshape(-1, 3).T.copy(),
+        rigid_square=tuple(rigid_square),
+        triples=np.stack([x, y, r], axis=1),
+        triangle=slots(x, e, y, x, r, y),
+        one_top=np.stack([slots(e, x, y, x, r, r), slots(x, y, e, r, r, y)], axis=1),
     )
 
 
@@ -457,12 +528,14 @@ class SystemReport:
 
 
 def verify_fusion_system(f: FusionSystem, witness_cap: int = 16) -> SystemReport:
+    if witness_cap < 0:
+        raise DomainError(f"witness_cap must be nonnegative, got {witness_cap}")
     prog = compiled(f.rule, _pentagon_program)
     p = f.field.p
     c = np.append(f.vec, 0)
     witnesses = lambda arr, bad: [tuple(w) for w in arr[bad][:witness_cap].tolist()]
 
-    inverses = [matrix_inverse_modp(c[slots], p) for _, slots in prog.square]
+    inverses = [matrix_inverse_modp(c[slots], f.field) for _, slots in prog.square]
     non_inv = prog.singular(c, inverses)
     # the cap keeps at least one witness, so pentagon_ok reads off the list
     bad = prog.failures(c, p)[: max(witness_cap, 1)]
@@ -609,11 +682,9 @@ def enumerate_fusion_systems_bruteforce(
 
     # the live instances: their lhs pair, their term triples and every slot they read
     prog = compiled(rule, _pentagon_program)
-    lhs, triples = prog.lhs.tolist(), prog.terms.tolist()
-    terms = [[] for _ in lhs]
+    lhs, triples = prog.lhs.T.tolist(), prog.terms.T.tolist()
     bounds = [*prog.starts.tolist(), len(triples)]
-    for i, a, b in zip(prog.grouped.tolist(), bounds, bounds[1:]):
-        terms[i] = triples[a:b]
+    terms = [triples[a:b] for a, b in zip(bounds, bounds[1:])]
     reads = [pair + [k for t in ts for k in t] for pair, ts in zip(lhs, terms)]
     incidence: list[list[int]] = [[] for _ in val]
     for i, slots in enumerate(reads):

@@ -164,6 +164,17 @@ def test_cli_uber_classify_mr():
     assert xs == [2, 8, 9, 15]
 
 
+def test_cli_uber_classify_builds_the_rule_dict_once(monkeypatch):
+    """A classify report embeds the rule in every class, built once."""
+    calls = []
+    real = jsonio.rule_to_dict
+    monkeypatch.setattr(jsonio, "rule_to_dict", lambda rule: calls.append(rule) or real(rule))
+    code, out, _ = run_cli(["uber", "classify", "--rule", "builtin:mr", "--p", "17"])
+    doc = json.loads(out)
+    assert code == 0 and len(calls) == 1 and len(doc["classes"]) == 4
+    assert all(c["uber"]["rule"] == real(calls[0]) for c in doc["classes"])
+
+
 def test_cli_uber_classify_obstructed():
     code, out, _ = run_cli(["uber", "classify", "--rule", "builtin:ty_z3", "--p", "7"])
     assert code == 0
@@ -504,6 +515,45 @@ def test_cli_fuzzed_documents_never_trace_back(fuzz_documents, data):
             break
     path.write_text(json.dumps(doc))
     _assert_one_error_line([*argv, str(path)])
+
+
+def test_cli_seeded_fuzz_of_the_pentagon_commands(tmp_path):
+    """A seeded guard over the commands that run the pentagon kernel: 300
+    copies of a Moore-Read@17 class (uber reconstruct) and of its system
+    (fsys verify), each with one value replaced, one key deleted or one key
+    renamed at a random depth, give exit code 0, 1 or 2, one stderr line on
+    failure and no traceback."""
+    import random
+
+    from fusionkit import Field
+
+    rng = random.Random(23)
+    u = enumerate_uber(Ambi(moore_read(), Field(17)), with_orbits=False).class_reps[1]
+    docs = [(["uber", "reconstruct"], uber_to_dict(u)), (["fsys", "verify"], system_to_dict(reconstruct(u)))]
+    path = tmp_path / "doc.json"
+    codes = {0: 0, 1: 0, 2: 0}
+    for trial in range(300):
+        argv, doc = docs[trial % 2]
+        doc = copy.deepcopy(doc)
+        node = doc
+        while True:
+            key = rng.choice(list(node) if isinstance(node, dict) else range(len(node)))
+            if not isinstance(node[key], (dict, list)) or not node[key] or rng.random() < 0.3:
+                break
+            node = node[key]
+        mutation = rng.randrange(3) if isinstance(node, dict) else 0
+        if mutation == 0:  # a junk value, or half the time a residue that the checks may reject
+            node[key] = rng.randrange(-40, 40) if rng.random() < 0.5 else copy.deepcopy(rng.choice(_JUNK))
+        elif mutation == 1:
+            del node[key]
+        else:
+            node[rng.choice([f"{key},1", key[::-1], key.upper(), "1"])] = node.pop(key)
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli([*argv, str(path)])
+        assert code in codes and "Traceback" not in err, (argv, doc)
+        assert code == 0 or (out == "" and err.count("\n") == 1), err
+        codes[code] += 1
+    assert codes[0] and codes[1], codes
 
 
 _ARGS = {

@@ -22,6 +22,7 @@ from fusionkit import (
 )
 from fusionkit.errors import DomainError, ResourceError, ValidationError
 from fusionkit.feudal import detect_feudal
+from fusionkit.fields import MAX_MODULUS
 from fusionkit.rules import FusionRule
 from fusionkit.systems import (
     DEFAULT_BUDGET_BITS,
@@ -186,6 +187,164 @@ def test_compiled_pentagon_matches_scalar_reference(check_systems):
     assert checked[::5] == [3072, 58368]  # Moore-Read, TY(Z2^3)
 
 
+def _reference_pentagon_program(rule) -> dict:
+    """The walked fields of _pentagon_program(rule) from the loops that built
+    them before: the live pentagon instances per (w,x,y,z), then p, q, u, v
+    and r, their terms per s, with supports as bit masks; and each recoupling
+    block (x,y,z,r), r in first-seen order, with its slot matrix."""
+    slot = {k: i for i, k in enumerate(admissible_sextuples(rule))}
+    zero = len(slot)
+    n = rule.n
+    sup = [rule.support(a, b) for a in range(n) for b in range(n)]
+    mask = [sum(1 << r for r in s) for s in sup]
+    total = 0
+    lhs, terms, starts, wit = [], [], [], []
+    for w, x, y, z in product(range(n), repeat=4):
+        xy = sup[x * n + y]
+        for pp in sup[w * n + x]:
+            for q in sup[y * n + z]:
+                m_pq = mask[pp * n + q]
+                for u in sup[pp * n + y]:
+                    m_uz = mask[u * n + z]
+                    for v in sup[x * n + q]:
+                        m_wv = mask[w * n + v]
+                        total += (m_uz | m_wv | m_pq).bit_count()
+                        live = m_uz & m_wv
+                        if not live:
+                            continue
+                        ss = [s for s in xy if mask[s * n + z] >> v & 1 and mask[w * n + s] >> u & 1]
+                        for r in sup[u * n + z]:
+                            if not live >> r & 1:
+                                continue
+                            if m_pq >> r & 1:
+                                lhs.append((slot[(w, x, q, pp, r, v)], slot[(pp, y, z, u, r, q)]))
+                            else:
+                                lhs.append((zero, zero))
+                            starts.append(len(terms))
+                            for s in ss:
+                                term_keys = ((x, y, z, s, v, q), (w, s, z, u, r, v), (w, x, y, pp, u, s))
+                                terms.append(tuple(slot[k] for k in term_keys))
+                            if not ss:
+                                terms.append((zero, zero, zero))
+                            wit.append((w, x, y, z, pp, u, r, v, q))
+    keys, nonsquare, single, single_slots, square = [], [], [], [], {}
+    for x, y, z in product(range(n), repeat=3):
+        for r in dict.fromkeys(r for u in sup[x * n + y] for r in sup[u * n + z]):
+            us = [u for u in sup[x * n + y] if mask[u * n + z] >> r & 1]
+            vs = [v for v in sup[y * n + z] if mask[x * n + v] >> r & 1]
+            if not (us and vs):
+                continue
+            i = len(keys)
+            keys.append((x, y, z, r))
+            slots = [[slot[(x, y, z, u, r, v)] for u in us] for v in vs]
+            if len(us) != len(vs):
+                nonsquare.append(i)
+            elif len(us) == 1:
+                single.append(i)
+                single_slots.append(slots[0][0])
+            else:
+                square.setdefault(len(us), []).append((i, slots))
+    return {
+        "total": total,
+        "lhs": np.array(lhs, np.intp).reshape(-1, 2).T,
+        "terms": np.array(terms, np.intp).reshape(-1, 3).T,
+        "starts": np.array(starts, np.intp),
+        "witnesses": np.array(wit, np.short).reshape(-1, 9),
+        "blocks": np.array(keys, np.short).reshape(-1, 4),
+        "nonsquare": np.array(nonsquare, np.intp),
+        "single": np.array(single, np.intp),
+        "single_slots": np.array(single_slots, np.intp),
+        "square": [([i for i, _ in stack], [m for _, m in stack]) for _, stack in sorted(square.items())],
+    }
+
+
+def test_pentagon_program_matches_reference_walks(check_systems, f5, z4_graded):
+    """The array walks of _pentagon_program compile the instances, terms,
+    witnesses and blocks of the loops, in their order, as contiguous intp
+    slot rows, on associative rules of order 2 to 9 and a non-associative
+    one with non-square blocks."""
+    from fusionkit.systems import _pentagon_program
+
+    rules = [f.rule for f in check_systems] + [_nonassociative_system(f5).rule, z4_graded.rule]
+    rules.append(group_rule(cyclic(2)))
+    for rule in rules:
+        prog, want = _pentagon_program(rule), _reference_pentagon_program(rule)
+        assert prog.total == want["total"] and len(prog.square) == len(want["square"])
+        for name in ("lhs", "terms", "starts", "witnesses", "blocks", "nonsquare", "single", "single_slots"):
+            got = getattr(prog, name)
+            assert got.dtype == want[name].dtype and got.tolist() == want[name].tolist(), name
+        for name in ("lhs", "terms"):
+            assert getattr(prog, name).flags.c_contiguous
+        for (at, slots), (want_at, want_slots) in zip(prog.square, want["square"]):
+            assert at.tolist() == want_at and slots.dtype == np.intp and slots.tolist() == want_slots
+
+
+def _reference_pentagon_failures(prog, c: np.ndarray, p: int) -> np.ndarray:
+    """_PentagonProgram.failures as it stood: every product reduced after each
+    factor and each side on its own, over (live, 2) and (terms, 3) slot
+    tables.  It scattered the sums into the instances with a term; every
+    live instance now has one."""
+    lhs_slots, term_slots = prog.lhs.T, prog.terms.T
+    lhs = c[lhs_slots[:, 0]] * c[lhs_slots[:, 1]] % p
+    t = c[term_slots[:, 0]] * c[term_slots[:, 1]] % p * c[term_slots[:, 2]] % p
+    rhs = np.add.reduceat(t, prog.starts) % p
+    return np.flatnonzero(lhs != rhs)
+
+
+@pytest.fixture(scope="module")
+def fmax():
+    return Field(MAX_MODULUS)
+
+
+def test_pentagon_gather_matches_reference(check_systems, fmax):
+    """One reduction per three-factor term finds the instances of the
+    per-factor reductions: on the accepted, gauged and corrupted systems at
+    p = 17, and at the largest modulus, where a term reaches (p-1)**3, which
+    must stay below 2**63, on random vectors and on a gauged system that
+    passes."""
+    from fusionkit.systems import _pentagon_program
+
+    assert MAX_MODULUS**3 < 2**63
+    rng = random.Random(2023)
+    nprng = np.random.default_rng(2023)
+    failing = 0
+    for f in check_systems:
+        prog = _pentagon_program(f.rule)
+        gauged = apply_gauge(f, random_gauge(f.rule, f.field, rng))
+        for g in (f, gauged, *_corruptions(gauged, rng)):
+            c = np.append(g.vec, 0)
+            got = prog.failures(c, g.field.p)
+            assert got.tolist() == _reference_pentagon_failures(prog, c, g.field.p).tolist()
+            failing += bool(got.size)
+        p = MAX_MODULUS
+        for top in (p, 3, 2):  # random residues; p-1 and p-2; p-1 alone
+            c = np.append(p - nprng.integers(1, top, size=len(f.vec)), 0)
+            got = prog.failures(c, p)
+            assert got.tolist() == _reference_pentagon_failures(prog, c, p).tolist()
+            failing += bool(got.size)
+    assert failing >= 3 * len(check_systems)
+    v4 = group_rule(klein_four())
+    g = apply_gauge(trivial_system(v4, fmax), random_gauge(v4, fmax, rng))
+    assert verify_fusion_system(g).passed and g.vec.max() > MAX_MODULUS // 2
+    assert not _reference_pentagon_failures(_pentagon_program(v4), np.append(g.vec, 0), MAX_MODULUS).size
+
+
+def test_negative_witness_cap_is_rejected(check_systems):
+    """A negative witness_cap is a DomainError, not a slice end that drops the
+    last witnesses; cap 0 keeps one pentagon witness and no others."""
+    f = check_systems[0]  # a Moore-Read class at p = 17
+    keys = list(f.coeffs)[:40]  # each one a unit entry (e,x,y,x,r,r) of its own triple
+    bad = FusionSystem(f.rule, f.field, {**f.coeffs, **{k: 3 * f.coeffs[k] for k in keys}})
+    assert len(verify_fusion_system(bad, witness_cap=10**9).one_top_failures) == 40
+    rep = verify_fusion_system(bad)
+    assert len(rep.one_top_failures) == 16 and not rep.pentagon_ok
+    for cap in (-1, -16, -(10**9)):
+        with pytest.raises(DomainError, match="witness_cap"):
+            verify_fusion_system(bad, witness_cap=cap)
+    rep = verify_fusion_system(bad, witness_cap=0)
+    assert len(rep.pentagon_failures) == 1 and not rep.one_top_ok and not rep.one_top_failures
+
+
 def _reference_matrix_inverse_modp(mat: np.ndarray, p: int) -> np.ndarray | None:
     """matrix_inverse_modp as it stood: Gauss-Jordan with a Python loop over
     the rows of each column."""
@@ -210,26 +369,34 @@ def _reference_matrix_inverse_modp(mat: np.ndarray, p: int) -> np.ndarray | None
     return inv
 
 
-def test_matrix_inverse_matches_reference():
-    """The rank-1-update inverse gives the row loop's inverse, or None with
-    it, on random and singular matrices of size 1-8 over five primes."""
+def test_matrix_inverse_matches_reference(fmax):
+    """The batched inverse gives the row loop's inverse, or None with it at
+    the same position, on stacks of B = 1-9 random and singular k x k
+    matrices, k = 1-8, over five primes and the largest modulus."""
     rng = np.random.default_rng(31)
-    singular = 0
-    for p in (5, 7, 13, 17, 41):
-        for n in range(1, 9):
-            for trial in range(12):
-                mat = rng.integers(-3 * p, 3 * p, size=(n, n))
-                if trial % 3 == 0:  # a dependent row, or a zero one for n = 1
-                    i, j = rng.integers(n, size=2)
-                    mat[i] = 0 if i == j else mat[j] * rng.integers(p) + p * rng.integers(-2, 3, size=n)
-                got, want = matrix_inverse_modp(mat, p), _reference_matrix_inverse_modp(mat, p)
-                assert (got is None) == (want is None)
-                if want is None:
-                    singular += 1
-                    continue
-                assert got.dtype == np.int64 and got.tolist() == want.tolist()
-                assert (mat % p @ got % p == np.eye(n, dtype=np.int64)).all()
-    assert singular >= 5 * 8 * 4
+    singular = exchanged = 0
+    for field in (*map(Field, (5, 7, 13, 17, 41)), fmax):
+        p = field.p
+        for k in range(1, 9):
+            for b in range(1, 10):
+                mats = rng.integers(-3 * p, 3 * p, size=(b, k, k))
+                for m in range(0, b, 3):  # a dependent row, or a zero one for k = 1
+                    i, j = rng.integers(k, size=2)
+                    mats[m, i] = 0 if i == j else mats[m, j] * rng.integers(p) + p * rng.integers(-2, 3, size=k)
+                if b % 4 == 1:  # a zero first pivot, so the elimination needs a row exchange
+                    mats[-1, 0, 0] = p
+                got = matrix_inverse_modp(mats, field)
+                assert len(got) == b
+                for mat, inv in zip(mats, got):
+                    want = _reference_matrix_inverse_modp(mat, p)
+                    assert (inv is None) == (want is None)
+                    if want is None:
+                        singular += 1
+                        continue
+                    exchanged += mat[0, 0] % p == 0
+                    assert inv.dtype == np.int64 and inv.tolist() == want.tolist()
+                    assert (mat % p @ inv % p == np.eye(k, dtype=np.int64)).all()
+    assert singular >= 6 * 8 * 9 and exchanged >= 6 * 7
 
 
 def _reference_checks(f, witness_cap=16) -> dict:
@@ -371,23 +538,32 @@ def test_compiled_checks_match_reference_loops(check_systems, f5):
 def test_only_larger_square_blocks_are_inverted(check_systems, monkeypatch):
     """The rigidity check reads a 1x1 block off its coefficient and a larger
     one off the inverses of the square blocks, so a verify_fusion_system call
-    inverts exactly the square blocks with k >= 2, rigidity blocks included."""
+    inverts exactly the square blocks with k >= 2, rigidity blocks included,
+    each once, in one matrix_inverse_modp call per block size."""
     from fusionkit import systems
     from fusionkit.systems import _pentagon_program
 
     calls = []
     real = systems.matrix_inverse_modp
-    monkeypatch.setattr(systems, "matrix_inverse_modp", lambda mat, p: calls.append(mat.shape) or real(mat, p))
-    rigidity_in_square = 0
+    monkeypatch.setattr(systems, "matrix_inverse_modp", lambda mats, field: calls.append(mats) or real(mats, field))
+    rigidity_square = 0
     for f in check_systems:
-        prog = _pentagon_program(f.rule)
+        rule = f.rule
+        square = {}  # the recoupling matrices with k >= 2 by size, as the loops over recoupling_matrix find them
+        for x, y, z in product(range(rule.n), repeat=3):
+            for r in {r for u in rule.support(x, y) for r in rule.support(u, z)}:
+                mat, _, _ = recoupling_matrix(f, x, y, z, r)
+                if 2 <= mat.shape[0] == mat.shape[1]:
+                    square.setdefault(mat.shape[0], []).append(mat.tolist())
         calls.clear()
         assert verify_fusion_system(f).rigidity_ok
-        assert calls == [slots.shape for _, slots in prog.square]
-        assert all(len(shape) == 2 and shape[0] == shape[1] >= 2 for shape in calls)
-        square = {i for i, _ in prog.square}
-        rigidity_in_square += sum(i in square for i, _, _ in prog.rigidity)
-    assert rigidity_in_square  # the lord blocks (m,m,m,m) of the TY rules
+        assert [mats.shape[1:] for mats in calls] == [(k, k) for k in sorted(square)]
+        assert [sorted(mats.tolist()) for mats in calls] == [sorted(square[k]) for k in sorted(square)]
+        rigid = [recoupling_matrix(f, rb, r, rb, rb)[0].shape for r, rb in enumerate(rule.dual.tolist())]
+        larger = [r for r, (k, l) in enumerate(rigid) if 2 <= k == l]
+        assert [r for r, *_ in _pentagon_program(rule).rigid_square] == larger
+        rigidity_square += len(larger)
+    assert rigidity_square  # the lord blocks (m,m,m,m) of the TY rules
 
 
 def test_verified_systems_have_identity_unit_matrices(f17, ty2, mr):
@@ -421,7 +597,7 @@ def test_recoupling_shape_ty(f17, ty2):
     m = ty2.rule.index("m")
     mat, vs, us = recoupling_matrix(f, m, m, m, m)
     assert mat.shape == (2, 2)
-    assert matrix_inverse_modp(mat, 17) is not None
+    assert matrix_inverse_modp(mat[None], f17)[0] is not None
 
 
 def test_recoupling_shape_mr(f17, mr):
