@@ -2,7 +2,8 @@
 
 Cochains take values either in GF(p)^x with the trivial action or in the
 invertible part of an ambient algebra B = F^M with its two-sided actions.
-All computation happens in discrete-log coordinates, where cocycle and
+A cochain is its log array: one row of discrete logs mod p - 1 per tuple,
+in product order, with Cochain.values a read-only view of it.  Cocycle and
 coboundary conditions are integer-linear over Z_(p-1); p - 1 is composite,
 so kernels and images go through the gcd-pivot machinery in zmodlin.
 
@@ -15,15 +16,19 @@ read off it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
+from types import MappingProxyType
 
 import numpy as np
 
 from .ambient import Ambi
 from .errors import DomainError, ResourceError, ValidationError
+from .feudal import graded_group, group_rule
 from .fields import Field
 from .groups import FiniteGroup
+from .rules import group_from_members
+from .systems import FusionSystem, _OnVec, _slot_lookup, admissible_sextuples
 from .zmodlin import nullspace_mod, quotient_structure, solve_mod
 
 
@@ -64,13 +69,6 @@ class Units:
     def eq(self, x, y) -> bool:
         return bool(((np.asarray(x) - np.asarray(y)) % self.field.p == 0).all())
 
-    def coerce(self, xs) -> list:
-        """The values xs reduced mod p: a list of ints, or of length-M vectors."""
-        v = np.asarray(xs, dtype=np.int64) % self.field.p
-        if (v == 0).any():
-            raise ValidationError("cochain values must be invertible")
-        return v.reshape(len(xs)).tolist() if self.ambi is None else list(v)
-
     def log(self, x) -> np.ndarray:
         """The log vector of a value, or the (N, M) log array of a sequence of N values."""
         v = np.asarray(x, dtype=np.int64) % self.field.p
@@ -95,59 +93,88 @@ class Units:
 
 
 @lru_cache(maxsize=None)
-def _tuples(n: int, degree: int) -> dict:
-    """Every tuple of S^degree (|S| = n), as ints, keyed by itself."""
-    return {t: t for t in product(range(n), repeat=degree)}
+def _rows(n: int, degree: int) -> dict:
+    """Each tuple of S^degree (|S| = n), as ints, at its row in product order,
+    for the degrees a cochain may have."""
+    if degree not in (1, 2, 3, 4):
+        raise DomainError("degree must be 1, 2, 3, or 4")
+    return {t: i for i, t in enumerate(product(range(n), repeat=degree))}
 
 
-@dataclass
-class Cochain:
-    group: FiniteGroup
-    degree: int
-    values: dict
-    module: Units
+def _touches_unit(g: FiniteGroup, degree: int) -> np.ndarray:
+    """Which tuples of G^degree, in product order, have the unit as an entry."""
+    return (np.indices((len(g),) * degree).reshape(degree, -1) == g.unit).any(axis=0)
 
-    def __post_init__(self):
-        if self.degree not in (1, 2, 3, 4):
-            raise DomainError("degree must be 1, 2, 3, or 4")
-        vals = self.module.coerce(list(self.values.values()))
-        tuples = _tuples(len(self.group), self.degree)
-        keys = [tuples.get(k) for k in self.values]  # as tuples of ints
-        if len(keys) != len(tuples) or None in keys:
+
+class Cochain(_OnVec):
+    """A degree-k cochain: its log array vec, a read-only (n^k, M) int64 array
+    mod p - 1 with rows in product order (see `Units`).  values is a read-only
+    view keyed by tuple, built on first read (read-only rows for B^x)."""
+
+    _from_vec_args = ("group", "degree", "vec", "module")
+
+    def __init__(self, group: FiniteGroup, degree: int, values: dict, module: Units):
+        rows = _rows(len(group), degree)
+        v = np.asarray(list(values.values()), dtype=np.int64) % module.field.p
+        if (v == 0).any():
+            raise ValidationError("cochain values must be invertible")
+        at = [rows.get(k) for k in values]  # keys of any integer type, as tuples of ints
+        if len(at) != len(rows) or None in at:
             raise ValidationError("cochain must be total on S^n")
-        self.values = dict(zip(keys, vals))
+        logs = np.empty((len(at), module.points), dtype=np.int64)
+        logs[at] = module.field._log_table[v].reshape(logs.shape)
+        self._set(group, degree, logs, module)
 
     @classmethod
     def from_logs(cls, group: FiniteGroup, degree: int, logs: np.ndarray, module: Units) -> "Cochain":
-        """The cochain whose log array (see `logs`) is logs."""
-        tuples = product(range(len(group)), repeat=degree)
-        return cls(group, degree, dict(zip(tuples, module.exp(logs))), module)
+        """The cochain whose log array (see `logs`) is logs, reduced mod p - 1."""
+        c = cls.__new__(cls)
+        c._set(group, degree, logs, module)
+        return c
+
+    from_vec = from_logs  # what copy and pickle call
+
+    def _set(self, group: FiniteGroup, degree: int, logs, module: Units) -> None:
+        shape = (len(_rows(len(group), degree)), module.points)
+        logs = np.asarray(logs, dtype=np.int64) % (module.field.p - 1)
+        if logs.shape != shape:
+            raise ValidationError(f"expected a log array of shape (n^degree, M) = {shape}, got {logs.shape}")
+        logs.flags.writeable = False
+        self.__dict__.update(group=group, degree=degree, vec=logs, module=module)
+
+    @cached_property
+    def values(self) -> MappingProxyType:
+        vals = self.module.exp(self.vec)
+        if self.module.ambi is not None:
+            vals.flags.writeable = False
+        return MappingProxyType(dict(zip(_rows(len(self.group), self.degree), vals)))
 
     def __call__(self, *args):
         return self.values[args]
 
     def logs(self) -> np.ndarray:
         """The (n^degree, M) array of log vectors, rows in product order of the tuples."""
-        return self.module.log([self.values[t] for t in sorted(self.values)])
+        return self.vec
 
     def is_normalized(self) -> bool:
-        e = self.group.unit
-        one = self.module.one()
-        return all(self.module.eq(v, one) for k, v in self.values.items() if e in k)
+        return not self.vec[_touches_unit(self.group, self.degree)].any()
 
     def mul(self, other: "Cochain") -> "Cochain":
-        vals = {k: self.module.mul(v, other.values[k]) for k, v in self.values.items()}
-        return Cochain(self.group, self.degree, vals, self.module)
+        return Cochain.from_logs(self.group, self.degree, self.vec + other.vec, self.module)
 
     def inv(self) -> "Cochain":
-        return Cochain(self.group, self.degree, {k: self.module.inv(v) for k, v in self.values.items()}, self.module)
+        return Cochain.from_logs(self.group, self.degree, -self.vec, self.module)
 
     def eq(self, other: "Cochain") -> bool:
-        return all(self.module.eq(v, other.values[k]) for k, v in self.values.items())
+        return np.array_equal(self.vec, other.vec)
+
+    def __eq__(self, other):
+        key = lambda c: (c.group, c.degree, c.module.field, getattr(c.module.ambi, "key", None))
+        return isinstance(other, Cochain) and key(self) == key(other) and self.eq(other)
 
 
 def trivial_cochain(group: FiniteGroup, degree: int, field: Field) -> Cochain:
-    return Cochain(group, degree, {k: 1 for k in product(range(len(group)), repeat=degree)}, Units(field))
+    return Cochain.from_logs(group, degree, np.zeros((len(group) ** degree, 1), dtype=np.int64), Units(field))
 
 
 # ---- the coboundary, once -----------------------------------------------------------
@@ -179,10 +206,12 @@ def _delta(g: FiniteGroup, degree: int, side: str):
 
 def coboundary_logs(logs: np.ndarray, module: Units, g: FiniteGroup, degree: int, side: str) -> np.ndarray:
     """The coboundary in exponent coordinates: the (n^degree, M) log array of
-    a cochain (see `Cochain.logs`) to that of its coboundary, mod p - 1."""
+    a cochain (see `Cochain.logs`) to that of its coboundary, mod p - 1.  With
+    the trivial action, logs may hold K cochains side by side, (n^degree, K)."""
     src, signs, acted, actor = _delta(g, degree, side)
     terms = np.asarray(logs)[src]
-    terms[:, acted] = np.take_along_axis(terms[:, acted], module.action(len(g), side)[actor], axis=1)
+    if module.ambi is not None:  # the trivial action moves nothing
+        terms[:, acted] = np.take_along_axis(terms[:, acted], module.action(len(g), side)[actor], axis=1)
     return np.tensordot(signs, terms, axes=(0, 1)) % (module.field.p - 1)
 
 
@@ -202,14 +231,15 @@ def is_cocycle(h: Cochain) -> bool:
 
 
 def _normalize3_logs(logs: np.ndarray, module: Units, g: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
-    """normalize_cocycle3 in exponent coordinates: (normalized cocycle, witness)."""
+    """normalize_cocycle3 in exponent coordinates: (normalized cocycle, witness),
+    for K cocycles side by side too, as coboundary_logs takes them."""
     n, e, mod = len(g), g.unit, module.field.p - 1
     a, b = np.indices((n, n)).reshape(2, -1)
     k1 = logs[(e * n + e) * n + b]  # k1(a, b) = h(e, e, b)
     step1 = logs - coboundary_logs(k1, module, g, 2, "left")
     k2 = step1[(a * n + e) * n + e]  # k2(a, b) = step1(a, e, e)
     out = (step1 + coboundary_logs(k2, module, g, 2, "left")) % mod
-    if out[(np.indices((n,) * 3).reshape(3, -1) == e).any(axis=0)].any():
+    if out[_touches_unit(g, 3)].any():
         raise ValidationError("normalization failed")
     return out, (k2 - k1) % mod
 
@@ -244,15 +274,13 @@ class H3Report:
     roots_table: dict | None  # rep index -> root of unity, for cyclic groups
 
     def to_dict(self) -> dict:
-        reps = []
-        for c in self.representatives:
-            reps.append({",".join(self.group.labels[i] for i in k): int(v) for k, v in sorted(c.values.items())})
+        keys = [",".join(self.group.labels[i] for i in k) for k in _rows(len(self.group), 3)]
         out = {
             "group": self.group.name,
             "p": self.field.p,
             "order": self.order,
             "invariant_factors": self.invariant_factors,
-            "representatives": reps,
+            "representatives": [dict(zip(keys, c.values.values())) for c in self.representatives],
         }
         if self.roots_table is not None:
             out["roots_of_unity"] = {str(k): int(v) for k, v in sorted(self.roots_table.items())}
@@ -274,10 +302,8 @@ def h3(g: FiniteGroup, field: Field) -> H3Report:
         raise ValidationError("coboundary image is not closed")  # dd != 1
     quot = quotient_structure(kernel, (D2 % n).T, D3.shape[1], n)
     mod = Units(field)
-    reps = []
-    for vec in quot.representatives(limit=4096):
-        logs, _ = _normalize3_logs(np.reshape(vec, (-1, 1)), mod, g)
-        reps.append(Cochain.from_logs(g, 3, logs, mod))
+    logs, _ = _normalize3_logs(np.array(list(quot.representatives(limit=4096))).T, mod, g)
+    reps = [Cochain.from_logs(g, 3, logs[:, i : i + 1], mod) for i in range(logs.shape[1])]
     roots = None
     gen = _cyclic_generator(g)
     if gen is not None:
@@ -286,21 +312,15 @@ def h3(g: FiniteGroup, field: Field) -> H3Report:
 
 
 def _cyclic_generator(g: FiniteGroup) -> int | None:
-    for a in range(len(g)):
-        if g.element_order(a) == len(g):
-            return a
-    return None
+    gens = np.flatnonzero(g.orders == len(g))
+    return int(gens[0]) if gens.size else None
 
 
 def _cyclic_trace(c: Cochain, gen: int) -> int:
-    """prod_j c(gen, gen^j, gen): a coboundary-stable root of unity."""
-    g = c.group
-    out = 1
-    x = g.unit
-    for _ in range(len(g)):
-        out = c.module.mul(out, c(gen, x, gen))
-        x = g.mul(x, gen)
-    return out
+    """prod_j c(gen, gen^j, gen): a coboundary-stable root of unity.  The
+    powers of gen cover the group, so this is the product over all x."""
+    n = len(c.group)
+    return c.module.exp(c.vec[(gen * n + np.arange(n)) * n + gen].sum(axis=0))
 
 
 def cohomologous3(c1: Cochain, c2: Cochain, field: Field) -> Cochain | None:
@@ -318,32 +338,23 @@ def cohomologous3(c1: Cochain, c2: Cochain, field: Field) -> Cochain | None:
 
 def cocycle_to_fusion_system(g: FiniteGroup, omega: Cochain, field: Field):
     """The fusion system on the group rule with coefficients delta-supported on omega."""
-    from .feudal import group_rule
-    from .systems import FusionSystem, admissible_sextuples
-
     if omega.degree != 3 or not is_cocycle(omega):
         raise DomainError("omega must be a 3-cocycle")
-    if not omega.is_normalized():
-        omega, _ = normalize_cocycle3(omega)
-    rule = group_rule(g)
-    coeffs = {}
-    for (x, y, z, u, r, v) in admissible_sextuples(rule):
-        coeffs[(x, y, z, u, r, v)] = omega(x, y, z)
-    return FusionSystem(rule, field, coeffs)
+    logs, _ = _normalize3_logs(omega.logs(), omega.module, omega.group)  # a normalized one is kept as it is
+    rule, n = group_rule(g), len(omega.group)
+    x, y, z = np.array(admissible_sextuples(rule)).T[:3]
+    return FusionSystem.from_vec(rule, field, omega.module.exp(logs[(x * n + y) * n + z]))
 
 
 def fusion_system_to_cocycle(f) -> Cochain:
     """Read the 3-cocycle back off a fusion system on a group rule."""
-    g_rule = f.rule
-    n = g_rule.n
-    from .rules import group_from_members
-
-    g = group_from_members(g_rule, range(n))
-    vals = {}
-    for a, b, c in product(range(n), repeat=3):
-        ab = g.mul(a, b)
-        vals[(a, b, c)] = f.coeff(a, b, c, ab, g.mul(ab, c), g.mul(b, c))
-    c = Cochain(g, 3, vals, Units(f.field))
+    n = f.rule.n
+    g = group_from_members(f.rule, range(n))
+    a, b, c = np.indices((n,) * 3).reshape(3, -1)  # product order
+    ab = g.table[a, b]
+    slots = _slot_lookup(f.rule)(a, b, c, ab, g.table[ab, c], g.table[b, c])
+    mod = Units(f.field)
+    c = Cochain.from_logs(g, 3, mod.log(f.vec[slots]), mod)  # a group rule admits every slot read
     if not is_cocycle(c):
         raise ValidationError("fusion system does not define a cocycle")
     return c
@@ -382,7 +393,6 @@ def h3_via_uber(g: FiniteGroup, serfs, field: Field, direct: H3Report | None = N
     field when the caller holds one, as `cohom h3 --via-uber` does; otherwise
     h3 runs here.  The serfs are checked and the classes counted before h3
     runs, so a bad input raises what the first failing stage raises."""
-    from .feudal import graded_group
     from .uber import enumerate_uber
 
     serfs = frozenset(int(s) for s in serfs)

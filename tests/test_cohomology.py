@@ -1,4 +1,7 @@
+import copy
+import pickle
 import random
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -17,6 +20,7 @@ from fusionkit import (
     enumerate_feudal,
     enumerate_fusion_systems_bruteforce,
     enumerate_uber,
+    FusionSystem,
     fusion_system_to_cocycle,
     graded_group,
     group_rule,
@@ -33,8 +37,17 @@ from fusionkit import (
     trivial_group,
     verify_fusion_system,
 )
-from fusionkit.cohomology import Cochain, Units, coboundary_logs, trivial_cochain
+from fusionkit.cohomology import (
+    Cochain,
+    Units,
+    _cyclic_generator,
+    _cyclic_trace,
+    _normalize3_logs,
+    coboundary_logs,
+    trivial_cochain,
+)
 from fusionkit.errors import DomainError, ResourceError, ValidationError
+from fusionkit.systems import admissible_sextuples
 from fusionkit.uber import Uberderivation, uber_constraint_system, vec_to_uber
 from fusionkit.zmodlin import nullspace_mod, solve_mod
 from test_report_digests import H3_UNIVERSAL_COEFFICIENTS
@@ -128,14 +141,15 @@ def test_units_convert_whole_arrays_like_the_field(p, mr):
 
 
 def test_cochain_keys_become_int_tuples_and_must_be_total(f17):
-    """A cochain keeps its keys in the order given, as tuples of ints whatever
-    integer type they came in, with their values; a missing, out-of-range,
-    wrongly sized or non-integer key is refused with one message."""
+    """A cochain keys its values in product order of the tuples, as tuples of
+    ints whatever integer type they came in, with their values mod p; a
+    missing, out-of-range, wrongly sized or non-integer key is refused with
+    one message."""
     g, mod = cyclic(3), Units(f17)
     tuples = list(product(range(3), repeat=2))[::-1]
     h = Cochain(g, 2, {tuple(np.int64(i) for i in k): 20 + i for i, k in enumerate(tuples)}, mod)
-    assert list(h.values) == tuples and all(type(i) is int for k in h.values for i in k)
-    assert list(h.values.values()) == [(20 + i) % 17 for i in range(9)]
+    assert list(h.values) == tuples[::-1] and all(type(i) is int for k in h.values for i in k)
+    assert list(h.values.values()) == [(20 + 8 - i) % 17 for i in range(9)]
     good = dict.fromkeys(product(range(3), repeat=2), 1)
     rest = dict(list(good.items())[1:])  # (0, 0) left out
     for values in (rest, {}, good | {(0, 3): 1}, rest | {(0, 3): 1}, rest | {(-1, 0): 1},
@@ -530,3 +544,191 @@ def test_cochain_inverse_is_pointwise(f17):
         inv = c.inv()
         assert all(module.eq(module.mul(v, inv.values[k]), module.one()) for k, v in c.values.items())
         assert c.mul(inv).eq(trivial_cochain(cyclic(3), 2, f17)) and inv.inv().eq(c)
+
+
+# ---- a cochain is its log array ---------------------------------------------------------
+
+
+def test_from_logs_refuses_a_log_array_of_the_wrong_shape(f17, mr):
+    """from_logs takes (n^degree, M) rows and columns, no more and no fewer:
+    a longer array is not truncated, a shorter one is not padded."""
+    mod = Units(f17)
+    for rows in (10, 5, 3, 0):
+        with pytest.raises(ValidationError, match=r"\(n\^degree, M\) = \(4, 1\), got \(%d, 1\)" % rows):
+            Cochain.from_logs(cyclic(2), 2, np.arange(rows).reshape(-1, 1), mod)
+    with pytest.raises(ValidationError, match=r"\(n\^degree, M\) = \(4, 2\), got \(4, 1\)"):
+        Cochain.from_logs(mr.serf_group, 1, np.zeros((4, 1)), Units(f17, Ambi(mr, f17)))
+    with pytest.raises(ValidationError, match=r"got \(4,\)"):
+        Cochain.from_logs(cyclic(2), 2, np.zeros(4), mod)
+    with pytest.raises(DomainError, match="^degree must be 1, 2, 3, or 4$"):
+        Cochain.from_logs(cyclic(2), 5, np.zeros((32, 1)), mod)
+    assert Cochain.from_logs(cyclic(2), 2, np.arange(4).reshape(-1, 1), mod).logs().tolist() == [[0], [1], [2], [3]]
+
+
+def test_equal_cochains_are_equal_in_both_modules(f17, mr):
+    """== compares group, degree, module and log array: cochains built apart,
+    one from values and one from logs, over separately built modules, are
+    equal for GF(p)^x and for B^x (Moore-Read), and a change to any part is
+    not."""
+    rng = random.Random(21)
+    for module, again in ((Units(f17), Units(Field(17))), (Units(f17, Ambi(mr, f17)), Units(f17, Ambi(mr, f17)))):
+        g = mr.serf_group
+        c = random_cochain(g, 1, f17, rng, module)
+        same = Cochain.from_logs(g, 1, c.logs(), again)
+        assert c == same and not c != same and c.eq(same)
+        other = Cochain.from_logs(g, 1, c.logs() + np.eye(len(c.logs()), module.points, dtype=np.int64), module)
+        assert c != other and not c.eq(other)
+        assert c != Cochain.from_logs(cyclic(4), 1, c.logs(), module)  # the same table, another group
+        f17_5 = Field(17, 5)  # another primitive root
+        assert c != Cochain.from_logs(g, 1, c.logs(), Units(f17_5, Ambi(mr, f17_5) if module.ambi else None))
+        assert c != coboundary(c) and c != c.logs() and c != dict(c.values)
+    assert trivial_cochain(cyclic(2), 2, f17) != trivial_cochain(cyclic(2), 2, Field(5))
+
+
+def test_cochain_is_read_only_and_copies_through_from_logs(f17, mr):
+    """values is a read-only view of the log array, with read-only rows for
+    B^x, and no attribute can be rebound, so a cochain cannot be made to
+    disagree with its logs; copy, deepcopy and pickle rebuild it with from_logs."""
+    rng = random.Random(22)
+    for module in (Units(f17), Units(f17, Ambi(mr, f17))):
+        c = random_cochain(mr.serf_group, 2, f17, rng, module)
+        with pytest.raises(TypeError):
+            c.values[(0, 0)] = 0
+        for name, value in (("values", {}), ("vec", c.vec), ("degree", 3), ("module", Units(Field(5)))):
+            with pytest.raises(AttributeError, match="^Cochain is read-only"):
+                setattr(c, name, value)
+        with pytest.raises(ValueError, match="read-only"):
+            c.logs()[0, 0] = 1
+        if module.ambi is not None:
+            with pytest.raises(ValueError, match="read-only"):
+                c.values[(0, 0)][0] = 0
+        assert c.__reduce__()[0] == Cochain.from_logs
+        for back in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+            assert back == c and back is not c and not back.logs().flags.writeable
+            assert all(module.eq(v, back.values[k]) for k, v in c.values.items())
+        assert is_cocycle(coboundary(c))
+
+
+@pytest.mark.parametrize("g", [cyclic(4), klein_four(), quaternion()], ids=lambda g: g.name)
+def test_coboundary_logs_of_k_cochains_side_by_side(g, f17):
+    """With the trivial action, a (n^degree, K) log array is K cochains: its
+    coboundary is the K coboundaries side by side, in degrees 2 and 3."""
+    rng = np.random.default_rng(23)
+    mod = Units(f17)
+    for degree, side in product((2, 3), ("left", "right")):
+        logs = rng.integers(0, 16, (len(g) ** degree, 3))
+        batch = coboundary_logs(logs, mod, g, degree, side)
+        for j in range(3):
+            one = coboundary_logs(logs[:, j : j + 1], mod, g, degree, side)
+            assert (batch[:, j : j + 1] == one).all(), (degree, side, j)
+
+
+# ---- per-key oracles for the array operations of a cochain -------------------------------
+
+
+def _reference_mul(c1, c2):
+    return {k: c1.module.mul(v, c2.values[k]) for k, v in c1.values.items()}
+
+
+def _reference_inv(c):
+    return {k: c.module.inv(v) for k, v in c.values.items()}
+
+
+def _reference_eq(c1, c2):
+    return all(c1.module.eq(v, c2.values[k]) for k, v in c1.values.items())
+
+
+def _reference_is_normalized(c):
+    e = c.group.unit
+    one = c.module.one()
+    return all(c.module.eq(v, one) for k, v in c.values.items() if e in k)
+
+
+def _reference_cyclic_generator(g):
+    for a in range(len(g)):
+        if g.element_order(a) == len(g):
+            return a
+    return None
+
+
+def _reference_cyclic_trace(c, gen):
+    g = c.group
+    out = 1
+    x = g.unit
+    for _ in range(len(g)):
+        out = c.module.mul(out, c(gen, x, gen))
+        x = g.mul(x, gen)
+    return out
+
+
+def _reference_cocycle_to_fusion_system(g, omega, field):
+    if omega.degree != 3 or not is_cocycle(omega):
+        raise DomainError("omega must be a 3-cocycle")
+    if not _reference_is_normalized(omega):
+        omega, _ = normalize_cocycle3(omega)
+    rule = group_rule(g)
+    coeffs = {}
+    for (x, y, z, u, r, v) in admissible_sextuples(rule):
+        coeffs[(x, y, z, u, r, v)] = omega(x, y, z)
+    return FusionSystem(rule, field, coeffs)
+
+
+def _reference_fusion_system_to_cocycle(f):
+    from fusionkit.rules import group_from_members
+
+    n = f.rule.n
+    g = group_from_members(f.rule, range(n))
+    vals = {}
+    for a, b, c in product(range(n), repeat=3):
+        ab = g.mul(a, b)
+        vals[(a, b, c)] = f.coeff(a, b, c, ab, g.mul(ab, c), g.mul(b, c))
+    c = Cochain(g, 3, vals, Units(f.field))
+    if not is_cocycle(c):
+        raise ValidationError("fusion system does not define a cocycle")
+    return c
+
+
+ORACLE_CASES = [(g, 17) for g in standard_catalog(8)] + [(g, 13) for g in standard_catalog(5)]
+
+
+@lru_cache(maxsize=None)
+def _h3_report(g, p):
+    return h3(g, Field(p))
+
+
+@pytest.mark.parametrize("g, p", ORACLE_CASES, ids=[f"{g.name}@{p}" for g, p in ORACLE_CASES])
+def test_cochain_arrays_match_the_per_key_references(g, p):
+    """On the h3 representatives, and on each twisted by the coboundary of a
+    seeded 2-cochain (so not normalized), mul, inv, eq, is_normalized, the
+    cyclic trace (and the roots table it fills) and both bridges give what
+    the per-key bodies give, and the twisted ones normalized in one batch are
+    what normalize_cocycle3 makes of each.  The per-key references take ~35 ms
+    a representative on the groups of order 8, so they run on every k-th one,
+    k = |H^3| // 16 (64 on Z2xZ2xZ2@17, 2 on D4 and Z2xZ4, 1 elsewhere)."""
+    field, rng = Field(p), random.Random(len(g) * p)
+    report = _h3_report(g, p)
+    gen = _reference_cyclic_generator(g)
+    assert _cyclic_generator(g) == gen and (report.roots_table is None) == (gen is None)
+    sample = list(enumerate(report.representatives))[:: max(1, len(report.representatives) // 16)]
+    twists = [c.mul(coboundary(random_cochain(g, 2, field, rng), "left")) for _, c in sample]
+    batch, _ = _normalize3_logs(np.hstack([t.logs() for t in twists]), Units(field), g)
+    touching = [i for i, k in enumerate(product(range(len(g)), repeat=3)) if g.unit in k]
+    for (i, c), twisted, normalized in zip(sample, twists, batch.T):
+        assert (normalize_cocycle3(twisted)[0].logs()[:, 0] == normalized).all()
+        assert c.mul(twisted).values == _reference_mul(c, twisted)
+        assert twisted.inv().values == _reference_inv(twisted)
+        for a, b in ((c, c), (c, twisted)):
+            assert a.eq(b) == _reference_eq(a, b) == (a == b)
+        bumped = np.zeros((len(g) ** 3, 1), dtype=np.int64)
+        bumped[rng.choice(touching)] = 1  # off the normalized slice at one row only
+        assert not _reference_is_normalized(c.mul(Cochain.from_logs(g, 3, bumped, c.module)))
+        assert not c.mul(Cochain.from_logs(g, 3, bumped, c.module)).is_normalized()
+        for h in (c, twisted):
+            assert h.is_normalized() == _reference_is_normalized(h)
+            f = cocycle_to_fusion_system(g, h, field)
+            assert f == _reference_cocycle_to_fusion_system(g, h, field)
+            assert fusion_system_to_cocycle(f) == _reference_fusion_system_to_cocycle(f)
+            if gen is not None:
+                assert _cyclic_trace(h, gen) == _reference_cyclic_trace(h, gen)
+        if gen is not None:
+            assert report.roots_table[i] == _reference_cyclic_trace(c, gen)
