@@ -115,14 +115,21 @@ class Cochain(_OnVec):
 
     def __init__(self, group: FiniteGroup, degree: int, values: dict, module: Units):
         rows = _rows(len(group), degree)
-        v = np.asarray(list(values.values()), dtype=np.int64) % module.field.p
+        want = "one integer" if module.points == 1 else f"{module.points} integers"
+        v = np.empty((len(values), module.points), dtype=np.int64)
+        for i, (k, x) in enumerate(values.items()):  # the first value that is not one row names its key
+            try:
+                v[i] = np.asarray(x, dtype=np.int64).reshape(module.points)
+            except (ValueError, TypeError, OverflowError):
+                raise ValidationError(f"cochain value at {k} must be {want}") from None
+        v %= module.field.p
         if (v == 0).any():
             raise ValidationError("cochain values must be invertible")
         at = [rows.get(k) for k in values]  # keys of any integer type, as tuples of ints
         if len(at) != len(rows) or None in at:
             raise ValidationError("cochain must be total on S^n")
         logs = np.empty((len(at), module.points), dtype=np.int64)
-        logs[at] = module.field._log_table[v].reshape(logs.shape)
+        logs[at] = module.field._log_table[v]
         self._set(group, degree, logs, module)
 
     @classmethod
@@ -338,10 +345,12 @@ def cohomologous3(c1: Cochain, c2: Cochain, field: Field) -> Cochain | None:
 
 def cocycle_to_fusion_system(g: FiniteGroup, omega: Cochain, field: Field):
     """The fusion system on the group rule with coefficients delta-supported on omega."""
+    if omega.group != g:
+        raise DomainError("omega is a cochain on a different group")
     if omega.degree != 3 or not is_cocycle(omega):
         raise DomainError("omega must be a 3-cocycle")
     logs, _ = _normalize3_logs(omega.logs(), omega.module, omega.group)  # a normalized one is kept as it is
-    rule, n = group_rule(g), len(omega.group)
+    rule, n = group_rule(g), len(g)
     x, y, z = np.array(admissible_sextuples(rule)).T[:3]
     return FusionSystem.from_vec(rule, field, omega.module.exp(logs[(x * n + y) * n + z]))
 

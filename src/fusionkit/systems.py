@@ -132,14 +132,24 @@ def _frozen_residues(vec, p: int, keys, noun: str, zero: str) -> np.ndarray:
 
 class _OnVec:
     """An object that is its vector vec, set once by _set: a system, a gauge,
-    or a triple of uber.  Its attributes are read-only, since a keyed view
-    set apart from vec would disagree with it; copy and pickle rebuild it
-    through from_vec, from the attributes named in _from_vec_args."""
+    a cochain, or a triple, gauge or decomposition of uber.  Its attributes
+    are read-only, since a keyed view set apart from vec would disagree with
+    it; copy and pickle rebuild it through from_vec, from the attributes
+    named in _from_vec_args."""
 
     _from_vec_args = ("rule", "field", "vec")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is read-only; from_vec builds a new one")
+
+    @classmethod
+    def from_vec(cls, *args) -> _OnVec:
+        """The one whose attributes named in _from_vec_args are args; _set
+        checks them as the class describes, and reduces vec and makes it
+        read-only where the class holds one."""
+        x = cls.__new__(cls)
+        x._set(*args)
+        return x
 
     def __reduce__(self):  # the views are rebuilt on first read
         return type(self).from_vec, tuple(getattr(self, a) for a in self._from_vec_args)
@@ -159,14 +169,6 @@ class FusionSystem(_OnVec):
             adm = admissible_sextuples(rule)
             raise ValidationError(f"missing coefficients, e.g. {min(adm[i] for i in missing)}")
         self._set(rule, field, c)
-
-    @classmethod
-    def from_vec(cls, rule: FusionRule, field: Field, vec) -> FusionSystem:
-        """The system with slot vector vec, reduced mod p: one value per
-        admissible sextuple, none of them 0 mod p."""
-        f = cls.__new__(cls)
-        f._set(rule, field, vec)
-        return f
 
     def _set(self, rule: FusionRule, field: Field, vec) -> None:
         vec = _frozen_residues(vec, field.p, admissible_sextuples(rule), "coefficients", "zero coefficient at {}")
@@ -575,14 +577,6 @@ class GaugeXi(_OnVec):
             raise ValidationError("gauge must be total on the support")
         self._set(rule, field, v)
 
-    @classmethod
-    def from_vec(cls, rule: FusionRule, field: Field, vec) -> GaugeXi:
-        """The gauge with vector vec, reduced mod p: one value per support
-        triple, none of them 0 mod p, and 1 at every (e,r,r) and (r,e,r)."""
-        xi = cls.__new__(cls)
-        xi._set(rule, field, vec)
-        return xi
-
     def _set(self, rule: FusionRule, field: Field, vec) -> None:
         index = compiled(rule, _support_index)
         vec = _frozen_residues(vec, field.p, index, "gauge values", "gauge value must be invertible at {}")
@@ -654,7 +648,9 @@ def enumerate_fusion_systems_bruteforce(
 
     The search holds one value per coefficient slot and propagates over the
     live instances of the compiled pentagon program: an instance with one
-    unknown occurrence is linear in it and fixes its value.  On feudal rules
+    unknown occurrence is linear in it and fixes its value.  It branches
+    first on the slots that the most live instances read (fail first); the
+    results are sorted, so the order does not show.  On feudal rules
     the search is restricted to the normal gauge slice (the beta1(a, 1) and
     beta2(a, 1) slots pinned to 1), which is what makes the search finite in
     practice; every gauge class contains such a point.
@@ -690,6 +686,7 @@ def enumerate_fusion_systems_bruteforce(
     for i, slots in enumerate(reads):
         for k in dict.fromkeys(slots):
             incidence[k].append(i)
+    variables.sort(key=lambda i: -len(incidence[i]))  # fail first: the slots most instances read
 
     def residual(i):
         (a, b), ts = lhs[i], terms[i]

@@ -4,12 +4,14 @@ A triple (chi, ups, tau) valued in the ambient algebra B = F^M classifies
 fusion systems on a feudal rule up to gauge.  The dictionary runs through
 psi() (read a triple off a system) and reconstruct() (build the unique normal
 system with that triple back).  Both go through the eight index shapes of a
-feudal rule, written once as slots into the coefficient vector of a system:
-decompose is a gather through them and assemble a scatter.  reconstruct is
-one signed gather too, from the exponent coordinates of a triple to the
-coefficient slots of its normal system (_reconstruct_gather): alpha2 and
-alpha3 are chi and ups, alpha is minus the coboundary of ups
-(cohomology._delta), and the other shapes are their monomial formulas in logs.
+feudal rule, written once as slots into the slot vector of a system
+(_shape_slots).  A Decomposition is that system, each shape a keyed view
+of its vector gathered through the slots, and the normal slice is checked
+once, on beta1 and beta2 at the unit serf (_unit_columns).  reconstruct is
+one signed gather, from the exponent coordinates of a triple to the slots
+of its normal system (_reconstruct_gather): alpha2 and alpha3 are chi and
+ups, alpha is minus the coboundary of ups (cohomology._delta), and the
+other shapes are their monomial formulas in logs.
 
 Gauge classing happens in discrete-log coordinates: every multiplicative
 axiom is an affine-linear equation over Z_(p-1), gauge shifts span a
@@ -41,7 +43,8 @@ or serfs, tau and sigma slices of it, and every gather above indexes the
 layout.  Internal hand-offs go through from_vec; the dict constructors serve
 outside callers, and _entries checks their tables entry by entry.  A
 fusion-system gauge is its components at their support positions:
-xi_components is a gather through them, xi_from_components a scatter.
+_components is a gather through them and _from_components a scatter, and
+xi_components and xi_from_components key them by the serfs.
 
 Every table is compiled once through rules.compiled, keyed by content: the
 shape slots, the reconstruct and gauge gathers and the gauge component
@@ -66,7 +69,7 @@ from .errors import DomainError, ResourceError, UnsupportedFieldError, Validatio
 from .fields import Field, nth_roots_of
 from .feudal import FeudalRule, detect_feudal
 from .rules import FusionRule, automorphisms as rule_automorphisms, compiled, is_homomorphism
-from .systems import FusionSystem, GaugeXi, _OnVec, _slot_index, _support_index, admissible_sextuples
+from .systems import FusionSystem, GaugeXi, _OnVec, _slot_index, _support_index, admissible_sextuples, apply_gauge
 from .zmodlin import SmithMod, factor_mod, nullspace_mod, quotient_structure, solve_mod
 
 
@@ -107,13 +110,6 @@ class _OnLayout(_OnVec):
 
     _size, _invertible = "size", False  # its length in _Layout; whether 0 mod p is refused
     _from_vec_args = ("ambi", "vec")
-
-    @classmethod
-    def from_vec(cls, ambi: Ambi, vec) -> _OnLayout:
-        """The one on ambi with vector vec in its layout, reduced mod p."""
-        x = cls.__new__(cls)
-        x._set(ambi, vec)
-        return x
 
     def _set(self, ambi: Ambi, vec) -> None:
         vec = np.asarray(vec, np.int64) % ambi.field.p
@@ -277,20 +273,44 @@ def apply_gauge_uber(u: Uberderivation, g: GaugeTriple) -> Uberderivation:
 # ---- decomposition of a fusion system --------------------------------------------
 
 
-@dataclass
-class Decomposition:
-    """A fusion system on a feudal rule, split into its eight index shapes."""
+class Decomposition(_OnVec):
+    """A fusion system on a feudal rule, read as its eight index shapes: the
+    FusionSystem system with its FeudalRule feudal; field and vec, the
+    read-only slot vector, are the system's.  alpha is a read-only view
+    keyed by the serf triples (a, b, c), with int values; alpha1-3, beta1-3
+    and gamma are keyed by the serf pairs (a, b), each value a read-only row
+    indexed by lord position.  Each view is gathered from vec through the
+    shape slots on first read.  The positional constructor takes the eight
+    keyed tables, in that order, and scatters them into a system's vector."""
 
-    feudal: FeudalRule
-    field: Field
-    alpha: dict  # (a,b,c) -> scalar
-    alpha1: dict  # (a,b) -> B
-    alpha2: dict
-    alpha3: dict
-    beta1: dict
-    beta2: dict
-    beta3: dict
-    gamma: dict  # (a,b) -> B
+    _from_vec_args = ("feudal", "system")
+    field = property(lambda self: self.system.field)
+    vec = property(lambda self: self.system.vec)
+    alpha = cached_property(lambda self: self._shape("alpha"))
+    alpha1 = cached_property(lambda self: self._shape("alpha1"))
+    alpha2 = cached_property(lambda self: self._shape("alpha2"))
+    alpha3 = cached_property(lambda self: self._shape("alpha3"))
+    beta1 = cached_property(lambda self: self._shape("beta1"))
+    beta2 = cached_property(lambda self: self._shape("beta2"))
+    beta3 = cached_property(lambda self: self._shape("beta3"))
+    gamma = cached_property(lambda self: self._shape("gamma"))
+
+    def __init__(self, feudal: FeudalRule, field: Field, *shapes: dict):
+        vec = np.zeros(len(admissible_sextuples(feudal.rule)), np.int64)
+        for (name, slots), table in zip(compiled(feudal, _shape_slots).items(), shapes, strict=True):
+            keys = product(feudal.serf_ids, repeat=3 if name == "alpha" else 2)
+            vec[slots.ravel()] = np.ravel([table[k] for k in keys])
+        self._set(feudal, FusionSystem.from_vec(feudal.rule, field, vec))
+
+    def _set(self, feudal: FeudalRule, system: FusionSystem) -> None:
+        self.__dict__.update(feudal=feudal, system=system)
+
+    def _shape(self, name: str) -> MappingProxyType:
+        block, serfs = self.vec[compiled(self.feudal, _shape_slots)[name]], self.feudal.serf_ids
+        if name == "alpha":
+            return MappingProxyType(dict(zip(product(serfs, repeat=3), block.ravel().tolist())))
+        block.flags.writeable = False
+        return MappingProxyType(dict(zip(product(serfs, repeat=2), block)))
 
     @cached_property
     def ambi(self) -> Ambi:
@@ -299,24 +319,19 @@ class Decomposition:
 
     def is_normal(self) -> bool:
         """The normal slice: beta1(a, e) = beta2(a, e) = 1 for every serf a."""
-        e, p = self.feudal.rule.unit, self.field.p
-        return all(
-            (self.beta1[(a, e)] % p == 1).all() and (self.beta2[(a, e)] % p == 1).all()
-            for a in self.feudal.serf_ids
-        )
+        return bool((_unit_columns(self.vec, self.feudal) == 1).all())
 
 
 def _shape_slots(fr: FeudalRule) -> dict[str, np.ndarray]:
-    """decompose's eight sextuple formulas, each written once, as slots into the
-    coefficient vector (FusionSystem.vec, then a 0 at len(adm) for an
-    inadmissible key); compiled keeps them per rule and serf
-    set, so every FeudalRule on them finds them.
+    """The eight sextuple formulas of the index shapes, each written once, as
+    slots into the coefficient vector (FusionSystem.vec); they partition it.
+    compiled keeps them per rule and serf set, so every FeudalRule on them
+    finds them.
 
     Each shape is an (s^2, K) array: row (a,b) in product(serfs, repeat=2)
     order, and column c a serf for alpha, m a lord for the others.
     """
     slot = compiled(fr.rule, _slot_index)
-    zero = len(slot)
     serfs = fr.serf_ids
     inv, mul = fr.serf_inv, fr.serf_mul
     L, R = fr.act_left, fr.act_right
@@ -334,22 +349,15 @@ def _shape_slots(fr: FeudalRule) -> dict[str, np.ndarray]:
     out = {}
     for name, key in formulas.items():
         cols = serfs if name == "alpha" else fr.lord_ids
-        rows = [[slot.get(key(a, b, m, inv(a), inv(b)), zero) for m in cols] for a, b in product(serfs, repeat=2)]
+        rows = [[slot[key(a, b, m, inv(a), inv(b))] for m in cols] for a, b in product(serfs, repeat=2)]
         out[name] = np.array(rows, np.intp)
         out[name].flags.writeable = False
     return out
 
 
 def decompose(f: FusionSystem, fr: FeudalRule | None = None) -> Decomposition:
-    """Read the eight coefficient functions off a fusion system: one gather of
-    its coefficient vector through the shape slots."""
-    fr = _feudal_of(f, fr)
-    c = np.append(f.vec, 0)
-    shapes = compiled(fr, _shape_slots)
-    pairs = list(product(fr.serf_ids, repeat=2))
-    alpha = dict(zip(product(fr.serf_ids, repeat=3), c[shapes["alpha"]].ravel().tolist()))
-    rest = {name: dict(zip(pairs, c[slots])) for name, slots in shapes.items() if name != "alpha"}
-    return Decomposition(fr, f.field, alpha, **rest)
+    """f read as its eight index shapes (the views gather on first read)."""
+    return Decomposition.from_vec(_feudal_of(f, fr), f)
 
 
 def _feudal_of(f: FusionSystem, fr: FeudalRule | None) -> FeudalRule:
@@ -372,14 +380,8 @@ def _feudal_structure(rule: FusionRule) -> tuple[frozenset, int] | None:
 
 
 def assemble(dec: Decomposition) -> FusionSystem:
-    """Rebuild the slot vector from the eight functions: one scatter through
-    the shape slots, which partition the admissible sextuples."""
-    fr, F = dec.feudal, dec.field
-    c = np.zeros(len(admissible_sextuples(fr.rule)) + 1, np.int64)
-    for name, slots in compiled(fr, _shape_slots).items():
-        vals = getattr(dec, name)
-        c[slots.ravel()] = np.ravel([vals[k] for k in product(fr.serf_ids, repeat=3 if name == "alpha" else 2)])
-    return FusionSystem.from_vec(fr.rule, F, c[:-1])
+    """The fusion system whose eight index shapes are dec."""
+    return dec.system
 
 
 def psi(f: FusionSystem, fr: FeudalRule | None = None, ambi: Ambi | None = None) -> Uberderivation:
@@ -396,7 +398,7 @@ def psi(f: FusionSystem, fr: FeudalRule | None = None, ambi: Ambi | None = None)
     fr = _feudal_of(f, fr)
     if ambi is None:
         ambi = Ambi(fr, f.field)
-    units = _unit_columns(f, fr)
+    units = _unit_columns(f.vec, fr)
     if (units != 1).any():
         f, _ = _normalize(f, fr, ambi, units)
     shapes, lay, e = compiled(fr, _shape_slots), _layout_of(fr), fr.serf_group.unit
@@ -404,15 +406,15 @@ def psi(f: FusionSystem, fr: FeudalRule | None = None, ambi: Ambi | None = None)
     slots[lay.chi] = shapes["alpha2"].reshape(lay.chi.shape)
     slots[lay.ups] = shapes["alpha3"].reshape(lay.ups.shape)
     slots[lay.tau] = shapes["gamma"].reshape(lay.chi.shape)[e, e]
-    return Uberderivation.from_vec(ambi, np.append(f.vec, 0)[slots]).validate()
+    return Uberderivation.from_vec(ambi, f.vec[slots]).validate()
 
 
-def _unit_columns(f: FusionSystem, fr: FeudalRule) -> np.ndarray:
-    """beta1(a, e) and beta2(a, e) of f for the serfs a, a (2, s, M) array
-    gathered through the shape slots: all 1 exactly on the normal slice."""
+def _unit_columns(vec: np.ndarray, fr: FeudalRule) -> np.ndarray:
+    """beta1(a, e) and beta2(a, e) of the system with slot vector vec for the
+    serfs a, a (2, s, M) array gathered through the shape slots: all 1
+    exactly on the normal slice."""
     shapes, s = compiled(fr, _shape_slots), len(fr.serf_ids)
-    slots = [shapes[name].reshape(s, s, -1)[:, fr.serf_group.unit] for name in ("beta1", "beta2")]
-    return np.append(f.vec, 0)[np.stack(slots)]
+    return vec[np.stack([shapes[name].reshape(s, s, -1)[:, fr.serf_group.unit] for name in ("beta1", "beta2")])]
 
 
 def _component_positions(fr: FeudalRule) -> np.ndarray:
@@ -429,26 +431,38 @@ def _component_positions(fr: FeudalRule) -> np.ndarray:
     return out
 
 
-def xi_components(xi: GaugeXi, fr: FeudalRule):
-    """(theta, phi, psi, omega) read off a fusion-system gauge: one gather of
-    its vector through the component positions."""
+def _components(xi: GaugeXi, fr: FeudalRule) -> tuple[np.ndarray, ...]:
+    """The components of a fusion-system gauge: theta, one entry per serf pair,
+    and phi, psi and omega, (s, M) arrays with rows at serf positions.  One
+    gather of its vector through the component positions."""
     if xi.rule != fr.rule:
         raise DomainError("gauge and feudal structure live on different rules")
-    s, m = len(fr.serf_ids), len(fr.lord_ids)
+    s = len(fr.serf_ids)
     v = xi.vec[compiled(fr, _component_positions)]
-    theta = dict(zip(product(fr.serf_ids, repeat=2), v[: s * s].tolist()))
-    phi, psi_, omega = (dict(zip(fr.serf_ids, rows)) for rows in v[s * s :].reshape(3, s, m))
-    return theta, phi, psi_, omega
+    return v[: s * s], *v[s * s :].reshape(3, s, -1)
+
+
+def _from_components(fr: FeudalRule, field: Field, comps) -> GaugeXi:
+    """The fusion-system gauge whose components, laid end to end as
+    _components reads them, are comps: one scatter through the positions."""
+    at = compiled(fr, _component_positions)
+    vec = np.zeros(len(at), np.int64)
+    vec[at] = comps
+    return GaugeXi.from_vec(fr.rule, field, vec)
+
+
+def xi_components(xi: GaugeXi, fr: FeudalRule):
+    """(theta, phi, psi, omega) of a fusion-system gauge, theta keyed by the
+    serf pairs and the others by the serfs."""
+    theta, *rest = _components(xi, fr)
+    return dict(zip(product(fr.serf_ids, repeat=2), theta.tolist())), *(dict(zip(fr.serf_ids, c)) for c in rest)
 
 
 def xi_from_components(fr: FeudalRule, field: Field, theta, phi, psi_, omega) -> GaugeXi:
     """The fusion-system gauge with components (theta, phi, psi, omega); the
-    inverse of xi_components, one scatter through the component positions."""
-    at = compiled(fr, _component_positions)
+    inverse of xi_components."""
     vals = [theta[k] for k in product(fr.serf_ids, repeat=2)]
-    vec = np.zeros(len(at), np.int64)
-    vec[at] = np.concatenate([vals, *(c[a] for c in (phi, psi_, omega) for a in fr.serf_ids)])
-    return GaugeXi.from_vec(fr.rule, field, vec)
+    return _from_components(fr, field, np.concatenate([vals, *(c[a] for c in (phi, psi_, omega) for a in fr.serf_ids)]))
 
 
 def psi_gauge(xi: GaugeXi, fr: FeudalRule, ambi: Ambi | None = None) -> GaugeTriple:
@@ -456,23 +470,28 @@ def psi_gauge(xi: GaugeXi, fr: FeudalRule, ambi: Ambi | None = None) -> GaugeTri
     theta constant at each serf pair, phi, and sigma = omega at the unit serf."""
     if ambi is None:
         ambi = Ambi(fr, xi.field)
-    theta, phi, _, omega = xi_components(xi, fr)
+    theta, phi, _, omega = _components(xi, fr)
     lay = _layout_of(fr)
     vec = np.empty(lay.gauge_size, np.int64)
-    vec[lay.theta] = np.reshape(list(theta.values()), lay.theta.shape[:2] + (1,))
-    vec[lay.phi] = list(phi.values())
-    vec[lay.sigma] = omega[fr.rule.unit]
+    vec[lay.theta] = theta.reshape(lay.theta.shape[:2] + (1,))
+    vec[lay.phi] = phi
+    vec[lay.sigma] = omega[fr.serf_group.unit]
     return GaugeTriple.from_vec(ambi, vec)
 
 
 def gauge_xi_from_triple(g: GaugeTriple) -> GaugeXi:
-    """Lift an uberderivation gauge to a fusion-system gauge via the morphism formulas."""
-    A, fr = g.ambi, g.ambi.feudal
-    inv, serfs = fr.serf_inv, fr.serf_ids
-    theta = {k: v[0] for k, v in g.theta.items()}
-    psi_ = {a: A.mul(A.ract(A.bar(g.phi[a]), a), A.ract(g.sigma, a), A.inv(g.sigma)) for a in serfs}
-    omega = {a: A.div(A.mul(A.act(a, g.phi[inv(a)]), A.act(a, g.sigma)), g.theta[(inv(a), a)]) for a in serfs}
-    return xi_from_components(fr, A.field, theta, g.phi, psi_, omega)
+    """Lift an uberderivation gauge to a fusion-system gauge via the morphism
+    formulas, on (s, M) arrays with rows at serf positions: psi(a) =
+    bar(phi(a)) a * sigma a / sigma and omega(a) = a phi(a^-1) * a sigma /
+    theta(a^-1, a)."""
+    A, fr, lay = g.ambi, g.ambi.feudal, _layout_of(g.ambi)
+    theta, phi, sigma, p = g.vec[lay.theta], g.vec[lay.phi], g.vec[lay.sigma], A.field.p
+    e, inv = fr.serf_group.unit, fr.serf_group.inv
+    right, left = fr.act_table[e], fr.act_table[:, e]  # row a: a acting on the right, on the left
+    psi_ = np.take_along_axis(phi[:, fr.bar_perm], right, axis=1) * sigma[right] % p * A.inv(sigma) % p
+    omega = np.take_along_axis(phi[inv], left, axis=1) * sigma[left] % p * A.inv(theta[inv, np.arange(len(inv))]) % p
+    comps = [theta[..., 0].ravel(), phi.ravel(), psi_.ravel(), omega.ravel()]
+    return _from_components(fr, A.field, np.concatenate(comps))
 
 
 # ---- normal systems and reconstruction --------------------------------------------
@@ -485,22 +504,20 @@ def is_normal(f: FusionSystem, fr: FeudalRule | None = None) -> bool:
 def normalize(f: FusionSystem, fr: FeudalRule | None = None) -> tuple[FusionSystem, GaugeXi]:
     """A normal system gauge equivalent to f, with the witnessing gauge."""
     fr = _feudal_of(f, fr)
-    return _normalize(f, fr, Ambi(fr, f.field), _unit_columns(f, fr))
+    return _normalize(f, fr, Ambi(fr, f.field), _unit_columns(f.vec, fr))
 
 
 def _normalize(f: FusionSystem, fr: FeudalRule, A: Ambi, units: np.ndarray) -> tuple[FusionSystem, GaugeXi]:
-    """normalize, given the Ambi of fr and the _unit_columns of f."""
-    from .systems import apply_gauge
-
+    """normalize, given the Ambi of fr and the _unit_columns of f: the gauge
+    is 1 at theta and phi, psi(a) = beta2(a, e) a and omega(a) = 1 /
+    beta1(a^-1, e), written as one component vector."""
     beta1, beta2 = units
-    inv, serfs, at = fr.serf_inv, fr.serf_ids, A._serf_at
-    theta = {(a, b): 1 for a in serfs for b in serfs}
-    phi = {a: A.one() for a in serfs}
-    omega = {a: A.inv(beta1[at[inv(a)]]) for a in serfs}
-    psi_ = {a: A.ract(beta2[at[a]], a) for a in serfs}
-    xi = xi_from_components(fr, f.field, theta, phi, psi_, omega)
+    s, m = beta1.shape
+    psi_ = np.take_along_axis(beta2, fr.act_table[fr.serf_group.unit], axis=1)
+    omega = A.inv(beta1[fr.serf_group.inv])
+    xi = _from_components(fr, f.field, np.concatenate([np.ones(s * (s + m), np.int64), psi_.ravel(), omega.ravel()]))
     out = apply_gauge(f, xi)
-    if (_unit_columns(out, fr) != 1).any():
+    if (_unit_columns(out.vec, fr) != 1).any():
         raise ValidationError("normalization failed to produce a normal system")
     return out, xi
 

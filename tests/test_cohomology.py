@@ -158,6 +158,28 @@ def test_cochain_keys_become_int_tuples_and_must_be_total(f17):
             Cochain(g, 2, values, mod)
 
 
+def test_cochain_names_its_first_ragged_or_mis_sized_value(f17, mr):
+    """A value that is not one integer per point of the module, ragged, too
+    long or too short or not an integer, raises a ValidationError naming
+    its key, the first in the caller's order; Moore-Read@17 with length-3
+    values used to raise numpy's reshape error."""
+    keys = list(product(range(4), repeat=2))
+    bx, scalar = Units(f17, Ambi(mr, f17)), Units(f17)
+    cases = [
+        (bx, dict.fromkeys(keys, [1, 2, 3]), keys[0]),
+        (bx, {k: [[1, 2], [3]] if k == keys[5] else [1, 2] for k in keys}, keys[5]),
+        (bx, {k: [1] if k in keys[3:] else [1, 2] for k in keys}, keys[3]),
+        (bx, {k: 4 if k == keys[7] else [1, 2] for k in keys}, keys[7]),
+        (bx, {k: [1, None] if k == keys[9] else [1, 2] for k in keys}, keys[9]),
+        (scalar, {k: [1, 2] if k == keys[4] else 3 for k in keys}, keys[4]),
+        (scalar, {k: 2**70 if k == keys[6] else 3 for k in keys}, keys[6]),
+    ]
+    for module, values, bad in cases:
+        want = "one integer" if module is scalar else "2 integers"
+        with pytest.raises(ValidationError, match=rf"^cochain value at \({bad[0]}, {bad[1]}\) must be {want}$"):
+            Cochain(mr.serf_group, 2, values, module)
+
+
 def test_trivial_cochain_has_trivial_coboundary(f17):
     h = trivial_cochain(cyclic(3), 2, f17)
     d = coboundary(h, "left")
@@ -408,6 +430,16 @@ def test_cocycle_system_round_trip(f17):
         assert verify_fusion_system(f).passed
         back = fusion_system_to_cocycle(f)
         assert back.eq(c)
+
+
+def test_cocycle_on_another_group_is_refused(f17):
+    """A cocycle passed with a group other than its own raises DomainError:
+    an H^3(Z2xZ2) representative passed with Z4 used to give a system that
+    fails verification, and an H^3(Z2) one a bare IndexError."""
+    for g in (klein_four(), cyclic(2)):
+        for c in h3(g, f17).representatives[-2:]:
+            with pytest.raises(DomainError, match="^omega is a cochain on a different group$"):
+                cocycle_to_fusion_system(cyclic(4), c, f17)
 
 
 def test_trivial_cocycle_gives_trivial_system(f5):

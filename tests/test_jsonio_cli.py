@@ -518,22 +518,33 @@ def test_cli_fuzzed_documents_never_trace_back(fuzz_documents, data):
 
 
 def test_cli_seeded_fuzz_of_the_pentagon_commands(tmp_path):
-    """A seeded guard over the commands that run the pentagon kernel: 300
-    copies of a Moore-Read@17 class (uber reconstruct) and of its system
-    (fsys verify), each with one value replaced, one key deleted or one key
-    renamed at a random depth, give exit code 0, 1 or 2, one stderr line on
-    failure and no traceback."""
+    """A seeded guard over the commands that run the pentagon kernel or the
+    feudal dictionary: 150 copies each of a Moore-Read@17 class (uber
+    reconstruct), of its system (fsys verify, uber psi), of the Moore-Read
+    rule (rule analyze, uber classify) and of its hom datum (feudal phi),
+    each with one value replaced, one key deleted or one key renamed at a
+    random depth, give exit code 0, 1 or 2, one stderr line on failure and
+    no traceback."""
     import random
 
     from fusionkit import Field
 
     rng = random.Random(23)
-    u = enumerate_uber(Ambi(moore_read(), Field(17)), with_orbits=False).class_reps[1]
-    docs = [(["uber", "reconstruct"], uber_to_dict(u)), (["fsys", "verify"], system_to_dict(reconstruct(u)))]
+    mr = moore_read()
+    u = enumerate_uber(Ambi(mr, Field(17)), with_orbits=False).class_reps[1]
+    system, rule = system_to_dict(reconstruct(u)), rule_to_dict(mr.rule)
+    docs = [
+        (["uber", "reconstruct"], uber_to_dict(u)),
+        (["fsys", "verify"], system),
+        (["rule", "analyze"], rule),
+        (["uber", "classify", "--p", "17", "--rule"], rule),
+        (["uber", "psi"], system),
+        (["feudal", "phi"], hom_datum_to_dict(gamma(mr))),
+    ]
     path = tmp_path / "doc.json"
     codes = {0: 0, 1: 0, 2: 0}
-    for trial in range(300):
-        argv, doc = docs[trial % 2]
+    for trial in range(150 * len(docs)):
+        argv, doc = docs[trial % len(docs)]
         doc = copy.deepcopy(doc)
         node = doc
         while True:

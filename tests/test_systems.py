@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from fusionkit import (
+    Ambi,
     Field,
     FusionSystem,
     admissible_sextuples,
     apply_gauge,
     cyclic,
     enumerate_fusion_systems_bruteforce,
+    enumerate_uber,
     group_rule,
     identity_gauge,
     klein_four,
@@ -984,6 +986,16 @@ def test_bruteforce_ty2_normal_slice(f17, ty2):
     assert len(sols) == 32  # chi(g,g) forced, 16 free ups values, tau = +-3
     for f in sols[:4]:
         assert verify_fusion_system(f).passed
+
+
+@pytest.mark.parametrize("name, p", [("Moore-Read", 3), ("TY(Z3)", 7)])
+def test_bruteforce_and_uber_find_no_system(name, p, mr, ty3):
+    """Moore-Read@3 and TY(Z3)@7 carry no fusion system: the brute force,
+    which branches first on the slots most live pentagon instances read, and
+    enumerate_uber both find none."""
+    fr = {"Moore-Read": mr, "TY(Z3)": ty3}[name]
+    assert enumerate_fusion_systems_bruteforce(fr.rule, Field(p), budget_bits=300) == []
+    assert enumerate_uber(Ambi(fr, Field(p))).gauge_classes == 0
 
 
 # The brute-force enumerator as it stood with its own scalar pentagon

@@ -720,6 +720,31 @@ def test_gauge_components_match_reference(gauge_rules):
         xi_components(random_gauge(other, F, rng), fr)
 
 
+def _reference_gauge_xi_from_triple(g: GaugeTriple) -> GaugeXi:
+    """gauge_xi_from_triple as it stood: the morphism formulas per serf, in B."""
+    A, fr = g.ambi, g.ambi.feudal
+    inv, serfs = fr.serf_inv, fr.serf_ids
+    theta = {k: v[0] for k, v in g.theta.items()}
+    psi_ = {a: A.mul(A.ract(A.bar(g.phi[a]), a), A.ract(g.sigma, a), A.inv(g.sigma)) for a in serfs}
+    omega = {a: A.div(A.mul(A.act(a, g.phi[inv(a)]), A.act(a, g.sigma)), g.theta[(inv(a), a)]) for a in serfs}
+    return _reference_xi_from_components(fr, A.field, theta, g.phi, psi_, omega)
+
+
+def test_gauge_xi_from_triple_matches_reference(gauge_rules):
+    """The lift of a triple gauge, on arrays, equals the per-serf formulas on
+    every rule under seeded random gauge triples, and psi_gauge reads the
+    triple gauge back."""
+    from fusionkit.uber import gauge_xi_from_triple, psi_gauge
+
+    rng = random.Random(37)
+    for A in gauge_rules:
+        for _ in range(3):
+            g = _random_gauge_triple(A, rng)
+            xi = gauge_xi_from_triple(g)
+            assert _same_array(xi.vec, _reference_gauge_xi_from_triple(g).vec)
+            assert _same_array(psi_gauge(xi, A.feudal, A).vec, g.vec)
+
+
 def test_gauge_triple_names_its_first_bad_entry(f17, mr, ty2):
     """A gauge keyed other than by the serf pairs (theta) or the serfs (phi),
     or with an entry that is not one residue per lord, raises a
@@ -1315,6 +1340,36 @@ def _same_decomposition(got, want):
     return True
 
 
+def test_decomposition_is_its_slot_vector(f17, mr):
+    """A Decomposition holds its FeudalRule and the system itself, whose
+    field and read-only slot vector it reads, and no table until a view is
+    read; the eight views are read-only, no attribute can be rebound, copy,
+    deepcopy and pickle go through from_vec, and the dict constructor
+    scatters the views back to the same vector."""
+    u = mr_uber(f17, mr)
+    f = apply_gauge(reconstruct(u), random_gauge(mr.rule, f17, random.Random(7)))
+    dec = decompose(f, mr)
+    assert set(vars(dec)) == {"feudal", "system"} and dec.system is f and assemble(dec) is f
+    assert dec.field == f17 and dec.vec is f.vec and not dec.vec.flags.writeable
+    e = mr.rule.unit
+    with pytest.raises(TypeError):
+        dec.alpha[(e, e, e)] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        dec.gamma[(e, e)][0] = 1
+    for name in ("vec", "alpha", "feudal", "system"):
+        with pytest.raises(AttributeError, match="^Decomposition is read-only"):
+            setattr(dec, name, None)
+    views = [getattr(dec, name) for name in _shape_slots(mr)]
+    assert _same_decomposition(Decomposition(mr, f17, *views), dec)
+    assert _same_array(assemble(Decomposition(mr, f17, *views)).vec, f.vec)
+    assert dec.is_normal() is False and decompose(reconstruct(u), mr).is_normal() is True
+    for back in (copy.copy(dec), copy.deepcopy(dec), pickle.loads(pickle.dumps(dec))):
+        assert type(back) is Decomposition and back.feudal.key == mr.key and back.field == f17
+        assert _same_array(back.vec, dec.vec) and not back.vec.flags.writeable
+        assert list(back.alpha.items()) == list(dec.alpha.items())
+        assert all(_same_array(back.beta3[k], v) for k, v in dec.beta3.items())
+
+
 def _dictionary_systems(A, rng):
     """Up to two reconstructed class representatives, a random gauge of each,
     and a table of random nonzero coefficients (not a fusion system, but
@@ -1422,7 +1477,8 @@ def test_dictionary_without_a_feudal_rule_matches_with_one(gauge_rules):
         for f in systems:
             dec = decompose(f)
             assert dec.feudal.serfs == fr.serfs
-            assert _same_decomposition(dataclasses.replace(dec, feudal=fr), decompose(f, fr))
+            views = (getattr(dec, name) for name in _shape_slots(fr))
+            assert _same_decomposition(Decomposition(fr, dec.field, *views), decompose(f, fr))
             assert is_normal(f) == is_normal(f, fr)
         for f in systems[:-1]:  # the random table is no fusion system
             (g, xi), (g_fr, xi_fr) = normalize(f), normalize(f, fr)
