@@ -83,14 +83,17 @@ class FeudalRule:
         self.serfs = frozenset(serfs)
         self.lords = frozenset(range(rule.n)) - self.serfs
         self.grading_count = grading_count
-        self.serf_ids = tuple(sorted(self.serfs))
-        self.lord_ids = tuple(sorted(self.lords))
         self._validate()
 
     def _validate(self):
         r = self.rule
         if not self.serfs.issubset(range(r.n)):
             raise ValidationError("serfs must be elements of the carrier")
+        inexact = [x for x in self.serfs if not isinstance(x, (int, np.integer))]
+        if inexact:  # 0.0 is in range(n), but indexes nothing
+            raise ValidationError(f"serfs must be integer ids, got {min(inexact)!r}")
+        self.serf_ids = tuple(sorted(self.serfs))  # sortable now: no label strings
+        self.lord_ids = tuple(sorted(self.lords))
         if not self.lords:
             raise ValidationError("a feudal rule needs at least one lord")
         if not r.is_multiplicity_free:

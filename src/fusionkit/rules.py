@@ -426,6 +426,8 @@ def universal_grading(rule: FusionRule) -> GradingReport:
 def is_grading(rule: FusionRule, projection, group: FiniteGroup) -> bool:
     """Surjective homomorphism from the underlying multimagma onto the group."""
     proj = np.asarray(projection, dtype=np.int64)
+    if proj.shape != (rule.n,):
+        raise DomainError(f"projection must hold one class per element, shape ({rule.n},), got {proj.shape}")
     if set(proj.tolist()) != set(range(len(group))):
         return False
     target = group.table[proj[:, None], proj]  # (n, n): required class of every product
@@ -448,7 +450,7 @@ def simple_currents(rule: FusionRule) -> tuple[frozenset[int], int]:
 
 def group_from_members(rule: FusionRule, members) -> FiniteGroup:
     """The member set as a group, when fusion restricted to it is single-valued."""
-    ids = sorted(members)
+    ids = sorted(_member_ids(rule, members).tolist())
     at = np.array(ids, dtype=np.int64)
     rows = rule.table[at[:, None], at]
     inside = rows[:, :, at]
@@ -480,6 +482,8 @@ def rule_isomorphisms(
         raise ResourceError(f"carrier of size {len(a)} exceeds search bound {bound}")
     n = len(a)
     sec = np.zeros((2, n), dtype=np.int64) if sector is None else np.asarray(sector, dtype=np.int64)
+    if sec.shape != (2, n):
+        raise DomainError(f"sector must hold a class per element of both rules, shape (2, {n}), got {sec.shape}")
 
     # cheap invariants to prune candidates: sector, unit, self-dual, sorted row and column
     # sums; row 0 of each stack is a, row 1 is b

@@ -9,9 +9,10 @@ Verification compiles every check for a rule once into index arrays over
 the slot vector: the live pentagon instances (an instance can fail only if r
 is in uz and in wv, since every key it reads is inadmissible otherwise), the
 recoupling blocks, the rigidity blocks and the triangle and unit entries.  A
-system is then checked with gathers: a multiply and segmented sum for the
-pentagon, a nonzero test for each 1x1 block, and one batched inverse mod p
-for the few larger blocks of each size.
+system is then checked with gathers: one pass of products for the pentagon,
+with one cumsum for the instances of several terms, a nonzero test for each
+1x1 block, and one batched inverse mod p for the few larger blocks of each
+size.
 
 Outside the reference evaluators (pentagon_instances and
 pentagon_instance_value), a coefficient is addressed by its slot: its
@@ -208,45 +209,45 @@ def recoupling_matrix(f: FusionSystem, x: int, y: int, z: int, r: int):
 def matrix_inverse_modp(mats: np.ndarray, field: Field) -> list[np.ndarray | None]:
     """The inverses over GF(p) of a (B, k, k) stack of matrices, one Gauss-Jordan
     elimination for the whole stack: a list with each member's (k, k) int64
-    inverse, or None where it is singular.
+    inverse, or None where it is singular.  Any other shape is a DomainError.
 
     The elimination is fraction-free, one rank-1 update of every [A | I] per
     column: each row r != j becomes d r - r[j] row_j, with d the pivot
     row_j[j], so no pivot is inverted along the way and the left halves end
     diagonal.  Their diagonals are inverted at the end through the field's
-    log and exp tables.  Members that meet a zero pivot are eliminated again
-    with row exchanges (row_j gains the first row below with a nonzero entry
-    in column j), and those whose diagonal still holds a 0 are singular.
+    log and exp tables.  A member whose pivot in column j is 0 first gains
+    the first row below with a nonzero entry in that column, in the same
+    pass; those whose diagonal still holds a 0 are singular.
     """
     p = field.p
-    mats = np.asarray(mats, np.int64) % p
+    mats = np.asarray(mats, np.int64)
+    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
+        raise DomainError(f"expected a (B, k, k) stack of matrices, got shape {mats.shape}")
     k = mats.shape[1]
-    a = _eliminate(mats, p, exchange=False)
-    diag = np.diagonal(a, axis1=1, axis2=2)  # a view, so it follows the redo below
+    a = _eliminate(mats % p, p)
+    diag = np.diagonal(a, axis1=1, axis2=2)
     ok = diag.all(axis=1).tolist()
-    if not all(ok):
-        redo = [i for i, good in enumerate(ok) if not good]
-        a[redo] = _eliminate(mats[redo], p, exchange=True)
-        ok = diag.all(axis=1).tolist()
     inv = a[:, :, k:] * field._exp_table[-field._log_table[diag]][:, :, None] % p  # exp[-log d] = 1/d
     return [m if good else None for m, good in zip(inv, ok)]
 
 
-def _eliminate(mats: np.ndarray, p: int, exchange: bool) -> np.ndarray:
+def _eliminate(mats: np.ndarray, p: int) -> np.ndarray:
     """[D M | M] mod p for each matrix A of the (B, k, k) stack mats, reduced
-    mod p, by the fraction-free Gauss-Jordan of matrix_inverse_modp: M A = D
-    is diagonal, and invertible iff A is and, without exchange, every pivot
-    is nonzero.  Entries stay below p**2, so any p of a Field is exact."""
+    mod p, by the fraction-free Gauss-Jordan of matrix_inverse_modp, with its
+    row additions: M A = D is diagonal, and invertible iff A is.  Entries
+    stay below p**2, so any p of a Field is exact."""
     b, k, _ = mats.shape
     a = np.zeros((b, k, 2 * k), np.int64)
     a[:, :, :k] = mats
     a.reshape(b, 2 * k * k)[:, k :: 2 * k + 1] = 1  # the identity on the right
     off = 1 - np.eye(k, dtype=np.int64)
     for j in range(k):
-        if exchange:
-            below = (a[:, j:, j] != 0).argmax(axis=1) + j
-            a[:, j] = (a[:, j] + (a[:, j, j] == 0)[:, None] * a[np.arange(b), below]) % p
-        a = (a[:, j, j, None, None] * a - (a[:, :, j] * off[j])[:, :, None] * a[:, None, j]) % p
+        pivot = a[:, j, j]  # a view, so it follows the row additions
+        if np.count_nonzero(pivot) < b:  # a 0 pivot: add the first row below nonzero in column j
+            m = np.flatnonzero(pivot == 0)
+            below = (a[m, j:, j] != 0).argmax(axis=1) + j
+            a[m, j] = (a[m, j] + a[m, below]) % p
+        a = (pivot[:, None, None] * a - (a[:, :, j] * off[j])[:, :, None] * a[:, None, j]) % p
     return a
 
 
@@ -296,9 +297,11 @@ class _PentagonProgram:
     An instance of pentagon_instances can fail only if r is in uz and in wv:
     otherwise every key on both sides is inadmissible.  On a live instance the
     left side is live iff r is in pq, and the right-side term for s in xy iff
-    v is in sz and u is in ws.  Live instances and terms keep instance order,
-    and a live instance with no live term gets one term of 0 slots, so that
-    the terms of every live instance start at its entry of starts.
+    v is in sz and u is in ws.  Live instances and terms keep instance order.
+    Each live instance's first term is a column of first, aligned with lhs
+    (0 slots where it has no live term); its other terms are columns of
+    extra, in order, and the instances that have any are owners, each with
+    the position in extra of its last one at ends.
 
     The recoupling blocks (x,y,z,r) are the nonempty matrices of
     recoupling_matrix, in the order verify_fusion_system reports them.  A
@@ -307,14 +310,17 @@ class _PentagonProgram:
     (B,k,k) slot stack, inverted by one matrix_inverse_modp call.
 
     Every slot index is intp, so a gather converts nothing, and the factors
-    of the products are contiguous rows: lhs[i] and terms[i] are the slots of
-    the i-th factor of every left side and right-side term.
+    of the products are contiguous rows: lhs[i], first[i] and extra[i] are
+    the slots of the i-th factor of every left side and right-side term.
     """
 
     total: int  # len(pentagon_instances(rule))
     lhs: np.ndarray  # (2, live) intp: slots of (w,x,q,p,r,v) and (p,y,z,u,r,q), or 0 slots
-    terms: np.ndarray  # (3, terms) intp: slots of (x,y,z,s,v,q), (w,s,z,u,r,v), (w,x,y,p,u,s)
-    starts: np.ndarray  # (live,) intp: first term of each live instance
+    # right-side terms, as slots of (x,y,z,s,v,q), (w,s,z,u,r,v) and (w,x,y,p,u,s)
+    first: np.ndarray  # (3, live) intp: the first term of each live instance, or 0 slots
+    extra: np.ndarray  # (3, E) intp: the other terms, in instance order
+    owners: np.ndarray  # intp, ascending: the live instances with a column in extra
+    ends: np.ndarray  # intp: the position in extra of each owner's last term
     witnesses: np.ndarray  # (live, 9) int16: (w,x,y,z,p,u,r,v,q)
     blocks: np.ndarray  # (blocks, 4) int16: (x,y,z,r)
     nonsquare: np.ndarray  # intp: positions of the non-square blocks
@@ -336,12 +342,17 @@ class _PentagonProgram:
 
     def failures(self, c: np.ndarray, p: int) -> np.ndarray:
         """Positions of the live instances whose two sides differ mod p on the
-        coefficient vector c (entries in [0, p)): each three-factor term is
-        reduced once, exact since p**3 < 2**63 for every p up to
-        fields.MAX_MODULUS, and so is each left side minus its sum of terms."""
-        (a, b), (x, y, z) = self.lhs, self.terms
-        rhs = np.add.reduceat(_mod(c[x] * c[y] * c[z], p), self.starts)
-        return np.flatnonzero(_mod(c[a] * c[b] - rhs, p))
+        coefficient vector c (entries in [0, p)), in one pass: d, each left
+        side minus its first term; the owners' d minus their sums of reduced
+        extra terms, read off one cumsum; then one reduction of every d.
+        Exact, since |d| < p**3 <= fields.MAX_MODULUS**3 < 2**63 and an
+        extra sum is below E p."""
+        (a, b), (x, y, z) = self.lhs, self.first
+        d = c[a] * c[b] - c[x] * c[y] * c[z]
+        x, y, z = self.extra
+        sums = np.cumsum(_mod(c[x] * c[y] * c[z], p))[self.ends]
+        d[self.owners] -= np.diff(sums, prepend=0)
+        return np.flatnonzero(_mod(d, p))
 
     def singular(self, c: np.ndarray, inverses: list) -> np.ndarray:
         """Positions, ascending, of the blocks that are not invertible mod p, given
@@ -398,7 +409,8 @@ def _expand(table: np.ndarray, cols, a, b):
 
 
 def _pentagon_walk(rule: FusionRule, slots) -> tuple:
-    """(total, lhs, terms, starts, witnesses) of the rule's _PentagonProgram.
+    """(total, lhs, first, extra, owners, ends, witnesses) of the rule's
+    _PentagonProgram.
 
     The loops of pentagon_instances over w, x, y, z, p, q, u and v are
     successive expansions of index arrays, and r and s are the nonzero
@@ -418,17 +430,16 @@ def _pentagon_walk(rule: FusionRule, slots) -> tuple:
     w, x, y, z, p, q, u, v = (col[i] for col in (w, x, y, z, p, q, u, v))
     lhs = np.stack([slots(w, x, q, p, r, v), slots(p, y, z, u, r, q)])
     witnesses = np.stack([w, x, y, z, p, u, r.astype(np.short), v, q], axis=1)
+    first = np.full((3, len(r)), zero, np.intp)
     i, s = np.nonzero(table[x, y] & table[:, z, v].T & table[w, :, u])  # their live terms
-    empty = np.bincount(i, minlength=len(r)) == 0  # such an instance gets one 0 term
-    before = np.cumsum(empty) - empty  # 0 terms ahead of each instance
-    starts = np.searchsorted(i, np.arange(len(r))) + before
-    terms = np.full((3, len(i) + empty.sum()), zero, np.intp)
-    at = np.arange(len(i)) + before[i]
     w, x, y, z, p, q, u, v, r = (col[i] for col in (w, x, y, z, p, q, u, v, r))
-    terms[0, at] = slots(x, y, z, s, v, q)
-    terms[1, at] = slots(w, s, z, u, r, v)
-    terms[2, at] = slots(w, x, y, p, u, s)
-    return total, lhs, terms, starts, witnesses
+    terms = np.stack([slots(x, y, z, s, v, q), slots(w, s, z, u, r, v), slots(w, x, y, p, u, s)])
+    head = np.diff(i, prepend=-1) != 0  # the first term of its instance
+    first[:, i[head]] = terms[:, head]
+    owned = i[~head]
+    last = np.diff(owned, append=-1) != 0  # the last extra term of its instance
+    extra = np.ascontiguousarray(terms[:, ~head])
+    return total, lhs, first, extra, owned[last], np.flatnonzero(last), witnesses
 
 
 def _pentagon_program(rule: FusionRule) -> _PentagonProgram:
@@ -437,15 +448,15 @@ def _pentagon_program(rule: FusionRule) -> _PentagonProgram:
     slots = _slot_lookup(rule)
     n, e = rule.n, rule.unit
     table = rule.table > 0
-    total, lhs, terms, starts, witnesses = _pentagon_walk(rule, slots)
+    total, lhs, first, extra, owners, ends, witnesses = _pentagon_walk(rule, slots)
 
     # the blocks (x,y,z,r): under each (x,y,z), each r in uz for a u in xy, in
     # first-seen order, that has a v in yz with r in xv
     x, y, z = np.indices((n,) * 3, np.short).reshape(3, -1)
     (x, y, z), u = _expand(table, (x, y, z), x, y)
     (x, y, z), r = _expand(table, (x, y, z), u, z)
-    first = np.sort(np.unique(np.ravel_multi_index((x, y, z, r), (n,) * 4), return_index=True)[1])
-    x, y, z, r = x[first], y[first], z[first], r[first]
+    seen = np.sort(np.unique(np.ravel_multi_index((x, y, z, r), (n,) * 4), return_index=True)[1])
+    x, y, z, r = x[seen], y[seen], z[seen], r[seen]
     us, vs = table[x, y] & table[:, z, r].T, table[y, z] & table[x, :, r]  # the columns u and rows v
     live = vs.any(axis=1)
     x, y, z, r, us, vs = (a[live] for a in (x, y, z, r, us, vs))
@@ -481,8 +492,10 @@ def _pentagon_program(rule: FusionRule) -> _PentagonProgram:
     return _PentagonProgram(
         total=total,
         lhs=lhs,
-        terms=terms,
-        starts=starts,
+        first=first,
+        extra=extra,
+        owners=owners,
+        ends=ends,
         witnesses=witnesses,
         blocks=blocks,
         nonsquare=np.flatnonzero(~square),
@@ -530,8 +543,8 @@ class SystemReport:
 
 
 def verify_fusion_system(f: FusionSystem, witness_cap: int = 16) -> SystemReport:
-    if witness_cap < 0:
-        raise DomainError(f"witness_cap must be nonnegative, got {witness_cap}")
+    if isinstance(witness_cap, bool) or not isinstance(witness_cap, (int, np.integer)) or witness_cap < 0:
+        raise DomainError(f"witness_cap must be a nonnegative integer, got {witness_cap!r}")
     prog = compiled(f.rule, _pentagon_program)
     p = f.field.p
     c = np.append(f.vec, 0)
@@ -678,9 +691,9 @@ def enumerate_fusion_systems_bruteforce(
 
     # the live instances: their lhs pair, their term triples and every slot they read
     prog = compiled(rule, _pentagon_program)
-    lhs, triples = prog.lhs.T.tolist(), prog.terms.T.tolist()
-    bounds = [*prog.starts.tolist(), len(triples)]
-    terms = [triples[a:b] for a, b in zip(bounds, bounds[1:])]
+    lhs, terms = prog.lhs.T.tolist(), [[t] for t in prog.first.T.tolist()]
+    for i, t in zip(np.repeat(prog.owners, np.diff(prog.ends, prepend=-1)).tolist(), prog.extra.T.tolist()):
+        terms[i].append(t)
     reads = [pair + [k for t in ts for k in t] for pair, ts in zip(lhs, terms)]
     incidence: list[list[int]] = [[] for _ in val]
     for i, slots in enumerate(reads):

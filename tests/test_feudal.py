@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from itertools import product
 
 import numpy as np
@@ -430,6 +431,18 @@ def test_feudal_validation_matches_reference(phi_rules_8):
             seen[want] = seen.get(want, 0) + 1
     # every check is reached but "lords do not fuse into serfs", which the Z2 grading check subsumes
     assert len(seen) == 8 and "lords do not fuse into serfs" not in seen, seen
+
+
+def test_serfs_that_are_not_integer_ids_are_validation_errors(ty2):
+    """A float serf lies in range(n) but indexes nothing: a ValidationError
+    naming the field, not a bare IndexError; a label mixed with ids is not an
+    element of the carrier, not a bare TypeError from sorting."""
+    for serfs, bad in (([0.0, 1.0], "0.0"), ([0, 1.0], "1.0"), ([1, 0.0], "0.0")):
+        with pytest.raises(ValidationError, match=f"^serfs must be integer ids, got {re.escape(bad)}$"):
+            FeudalRule(ty2.rule, serfs)
+    with pytest.raises(ValidationError, match="^serfs must be elements of the carrier$"):
+        FeudalRule(ty2.rule, ["1", 0])
+    assert FeudalRule(ty2.rule, [np.int64(0), 1]).serfs == ty2.serfs
 
 
 def test_ids_outside_the_carrier_are_validation_errors(mr):

@@ -33,6 +33,7 @@ from fusionkit.rules import (
     WITNESS_CAP,
     as_multiset,
     group_from_members,
+    is_grading,
     is_subrule,
     rule_isomorphisms,
 )
@@ -179,12 +180,29 @@ def test_member_ids_outside_the_carrier_raise(mr):
         lambda i: left_cosets(r, [i]),
         lambda i: fuse_multisets(r, [0], [i]),
         lambda i: is_subrule(r, [i]),
+        lambda i: group_from_members(r, [0, i]),
     ]
     for bad in (-1, r.n):
         for call in entry_points:
             with pytest.raises(DomainError, match=f"^member id {bad} is outside the carrier 0..5$"):
                 call(bad)
     assert (as_multiset(r, r.n - 1) == np.eye(r.n, dtype=np.int64)[-1]).all()
+
+
+def test_misshapen_projections_and_sectors_name_their_field(ty2):
+    """A projection or a sector of the wrong shape is a DomainError naming it,
+    not a bare ValueError from broadcasting."""
+    r = ty2.rule  # 3 elements
+    with pytest.raises(DomainError, match=r"^projection must hold one class per element, shape \(3,\), got \(2,\)$"):
+        is_grading(r, [0, 1], cyclic(2))
+    with pytest.raises(DomainError, match=r"^projection .* got \(3, 1\)$"):
+        is_grading(r, [[0], [1], [1]], cyclic(2))
+    assert is_grading(r, [0, 0, 1], cyclic(2))
+    with pytest.raises(DomainError, match=r"^sector must hold a class per element of both rules, shape \(2, 3\), got \(2, 2\)$"):
+        rule_isomorphisms(r, r, sector=np.zeros((2, 2)))
+    with pytest.raises(DomainError, match=r"^sector .* got \(3,\)$"):
+        rule_isomorphisms(r, r, sector=[0, 0, 1])
+    assert len(rule_isomorphisms(r, r, sector=[[0, 0, 1], [0, 0, 1]])) == 1
 
 
 def test_labels_and_ids_name_the_same_members(mr):

@@ -1,7 +1,10 @@
 import copy
+import functools
 import pickle
 import random
+import re
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -260,22 +263,51 @@ def _reference_pentagon_program(rule) -> dict:
     }
 
 
+@functools.cache
+def _reference_program(rule) -> SimpleNamespace:
+    """_reference_pentagon_program(rule) with its fields as attributes, built
+    once per rule content."""
+    return SimpleNamespace(**_reference_pentagon_program(rule))
+
+
+def _reference_term_rows(ref) -> dict:
+    """The first, extra, owners and ends rows of _PentagonProgram read off the
+    reference program's terms and starts: each live instance's first term,
+    the others in order, the instances that have others and the position of
+    the last one of each."""
+    bounds = [*ref.starts.tolist(), ref.terms.shape[1]]
+    extra, owners, ends = [], [], []
+    for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        if b - a > 1:
+            extra.extend(range(a + 1, b))
+            owners.append(i)
+            ends.append(len(extra) - 1)
+    return {
+        "first": ref.terms[:, ref.starts],
+        "extra": ref.terms[:, np.array(extra, np.intp)],
+        "owners": np.array(owners, np.intp),
+        "ends": np.array(ends, np.intp),
+    }
+
+
 def test_pentagon_program_matches_reference_walks(check_systems, f5, z4_graded):
     """The array walks of _pentagon_program compile the instances, terms,
     witnesses and blocks of the loops, in their order, as contiguous intp
     slot rows, on associative rules of order 2 to 9 and a non-associative
-    one with non-square blocks."""
+    one with non-square blocks and instances without a live term."""
     from fusionkit.systems import _pentagon_program
 
     rules = [f.rule for f in check_systems] + [_nonassociative_system(f5).rule, z4_graded.rule]
     rules.append(group_rule(cyclic(2)))
     for rule in rules:
-        prog, want = _pentagon_program(rule), _reference_pentagon_program(rule)
+        prog, ref = _pentagon_program(rule), _reference_program(rule)
+        want = {**vars(ref), **_reference_term_rows(ref)}
         assert prog.total == want["total"] and len(prog.square) == len(want["square"])
-        for name in ("lhs", "terms", "starts", "witnesses", "blocks", "nonsquare", "single", "single_slots"):
+        names = ("lhs", "first", "extra", "owners", "ends", "witnesses", "blocks", "nonsquare", "single", "single_slots")
+        for name in names:
             got = getattr(prog, name)
             assert got.dtype == want[name].dtype and got.tolist() == want[name].tolist(), name
-        for name in ("lhs", "terms"):
+        for name in ("lhs", "first", "extra"):
             assert getattr(prog, name).flags.c_contiguous
         for (at, slots), (want_at, want_slots) in zip(prog.square, want["square"]):
             assert at.tolist() == want_at and slots.dtype == np.intp and slots.tolist() == want_slots
@@ -298,51 +330,71 @@ def fmax():
     return Field(MAX_MODULUS)
 
 
-def test_pentagon_gather_matches_reference(check_systems, fmax):
-    """One reduction per three-factor term finds the instances of the
-    per-factor reductions: on the accepted, gauged and corrupted systems at
-    p = 17, and at the largest modulus, where a term reaches (p-1)**3, which
-    must stay below 2**63, on random vectors and on a gauged system that
-    passes."""
+def _live_terms(rule) -> np.ndarray:
+    """The number of live right-side terms of each live instance, from the
+    reference program, where an instance without one holds a term of 0 slots."""
+    ref = _reference_program(rule)
+    counts = np.diff([*ref.starts.tolist(), ref.terms.shape[1]])
+    counts[(ref.terms[:, ref.starts] == len(admissible_sextuples(rule))).all(axis=0)] = 0
+    return counts
+
+
+def test_pentagon_gather_matches_reference(check_systems, f17, fmax):
+    """failures finds the instances of the per-factor reductions of
+    _reference_pentagon_failures, and instances with no live term, one and
+    several are all found failing: on the accepted, gauged and corrupted
+    systems at p = 17 of Moore-Read, TY(Z2^3) and the other check systems,
+    of a group rule and of a non-associative rule; and at the largest
+    modulus, where a term reaches (p-1)**3, which must stay below 2**63, on
+    random vectors on each of these rules and on a gauged group system that
+    passes and its corruptions."""
     from fusionkit.systems import _pentagon_program
 
     assert MAX_MODULUS**3 < 2**63
     rng = random.Random(2023)
     nprng = np.random.default_rng(2023)
-    failing = 0
-    for f in check_systems:
-        prog = _pentagon_program(f.rule)
-        gauged = apply_gauge(f, random_gauge(f.rule, f.field, rng))
-        for g in (f, gauged, *_corruptions(gauged, rng)):
-            c = np.append(g.vec, 0)
-            got = prog.failures(c, g.field.p)
-            assert got.tolist() == _reference_pentagon_failures(prog, c, g.field.p).tolist()
-            failing += bool(got.size)
-        p = MAX_MODULUS
-        for top in (p, 3, 2):  # random residues; p-1 and p-2; p-1 alone
-            c = np.append(p - nprng.integers(1, top, size=len(f.vec)), 0)
-            got = prog.failures(c, p)
-            assert got.tolist() == _reference_pentagon_failures(prog, c, p).tolist()
-            failing += bool(got.size)
-    assert failing >= 3 * len(check_systems)
     v4 = group_rule(klein_four())
+    failing, kinds = 0, set()  # kinds: the live-term counts, 2 for several, of the instances found failing
+
+    def check(g) -> bool:
+        nonlocal failing
+        c, p = np.append(g.vec, 0), g.field.p
+        got = _pentagon_program(g.rule).failures(c, p)
+        assert got.tolist() == _reference_pentagon_failures(_reference_program(g.rule), c, p).tolist()
+        failing += bool(got.size)
+        kinds.update(np.minimum(_live_terms(g.rule)[got], 2).tolist())
+        return not got.size
+
+    odd = _nonassociative_system(f17)
+    for f in (*check_systems, trivial_system(v4, f17), odd):
+        gauged = apply_gauge(f, random_gauge(f.rule, f.field, rng))
+        assert check(f) == check(gauged) == (f is not odd)
+        for g in _corruptions(gauged, rng):
+            check(g)
+        for top in (MAX_MODULUS, 3, 2):  # random residues; p-1 and p-2; p-1 alone
+            check(FusionSystem.from_vec(f.rule, fmax, MAX_MODULUS - nprng.integers(1, top, size=len(f.vec))))
+    assert failing >= 3 * len(check_systems)
     g = apply_gauge(trivial_system(v4, fmax), random_gauge(v4, fmax, rng))
     assert verify_fusion_system(g).passed and g.vec.max() > MAX_MODULUS // 2
-    assert not _reference_pentagon_failures(_pentagon_program(v4), np.append(g.vec, 0), MAX_MODULUS).size
+    assert check(g) and not all(map(check, _corruptions(g, rng)))
+    assert kinds == {0, 1, 2}
 
 
 def test_negative_witness_cap_is_rejected(check_systems):
     """A negative witness_cap is a DomainError, not a slice end that drops the
-    last witnesses; cap 0 keeps one pentagon witness and no others."""
+    last witnesses, and so is one that is not an integer, a bool included,
+    not a bare TypeError from a slice or a cap of 1; a numpy integer is a cap
+    like any other, and cap 0 keeps one pentagon witness and no others."""
     f = check_systems[0]  # a Moore-Read class at p = 17
     keys = list(f.coeffs)[:40]  # each one a unit entry (e,x,y,x,r,r) of its own triple
     bad = FusionSystem(f.rule, f.field, {**f.coeffs, **{k: 3 * f.coeffs[k] for k in keys}})
     assert len(verify_fusion_system(bad, witness_cap=10**9).one_top_failures) == 40
     rep = verify_fusion_system(bad)
     assert len(rep.one_top_failures) == 16 and not rep.pentagon_ok
-    for cap in (-1, -16, -(10**9)):
-        with pytest.raises(DomainError, match="witness_cap"):
+    for cap in (-1, -16, -(10**9), 1.5, 2.0, True, False, "3", None):
+        with pytest.raises(DomainError, match=f"^witness_cap must be a nonnegative integer, got {re.escape(repr(cap))}$"):
             verify_fusion_system(bad, witness_cap=cap)
+    assert verify_fusion_system(bad, witness_cap=np.int64(3)) == verify_fusion_system(bad, witness_cap=3)
     rep = verify_fusion_system(bad, witness_cap=0)
     assert len(rep.pentagon_failures) == 1 and not rep.one_top_ok and not rep.one_top_failures
 
@@ -371,14 +423,57 @@ def _reference_matrix_inverse_modp(mat: np.ndarray, p: int) -> np.ndarray | None
     return inv
 
 
-def test_matrix_inverse_matches_reference(fmax):
+def _first_zero_pivot(mat: np.ndarray, p: int) -> int | None:
+    """The first column in which the elimination without row exchanges meets a
+    0 pivot: the order of the first singular leading block, less one."""
+    k = len(mat)
+    return next((j for j in range(k) if _reference_matrix_inverse_modp(mat[: j + 1, : j + 1], p) is None), None)
+
+
+def _invertible_with_first_zero_pivot(rng, k: int, j: int | None, p: int) -> np.ndarray:
+    """A random invertible k x k matrix whose first 0 pivot is in column j, or
+    that has none if j is None: row j's leading j+1 entries are a multiple of
+    row 0's (a multiple of p at (0, 0) for j = 0)."""
+    while True:
+        mat = rng.integers(-3 * p, 3 * p, size=(k, k))
+        if j == 0:
+            mat[0, 0] = p * rng.integers(-2, 3)
+        elif j is not None:
+            mat[j, : j + 1] = mat[0, : j + 1] * rng.integers(1, p) + p * rng.integers(-2, 3, size=j + 1)
+        if _first_zero_pivot(mat, p) == j and _reference_matrix_inverse_modp(mat, p) is not None:
+            return mat
+
+
+def test_matrix_inverse_matches_reference(fmax, monkeypatch):
     """The batched inverse gives the row loop's inverse, or None with it at
     the same position, on stacks of B = 1-9 random and singular k x k
-    matrices, k = 1-8, over five primes and the largest modulus."""
+    matrices, k = 1-8; on one stack per k whose members first meet a 0 pivot
+    in each column j <= k-2 and in none, a stack per k with none, and one
+    member whose first 0 pivot is in a column j >= 1; all over five primes
+    and the largest modulus.  Every call runs one elimination."""
+    from fusionkit import systems
+
+    calls = []
+    eliminate = systems._eliminate
+    monkeypatch.setattr(systems, "_eliminate", lambda mats, p: calls.append(len(mats)) or eliminate(mats, p))
     rng = np.random.default_rng(31)
     singular = exchanged = 0
     for field in (*map(Field, (5, 7, 13, 17, 41)), fmax):
         p = field.p
+        for k in range(2, 9):
+            columns = [*range(k - 1), None]
+            rng.shuffle(columns)
+            stacks = [
+                [_invertible_with_first_zero_pivot(rng, k, j, p) for j in columns],
+                [_invertible_with_first_zero_pivot(rng, k, None, p) for _ in range(3)],
+                [_invertible_with_first_zero_pivot(rng, k, int(rng.integers(1, k - 1)), p)] if k > 2 else [],
+            ]
+            for mats in filter(None, stacks):
+                before = len(calls)
+                got = matrix_inverse_modp(np.array(mats), field)
+                assert calls[before:] == [len(mats)]
+                for mat, inv in zip(mats, got):
+                    assert inv.tolist() == _reference_matrix_inverse_modp(mat, p).tolist()
         for k in range(1, 9):
             for b in range(1, 10):
                 mats = rng.integers(-3 * p, 3 * p, size=(b, k, k))
@@ -387,8 +482,9 @@ def test_matrix_inverse_matches_reference(fmax):
                     mats[m, i] = 0 if i == j else mats[m, j] * rng.integers(p) + p * rng.integers(-2, 3, size=k)
                 if b % 4 == 1:  # a zero first pivot, so the elimination needs a row exchange
                     mats[-1, 0, 0] = p
+                before = len(calls)
                 got = matrix_inverse_modp(mats, field)
-                assert len(got) == b
+                assert len(got) == b and calls[before:] == [b]
                 for mat, inv in zip(mats, got):
                     want = _reference_matrix_inverse_modp(mat, p)
                     assert (inv is None) == (want is None)
@@ -399,6 +495,16 @@ def test_matrix_inverse_matches_reference(fmax):
                     assert inv.dtype == np.int64 and inv.tolist() == want.tolist()
                     assert (mat % p @ inv % p == np.eye(k, dtype=np.int64)).all()
     assert singular >= 6 * 8 * 9 and exchanged >= 6 * 7
+
+
+def test_matrix_inverse_refuses_what_is_not_a_square_stack(f17):
+    """An input that is not a (B, k, k) stack is a DomainError naming its
+    shape, not a bare ValueError from unpacking or broadcasting: a single
+    matrix, a non-square stack, a vector, a scalar and a stack of stacks."""
+    for shape in ((2, 2), (1, 2, 3), (3,), (), (1, 1, 2, 2)):
+        with pytest.raises(DomainError, match=rf"^expected a \(B, k, k\) stack of matrices, got shape {re.escape(str(shape))}$"):
+            matrix_inverse_modp(np.ones(shape, np.int64), f17)
+    assert matrix_inverse_modp(np.zeros((0, 3, 3), np.int64), f17) == []
 
 
 def _reference_checks(f, witness_cap=16) -> dict:
