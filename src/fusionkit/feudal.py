@@ -20,6 +20,7 @@ from .errors import DomainError, ValidationError
 from .groups import FiniteGroup, cyclic, from_mul, homomorphisms, isomorphisms, standard_catalog, CATALOG_COMPLETE_THROUGH
 from .rules import (
     FusionRule,
+    compiled,
     group_from_members,
     is_grading,
     nilpotency_class,
@@ -42,11 +43,13 @@ class HomDatum:
     mapping: np.ndarray
 
     def __post_init__(self):
-        self.mapping = np.array(self.mapping, dtype=np.int64)  # a copy: the caller's array stays theirs
-        self.mapping.setflags(write=False)
-        S, G, u = self.source, self.target, self.mapping
-        if self.mapping.shape != (len(S),):
+        S, G, u = self.source, self.target, np.array(self.mapping)  # a copy: the caller's array stays theirs
+        if u.shape != (len(S),):
             raise ValidationError("mapping must be total on the source")
+        if u.dtype.kind not in "iu":  # a cast would truncate 2.7 to 2
+            raise ValidationError(f"mapping must hold integer ids, got dtype {u.dtype}")
+        self.mapping = u = u.astype(np.int64, copy=False)
+        u.setflags(write=False)
         im = self.image_ids  # sorted
         if im[0] < 0 or im[-1] >= len(G):
             raise ValidationError("mapping must take values in the target")
@@ -76,36 +79,41 @@ class FeudalRule:
 
     serf_group's element i is serf_ids[i].  The serf actions on the lords are
     the gathers act_table and bar_perm, read-only and built on first use, so
-    a FeudalRule that is only validated or compared never builds them."""
+    a FeudalRule that is only validated or compared never builds them.
+
+    The split is checked once per content: the checked ids and serf group are
+    kept in the compiled store, and an equal FeudalRule made apart shares
+    them."""
 
     def __init__(self, rule: FusionRule, serfs, grading_count: int = 1):
         self.rule = rule
         self.serfs = frozenset(serfs)
         self.lords = frozenset(range(rule.n)) - self.serfs
         self.grading_count = grading_count
-        self._validate()
-
-    def _validate(self):
-        r = self.rule
-        if not self.serfs.issubset(range(r.n)):
+        if not self.serfs.issubset(range(rule.n)):
             raise ValidationError("serfs must be elements of the carrier")
         inexact = [x for x in self.serfs if not isinstance(x, (int, np.integer))]
         if inexact:  # 0.0 is in range(n), but indexes nothing
             raise ValidationError(f"serfs must be integer ids, got {min(inexact)!r}")
-        self.serf_ids = tuple(sorted(self.serfs))  # sortable now: no label strings
-        self.lord_ids = tuple(sorted(self.lords))
+        self.serf_ids, self.lord_ids, self.serf_group = compiled(self, FeudalRule._validate)
+
+    def _validate(self) -> tuple[tuple[int, ...], tuple[int, ...], FiniteGroup]:
+        """The sorted serf and lord ids and the serf group, once the split is
+        checked to be feudal; the serfs are integer ids in the carrier."""
+        r = self.rule
+        serf_ids, lord_ids = tuple(sorted(map(int, self.serfs))), tuple(sorted(self.lords))
         if not self.lords:
             raise ValidationError("a feudal rule needs at least one lord")
         if not r.is_multiplicity_free:
             raise ValidationError("feudal rules are multiplicity-free")
         is_lord = np.ones(r.n, dtype=np.int64)
-        is_lord[list(self.serf_ids)] = 0
+        is_lord[list(serf_ids)] = 0
         if not is_grading(r, is_lord, _Z2):
             raise ValidationError("serf/lord split is not a Z2 grading")
-        self.serf_group = group_from_members(r, self.serfs)  # serfs must fuse as a group
+        serf_group = group_from_members(r, serf_ids)  # serfs must fuse as a group
         # serf actions on lords, both sides in one gather: act[0, a, j, k] = <a.m_j, m_k> and
         # act[1, a, j, k] = <m_j.a, m_k>; the Z2 grading has kept serfs out of these products
-        serfs, lords = np.array(self.serf_ids), np.array(self.lord_ids)
+        serfs, lords = np.array(serf_ids), np.array(lord_ids)
         pair = np.empty((2, len(serfs), len(lords), 1), dtype=np.int64)
         pair[0], pair[1] = serfs[:, None, None], lords[:, None]
         act = r.table[pair, pair[::-1], lords]
@@ -124,6 +132,7 @@ class FeudalRule:
         coset = r.table[ad[:, None, None], prods.argmax(axis=2)].any(axis=0)
         if prods.tobytes() != coset.tobytes():
             raise ValidationError("lord products are not adjoint cosets")
+        return serf_ids, lord_ids, serf_group
 
     # ---- derived structure -------------------------------------------------
 

@@ -79,7 +79,11 @@ class FusionRule:
 
     @cached_property
     def key(self) -> bytes:
-        return repr((self.labels, self.unit, self.dual.tolist(), self.table.tolist())).encode()
+        """The content key: equal exactly when labels, unit, dual and table are.
+        The repr of (labels, unit) ends at its closing parenthesis, and the
+        labels fix n, so the int64 bytes of dual and table that follow have one
+        length for every rule with these labels."""
+        return repr((self.labels, self.unit)).encode() + self.dual.tobytes() + self.table.tobytes()
 
     def __eq__(self, other):
         return isinstance(other, FusionRule) and self.key == other.key
@@ -127,10 +131,10 @@ class FusionRule:
         return FusionRule([self.labels[g] for g in ids], sub, pos[self.unit], dual)
 
 
-# every table compiled from a rule, a FeudalRule or an Ambi, by (build, owner.key),
-# the least recently used first
+# every table compiled from a rule, a FeudalRule or an Ambi, and every passing check,
+# by (build, owner.key), the least recently used first
 _COMPILED_CACHE: dict[tuple, object] = {}
-COMPILED_LIMIT = 64  # tables the store keeps; a benchmark process holds at most 22
+COMPILED_LIMIT = 64  # tables the store keeps; the feudal round trips cycle through it, two per datum
 
 
 def compiled(owner, build):
@@ -138,7 +142,8 @@ def compiled(owner, build):
     FusionRule, FeudalRule or Ambi), so equal owners made apart share it.
     No value refers to its owner, so the store keeps no rule alive; past
     COMPILED_LIMIT tables it drops the least recently used, which its next
-    use builds again."""
+    use builds again.  A build that raises stores nothing, so a check kept
+    here as a build runs in full on every owner that fails it."""
     key = (build, owner.key)
     try:
         table = _COMPILED_CACHE.pop(key)
@@ -150,9 +155,21 @@ def compiled(owner, build):
     return table
 
 
+def _integer_array(arr: np.ndarray, what: str) -> np.ndarray:
+    """arr as a new int64 array; a float, bool or object dtype, which a cast
+    would truncate or coerce, is refused naming what."""
+    if arr.dtype.kind not in "iu":
+        raise DomainError(f"{what} must hold integers, got dtype {arr.dtype}")
+    return arr.astype(np.int64)
+
+
 def _member_ids(rule: FusionRule, members) -> np.ndarray:
-    """Labels or ids as an id array, every id checked to lie in the carrier."""
-    ids = np.array([rule.index(x) if isinstance(x, str) else int(x) for x in members], dtype=np.int64)
+    """Labels or ids as an id array, every id checked to be an integer in the carrier."""
+    ids = [rule.index(x) if isinstance(x, str) else x for x in members]
+    inexact = [x for x in ids if not isinstance(x, (int, np.integer))]
+    if inexact:  # int() would truncate 0.7 to the id 0
+        raise DomainError(f"member id {inexact[0]!r} is not an integer")
+    ids = np.array(ids, dtype=np.int64)
     bad = ids.view(np.uint64) >= rule.n  # read unsigned, a negative id is at least 2**63
     if bad.any():
         raise DomainError(f"member id {ids[bad.argmax()]} is outside the carrier 0..{rule.n - 1}")
@@ -162,11 +179,10 @@ def _member_ids(rule: FusionRule, members) -> np.ndarray:
 def as_multiset(rule: FusionRule, x) -> np.ndarray:
     """Coerce labels / label->multiplicity dicts / vectors to a count vector."""
     if isinstance(x, np.ndarray):
-        v = x.astype(np.int64)
-        if v.shape != (rule.n,):
+        if x.shape != (rule.n,):
             raise DomainError("multiset vector has wrong length")
-        return v
-    if isinstance(x, (int, np.integer, str)):  # one label or id
+        return _integer_array(x, "multiset vector")
+    if isinstance(x, (str, int, float, np.number)):  # one label or id
         x = [x]
     if not isinstance(x, dict):
         return np.bincount(_member_ids(rule, x), minlength=rule.n)
@@ -273,10 +289,19 @@ def verify_fusion_rule(rule: FusionRule) -> RuleReport:
     )
 
 
-def require_valid(rule: FusionRule) -> FusionRule:
+def _passing(rule: FusionRule) -> bool:
     rep = verify_fusion_rule(rule)
     if not rep.passed:
         raise ValidationError(f"not a fusion rule: {rep.summary()}")
+    return True
+
+
+def require_valid(rule: FusionRule) -> FusionRule:
+    """rule, once it passes every axiom.  The compiled store keeps the passing
+    verdict per content, so an equal rule made apart is not checked again; a
+    failure raises before anything is stored, so every failing rule is
+    checked in full."""
+    compiled(rule, _passing)
     return rule
 
 
@@ -425,9 +450,10 @@ def universal_grading(rule: FusionRule) -> GradingReport:
 
 def is_grading(rule: FusionRule, projection, group: FiniteGroup) -> bool:
     """Surjective homomorphism from the underlying multimagma onto the group."""
-    proj = np.asarray(projection, dtype=np.int64)
+    proj = np.asarray(projection)
     if proj.shape != (rule.n,):
         raise DomainError(f"projection must hold one class per element, shape ({rule.n},), got {proj.shape}")
+    proj = _integer_array(proj, "projection")
     if set(proj.tolist()) != set(range(len(group))):
         return False
     target = group.table[proj[:, None], proj]  # (n, n): required class of every product
@@ -475,16 +501,30 @@ def rule_isomorphisms(
 
     ``sector`` optionally assigns each element of both rules an integer class
     that the bijection must preserve (used for graded isomorphisms).
+
+    The first bijection found between equal rules with equal sectors is the
+    identity: it is returned without a search.  In the search each point's
+    candidates are the points of its profile class in ascending order, and
+    the points of a class are placed in ascending order, so the first branch
+    of every level places x at x, which is consistent when a is b.
     """
     if len(a) != len(b):
         return []
     if len(a) > bound:
         raise ResourceError(f"carrier of size {len(a)} exceeds search bound {bound}")
     n = len(a)
-    sec = np.zeros((2, n), dtype=np.int64) if sector is None else np.asarray(sector, dtype=np.int64)
+    sec = np.zeros((2, n), dtype=np.int64) if sector is None else np.asarray(sector)
     if sec.shape != (2, n):
         raise DomainError(f"sector must hold a class per element of both rules, shape (2, {n}), got {sec.shape}")
+    sec = _integer_array(sec, "sector")
+    if first_only and a.key == b.key and (sec[0] == sec[1]).all():
+        return [np.arange(n, dtype=np.int64)]
+    return _isomorphism_search(a, b, sec, first_only)
 
+
+def _isomorphism_search(a: FusionRule, b: FusionRule, sec: np.ndarray, first_only: bool) -> list[np.ndarray]:
+    """rule_isomorphisms' depth-first search, on checked input."""
+    n = len(a)
     # cheap invariants to prune candidates: sector, unit, self-dual, sorted row and column
     # sums; row 0 of each stack is a, row 1 is b
     ar, sums = np.arange(n), np.stack([a.table, b.table]).sum(axis=3)

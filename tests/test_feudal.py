@@ -25,7 +25,7 @@ from fusionkit import (
 from fusionkit.errors import ValidationError
 from fusionkit.feudal import FeudalRule, HomDatum, enumerate_feudal
 from fusionkit.groups import direct_product, homomorphisms, isomorphisms, standard_catalog
-from fusionkit.rules import group_from_members, is_grading, require_valid
+from fusionkit.rules import group_from_members, is_grading, require_valid, rule_isomorphisms
 
 
 def z2_feudal_gradings(rule: FusionRule) -> list[frozenset[int]]:
@@ -456,6 +456,110 @@ def test_ids_outside_the_carrier_are_validation_errors(mr):
         want = _reference_feudal_check(mr.rule, serfs)
         assert want == "serfs must be elements of the carrier"
         assert _feudal_check(mr.rule, serfs) == want
+
+
+def test_non_integer_mappings_are_validation_errors():
+    """A float or bool mapping is refused naming its dtype, not truncated by
+    the cast: [0.0, 2.7] on Z2 -> Z4 is not the mapping [0, 2].  The shape is
+    checked first, and an integer array of any width is kept as int64."""
+    cases = [([0.0, 2.7], "float64"), ([0.0, 2.0], "float64"), (np.array([0.0, 2.0]), "float64"), ([False, True], "bool")]
+    for mapping, dtype in cases:
+        with pytest.raises(ValidationError, match=f"^mapping must hold integer ids, got dtype {dtype}$"):
+            HomDatum(cyclic(2), cyclic(4), mapping)
+    with pytest.raises(ValidationError, match="^mapping must be total on the source$"):
+        HomDatum(cyclic(2), cyclic(4), [0.5])
+    h = HomDatum(cyclic(2), cyclic(4), np.array([0, 2], dtype=np.int32))
+    assert h.mapping.dtype == np.int64 and h.mapping.tolist() == [0, 2] and not h.mapping.flags.writeable
+
+
+def _counting(monkeypatch, owner, name, calls):
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: calls.append(name) or real(*args))
+
+
+def test_equal_feudal_rules_share_one_check(monkeypatch):
+    """A FeudalRule equal in content to a checked one, its rule and serf set
+    made apart, shares the checked serf group and runs _validate once; its
+    serf ids are ints whatever integer type the serfs were given in.  Another
+    serf set on the same rule is another content, checked again."""
+    from fusionkit import rules
+
+    monkeypatch.setattr(rules, "_COMPILED_CACHE", {})
+    calls = []
+    _counting(monkeypatch, FeudalRule, "_validate", calls)
+    first = moore_read()
+    r = first.rule
+    again = FeudalRule(FusionRule(r.labels, r.table.copy(), r.unit, r.dual.copy()), [np.int64(x) for x in first.serfs])
+    assert calls == ["_validate"]
+    assert again.serf_group is first.serf_group
+    assert again.serf_ids == first.serf_ids and again.lord_ids == first.lord_ids
+    assert all(type(x) is int for x in again.serf_ids)
+    assert _same_feudal(again, first)
+    sub = [x for x in first.serf_ids if x in r.adjoint]  # the serfs {1, -1} leave no Z2 grading
+    with pytest.raises(ValidationError):
+        FeudalRule(r, sub)
+    assert calls == ["_validate"] * 2
+
+
+def test_a_failed_check_is_never_stored(mr, monkeypatch):
+    """A rule one table cell off raises the same ValidationError on every
+    construction, and each construction runs the check in full: a failing
+    verdict is never kept in the compiled store."""
+    from fusionkit import rules
+
+    r = mr.rule
+    m, l = mr.lord_ids[0], mr.lord_ids[-1]
+    z = next(z for z in mr.serf_ids if r.table[m, l, z] == 0)
+    table = r.table.copy()
+    table[m, l, z] = 1
+    bad = FusionRule(r.labels, table, r.unit, r.dual)
+    calls = []
+    _counting(monkeypatch, FeudalRule, "_validate", calls)
+    _counting(monkeypatch, rules, "verify_fusion_rule", calls)
+    feudal_errors, axiom_errors = set(), set()
+    for k in range(3):
+        with pytest.raises(ValidationError) as raised:
+            FeudalRule(FusionRule(bad.labels, bad.table, bad.unit, bad.dual), mr.serfs)
+        feudal_errors.add(str(raised.value))
+        with pytest.raises(ValidationError) as raised:
+            require_valid(bad)
+        axiom_errors.add(str(raised.value))
+        assert calls == ["_validate", "verify_fusion_rule"] * (k + 1)
+    assert feudal_errors == {_reference_feudal_check(bad, mr.serfs)}
+    assert len(axiom_errors) == 1 and next(iter(axiom_errors)).startswith("not a fusion rule: associative=False")
+    assert not any(key[1] in (bad.key, (bad.key, mr.serfs)) for key in rules._COMPILED_CACHE)
+
+
+def test_a_round_trip_checks_each_rule_content_once(monkeypatch):
+    """One round trip on a datum not seen before (HomDatum, phi, gamma,
+    hom_datum_isomorphic, phi, graded_isomorphic) checks the fusion rule
+    axioms once and the feudal split once, and finds the graded isomorphism,
+    the identity, without entering the isomorphism search."""
+    from fusionkit import rules
+
+    monkeypatch.setattr(rules, "_COMPILED_CACHE", {})
+    calls = []
+    _counting(monkeypatch, rules, "verify_fusion_rule", calls)
+    _counting(monkeypatch, FeudalRule, "_validate", calls)
+    _counting(monkeypatch, rules, "_isomorphism_search", calls)
+    h = HomDatum(cyclic(4), cyclic(4), [0, 2, 0, 2])  # squaring: phi(h) is Moore-Read
+    rule = phi(h)
+    back = gamma(rule)
+    assert hom_datum_isomorphic(back, h) is not None
+    perm = graded_isomorphic(phi(back), rule)
+    assert perm.tolist() == list(range(rule.rule.n))
+    assert sorted(calls) == ["_validate", "verify_fusion_rule"]
+
+
+def test_round_trip_witness_is_the_searchs_first_isomorphism(phi_rules_8):
+    """On a seeded sample of the 834 phi outputs, graded_isomorphic(phi(gamma(L)), L)
+    is the first entry of the full search's list of graded isomorphisms."""
+    rng = random.Random(27)
+    for fr in rng.sample(phi_rules_8, 120):
+        back = phi(gamma(fr))
+        sec = [[0 if x in f.serfs else 1 for x in range(f.rule.n)] for f in (back, fr)]
+        full = rule_isomorphisms(back.rule, fr.rule, sector=sec, bound=fr.rule.n)
+        assert graded_isomorphic(back, fr).tolist() == full[0].tolist()
 
 
 # sha256 of the round trip on all 834 hom data, recorded once; a kernel rewrite must

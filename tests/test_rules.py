@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import permutations, product
 
 import numpy as np
@@ -11,6 +12,7 @@ from fusionkit import (
     automorphisms,
     cyclic,
     dihedral,
+    direct_product,
     fuse_multisets,
     gamma,
     group_rule,
@@ -168,9 +170,12 @@ def test_subrule_generated_anchors(mr, ty3):
 
 
 def test_member_ids_outside_the_carrier_raise(mr):
-    """An id below 0 or at n is refused by every entry point that takes member
-    ids, naming the id, instead of wrapping to the end of the carrier or
-    raising a bare IndexError."""
+    """An id below 0 or at n, or one that is not an integer, is refused by
+    every entry point that takes member ids, naming the id, instead of
+    wrapping to the end of the carrier, raising a bare IndexError or being
+    truncated by int(): 0.7 is not the id 0, and [0.9] does not name the
+    trivial group on {0}.  A float multiset vector is refused naming its
+    dtype; an integer one of any width is read as it is."""
     r = mr.rule
     entry_points = [
         lambda i: as_multiset(r, i),
@@ -181,17 +186,29 @@ def test_member_ids_outside_the_carrier_raise(mr):
         lambda i: fuse_multisets(r, [0], [i]),
         lambda i: is_subrule(r, [i]),
         lambda i: group_from_members(r, [0, i]),
+        lambda i: group_from_members(r, [i]),
     ]
     for bad in (-1, r.n):
         for call in entry_points:
             with pytest.raises(DomainError, match=f"^member id {bad} is outside the carrier 0..5$"):
                 call(bad)
+    for bad in (0.7, 0.9, 1.0, np.float64(0.5)):
+        for call in entry_points:
+            with pytest.raises(DomainError, match=f"^member id {re.escape(repr(bad))} is not an integer$"):
+                call(bad)
     assert (as_multiset(r, r.n - 1) == np.eye(r.n, dtype=np.int64)[-1]).all()
+    assert as_multiset(r, [np.int64(1), 1]).tolist() == [0, 2, 0, 0, 0, 0]
+    with pytest.raises(DomainError, match="^multiset vector must hold integers, got dtype float64$"):
+        as_multiset(r, np.full(r.n, 0.7))
+    assert as_multiset(r, np.arange(r.n, dtype=np.int32)).tolist() == list(range(r.n))
 
 
 def test_misshapen_projections_and_sectors_name_their_field(ty2):
     """A projection or a sector of the wrong shape is a DomainError naming it,
-    not a bare ValueError from broadcasting."""
+    not a bare ValueError from broadcasting; one of a float or bool dtype is
+    a DomainError naming the dtype, not an array truncated by a cast (a
+    sector 0.5 is not the class 0, and the identity shortcut is not taken on
+    it); integer arrays of any width are read as they are."""
     r = ty2.rule  # 3 elements
     with pytest.raises(DomainError, match=r"^projection must hold one class per element, shape \(3,\), got \(2,\)$"):
         is_grading(r, [0, 1], cyclic(2))
@@ -203,6 +220,15 @@ def test_misshapen_projections_and_sectors_name_their_field(ty2):
     with pytest.raises(DomainError, match=r"^sector .* got \(3,\)$"):
         rule_isomorphisms(r, r, sector=[0, 0, 1])
     assert len(rule_isomorphisms(r, r, sector=[[0, 0, 1], [0, 0, 1]])) == 1
+    for sector in ([[0, 0, 0.5], [0, 0, 0]], [[0, 0, 0.5], [0, 0, 0.5]]):
+        with pytest.raises(DomainError, match=r"^sector must hold integers, got dtype float64$"):
+            rule_isomorphisms(r, r, sector=sector, first_only=True)
+    with pytest.raises(DomainError, match=r"^projection must hold integers, got dtype float64$"):
+        is_grading(r, [0, 0.4, 1.2], cyclic(2))
+    with pytest.raises(DomainError, match=r"^projection must hold integers, got dtype bool$"):
+        is_grading(r, [False, False, True], cyclic(2))
+    assert is_grading(r, np.array([0, 0, 1], dtype=np.uint8), cyclic(2))
+    assert len(rule_isomorphisms(r, r, sector=np.array([[0, 0, 1], [0, 0, 1]], dtype=np.int32))) == 1
 
 
 def test_labels_and_ids_name_the_same_members(mr):
@@ -677,6 +703,69 @@ def test_rule_isomorphisms_match_reference(ty3, hom_data_8, phi_rules_8):
             for first_only in (True, False)[: 1 + (a.rule.n <= 10)]:  # every isomorphism only when small
                 got = rule_isomorphisms(a.rule, b.rule, sector=sec, first_only=first_only, bound=16)
                 assert _perms(got) == _perms(_reference_rule_isomorphisms(a.rule, b.rule, sec, first_only))
+
+
+@pytest.fixture(scope="module")
+def rules_11(mr):
+    """The 41 feudal rules of enumerate_feudal(11), Moore-Read and TY(Z2^3)."""
+    return [*enumerate_feudal(11).rules, mr, tambara_yamagami(direct_product(cyclic(2), klein_four()))]
+
+
+def test_identity_shortcut_is_the_searchs_first_isomorphism(rules_11, monkeypatch):
+    """Between a rule and a copy made apart, with no sector or the serf/lord
+    sector on both, first_only returns the identity without a search, and
+    that is the first entry of the unchanged search's full list."""
+    from fusionkit import rules
+
+    searches = []
+    search = rules._isomorphism_search
+    monkeypatch.setattr(rules, "_isomorphism_search", lambda *args: searches.append(args) or search(*args))
+    assert len(rules_11) == 43
+    for fr in rules_11:
+        a = fr.rule
+        b = FusionRule(a.labels, a.table.copy(), a.unit, a.dual.copy())
+        split = np.isin(np.arange(a.n), fr.lord_ids).astype(np.int64)
+        for sector in (None, np.stack([split, split])):
+            full = rule_isomorphisms(a, b, sector=sector, bound=a.n)
+            before = len(searches)
+            got = rule_isomorphisms(a, b, sector=sector, first_only=True, bound=a.n)
+            assert len(searches) == before
+            assert _perms(got) == _perms(full[:1]) == [list(range(a.n))] and got[0].dtype == full[0].dtype
+    # a sector that differs between the two rules is searched
+    rule_isomorphisms(a, b, sector=[split, split[::-1]], first_only=True, bound=a.n)
+    assert len(searches) == before + 1
+
+
+def _reference_key(rule):
+    """FusionRule.key as first written: the repr of labels, unit, dual and table."""
+    return repr((rule.labels, rule.unit, rule.dual.tolist(), rule.table.tolist())).encode()
+
+
+def test_content_key_agrees_with_the_repr_key(rules_11):
+    """Two rules have equal keys exactly when their repr keys are equal, over
+    every pair among these rules, a copy of each made apart, and copies with
+    one label, the unit, the dual or one table cell changed."""
+    rules = []
+    for fr in rules_11:
+        r = fr.rule
+        table = r.table.copy()
+        table[-1, -1, 0] ^= 1
+        rules += [
+            r,
+            FusionRule(r.labels, r.table.copy(), r.unit, r.dual.copy()),
+            FusionRule([*r.labels[:-1], r.labels[-1] + "'"], r.table, r.unit, r.dual),
+            FusionRule(r.labels, r.table, (r.unit + 1) % r.n, r.dual),
+            FusionRule(r.labels, r.table, r.unit, np.roll(r.dual, 1)),
+            FusionRule(r.labels, table, r.unit, r.dual),
+        ]
+    old = [_reference_key(r) for r in rules]
+    equal = 0
+    for i, j in product(range(len(rules)), repeat=2):
+        same = rules[i].key == rules[j].key
+        assert same == (old[i] == old[j]) == (rules[i] == rules[j])
+        equal += same
+    # each rule equals itself and its copy; rules_11 holds no two equal rules
+    assert equal == len(rules) + 2 * len(rules_11), equal
 
 
 def test_verify_fusion_rule_each_check_failing_alone_matches_reference(phi_rules_8):

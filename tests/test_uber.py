@@ -1582,10 +1582,12 @@ def test_compiled_store_keeps_at_most_its_limit(f17, mr, monkeypatch):
 
     monkeypatch.setattr(rules, "_COMPILED_CACHE", {})
     monkeypatch.setattr(rules, "COMPILED_LIMIT", 8)
+    # built first: enumerate_feudal keeps each checked rule's verdict and split in the store
+    feudal_rules = enumerate_feudal(8).rules[:6]
     hot, cold = Ambi(tambara_yamagami(cyclic(2)), f17), Ambi(mr, f17)
     rows, lattice = rules.compiled(hot, uber._axiom_rows), rules.compiled(cold, uber._gauge_lattice)
     sizes = []
-    for fr in enumerate_feudal(8).rules[:6]:
+    for fr in feudal_rules:
         for p in (5, 13, 17, 41):
             enumerate_uber(Ambi(fr, Field(p)), with_orbits=False)
             sizes.append(len(rules._COMPILED_CACHE))
