@@ -119,7 +119,10 @@ class Cochain(_OnVec):
         v = np.empty((len(values), module.points), dtype=np.int64)
         for i, (k, x) in enumerate(values.items()):  # the first value that is not one row names its key
             try:
-                v[i] = np.asarray(x, dtype=np.int64).reshape(module.points)
+                x = np.asarray(x)
+                if x.dtype.kind not in "iu":  # a cast would truncate 1.9 to 1, and read True as 1 and "3" as 3
+                    raise TypeError
+                v[i] = x.reshape(module.points)
             except (ValueError, TypeError, OverflowError):
                 raise ValidationError(f"cochain value at {k} must be {want}") from None
         v %= module.field.p

@@ -12,7 +12,7 @@ trivial map A -> Z2, and the Moore-Read rule phi of squaring on Z4.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -28,10 +28,13 @@ from .rules import (
     rule_isomorphisms,
     simple_currents,
     universal_grading,
-    verify_fusion_rule,
 )
 
-_Z2 = cyclic(2)
+
+@cache
+def _z2() -> FiniteGroup:
+    """Z2, built on first use: an import leaves the group axiom store empty."""
+    return cyclic(2)
 
 
 @dataclass
@@ -108,7 +111,7 @@ class FeudalRule:
             raise ValidationError("feudal rules are multiplicity-free")
         is_lord = np.ones(r.n, dtype=np.int64)
         is_lord[list(serf_ids)] = 0
-        if not is_grading(r, is_lord, _Z2):
+        if not is_grading(r, is_lord, _z2()):
             raise ValidationError("serf/lord split is not a Z2 grading")
         serf_group = group_from_members(r, serf_ids)  # serfs must fuse as a group
         # serf actions on lords, both sides in one gather: act[0, a, j, k] = <a.m_j, m_k> and
@@ -213,8 +216,13 @@ def moore_read() -> FeudalRule:
 
 def detect_feudal(rule: FusionRule) -> FeudalRule | None:
     """The unique feudal structure of a properly feudal rule, or a chosen one
-    for a Z2-gradable group; None otherwise."""
-    if not verify_fusion_rule(rule).passed or not rule.is_multiplicity_free:
+    for a Z2-gradable group; None otherwise.  The axioms are checked through
+    require_valid, so a rule whose content passed before is not checked again."""
+    try:
+        require_valid(rule)
+    except ValidationError:
+        return None
+    if not rule.is_multiplicity_free:
         return None
     sc, index = simple_currents(rule)
     if index == 1:

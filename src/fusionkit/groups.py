@@ -1,7 +1,11 @@
 """Finite groups as explicit multiplication tables, plus a small catalog.
 
-Carriers are dense integer ids 0..n-1 with a separate label list.  Everything
-is validated at construction; all queries are pure.
+Carriers are dense integer ids 0..n-1 with a separate label list.  Every group
+is validated at construction: its labels and the shape and range of its table
+on each object, and the table axioms (a two-sided unit, associativity,
+two-sided inverses), which read no label, once per distinct table, whose
+passing verdict is kept by table content; a failing table stores nothing, so
+it is checked in full on every construction.  All queries are pure.
 """
 
 from __future__ import annotations
@@ -12,6 +16,28 @@ from itertools import product
 import numpy as np
 
 from .errors import DomainError, ValidationError
+
+
+def _table_axioms(t: np.ndarray, labels: tuple[str, ...]) -> tuple[int, np.ndarray]:
+    """The unit and the inverse map of the n x n table t, once it has a
+    two-sided unit, is associative and has two-sided inverses; a failure
+    raises, naming by labels the first element without an inverse."""
+    ar = np.arange(len(t))
+    units = ((t == ar) & (t.T == ar)).all(axis=1).nonzero()[0]  # row and column are the identity
+    if len(units) != 1:
+        raise ValidationError("table has no two-sided unit")
+    unit = int(units[0])
+    left = t[t]               # left[a,b,c] = (ab)c
+    right = t[:, t]           # right[a,b,c] = a(bc)
+    if left.tobytes() != right.tobytes():  # arrays of one shape and dtype: equal iff their bytes are
+        raise ValidationError("table is not associative")
+    hits = t == unit
+    inv = hits.argmax(axis=1)
+    bad = ((hits.sum(axis=1) != 1) | (t[inv, ar] != unit)).nonzero()[0]
+    if len(bad):
+        raise ValidationError(f"element {labels[bad[0]]} has no two-sided inverse")
+    inv.setflags(write=False)
+    return unit, inv
 
 
 class FiniteGroup:
@@ -28,23 +54,10 @@ class FiniteGroup:
         self.table.setflags(write=False)
         self.name = name or f"group{n}"
         self._index = {lab: i for i, lab in enumerate(self.labels)}
-
-        t, ar = self.table, np.arange(n)
-        units = ((t == ar) & (t.T == ar)).all(axis=1).nonzero()[0]  # row and column are the identity
-        if len(units) != 1:
-            raise ValidationError("table has no two-sided unit")
-        self.unit = int(units[0])
-        left = t[t]               # left[a,b,c] = (ab)c
-        right = t[:, t]           # right[a,b,c] = a(bc)
-        if left.tobytes() != right.tobytes():  # arrays of one shape and dtype: equal iff their bytes are
-            raise ValidationError("table is not associative")
-        hits = t == self.unit
-        inv = hits.argmax(axis=1)
-        bad = ((hits.sum(axis=1) != 1) | (t[inv, ar] != self.unit)).nonzero()[0]
-        if len(bad):
-            raise ValidationError(f"element {self.labels[bad[0]]} has no two-sided inverse")
-        self.inv = inv
-        self.inv.setflags(write=False)
+        verdict = _AXIOM_CACHE.get(self.table_key)
+        if verdict is None:  # a failing table raises here, and nothing is stored for it
+            verdict = _AXIOM_CACHE[self.table_key] = _table_axioms(self.table, self.labels)
+        self.unit, self.inv = verdict
 
     # ---- basics -------------------------------------------------------------
 
@@ -226,6 +239,9 @@ def klein_four() -> FiniteGroup:
 
 _HOM_CACHE: dict = {}
 _ISO_CACHE: dict = {}
+# the unit and read-only inverse map of every table that passed the group axioms
+# (see _table_axioms), by table_key: the axioms read no label, so equal tables share one check
+_AXIOM_CACHE: dict[bytes, tuple[int, np.ndarray]] = {}
 
 
 def _derivations(g: FiniteGroup):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, product
+from itertools import product
 
 import numpy as np
 
@@ -186,8 +186,12 @@ def as_multiset(rule: FusionRule, x) -> np.ndarray:
         x = [x]
     if not isinstance(x, dict):
         return np.bincount(_member_ids(rule, x), minlength=rule.n)
+    ids = _member_ids(rule, x)
+    inexact = [k for k, m in x.items() if isinstance(m, bool) or not isinstance(m, (int, np.integer))]
+    if inexact:  # int() would truncate 1.5 to 1, and read True as 1 and "2" as 2
+        raise DomainError(f"multiplicity of member {inexact[0]!r} is not an integer: {x[inexact[0]]!r}")
     v = np.zeros(rule.n, dtype=np.int64)
-    np.add.at(v, _member_ids(rule, x), [int(m) for m in x.values()])
+    np.add.at(v, ids, list(x.values()))
     if (v < 0).any():
         raise DomainError("negative multiplicity")
     return v
@@ -373,25 +377,23 @@ class CosetDecomposition:
 def left_cosets(rule: FusionRule, members) -> CosetDecomposition:
     """All sets floor(xS) with the max-multiplicity operation, plus the index.
 
-    The sorted cosets are laid end to end in one id list (cosets that overlap
-    repeat their shared ids), the table is gathered on that list once, and one
-    max-reduceat per axis takes the max over every block.  The cosets
-    partition the carrier when they cover it with n ids in all."""
+    Each sorted coset is padded to the longest with the id n, which indexes
+    an appended zero row, column and fiber of the table, so the max over each
+    block is one gather and one max per axis (cosets that overlap share ids,
+    which a max reads twice to no effect).  The cosets partition the carrier
+    when they cover it with n ids in all."""
+    n = rule.n
     ind = as_multiset(rule, sorted(members)) > 0
     xs, zs = rule.table[:, ind].any(axis=1).nonzero()  # z in xS
-    ends = np.bincount(xs, minlength=rule.n).cumsum().tolist()
+    ends = np.bincount(xs, minlength=n).cumsum().tolist()
     zs = zs.tolist()
     cosets = sorted({tuple(zs[s:t]) for s, t in zip([0, *ends], ends)})
-    empty = not cosets[0]  # an empty xS (no member, or a rule off the axioms) sorts first
-    full = cosets[empty:]
-    idx = np.array([z for c in full for z in c], dtype=np.int64)
-    starts = [0, *accumulate(len(c) for c in full)][: len(full)]
-    table = rule.table[idx[:, None, None], idx[:, None], idx]
-    for axis in range(3):
-        table = np.maximum.reduceat(table, starts, axis=axis)
-    if empty:
-        table = np.pad(table, (1, 0))  # the empty coset's blocks: a max over nothing, 0
-    partitions = len(idx) == rule.n and len(set(zs)) == rule.n
+    width = max(map(len, cosets)) or 1  # no member: one empty coset, all padding, whose block is 0
+    pad = np.array([c + (n,) * (width - len(c)) for c in cosets], dtype=np.int64)
+    t = np.zeros((n + 1,) * 3, dtype=np.int64)  # multiplicities are nonnegative: 0 is the max's identity
+    t[:n, :n, :n] = rule.table
+    table = t[pad].max(axis=1)[:, pad].max(axis=2)[:, :, pad].max(axis=3)
+    partitions = sum(map(len, cosets)) == n and len(set(zs)) == n
     return CosetDecomposition(tuple(map(frozenset, cosets)), table, partitions)
 
 

@@ -162,7 +162,9 @@ def test_cochain_names_its_first_ragged_or_mis_sized_value(f17, mr):
     """A value that is not one integer per point of the module, ragged, too
     long or too short or not an integer, raises a ValidationError naming
     its key, the first in the caller's order; Moore-Read@17 with length-3
-    values used to raise numpy's reshape error."""
+    values used to raise numpy's reshape error.  A float, bool or str value
+    is not an integer: a cast used to truncate 1.9 to 1 and read True as 1.
+    Integer values of any width are read as they are."""
     keys = list(product(range(4), repeat=2))
     bx, scalar = Units(f17, Ambi(mr, f17)), Units(f17)
     cases = [
@@ -173,11 +175,19 @@ def test_cochain_names_its_first_ragged_or_mis_sized_value(f17, mr):
         (bx, {k: [1, None] if k == keys[9] else [1, 2] for k in keys}, keys[9]),
         (scalar, {k: [1, 2] if k == keys[4] else 3 for k in keys}, keys[4]),
         (scalar, {k: 2**70 if k == keys[6] else 3 for k in keys}, keys[6]),
+        (scalar, {k: 1.9 if k == keys[2] else 3 for k in keys}, keys[2]),
+        (scalar, {k: True if k == keys[8] else 3 for k in keys}, keys[8]),
+        (scalar, {k: "3" if k == keys[1] else 3 for k in keys}, keys[1]),
+        (scalar, {k: np.float64(3.0) if k == keys[11] else 3 for k in keys}, keys[11]),
+        (bx, {k: [1, 2.5] if k == keys[10] else [1, 2] for k in keys}, keys[10]),
+        (bx, {k: np.array([True, False]) if k == keys[12] else [1, 2] for k in keys}, keys[12]),
     ]
     for module, values, bad in cases:
         want = "one integer" if module is scalar else "2 integers"
         with pytest.raises(ValidationError, match=rf"^cochain value at \({bad[0]}, {bad[1]}\) must be {want}$"):
             Cochain(mr.serf_group, 2, values, module)
+    narrow = Cochain(mr.serf_group, 2, {k: np.int8(3) if k == keys[0] else 3 for k in keys}, scalar)
+    assert narrow.vec.tolist() == Cochain(mr.serf_group, 2, dict.fromkeys(keys, 3), scalar).vec.tolist()
 
 
 def test_trivial_cochain_has_trivial_coboundary(f17):

@@ -534,14 +534,25 @@ def test_a_round_trip_checks_each_rule_content_once(monkeypatch):
     """One round trip on a datum not seen before (HomDatum, phi, gamma,
     hom_datum_isomorphic, phi, graded_isomorphic) checks the fusion rule
     axioms once and the feudal split once, and finds the graded isomorphism,
-    the identity, without entering the isomorphism search."""
-    from fusionkit import rules
+    the identity, without entering the isomorphism search.  On an empty group
+    axiom store it checks the table axioms once for each distinct table of
+    the groups it builds."""
+    from fusionkit import groups, rules
 
     monkeypatch.setattr(rules, "_COMPILED_CACHE", {})
-    calls = []
+    monkeypatch.setattr(groups, "_AXIOM_CACHE", {})
+    calls, checked, built = [], [], []
     _counting(monkeypatch, rules, "verify_fusion_rule", calls)
     _counting(monkeypatch, FeudalRule, "_validate", calls)
     _counting(monkeypatch, rules, "_isomorphism_search", calls)
+    real_axioms, real_init = groups._table_axioms, groups.FiniteGroup.__init__
+    monkeypatch.setattr(groups, "_table_axioms", lambda t, labels: checked.append(t.tobytes()) or real_axioms(t, labels))
+
+    def init(g, *args, **kwargs):
+        real_init(g, *args, **kwargs)
+        built.append(g.table_key)
+
+    monkeypatch.setattr(groups.FiniteGroup, "__init__", init)
     h = HomDatum(cyclic(4), cyclic(4), [0, 2, 0, 2])  # squaring: phi(h) is Moore-Read
     rule = phi(h)
     back = gamma(rule)
@@ -549,6 +560,28 @@ def test_a_round_trip_checks_each_rule_content_once(monkeypatch):
     perm = graded_isomorphic(phi(back), rule)
     assert perm.tolist() == list(range(rule.rule.n))
     assert sorted(calls) == ["_validate", "verify_fusion_rule"]
+    assert len(built) > len(set(built)) and sorted(checked) == sorted(set(built))
+
+
+def test_detect_feudal_reads_the_stored_verdict(mr, monkeypatch):
+    """detect_feudal checks the axioms through require_valid: on an equal rule
+    made apart a second call does not run verify_fusion_rule, while a rule
+    one table cell off gives None on every call, each checking it in full."""
+    from fusionkit import rules
+
+    monkeypatch.setattr(rules, "_COMPILED_CACHE", {})
+    calls = []
+    _counting(monkeypatch, rules, "verify_fusion_rule", calls)
+    r = mr.rule
+    first, again = (detect_feudal(FusionRule(r.labels, r.table.copy(), r.unit, r.dual.copy())) for _ in range(2))
+    assert calls == ["verify_fusion_rule"]
+    assert again.serfs == first.serfs == mr.serfs and again.grading_count == 1
+    table = r.table.copy()
+    m, l = mr.lord_ids[0], mr.lord_ids[-1]
+    table[m, l, next(z for z in mr.serf_ids if r.table[m, l, z] == 0)] = 1
+    for k in range(2):
+        assert detect_feudal(FusionRule(r.labels, table, r.unit, r.dual)) is None
+        assert calls == ["verify_fusion_rule"] * (k + 2)
 
 
 def test_round_trip_witness_is_the_searchs_first_isomorphism(phi_rules_8):

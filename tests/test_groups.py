@@ -7,6 +7,7 @@ from fusionkit import (
     cyclic,
     dihedral,
     direct_product,
+    groups,
     homomorphisms,
     isomorphisms,
     klein_four,
@@ -164,3 +165,48 @@ def test_index_names_an_unknown_label():
     for label in ("x", "", 1):
         with pytest.raises(DomainError, match=f"unknown label {label!r}"):
             g.index(label)
+
+
+def _counting_table_axioms(monkeypatch) -> list[bytes]:
+    """An empty group axiom store, and the table of every _table_axioms call in order."""
+    monkeypatch.setattr(groups, "_AXIOM_CACHE", {})
+    calls, real = [], groups._table_axioms
+    monkeypatch.setattr(groups, "_table_axioms", lambda t, labels: calls.append(t.tobytes()) or real(t, labels))
+    return calls
+
+
+def test_a_failing_group_table_is_checked_in_full_every_time(monkeypatch):
+    """Each table axiom, failing alone, raises its message on every
+    construction, each of which runs the check again: a failing table is
+    never stored.  The inverse failure names the element by the labels of
+    the group being built, whichever labels an earlier build of the same
+    table had."""
+    calls = _counting_table_axioms(monkeypatch)
+    no_inverse = [[0, 1, 2], [1, 1, 1], [2, 2, 2]]  # associative with unit 0, but a*b = a for a != 0
+    cases = [
+        (["a", "b"], [[0, 1], [0, 1]], "table has no two-sided unit"),
+        (["a", "b", "c"], [[0, 1, 2], [1, 2, 0], [2, 1, 0]], "table is not associative"),
+        (["e", "b", "c"], no_inverse, "element b has no two-sided inverse"),
+        (["1", "x", "y"], no_inverse, "element x has no two-sided inverse"),
+    ]
+    for labels, table, message in cases:
+        for _ in range(2):
+            with pytest.raises(ValidationError, match=f"^{message}$"):
+                FiniteGroup(labels, table)
+    assert calls == [np.array(t, dtype=np.int64).tobytes() for _, t, _ in cases for _ in range(2)]
+    assert not groups._AXIOM_CACHE
+
+
+def test_equal_group_tables_share_one_check(monkeypatch):
+    """Groups whose tables are equal share one check of the table axioms,
+    whatever their labels and names, and the one read-only inverse map it
+    found; another table is checked on its own."""
+    calls = _counting_table_axioms(monkeypatch)
+    z4 = cyclic(4)
+    other = FiniteGroup(["a", "b", "c", "d"], z4.table.tolist(), name="other")
+    assert calls == [z4.table_key]
+    assert other.unit == z4.unit and other.inv is z4.inv and not other.inv.flags.writeable
+    assert other.labels == ("a", "b", "c", "d") and other != z4
+    v4 = klein_four()  # Z2 twice, then its own table
+    assert cyclic(4).inv.tolist() == [0, 3, 2, 1] and v4.inv.tolist() == [0, 1, 2, 3]
+    assert calls == [z4.table_key, cyclic(2).table_key, v4.table_key]

@@ -175,7 +175,9 @@ def test_member_ids_outside_the_carrier_raise(mr):
     wrapping to the end of the carrier, raising a bare IndexError or being
     truncated by int(): 0.7 is not the id 0, and [0.9] does not name the
     trivial group on {0}.  A float multiset vector is refused naming its
-    dtype; an integer one of any width is read as it is."""
+    dtype; an integer one of any width is read as it is.  A multiplicity in
+    the dict form that is a float, bool or str is refused naming its member:
+    {0: 1.5, 2: 2.9} on TY(Z2) used to read as [1, 0, 2]."""
     r = mr.rule
     entry_points = [
         lambda i: as_multiset(r, i),
@@ -196,6 +198,12 @@ def test_member_ids_outside_the_carrier_raise(mr):
         for call in entry_points:
             with pytest.raises(DomainError, match=f"^member id {re.escape(repr(bad))} is not an integer$"):
                 call(bad)
+    # the dict form's multiplicities: a float, bool or str is refused naming its member, not cast by int()
+    for member, bad in ((0, 1.5), (2, 2.9), ("i", 0.5), (0, True), (0, np.float64(1.0)), ("-1", "2")):
+        want = f"^multiplicity of member {re.escape(repr(member))} is not an integer: {re.escape(repr(bad))}$"
+        with pytest.raises(DomainError, match=want):
+            as_multiset(r, {1: 1, member: bad})
+    assert as_multiset(r, {"-1": np.int32(2), 0: 1}).tolist() == [1, 2, 0, 0, 0, 0]
     assert (as_multiset(r, r.n - 1) == np.eye(r.n, dtype=np.int64)[-1]).all()
     assert as_multiset(r, [np.int64(1), 1]).tolist() == [0, 2, 0, 0, 0, 0]
     with pytest.raises(DomainError, match="^multiset vector must hold integers, got dtype float64$"):

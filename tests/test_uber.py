@@ -1854,13 +1854,13 @@ def test_uberderivation_arrays_match_reference(gauge_rules):
 
 
 def test_dictionary_detects_the_feudal_structure_once_per_rule(f17, monkeypatch):
-    """decompose, is_normal, normalize and psi without a FeudalRule verify the
-    rule once, however often they are called on its systems."""
-    from fusionkit import feudal
+    """decompose, is_normal, normalize and psi without a FeudalRule detect the
+    rule's feudal structure once, however often they are called on its systems."""
+    from fusionkit import uber
 
     calls = []
-    real = feudal.verify_fusion_rule
-    monkeypatch.setattr(feudal, "verify_fusion_rule", lambda rule: calls.append(rule) or real(rule))
+    real = uber.detect_feudal
+    monkeypatch.setattr(uber, "detect_feudal", lambda rule: calls.append(rule) or real(rule))
     fr = tambara_yamagami(cyclic(4), lord_label="q")  # a rule no other test holds
     f = reconstruct(enumerate_uber(Ambi(fr, f17), with_orbits=False).class_reps[0])
     g = apply_gauge(f, random_gauge(fr.rule, f17, random.Random(3)))
