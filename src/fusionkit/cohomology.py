@@ -122,6 +122,8 @@ class Cochain(_OnVec):
                 x = np.asarray(x)
                 if x.dtype.kind not in "iu":  # a cast would truncate 1.9 to 1, and read True as 1 and "3" as 3
                     raise TypeError
+                if x.dtype.kind == "u" and (x > np.iinfo(np.int64).max).any():  # would wrap 2**63 to -2**63
+                    raise OverflowError
                 v[i] = x.reshape(module.points)
             except (ValueError, TypeError, OverflowError):
                 raise ValidationError(f"cochain value at {k} must be {want}") from None

@@ -191,7 +191,7 @@ def as_multiset(rule: FusionRule, x) -> np.ndarray:
     if inexact:  # int() would truncate 1.5 to 1, and read True as 1 and "2" as 2
         raise DomainError(f"multiplicity of member {inexact[0]!r} is not an integer: {x[inexact[0]]!r}")
     v = np.zeros(rule.n, dtype=np.int64)
-    np.add.at(v, ids, list(x.values()))
+    np.add.at(v, ids, [int(m) for m in x.values()])
     if (v < 0).any():
         raise DomainError("negative multiplicity")
     return v

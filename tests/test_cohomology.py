@@ -164,7 +164,8 @@ def test_cochain_names_its_first_ragged_or_mis_sized_value(f17, mr):
     its key, the first in the caller's order; Moore-Read@17 with length-3
     values used to raise numpy's reshape error.  A float, bool or str value
     is not an integer: a cast used to truncate 1.9 to 1 and read True as 1.
-    Integer values of any width are read as they are."""
+    Integer values of any width are read as they are, and one past int64
+    (2**63, read as uint64) raises rather than wrapping to -2**63."""
     keys = list(product(range(4), repeat=2))
     bx, scalar = Units(f17, Ambi(mr, f17)), Units(f17)
     cases = [
@@ -175,6 +176,8 @@ def test_cochain_names_its_first_ragged_or_mis_sized_value(f17, mr):
         (bx, {k: [1, None] if k == keys[9] else [1, 2] for k in keys}, keys[9]),
         (scalar, {k: [1, 2] if k == keys[4] else 3 for k in keys}, keys[4]),
         (scalar, {k: 2**70 if k == keys[6] else 3 for k in keys}, keys[6]),
+        (scalar, {k: 2**63 if k == keys[13] else 3 for k in keys}, keys[13]),
+        (bx, {k: [1, 2**64 - 1] if k == keys[14] else [1, 2] for k in keys}, keys[14]),
         (scalar, {k: 1.9 if k == keys[2] else 3 for k in keys}, keys[2]),
         (scalar, {k: True if k == keys[8] else 3 for k in keys}, keys[8]),
         (scalar, {k: "3" if k == keys[1] else 3 for k in keys}, keys[1]),

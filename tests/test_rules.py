@@ -204,6 +204,8 @@ def test_member_ids_outside_the_carrier_raise(mr):
         with pytest.raises(DomainError, match=want):
             as_multiset(r, {1: 1, member: bad})
     assert as_multiset(r, {"-1": np.int32(2), 0: 1}).tolist() == [1, 2, 0, 0, 0, 0]
+    assert as_multiset(r, {0: np.uint64(1), 1: np.uint64(2)}).tolist() == [1, 2, 0, 0, 0, 0]
+    assert as_multiset(r, {0: np.uint64(1), 1: np.int64(2)}).tolist() == [1, 2, 0, 0, 0, 0]
     assert (as_multiset(r, r.n - 1) == np.eye(r.n, dtype=np.int64)[-1]).all()
     assert as_multiset(r, [np.int64(1), 1]).tolist() == [0, 2, 0, 0, 0, 0]
     with pytest.raises(DomainError, match="^multiset vector must hold integers, got dtype float64$"):
