@@ -350,16 +350,24 @@ def enumerate_feudal(max_order: int, catalog: list[FiniteGroup] | None = None) -
                 f"orders up to {needed} may be incomplete"
             )
     found: list[HomDatum] = []
+    # the kept data by an isomorphism invariant, the sorted element orders of
+    # source and target and the kernel size: a new datum is compared only
+    # with the kept data it shares it with, since an isomorphic pair shares it
+    kept: dict[tuple, list[HomDatum]] = {}
     for S in catalog:
         for G in catalog:
             if len(G) % 2 or len(S) + len(G) // 2 > max_order:
                 continue
+            groups_key = (tuple(sorted(S.orders.tolist())), tuple(sorted(G.orders.tolist())))
             for u in homomorphisms(S, G):
                 if 2 * len(set(u.tolist())) != len(G):
                     continue
-                if sum(1 for a in range(len(S)) if int(u[a]) == G.unit) < 2:
+                kernel = int((u == G.unit).sum())
+                if kernel < 2:
                     continue  # properly feudal needs a nontrivial kernel
                 h = HomDatum(S, G, u)
-                if not any(hom_datum_isomorphic(h, other) for other in found):
+                bucket = kept.setdefault((*groups_key, kernel), [])
+                if not any(hom_datum_isomorphic(h, other) for other in bucket):
+                    bucket.append(h)
                     found.append(h)
     return FeudalEnumeration(found, [phi(h) for h in found], warnings)

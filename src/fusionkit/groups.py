@@ -6,12 +6,18 @@ on each object, and the table axioms (a two-sided unit, associativity,
 two-sided inverses), which read no label, once per distinct table, whose
 passing verdict is kept by table content; a failing table stores nothing, so
 it is checked in full on every construction.  All queries are pure.
+
+Homomorphisms g -> h are searched by the images of g's generators: the
+candidate maps, at most _HOM_BLOCK at a time, are filled along g's
+derivations and checked in full with one comparison per block, and the
+passing maps are kept by table content.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from itertools import product
+from math import prod
 
 import numpy as np
 
@@ -46,7 +52,10 @@ class FiniteGroup:
         n = len(self.labels)
         if len(set(self.labels)) != n:
             raise ValidationError("duplicate group labels")
-        self.table = np.array(table, dtype=np.int64)  # a copy: the caller's array stays theirs
+        t = np.array(table)  # a copy: the caller's array stays theirs
+        if t.dtype.kind not in "iu":  # a cast would truncate 1.7 to 1, and read True as 1
+            raise ValidationError(f"table must hold integer ids, got dtype {t.dtype}")
+        self.table = t.astype(np.int64, copy=False)
         if self.table.shape != (n, n):
             raise ValidationError(f"table must be {n}x{n}")
         if (self.table.view(np.uint64) >= n).any():  # read unsigned, a negative entry is at least 2**63
@@ -135,6 +144,27 @@ class FiniteGroup:
             gens.append(g)
             known = self.closure(gens)
         return gens
+
+    @cached_property
+    def _derivations(self) -> tuple[list[int], list[tuple[int, int, int]]]:
+        """The generating sequence, and every other element e as a step (e,
+        prior, j) with e = prior * gens[j], in BFS discovery order, so that
+        each step's prior is the unit or an earlier step's e."""
+        gens = self.generating_sequence()
+        seen = {self.unit}
+        steps = []
+        frontier = [self.unit]
+        while frontier:
+            nxt = []
+            for a in frontier:
+                for j, gen in enumerate(gens):
+                    b = self.mul(a, gen)
+                    if b not in seen:
+                        seen.add(b)
+                        steps.append((b, a, j))
+                        nxt.append(b)
+            frontier = nxt
+        return gens, steps
 
     def index2_subgroups(self) -> list[frozenset[int]]:
         """Subgroups of index 2, i.e. kernels of surjections onto Z2."""
@@ -238,35 +268,24 @@ def klein_four() -> FiniteGroup:
 # ---- homomorphism / isomorphism enumeration ---------------------------------
 
 _HOM_CACHE: dict = {}
+_HOM_BLOCK = 1024  # candidate maps built and checked at once by homomorphisms
 _ISO_CACHE: dict = {}
 # the unit and read-only inverse map of every table that passed the group axioms
 # (see _table_axioms), by table_key: the axioms read no label, so equal tables share one check
 _AXIOM_CACHE: dict[bytes, tuple[int, np.ndarray]] = {}
 
 
-def _derivations(g: FiniteGroup):
-    """BFS expressions of every element as prior * generator, in discovery order."""
-    gens = g.generating_sequence()
-    expr: dict[int, tuple] = {g.unit: ("unit",)}
-    order = [g.unit]
-    frontier = [g.unit]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for gen in gens:
-                b = g.mul(a, gen)
-                if b not in expr:
-                    expr[b] = ("mul", a, gen)
-                    order.append(b)
-                    nxt.append(b)
-        frontier = nxt
-    if len(expr) != len(g):
-        raise ValidationError("generators do not generate")  # cannot happen
-    return gens, expr, order
-
-
 def homomorphisms(g: FiniteGroup, h: FiniteGroup) -> list[np.ndarray]:
     """All group homomorphisms g -> h, as index arrays, deterministic order.
+
+    A homomorphism is fixed by the images of g's generators (Holt, Eick and
+    O'Brien, Handbook of Computational Group Theory, 2005, section 9), each
+    of which must have an order dividing its generator's.  The candidate
+    image tuples, in itertools.product order, are stacked as rows in blocks
+    of at most _HOM_BLOCK, so a block's check holds at most _HOM_BLOCK *
+    |g|^2 entries: each block's maps are filled along g's derivations, one
+    gather per element, and all checked in full with one comparison,
+    f(a)f(b) == f(ab) for every a, b.  The passing rows are kept in order.
 
     Results are cached by table content (labels play no role); the arrays
     are read-only, and the list is the cache's own, so treat it as read-only.
@@ -275,29 +294,25 @@ def homomorphisms(g: FiniteGroup, h: FiniteGroup) -> list[np.ndarray]:
     cached = _HOM_CACHE.get(cache_key)
     if cached is not None:
         return cached
-    gens, expr, order = _derivations(g)
+    gens, steps = g._derivations
+    candidates = [np.flatnonzero(g.orders[gen] % h.orders == 0) for gen in gens]
+    sizes = [len(c) for c in candidates]
+    # the candidate with product index k takes, for generator j, digit j of k in the mixed
+    # radix of sizes, the last generator's digit running fastest, as in itertools.product
+    strides = [prod(sizes[j + 1 :]) for j in range(len(gens))]
+    total = prod(sizes)
     results = []
-    n = len(g)
-    ht = h.table
-
-    def build(images: dict[int, int]) -> np.ndarray:
-        f = np.full(n, -1, dtype=np.int64)
-        f[g.unit] = h.unit
-        for e in order[1:]:  # discovery order: the prior element is resolved
-            _, prior, gen = expr[e]
-            f[e] = ht[f[prior], images[gen]]
-        return f
-
-    g_orders, h_orders = g.orders, h.orders
-    candidates = [
-        [img for img in range(len(h)) if g_orders[gen] % h_orders[img] == 0] for gen in gens
-    ]
-    for combo in product(*candidates):
-        f = build(dict(zip(gens, combo)))
-        ft = h.table[f][:, f]
-        if (ft == f[g.table]).all():
-            f.flags.writeable = False
-            results.append(f)
+    for start in range(0, total, _HOM_BLOCK):
+        k = np.arange(start, min(start + _HOM_BLOCK, total))
+        images = [c[k // stride % size] for c, stride, size in zip(candidates, strides, sizes)]
+        f = np.empty((len(k), len(g)), dtype=np.int64)
+        f[:, g.unit] = h.unit
+        for e, prior, j in steps:  # derivation order: the prior element is filled
+            f[:, e] = h.table[f[:, prior], images[j]]
+        ok = (h.table[f[:, :, None], f[:, None, :]] == f[:, g.table]).all(axis=(1, 2))
+        passing = f[ok]
+        passing.setflags(write=False)
+        results.extend(passing)
     _HOM_CACHE[cache_key] = results
     return results
 

@@ -173,8 +173,11 @@ def _write(o, out: list, nl: str) -> None:
             return
         sep = "{" + inner
         for k, v in sorted(o.items()):
-            out.append(f"{sep}{_encode(_key(k))}: ")
-            _write(v, out, inner)
+            if type(v) is int:  # a plain int value goes out with its key, in one append
+                out.append(f"{sep}{_encode(_key(k))}: {int.__repr__(v)}")
+            else:
+                out.append(f"{sep}{_encode(_key(k))}: ")
+                _write(v, out, inner)
             sep = "," + inner
         out.append(nl + "}")
     else:
@@ -186,9 +189,10 @@ def dumps(doc) -> str:
     sort_keys=True, default=_json_default) and a newline, for any acyclic
     doc, written in one pass into one list.  json's indented encoder is
     pure Python and yields every token through a chain of generators; here
-    each list of plain ints is one join.  Strings go through json's own
-    ASCII escaper, keys, bools, None and floats follow json's rules, and
-    an unsortable or unknown key or an unknown value raises as json does."""
+    each list of plain ints is one join, and each plain int value of a dict
+    one append with its key.  Strings go through json's own ASCII escaper,
+    keys, bools, None and floats follow json's rules, and an unsortable or
+    unknown key or an unknown value raises as json does."""
     out = []
     _write(doc, out, "\n")
     out.append("\n")

@@ -166,8 +166,8 @@ def _integer_array(arr: np.ndarray, what: str) -> np.ndarray:
 def _member_ids(rule: FusionRule, members) -> np.ndarray:
     """Labels or ids as an id array, every id checked to be an integer in the carrier."""
     ids = [rule.index(x) if isinstance(x, str) else x for x in members]
-    inexact = [x for x in ids if not isinstance(x, (int, np.integer))]
-    if inexact:  # int() would truncate 0.7 to the id 0
+    inexact = [x for x in ids if isinstance(x, bool) or not isinstance(x, (int, np.integer))]
+    if inexact:  # int() would truncate 0.7 to the id 0, and read True as the id 1
         raise DomainError(f"member id {inexact[0]!r} is not an integer")
     ids = np.array(ids, dtype=np.int64)
     bad = ids.view(np.uint64) >= rule.n  # read unsigned, a negative id is at least 2**63
@@ -182,7 +182,7 @@ def as_multiset(rule: FusionRule, x) -> np.ndarray:
         if x.shape != (rule.n,):
             raise DomainError("multiset vector has wrong length")
         return _integer_array(x, "multiset vector")
-    if isinstance(x, (str, int, float, np.number)):  # one label or id
+    if isinstance(x, (str, int, float, np.number, np.bool_)):  # one label or id
         x = [x]
     if not isinstance(x, dict):
         return np.bincount(_member_ids(rule, x), minlength=rule.n)
@@ -325,16 +325,17 @@ def is_homomorphism(mapping, rule: FusionRule, other: FusionRule) -> bool:
 
 
 def _as_map(mapping, rule: FusionRule, other: FusionRule) -> np.ndarray:
+    """mapping as an int64 array of other's ids: an integer array, or a
+    sequence or dict of labels or ids.  A float, bool or object array is
+    refused naming its dtype, and a dict key or value or a sequence entry
+    that is not an integer naming it: a cast would truncate 1.9 to 1."""
     if isinstance(mapping, np.ndarray):
-        f = mapping.astype(np.int64)
+        f = _integer_array(mapping, "map")
     elif isinstance(mapping, dict):
         f = np.full(rule.n, -1, dtype=np.int64)
-        for k, v in mapping.items():
-            ki = rule.index(k) if isinstance(k, str) else int(k)
-            vi = other.index(v) if isinstance(v, str) else int(v)
-            f[ki] = vi
+        f[_member_ids(rule, mapping)] = _member_ids(other, mapping.values())
     else:
-        f = np.asarray(list(mapping), dtype=np.int64)
+        f = _member_ids(other, mapping)
     if f.shape != (rule.n,) or (f < 0).any() or (f >= other.n).any():
         raise DomainError("map is not total on the carrier")
     return f

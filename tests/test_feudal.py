@@ -24,6 +24,7 @@ from fusionkit import (
 )
 from fusionkit.errors import ValidationError
 from fusionkit.feudal import FeudalRule, HomDatum, enumerate_feudal
+from fusionkit.groups import FiniteGroup
 from fusionkit.groups import direct_product, homomorphisms, isomorphisms, standard_catalog
 from fusionkit.rules import group_from_members, is_grading, require_valid, rule_isomorphisms
 
@@ -245,6 +246,53 @@ def test_enumerate_feudal_warns_beyond_curated_orders():
 
     with pytest.raises(DomainError):
         enumerate_feudal(17)
+
+
+def _reference_enumerate_hom_data(max_order, catalog):
+    """enumerate_feudal's hom data as they were: each new datum compared with every kept one."""
+    found = []
+    for S in catalog:
+        for G in catalog:
+            if len(G) % 2 or len(S) + len(G) // 2 > max_order:
+                continue
+            for u in homomorphisms(S, G):
+                if 2 * len(set(u.tolist())) != len(G):
+                    continue
+                if sum(1 for a in range(len(S)) if int(u[a]) == G.unit) < 2:
+                    continue
+                h = HomDatum(S, G, u)
+                if not any(hom_datum_isomorphic(h, other) for other in found):
+                    found.append(h)
+    return found
+
+
+def _relabelled(g, perm, name):
+    """g carried over to the ids perm: element a of g is perm[a], labelled afresh."""
+    perm = np.asarray(perm)
+    table = np.empty_like(g.table)
+    table[perm[:, None], perm] = perm[g.table]
+    return FiniteGroup([f"{name}{i}" for i in range(len(g))], table, name=name)
+
+
+def test_enumerate_feudal_dedupe_matches_reference():
+    """Comparing a new datum only with the kept data of its invariant keeps
+    the same data, in the same order, as comparing it with all of them:
+    through order 12, and on a catalog with two copies each of Z4 and Z2xZ2
+    on other tables and labels, so that neither object nor table identity
+    tells the copies apart."""
+    z4, v4 = cyclic(4), direct_product(cyclic(2), cyclic(2))
+    z4b, v4b = _relabelled(z4, [1, 3, 0, 2], "c"), _relabelled(v4, [1, 2, 3, 0], "v")
+    assert z4b.table_key != z4.table_key and v4b.table_key != v4.table_key and z4b.unit == v4b.unit == 1
+    custom = [cyclic(2), z4, v4, cyclic(3), z4b, v4b, dihedral(3)]
+    for max_order, catalog in ((12, standard_catalog(12)), (7, custom)):
+        got = enumerate_feudal(max_order, catalog).hom_data
+        want = _reference_enumerate_hom_data(max_order, catalog)
+        assert len(got) == len(want) > 0
+        assert all(h.source is w.source and h.target is w.target for h, w in zip(got, want))
+        assert [h.mapping.tolist() for h in got] == [w.mapping.tolist() for w in want]
+    # the copies give data (squaring on Z4 among them), each isomorphic to one on the originals
+    assert any(len(set(u.tolist())) == 2 for u in homomorphisms(z4b, z4))
+    assert len(got) == len(enumerate_feudal(7, [g for g in custom if g is not z4b and g is not v4b]).hom_data)
 
 
 # ---- array kernels against the loops they replace ---------------------------------------

@@ -1,4 +1,6 @@
 import random
+import re
+from itertools import product
 
 import numpy as np
 import pytest
@@ -25,6 +27,25 @@ def test_construction_validates():
         FiniteGroup(["a", "b"], [[0, 1], [0, 1]])  # no unit column
     with pytest.raises(ValidationError):
         FiniteGroup(["a", "b", "c"], [[0, 1, 2], [1, 2, 0], [2, 1, 0]])  # not associative
+
+
+def test_a_table_that_is_not_integer_is_refused():
+    """A float, bool, str or object table is refused naming its dtype, where
+    a cast used to truncate [[0.2, 1.7], [1.1, 0.4]] to the table of Z2;
+    an integer table of any width is read as it is."""
+    for table, dtype in (
+        ([[0.2, 1.7], [1.1, 0.4]], "float64"),
+        ([[0.0, 1.0], [1.0, 0.0]], "float64"),
+        ([[False, True], [True, False]], "bool"),
+        ([["0", "1"], ["1", "0"]], "<U1"),
+        (np.array([[0, 1], [1, 0]], dtype=object), "object"),
+        ([[0, 1], [1, 2**70]], "object"),
+    ):
+        with pytest.raises(ValidationError, match=f"^table must hold integer ids, got dtype {re.escape(dtype)}$"):
+            FiniteGroup(["a", "b"], table)
+    for dtype in (np.int8, np.uint8, np.int32, np.uint64):
+        g = FiniteGroup(["a", "b"], np.array([[0, 1], [1, 0]], dtype=dtype))
+        assert g.table.dtype == np.int64 and g == FiniteGroup(["a", "b"], [[0, 1], [1, 0]])
 
 
 def test_catalog_is_complete_through_8():
@@ -144,6 +165,82 @@ def test_isomorphisms_match_reference():
             if len(g) == len(h):  # and stacked once, read-only, in the same cache entry
                 assert cold is warm and not cold.stacked.flags.writeable
                 assert cold.stacked.dtype == np.int64 and cold.stacked.tolist() == [f.tolist() for f in want]
+
+
+def _reference_homomorphisms(g, h):
+    """homomorphisms as it was: one candidate map built and checked at a time."""
+    gens = g.generating_sequence()
+    expr = {g.unit: ("unit",)}
+    order = [g.unit]
+    frontier = [g.unit]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for gen in gens:
+                b = g.mul(a, gen)
+                if b not in expr:
+                    expr[b] = ("mul", a, gen)
+                    order.append(b)
+                    nxt.append(b)
+        frontier = nxt
+    results = []
+    n = len(g)
+    ht = h.table
+
+    def build(images):
+        f = np.full(n, -1, dtype=np.int64)
+        f[g.unit] = h.unit
+        for e in order[1:]:  # discovery order: the prior element is resolved
+            _, prior, gen = expr[e]
+            f[e] = ht[f[prior], images[gen]]
+        return f
+
+    g_orders, h_orders = g.orders, h.orders
+    candidates = [
+        [img for img in range(len(h)) if g_orders[gen] % h_orders[img] == 0] for gen in gens
+    ]
+    for combo in product(*candidates):
+        f = build(dict(zip(gens, combo)))
+        ft = h.table[f][:, f]
+        if (ft == f[g.table]).all():
+            results.append(f)
+    return results
+
+
+def _assert_homomorphisms_match_reference(g, h):
+    got, want = homomorphisms(g, h), _reference_homomorphisms(g, h)
+    assert [f.tolist() for f in got] == [f.tolist() for f in want], (g, h)
+    assert all(f.dtype == np.int64 and not f.flags.writeable for f in got)
+    assert homomorphisms(g, h) is got  # cached by table content
+
+
+def test_homomorphisms_match_reference(monkeypatch):
+    """The batched check returns the maps of the one-at-a-time loop, in its
+    order: on every ordered pair of the catalog through order 8, from and to
+    the trivial group, and on 1,728 candidate maps, more than one block."""
+    cat = standard_catalog(8)
+    monkeypatch.setattr(groups, "_HOM_CACHE", {})
+    monkeypatch.setattr(groups, "_ISO_CACHE", {})
+    one = trivial_group()
+    for g, h in [*product(cat, repeat=2), *((one, g) for g in cat), *((g, one) for g in cat)]:
+        _assert_homomorphisms_match_reference(g, h)
+    z2_cubed, z2_d4 = direct_product(cyclic(2), klein_four()), direct_product(cyclic(2), dihedral(4))
+    sizes = [int((z2_cubed.orders[gen] % z2_d4.orders == 0).sum()) for gen in z2_cubed.generating_sequence()]
+    assert sizes == [12, 12, 12] and 12**3 > groups._HOM_BLOCK == 1024
+    _assert_homomorphisms_match_reference(z2_cubed, z2_d4)
+
+
+def test_homomorphism_blocks_of_any_size_agree(monkeypatch):
+    """Blocks of 1, 7 or 64 candidates, whose boundaries fall anywhere in the
+    candidate order, give the same maps in the same order."""
+    cat = standard_catalog(8)
+    pairs = [(g, h) for g in cat for h in cat if len(g) in (1, 4, 6, 8) and len(h) in (2, 6, 8)]
+    for block in (1, 7, 64):
+        monkeypatch.setattr(groups, "_HOM_BLOCK", block)
+        monkeypatch.setattr(groups, "_HOM_CACHE", {})
+        monkeypatch.setattr(groups, "_ISO_CACHE", {})
+        for g, h in pairs:
+            _assert_homomorphisms_match_reference(g, h)
 
 
 def test_homomorphism_cache_refuses_writes():

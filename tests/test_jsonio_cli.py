@@ -874,7 +874,13 @@ _KEY_TYPES = [_STRINGS, st.integers(), st.floats(), st.booleans(), st.none()]
 def _containers(inner):
     keyed = [st.dictionaries(k, inner, max_size=4) for k in _KEY_TYPES]
     mixed = st.dictionaries(st.one_of(*_KEY_TYPES), inner, max_size=3)  # mostly unsortable
-    return st.one_of(st.lists(inner, max_size=5), st.lists(inner, max_size=5).map(tuple), *keyed, mixed)
+    # dicts of plain int values (dumps' one-append path) and of bools, which are ints but not plain ones
+    flat = [
+        st.dictionaries(k, v, min_size=1, max_size=4)
+        for k in (*_KEY_TYPES, st.one_of(*_KEY_TYPES))
+        for v in (st.integers(), st.booleans())
+    ]
+    return st.one_of(st.lists(inner, max_size=5), st.lists(inner, max_size=5).map(tuple), *keyed, mixed, *flat)
 
 
 @settings(max_examples=400, derandomize=True, database=None, deadline=None)

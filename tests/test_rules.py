@@ -157,6 +157,35 @@ def test_homomorphism_requires_total_map(ty2):
         is_homomorphism({"1": "1"}, ty2.rule, ty2.rule)
 
 
+def test_homomorphism_refuses_a_map_that_is_not_integer(ty2):
+    """A float, bool or object map array is refused naming its dtype, and a
+    sequence entry or dict key or value that is not an integer naming it: a
+    cast used to truncate [0.9, 0.2, 2.7] to [0, 0, 2] and {1: 1.9} to
+    {1: 1}, both homomorphisms of TY(Z2)."""
+    r = ty2.rule
+    for mapping, dtype in (
+        (np.array([0.9, 0.2, 2.7]), "float64"),
+        (np.array([0.0, 1.0, 2.0]), "float64"),
+        (np.array([True, False, True]), "bool"),
+        (np.array([0, 1, 2], dtype=object), "object"),
+    ):
+        with pytest.raises(DomainError, match=f"^map must hold integers, got dtype {dtype}$"):
+            is_homomorphism(mapping, r, r)
+    for mapping, bad in (
+        ([0.9, 0.2, 2.7], 0.9),
+        ([0, 1, 2.0], 2.0),
+        ([0, True, 2], True),
+        ({0: 0, 1: 1.9, 2: 2}, 1.9),
+        ({0: 0, 1.0: 1, 2: 2}, 1.0),
+        ({0: 0, 1: np.float64(1.0), 2: 2}, np.float64(1.0)),
+        ({0: 0, 1: np.True_, 2: 2}, np.True_),
+    ):
+        with pytest.raises(DomainError, match=f"^member id {re.escape(repr(bad))} is not an integer$"):
+            is_homomorphism(mapping, r, r)
+    for mapping in ([0, 1, 2], np.array([0, 1, 2], dtype=np.uint8), {0: 0, "g": "g", 2: np.int32(2)}):
+        assert is_homomorphism(mapping, r, r)
+
+
 # ---- subrules, cosets, adjoint, nilpotence ------------------------------------------
 
 
@@ -173,8 +202,8 @@ def test_member_ids_outside_the_carrier_raise(mr):
     """An id below 0 or at n, or one that is not an integer, is refused by
     every entry point that takes member ids, naming the id, instead of
     wrapping to the end of the carrier, raising a bare IndexError or being
-    truncated by int(): 0.7 is not the id 0, and [0.9] does not name the
-    trivial group on {0}.  A float multiset vector is refused naming its
+    truncated by int(): 0.7 is not the id 0, [0.9] does not name the
+    trivial group on {0}, and [True] is not the id 1.  A float multiset vector is refused naming its
     dtype; an integer one of any width is read as it is.  A multiplicity in
     the dict form that is a float, bool or str is refused naming its member:
     {0: 1.5, 2: 2.9} on TY(Z2) used to read as [1, 0, 2]."""
@@ -194,7 +223,7 @@ def test_member_ids_outside_the_carrier_raise(mr):
         for call in entry_points:
             with pytest.raises(DomainError, match=f"^member id {bad} is outside the carrier 0..5$"):
                 call(bad)
-    for bad in (0.7, 0.9, 1.0, np.float64(0.5)):
+    for bad in (0.7, 0.9, 1.0, np.float64(0.5), True, np.True_):
         for call in entry_points:
             with pytest.raises(DomainError, match=f"^member id {re.escape(repr(bad))} is not an integer$"):
                 call(bad)
