@@ -23,7 +23,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .ambient import Ambi
-from .errors import DomainError, ResourceError, ValidationError
+from .errors import DomainError, ResourceError, ValidationError, integers
 from .feudal import graded_group, group_rule
 from .fields import Field
 from .groups import FiniteGroup
@@ -71,7 +71,7 @@ class Units:
 
     def log(self, x) -> np.ndarray:
         """The log vector of a value, or the (N, M) log array of a sequence of N values."""
-        v = np.asarray(x, dtype=np.int64) % self.field.p
+        v = integers(x, "value", DomainError, modulus=self.field.p)
         if (v == 0).any():
             raise DomainError("discrete log of 0 is undefined")
         lead = v.shape if self.ambi is None else v.shape[:-1]
@@ -115,19 +115,13 @@ class Cochain(_OnVec):
 
     def __init__(self, group: FiniteGroup, degree: int, values: dict, module: Units):
         rows = _rows(len(group), degree)
-        want = "one integer" if module.points == 1 else f"{module.points} integers"
+        want, shape = ("one integer", ()) if module.ambi is None else (f"{module.points} integers", (module.points,))
         v = np.empty((len(values), module.points), dtype=np.int64)
         for i, (k, x) in enumerate(values.items()):  # the first value that is not one row names its key
-            try:
-                x = np.asarray(x)
-                if x.dtype.kind not in "iu":  # a cast would truncate 1.9 to 1, and read True as 1 and "3" as 3
-                    raise TypeError
-                if x.dtype.kind == "u" and (x > np.iinfo(np.int64).max).any():  # would wrap 2**63 to -2**63
-                    raise OverflowError
-                v[i] = x.reshape(module.points)
-            except (ValueError, TypeError, OverflowError):
-                raise ValidationError(f"cochain value at {k} must be {want}") from None
-        v %= module.field.p
+            x = integers(x, f"cochain value at {k}", modulus=module.field.p)
+            if x.shape != shape:
+                raise ValidationError(f"cochain value at {k} must be {want}")
+            v[i] = x
         if (v == 0).any():
             raise ValidationError("cochain values must be invertible")
         at = [rows.get(k) for k in values]  # keys of any integer type, as tuples of ints
@@ -148,7 +142,7 @@ class Cochain(_OnVec):
 
     def _set(self, group: FiniteGroup, degree: int, logs, module: Units) -> None:
         shape = (len(_rows(len(group), degree)), module.points)
-        logs = np.asarray(logs, dtype=np.int64) % (module.field.p - 1)
+        logs = integers(logs, "log array", modulus=module.field.p - 1)
         if logs.shape != shape:
             raise ValidationError(f"expected a log array of shape (n^degree, M) = {shape}, got {logs.shape}")
         logs.flags.writeable = False
@@ -409,7 +403,7 @@ def h3_via_uber(g: FiniteGroup, serfs, field: Field, direct: H3Report | None = N
     runs, so a bad input raises what the first failing stage raises."""
     from .uber import enumerate_uber
 
-    serfs = frozenset(int(s) for s in serfs)
+    serfs = frozenset(integers(list(serfs), "serfs", DomainError).tolist())
     if 2 * len(serfs) != len(g):
         raise DomainError("serfs must form an index-2 subgroup")
     fr = graded_group(g, serfs)

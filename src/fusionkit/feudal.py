@@ -16,7 +16,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, integers
 from .groups import FiniteGroup, cyclic, from_mul, homomorphisms, isomorphisms, standard_catalog, CATALOG_COMPLETE_THROUGH
 from .rules import (
     FusionRule,
@@ -46,12 +46,10 @@ class HomDatum:
     mapping: np.ndarray
 
     def __post_init__(self):
-        S, G, u = self.source, self.target, np.array(self.mapping)  # a copy: the caller's array stays theirs
+        S, G = self.source, self.target
+        self.mapping = u = integers(self.mapping, "mapping")  # a copy: the caller's array stays theirs
         if u.shape != (len(S),):
             raise ValidationError("mapping must be total on the source")
-        if u.dtype.kind not in "iu":  # a cast would truncate 2.7 to 2
-            raise ValidationError(f"mapping must hold integer ids, got dtype {u.dtype}")
-        self.mapping = u = u.astype(np.int64, copy=False)
         u.setflags(write=False)
         im = self.image_ids  # sorted
         if im[0] < 0 or im[-1] >= len(G):
@@ -90,21 +88,18 @@ class FeudalRule:
 
     def __init__(self, rule: FusionRule, serfs, grading_count: int = 1):
         self.rule = rule
-        self.serfs = frozenset(serfs)
+        self.serfs = frozenset(integers(list(serfs), "serfs").tolist())
         self.lords = frozenset(range(rule.n)) - self.serfs
         self.grading_count = grading_count
         if not self.serfs.issubset(range(rule.n)):
             raise ValidationError("serfs must be elements of the carrier")
-        inexact = [x for x in self.serfs if not isinstance(x, (int, np.integer))]
-        if inexact:  # 0.0 is in range(n), but indexes nothing
-            raise ValidationError(f"serfs must be integer ids, got {min(inexact)!r}")
         self.serf_ids, self.lord_ids, self.serf_group = compiled(self, FeudalRule._validate)
 
     def _validate(self) -> tuple[tuple[int, ...], tuple[int, ...], FiniteGroup]:
         """The sorted serf and lord ids and the serf group, once the split is
         checked to be feudal; the serfs are integer ids in the carrier."""
         r = self.rule
-        serf_ids, lord_ids = tuple(sorted(map(int, self.serfs))), tuple(sorted(self.lords))
+        serf_ids, lord_ids = tuple(sorted(self.serfs)), tuple(sorted(self.lords))
         if not self.lords:
             raise ValidationError("a feudal rule needs at least one lord")
         if not r.is_multiplicity_free:
@@ -185,12 +180,11 @@ class FeudalRule:
 
 def group_rule(g: FiniteGroup) -> FusionRule:
     """A group, viewed as the fusion rule with single-valued fusion."""
-    return FusionRule(g.labels, g.table[:, :, None] == np.arange(len(g)), g.unit, g.inv)
+    return FusionRule(g.labels, (g.table[:, :, None] == np.arange(len(g))).view(np.uint8), g.unit, g.inv)
 
 
 def graded_group(g: FiniteGroup, serfs) -> FeudalRule:
     """A Z2-graded group: even part the given index-2 subgroup."""
-    serfs = frozenset(serfs)
     return FeudalRule(group_rule(g), serfs)
 
 
@@ -264,8 +258,8 @@ def phi(h: HomDatum) -> FeudalRule:
     g = np.concatenate([u, lords])
     table = G.table[g[:, None], g][:, :, None] == g
     table[:ns, :ns] = S.table[:, :, None] == np.arange(n)
-    dual = S.inv.tolist() + (ns + np.searchsorted(lords, G.inv[lords])).tolist()
-    rule = require_valid(FusionRule(labels, table, S.unit, dual))
+    dual = np.concatenate([S.inv, ns + np.searchsorted(lords, G.inv[lords])])
+    rule = require_valid(FusionRule(labels, table.view(np.uint8), S.unit, dual))
     return FeudalRule(rule, range(ns))
 
 

@@ -14,7 +14,7 @@ from math import gcd
 
 import numpy as np
 
-from .errors import DomainError, ResourceError, ValidationError
+from .errors import DomainError, ResourceError, ValidationError, integers
 
 # discrete log is a precomputed table of size p, so fields stay desk-sized
 MAX_MODULUS = 1_000_003
@@ -67,6 +67,10 @@ class Field:
     generator: int = 0
 
     def __post_init__(self):
+        p = integers(self.p, "modulus")
+        if p.shape:
+            raise ValidationError(f"modulus must be one integer, got {self.p!r}")
+        object.__setattr__(self, "p", int(p))
         if self.p > MAX_MODULUS:  # before the trial division, which would not end
             raise ResourceError(f"modulus {self.p} exceeds table bound {MAX_MODULUS}")
         if not is_prime(self.p):

@@ -21,7 +21,7 @@ from math import prod
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, integers
 
 
 def _table_axioms(t: np.ndarray, labels: tuple[str, ...]) -> tuple[int, np.ndarray]:
@@ -52,10 +52,7 @@ class FiniteGroup:
         n = len(self.labels)
         if len(set(self.labels)) != n:
             raise ValidationError("duplicate group labels")
-        t = np.array(table)  # a copy: the caller's array stays theirs
-        if t.dtype.kind not in "iu":  # a cast would truncate 1.7 to 1, and read True as 1
-            raise ValidationError(f"table must hold integer ids, got dtype {t.dtype}")
-        self.table = t.astype(np.int64, copy=False)
+        self.table = integers(table, "table")  # a copy: the caller's array stays theirs
         if self.table.shape != (n, n):
             raise ValidationError(f"table must be {n}x{n}")
         if (self.table.view(np.uint64) >= n).any():  # read unsigned, a negative entry is at least 2**63

@@ -22,7 +22,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import DomainError, ResourceError, ValidationError
+from .errors import DomainError, ResourceError, ValidationError, integers
 from .groups import FiniteGroup
 
 WITNESS_CAP = 16
@@ -42,7 +42,7 @@ class FusionRule:
         n = len(self.labels)
         if len(set(self.labels)) != n:
             raise ValidationError("duplicate labels")
-        self.table = np.array(table, dtype=np.int64)  # a copy: the caller's array stays theirs
+        self.table = integers(table, "table")  # a copy: the caller's array stays theirs
         if self.table.shape != (n, n, n):
             raise ValidationError(f"table must have shape ({n},{n},{n})")
         # read unsigned, a negative entry is at least 2**63: one comparison finds both faults
@@ -51,13 +51,14 @@ class FusionRule:
                 raise ValidationError("multiplicities must be nonnegative")
             raise ResourceError(f"multiplicity {int(self.table.max())} exceeds the bound {MAX_MULTIPLICITY}")
         self.table.setflags(write=False)
+        unit = integers(unit, "unit")
+        if unit.shape or not 0 <= int(unit) < n:
+            raise ValidationError("unit out of range")
         self.unit = int(unit)
-        self.dual = np.array(dual, dtype=np.int64)
+        self.dual = integers(dual, "dual")
         if self.dual.shape != (n,) or (self.dual.view(np.uint64) >= n).any():
             raise ValidationError("dual must be a self-map of the carrier")
         self.dual.setflags(write=False)
-        if not (0 <= self.unit < n):
-            raise ValidationError("unit out of range")
         self._index = {lab: i for i, lab in enumerate(self.labels)}
 
     # ---- carrier ----------------------------------------------------------
@@ -155,21 +156,9 @@ def compiled(owner, build):
     return table
 
 
-def _integer_array(arr: np.ndarray, what: str) -> np.ndarray:
-    """arr as a new int64 array; a float, bool or object dtype, which a cast
-    would truncate or coerce, is refused naming what."""
-    if arr.dtype.kind not in "iu":
-        raise DomainError(f"{what} must hold integers, got dtype {arr.dtype}")
-    return arr.astype(np.int64)
-
-
 def _member_ids(rule: FusionRule, members) -> np.ndarray:
     """Labels or ids as an id array, every id checked to be an integer in the carrier."""
-    ids = [rule.index(x) if isinstance(x, str) else x for x in members]
-    inexact = [x for x in ids if isinstance(x, bool) or not isinstance(x, (int, np.integer))]
-    if inexact:  # int() would truncate 0.7 to the id 0, and read True as the id 1
-        raise DomainError(f"member id {inexact[0]!r} is not an integer")
-    ids = np.array(ids, dtype=np.int64)
+    ids = integers([rule.index(x) if isinstance(x, str) else x for x in members], "member ids", DomainError)
     bad = ids.view(np.uint64) >= rule.n  # read unsigned, a negative id is at least 2**63
     if bad.any():
         raise DomainError(f"member id {ids[bad.argmax()]} is outside the carrier 0..{rule.n - 1}")
@@ -181,17 +170,13 @@ def as_multiset(rule: FusionRule, x) -> np.ndarray:
     if isinstance(x, np.ndarray):
         if x.shape != (rule.n,):
             raise DomainError("multiset vector has wrong length")
-        return _integer_array(x, "multiset vector")
+        return integers(x, "multiset vector", DomainError)
     if isinstance(x, (str, int, float, np.number, np.bool_)):  # one label or id
         x = [x]
     if not isinstance(x, dict):
         return np.bincount(_member_ids(rule, x), minlength=rule.n)
-    ids = _member_ids(rule, x)
-    inexact = [k for k, m in x.items() if isinstance(m, bool) or not isinstance(m, (int, np.integer))]
-    if inexact:  # int() would truncate 1.5 to 1, and read True as 1 and "2" as 2
-        raise DomainError(f"multiplicity of member {inexact[0]!r} is not an integer: {x[inexact[0]]!r}")
     v = np.zeros(rule.n, dtype=np.int64)
-    np.add.at(v, ids, [int(m) for m in x.values()])
+    np.add.at(v, _member_ids(rule, x), integers(list(x.values()), "multiplicities", DomainError))
     if (v < 0).any():
         raise DomainError("negative multiplicity")
     return v
@@ -326,11 +311,9 @@ def is_homomorphism(mapping, rule: FusionRule, other: FusionRule) -> bool:
 
 def _as_map(mapping, rule: FusionRule, other: FusionRule) -> np.ndarray:
     """mapping as an int64 array of other's ids: an integer array, or a
-    sequence or dict of labels or ids.  A float, bool or object array is
-    refused naming its dtype, and a dict key or value or a sequence entry
-    that is not an integer naming it: a cast would truncate 1.9 to 1."""
+    sequence or dict of labels or ids, each entry checked by integers."""
     if isinstance(mapping, np.ndarray):
-        f = _integer_array(mapping, "map")
+        f = integers(mapping, "map", DomainError)
     elif isinstance(mapping, dict):
         f = np.full(rule.n, -1, dtype=np.int64)
         f[_member_ids(rule, mapping)] = _member_ids(other, mapping.values())
@@ -453,10 +436,9 @@ def universal_grading(rule: FusionRule) -> GradingReport:
 
 def is_grading(rule: FusionRule, projection, group: FiniteGroup) -> bool:
     """Surjective homomorphism from the underlying multimagma onto the group."""
-    proj = np.asarray(projection)
+    proj = integers(projection, "projection", DomainError)
     if proj.shape != (rule.n,):
         raise DomainError(f"projection must hold one class per element, shape ({rule.n},), got {proj.shape}")
-    proj = _integer_array(proj, "projection")
     if set(proj.tolist()) != set(range(len(group))):
         return False
     target = group.table[proj[:, None], proj]  # (n, n): required class of every product
@@ -516,10 +498,9 @@ def rule_isomorphisms(
     if len(a) > bound:
         raise ResourceError(f"carrier of size {len(a)} exceeds search bound {bound}")
     n = len(a)
-    sec = np.zeros((2, n), dtype=np.int64) if sector is None else np.asarray(sector)
+    sec = np.zeros((2, n), dtype=np.int64) if sector is None else integers(sector, "sector", DomainError)
     if sec.shape != (2, n):
         raise DomainError(f"sector must hold a class per element of both rules, shape (2, {n}), got {sec.shape}")
-    sec = _integer_array(sec, "sector")
     if first_only and a.key == b.key and (sec[0] == sec[1]).all():
         return [np.arange(n, dtype=np.int64)]
     return _isomorphism_search(a, b, sec, first_only)

@@ -39,7 +39,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import DomainError, ResourceError, ValidationError
+from .errors import DomainError, ResourceError, ValidationError, integers
 from .fields import Field
 from .rules import FusionRule, compiled
 
@@ -80,39 +80,31 @@ def _support_index(rule: FusionRule) -> dict[tuple[int, int, int], int]:
     return {k: i for i, k in enumerate(support)}
 
 
-def _residues(index: dict, values: dict, p: int, outside: str, zero: str) -> np.ndarray:
+def _residues(index: dict, values: dict, p: int, noun: str, outside: str, zero: str) -> np.ndarray:
     """The values mod p at the positions of their keys in index (a rule's slot
-    or support index), -1 at a position no key names; a later duplicate key wins.
+    or support index), -1 at a position no key names.
 
-    A key is looked up as given and int-normalized only where that misses.
-    Every check runs over the whole input, and the failure that a loop over the
-    items would meet first is raised: at each item in turn, a key that does not
-    int-normalize (its own error), a key not in index (outside), a value int()
-    rejects (its own error), then a value that is 0 mod p (zero).
+    The keys are looked up as given and the values read by integers in one
+    pass; where any of that fails, the items are checked in turn and the
+    first bad one raises: a key not in index that is not integers (integers'
+    error) or is (outside), then a value that is not an integer (integers'
+    error, naming noun and the key) or is 0 mod p (zero).
     """
     keys = list(values)
     slots = np.fromiter(map(index.get, keys, repeat(-1)), np.intp, len(keys))
-    errors = []  # (item, check, exception)
-    for i in np.flatnonzero(slots < 0).tolist():
-        try:
-            k = tuple(int(x) for x in keys[i])
-        except Exception as exc:  # re-raised below if it is the first failure
-            errors.append((i, 0, exc))
-            continue
-        slots[i] = index.get(k, -1)
-        if slots[i] < 0:
-            errors.append((i, 1, ValidationError(outside.format(k))))
-    ints: list[int] = []
     try:
-        ints.extend(map(int, values.values()))  # keeps the ints before a failure
-    except Exception as exc:
-        errors.append((len(ints), 2, exc))
-    res = (np.array(ints, dtype=object) % p).astype(np.int64)  # exact for ints beyond int64
-    zeros = np.flatnonzero(res == 0)
-    if zeros.size:
-        errors.append((zeros[0], 3, ValidationError(zero.format(list(index)[slots[zeros[0]]]))))
-    if errors:
-        raise min(errors, key=lambda err: err[:2])[2]
+        res = integers(np.fromiter(values.values(), object, len(keys)), noun, modulus=p)
+    except ValidationError:  # the loop below names the first bad value
+        res = np.zeros(len(keys), np.int64)
+    if (slots < 0).any() or not res.all():
+        canonical = list(index)
+        for k, v in values.items():
+            if k not in index:
+                k = integers(k, "key").tolist()
+                raise ValidationError(outside.format(tuple(k) if isinstance(k, list) else k))
+            # v as the one entry of an array, so a nested v is refused, not read as an array
+            if not integers(np.fromiter([v], object, 1), f"{noun} at {canonical[index[k]]}", modulus=p)[0]:
+                raise ValidationError(zero.format(canonical[index[k]]))
     out = np.full(len(index), -1, np.int64)
     out[slots] = res
     return out
@@ -121,7 +113,7 @@ def _residues(index: dict, values: dict, p: int, outside: str, zero: str) -> np.
 def _frozen_residues(vec, p: int, keys, noun: str, zero: str) -> np.ndarray:
     """vec mod p as a read-only int64 array, checked to hold one value per key
     (keys is a rule's sextuple list or support index), none of them 0 mod p."""
-    vec = np.asarray(vec, np.int64) % p
+    vec = integers(vec, noun, modulus=p)
     if vec.shape != (len(keys),):
         raise ValidationError(f"expected {len(keys)} {noun}, got an array of shape {vec.shape}")
     zeros = np.flatnonzero(vec == 0)
@@ -164,7 +156,8 @@ class FusionSystem(_OnVec):
 
     def __init__(self, rule: FusionRule, field: Field, coeffs: dict):
         index = compiled(rule, _slot_index)
-        c = _residues(index, coeffs, field.p, "coefficient at inadmissible sextuple {}", "zero coefficient at {}")
+        outside, zero = "coefficient at inadmissible sextuple {}", "zero coefficient at {}"
+        c = _residues(index, coeffs, field.p, "coefficient", outside, zero)
         missing = np.flatnonzero(c < 0)
         if missing.size:
             adm = admissible_sextuples(rule)
@@ -543,8 +536,10 @@ class SystemReport:
 
 
 def verify_fusion_system(f: FusionSystem, witness_cap: int = 16) -> SystemReport:
-    if isinstance(witness_cap, bool) or not isinstance(witness_cap, (int, np.integer)) or witness_cap < 0:
+    cap = integers(witness_cap, "witness_cap", DomainError)
+    if cap.shape or cap < 0:
         raise DomainError(f"witness_cap must be a nonnegative integer, got {witness_cap!r}")
+    witness_cap = int(cap)
     prog = compiled(f.rule, _pentagon_program)
     p = f.field.p
     c = np.append(f.vec, 0)
@@ -585,7 +580,8 @@ class GaugeXi(_OnVec):
 
     def __init__(self, rule: FusionRule, field: Field, values: dict):
         index = compiled(rule, _support_index)
-        v = _residues(index, values, field.p, "gauge value at unsupported triple {}", "gauge value must be invertible at {}")
+        outside, zero = "gauge value at unsupported triple {}", "gauge value must be invertible at {}"
+        v = _residues(index, values, field.p, "gauge value", outside, zero)
         if (v < 0).any():
             raise ValidationError("gauge must be total on the support")
         self._set(rule, field, v)
@@ -608,7 +604,7 @@ class GaugeXi(_OnVec):
         return MappingProxyType(dict(zip(compiled(self.rule, _support_index), self.vec.tolist())))
 
     def __getitem__(self, key):
-        return self.values[tuple(int(i) for i in key)]
+        return self.values[tuple(integers(key, "key").tolist())]
 
     def inverse(self) -> "GaugeXi":
         return GaugeXi.from_vec(self.rule, self.field, [self.field.inv(v) for v in self.vec.tolist()])

@@ -65,7 +65,7 @@ import numpy as np
 
 from .ambient import Ambi
 from .cohomology import Units, _delta
-from .errors import DomainError, ResourceError, UnsupportedFieldError, ValidationError
+from .errors import DomainError, ResourceError, UnsupportedFieldError, ValidationError, integers
 from .fields import Field, nth_roots_of
 from .feudal import FeudalRule, detect_feudal
 from .rules import FusionRule, automorphisms as rule_automorphisms, compiled, is_homomorphism
@@ -112,7 +112,7 @@ class _OnLayout(_OnVec):
     _from_vec_args = ("ambi", "vec")
 
     def _set(self, ambi: Ambi, vec) -> None:
-        vec = np.asarray(vec, np.int64) % ambi.field.p
+        vec = integers(vec, "vec", modulus=ambi.field.p)
         size = getattr(_layout_of(ambi), self._size)
         if vec.shape != (size,):
             raise ValidationError(f"expected {size} entries, got an array of shape {vec.shape}")
@@ -210,11 +210,11 @@ class GaugeTriple(_OnLayout):
 
 def _entries(A: Ambi, nonzero: bool = False, **tables) -> tuple[np.ndarray, dict]:
     """The vector of a triple or a gauge from its fields' tables, and each keyed
-    table's entries mod p, keys normalized, in the caller's order.  chi, ups
-    and theta must be keyed by exactly the serf pairs and phi by the serfs;
-    each entry, and tau or sigma, must list one integer per lord that int64
-    holds, none 0 mod p if nonzero.  Tables are checked in argument order and
-    entries in the caller's order, and the first bad one raises."""
+    table's entries mod p, keys read by integers, in the caller's order.
+    chi, ups and theta must be keyed by exactly the serf pairs and phi by the
+    serfs; each entry, and tau or sigma, must list one integer per lord, none
+    0 mod p if nonzero.  Tables are checked in argument order and entries in
+    the caller's order, and the first bad one raises."""
     lay, rows = _layout_of(A), {}
     vec = np.empty(sum(getattr(lay, name).size for name in tables), np.int64)
     for name, table in tables.items():
@@ -225,7 +225,8 @@ def _entries(A: Ambi, nonzero: bool = False, **tables) -> tuple[np.ndarray, dict
         pairs = at.ndim == 3
         keys = list(product(A.serf_ids, repeat=2)) if pairs else A.serf_ids
         show = lambda k: ",".join(A.feudal.rule.labels[i] for i in (k if pairs else [k]))
-        d = {tuple(k) if pairs else int(k): v for k, v in table.items()}
+        ids = lambda k: integers(k, f"{name!r} key").tolist()
+        d = {tuple(ids(k)) if pairs else ids(k): v for k, v in table.items()}
         if d.keys() != set(keys):
             off, by = show(sorted(d.keys() ^ set(keys))[0]), "serf pairs" if pairs else "serfs"
             raise ValidationError(f"{name!r} must be keyed by the {by}; it differs at {off!r}")
@@ -236,15 +237,9 @@ def _entries(A: Ambi, nonzero: bool = False, **tables) -> tuple[np.ndarray, dict
 
 def _lord_residues(A: Ambi, v, where: str, nonzero: bool) -> np.ndarray:
     """v mod p, checked as an entry of _entries; where names it in the error."""
-    try:
-        v = np.asarray(v)
-    except ValueError:  # a ragged sequence
-        v = None
-    if v is None or v.shape != (A.npoints,):
+    v = integers(v, where, modulus=A.field.p)
+    if v.shape != (A.npoints,):
         raise ValidationError(f"{where} must list one residue per lord")
-    if v.dtype.kind not in "iu" or not np.can_cast(v.dtype, np.int64):
-        raise ValidationError(f"{where} must list integers that fit int64")
-    v = v.astype(np.int64) % A.field.p
     if nonzero and not v.all():
         raise ValidationError(f"{where} has an entry 0 mod p, not invertible")
     return v
@@ -377,11 +372,6 @@ def _feudal_structure(rule: FusionRule) -> tuple[frozenset, int] | None:
     keeps it, so decompose without a FeudalRule detects once per rule."""
     fr = detect_feudal(rule)
     return None if fr is None else (fr.serfs, fr.grading_count)
-
-
-def assemble(dec: Decomposition) -> FusionSystem:
-    """The fusion system whose eight index shapes are dec."""
-    return dec.system
 
 
 def psi(f: FusionSystem, fr: FeudalRule | None = None, ambi: Ambi | None = None) -> Uberderivation:
@@ -711,7 +701,7 @@ def _relabeling(ambi: Ambi, perm: np.ndarray) -> np.ndarray:
 
 def transport(u: Uberderivation, perm: np.ndarray) -> Uberderivation:
     """Relabel an uberderivation along a graded rule automorphism."""
-    fr, perm = u.ambi.feudal, np.asarray(perm, dtype=np.int64)
+    fr, perm = u.ambi.feudal, integers(perm, "perm", DomainError)
     graded = sorted(perm.tolist()) == list(range(fr.rule.n)) and set(perm[list(fr.serf_ids)].tolist()) == fr.serfs
     if not (graded and is_homomorphism(perm, fr.rule, fr.rule)):
         raise DomainError("transport needs a rule automorphism that maps serfs to serfs")

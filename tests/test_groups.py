@@ -30,20 +30,22 @@ def test_construction_validates():
 
 
 def test_a_table_that_is_not_integer_is_refused():
-    """A float, bool, str or object table is refused naming its dtype, where
-    a cast used to truncate [[0.2, 1.7], [1.1, 0.4]] to the table of Z2;
-    an integer table of any width is read as it is."""
-    for table, dtype in (
-        ([[0.2, 1.7], [1.1, 0.4]], "float64"),
-        ([[0.0, 1.0], [1.0, 0.0]], "float64"),
-        ([[False, True], [True, False]], "bool"),
-        ([["0", "1"], ["1", "0"]], "<U1"),
-        (np.array([[0, 1], [1, 0]], dtype=object), "object"),
-        ([[0, 1], [1, 2**70]], "object"),
+    """A float, bool, str, ragged or past-int64 table is refused naming its
+    first bad entry, where a cast used to truncate [[0.2, 1.7], [1.1, 0.4]]
+    to the table of Z2 and numpy raised a bare ValueError on a ragged one;
+    an integer table of any width, or of Python ints in an object array, is
+    read as it is."""
+    for table, bad in (
+        ([[0.2, 1.7], [1.1, 0.4]], "0.2 is not an integer"),
+        ([[0.0, 1.0], [1.0, 0.0]], "0.0 is not an integer"),
+        ([[0, True], [True, 0]], "True is not an integer"),
+        ([["0", "1"], ["1", "0"]], "'0' is not an integer"),
+        ([[0, 1], [1]], "[0, 1] is not an integer (ragged or nested)"),
+        ([[0, 1], [1, 2**70]], f"{2**70} is past int64"),
     ):
-        with pytest.raises(ValidationError, match=f"^table must hold integer ids, got dtype {re.escape(dtype)}$"):
+        with pytest.raises(ValidationError, match=f"^table: {re.escape(bad)}$"):
             FiniteGroup(["a", "b"], table)
-    for dtype in (np.int8, np.uint8, np.int32, np.uint64):
+    for dtype in (np.int8, np.uint8, np.int32, np.uint64, object):
         g = FiniteGroup(["a", "b"], np.array([[0, 1], [1, 0]], dtype=dtype))
         assert g.table.dtype == np.int64 and g == FiniteGroup(["a", "b"], [[0, 1], [1, 0]])
 

@@ -52,7 +52,6 @@ from fusionkit.uber import (
     _gauge_lattice,
     _shape_slots,
     _slot_gauge,
-    assemble,
     gauge_shift,
     transport,
     uber_constraint_system,
@@ -1349,7 +1348,7 @@ def test_decomposition_is_its_slot_vector(f17, mr):
     u = mr_uber(f17, mr)
     f = apply_gauge(reconstruct(u), random_gauge(mr.rule, f17, random.Random(7)))
     dec = decompose(f, mr)
-    assert set(vars(dec)) == {"feudal", "system"} and dec.system is f and assemble(dec) is f
+    assert set(vars(dec)) == {"feudal", "system"} and dec.system is f
     assert dec.field == f17 and dec.vec is f.vec and not dec.vec.flags.writeable
     e = mr.rule.unit
     with pytest.raises(TypeError):
@@ -1361,7 +1360,7 @@ def test_decomposition_is_its_slot_vector(f17, mr):
             setattr(dec, name, None)
     views = [getattr(dec, name) for name in _shape_slots(mr)]
     assert _same_decomposition(Decomposition(mr, f17, *views), dec)
-    assert _same_array(assemble(Decomposition(mr, f17, *views)).vec, f.vec)
+    assert _same_array(Decomposition(mr, f17, *views).system.vec, f.vec)
     assert dec.is_normal() is False and decompose(reconstruct(u), mr).is_normal() is True
     for back in (copy.copy(dec), copy.deepcopy(dec), pickle.loads(pickle.dumps(dec))):
         assert type(back) is Decomposition and back.feudal.key == mr.key and back.field == f17
@@ -1392,8 +1391,8 @@ def test_decompose_and_assemble_match_reference(gauge_rules):
         for f in _dictionary_systems(A, rng):
             dec, ref = decompose(f, fr), _reference_decompose(f, fr)
             assert _same_decomposition(dec, ref)
-            assert list(assemble(ref).coeffs.items()) == list(_reference_assemble(ref).coeffs.items())
-            assert assemble(dec) == f
+            assert list(ref.system.coeffs.items()) == list(_reference_assemble(ref).coeffs.items())
+            assert dec.system == f
             checked += 1
     assert checked == 69
 
@@ -1409,7 +1408,7 @@ def test_decompose_detects_the_feudal_structure(f17, ty2):
 
 def test_shapes_partition_admissible_sextuples(gauge_rules):
     """Every admissible sextuple is in exactly one of the eight shapes, once,
-    and no shape names an inadmissible one, so assemble writes every slot."""
+    and no shape names an inadmissible one, so a decomposition's views cover every slot."""
     for A in gauge_rules:
         slots = np.concatenate([s.ravel() for s in _shape_slots(A.feudal).values()])
         assert (np.sort(slots) == np.arange(len(admissible_sextuples(A.feudal.rule)))).all()
@@ -1770,7 +1769,7 @@ DICTIONARY_SHA256 = "8b234b6ca53a7400896d720901949b2957e7c31da301eddca1d57df0a5d
 
 def test_dictionary_outputs_digest(f17, mr):
     """reconstruct, apply_gauge under a seeded random gauge, normalize (the
-    system and its gauge) and assemble(decompose(.)) on the 60 classes, as
+    system and its gauge) and decompose(.).system on the 60 classes, as
     jsonio documents."""
     rng = random.Random(19)
     digest = hashlib.sha256()
@@ -1781,7 +1780,7 @@ def test_dictionary_outputs_digest(f17, mr):
             f = reconstruct(u)
             g = apply_gauge(f, random_gauge(fr.rule, f17, rng))
             normal, xi = normalize(g)
-            for out in (f, g, normal, assemble(decompose(g))):
+            for out in (f, g, normal, decompose(g).system):
                 digest.update(json.dumps(jsonio.system_to_dict(out)).encode())
             digest.update(json.dumps(jsonio.gauge_to_dict(xi)).encode())
     assert classes == 60
@@ -1989,23 +1988,27 @@ def test_field_free_tables_are_compiled_once_per_feudal_rule(monkeypatch):
 # ---- the triple and the gauge triple validated as arrays ---------------------------------
 
 
+def _reference_lord_entry(v, where: str, A) -> np.ndarray:
+    """An entry as the per-entry loops read it: each element an integer,
+    reduced mod p exactly, past int64 too, and one per lord.  A ragged entry,
+    where numpy's own error escaped, raises a ValidationError naming its
+    first list; lists of one length nested in an entry make it one of the
+    wrong shape."""
+    entries = list(v)
+    nested = [x for x in entries if isinstance(x, list)]
+    if nested and (len(nested) < len(entries) or len({len(x) for x in nested}) > 1):
+        raise ValidationError(f"{where}: {nested[0]!r} is not an integer (ragged or nested)")
+    v = np.array([int(x) % A.field.p for x in entries] if not nested else entries, dtype=np.int64)
+    if v.shape != (A.npoints,):
+        raise ValidationError(f"{where} must list one residue per lord")
+    return v
+
+
 def _reference_uberderivation_init(A, chi, ups, tau):
     """Uberderivation.__post_init__ as it stood: one residues call per entry;
-    returns the reduced (chi, ups, tau).  A ragged entry or one past int64,
-    where numpy's own error escaped, raises a ValidationError naming it."""
+    returns the reduced (chi, ups, tau)."""
     show = lambda k: ",".join(A.feudal.rule.labels[i] for i in k)
-
-    def residues(v, name, k=None):
-        where = repr(name) if k is None else f"{name!r} at {show(k)!r}"
-        try:
-            v = np.asarray(v, dtype=np.int64) % A.field.p
-        except ValueError:  # ragged
-            raise ValidationError(f"{where} must list one residue per lord") from None
-        except OverflowError:
-            raise ValidationError(f"{where} must list integers that fit int64") from None
-        if v.shape != (A.npoints,):
-            raise ValidationError(f"{where} must list one residue per lord")
-        return v
+    residues = lambda v, name, k=None: _reference_lord_entry(v, repr(name) if k is None else f"{name!r} at {show(k)!r}", A)
 
     out = []
     for name, table in (("chi", chi), ("ups", ups)):
@@ -2013,7 +2016,8 @@ def _reference_uberderivation_init(A, chi, ups, tau):
         off = sorted(set(d) ^ set(product(A.serf_ids, repeat=2)))
         if off:
             raise ValidationError(f"{name!r} must be keyed by the serf pairs; it differs at {show(off[0])!r}")
-        out.append({k: residues(v, name, k) for k, v in d.items()})
+        checked = {k: residues(v, name, k) for k, v in d.items()}  # in the caller's order
+        out.append({k: checked[k] for k in product(A.serf_ids, repeat=2)})
     return (*out, residues(tau, "tau"))
 
 
@@ -2041,12 +2045,7 @@ def _reference_theta_fault(A, theta):
     if off:
         raise ValidationError(f"'theta' must be keyed by the serf pairs; it differs at {show(off[0])!r}")
     for k, v in d.items():
-        try:
-            shape = np.shape(np.asarray(v) % A.field.p)
-        except ValueError:  # ragged
-            shape = None
-        if shape != (A.npoints,):
-            raise ValidationError(f"'theta' at {show(k)!r} must list one residue per lord")
+        _reference_lord_entry(v, f"'theta' at {show(k)!r}", A)
 
 
 def _outcome(build):
@@ -2088,7 +2087,7 @@ def test_triples_validate_as_the_per_entry_loops(gauge_rules):
     """Uberderivation and GaugeTriple, validating each field as one stack,
     return what the per-entry loops returned, or raise the same type and
     message at the same first bad key, on seeded corruptions: short, long,
-    ragged and out-of-int64 entries, a missing and an extra pair, a
+    ragged and past-int64 entries, a missing and an extra pair, a
     non-constant theta and a phi off 1 at the unit.  A theta keyed other
     than by the serf pairs, or with an entry not one residue per lord, raises
     at its first bad entry as chi does, where the GaugeTriple loop accepted it
@@ -2123,7 +2122,7 @@ def test_triples_validate_as_the_per_entry_loops(gauge_rules):
                 assert got == fault
             else:
                 assert agree(got, _outcome(lambda: _reference_gauge_triple_init(A, t["theta"], phi, g.sigma)))
-    for part in ("one residue per lord", "fit int64", "keyed by the serf pairs", "phi must be normalized", "not fixed by the actions"):
+    for part in ("one residue per lord", "(ragged or nested)", "keyed by the serf pairs", "phi must be normalized", "not fixed by the actions"):
         assert any(part in m for m in raised), part
     for part in ("'theta' at", "'theta' must be keyed by the serf pairs"):
         assert any(part in m for _, m in faults), part
@@ -2227,10 +2226,11 @@ def test_triples_and_gauges_are_read_only(f17, mr):
 
 
 def test_triples_reject_malformed_entries_at_the_door(f17, mr):
-    """A ragged entry, an entry past int64 or a non-integer one raises a
-    ValidationError naming the field and the key, in a triple and in a gauge;
-    numpy's own error escaped before, and a float theta of 2.5 was read as 2.
-    A gauge also rejects an entry 0 mod p, where a triple keeps it for
+    """A ragged entry or a non-integer one raises a ValidationError naming
+    the field, the key and the bad element, in a triple and in a gauge;
+    numpy's own error escaped before, and a float theta of 2.5 was read as
+    2.  An entry past int64 is reduced mod p exactly, as Python's % reduces
+    it.  A gauge also rejects an entry 0 mod p, where a triple keeps it for
     report to name."""
     A = Ambi(mr, f17)
     u = mr_uber(f17, mr)
@@ -2238,25 +2238,30 @@ def test_triples_reject_malformed_entries_at_the_door(f17, mr):
     a = A.serf_ids[1]
     lab = mr.rule.labels[a]
     bad = {
-        "ragged": ([1, [1, 2]], "must list one residue per lord"),
-        "huge": ([2**70, 1], "must list integers that fit int64"),
-        "huge unsigned": ([2**63, 1], "must list integers that fit int64"),
-        "float": ([2.5, 2.5], "must list integers that fit int64"),
-        "bool": ([True, False], "must list integers that fit int64"),
-        "string": (["1", "1"], "must list integers that fit int64"),
+        "ragged": ([1, [1, 2]], ": [1, 2] is not an integer (ragged or nested)"),
+        "float": ([2.5, 2.5], ": 2.5 is not an integer"),
+        "bool": ([True, False], ": True is not an integer"),
+        "string": (["1", "1"], ": '1' is not an integer"),
+        "short": ([1], " must list one residue per lord"),
     }
+    builds = lambda entry: (
+        (lambda: Uberderivation(A, {**u.chi, (a, a): entry}, u.ups, u.tau), f"'chi' at '{lab},{lab}'"),
+        (lambda: Uberderivation(A, u.chi, {**u.ups, (a, a): entry}, u.tau), f"'ups' at '{lab},{lab}'"),
+        (lambda: Uberderivation(A, u.chi, u.ups, entry), "'tau'"),
+        (lambda: GaugeTriple(A, {**g.theta, (a, a): entry}, g.phi, g.sigma), f"'theta' at '{lab},{lab}'"),
+        (lambda: GaugeTriple(A, g.theta, {**g.phi, a: entry}, g.sigma), f"'phi' at '{lab}'"),
+        (lambda: GaugeTriple(A, g.theta, g.phi, entry), "'sigma'"),
+    )
     for entry, message in bad.values():
-        for build, where in (
-            (lambda: Uberderivation(A, {**u.chi, (a, a): entry}, u.ups, u.tau), f"'chi' at '{lab},{lab}'"),
-            (lambda: Uberderivation(A, u.chi, {**u.ups, (a, a): entry}, u.tau), f"'ups' at '{lab},{lab}'"),
-            (lambda: Uberderivation(A, u.chi, u.ups, entry), "'tau'"),
-            (lambda: GaugeTriple(A, {**g.theta, (a, a): entry}, g.phi, g.sigma), f"'theta' at '{lab},{lab}'"),
-            (lambda: GaugeTriple(A, g.theta, {**g.phi, a: entry}, g.sigma), f"'phi' at '{lab}'"),
-            (lambda: GaugeTriple(A, g.theta, g.phi, entry), "'sigma'"),
-        ):
+        for build, where in builds(entry):
             with pytest.raises(ValidationError) as exc:
                 build()
-            assert str(exc.value) == f"{where} {message}"
+            assert str(exc.value) == f"{where}{message}"
+    for big in (2**70, 2**63, -(2**64)):
+        want = [big % 17, 1]
+        assert Uberderivation(A, {**u.chi, (a, a): [big, 1]}, u.ups, u.tau).chi[(a, a)].tolist() == want
+        assert Uberderivation(A, u.chi, u.ups, [big, 1]).tau.tolist() == want
+        assert GaugeTriple(A, g.theta, g.phi, [big, 1]).sigma.tolist() == want
     zero = Uberderivation(A, u.chi, u.ups, [0, 3])
     assert zero.report() == {"invertible": ["tau"]}
     with pytest.raises(ValidationError, match="^'sigma' has an entry 0 mod p, not invertible$"):
