@@ -26,7 +26,7 @@ from fusionkit.errors import ValidationError
 from fusionkit.feudal import FeudalRule, HomDatum, enumerate_feudal
 from fusionkit.groups import FiniteGroup
 from fusionkit.groups import direct_product, homomorphisms, isomorphisms, standard_catalog
-from fusionkit.rules import group_from_members, is_grading, require_valid, rule_isomorphisms
+from fusionkit.rules import group_from_members, is_grading, require_valid, rule_isomorphisms, verify_fusion_rule
 
 
 def z2_feudal_gradings(rule: FusionRule) -> list[frozenset[int]]:
@@ -748,3 +748,43 @@ def test_an_odd_group_rule_has_no_feudal_structure():
     for g in (cyclic(3), cyclic(5)):
         assert detect_feudal(group_rule(g)) is None
     assert detect_feudal(group_rule(cyclic(4))).serf_ids == (0, 2)
+
+
+# ---- phi's proof obligation ---------------------------------------------------------------
+
+
+def _assert_phi_output_passes_the_full_checks(h, fr):
+    """fr = phi(h) passes verify_fusion_rule and the full FeudalRule check,
+    which find the serfs, lords and serf group phi built unchecked, and its
+    adjoint subrule is ker u."""
+    r, ns = fr.rule, len(h.source)
+    assert verify_fusion_rule(r).passed
+    checked = FeudalRule(r, fr.serfs)
+    assert checked.serf_ids == fr.serf_ids == tuple(range(ns))
+    assert checked.lord_ids == fr.lord_ids == tuple(range(ns, r.n))
+    got, want = fr.serf_group, checked.serf_group
+    assert (got.labels, got.table.tobytes(), got.name) == (want.labels, want.table.tobytes(), want.name)
+    assert fr.grading_count == checked.grading_count == 1
+    assert tuple(sorted(r.adjoint)) == h.kernel_ids
+
+
+def test_every_phi_output_passes_the_checks_phi_skips(hom_data_8, monkeypatch):
+    """phi checks no rule axiom and no feudal split; this oracle runs both in
+    full, with the compiled store off, on every phi output: the 834 hom data
+    of order at most 8, the 41 data behind enumerate_feudal(11), and the data
+    behind TY(A) for A in the catalog through order 8 and Moore-Read."""
+    from fusionkit import feudal, rules
+
+    monkeypatch.setattr(rules, "_COMPILED_CACHE", {})
+    monkeypatch.setattr(rules, "COMPILED_LIMIT", 0)  # the store keeps nothing: every check runs
+    enum = enumerate_feudal(11)
+    named, real = [], feudal.phi
+    monkeypatch.setattr(feudal, "phi", lambda h: named.append((h, real(h))) or named[-1][1])
+    catalog = standard_catalog(8)
+    built = [tambara_yamagami(a) for a in catalog] + [moore_read()]
+    assert [fr for _, fr in named] == built and len(built) == len(catalog) + 1
+    pairs = [(h, phi(h)) for h in hom_data_8] + list(zip(enum.hom_data, enum.rules)) + named
+    assert len(hom_data_8) == 834 and len(enum.rules) == 41
+    for h, fr in pairs:
+        _assert_phi_output_passes_the_full_checks(h, fr)
+    assert rules._COMPILED_CACHE == {}
