@@ -403,7 +403,11 @@ def h3_via_uber(g: FiniteGroup, serfs, field: Field, direct: H3Report | None = N
     runs, so a bad input raises what the first failing stage raises."""
     from .uber import enumerate_uber
 
-    serfs = frozenset(integers(list(serfs), "serfs", DomainError).tolist())
+    try:
+        serfs = list(serfs)
+    except TypeError:
+        raise DomainError(f"serfs must be a collection of ids, got {serfs!r}") from None
+    serfs = frozenset(integers(serfs, "serfs", DomainError).tolist())
     if 2 * len(serfs) != len(g):
         raise DomainError("serfs must form an index-2 subgroup")
     fr = graded_group(g, serfs)

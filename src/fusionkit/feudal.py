@@ -82,18 +82,35 @@ class FeudalRule:
     the gathers act_table and bar_perm, read-only and built on first use, so
     a FeudalRule that is only validated or compared never builds them.
 
-    The split is checked once per content: the checked ids and serf group are
-    kept in the compiled store, and an equal FeudalRule made apart shares
-    them."""
+    The public constructor checks the split once per content: the checked ids
+    and serf group are kept in the compiled store, and an equal FeudalRule
+    made apart shares them.  phi alone builds its output through
+    _from_phi, which checks nothing: the paper proves that output feudal, and
+    the Tier-1 oracle runs these checks on every phi output it covers."""
 
     def __init__(self, rule: FusionRule, serfs, grading_count: int = 1):
         self.rule = rule
-        self.serfs = frozenset(integers(list(serfs), "serfs").tolist())
+        try:
+            serfs = list(serfs)
+        except TypeError:
+            raise ValidationError(f"serfs must be a collection of ids, got {serfs!r}") from None
+        self.serfs = frozenset(integers(serfs, "serfs").tolist())
         self.lords = frozenset(range(rule.n)) - self.serfs
         self.grading_count = grading_count
         if not self.serfs.issubset(range(rule.n)):
             raise ValidationError("serfs must be elements of the carrier")
         self.serf_ids, self.lord_ids, self.serf_group = compiled(self, FeudalRule._validate)
+
+    @classmethod
+    def _from_phi(cls, rule: FusionRule, ns: int, serf_group: FiniteGroup) -> "FeudalRule":
+        """The FeudalRule with serfs 0..ns-1, lords ns..n-1 and the given serf
+        group, unchecked; for phi only, whose outputs are feudal by the paper's
+        construction (a guard test keeps every other caller out)."""
+        self = cls.__new__(cls)
+        self.rule, self.grading_count, self.serf_group = rule, 1, serf_group
+        self.serf_ids, self.lord_ids = tuple(range(ns)), tuple(range(ns, rule.n))
+        self.serfs, self.lords = frozenset(self.serf_ids), frozenset(self.lord_ids)
+        return self
 
     def _validate(self) -> tuple[tuple[int, ...], tuple[int, ...], FiniteGroup]:
         """The sorted serf and lord ids and the serf group, once the split is
@@ -247,7 +264,14 @@ def _fresh_lord_labels(serf_labels, lord_labels) -> list[str]:
 
 
 def phi(h: HomDatum) -> FeudalRule:
-    """The graded rule with serfs S, lords G - im(u), and fusion through u."""
+    """The graded rule with serfs S, lords G - im(u), and fusion through u.
+
+    Only FusionRule's checks run (labels, shape, range, dual): HomDatum has
+    checked both groups, the homomorphism and the index-2 image, from which
+    the paper proves the output a Z2-graded feudal rule with serf group S
+    and adjoint subrule ker u.  The Tier-1 oracle runs the full checks on
+    every phi output of the 834 hom data of order at most 8, of
+    enumerate_feudal(11) and of the named rules."""
     S, G, u = h.source, h.target, h.mapping
     ns = len(S)
     lords = np.array(h.lord_ids, dtype=np.int64)
@@ -259,8 +283,8 @@ def phi(h: HomDatum) -> FeudalRule:
     table = G.table[g[:, None], g][:, :, None] == g
     table[:ns, :ns] = S.table[:, :, None] == np.arange(n)
     dual = np.concatenate([S.inv, ns + np.searchsorted(lords, G.inv[lords])])
-    rule = require_valid(FusionRule(labels, table.view(np.uint8), S.unit, dual))
-    return FeudalRule(rule, range(ns))
+    rule = FusionRule(labels, table.view(np.uint8), S.unit, dual)
+    return FeudalRule._from_phi(rule, ns, FiniteGroup(S.labels, S.table))
 
 
 def gamma(fr: FeudalRule) -> HomDatum:

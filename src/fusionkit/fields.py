@@ -115,7 +115,11 @@ class Field:
     def inv(self, a: int) -> int:
         if a % self.p == 0:
             raise DomainError("0 is not invertible")
-        return pow(a, self.p - 2, self.p)
+        try:
+            return pow(a, self.p - 2, self.p)
+        except TypeError:
+            integers(a, "field element", DomainError)  # a float: one line; else the error as it was
+            raise
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -142,7 +146,11 @@ class Field:
     def log(self, a: int) -> int:
         if a % self.p == 0:
             raise DomainError("discrete log of 0 is undefined")
-        return int(self._log_table[a % self.p])
+        try:
+            return int(self._log_table[a % self.p])
+        except IndexError:
+            integers(a, "field element", DomainError)  # a float: one line; else the error as it was
+            raise
 
     def units(self) -> range:
         return range(1, self.p)
@@ -156,7 +164,11 @@ def roots_of_unity(field: Field, n: int) -> list[int]:
     """
     if n < 1:
         raise DomainError("n must be positive")
-    d = gcd(n, field.p - 1)
+    try:
+        d = gcd(n, field.p - 1)
+    except TypeError:
+        integers(n, "exponent", DomainError)
+        raise
     step = (field.p - 1) // d
     return sorted(field.exp(k * step) for k in range(d))
 
@@ -172,7 +184,11 @@ def nth_roots_of(field: Field, a: int, n: int) -> list[int]:
         raise DomainError("a = 0 only admits roots for n = 1")
     m = field.p - 1
     t = field.log(a)
-    d = gcd(n, m)
+    try:
+        d = gcd(n, m)
+    except TypeError:
+        integers(n, "exponent", DomainError)
+        raise
     if t % d != 0:
         return []
     md = m // d

@@ -135,7 +135,7 @@ class FusionRule:
 # every table compiled from a rule, a FeudalRule or an Ambi, and every passing check,
 # by (build, owner.key), the least recently used first
 _COMPILED_CACHE: dict[tuple, object] = {}
-COMPILED_LIMIT = 64  # tables the store keeps; the feudal round trips cycle through it, two per datum
+COMPILED_LIMIT = 64  # tables the store keeps; phi stores nothing, so a feudal round trip passes it by
 
 
 def compiled(owner, build):

@@ -212,9 +212,10 @@ def _entries(A: Ambi, nonzero: bool = False, **tables) -> tuple[np.ndarray, dict
     """The vector of a triple or a gauge from its fields' tables, and each keyed
     table's entries mod p, keys read by integers, in the caller's order.
     chi, ups and theta must be keyed by exactly the serf pairs and phi by the
-    serfs; each entry, and tau or sigma, must list one integer per lord, none
-    0 mod p if nonzero.  Tables are checked in argument order and entries in
-    the caller's order, and the first bad one raises."""
+    serfs, each key of that arity; each entry, and tau or sigma, must list
+    one integer per lord, none 0 mod p if nonzero.  Tables are checked in
+    argument order and keys, then entries, in the caller's order, and the
+    first bad one raises."""
     lay, rows = _layout_of(A), {}
     vec = np.empty(sum(getattr(lay, name).size for name in tables), np.int64)
     for name, table in tables.items():
@@ -225,10 +226,17 @@ def _entries(A: Ambi, nonzero: bool = False, **tables) -> tuple[np.ndarray, dict
         pairs = at.ndim == 3
         keys = list(product(A.serf_ids, repeat=2)) if pairs else A.serf_ids
         show = lambda k: ",".join(A.feudal.rule.labels[i] for i in (k if pairs else [k]))
-        ids = lambda k: integers(k, f"{name!r} key").tolist()
-        d = {tuple(ids(k)) if pairs else ids(k): v for k, v in table.items()}
+        arity, by = ((2,), "serf pairs") if pairs else ((), "serfs")
+
+        def ids(k):
+            got = integers(k, f"{name!r} key")
+            if got.shape != arity:
+                raise ValidationError(f"{name!r} must be keyed by the {by}; {k!r} is not one")
+            return tuple(got.tolist()) if pairs else got.tolist()
+
+        d = {ids(k): v for k, v in table.items()}
         if d.keys() != set(keys):
-            off, by = show(sorted(d.keys() ^ set(keys))[0]), "serf pairs" if pairs else "serfs"
+            off = show(sorted(d.keys() ^ set(keys))[0])
             raise ValidationError(f"{name!r} must be keyed by the {by}; it differs at {off!r}")
         rows[name] = {k: _lord_residues(A, v, f"{name!r} at {show(k)!r}", nonzero) for k, v in d.items()}
         vec[at] = np.reshape([rows[name][k] for k in keys], at.shape)

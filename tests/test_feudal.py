@@ -1,4 +1,6 @@
+import ast
 import hashlib
+import pathlib
 import random
 import re
 from itertools import product
@@ -27,6 +29,8 @@ from fusionkit.feudal import FeudalRule, HomDatum, enumerate_feudal
 from fusionkit.groups import FiniteGroup
 from fusionkit.groups import direct_product, homomorphisms, isomorphisms, standard_catalog
 from fusionkit.rules import group_from_members, is_grading, require_valid, rule_isomorphisms, verify_fusion_rule
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "fusionkit"
 
 
 def z2_feudal_gradings(rule: FusionRule) -> list[frozenset[int]]:
@@ -536,8 +540,8 @@ def test_equal_feudal_rules_share_one_check(monkeypatch):
     monkeypatch.setattr(rules, "_COMPILED_CACHE", {})
     calls = []
     _counting(monkeypatch, FeudalRule, "_validate", calls)
-    first = moore_read()
-    r = first.rule
+    r = moore_read().rule
+    first = FeudalRule(r, moore_read().serfs)  # phi checks nothing: the first check is the constructor's
     again = FeudalRule(FusionRule(r.labels, r.table.copy(), r.unit, r.dual.copy()), [np.int64(x) for x in first.serfs])
     assert calls == ["_validate"]
     assert again.serf_group is first.serf_group
@@ -581,11 +585,12 @@ def test_a_failed_check_is_never_stored(mr, monkeypatch):
 
 def test_a_round_trip_checks_each_rule_content_once(monkeypatch):
     """One round trip on a datum not seen before (HomDatum, phi, gamma,
-    hom_datum_isomorphic, phi, graded_isomorphic) checks the fusion rule
-    axioms once and the feudal split once, and finds the graded isomorphism,
-    the identity, without entering the isomorphism search.  On an empty group
-    axiom store it checks the table axioms once for each distinct table of
-    the groups it builds."""
+    hom_datum_isomorphic, phi, graded_isomorphic) checks neither the fusion
+    rule axioms nor the feudal split, which phi's outputs satisfy by
+    construction (test_every_phi_output_passes_the_checks_phi_skips), and
+    finds the graded isomorphism, the identity, without entering the
+    isomorphism search.  On an empty group axiom store it checks the table
+    axioms once for each distinct table of the groups it builds."""
     from fusionkit import groups, rules
 
     monkeypatch.setattr(rules, "_COMPILED_CACHE", {})
@@ -608,7 +613,7 @@ def test_a_round_trip_checks_each_rule_content_once(monkeypatch):
     assert hom_datum_isomorphic(back, h) is not None
     perm = graded_isomorphic(phi(back), rule)
     assert perm.tolist() == list(range(rule.rule.n))
-    assert sorted(calls) == ["_validate", "verify_fusion_rule"]
+    assert calls == []
     assert len(built) > len(set(built)) and sorted(checked) == sorted(set(built))
 
 
@@ -788,3 +793,32 @@ def test_every_phi_output_passes_the_checks_phi_skips(hom_data_8, monkeypatch):
     for h, fr in pairs:
         _assert_phi_output_passes_the_full_checks(h, fr)
     assert rules._COMPILED_CACHE == {}
+
+
+def _unchecked_path_users(source: str) -> list[str]:
+    """The functions of source, by dotted name ("<module>" at top level), that
+    name FeudalRule._from_phi: an attribute, a bare name or a string, each
+    occurrence once."""
+    found = []
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                walk(child, [*scope, child.name])
+                continue
+            names = (getattr(child, "attr", None), getattr(child, "id", None), getattr(child, "value", None))
+            if "_from_phi" in names:
+                found.append(".".join(scope) or "<module>")
+            walk(child, scope)
+
+    walk(ast.parse(source), [])
+    return found
+
+
+def test_only_phi_takes_the_unchecked_path():
+    """FeudalRule._from_phi skips every check; phi is the one caller, so no
+    other path to a FeudalRule skips them."""
+    snippet = 'FeudalRule._from_phi(r, 1, g)\nclass C:\n    def m(self):\n        return getattr(F, "_from_phi"), _from_phi\n'
+    assert _unchecked_path_users(snippet) == ["<module>", "C.m", "C.m"]
+    found = {p.name: _unchecked_path_users(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert len(found) > 10 and {name: users for name, users in found.items() if users} == {"feudal.py": ["phi"]}

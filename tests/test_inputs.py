@@ -29,8 +29,10 @@ from fusionkit import (
     enumerate_uber,
     h3_via_uber,
     is_homomorphism,
+    nth_roots_of,
     random_gauge,
     reconstruct,
+    roots_of_unity,
 )
 from fusionkit.cohomology import Units
 from fusionkit.errors import DomainError, FusionkitError, ValidationError, integers
@@ -112,6 +114,23 @@ def _set(d: dict, value, at: int = -1) -> dict:
     return {**d, list(d)[at]: value}
 
 
+def _rekey(d, make) -> dict:
+    """d with its first key k replaced by make(k), in the same place."""
+    k = next(iter(d))
+    return {make(k) if x == k else x: v for x, v in d.items()}
+
+
+def _triple(e, make) -> Uberderivation:
+    """e's Moore-Read triple, its first chi key k made make(k)."""
+    return Uberderivation(e["A"], _rekey(e["u"].chi, make), dict(e["u"].ups), e["u"].tau)
+
+
+def _gauge(e, make) -> GaugeTriple:
+    """The identity gauge on e's Moore-Read ambient, its first phi key k made make(k)."""
+    theta, phi, sigma = _gauge_tables(e["A"], 0)
+    return GaugeTriple(e["A"], theta, _rekey(phi, make), sigma)
+
+
 EDGE_CASES = {
     # the truncations and escapes this contract closes
     "rule table + 0.2": (ValidationError, lambda e: FusionRule(e["r"].labels, e["r"].table + 0.2, e["r"].unit, e["r"].dual)),
@@ -129,6 +148,14 @@ EDGE_CASES = {
     "gauge lookup (0.5, 0, 0)": (ValidationError, lambda e: e["xi"][(0.5, 0, 0)]),
     "triple phi key + 0.5": (ValidationError, lambda e: GaugeTriple(e["A"], *_gauge_tables(e["A"], 0.5))),
     "h3_via_uber serfs [0, 2.0]": (DomainError, lambda e: h3_via_uber(cyclic(4), [0, 2.0], e["F"])),
+    "feudal serfs 5": (ValidationError, lambda e: FeudalRule(e["r"], 5)),
+    "h3_via_uber serfs 5": (DomainError, lambda e: h3_via_uber(cyclic(4), 5, e["F"])),
+    "field log 1.5": (DomainError, lambda e: e["F"].log(1.5)),
+    "field inv 1.5": (DomainError, lambda e: e["F"].inv(1.5)),
+    "roots_of_unity n 2.0": (DomainError, lambda e: roots_of_unity(e["F"], 2.0)),
+    "nth_roots_of a 4.0": (DomainError, lambda e: nth_roots_of(e["F"], 4.0, 2)),
+    "triple chi key scalar": (ValidationError, lambda e: _triple(e, lambda k: k[0])),
+    "gauge phi key pair": (ValidationError, lambda e: _gauge(e, lambda k: (k, k))),
     # and the other malformed inputs of the same edges
     "rule bool table": (ValidationError, lambda e: FusionRule(e["r"].labels, e["r"].table > 0, e["r"].unit, e["r"].dual)),
     "rule str table": (ValidationError, lambda e: FusionRule(e["r"].labels, e["r"].table.astype(str), e["r"].unit, e["r"].dual)),
@@ -146,8 +173,9 @@ def test_every_edge_refuses_what_is_not_an_integer(edges, case):
     """Each input was truncated or coerced (a table + 0.2 was the rule, unit
     0.7 the unit 0, a coefficient 1.5, "3" or True read as 1, 3 or 1, a
     float vector, log array or permutation cast), or escaped as a bare
-    numpy or Python error (a ragged table, an id past int64); each is now a
-    one-line FusionkitError of the edge's class."""
+    numpy or Python error (a ragged table, an id past int64, a serf set that
+    is one int, a float in the field's arithmetic, a table key of the wrong
+    arity); each is now a one-line FusionkitError of the edge's class."""
     error, build = EDGE_CASES[case]
     with pytest.raises(FusionkitError) as exc:
         build(edges)
@@ -246,9 +274,17 @@ def _leaves(x, path=()):
         yield path
 
 
+# the specs whose dict constructors read their keys through integers, so that a key of the
+# wrong arity or a float key is refused; the others look their keys up as given
+KEYED = {"Uberderivation", "GaugeTriple"}
+
+
 def _mutate(fields, path, kind, modulus):
     """fields with one mutation at path, and whether it keeps the value mod
-    the modulus."""
+    the modulus.  "unwrap" puts the value in place of the list that holds
+    it; the "key" kinds change the key path[1] of the dict fields[path[0]]:
+    a scalar for a pair (a 1-tuple for a scalar), one entry more, or its
+    first entry a float."""
     out = copy.deepcopy(fields)
     *head, last = path
     box = out
@@ -258,6 +294,16 @@ def _mutate(fields, path, kind, modulus):
     keeps = False
     if kind == "drop":
         del box[last]
+    elif kind == "unwrap":
+        parent = out
+        for k in head[:-1]:
+            parent = parent[k]
+        parent[head[-1]] = v
+    elif kind.startswith("key"):
+        k = path[1]
+        t = k if isinstance(k, tuple) else (k,)
+        new = {"key scalar": t[0] if len(t) > 1 else t, "key arity": (*t, t[0]), "key float": (float(t[0]), *t[1:])}[kind]
+        out[path[0]] = {new if x == k else x: y for x, y in out[path[0]].items()}
     elif kind == "huge":  # a multiple of the modulus far past int64 (and not of 2**64), or past int64
         box[last] = v + (modulus or 1) * 3**45 * (-2 if v % 2 else 1)
         keeps = modulus is not None
@@ -272,14 +318,21 @@ def _mutate(fields, path, kind, modulus):
 @given(data=st.data())
 def test_mutated_constructor_input_is_refused_or_kept_exactly(mutation_specs, data):
     """One value of a public constructor's valid input made a float, a
-    fraction, a str, a bool, None, nested or huge, or one item dropped:
-    only a one-line FusionkitError escapes, and the object built equals the
-    unmutated one exactly when the mutation keeps the value mod p."""
+    fraction, a str, a bool, None, nested or huge, one item dropped, a list
+    replaced by one of its values, or a key of a triple's or gauge's table
+    made a scalar, one entry longer or a float: only a one-line
+    FusionkitError escapes, and the object built equals the unmutated one
+    exactly when the mutation keeps the value mod p."""
     name, build, fields, modulus, key = data.draw(st.sampled_from(mutation_specs))
     path = data.draw(st.sampled_from(list(_leaves(fields))))
-    kind = data.draw(st.sampled_from(["float", "half", "str", "bool", "None", "nested", "huge", "huge off", "drop"]))
+    kinds = ["float", "half", "str", "bool", "None", "nested", "huge", "huge off", "drop", "unwrap", "key scalar", "key arity", "key float"]
+    kind = data.draw(st.sampled_from(kinds))
     if kind == "drop" and len(path) == 1 and not isinstance(fields[path[0]], (dict, list)):
         kind = "huge off"  # a scalar field has no item to drop
+    if kind == "unwrap" and not (len(path) > 1 and isinstance(fields[path[0]], list)):
+        kind = "huge off"  # no list holds the value
+    if kind.startswith("key") and not (name in KEYED and isinstance(fields[path[0]], dict)):
+        kind = "huge off"  # no dict of checked keys holds the value
     if kind == "drop" and len(path) > 1:
         path = path[:-1] if data.draw(st.booleans()) and len(path) > 2 else path
     mutated, keeps = _mutate(fields, path, kind, modulus)
