@@ -2,9 +2,11 @@
 
 A feudal rule splits into serfs (a group) and lords (the other half of a Z2
 grading).  phi() builds the rule out of a homomorphism u: S -> G whose image
-has index 2; gamma() reads the homomorphism back off the universal grading.
-The two are mutually inverse up to relabeling, and sweeping homomorphisms
-with nontrivial kernel enumerates every properly feudal rule.
+has index 2; gamma() reads the homomorphism back off the universal grading,
+whose group is G itself for a rule phi built (gamma reads it off the kept
+datum) and is derived and checked for any other rule.  The two are
+mutually inverse up to relabeling, and sweeping homomorphisms with
+nontrivial kernel enumerates every properly feudal rule.
 
 Run:  python demos/02_feudal_dictionary.py
 """

@@ -20,6 +20,8 @@ from .errors import DomainError, ValidationError, integers
 from .groups import FiniteGroup, cyclic, from_mul, homomorphisms, isomorphisms, standard_catalog, CATALOG_COMPLETE_THROUGH
 from .rules import (
     FusionRule,
+    GradingReport,
+    _coset_label,
     compiled,
     group_from_members,
     is_grading,
@@ -37,9 +39,10 @@ def _z2() -> FiniteGroup:
     return cyclic(2)
 
 
-@dataclass
+@dataclass(frozen=True)
 class HomDatum:
-    """A homomorphism u: S -> G whose image has index 2 in G."""
+    """A homomorphism u: S -> G whose image has index 2 in G; frozen, since
+    phi's output keeps it and gamma reads its grading off it unchecked."""
 
     source: FiniteGroup
     target: FiniteGroup
@@ -47,7 +50,8 @@ class HomDatum:
 
     def __post_init__(self):
         S, G = self.source, self.target
-        self.mapping = u = integers(self.mapping, "mapping")  # a copy: the caller's array stays theirs
+        u = integers(self.mapping, "mapping")  # a copy: the caller's array stays theirs
+        object.__setattr__(self, "mapping", u)
         if u.shape != (len(S),):
             raise ValidationError("mapping must be total on the source")
         u.setflags(write=False)
@@ -85,8 +89,12 @@ class FeudalRule:
     The public constructor checks the split once per content: the checked ids
     and serf group are kept in the compiled store, and an equal FeudalRule
     made apart shares them.  phi alone builds its output through
-    _from_phi, which checks nothing: the paper proves that output feudal, and
-    the Tier-1 oracle runs these checks on every phi output it covers."""
+    _from_phi, which checks nothing and keeps the HomDatum as _phi_datum, off
+    which gamma reads the universal grading: the paper proves that output
+    feudal with grading group G, and the Tier-1 oracle runs these checks on
+    every phi output it covers."""
+
+    _phi_datum: HomDatum | None = None  # set by _from_phi alone: None sends gamma through universal_grading
 
     def __init__(self, rule: FusionRule, serfs, grading_count: int = 1):
         self.rule = rule
@@ -102,12 +110,15 @@ class FeudalRule:
         self.serf_ids, self.lord_ids, self.serf_group = compiled(self, FeudalRule._validate)
 
     @classmethod
-    def _from_phi(cls, rule: FusionRule, ns: int, serf_group: FiniteGroup) -> "FeudalRule":
-        """The FeudalRule with serfs 0..ns-1, lords ns..n-1 and the given serf
-        group, unchecked; for phi only, whose outputs are feudal by the paper's
-        construction (a guard test keeps every other caller out)."""
+    def _from_phi(cls, rule: FusionRule, h: HomDatum) -> "FeudalRule":
+        """The FeudalRule phi(h) on rule, with serfs 0..ns-1, lords ns..n-1 and
+        the serf group S, unchecked, keeping h for gamma; for phi only, whose
+        outputs are feudal by the paper's construction (guard tests keep every
+        other caller out, and every other writer of _phi_datum)."""
         self = cls.__new__(cls)
-        self.rule, self.grading_count, self.serf_group = rule, 1, serf_group
+        S, ns = h.source, len(h.source)
+        self.rule, self.grading_count, self.serf_group = rule, 1, FiniteGroup(S.labels, S.table)
+        self._phi_datum = h
         self.serf_ids, self.lord_ids = tuple(range(ns)), tuple(range(ns, rule.n))
         self.serfs, self.lords = frozenset(self.serf_ids), frozenset(self.lord_ids)
         return self
@@ -284,12 +295,39 @@ def phi(h: HomDatum) -> FeudalRule:
     table[:ns, :ns] = S.table[:, :, None] == np.arange(n)
     dual = np.concatenate([S.inv, ns + np.searchsorted(lords, G.inv[lords])])
     rule = FusionRule(labels, table.view(np.uint8), S.unit, dual)
-    return FeudalRule._from_phi(rule, ns, FiniteGroup(S.labels, S.table))
+    return FeudalRule._from_phi(rule, h)
+
+
+def _datum_grading(h: HomDatum, rule: FusionRule) -> GradingReport:
+    """universal_grading(rule) for rule = phi(h).rule, read off h unchecked.
+
+    The adjoint subrule of phi(h) is ker u and its universal grading group is
+    G (Gelaki-Nikshych): the coset over g is the serf fibre u^-1(g) for g in
+    im u and the lone lord g otherwise.  The cosets come in left_cosets'
+    order, the serf fibres by least serf and then the lords; the grading
+    table is G's, relabelled through the coset -> G map in one gather.  The
+    Tier-1 oracle checks every field against universal_grading on every phi
+    output it covers."""
+    over = [*h.mapping.tolist(), *h.lord_ids]  # the element of G each element of rule lies over
+    to_g = np.array([*dict.fromkeys(over)])  # coset -> G: im u by least serf, then the lords
+    to_coset = np.empty_like(to_g)
+    to_coset[to_g] = np.arange(len(to_g))
+    proj = to_coset[over]
+    members = [[] for _ in to_g]
+    for x, c in enumerate(proj.tolist()):
+        members[c].append(x)
+    cosets = tuple(map(frozenset, members))
+    table = to_coset[h.target.table[to_g[:, None], to_g]]
+    group = FiniteGroup([_coset_label(rule, c) for c in cosets], table, name="grading")
+    return GradingReport(cosets[proj[rule.unit]], cosets, proj, group)
 
 
 def gamma(fr: FeudalRule) -> HomDatum:
-    """Restriction to serfs of the universal grading."""
-    grading = universal_grading(fr.rule)
+    """Restriction to serfs of the universal grading: read off the hom datum
+    for a phi output, which phi proves graded by G, and derived and checked
+    by universal_grading for every other FeudalRule."""
+    h = fr._phi_datum
+    grading = universal_grading(fr.rule) if h is None else _datum_grading(h, fr.rule)
     return HomDatum(fr.serf_group, grading.group, grading.projection[list(fr.serf_ids)])
 
 
@@ -323,11 +361,10 @@ def graded_isomorphic(f1: FeudalRule, f2: FeudalRule):
     """A table isomorphism preserving the serf/lord split, or None."""
     if len(f1.rule) != len(f2.rule) or len(f1.serfs) != len(f2.serfs):
         return None
-    sec1 = np.array([0 if x in f1.serfs else 1 for x in range(f1.rule.n)])
-    sec2 = np.array([0 if x in f2.serfs else 1 for x in range(f2.rule.n)])
-    found = rule_isomorphisms(
-        f1.rule, f2.rule, sector=(sec1, sec2), first_only=True, bound=max(len(f1.rule), 10)
-    )
+    sec = np.ones((2, f1.rule.n), dtype=np.int64)  # serfs in sector 0, lords in 1
+    sec[0, list(f1.serf_ids)] = 0
+    sec[1, list(f2.serf_ids)] = 0
+    found = rule_isomorphisms(f1.rule, f2.rule, sector=sec, first_only=True, bound=max(len(f1.rule), 10))
     return found[0] if found else None
 
 

@@ -25,10 +25,17 @@ from fusionkit import (
     tambara_yamagami,
 )
 from fusionkit.errors import ValidationError
-from fusionkit.feudal import FeudalRule, HomDatum, enumerate_feudal
+from fusionkit.feudal import FeudalRule, HomDatum, _datum_grading, enumerate_feudal
 from fusionkit.groups import FiniteGroup
 from fusionkit.groups import direct_product, homomorphisms, isomorphisms, standard_catalog
-from fusionkit.rules import group_from_members, is_grading, require_valid, rule_isomorphisms, verify_fusion_rule
+from fusionkit.rules import (
+    group_from_members,
+    is_grading,
+    require_valid,
+    rule_isomorphisms,
+    universal_grading,
+    verify_fusion_rule,
+)
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "fusionkit"
 
@@ -83,6 +90,22 @@ def test_hom_datum_requires_index_two():
         HomDatum(cyclic(3), cyclic(3), np.zeros(3, dtype=np.int64))  # cokernel of order 3
     with pytest.raises(ValidationError):
         HomDatum(cyclic(4), cyclic(4), np.array([0, 1, 2, 3]) * 0 + np.array([0, 3, 2, 1]))
+
+
+def test_a_datum_phi_kept_cannot_change():
+    """phi's output keeps its datum for gamma, so a datum's fields cannot be
+    reassigned (gamma raised a bare IndexError after h.mapping was); a new
+    datum goes through the checks."""
+    import dataclasses
+
+    h = doubling_datum()
+    fr = phi(h)
+    for field, value in (("mapping", np.zeros(4, dtype=np.int64)), ("target", cyclic(2)), ("source", cyclic(2))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(h, field, value)
+    assert gamma(fr).mapping.tolist() == gamma(FeudalRule(fr.rule, fr.serfs)).mapping.tolist()
+    with pytest.raises(ValidationError, match="^cokernel must have order 2$"):
+        dataclasses.replace(h, mapping=[0, 0, 0, 0])
 
 
 def test_hom_datum_parts():
@@ -587,11 +610,13 @@ def test_a_round_trip_checks_each_rule_content_once(monkeypatch):
     """One round trip on a datum not seen before (HomDatum, phi, gamma,
     hom_datum_isomorphic, phi, graded_isomorphic) checks neither the fusion
     rule axioms nor the feudal split, which phi's outputs satisfy by
-    construction (test_every_phi_output_passes_the_checks_phi_skips), and
-    finds the graded isomorphism, the identity, without entering the
-    isomorphism search.  On an empty group axiom store it checks the table
-    axioms once for each distinct table of the groups it builds."""
-    from fusionkit import groups, rules
+    construction (test_every_phi_output_passes_the_checks_phi_skips), reads
+    the universal grading off the datum without deriving the adjoint
+    subrule or its cosets, and finds the graded isomorphism, the identity,
+    without entering the isomorphism search.  On an empty group axiom store
+    it checks the table axioms once for each distinct table of the groups it
+    builds."""
+    from fusionkit import feudal, groups, rules
 
     monkeypatch.setattr(rules, "_COMPILED_CACHE", {})
     monkeypatch.setattr(groups, "_AXIOM_CACHE", {})
@@ -599,6 +624,10 @@ def test_a_round_trip_checks_each_rule_content_once(monkeypatch):
     _counting(monkeypatch, rules, "verify_fusion_rule", calls)
     _counting(monkeypatch, FeudalRule, "_validate", calls)
     _counting(monkeypatch, rules, "_isomorphism_search", calls)
+    for owner in (feudal, rules):
+        _counting(monkeypatch, owner, "universal_grading", calls)
+    _counting(monkeypatch, rules, "left_cosets", calls)
+    _counting(monkeypatch, rules, "subrule_generated", calls)
     real_axioms, real_init = groups._table_axioms, groups.FiniteGroup.__init__
     monkeypatch.setattr(groups, "_table_axioms", lambda t, labels: checked.append(t.tobytes()) or real_axioms(t, labels))
 
@@ -615,6 +644,28 @@ def test_a_round_trip_checks_each_rule_content_once(monkeypatch):
     assert perm.tolist() == list(range(rule.rule.n))
     assert calls == []
     assert len(built) > len(set(built)) and sorted(checked) == sorted(set(built))
+
+
+def test_gamma_derives_and_checks_the_grading_of_a_checked_rule(mr, monkeypatch):
+    """A FeudalRule built through the public constructor or detect_feudal
+    holds no hom datum, so gamma derives its grading with universal_grading,
+    once a call, which checks it with is_grading; the datum it gives equals,
+    byte for byte, the one gamma reads off moore_read()'s datum."""
+    from fusionkit import feudal, rules
+
+    want = gamma(moore_read())
+    calls = []
+    for fr in (FeudalRule(mr.rule, mr.serfs), detect_feudal(mr.rule)):
+        assert fr._phi_datum is None
+        _counting(monkeypatch, feudal, "universal_grading", calls)
+        _counting(monkeypatch, rules, "is_grading", calls)
+        got = gamma(fr)
+        monkeypatch.undo()
+        assert calls == ["universal_grading", "is_grading"]
+        calls.clear()
+        assert got.mapping.tobytes() == want.mapping.tobytes()
+        g, w = got.target, want.target
+        assert (g.labels, g.table.tobytes(), g.name) == (w.labels, w.table.tobytes(), w.name)
 
 
 def test_detect_feudal_reads_the_stored_verdict(mr, monkeypatch):
@@ -644,9 +695,30 @@ def test_round_trip_witness_is_the_searchs_first_isomorphism(phi_rules_8):
     rng = random.Random(27)
     for fr in rng.sample(phi_rules_8, 120):
         back = phi(gamma(fr))
-        sec = [[0 if x in f.serfs else 1 for x in range(f.rule.n)] for f in (back, fr)]
+        sec = _reference_sectors(back, fr)
         full = rule_isomorphisms(back.rule, fr.rule, sector=sec, bound=fr.rule.n)
         assert graded_isomorphic(back, fr).tolist() == full[0].tolist()
+
+
+def _reference_sectors(f1, f2):
+    return [[0 if x in f.serfs else 1 for x in range(f.rule.n)] for f in (f1, f2)]
+
+
+def test_graded_isomorphic_sectors_match_reference(phi_rules_8, monkeypatch):
+    """graded_isomorphic scatters its two sector rows over the serf ids; they
+    equal the per-element loop's on phi outputs, whose serfs come first, and
+    on graded groups and detected rules, whose serfs do not."""
+    from fusionkit import feudal
+
+    seen, real = [], feudal.rule_isomorphisms
+    monkeypatch.setattr(feudal, "rule_isomorphisms", lambda a, b, **kw: seen.append(kw["sector"]) or real(a, b, **kw))
+    d4 = dihedral(4)
+    z4 = graded_group(cyclic(4), {0, 2})
+    pairs = [(fr, fr) for fr in phi_rules_8[::40]] + [(z4, detect_feudal(z4.rule)), (phi(gamma(z4)), z4)]
+    pairs += [(graded_group(d4, s), graded_group(d4, t)) for s in d4.index2_subgroups() for t in d4.index2_subgroups()]
+    for f1, f2 in pairs:
+        graded_isomorphic(f1, f2)
+        assert seen.pop().tolist() == _reference_sectors(f1, f2)
 
 
 # sha256 of the round trip on all 834 hom data, recorded once; a kernel rewrite must
@@ -760,9 +832,17 @@ def test_an_odd_group_rule_has_no_feudal_structure():
 
 def _assert_phi_output_passes_the_full_checks(h, fr):
     """fr = phi(h) passes verify_fusion_rule and the full FeudalRule check,
-    which find the serfs, lords and serf group phi built unchecked, and its
-    adjoint subrule is ker u."""
+    which find the serfs, lords and serf group phi built unchecked; its
+    adjoint subrule is ker u; and the grading gamma reads off the datum fr
+    keeps equals universal_grading's, derived and checked, in every field."""
     r, ns = fr.rule, len(h.source)
+    assert fr._phi_datum is h
+    got, want = _datum_grading(fr._phi_datum, r), universal_grading(r)
+    assert got.subrule == want.subrule == frozenset(h.kernel_ids)
+    assert got.cosets == want.cosets
+    assert got.projection.dtype == want.projection.dtype and got.projection.tobytes() == want.projection.tobytes()
+    g, w = got.group, want.group
+    assert (g.labels, g.table.tobytes(), g.name) == (w.labels, w.table.tobytes(), w.name)
     assert verify_fusion_rule(r).passed
     checked = FeudalRule(r, fr.serfs)
     assert checked.serf_ids == fr.serf_ids == tuple(range(ns))
@@ -774,8 +854,9 @@ def _assert_phi_output_passes_the_full_checks(h, fr):
 
 
 def test_every_phi_output_passes_the_checks_phi_skips(hom_data_8, monkeypatch):
-    """phi checks no rule axiom and no feudal split; this oracle runs both in
-    full, with the compiled store off, on every phi output: the 834 hom data
+    """phi checks no rule axiom and no feudal split, and gamma reads a phi
+    output's grading off its datum; this oracle runs every check in full,
+    with the compiled store off, on every phi output: the 834 hom data
     of order at most 8, the 41 data behind enumerate_feudal(11), and the data
     behind TY(A) for A in the catalog through order 8 and Moore-Read."""
     from fusionkit import feudal, rules
@@ -815,10 +896,46 @@ def _unchecked_path_users(source: str) -> list[str]:
     return found
 
 
+def _datum_writers(source: str) -> list[str]:
+    """The functions of source, by dotted name ("<module>" at top level, the
+    class name in a class body), that give _phi_datum a value: an attribute
+    or a name stored or deleted, a keyword, or a string (setattr, vars()),
+    each occurrence once.  An assignment of the literal None hands gamma no
+    datum and is not counted."""
+    found = []
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                walk(child, [*scope, child.name])
+                continue
+            if isinstance(child, (ast.Assign, ast.AnnAssign)) and isinstance(child.value, ast.Constant) and child.value.value is None:
+                continue
+            stored = isinstance(getattr(child, "ctx", None), (ast.Store, ast.Del))
+            names = (getattr(child, "attr", None), getattr(child, "id", None)) if stored else ()
+            if "_phi_datum" in (*names, getattr(child, "arg", None), getattr(child, "value", None)):
+                found.append(".".join(scope) or "<module>")
+            walk(child, scope)
+
+    walk(ast.parse(source), [])
+    return found
+
+
 def test_only_phi_takes_the_unchecked_path():
     """FeudalRule._from_phi skips every check; phi is the one caller, so no
-    other path to a FeudalRule skips them."""
+    other path to a FeudalRule skips them.  gamma trusts the datum a
+    FeudalRule keeps as _phi_datum, and _from_phi is the one function that
+    sets it, so no other path hands gamma an unchecked grading."""
     snippet = 'FeudalRule._from_phi(r, 1, g)\nclass C:\n    def m(self):\n        return getattr(F, "_from_phi"), _from_phi\n'
     assert _unchecked_path_users(snippet) == ["<module>", "C.m", "C.m"]
     found = {p.name: _unchecked_path_users(p.read_text()) for p in sorted(SRC.glob("*.py"))}
     assert len(found) > 10 and {name: users for name, users in found.items() if users} == {"feudal.py": ["phi"]}
+    snippet = (
+        "class F:\n    _phi_datum: object = None\n    def a(self, h):\n        self._phi_datum = h\n"
+        "    def b(self, h):\n        setattr(self, '_phi_datum', h)\n        del self._phi_datum\n"
+        "        self._phi_datum = None\n        return self._phi_datum, replace(self, _phi_datum=h)\n"
+        "_phi_datum = 2\n"
+    )
+    assert _datum_writers(snippet) == ["F.a", "F.b", "F.b", "F.b", "<module>"]
+    found = {p.name: _datum_writers(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert len(found) > 10 and {name: users for name, users in found.items() if users} == {"feudal.py": ["FeudalRule._from_phi"]}

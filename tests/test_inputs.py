@@ -36,7 +36,8 @@ from fusionkit import (
 )
 from fusionkit.cohomology import Units
 from fusionkit.errors import DomainError, FusionkitError, ValidationError, integers
-from fusionkit.rules import as_multiset
+from fusionkit.jsonio import group_from_dict, group_to_dict, hom_datum_from_dict, hom_datum_to_dict
+from fusionkit.rules import as_multiset, subrule_generated
 from fusionkit.uber import transport
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "fusionkit"
@@ -163,9 +164,30 @@ EDGE_CASES = {
     "rule unit True": (ValidationError, lambda e: FusionRule(e["r"].labels, e["r"].table, True, e["r"].dual)),
     "rule dual + 0.3": (ValidationError, lambda e: FusionRule(e["r"].labels, e["r"].table, e["r"].unit, e["r"].dual + 0.3)),
     "group ragged table": (ValidationError, lambda e: FiniteGroup(["a", "b"], [[0, 1], [1]])),
-    "multiset id past int64": (DomainError, lambda e: as_multiset(e["r"], [2**64])),
-    "map id past int64": (DomainError, lambda e: is_homomorphism([0, 1, 2**64], e["r"], e["r"])),
 }
+# the callables that take member ids: a float, a bool, a str that names no label and an id
+# past int64 are each refused
+_ID_SITES = {
+    "multiset": lambda e, x: as_multiset(e["r"], [0, x]),
+    "subrule": lambda e, x: subrule_generated(e["r"], [0, x]),
+    "map": lambda e, x: is_homomorphism([0, x, 2], e["r"], e["r"]),
+}
+for _site, _call in _ID_SITES.items():
+    for _name, _x in (("1.5", 1.5), ("True", True), ("'2'", "2"), ("past int64", 2**64)):
+        EDGE_CASES[f"{_site} id {_name}"] = (DomainError, lambda e, call=_call, x=_x: call(e, x))
+# a group's JSON name is a string or null; any other JSON value was kept or silently replaced
+for _name, _value in (("3", 3), ("1.5", 1.5), ("[]", []), ("{}", {}), ("{'a': 1}", {"a": 1}), ("true", True)):
+    EDGE_CASES[f"json group name {_name}"] = (ValidationError, lambda e, v=_value: group_from_dict({**group_to_dict(cyclic(2)), "name": v}))
+    for _end in ("source", "target"):
+        EDGE_CASES[f"json datum {_end} name {_name}"] = (ValidationError, lambda e, end=_end, v=_value: _renamed_datum(end, v))
+
+
+def _renamed_datum(end: str, name) -> HomDatum:
+    """The JSON datum of the trivial map Z3 -> Z2, loaded with its source or
+    target group named name."""
+    doc = hom_datum_to_dict(HomDatum(cyclic(3), cyclic(2), [0, 0, 0]))
+    doc[end]["name"] = name
+    return hom_datum_from_dict(doc)
 
 
 @pytest.mark.parametrize("case", list(EDGE_CASES))
@@ -175,11 +197,24 @@ def test_every_edge_refuses_what_is_not_an_integer(edges, case):
     float vector, log array or permutation cast), or escaped as a bare
     numpy or Python error (a ragged table, an id past int64, a serf set that
     is one int, a float in the field's arithmetic, a table key of the wrong
-    arity); each is now a one-line FusionkitError of the edge's class."""
+    arity), or was a JSON group name that is no string; each is now a
+    one-line FusionkitError of the edge's class."""
     error, build = EDGE_CASES[case]
     with pytest.raises(FusionkitError) as exc:
         build(edges)
     assert type(exc.value) is error and "\n" not in str(exc.value)
+
+
+def test_a_json_group_name_is_a_string_or_null():
+    """A string names the group; null or no name keeps FiniteGroup's default,
+    and a refused name is named in the message."""
+    doc = group_to_dict(cyclic(2))
+    assert group_from_dict({**doc, "name": "Z"}).name == "Z"
+    assert group_from_dict({**doc, "name": None}).name == "group2"
+    assert group_from_dict({k: v for k, v in doc.items() if k != "name"}).name == "group2"
+    assert _renamed_datum("target", None).target.name == "group2"
+    with pytest.raises(ValidationError, match=r"^field 'name' has a value of the wrong type: \[\]$"):
+        _renamed_datum("source", [])
 
 
 def test_a_python_int_past_int64_is_reduced_exactly_mod_p(edges):
@@ -274,17 +309,26 @@ def _leaves(x, path=()):
         yield path
 
 
+def _at(x, path):
+    """The item of nested dicts and lists x at path."""
+    for k in path:
+        x = x[k]
+    return x
+
+
 # the specs whose dict constructors read their keys through integers, so that a key of the
 # wrong arity or a float key is refused; the others look their keys up as given
 KEYED = {"Uberderivation", "GaugeTriple"}
+# the specs that read a list of ids as a set, so that the set of that list builds the same object
+SETS = {"FeudalRule"}
 
 
 def _mutate(fields, path, kind, modulus):
     """fields with one mutation at path, and whether it keeps the value mod
     the modulus.  "unwrap" puts the value in place of the list that holds
-    it; the "key" kinds change the key path[1] of the dict fields[path[0]]:
-    a scalar for a pair (a 1-tuple for a scalar), one entry more, or its
-    first entry a float."""
+    it, "set" that list's set; the "key" kinds change the key path[1] of the
+    dict fields[path[0]]: a scalar for a pair (a 1-tuple for a scalar), one
+    entry more, or its first entry a float."""
     out = copy.deepcopy(fields)
     *head, last = path
     box = out
@@ -294,11 +338,8 @@ def _mutate(fields, path, kind, modulus):
     keeps = False
     if kind == "drop":
         del box[last]
-    elif kind == "unwrap":
-        parent = out
-        for k in head[:-1]:
-            parent = parent[k]
-        parent[head[-1]] = v
+    elif kind in ("unwrap", "set"):
+        _at(out, head[:-1])[head[-1]] = v if kind == "unwrap" else set(box)
     elif kind.startswith("key"):
         k = path[1]
         t = k if isinstance(k, tuple) else (k,)
@@ -319,23 +360,27 @@ def _mutate(fields, path, kind, modulus):
 def test_mutated_constructor_input_is_refused_or_kept_exactly(mutation_specs, data):
     """One value of a public constructor's valid input made a float, a
     fraction, a str, a bool, None, nested or huge, one item dropped, a list
-    replaced by one of its values, or a key of a triple's or gauge's table
-    made a scalar, one entry longer or a float: only a one-line
-    FusionkitError escapes, and the object built equals the unmutated one
-    exactly when the mutation keeps the value mod p."""
+    replaced by one of its values or by its set, or a key of a triple's or
+    gauge's table made a scalar, one entry longer or a float: only a
+    one-line FusionkitError escapes, and the object built equals the
+    unmutated one exactly when the mutation keeps the value mod p, or makes
+    a set of a list that the constructor reads as a set."""
     name, build, fields, modulus, key = data.draw(st.sampled_from(mutation_specs))
     path = data.draw(st.sampled_from(list(_leaves(fields))))
-    kinds = ["float", "half", "str", "bool", "None", "nested", "huge", "huge off", "drop", "unwrap", "key scalar", "key arity", "key float"]
+    kinds = ["float", "half", "str", "bool", "None", "nested", "huge", "huge off", "drop", "unwrap", "set", "key scalar", "key arity", "key float"]
     kind = data.draw(st.sampled_from(kinds))
     if kind == "drop" and len(path) == 1 and not isinstance(fields[path[0]], (dict, list)):
         kind = "huge off"  # a scalar field has no item to drop
     if kind == "unwrap" and not (len(path) > 1 and isinstance(fields[path[0]], list)):
+        kind = "huge off"  # no list holds the value
+    if kind == "set" and not (len(path) > 1 and isinstance(_at(fields, path[:-1]), list)):
         kind = "huge off"  # no list holds the value
     if kind.startswith("key") and not (name in KEYED and isinstance(fields[path[0]], dict)):
         kind = "huge off"  # no dict of checked keys holds the value
     if kind == "drop" and len(path) > 1:
         path = path[:-1] if data.draw(st.booleans()) and len(path) > 2 else path
     mutated, keeps = _mutate(fields, path, kind, modulus)
+    keeps = keeps or (kind == "set" and name in SETS)
     try:
         obj = build(mutated)
     except FusionkitError as exc:

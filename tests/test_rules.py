@@ -866,6 +866,11 @@ def test_left_cosets_overlapping_and_unit_match_reference(phi_rules_8):
 
 
 def test_round_trip_derives_the_adjoint_once(hom_data_8, monkeypatch):
+    """gamma reads a phi output's adjoint subrule, ker u, off its datum, so the
+    round trip derives it never; a FeudalRule built through the public
+    constructor derives it once, for its check and gamma's grading together."""
+    from fusionkit import FeudalRule, rules
+
     calls = []
     real = subrule_generated
 
@@ -874,6 +879,10 @@ def test_round_trip_derives_the_adjoint_once(hom_data_8, monkeypatch):
         return real(rule, seed)
 
     monkeypatch.setattr("fusionkit.rules.subrule_generated", counted)
+    monkeypatch.setattr(rules, "_COMPILED_CACHE", {})
     h = hom_data_8[-1]
-    gamma(phi(HomDatum(h.source, h.target, h.mapping)))
-    assert len(calls) == 1
+    fr = phi(HomDatum(h.source, h.target, h.mapping))
+    gamma(fr)
+    assert calls == []
+    gamma(FeudalRule(fr.rule, fr.serfs))
+    assert calls == [fr.rule]
