@@ -200,9 +200,10 @@ def dumps(doc) -> str:
     each list of plain ints is one join, each plain int value of a dict
     one append with its key, and each item of any other list one string,
     so the list holds the pieces of one item at a time (the 41-rule
-    enumerate report peaks ≈0.6 MiB lower than with every piece kept).  Strings go through json's own ASCII escaper,
-    keys, bools, None and floats follow json's rules, and an unsortable or
-    unknown key or an unknown value raises as json does."""
+    enumerate report peaks ≈0.6 MiB lower than with every piece kept).
+    Strings go through json's own ASCII escaper, keys, bools, None and
+    floats follow json's rules, and an unsortable or unknown key or an
+    unknown value raises as json does."""
     out = []
     _write(doc, out, "\n")
     out.append("\n")
