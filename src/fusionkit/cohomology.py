@@ -210,11 +210,12 @@ def _delta(g: FiniteGroup, degree: int, side: str):
     return src, signs, k + 1, t[:, k]
 
 
-def coboundary_logs(logs: np.ndarray, module: Units, g: FiniteGroup, degree: int, side: str) -> np.ndarray:
+def coboundary_logs(logs: np.ndarray, module: Units, g: FiniteGroup, degree: int, side: str, delta=None) -> np.ndarray:
     """The coboundary in exponent coordinates: the (n^degree, M) log array of
     a cochain (see `Cochain.logs`) to that of its coboundary, mod p - 1.  With
-    the trivial action, logs may hold K cochains side by side, (n^degree, K)."""
-    src, signs, acted, actor = _delta(g, degree, side)
+    the trivial action, logs may hold K cochains side by side, (n^degree, K).
+    delta is _delta(g, degree, side) when the caller holds it."""
+    src, signs, acted, actor = delta or _delta(g, degree, side)
     terms = np.asarray(logs)[src]
     if module.ambi is not None:  # the trivial action moves nothing
         terms[:, acted] = np.take_along_axis(terms[:, acted], module.action(len(g), side)[actor], axis=1)
@@ -236,15 +237,17 @@ def is_cocycle(h: Cochain) -> bool:
     return not coboundary_logs(h.logs(), h.module, h.group, h.degree, "left").any()
 
 
-def _normalize3_logs(logs: np.ndarray, module: Units, g: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
+def _normalize3_logs(logs: np.ndarray, module: Units, g: FiniteGroup, delta2=None) -> tuple[np.ndarray, np.ndarray]:
     """normalize_cocycle3 in exponent coordinates: (normalized cocycle, witness),
-    for K cocycles side by side too, as coboundary_logs takes them."""
+    for K cocycles side by side too, as coboundary_logs takes them.  delta2
+    is _delta(g, 2, "left") when the caller holds it."""
     n, e, mod = len(g), g.unit, module.field.p - 1
     a, b = np.indices((n, n)).reshape(2, -1)
+    delta2 = delta2 or _delta(g, 2, "left")
     k1 = logs[(e * n + e) * n + b]  # k1(a, b) = h(e, e, b)
-    step1 = logs - coboundary_logs(k1, module, g, 2, "left")
+    step1 = logs - coboundary_logs(k1, module, g, 2, "left", delta2)
     k2 = step1[(a * n + e) * n + e]  # k2(a, b) = step1(a, e, e)
-    out = (step1 + coboundary_logs(k2, module, g, 2, "left")) % mod
+    out = (step1 + coboundary_logs(k2, module, g, 2, "left", delta2)) % mod
     if out[_touches_unit(g, 3)].any():
         raise ValidationError("normalization failed")
     return out, (k2 - k1) % mod
@@ -261,10 +264,11 @@ def normalize_cocycle3(h: Cochain) -> tuple[Cochain, Cochain]:
 # ---- H^3 over GF(p)^x ------------------------------------------------------------
 
 
-def _coboundary_matrix(g: FiniteGroup, degree: int) -> np.ndarray:
+def _coboundary_matrix(g: FiniteGroup, degree: int, delta=None) -> np.ndarray:
     """Exponent-space matrix of the left coboundary C^degree -> C^(degree+1)
-    with the trivial action."""
-    src, signs, _, _ = _delta(g, degree, "left")
+    with the trivial action; delta is _delta(g, degree, "left") when the
+    caller holds it."""
+    src, signs, _, _ = delta or _delta(g, degree, "left")
     D = np.zeros((len(src), len(g) ** degree), dtype=np.int64)
     np.add.at(D, (np.arange(len(src))[:, None], src), signs)
     return D
@@ -300,15 +304,16 @@ def h3(g: FiniteGroup, field: Field) -> H3Report:
     if field.p > 257:
         raise ResourceError("h3 is bounded at p <= 257")
     n = field.p - 1
-    D3 = _coboundary_matrix(g, 3)
-    D2 = _coboundary_matrix(g, 2)
+    delta3, delta2 = _delta(g, 3, "left"), _delta(g, 2, "left")  # for the matrices, the dd check and normalization
+    D3 = _coboundary_matrix(g, 3, delta3)
+    D2 = _coboundary_matrix(g, 2, delta2)
     kernel = nullspace_mod(D3, n)
-    src, signs, _, _ = _delta(g, 3, "left")  # D3 @ D2 as a gather of D2's rows
+    src, signs, _, _ = delta3  # D3 @ D2 as a gather of D2's rows
     if (np.tensordot(D2[src], signs, (1, 0)) % n).any():
         raise ValidationError("coboundary image is not closed")  # dd != 1
-    quot = quotient_structure(kernel, (D2 % n).T, D3.shape[1], n)
+    quot = quotient_structure(kernel, (D2 % n).T, D3.shape[1], n, indexed=False)
     mod = Units(field)
-    logs, _ = _normalize3_logs(np.array(list(quot.representatives(limit=4096))).T, mod, g)
+    logs, _ = _normalize3_logs(np.array(list(quot.representatives(limit=4096))).T, mod, g, delta2)
     reps = [Cochain.from_logs(g, 3, logs[:, i : i + 1], mod) for i in range(logs.shape[1])]
     roots = None
     gen = _cyclic_generator(g)

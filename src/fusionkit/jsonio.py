@@ -45,12 +45,13 @@ def _load_json(path) -> dict:
     return doc
 
 
-def _field(doc, key: str):
-    """doc[key], or a ValidationError naming the missing field."""
+def _field(doc, key: str, prefix: str = ""):
+    """doc[key], or a ValidationError naming the missing field, as prefix + key
+    for a document nested in another (a hom datum's "source.")."""
     try:
         return doc[key]
     except (KeyError, TypeError) as e:
-        raise ValidationError(f"document has no field {key!r}") from e
+        raise ValidationError(f"document has no field {prefix + key!r}") from e
 
 
 def _checked(cast, val, where: str):
@@ -86,15 +87,16 @@ def _labels(vec) -> list[str]:
     return labels
 
 
-def _keyed(doc, name: str, idx: dict, arity: int, cast) -> dict:
+def _keyed(doc, name: str, idx: dict, arity: int, cast, prefix: str = "") -> dict:
     """Object field name of doc: label tuples (arity labels joined by commas)
-    to cast values; an error names the field and the key, as 'name:key'."""
-    out = {}
-    for key, val in _checked(dict.items, _field(doc, name), name):
+    to cast values; an error names the field and the key, as 'name:key',
+    after prefix as _field puts it."""
+    out, where = {}, prefix + name
+    for key, val in _checked(dict.items, _field(doc, name, prefix), where):
         parts = key.split(",")
         if len(parts) != arity or any(p not in idx for p in parts):
-            raise ValidationError(f"bad key {key!r} in {name!r}")
-        out[tuple(idx[p] for p in parts)] = _checked(cast, val, f"{name}:{key}")
+            raise ValidationError(f"bad key {key!r} in {where!r}")
+        out[tuple(idx[p] for p in parts)] = _checked(cast, val, f"{where}:{key}")
     return out
 
 
@@ -267,13 +269,19 @@ def load_rule(path) -> FusionRule:
 
 
 def group_from_dict(doc: dict) -> FiniteGroup:
-    labels = _checked(_labels, _field(doc, "labels"), "labels")
+    return _group_from_dict(doc, "")
+
+
+def _group_from_dict(doc: dict, prefix: str) -> FiniteGroup:
+    """group_from_dict, naming a bad field as prefix + field (a hom datum's
+    "source." or "target.")."""
+    labels = _checked(_labels, _field(doc, "labels", prefix), prefix + "labels")
     idx = {lab: i for i, lab in enumerate(labels)}
     n = len(labels)
     table = np.zeros((n, n), dtype=np.int64)
-    for (a, b), c in _keyed(doc, "table", idx, 2, idx.__getitem__).items():
+    for (a, b), c in _keyed(doc, "table", idx, 2, idx.__getitem__, prefix).items():
         table[a, b] = c
-    return FiniteGroup(labels, table, name=_checked(_name, doc.get("name"), "name"))
+    return FiniteGroup(labels, table, name=_checked(_name, doc.get("name"), prefix + "name"))
 
 
 def group_to_dict(g: FiniteGroup) -> dict:
@@ -289,8 +297,7 @@ def group_to_dict(g: FiniteGroup) -> dict:
 
 
 def hom_datum_from_dict(doc: dict) -> HomDatum:
-    src = group_from_dict(_field(doc, "source"))
-    tgt = group_from_dict(_field(doc, "target"))
+    src, tgt = (_group_from_dict(_field(doc, side), f"{side}.") for side in ("source", "target"))
     mapping = np.zeros(len(src), dtype=np.int64)
     src_idx, tgt_idx = ({lab: i for i, lab in enumerate(g.labels)} for g in (src, tgt))
     for (a,), img in _keyed(doc, "map", src_idx, 1, tgt_idx.__getitem__).items():

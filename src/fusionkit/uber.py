@@ -918,18 +918,35 @@ CLASS_LIMIT = 100_000  # coset representatives enumerate_uber walks at most
 REP_BLOCK = 1024  # coset representatives enumerate_uber checks with one product
 
 
-@dataclass
+@dataclass(eq=False)
 class UberClassification:
+    """The gauge classes enumerate_uber found on an Ambi.
+
+    vecs holds the exponent vector (uber_to_vec) of each kept class
+    representative, one read-only row per class; gauge_classes is its row
+    count.  class_reps (each row through vec_to_uber, so built and checked by
+    Uberderivation.from_vec) and invariants (class_invariants of each) are
+    built on first read and kept: a caller that reads only the counts, as
+    h3_via_uber does, builds no Uberderivation.
+    """
+
     ambi: Ambi
     obstructions: ObstructionReport
-    class_reps: list[Uberderivation]
-    invariants: list[dict]
+    vecs: np.ndarray
     orbits: list[list[int]]
     lattice: dict
 
+    @cached_property
+    def class_reps(self) -> list[Uberderivation]:
+        return [vec_to_uber(self.ambi, x) for x in self.vecs]
+
+    @cached_property
+    def invariants(self) -> list[dict]:
+        return [class_invariants(u) for u in self.class_reps]
+
     @property
     def gauge_classes(self) -> int:
-        return len(self.class_reps)
+        return len(self.vecs)
 
     @property
     def equivalence_classes(self) -> int:
@@ -975,17 +992,17 @@ def enumerate_uber(ambi: Ambi, *, with_orbits: bool = True) -> UberClassificatio
     obst = check_existence_obstructions(A.feudal, F)
     mat, rhs, keys = uber_constraint_system(A)
     lattice_info = {"unknowns": len(keys)}
-    if mat is None:
-        return UberClassification(A, obst, [], [], [], lattice_info | {"consistent": False})
-    x0 = solve_mod(mat, rhs, n)
+    x0 = None if mat is None else solve_mod(mat, rhs, n)
     if x0 is None:
-        return UberClassification(A, obst, [], [], [], lattice_info | {"consistent": False})
+        empty = np.zeros((0, len(keys)), np.int64)
+        empty.flags.writeable = False
+        return UberClassification(A, obst, empty, [], lattice_info | {"consistent": False})
     hom = nullspace_mod(mat, n)
     gauge = compiled(A, _gauge_lattice).shifts
     if (mat @ gauge.T % n).any():
         raise ValidationError("gauge shift violates the monomial axioms")
     shifts = [v for v in gauge if v.any()]
-    quot = quotient_structure(hom, shifts, len(keys), n)
+    quot = quotient_structure(hom, shifts, len(keys), n, indexed=with_orbits)  # only the orbit merge indexes
     lattice_info.update(
         consistent=True,
         quotient_order=quot.order,
@@ -1007,11 +1024,12 @@ def enumerate_uber(ambi: Ambi, *, with_orbits: bool = True) -> UberClassificatio
             class_at[done + i] = len(vecs)
             vecs.append(X[i])
         done += len(X)
-    reps = [vec_to_uber(A, x) for x in vecs]
-    lattice_info["filtered_out"] = quot.order - len(reps)
+    vecs = np.array(vecs, np.int64).reshape(len(vecs), len(keys))
+    vecs.flags.writeable = False
+    lattice_info["filtered_out"] = quot.order - len(vecs)
 
     orbits: list[list[int]] = []
-    if with_orbits and reps:
+    if with_orbits and len(vecs):
         fr = A.feudal
         all_perms = rule_automorphisms(fr.rule, bound=max(10, fr.rule.n))
         perms = [p for p in all_perms if all(int(p[s]) in fr.serfs for s in fr.serf_ids)]
@@ -1030,8 +1048,6 @@ def enumerate_uber(ambi: Ambi, *, with_orbits: bool = True) -> UberClassificatio
                 raise ValidationError("an automorphism moves a class onto a filtered-out coset")
             orbits.append(sorted(orbit))
             placed |= orbit
-    elif reps:
-        orbits = [[i] for i in range(len(reps))]
-
-    invariants = [class_invariants(u) for u in reps]
-    return UberClassification(A, obst, reps, invariants, orbits, lattice_info)
+    else:
+        orbits = [[i] for i in range(len(vecs))]
+    return UberClassification(A, obst, vecs, orbits, lattice_info)

@@ -6,14 +6,22 @@ diagonalization mod n with tracked column transforms, from which solving,
 kernels, quotient-group enumeration and its inverse (the index of the coset
 of a vector) all follow.
 
+Each elimination builds only the transforms its caller reads.  The column
+transform V is always built: kernels, solutions and coset indices read it.
+Its inverse Vinv is built only for the relation matrix of
+quotient_structure, whose representatives read it: nullspace_mod,
+solve_mod, factor_mod and the elimination of quotient_structure's
+generators each pass inverse=False.  No module but this one calls smith_mod
+or reads Vinv.
+
 Factor once, solve many: smith_mod carries any number of right-hand sides
 (the columns of a matrix rhs) through a single elimination, and
 back_substitute finishes each of them.  Right-hand sides known up front are
 passed together; for ones that arrive later, factor_mod(A, n) factors A once
 and its .solve(b, n) answers each of them without another elimination.
 quotient_structure does both with one elimination of its generators: it
-carries the identity, which leaves the row transform its index solves
-against, alongside all of its t_gens.
+carries all of its t_gens, and, for a caller that will index, the identity
+alongside them, which leaves the row transform index solves against.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from math import gcd, prod
 
 import numpy as np
 
-from .errors import ResourceError, ValidationError
+from .errors import DomainError, ResourceError, ValidationError
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -56,15 +64,18 @@ def _unit_scale(a: int, g: int, n: int) -> int:
 class SmithMod:
     """Diagonalization A ~ diag(d_i) over Z/n via unimodular row/col ops.
 
-    Only the column transform V (and its inverse) is materialized; row
-    operations are applied to the optional right-hand side instead (a vector,
-    or a matrix with one column per right-hand side).
+    Only the column transform V, and its inverse Vinv when the caller asks
+    for it, is materialized; row operations are applied to the optional
+    right-hand side instead (a vector, or a matrix with one column per
+    right-hand side).  Vinv is None when smith_mod was called with
+    inverse=False, as every caller but quotient_structure's relation
+    matrix is: representatives reads Vinv, and nothing else does.
     Diagonal entries are divisors of n and satisfy d_1 | d_2 | ... .
     """
 
     diag: list[int]
     V: np.ndarray
-    Vinv: np.ndarray
+    Vinv: np.ndarray | None
     rhs: np.ndarray | None
     rows: int
     cols: int
@@ -80,8 +91,9 @@ def _swap(X, i, j) -> None:
     X[i], X[j] = X[j], X[i].copy()
 
 
-def smith_mod(A, n: int, rhs=None) -> SmithMod:
-    """Diagonalize A mod n, carrying rhs (if given) through the row operations.
+def smith_mod(A, n: int, rhs=None, *, inverse: bool = True) -> SmithMod:
+    """Diagonalize A mod n, carrying rhs (if given) through the row operations,
+    and tracking the inverse column transform Vinv only if inverse is set.
 
     The pivot of step t is the entry of A[t:, t:] with the smallest gcd with
     n, first in row-major order.  Rows at or below t are zero left of column
@@ -92,13 +104,14 @@ def smith_mod(A, n: int, rhs=None) -> SmithMod:
     write, so the pivot is found from the per-row lowest level, and the
     chain condition from the levels a non-unit pivot does not divide,
     without rescanning A.  Divisibility is scanned only on nonzero entries,
-    and not at all for a pivot of 1.
+    and not at all for a pivot of 1.  The pivots, V and rhs do not depend on
+    whether Vinv is tracked.
     """
     # column-major: the pivot column is read on every pass, and swapped whole
     A = np.mod(np.atleast_2d(np.asarray(A, dtype=np.int64)), n, order="F")
     m, k = A.shape
     VT = np.eye(k, dtype=np.int64)  # V transposed: its column operations act on rows
-    Vi = np.eye(k, dtype=np.int64)
+    Vi = np.eye(k, dtype=np.int64) if inverse else None
     b = None if rhs is None else np.asarray(rhs, dtype=np.int64) % n
     # level[v] orders residues by gcd(v, n), with 0 on the last level
     gcds = np.gcd(np.arange(n), n)
@@ -109,13 +122,15 @@ def smith_mod(A, n: int, rhs=None) -> SmithMod:
     # per-row level counts and lowest level; a row's are not read again once it holds a pivot
     cells = np.arange(m)[:, None] * len(levels) + level[A]
     count = np.bincount(cells.ravel(), minlength=m * len(levels)).reshape(m, len(levels))
+    flat = count.reshape(-1)  # a view: count's cell (row, level) at row * len(levels) + level
     low = (count > 0).argmax(axis=1)
 
     def write(rows, cols, new, old):
         """A[rows, cols] = new over old, for a column of distinct rows,
         keeping count and low of those rows up to date."""
-        np.add.at(count, (rows, level[new]), 1)
-        np.subtract.at(count, (rows, level[old]), 1)
+        at = rows * len(levels)
+        np.add.at(flat, (at + level[new]).ravel(), 1)
+        np.subtract.at(flat, (at + level[old]).ravel(), 1)
         r = rows[:, 0]
         low[r] = (count[r] > 0).argmax(axis=1)
         A[rows, cols] = new
@@ -134,7 +149,8 @@ def smith_mod(A, n: int, rhs=None) -> SmithMod:
         if j0 != t:
             _swap(A[t:].T, t, j0)
             _swap(VT, t, j0)
-            _swap(Vi, t, j0)
+            if Vi is not None:
+                _swap(Vi, t, j0)
 
         guard = 0
         while True:
@@ -181,7 +197,8 @@ def smith_mod(A, n: int, rhs=None) -> SmithMod:
                 old = A[rows, cols]
                 write(rows, cols, old @ N % n, old)
                 VT[[t, j2]] = N.T @ VT[[t, j2]] % n
-                Vi[[t, j2]] = np.array([[v, -u], [-y, x]]) @ Vi[[t, j2]] % n
+                if Vi is not None:
+                    Vi[[t, j2]] = np.array([[v, -u], [-y, x]]) @ Vi[[t, j2]] % n
                 continue
             if len(nz):
                 q = row[nz] // a
@@ -190,7 +207,8 @@ def smith_mod(A, n: int, rhs=None) -> SmithMod:
                 vr = VT[t].nonzero()[0]
                 cell = (cols[:, None], vr)
                 VT[cell] = (VT[cell] - q[:, None] * VT[t, vr]) % n
-                Vi[t] = (Vi[t] + q @ Vi[cols]) % n
+                if Vi is not None:
+                    Vi[t] = (Vi[t] + q @ Vi[cols]) % n
             # chain condition: pivot must divide the remaining submatrix, whose
             # rows' nonzero levels it divides exactly when it divides their entries
             g = gcd(a, n)
@@ -210,7 +228,8 @@ def smith_mod(A, n: int, rhs=None) -> SmithMod:
             w = _unit_scale(a, g, n)
             A[t, t] = a * w % n
             VT[t] = VT[t] * w % n
-            Vi[t] = Vi[t] * pow(w, -1, n) % n
+            if Vi is not None:
+                Vi[t] = Vi[t] * pow(w, -1, n) % n
         t += 1
 
     diag = np.gcd(A.diagonal()[:t], n).tolist()
@@ -219,7 +238,7 @@ def smith_mod(A, n: int, rhs=None) -> SmithMod:
 
 def factor_mod(A, n: int) -> SmithMod:
     """smith_mod of A with the identity as rhs, which leaves the row transform."""
-    return smith_mod(A, n, rhs=np.eye(np.atleast_2d(A).shape[0], dtype=np.int64))
+    return smith_mod(A, n, rhs=np.eye(np.atleast_2d(A).shape[0], dtype=np.int64), inverse=False)
 
 
 def _unique_rows(A: np.ndarray) -> np.ndarray:
@@ -235,7 +254,7 @@ def nullspace_mod(A, n: int) -> list[np.ndarray]:
     A = np.atleast_2d(np.asarray(A, dtype=np.int64)) % n
     if A.shape[0] > 1:
         A = _unique_rows(A)  # row space, hence kernel, is unchanged
-    sm = smith_mod(A, n)
+    sm = smith_mod(A, n, inverse=False)
     gens = []
     for i in range(sm.cols):
         d = sm.diag[i] if i < len(sm.diag) else 0
@@ -266,7 +285,7 @@ def back_substitute(sm: SmithMod, c, n: int) -> np.ndarray | None:
 
 def solve_mod(A, rhs, n: int) -> np.ndarray | None:
     """One solution of A @ x = rhs mod n, or None (rhs a vector or a matrix)."""
-    sm = smith_mod(A, n, rhs=rhs)
+    sm = smith_mod(A, n, rhs=rhs, inverse=False)
     return back_substitute(sm, sm.rhs, n)
 
 
@@ -276,7 +295,10 @@ class QuotientStructure:
 
     A coset is named by y in prod(Z/factors[i]): its representative is
     (y @ Vinv) @ gens, where V, Vinv are the Smith column transforms of the
-    relation matrix on the coefficients of gens.
+    relation matrix on the coefficients of gens.  representatives reads
+    Vinv; index reads V and the row transform of the generators' elimination
+    (_solver), which quotient_structure builds only when asked to: a
+    structure built without it refuses index.
     """
 
     order: int
@@ -284,7 +306,7 @@ class QuotientStructure:
     _V: np.ndarray
     _Vinv: np.ndarray
     _gens: np.ndarray
-    _solver: SmithMod  # factor_mod(_gens.T): solves for coefficients over the gens
+    _solver: SmithMod | None  # factor_mod(_gens.T), or None if not indexed: solves for coefficients over the gens
     _n: int
 
     @property
@@ -304,6 +326,8 @@ class QuotientStructure:
         """Position in representatives() of the coset of v, which must lie in
         span(H); for a (K, dim) batch, the list of the K positions, from one
         solve.  The last factor varies fastest."""
+        if self._solver is None:
+            raise DomainError("this quotient was built without the row transform index solves against")
         n = self._n
         c = self._solver.solve(np.asarray(v, dtype=np.int64).T % n, n)
         if c is None:
@@ -313,26 +337,35 @@ class QuotientStructure:
         return (digits @ np.array(places, dtype=np.int64 if self.order < 2**63 else object)).tolist()
 
 
-def quotient_structure(h_gens, t_gens, dim: int, n: int) -> QuotientStructure:
-    """Structure of span(h_gens)/span(t_gens) in (Z/n)^dim; t must lie in h."""
+def quotient_structure(h_gens, t_gens, dim: int, n: int, *, indexed: bool = True) -> QuotientStructure:
+    """Structure of span(h_gens)/span(t_gens) in (Z/n)^dim; t must lie in h.
+
+    The elimination of the generators carries the dim x dim identity, whose
+    image is the row transform index solves against, only if indexed is set;
+    a caller that never indexes (h3, and enumerate_uber without orbits)
+    says so.  The relation matrix's elimination tracks Vinv, which
+    representatives reads; the generators' tracks no inverse.
+    """
     H = [np.asarray(g, dtype=np.int64) % n for g in h_gens]
     H = [g for g in H if g.any()]
     if not H:
         empty = np.eye(0, dtype=np.int64)
-        solver = SmithMod([], empty, empty, np.eye(dim, dtype=np.int64), dim, 0)  # factor_mod of no columns
+        solver = SmithMod([], empty, None, np.eye(dim, dtype=np.int64), dim, 0) if indexed else None  # factor_mod of no columns
         return QuotientStructure(1, [], empty, empty, np.zeros((0, dim), dtype=np.int64), solver, n)
     GH = np.vstack(H)
     r = GH.shape[0]
     rel = nullspace_mod(GH.T, n)
-    # pivots depend only on GH, so one elimination of GH.T carries both the row
-    # transform, which index solves against, and t_gens, solved here
+    # pivots depend only on GH, so one elimination of GH.T solves t_gens and,
+    # for a caller that indexes, carries the row transform index solves against
     T = np.array(t_gens, dtype=np.int64).reshape(len(t_gens), dim).T
-    fac = smith_mod(GH.T, n, rhs=np.hstack([np.eye(dim, dtype=np.int64), T]))
-    C = back_substitute(fac, fac.rhs[:, dim:], n)
+    lead = dim if indexed else 0  # the identity's columns, ahead of T's
+    fac = smith_mod(GH.T, n, rhs=np.hstack([np.eye(dim, lead, dtype=np.int64), T]), inverse=False)
+    C = back_substitute(fac, fac.rhs[:, lead:], n)
     if C is None:
         raise ValidationError("t_gens are not contained in span(h_gens)")
     rel.extend(C.T)
     M = np.vstack(rel) if rel else np.zeros((0, r), dtype=np.int64)
-    sm = smith_mod(M, n)
+    sm = smith_mod(M, n, inverse=True)  # representatives reads Vinv
     factors = [sm.diag[i] if i < len(sm.diag) else n for i in range(r)]
-    return QuotientStructure(prod(factors), factors, sm.V, sm.Vinv, GH, replace(fac, rhs=fac.rhs[:, :dim]), n)
+    solver = replace(fac, rhs=fac.rhs[:, :dim]) if indexed else None
+    return QuotientStructure(prod(factors), factors, sm.V, sm.Vinv, GH, solver, n)

@@ -279,8 +279,8 @@ def test_h3_rejects_a_coboundary_image_that_is_not_closed(f17, monkeypatch):
 
     real = cohomology._coboundary_matrix
 
-    def corrupt(g, degree):
-        D = real(g, degree)
+    def corrupt(g, degree, delta=None):
+        D = real(g, degree, delta)
         if degree == 2:
             D[0, 1] += 1
         return D
@@ -288,6 +288,27 @@ def test_h3_rejects_a_coboundary_image_that_is_not_closed(f17, monkeypatch):
     monkeypatch.setattr(cohomology, "_coboundary_matrix", corrupt)
     with pytest.raises(ValidationError, match="^coboundary image is not closed$"):
         h3(cyclic(4), f17)
+
+
+def test_h3_builds_each_coboundary_once_and_never_indexes(f17, monkeypatch):
+    """h3 builds delta^3 and delta^2 once each (it built them five times),
+    and its quotient carries no row transform for index, which it never
+    calls: only the relation matrix's elimination tracks Vinv."""
+    from fusionkit import cohomology, zmodlin
+
+    want = h3(klein_four(), f17)
+    built, quots, elims = [], [], []
+    real_delta, real_quot, real_smith = cohomology._delta, cohomology.quotient_structure, zmodlin.smith_mod
+    monkeypatch.setattr(cohomology, "_delta", lambda g, degree, side: built.append((degree, side)) or real_delta(g, degree, side))
+    monkeypatch.setattr(cohomology, "quotient_structure", lambda *a, **kw: quots.append(real_quot(*a, **kw)) or quots[-1])
+    monkeypatch.setattr(zmodlin, "smith_mod", lambda A, n, rhs=None, **kw: elims.append(real_smith(A, n, rhs, **kw)) or elims[-1])
+    got = h3(klein_four(), f17)
+    assert sorted(built) == [(2, "left"), (3, "left")]
+    assert len(quots) == 1 and quots[0]._solver is None
+    assert [sm.Vinv is not None for sm in elims] == [False, False, False, True]  # kernel of D3, of GH.T, GH.T, relations
+    assert elims[2].rhs.shape[1] == len(klein_four()) ** 2  # D2's columns alone, no identity
+    assert got.order == want.order and got.invariant_factors == want.invariant_factors
+    assert [r.logs().tolist() for r in got.representatives] == [r.logs().tolist() for r in want.representatives]
 
 
 def test_coboundary_matches_reference_trivial_action(f17):

@@ -6,6 +6,7 @@ refuses an entry past int64 where none does."""
 
 import ast
 import copy
+import json
 import pathlib
 import random
 
@@ -34,6 +35,7 @@ from fusionkit import (
     reconstruct,
     roots_of_unity,
 )
+from fusionkit.cli import main
 from fusionkit.cohomology import Units
 from fusionkit.errors import DomainError, FusionkitError, ValidationError, integers
 from fusionkit.jsonio import group_from_dict, group_to_dict, hom_datum_from_dict, hom_datum_to_dict
@@ -176,18 +178,24 @@ for _site, _call in _ID_SITES.items():
     for _name, _x in (("1.5", 1.5), ("True", True), ("'2'", "2"), ("past int64", 2**64)):
         EDGE_CASES[f"{_site} id {_name}"] = (DomainError, lambda e, call=_call, x=_x: call(e, x))
 # a group's JSON name is a string or null; any other JSON value was kept or silently replaced
-for _name, _value in (("3", 3), ("1.5", 1.5), ("[]", []), ("{}", {}), ("{'a': 1}", {"a": 1}), ("true", True)):
+_BAD_NAMES = (("3", 3), ("1.5", 1.5), ("[]", []), ("{}", {}), ("{'a': 1}", {"a": 1}), ("true", True))
+for _name, _value in _BAD_NAMES:
     EDGE_CASES[f"json group name {_name}"] = (ValidationError, lambda e, v=_value: group_from_dict({**group_to_dict(cyclic(2)), "name": v}))
     for _end in ("source", "target"):
         EDGE_CASES[f"json datum {_end} name {_name}"] = (ValidationError, lambda e, end=_end, v=_value: _renamed_datum(end, v))
 
 
-def _renamed_datum(end: str, name) -> HomDatum:
-    """The JSON datum of the trivial map Z3 -> Z2, loaded with its source or
-    target group named name."""
+def _datum_doc(end: str, field: str, value) -> dict:
+    """The JSON datum of the trivial map Z3 -> Z2 with field of its source or
+    target group set to value."""
     doc = hom_datum_to_dict(HomDatum(cyclic(3), cyclic(2), [0, 0, 0]))
-    doc[end]["name"] = name
-    return hom_datum_from_dict(doc)
+    doc[end][field] = value
+    return doc
+
+
+def _renamed_datum(end: str, name) -> HomDatum:
+    """_datum_doc with its source or target group named name, loaded."""
+    return hom_datum_from_dict(_datum_doc(end, "name", name))
 
 
 @pytest.mark.parametrize("case", list(EDGE_CASES))
@@ -213,8 +221,42 @@ def test_a_json_group_name_is_a_string_or_null():
     assert group_from_dict({**doc, "name": None}).name == "group2"
     assert group_from_dict({k: v for k, v in doc.items() if k != "name"}).name == "group2"
     assert _renamed_datum("target", None).target.name == "group2"
-    with pytest.raises(ValidationError, match=r"^field 'name' has a value of the wrong type: \[\]$"):
+    with pytest.raises(ValidationError, match=r"^field 'source.name' has a value of the wrong type: \[\]$"):
         _renamed_datum("source", [])
+
+
+@pytest.mark.parametrize("end", ["source", "target"])
+@pytest.mark.parametrize("name", [name for name, _ in _BAD_NAMES])
+def test_feudal_phi_names_the_group_of_a_bad_datum_name(tmp_path, capsys, end, name):
+    """feudal phi on a datum whose source or target name is no string exits 1
+    with one line naming the field by its group, as 'source.name'; it read
+    'name' for either group."""
+    value = dict(_BAD_NAMES)[name]
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(_datum_doc(end, "name", value)))
+    assert main(["feudal", "phi", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: field '{end}.name' has a value of the wrong type: {value!r}\n"
+
+
+def test_a_datum_names_the_group_of_each_bad_field(tmp_path, capsys):
+    """Every field of a datum's groups is named after its group: its labels,
+    its table, a key and an entry of the table, and a missing field."""
+    tables = {end: group_to_dict(g)["table"] for end, g in (("source", cyclic(3)), ("target", cyclic(2)))}
+    no_labels = _datum_doc("source", "labels", None)
+    del no_labels["source"]["labels"]
+    cases = [
+        (_datum_doc("target", "labels", ["x", 1]), "field 'target.labels' has a value of the wrong type: ['x', 1]"),
+        (_datum_doc("source", "table", []), "field 'source.table' has a value of the wrong type: []"),
+        (_datum_doc("source", "table", tables["source"] | {"g,a": "g"}), "bad key 'g,a' in 'source.table'"),
+        (_datum_doc("target", "table", tables["target"] | {"g,g": ["1"]}), "field 'target.table:g,g' has a value of the wrong type: ['1']"),
+        (no_labels, "document has no field 'source.labels'"),
+    ]
+    for doc, want in cases:
+        path = tmp_path / "datum.json"
+        path.write_text(json.dumps(doc))
+        assert main(["feudal", "phi", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {want}\n")
 
 
 def test_a_python_int_past_int64_is_reduced_exactly_mod_p(edges):
@@ -414,3 +456,32 @@ def test_only_errors_py_checks_integer_dtypes():
     assert _integer_kind_comparisons('if a.dtype.kind not in "iu" or "u" == x.dtype.kind:\n    pass') == [1, 1]
     found = {p.name: _integer_kind_comparisons(p.read_text()) for p in sorted(SRC.glob("*.py")) if p.name != "errors.py"}
     assert len(found) > 10 and {name: lines for name, lines in found.items() if lines} == {}
+
+
+# ---- one check: no module but zmodlin.py runs an elimination of its own ----------
+
+
+def _elimination_uses(source: str) -> list[int]:
+    """The lines of source that name smith_mod (a call, an attribute or an
+    import of it) or read a .Vinv."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if (
+            (isinstance(node, ast.Name) and node.id == "smith_mod")
+            or (isinstance(node, ast.Attribute) and node.attr in ("smith_mod", "Vinv"))
+            or (isinstance(node, ast.alias) and node.name == "smith_mod")
+        ):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_only_zmodlin_calls_smith_mod_or_reads_vinv():
+    """Every elimination goes through nullspace_mod, solve_mod, factor_mod or
+    quotient_structure, which state which transforms they read, so smith_mod
+    builds Vinv only where zmodlin asks for it."""
+    snippet = "from .zmodlin import smith_mod as s\nx = zmodlin.smith_mod(A, n)\ny = s(A, n).Vinv\nz = smith_mod(A, n)\n"
+    assert _elimination_uses(snippet) == [1, 2, 3, 4]
+    assert _elimination_uses("sm = factor_mod(A, n)\nv = sm.V @ q._Vinv\n") == []
+    found = {p.name: _elimination_uses(p.read_text()) for p in sorted(SRC.glob("*.py")) if p.name != "zmodlin.py"}
+    assert len(found) > 10 and {name: lines for name, lines in found.items() if lines} == {}
+    assert _elimination_uses((SRC / "zmodlin.py").read_text())  # the guard reads what zmodlin does

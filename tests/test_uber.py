@@ -1605,8 +1605,8 @@ def test_enumerate_uber_names_the_first_representative_off_the_axioms(f17, monke
     real = uber.quotient_structure
     bad = {}
 
-    def spoiled(*args):
-        q = real(*args)
+    def spoiled(*args, **kwargs):
+        q = real(*args, **kwargs)
         reps = list(q.representatives())
         x = (reps[1] + 1) % q._n  # no longer a solution of the homogeneous rows
         bad["x"] = x
@@ -2266,3 +2266,61 @@ def test_triples_reject_malformed_entries_at_the_door(f17, mr):
     assert zero.report() == {"invertible": ["tau"]}
     with pytest.raises(ValidationError, match="^'sigma' has an entry 0 mod p, not invertible$"):
         GaugeTriple(A, g.theta, g.phi, [0, 3])
+
+
+# ---- what a classification builds, and when --------------------------------------
+
+
+def test_h3_via_uber_builds_no_uberderivation(f17, monkeypatch):
+    """h3_via_uber reports the count alone, so it builds no class
+    representative; reading class_reps afterwards builds each one once,
+    through vec_to_uber."""
+    from fusionkit import cyclic, h3_via_uber
+
+    real, built = uber.vec_to_uber, []
+    monkeypatch.setattr(uber, "vec_to_uber", lambda ambi, vec: built.append(vec) or real(ambi, vec))
+    report = h3_via_uber(cyclic(4), [0, 2], f17)
+    assert built == [] and report.agree and report.count > 0
+    cls = report.classification
+    reps = cls.class_reps
+    assert len(built) == len(reps) == cls.gauge_classes == report.count
+    assert cls.class_reps is reps and len(built) == len(reps)
+
+
+@pytest.mark.parametrize("name", ["ty2", "mr", "z4_graded", "ty3", "ty_s3"])
+def test_class_reps_are_built_on_first_read_and_kept(request, f7, f17, name):
+    """On the rules the acceptance criteria classify, with and without
+    orbits: class_reps read twice is the same list, one representative per
+    kept exponent vector, and gauge_classes counts them."""
+    fr = tambara_yamagami(dihedral(3)) if name == "ty_s3" else request.getfixturevalue(name)
+    F = f7 if name == "ty3" else f17
+    for with_orbits in (True, False):
+        cls = enumerate_uber(Ambi(fr, F), with_orbits=with_orbits)
+        reps = cls.class_reps
+        assert cls.class_reps is reps and cls.invariants is cls.invariants
+        assert cls.gauge_classes == len(reps) == len(cls.invariants) == len(cls.vecs)
+        assert [uber_to_vec(u).tolist() for u in reps] == cls.vecs.tolist()
+        assert not cls.vecs.flags.writeable
+        assert sorted(i for orbit in cls.orbits for i in orbit) == list(range(len(reps)))
+
+
+def test_enumerate_uber_carries_the_row_transform_only_for_its_orbit_merge(f17, monkeypatch):
+    """Without orbits the quotient carries no row transform; with them it
+    does, and the orbit merge's coset indices add no elimination to the
+    ones made without orbits, on a rule whose orbits merge classes."""
+    from fusionkit import cyclic, klein_four, zmodlin
+
+    fr = _six_element_rule(cyclic(4), klein_four())
+    real_smith, real_quot = zmodlin.smith_mod, uber.quotient_structure
+    elims, quots = [], []
+    monkeypatch.setattr(zmodlin, "smith_mod", lambda *a, **kw: elims.append(real_smith(*a, **kw)) or elims[-1])
+    monkeypatch.setattr(uber, "quotient_structure", lambda *a, **kw: quots.append(real_quot(*a, **kw)) or quots[-1])
+    runs = {}
+    for with_orbits in (False, True):
+        elims.clear()
+        cls = enumerate_uber(Ambi(fr, f17), with_orbits=with_orbits)
+        runs[with_orbits] = (len(elims), quots[-1]._solver is not None, [sm.Vinv is not None for sm in elims])
+    assert any(len(orbit) > 1 for orbit in cls.orbits)
+    assert runs[False][0] == runs[True][0]
+    assert (runs[False][1], runs[True][1]) == (False, True)
+    assert runs[False][2] == runs[True][2] and sum(runs[True][2]) == 1  # the relation matrix alone

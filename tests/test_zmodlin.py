@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fusionkit.cohomology import _coboundary_matrix
-from fusionkit.errors import ResourceError, ValidationError
+from fusionkit.errors import DomainError, ResourceError, ValidationError
 from fusionkit.groups import cyclic
 from fusionkit.zmodlin import (
     SmithMod,
@@ -421,13 +421,69 @@ def test_smith_matches_reference_on_pivot_kinds():
     assert seen == {"unit", "non-unit", "rhs", "rhs1", "rhs2"}
 
 
+def test_smith_without_inverse_matches_reference():
+    """inverse=False leaves Vinv out and nothing else: the pivots, V and rhs
+    are the dense elimination's, bit for bit, on every case above."""
+    for n, A, rhs in itertools.chain(_smith_cases(), _pivot_kind_cases()):
+        want, got = _reference_smith_mod(A, n, rhs), smith_mod(A, n, rhs, inverse=False)
+        assert got.diag == want.diag and got.Vinv is None
+        for name in ("V", "rhs"):
+            w, g = getattr(want, name), getattr(got, name)
+            assert (w is None) == (g is None)
+            if w is not None:
+                assert g.dtype == w.dtype and g.shape == w.shape and (g == w).all(), name
+        assert (got.rows, got.cols) == (want.rows, want.cols)
+
+
+def _spied_eliminations(monkeypatch) -> list[tuple[np.ndarray, object, SmithMod]]:
+    """Record (A, rhs, result) of every smith_mod call made from here on."""
+    from fusionkit import zmodlin
+
+    real, calls = zmodlin.smith_mod, []
+
+    def spy(A, n, rhs=None, **kw):
+        sm = real(A, n, rhs, **kw)
+        calls.append((np.array(A), rhs, sm))
+        return sm
+
+    monkeypatch.setattr(zmodlin, "smith_mod", spy)
+    return calls
+
+
+def test_each_elimination_builds_only_the_transforms_its_caller_reads(monkeypatch):
+    """nullspace_mod, solve_mod, factor_mod and quotient_structure's
+    elimination of its generators build no Vinv; its relation matrix's
+    does, for representatives.  Built without indexed, the generators'
+    elimination carries t_gens alone and index is refused."""
+    calls = _spied_eliminations(monkeypatch)
+    n, A = 12, np.array([[2, 0, 4], [0, 3, 3]])
+    nullspace_mod(A, n)
+    solve_mod(A, [2, 3], n)
+    factor_mod(A, n)
+    assert len(calls) == 3 and all(sm.Vinv is None for _, _, sm in calls)
+
+    H = [np.array([2, 0, 4]), np.array([0, 3, 3]), np.array([1, 1, 1])]
+    T = [(2 * H[0] + H[1]) % n]
+    for indexed in (True, False):
+        calls.clear()
+        q = quotient_structure(H, T, 3, n, indexed=indexed)
+        kernel, gens, relations = (sm for _, _, sm in calls)
+        assert kernel.Vinv is None and gens.Vinv is None and relations.Vinv is not None
+        assert gens.rhs.shape[1] == (3 if indexed else 0) + len(T)
+        assert (q._solver is None) == (not indexed)
+    reps = list(q.representatives())
+    assert reps and all((a == b).all() for a, b in zip(reps, quotient_structure(H, T, 3, n).representatives()))
+    with pytest.raises(DomainError, match="without the row transform"):
+        q.index(reps[0])
+
+
 def test_quotient_structure_and_index_eliminate_the_generators_once(monkeypatch):
     """quotient_structure solves t_gens and keeps the row transform index
     solves against from one elimination of GH.T; index adds none."""
     from fusionkit import zmodlin
 
     real, calls = zmodlin.smith_mod, []
-    monkeypatch.setattr(zmodlin, "smith_mod", lambda A, n, rhs=None: calls.append((np.array(A), rhs)) or real(A, n, rhs))
+    monkeypatch.setattr(zmodlin, "smith_mod", lambda A, n, rhs=None, **kw: calls.append((np.array(A), rhs)) or real(A, n, rhs, **kw))
     n, H = 12, [np.array([2, 0, 4]), np.array([0, 3, 3]), np.array([1, 1, 1])]
     q = quotient_structure(H, [(2 * H[0] + H[1]) % n], 3, n)
     reps = list(q.representatives())
