@@ -7,10 +7,10 @@ in product order, with Cochain.values a read-only view of it.  Cocycle and
 coboundary conditions are integer-linear over Z_(p-1); p - 1 is composite,
 so kernels and images go through the gcd-pivot machinery in zmodlin.
 
-The coboundary is encoded once, by `_delta`, as a signed gather of tuple
-indices; the coboundary of a cochain, the cocycle test, normalization, the
-exponent-space matrices of `h3` and the alpha of `uber.reconstruct` all
-read off it.
+The coboundary is encoded once, by `_delta`, as a zmodlin.Gather over log
+arrays flattened tuple by tuple; the coboundary of a cochain, the cocycle
+test, normalization, the matrices of `h3` and their closure check, and the
+alpha of `uber.reconstruct` all read off it.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .fields import Field
 from .groups import FiniteGroup
 from .rules import group_from_members
 from .systems import FusionSystem, _OnVec, _slot_lookup, admissible_sextuples
-from .zmodlin import nullspace_mod, quotient_structure, solve_mod
+from .zmodlin import Gather, nullspace_mod, quotient_structure, solve_mod
 
 
 @dataclass(frozen=True)
@@ -179,47 +179,43 @@ class Cochain(_OnVec):
         return isinstance(other, Cochain) and key(self) == key(other) and self.eq(other)
 
 
-def trivial_cochain(group: FiniteGroup, degree: int, field: Field) -> Cochain:
-    return Cochain.from_logs(group, degree, np.zeros((len(group) ** degree, 1), dtype=np.int64), Units(field))
-
-
 # ---- the coboundary, once -----------------------------------------------------------
 
 
-def _delta(g: FiniteGroup, degree: int, side: str):
+def _delta(g: FiniteGroup, degree: int, side: str, action: np.ndarray) -> Gather:
     """The coboundary C^k -> C^(k+1) of g (k = degree) as a signed gather.
 
     On the left,
         (dh)(g0..gk) = g0.h(g1..gk) * prod_i h(..g_(i-1) g_i..)^((-1)^i)
                        * h(g0..g_(k-1))^((-1)^(k+1)),
     and on the right the action moves to the last term, h(g0..g_(k-1)).gk.
-    Returns (src, signs, acted, actor): src[r, j] is the C^k tuple index of
-    term j at the r-th (k+1)-tuple in product order, term j enters with
-    exponent signs[j], and term `acted` is acted on by element actor[r].
+    action is Units.action on that side.  The gather maps log arrays
+    flattened tuple by tuple (coordinate tuple * M + point, tuples in product
+    order); the acted term reads each point where its actor moves it.
     """
-    n, k = len(g), degree
+    n, k, m = len(g), degree, action.shape[1]
     t = np.indices((n,) * (k + 1)).reshape(k + 1, -1).T
     terms = [t[:, 1:]]
     terms += [np.column_stack([t[:, : i - 1], g.table[t[:, i - 1], t[:, i]], t[:, i + 1 :]]) for i in range(1, k + 1)]
     terms.append(t[:, :k])
     weights = n ** np.arange(k - 1, -1, -1)
-    src = np.stack([x @ weights for x in terms], axis=1)
-    signs = (-1) ** np.arange(k + 2)
-    if side == "left":
-        return src, signs, 0, t[:, 0]
-    return src, signs, k + 1, t[:, k]
+    acted, actor = (0, t[:, 0]) if side == "left" else (k + 1, t[:, k])
+    points = [np.arange(m)] * (k + 2)
+    points[acted] = action[actor]
+    src = [((x @ weights)[:, None] * m + at).ravel() for x, at in zip(terms, points)]
+    return Gather.of([(src, (-1) ** np.arange(k + 2))])
 
 
 def coboundary_logs(logs: np.ndarray, module: Units, g: FiniteGroup, degree: int, side: str, delta=None) -> np.ndarray:
     """The coboundary in exponent coordinates: the (n^degree, M) log array of
     a cochain (see `Cochain.logs`) to that of its coboundary, mod p - 1.  With
     the trivial action, logs may hold K cochains side by side, (n^degree, K).
-    delta is _delta(g, degree, side) when the caller holds it."""
-    src, signs, acted, actor = delta or _delta(g, degree, side)
-    terms = np.asarray(logs)[src]
-    if module.ambi is not None:  # the trivial action moves nothing
-        terms[:, acted] = np.take_along_axis(terms[:, acted], module.action(len(g), side)[actor], axis=1)
-    return np.tensordot(signs, terms, axes=(0, 1)) % (module.field.p - 1)
+    delta is the module's _delta(g, degree, side) when the caller holds it."""
+    delta = delta or _delta(g, degree, side, module.action(len(g), side))
+    logs, mod = np.asarray(logs), module.field.p - 1
+    if module.ambi is None:  # each column a cochain
+        return delta.apply(logs.T, mod).T
+    return delta.apply(logs.ravel(), mod).reshape(-1, module.points)
 
 
 def coboundary(h: Cochain, side: str = "left") -> Cochain:
@@ -240,10 +236,10 @@ def is_cocycle(h: Cochain) -> bool:
 def _normalize3_logs(logs: np.ndarray, module: Units, g: FiniteGroup, delta2=None) -> tuple[np.ndarray, np.ndarray]:
     """normalize_cocycle3 in exponent coordinates: (normalized cocycle, witness),
     for K cocycles side by side too, as coboundary_logs takes them.  delta2
-    is _delta(g, 2, "left") when the caller holds it."""
+    is the module's _delta(g, 2, "left") when the caller holds it."""
     n, e, mod = len(g), g.unit, module.field.p - 1
     a, b = np.indices((n, n)).reshape(2, -1)
-    delta2 = delta2 or _delta(g, 2, "left")
+    delta2 = delta2 or _delta(g, 2, "left", module.action(n, "left"))
     k1 = logs[(e * n + e) * n + b]  # k1(a, b) = h(e, e, b)
     step1 = logs - coboundary_logs(k1, module, g, 2, "left", delta2)
     k2 = step1[(a * n + e) * n + e]  # k2(a, b) = step1(a, e, e)
@@ -262,16 +258,6 @@ def normalize_cocycle3(h: Cochain) -> tuple[Cochain, Cochain]:
 
 
 # ---- H^3 over GF(p)^x ------------------------------------------------------------
-
-
-def _coboundary_matrix(g: FiniteGroup, degree: int, delta=None) -> np.ndarray:
-    """Exponent-space matrix of the left coboundary C^degree -> C^(degree+1)
-    with the trivial action; delta is _delta(g, degree, "left") when the
-    caller holds it."""
-    src, signs, _, _ = delta or _delta(g, degree, "left")
-    D = np.zeros((len(src), len(g) ** degree), dtype=np.int64)
-    np.add.at(D, (np.arange(len(src))[:, None], src), signs)
-    return D
 
 
 @dataclass
@@ -303,16 +289,14 @@ def h3(g: FiniteGroup, field: Field) -> H3Report:
         raise ResourceError("h3 is bounded at |G| <= 8")
     if field.p > 257:
         raise ResourceError("h3 is bounded at p <= 257")
-    n = field.p - 1
-    delta3, delta2 = _delta(g, 3, "left"), _delta(g, 2, "left")  # for the matrices, the dd check and normalization
-    D3 = _coboundary_matrix(g, 3, delta3)
-    D2 = _coboundary_matrix(g, 2, delta2)
+    n, mod = field.p - 1, Units(field)
+    act = mod.action(len(g), "left")
+    delta3, delta2 = _delta(g, 3, "left", act), _delta(g, 2, "left", act)  # for the matrices, the dd check and normalization
+    D3, D2 = delta3.dense(len(g) ** 3), delta2.dense(len(g) ** 2)
     kernel = nullspace_mod(D3, n)
-    src, signs, _, _ = delta3  # D3 @ D2 as a gather of D2's rows
-    if (np.tensordot(D2[src], signs, (1, 0)) % n).any():
+    if delta3.apply(D2.T, n).any():  # delta^3 of each column of D2
         raise ValidationError("coboundary image is not closed")  # dd != 1
     quot = quotient_structure(kernel, (D2 % n).T, D3.shape[1], n, indexed=False)
-    mod = Units(field)
     logs, _ = _normalize3_logs(np.array(list(quot.representatives(limit=4096))).T, mod, g, delta2)
     reps = [Cochain.from_logs(g, 3, logs[:, i : i + 1], mod) for i in range(logs.shape[1])]
     roots = None
@@ -336,12 +320,12 @@ def _cyclic_trace(c: Cochain, gen: int) -> int:
 
 def cohomologous3(c1: Cochain, c2: Cochain, field: Field) -> Cochain | None:
     """A 2-cochain k with c2 = c1 * d(k), or None."""
-    g = c1.group
-    n = field.p - 1
-    sol = solve_mod(_coboundary_matrix(g, 2), (c2.logs() - c1.logs())[:, 0] % n, n)
+    g, n, mod = c1.group, field.p - 1, Units(field)
+    D2 = _delta(g, 2, "left", mod.action(len(g), "left")).dense(len(g) ** 2)
+    sol = solve_mod(D2, (c2.logs() - c1.logs())[:, 0] % n, n)
     if sol is None:
         return None
-    return Cochain.from_logs(g, 2, np.reshape(sol, (-1, 1)), Units(field))
+    return Cochain.from_logs(g, 2, np.reshape(sol, (-1, 1)), mod)
 
 
 # ---- the bridge to fusion systems ---------------------------------------------------

@@ -7,11 +7,7 @@ system with that triple back).  Both go through the eight index shapes of a
 feudal rule, written once as slots into the slot vector of a system
 (_shape_slots).  A Decomposition is that system, each shape a keyed view
 of its vector gathered through the slots, and the normal slice is checked
-once, on beta1 and beta2 at the unit serf (_unit_columns).  reconstruct is
-one signed gather, from the exponent coordinates of a triple to the slots
-of its normal system (_reconstruct_gather): alpha2 and alpha3 are chi and
-ups, alpha is minus the coboundary of ups (cohomology._delta), and the
-other shapes are their monomial formulas in logs.
+once, on beta1 and beta2 at the unit serf (_unit_columns).
 
 Gauge classing happens in discrete-log coordinates: every multiplicative
 axiom is an affine-linear equation over Z_(p-1), gauge shifts span a
@@ -19,19 +15,19 @@ sublattice, and classes are coset representatives of the quotient,
 post-filtered by the one non-monomial condition (the character-sum
 nondegeneracy).
 
-Each monomial axiom is encoded once, as named rows (the axiom and its
-witness) kept as a padded signed gather, _AxiomRows; uber_constraint_system
-writes their dense matrix for the solver with one scatter, and
-Uberderivation.report reads its failures off the gather and checks only the
-nondegeneracy directly.
-
-The gauge action is encoded once, as the signed gather of _gauge_gather from
-gauge log coordinates (theta, phi, sigma) to exponent coordinates.
-gauge_shift takes a gauge through it and back through the exp table; the
-gauge-shift lattice is the gather applied to the logs of all gauge generators
-at once.  Classification takes cosets of that lattice, and gauge equivalence
-is a span test on it (is the exponent difference of two triples a combination
-of the generator shifts?).
+Three maps are monomial in exponent coordinates, and each is written once,
+as one zmodlin.Gather: the normal system of a triple (_reconstruct_gather,
+whose alpha is minus the coboundary of ups, read off cohomology._delta),
+the gauge action from the logs of a gauge (theta, phi, sigma) to exponent
+coordinates (_gauge_gather), and the monomial axioms, rows named by axiom
+and witness (_AxiomRows).  reconstruct, gauge_shift, the gauge-shift lattice
+(the gauge gather applied to all gauge generators at once),
+Uberderivation.report and enumerate_uber's check of its representatives
+apply them; uber_constraint_system writes the axioms' dense matrix, which
+only the eliminations read, and report checks only the nondegeneracy
+directly.  Classification takes cosets of the gauge-shift lattice, and gauge
+equivalence is a span test on it (is the exponent difference of two triples
+a combination of the generator shifts?).
 Equivalence classes are orbits of the gauge classes under the graded rule
 automorphisms: each automorphism permutes exponent coordinates, and the coset
 a moved class lands in is read off by its index in the quotient.
@@ -70,7 +66,7 @@ from .fields import Field, nth_roots_of
 from .feudal import FeudalRule, detect_feudal
 from .rules import FusionRule, automorphisms as rule_automorphisms, compiled, is_homomorphism
 from .systems import FusionSystem, GaugeXi, _OnVec, _slot_index, _support_index, admissible_sextuples, apply_gauge
-from .zmodlin import SmithMod, factor_mod, nullspace_mod, quotient_structure, solve_mod
+from .zmodlin import Gather, SmithMod, factor_mod, nullspace_mod, quotient_structure, solve_mod
 
 
 # ---- the triple ------------------------------------------------------------------
@@ -164,9 +160,6 @@ class Uberderivation(_OnLayout):
             issues["tau_norm"] = ["|A| tau taubar != 1"]
         return issues
 
-    def is_valid(self) -> bool:
-        return not self.report()
-
     def validate(self) -> "Uberderivation":
         rep = self.report()
         if rep:
@@ -257,7 +250,7 @@ def _shift_values(ambi: Ambi, g: GaugeTriple) -> np.ndarray:
     """The multiplicative shifts of a gauge, in the triple layout: the logs of
     its entries through the gauge gather, back through the exp table."""
     F = ambi.field
-    return F._exp_table[_shift_logs(ambi, F._log_table[g.vec])]
+    return F._exp_table[compiled(ambi.feudal, _gauge_gather).apply(F._log_table[g.vec], F.p - 1)]
 
 
 def gauge_shift(ambi: Ambi, g: GaugeTriple):
@@ -526,21 +519,18 @@ def reconstruct(u: Uberderivation) -> FusionSystem:
     u.validate()
     A = u.ambi
     F = A.field
-    src, signs = compiled(A.feudal, _reconstruct_gather)
-    logs = (uber_to_vec(u)[src] * signs).sum(axis=1) % (F.p - 1)
+    logs = compiled(A.feudal, _reconstruct_gather).apply(uber_to_vec(u), F.p - 1)
     return FusionSystem.from_vec(A.feudal.rule, F, F._exp_table[logs])
 
 
-def _reconstruct_gather(fr: FeudalRule) -> tuple[np.ndarray, np.ndarray]:
-    """The normal system of a triple in exponent coordinates, as a signed gather.
-
-    Row i is admissible sextuple i: its log is the sum over terms t of
-    signs[i, t] times coordinate src[i, t] of uber_to_vec, and a row with
-    fewer terms is padded with sign 0.  alpha2 and alpha3 are chi and ups,
-    alpha is -d(ups) over the serf group read at the first lord, and alpha1,
-    beta1-3 and gamma are the multiplicative formulas of the normal system
-    with mul -> +, div -> - and act, ract, bar as gathers.  Each shape's rows
-    go to its shape slots.
+def _reconstruct_gather(fr: FeudalRule) -> Gather:
+    """The normal system of a triple in exponent coordinates, as a signed
+    gather from uber_to_vec to the logs of its coefficients: row i is
+    admissible sextuple i.  alpha2 and alpha3 are chi and ups, alpha is
+    -d(ups) over the serf group read at the first lord, and alpha1, beta1-3
+    and gamma are the multiplicative formulas of the normal system with mul
+    -> +, div -> - and act, ract, bar as gathers.  The shapes' rows, built
+    one family per shape, are put in slot order once, here.
     """
     s, m = len(fr.serf_ids), len(fr.lord_ids)
     g = fr.serf_group  # element i is serf_ids[i]
@@ -548,12 +538,10 @@ def _reconstruct_gather(fr: FeudalRule) -> tuple[np.ndarray, np.ndarray]:
     act, bar = fr.act_table, fr.bar_perm
     lay = _layout_of(fr)
     chi, ups, tau = lay.chi, lay.ups, lay.tau
-    # alpha(a,b,c) = -d(ups)(a,b,c) at the first lord; d reads the serf pair
-    # at row d_src of the cochain, in product order
-    d_src, d_signs, acted, actor = _delta(g, 2, "left")
-    point = np.zeros(d_src.shape, np.intp)
-    point[:, acted] = act[actor, e, 0]
-    alpha_src, alpha_signs = ups.reshape(s * s, m)[d_src, point], -d_signs
+    # alpha(a,b,c) = -d(ups)(a,b,c) at the first lord: the coboundary over
+    # the serf group reads ups, laid out as its log array, at serf pair and lord
+    d = _delta(g, 2, "left", act[:, e])
+    alpha_src, alpha_signs = ups.ravel()[d.src[::m]], -d.signs[0]
     alpha = alpha_src.reshape(s, s, s, -1)
     a, b, j = (x.ravel() for x in np.indices((s, s, m)))
     ai, bi = inv[a], inv[b]
@@ -571,16 +559,9 @@ def _reconstruct_gather(fr: FeudalRule) -> tuple[np.ndarray, np.ndarray]:
         ),
         "gamma": ([tau[k], ups[ai, a, bar[k]], ups[bi, b, act[e, a, k]], chi[b, a, j]], [1, 1, -1, -1]),
     }
-    slots = compiled(fr, _shape_slots)
-    width = max(len(term_signs) for _, term_signs in shapes.values())
-    src = np.zeros((len(admissible_sextuples(fr.rule)), width), np.intp)
-    signs = np.zeros(src.shape, np.int64)
-    for name, (terms, term_signs) in shapes.items():
-        rows = slots[name].ravel()
-        src[rows, : len(term_signs)] = np.column_stack(terms)
-        signs[rows, : len(term_signs)] = term_signs
-    src.flags.writeable = signs.flags.writeable = False
-    return src, signs
+    slots, built = compiled(fr, _shape_slots), Gather.of(shapes.values())
+    order = np.argsort(np.concatenate([slots[name].ravel() for name in shapes]))  # sextuple i is built row order[i]
+    return Gather(built.src[order], built.signs[order])
 
 
 # ---- gauge equivalence as a span test on the gauge-shift lattice ------------------------
@@ -615,15 +596,13 @@ def _slot_gauge(ambi: Ambi, lat: _GaugeLattice, exps) -> GaugeTriple:
     return GaugeTriple.from_vec(ambi, ambi.field._exp_table[logs % (ambi.field.p - 1)])
 
 
-def _gauge_gather(fr: FeudalRule) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The gauge action in exponent coordinates, as a signed gather.
-
-    A gauge's log coordinates are in the gauge layout (_layout).  The
-    formulas are gauge_shift's multiplicative ones, with mul -> +, div -> -
-    and act, ract, bar as gathers.  Returns the blocks (src, signs) for chi,
-    ups and tau, each with its rows in C order of its positions: row r of a
-    block is the sum over terms t of signs[t] times the log coordinate
-    src[r, t].
+def _gauge_gather(fr: FeudalRule) -> Gather:
+    """The gauge action in exponent coordinates, as a signed gather from the
+    log coordinates of a gauge (its layout, _layout) to those of its shift
+    (the triple layout).  The formulas are gauge_shift's multiplicative
+    ones, with mul -> +, div -> - and act, ract, bar as gathers; the chi,
+    ups and tau families, each in C order of its positions, laid end to end
+    are the triple layout.
     """
     s, m = len(fr.serf_ids), len(fr.lord_ids)
     prod, e = fr.serf_group.table, fr.serf_group.unit
@@ -635,21 +614,7 @@ def _gauge_gather(fr: FeudalRule) -> list[tuple[np.ndarray, np.ndarray]]:
     chi = [phi[a, j], phi[b, bar[ab]], sigma[ab], sigma[j], phi[a, eb], phi[b, bar[eb]], sigma[ae], sigma[eb]]
     ups = [phi[a, j], phi[b, ae], phi[prod[a, b], j], theta[a, b, j]]
     tau = [sigma[bar], sigma]
-    return [
-        (np.stack(chi, axis=1), np.array([1, 1, 1, 1, -1, -1, -1, -1])),
-        (np.stack(ups, axis=1), np.array([1, 1, -1, -1])),
-        (np.stack(tau, axis=1), np.array([1, -1])),
-    ]
-
-
-def _shift_logs(ambi: Ambi, logs: np.ndarray) -> np.ndarray:
-    """The exponent-space shifts, mod p - 1, of gauges given by their log
-    coordinates: one gauge, or a (K, coordinates) batch of K."""
-    logs, lay = np.asarray(logs), _layout_of(ambi)
-    out = np.empty(logs.shape[:-1] + (lay.size,), np.int64)
-    for at, (src, signs) in zip((lay.chi, lay.ups, lay.tau), compiled(ambi.feudal, _gauge_gather)):
-        out[..., at.ravel()] = logs[..., src] @ signs
-    return out % (ambi.field.p - 1)
+    return Gather.of([(chi, [1, 1, 1, 1, -1, -1, -1, -1]), (ups, [1, 1, -1, -1]), (tau, [1, -1])])
 
 
 def _gauge_lattice(ambi: Ambi) -> _GaugeLattice:
@@ -666,7 +631,8 @@ def _gauge_lattice(ambi: Ambi) -> _GaugeLattice:
     for i, (name, *serfs, lords) in enumerate(slots):
         owner[getattr(lay, name)[(*(A._serf_at[a] for a in serfs), np.array(lords))]] = i
     logs = (owner == np.arange(len(slots))[:, None]).astype(np.int64)  # generator i is 1 where it owns
-    return _GaugeLattice(slots, owner, _shift_logs(A, logs), A.field.p - 1)
+    n = A.field.p - 1
+    return _GaugeLattice(slots, owner, compiled(A.feudal, _gauge_gather).apply(logs, n), n)
 
 
 def gauge_equivalent_uber(u1: Uberderivation, u2: Uberderivation) -> GaugeTriple | None:
@@ -809,15 +775,13 @@ class _AxiomRows:
     """The monomial axioms of an Ambi as affine rows over Z/n, each written once,
     as a signed gather.
 
-    An exponent vector x satisfies row i iff the sum over t of
-    signs[i, t] * x[src[i, t]] is rhs[i] mod n; a row with fewer terms than
-    the widest (6, quasisymmetry) is padded with sign 0.  names[i] is the
-    row's (axiom, witness).  When |A| vanishes in F the norm rows are left
-    out and a_vanishes is set: no tau satisfies the norm.
+    An exponent vector x satisfies row i iff row i of gather.apply(x, n) is
+    rhs[i], a residue mod n; the widest row (quasisymmetry) has 6 terms.
+    names[i] is the row's (axiom, witness).  When |A| vanishes in F the norm
+    rows are left out and a_vanishes is set: no tau satisfies the norm.
     """
 
-    src: np.ndarray
-    signs: np.ndarray
+    gather: Gather
     rhs: np.ndarray
     names: list[tuple]
     n: int
@@ -826,7 +790,7 @@ class _AxiomRows:
     def failures(self, x: np.ndarray) -> dict:
         """The witnesses of the rows x fails, grouped by axiom, in row order."""
         out: dict[str, dict] = {}
-        for i in np.flatnonzero(((self.signs * x[self.src]).sum(axis=1) - self.rhs) % self.n):
+        for i in np.flatnonzero(self.gather.apply(x, self.n) != self.rhs):
             axiom, witness = self.names[i]
             out.setdefault(axiom, {})[witness] = None
         return {axiom: list(witnesses) for axiom, witnesses in out.items()}
@@ -834,9 +798,9 @@ class _AxiomRows:
 
 def _axiom_rows(ambi: Ambi) -> _AxiomRows:
     """One (terms, signs) family per named axiom over the serf and lord
-    indices, its kept rows laid into one padded gather: a row adds signs[t]
-    times the coordinate terms[t] of uber_to_vec.  act, bar and the serf
-    products are gathers, as in _reconstruct_gather."""
+    indices, its kept rows laid into one gather of the coordinates of
+    uber_to_vec.  act, bar and the serf products are gathers, as in
+    _reconstruct_gather."""
     A, F, fr = ambi, ambi.field, ambi.feudal
     s, m = len(A.serf_ids), A.npoints
     prod, inv, e = fr.serf_group.table, fr.serf_group.inv, fr.serf_group.unit  # serf i is serf_ids[i]
@@ -860,20 +824,15 @@ def _axiom_rows(ambi: Ambi) -> _AxiomRows:
         "symmetric_on_A": (pairs, on_A[a] & on_A[b] & (a < b), [chi[a, b, j], chi[b, a, j]], [1, -1]),
         "tau_norm": (["|A| tau taubar != 1"] * m, not a_vanishes, [tau, tau[bar]], [1, 1]),
     }
-    width = max(len(term_signs) for *_, term_signs in families.values())
-    names, src, signs = [], [], []  # src and signs: each family's kept rows, padded to width
+    names, kept_families = [], []
     for name, (witness, kept, terms, term_signs) in families.items():
         kept = np.broadcast_to(kept, terms[0].shape)
-        terms = np.stack(terms, axis=1)[kept]
-        pad = ((0, 0), (0, width - len(term_signs)))
-        src.append(np.pad(terms, pad))
-        signs.append(np.pad(np.broadcast_to(term_signs, terms.shape), pad))
+        kept_families.append(([t[kept] for t in terms], term_signs))
         names += [(name, w) for w, keep in zip(witness, kept) if keep]
-    src, signs = np.concatenate(src), np.concatenate(signs)
     neg_log = 0 if a_vanishes else -F.log(len(fr.adjoint_ids) % F.p) % (F.p - 1)
     rhs = np.array([neg_log if name == "tau_norm" else 0 for name, _ in names], np.int64)
-    src.flags.writeable = signs.flags.writeable = rhs.flags.writeable = False
-    return _AxiomRows(src, signs, rhs, names, F.p - 1, a_vanishes)
+    rhs.flags.writeable = False
+    return _AxiomRows(Gather.of(kept_families), rhs, names, F.p - 1, a_vanishes)
 
 
 def _degenerate_on_A(ambi: Ambi, x: np.ndarray) -> np.ndarray:
@@ -901,9 +860,7 @@ def uber_constraint_system(ambi: Ambi):
     keys = uber_unknown_keys(ambi)
     if rows.a_vanishes:
         return None, None, keys
-    mat = np.zeros((len(rows.rhs), len(keys)), np.int64)
-    np.add.at(mat, (np.arange(len(rows.rhs))[:, None], rows.src), rows.signs)  # repeated columns add up
-    return mat, rows.rhs, keys
+    return rows.gather.dense(len(keys)), rows.rhs, keys
 
 
 def vec_to_uber(ambi: Ambi, vec: np.ndarray) -> Uberderivation:
@@ -915,7 +872,7 @@ def uber_to_vec(u: Uberderivation) -> np.ndarray:
 
 
 CLASS_LIMIT = 100_000  # coset representatives enumerate_uber walks at most
-REP_BLOCK = 1024  # coset representatives enumerate_uber checks with one product
+REP_BLOCK = 1024  # coset representatives enumerate_uber checks with one apply of the axiom gather
 
 
 @dataclass(eq=False)
@@ -998,8 +955,8 @@ def enumerate_uber(ambi: Ambi, *, with_orbits: bool = True) -> UberClassificatio
         empty.flags.writeable = False
         return UberClassification(A, obst, empty, [], lattice_info | {"consistent": False})
     hom = nullspace_mod(mat, n)
-    gauge = compiled(A, _gauge_lattice).shifts
-    if (mat @ gauge.T % n).any():
+    rows, gauge = compiled(A, _axiom_rows), compiled(A, _gauge_lattice).shifts
+    if rows.gather.apply(gauge, n).any():
         raise ValidationError("gauge shift violates the monomial axioms")
     shifts = [v for v in gauge if v.any()]
     quot = quotient_structure(hom, shifts, len(keys), n, indexed=with_orbits)  # only the orbit merge indexes
@@ -1013,12 +970,9 @@ def enumerate_uber(ambi: Ambi, *, with_orbits: bool = True) -> UberClassificatio
     cosets, done = quot.representatives(limit=CLASS_LIMIT), 0
     while block := list(islice(cosets, REP_BLOCK)):
         X = (x0 + np.array(block)) % n  # one representative per row
-        residue = mat @ X.T  # the largest array here, so reduced in place
-        residue -= rhs[:, None]
-        residue %= n
-        broken = residue.any(axis=0)
+        broken = (rows.gather.apply(X, n) != rhs).any(axis=1)
         if broken.any():
-            failures = compiled(A, _axiom_rows).failures(X[broken.argmax()])
+            failures = rows.failures(X[broken.argmax()])
             raise ValidationError(f"lattice representative violates monomial axioms: {sorted(failures)}")
         for i in (~_degenerate_on_A(A, X).any(axis=1)).nonzero()[0].tolist():
             class_at[done + i] = len(vecs)

@@ -22,6 +22,9 @@ and its .solve(b, n) answers each of them without another elimination.
 quotient_structure does both with one elimination of its generators: it
 carries all of its t_gens, and, for a caller that will index, the identity
 alongside them, which leaves the row transform index solves against.
+
+Gather is the one form of a signed sum of coordinates: the coboundary, the
+gauge action, the normal system of a triple and the axiom rows are each one.
 """
 
 from __future__ import annotations
@@ -33,6 +36,55 @@ from math import gcd, prod
 import numpy as np
 
 from .errors import DomainError, ResourceError, ValidationError
+
+
+GATHER_SLICE = 1 << 16  # terms Gather.apply gathers at once (512 KiB of int64): it takes a batch a slice at a time
+
+
+@dataclass(frozen=True, eq=False)
+class Gather:
+    """A padded signed gather, compared by identity: row r of its image of x
+    is the sum over t of signs[r, t] * x[src[r, t]].  src and signs are
+    read-only (rows, width) arrays; a row with fewer terms than the widest
+    is padded with sign 0, and a column named twice in a row counts twice."""
+
+    src: np.ndarray
+    signs: np.ndarray
+
+    def __post_init__(self):
+        self.src.flags.writeable = self.signs.flags.writeable = False
+
+    @classmethod
+    def of(cls, families) -> "Gather":
+        """The rows of each family (terms, signs) in turn, padded to the widest:
+        terms is a list of index arrays, (rows,) for one term or (rows, w) for
+        w, stacked as columns, and signs has one sign per column."""
+        blocks = [(np.column_stack(terms), signs) for terms, signs in families]
+        src = np.zeros((sum(len(b) for b, _ in blocks), max(b.shape[1] for b, _ in blocks)), np.intp)
+        signs, row = np.zeros(src.shape, np.int64), 0
+        for block, block_signs in blocks:
+            src[row : row + len(block), : block.shape[1]] = block
+            signs[row : row + len(block), : block.shape[1]] = block_signs
+            row += len(block)
+        return cls(src, signs)
+
+    def apply(self, x, n: int) -> np.ndarray:
+        """The image mod n of x over its last axis, one row per row of the
+        gather; any leading axes of x are kept."""
+        x = np.asarray(x)
+        vecs = x.reshape(-1, x.shape[-1])
+        out = np.empty((len(vecs), len(self.src)), np.int64)
+        step = max(1, GATHER_SLICE // (self.src.size or 1))
+        for i in range(0, len(vecs), step):
+            out[i : i + step] = np.einsum("krt,rt->kr", vecs[i : i + step].take(self.src, axis=1), self.signs)
+        out %= n
+        return out.reshape(x.shape[:-1] + (len(self.src),))
+
+    def dense(self, columns: int) -> np.ndarray:
+        """The int64 matrix of the gather, with the given number of columns."""
+        out = np.zeros((len(self.src), columns), np.int64)
+        np.add.at(out, (np.arange(len(self.src))[:, None], self.src), self.signs)
+        return out
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -42,15 +42,20 @@ from fusionkit.cohomology import (
     Units,
     _cyclic_generator,
     _cyclic_trace,
+    _delta,
     _normalize3_logs,
     coboundary_logs,
-    trivial_cochain,
 )
 from fusionkit.errors import DomainError, ResourceError, ValidationError
 from fusionkit.systems import admissible_sextuples
 from fusionkit.uber import Uberderivation, uber_constraint_system, vec_to_uber
-from fusionkit.zmodlin import nullspace_mod, solve_mod
+from fusionkit.zmodlin import Gather, nullspace_mod, solve_mod
 from test_report_digests import H3_UNIVERSAL_COEFFICIENTS
+
+
+def trivial_cochain(group, degree: int, field: Field) -> Cochain:
+    """The cochain that is 1 everywhere."""
+    return Cochain.from_logs(group, degree, np.zeros((len(group) ** degree, 1), dtype=np.int64), Units(field))
 
 
 def random_cochain(g, degree, field, rng, module=None):
@@ -277,21 +282,23 @@ def test_h3_rejects_a_coboundary_image_that_is_not_closed(f17, monkeypatch):
     """A corrupted delta^2 whose image delta^3 does not kill fails the closure check."""
     from fusionkit import cohomology
 
-    real = cohomology._coboundary_matrix
+    real = cohomology._delta
 
-    def corrupt(g, degree, delta=None):
-        D = real(g, degree, delta)
-        if degree == 2:
-            D[0, 1] += 1
-        return D
+    def corrupt(g, degree, side, action):
+        d = real(g, degree, side, action)
+        if degree == 2:  # the first term of row 0 reads the next column
+            src = d.src.copy()
+            src[0, 0] += 1
+            d = Gather(src, d.signs)
+        return d
 
-    monkeypatch.setattr(cohomology, "_coboundary_matrix", corrupt)
+    monkeypatch.setattr(cohomology, "_delta", corrupt)
     with pytest.raises(ValidationError, match="^coboundary image is not closed$"):
         h3(cyclic(4), f17)
 
 
 def test_h3_builds_each_coboundary_once_and_never_indexes(f17, monkeypatch):
-    """h3 builds delta^3 and delta^2 once each (it built them five times),
+    """h3 builds delta^3 and delta^2 once each, with the trivial action,
     and its quotient carries no row transform for index, which it never
     calls: only the relation matrix's elimination tracks Vinv."""
     from fusionkit import cohomology, zmodlin
@@ -299,11 +306,11 @@ def test_h3_builds_each_coboundary_once_and_never_indexes(f17, monkeypatch):
     want = h3(klein_four(), f17)
     built, quots, elims = [], [], []
     real_delta, real_quot, real_smith = cohomology._delta, cohomology.quotient_structure, zmodlin.smith_mod
-    monkeypatch.setattr(cohomology, "_delta", lambda g, degree, side: built.append((degree, side)) or real_delta(g, degree, side))
+    monkeypatch.setattr(cohomology, "_delta", lambda g, k, side, act: built.append((k, side, act.tolist())) or real_delta(g, k, side, act))
     monkeypatch.setattr(cohomology, "quotient_structure", lambda *a, **kw: quots.append(real_quot(*a, **kw)) or quots[-1])
     monkeypatch.setattr(zmodlin, "smith_mod", lambda A, n, rhs=None, **kw: elims.append(real_smith(A, n, rhs, **kw)) or elims[-1])
     got = h3(klein_four(), f17)
-    assert sorted(built) == [(2, "left"), (3, "left")]
+    assert sorted(built) == [(2, "left", [[0]] * 4), (3, "left", [[0]] * 4)]  # the trivial action
     assert len(quots) == 1 and quots[0]._solver is None
     assert [sm.Vinv is not None for sm in elims] == [False, False, False, True]  # kernel of D3, of GH.T, GH.T, relations
     assert elims[2].rhs.shape[1] == len(klein_four()) ** 2  # D2's columns alone, no identity
@@ -331,6 +338,42 @@ def test_coboundary_matches_reference_bimodule(f17, name):
     for deg, side in [(1, "left"), (2, "left"), (3, "left"), (1, "right"), (2, "right")]:
         h = random_cochain(fr.serf_group, deg, f17, rng, mod)
         assert _matches_reference(h, side), (deg, side)
+
+
+def _reference_delta(g, degree: int, side: str):
+    """_delta as it stood, before the action was folded into its gather:
+    (src, signs, acted, actor), where src[r, j] is the C^k tuple index of
+    term j at the r-th (k+1)-tuple in product order, term j enters with
+    exponent signs[j], and term `acted` is acted on by element actor[r]."""
+    n, k = len(g), degree
+    t = np.indices((n,) * (k + 1)).reshape(k + 1, -1).T
+    terms = [t[:, 1:]]
+    terms += [np.column_stack([t[:, : i - 1], g.table[t[:, i - 1], t[:, i]], t[:, i + 1 :]]) for i in range(1, k + 1)]
+    terms.append(t[:, :k])
+    weights = n ** np.arange(k - 1, -1, -1)
+    src = np.stack([x @ weights for x in terms], axis=1)
+    signs = (-1) ** np.arange(k + 2)
+    if side == "left":
+        return src, signs, 0, t[:, 0]
+    return src, signs, k + 1, t[:, k]
+
+
+def test_delta_matches_reference(f17):
+    """The coboundary gather is the reference's 4-tuple with the action
+    folded in: row r * M + i reads term j's tuple at point i, or, for the
+    acted term, at the point actor[r] moves i to; on every degree and side,
+    with the trivial action on four groups and with B^x on three rules."""
+    modules = [(g, Units(f17)) for g in (cyclic(4), klein_four(), dihedral(3), quaternion())]
+    modules += [(fr.serf_group, Units(f17, Ambi(fr, f17))) for fr in _bimodule_fixtures().values()]
+    for (g, mod), degree, side in product(modules, (1, 2, 3), ("left", "right")):
+        src, signs, acted, actor = _reference_delta(g, degree, side)
+        action = mod.action(len(g), side)
+        m = action.shape[1]
+        want = np.repeat(src * m, m, axis=0) + np.tile(np.arange(m), len(src))[:, None]
+        want[:, acted] = np.repeat(src[:, acted] * m, m) + action[actor].ravel()
+        got = _delta(g, degree, side, action)
+        assert got.src.dtype == np.intp and got.signs.dtype == np.int64
+        assert (got.src == want).all() and (got.signs == signs).all(), (g.name, mod.points, degree, side)
 
 
 def test_bimodule_coboundary_reads_serfs_by_carrier_id(f17):

@@ -485,3 +485,35 @@ def test_only_zmodlin_calls_smith_mod_or_reads_vinv():
     found = {p.name: _elimination_uses(p.read_text()) for p in sorted(SRC.glob("*.py")) if p.name != "zmodlin.py"}
     assert len(found) > 10 and {name: lines for name, lines in found.items() if lines} == {}
     assert _elimination_uses((SRC / "zmodlin.py").read_text())  # the guard reads what zmodlin does
+
+
+def _gather_spellings(source: str) -> dict[str, list[int]]:
+    """The lines of source that name tensordot (a call, an attribute or an
+    import of it) or np.add.at, by name."""
+    found: dict[str, list[int]] = {"tensordot": [], "add.at": []}
+    for node in ast.walk(ast.parse(source)):
+        if (
+            (isinstance(node, ast.Name) and node.id == "tensordot")
+            or (isinstance(node, ast.Attribute) and node.attr == "tensordot")
+            or (isinstance(node, ast.alias) and node.name == "tensordot")
+        ):
+            found["tensordot"].append(node.lineno)
+        if isinstance(node, ast.Attribute) and node.attr == "at" and isinstance(node.value, ast.Attribute) and node.value.attr == "add":
+            found["add.at"].append(node.lineno)
+    return {name: sorted(lines) for name, lines in found.items()}
+
+
+def test_signed_sums_go_through_the_gather_type():
+    """The coboundary, the gauge action, the normal system and the axiom rows
+    are each a zmodlin.Gather, applied and densified by its methods: no
+    module but zmodlin sums over signs with tensordot, and uber and
+    cohomology scatter no matrix with np.add.at.  rules' multiset count and
+    zmodlin's level counts are counts, not gathers, and stay."""
+    snippet = "from numpy import tensordot as td\nx = np.tensordot(a, b, 1)\nnp.add.at(D, i, s)\ny = numpy.add.at\nz = tensordot(a, b)\n"
+    assert _gather_spellings(snippet) == {"tensordot": [1, 2, 5], "add.at": [3, 4]}
+    assert _gather_spellings("np.add(a, b)\nnp.subtract.at(c, i, 1)\ng.apply(x, n)\n") == {"tensordot": [], "add.at": []}
+    found = {p.name: _gather_spellings(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert len(found) > 10
+    assert {name: f["tensordot"] for name, f in found.items() if f["tensordot"] and name != "zmodlin.py"} == {}
+    assert found["uber.py"]["add.at"] == found["cohomology.py"]["add.at"] == []
+    assert found["rules.py"]["add.at"] and found["zmodlin.py"]["add.at"]  # the guard reads the counts it leaves alone

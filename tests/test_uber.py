@@ -59,7 +59,12 @@ from fusionkit.uber import (
     uber_unknown_keys,
     vec_to_uber,
 )
-from fusionkit.zmodlin import solve_mod
+from fusionkit.zmodlin import Gather, solve_mod
+
+
+def is_valid(self: Uberderivation) -> bool:
+    """Whether a triple fails no axiom."""
+    return not self.report()
 
 
 def ty2_uber(f17, ty2, tau=3):
@@ -129,7 +134,7 @@ def mr_uber(f17, mr, x=2, p=(2, 8), r=(2, 15)):
 
 def test_ty2_uber_valid_and_reconstructs(f17, ty2):
     u = ty2_uber(f17, ty2)
-    assert u.is_valid()
+    assert is_valid(u)
     f = reconstruct(u)
     rep = verify_fusion_system(f)
     assert rep.passed
@@ -139,9 +144,9 @@ def test_ty2_uber_valid_and_reconstructs(f17, ty2):
 
 def test_ty2_tau_values_are_pm_3(f17, ty2):
     # |A| tau taubar = 1 with |A| = 2 forces tau^2 = 9, so tau = 3 or 14
-    assert ty2_uber(f17, ty2, 3).is_valid()
-    assert ty2_uber(f17, ty2, 14).is_valid()
-    assert not ty2_uber(f17, ty2, 5).is_valid()
+    assert is_valid(ty2_uber(f17, ty2, 3))
+    assert is_valid(ty2_uber(f17, ty2, 14))
+    assert not is_valid(ty2_uber(f17, ty2, 5))
 
 
 def test_gamma11_reads_tau_back(f17, ty2):
@@ -168,7 +173,7 @@ def test_z4_example_uber(f17, z4_graded):
     assert psi(f, z4_graded, A) == u
     # nonconstant p is not quasisymmetric once tau is constant
     bad = Uberderivation(A, {**chi, (s, s): np.array([4, 1])}, ups, one)
-    assert not bad.is_valid()
+    assert not is_valid(bad)
 
 
 def test_decomposition_normalizations_on_verified_systems(f17, mr):
@@ -200,7 +205,7 @@ def test_trivial_system_decomposes_to_ones(f17):
             assert (v % 17 == 1).all()
     assert all(v == 1 for v in dec.alpha.values())
     u = psi(f, fr)
-    assert u.is_valid() and (u.tau == 1).all()
+    assert is_valid(u) and (u.tau == 1).all()
 
 
 # ---- the explicit six-element fixture --------------------------------------------------
@@ -208,7 +213,7 @@ def test_trivial_system_decomposes_to_ones(f17):
 
 def test_mr_uber_matrix_form(f17, mr):
     u = mr_uber(f17, mr)
-    assert u.is_valid()
+    assert is_valid(u)
     one, minus1, i, minusi = mr.serf_ids
     # chi matches the constant-tau matrix form with x = 2, p = (2,8), r = (2,15)
     assert u.chi[(i, i)].tolist() == [2, 2]
@@ -309,7 +314,7 @@ def test_psi_on_non_normal_system_classifies_through_normal_form(f17, mr):
     g = apply_gauge(f, random_gauge(mr.rule, f17, rng))
     assert not is_normal(g, mr)
     ug = psi(g, mr, u.ambi)
-    assert ug.is_valid()
+    assert is_valid(ug)
     fn, _ = normalize(g, mr)
     assert ug == psi(fn, mr, u.ambi)
     assert gauge_equivalent_uber(ug, u) is not None
@@ -385,7 +390,7 @@ def test_canonicalize_tau_mr(f17, mr):
     assert skew.tau[0] != skew.tau[1]
     fixed = canonicalize_tau(skew)
     assert fixed.tau[0] == fixed.tau[1]
-    assert fixed.is_valid()
+    assert is_valid(fixed)
     assert gauge_equivalent_uber(skew, fixed) is not None
 
 
@@ -398,7 +403,7 @@ def test_canonicalize_tau_z4(f17, z4_graded):
     cls = enumerate_uber(Ambi(z4_graded, f17), with_orbits=False)
     for u in cls.class_reps:
         c = canonicalize_tau(u)
-        assert c.tau[0] == c.tau[1] and c.is_valid()
+        assert c.tau[0] == c.tau[1] and is_valid(c)
 
 
 def test_canonicalize_tau_needs_square_root(f7, ty3):
@@ -639,7 +644,7 @@ def test_morphism_dictionary_round_trip(f17, mr):
             sig = np.array([rng.randrange(1, 17), rng.randrange(1, 17)])
             g = GaugeTriple(A, theta, phi_, sig)
             u2 = apply_gauge_uber(u, g)
-            assert u2.is_valid()
+            assert is_valid(u2)
             xi = gauge_xi_from_triple(g)
             back = psi_gauge(xi, mr, A)
             assert all(A.eq(back.theta[k], g.theta[k]) for k in g.theta)
@@ -823,7 +828,7 @@ def test_transport_by_automorphism_preserves_validity(f17, mr):
         pos = {m: i for i, m in enumerate(A.lord_ids)}
         for perm in automorphisms(A.feudal.rule):  # all graded on these rules
             v = transport(u, perm)
-            assert v.is_valid()
+            assert is_valid(v)
             # each entry is read at the preimage serfs and lord
             pre = {int(perm[x]): x for x in range(len(perm))}
             lords = [pos[pre[m]] for m in A.lord_ids]
@@ -930,7 +935,7 @@ def test_report_matches_multiplicative_axioms(f17, f13, mr, ty2, ty3):
                 axiom = "biderivation"
             want.setdefault(axiom, set()).update(witnesses)
         got = u.report()
-        assert u.is_valid() == (not want)
+        assert is_valid(u) == (not want)
         assert {k: set(v) for k, v in got.items()} == want
         kinds.update(got)
 
@@ -1212,24 +1217,25 @@ def test_gauge_shift_zero_entry_is_not_invertible(f17, mr):
         GaugeTriple.from_vec(A, vec)
 
 
-def _drop_left_sigma(blocks):
-    """The gather without the act(a, sigma) term of chi."""
-    (src, signs), *rest = blocks
-    keep = [0, 1, 2, 3, 4, 5, 7]
-    return [(src[:, keep], signs[keep]), *rest]
+def _drop_left_sigma(gather, fr):
+    """The gather without the act(a, sigma) term of chi: sign 0 on its rows."""
+    signs = gather.signs.copy()
+    signs[uber._layout_of(fr).chi.ravel(), 6] = 0
+    return Gather(gather.src, signs)
 
 
-def _flip_theta(blocks):
+def _flip_theta(gather, fr):
     """The gather with the theta term of ups entering with the wrong sign."""
-    chi, (src, signs), tau = blocks
-    return [chi, (src, signs * np.array([1, 1, -1, 1])), tau]
+    signs = gather.signs.copy()
+    signs[uber._layout_of(fr).ups.ravel(), 3] *= -1
+    return Gather(gather.src, signs)
 
 
 @pytest.mark.parametrize("mutate", [_drop_left_sigma, _flip_theta])
 def test_gauge_reference_checks_catch_a_mutant(gauge_rules, monkeypatch, mutate):
     """A gather that drops a term or flips a sign fails both comparisons."""
     real = uber._gauge_gather
-    monkeypatch.setattr(uber, "_gauge_gather", lambda ambi: mutate(real(ambi)))
+    monkeypatch.setattr(uber, "_gauge_gather", lambda fr: mutate(real(fr), fr))
     rng = random.Random(33)
     lattices, shifts = [], []
     for A in gauge_rules[-3:]:
@@ -1441,6 +1447,18 @@ def _reference_gauge_gather(ambi, act_dict) -> list[tuple[np.ndarray, np.ndarray
     ]
 
 
+def _gather_holds(got: Gather, blocks) -> bool:
+    """Whether got's rows are the (src, signs) blocks laid end to end, each
+    block's terms first and the rest of its row padded with sign 0, with
+    src of dtype intp and signs of int64."""
+    ok, row = got.src.dtype == np.intp and got.signs.dtype == np.int64, 0
+    for src, signs in blocks:
+        at, w = slice(row, row + len(src)), src.shape[1]
+        ok &= (got.src[at, :w] == src).all() and (got.signs[at, :w] == signs).all() and not got.signs[at, w:].any()
+        row += len(src)
+    return bool(ok) and row == len(got.src)
+
+
 def test_action_table_matches_reference(gauge_rules):
     """act, ract, Units.action and the gauge gather, all read off the (s, s, m)
     action table, equal their forms over the old (a, b) dict: values, shapes
@@ -1461,9 +1479,7 @@ def test_action_table_matches_reference(gauge_rules):
         for side, key in (("left", lambda s: (s, e)), ("right", lambda s: (e, s))):
             want = np.array([pts[ref[key(s)]] for s in A.serf_ids])
             assert _same_array(units.action(len(A.serf_ids), side), want)
-        got, want = uber._gauge_gather(A.feudal), _reference_gauge_gather(A, ref)
-        assert len(got) == len(want) == 3
-        assert all(_same_array(g[0], w[0]) and _same_array(g[1], w[1]) for g, w in zip(got, want))
+        assert _gather_holds(uber._gauge_gather(A.feudal), _reference_gauge_gather(A, ref))
 
 
 def test_dictionary_without_a_feudal_rule_matches_with_one(gauge_rules):
@@ -1508,7 +1524,7 @@ def _count_builds(monkeypatch, *names) -> list:
     built = []
     for name in names:
         real = getattr(uber, name)
-        monkeypatch.setattr(uber, name, lambda owner, name=name, real=real: built.append(name) or real(owner))
+        monkeypatch.setattr(uber, name, lambda *args, name=name, real=real: built.append(name) or real(*args))
     return built
 
 
@@ -1787,17 +1803,71 @@ def test_dictionary_outputs_digest(f17, mr):
     assert digest.hexdigest() == DICTIONARY_SHA256
 
 
+def _reference_reconstruct_gather(fr: FeudalRule) -> tuple[np.ndarray, np.ndarray]:
+    """_reconstruct_gather as it stood, as (src, signs): each shape's padded
+    rows written into its shape slots, alpha read off the reference
+    coboundary's 4-tuple with the acting serf's point at the first lord."""
+    from test_cohomology import _reference_delta
+
+    s, m = len(fr.serf_ids), len(fr.lord_ids)
+    g = fr.serf_group  # element i is serf_ids[i]
+    prod, inv, e = g.table, g.inv, g.unit
+    act, bar = fr.act_table, fr.bar_perm
+    lay = uber._layout_of(fr)
+    chi, ups, tau = lay.chi, lay.ups, lay.tau
+    # alpha(a,b,c) = -d(ups)(a,b,c) at the first lord; d reads the serf pair
+    # at row d_src of the cochain, in product order
+    d_src, d_signs, acted, actor = _reference_delta(g, 2, "left")
+    point = np.zeros(d_src.shape, np.intp)
+    point[:, acted] = act[actor, e, 0]
+    alpha_src, alpha_signs = ups.reshape(s * s, m)[d_src, point], -d_signs
+    alpha = alpha_src.reshape(s, s, s, -1)
+    a, b, j = (x.ravel() for x in np.indices((s, s, m)))
+    ai, bi = inv[a], inv[b]
+    k = act[b, e, j]
+    shapes = {  # name -> (terms, signs), rows (a,b,c) for alpha and (a,b,j) for the others
+        "alpha": ([alpha_src], alpha_signs),
+        "alpha1": ([ups[a, b, bar[act[e, prod[a, b], j]]]], [-1]),
+        "alpha2": ([chi[a, b, j]], [1]),
+        "alpha3": ([ups[a, b, j]], [1]),
+        "beta1": ([alpha[bi, a, prod[ai, b]], ups[bi, a, act[prod[ai, b], e, j]]], [*alpha_signs, -1]),
+        "beta2": ([ups[b, bi, j], ups[b, bi, act[e, ai, j]], chi[b, a, act[e, ai, j]]], [1, -1, 1]),
+        "beta3": (
+            [ups[a, bi, bar[j]], tau[act[e, ai, j]], alpha[a, bi, b], alpha[prod[a, bi], prod[b, ai], a], tau[j]],
+            [1, 1, *-alpha_signs, *-alpha_signs, -1],
+        ),
+        "gamma": ([tau[k], ups[ai, a, bar[k]], ups[bi, b, act[e, a, k]], chi[b, a, j]], [1, 1, -1, -1]),
+    }
+    slots = _shape_slots(fr)
+    width = max(len(term_signs) for _, term_signs in shapes.values())
+    src = np.zeros((len(admissible_sextuples(fr.rule)), width), np.intp)
+    signs = np.zeros(src.shape, np.int64)
+    for name, (terms, term_signs) in shapes.items():
+        rows = slots[name].ravel()
+        src[rows, : len(term_signs)] = np.column_stack(terms)
+        signs[rows, : len(term_signs)] = term_signs
+    return src, signs
+
+
+def test_reconstruct_gather_matches_reference(gauge_rules):
+    """The gather built one family per shape and put in slot order once, with
+    alpha read off the lord-0 rows of the coboundary gather, is the
+    reference's, array for array (dtype, shape and entries), on every rule."""
+    for A in gauge_rules:
+        got, (src, signs) = uber._reconstruct_gather(A.feudal), _reference_reconstruct_gather(A.feudal)
+        assert _same_array(got.src, src) and _same_array(got.signs, signs)
+
+
 def _flip_last_term(name):
     """The reconstruct gather with the last term of every row of one shape
     entering with the wrong sign."""
 
     def mutate(gather, fr):
-        src, signs = gather
-        signs = signs.copy()
+        signs = gather.signs.copy()
         rows = _shape_slots(fr)[name].ravel()
         last = np.count_nonzero(signs[rows[0]]) - 1
         signs[rows, last] *= -1
-        return src, signs
+        return Gather(gather.src, signs)
 
     return mutate
 
@@ -1960,10 +2030,8 @@ def test_axiom_rows_match_reference(gauge_rules):
         A = Ambi(fr, Field(p))
         got = uber._axiom_rows(A)
         mat, rhs, names, n, a_vanishes = _reference_axiom_rows(A)
-        assert got.src.shape == got.signs.shape == (len(mat), 6)
-        dense = np.zeros(mat.shape, np.int64)
-        np.add.at(dense, (np.arange(len(mat))[:, None], got.src), got.signs)
-        assert _same_array(dense, mat) and _same_array(got.rhs, rhs)
+        assert got.gather.src.shape == got.gather.signs.shape == (len(mat), 6)
+        assert _same_array(got.gather.dense(mat.shape[1]), mat) and _same_array(got.rhs, rhs)
         if not a_vanishes:
             assert _same_array(uber_constraint_system(A)[0], mat)
         assert got.names == names and got.n == n and got.a_vanishes is a_vanishes
@@ -1975,14 +2043,15 @@ def test_axiom_rows_match_reference(gauge_rules):
 def test_field_free_tables_are_compiled_once_per_feudal_rule(monkeypatch):
     """The gauge and reconstruct gathers read nothing of the field: Ambis of
     one rule at Field(17), Field(17, generator=5) and Field(13) build each
-    once, while the axiom rows and the gauge lattice are built per field."""
-    built = _count_builds(monkeypatch, "_gauge_gather", "_reconstruct_gather", "_axiom_rows", "_gauge_lattice")
+    once, and the coboundary the reconstruct gather reads alpha off with it,
+    while the axiom rows and the gauge lattice are built per field."""
+    built = _count_builds(monkeypatch, "_delta", "_gauge_gather", "_reconstruct_gather", "_axiom_rows", "_gauge_lattice")
     fr = tambara_yamagami(klein_four())
     for F in (Field(17), Field(17, generator=5), Field(13)):
         A = Ambi(fr, F)
         u = enumerate_uber(A, with_orbits=False).class_reps[0]
         reconstruct(u), gauge_shift(A, _random_gauge_triple(A, random.Random(6)))
-    assert sorted(built) == sorted(["_gauge_gather", "_reconstruct_gather"] + 3 * ["_axiom_rows", "_gauge_lattice"])
+    assert sorted(built) == sorted(["_delta", "_gauge_gather", "_reconstruct_gather"] + 3 * ["_axiom_rows", "_gauge_lattice"])
 
 
 # ---- the triple and the gauge triple validated as arrays ---------------------------------

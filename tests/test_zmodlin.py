@@ -7,10 +7,11 @@ from math import gcd
 import numpy as np
 import pytest
 
-from fusionkit.cohomology import _coboundary_matrix
+from fusionkit.cohomology import _delta
 from fusionkit.errors import DomainError, ResourceError, ValidationError
 from fusionkit.groups import cyclic
 from fusionkit.zmodlin import (
+    Gather,
     SmithMod,
     _unique_rows,
     _unit_scale,
@@ -356,7 +357,7 @@ def _smith_cases():
                     A[:, rng.integers(k)] = 0
                 rhs = [None, rng.integers(0, n, m), rng.integers(0, n, (m, 3))][(i + scale) % 3]
                 yield n, A, rhs
-    D3 = _coboundary_matrix(cyclic(4), 3)
+    D3 = _delta(cyclic(4), 3, "left", np.zeros((4, 1), np.int64)).dense(4**3)
     yield 16, D3, None
     yield 16, D3, np.eye(len(D3), dtype=np.int64)
 
@@ -509,3 +510,37 @@ def test_unique_rows_matches_numpy_unique():
                 want = np.unique(A, axis=0)
                 got = _unique_rows(A)
                 assert got.dtype == want.dtype and got.shape == want.shape and (got == want).all()
+
+
+@pytest.mark.parametrize("terms_at_once", [None, 64])
+def test_gather_apply_is_its_dense_product(monkeypatch, terms_at_once):
+    """apply(x, n) is dense(columns) @ x mod n over the last axis of x, any
+    leading axes kept, for random x: on a gather whose rows name a column
+    twice (the terms add up) and are padded with sign 0, and on the gathers
+    of the coboundary (trivial action and B^x), the normal system, the gauge
+    action and the axiom rows; also when a batch is gathered in slices."""
+    from fusionkit import Ambi, Field, dihedral, klein_four, moore_read, tambara_yamagami, uber, zmodlin
+    from fusionkit.cohomology import Units
+
+    if terms_at_once:
+        monkeypatch.setattr(zmodlin, "GATHER_SLICE", terms_at_once)
+
+    small = Gather.of([([np.array([0, 2]), np.array([0, 1])], [1, -1]), ([np.array([1]), np.array([1]), np.array([2])], [2, 1, -1])])
+    assert small.dense(4).tolist() == [[0, 0, 0, 0], [0, -1, 1, 0], [0, 3, -1, 0]]
+    assert small.src.shape == (3, 3) and not small.signs[:2, 2].any()
+    assert Gather.of([([np.zeros(0, np.intp)], [1])]).apply(np.ones((2, 3)), 5).shape == (2, 0)  # no rows
+    f17 = Field(17)
+    gathers = [small]
+    for g in (cyclic(4), dihedral(3)):
+        gathers += [_delta(g, k, side, Units(f17).action(len(g), side)) for k in (2, 3) for side in ("left", "right")]
+    for fr in (tambara_yamagami(klein_four()), moore_read()):
+        A = Ambi(fr, f17)
+        gathers += [_delta(fr.serf_group, 2, side, Units(f17, A).action(len(fr.serf_ids), side)) for side in ("left", "right")]
+        gathers += [uber._reconstruct_gather(fr), uber._gauge_gather(fr), uber._axiom_rows(A).gather]
+    rng = np.random.default_rng(34)
+    for g, lead, n in itertools.product(gathers, [(), (3,), (2, 4)], (12, 16)):
+        cols = int(g.src.max()) + 2
+        x = rng.integers(-40, 40, lead + (cols,))
+        want = x @ g.dense(cols).T % n
+        got = g.apply(x, n)
+        assert got.dtype == np.int64 and got.shape == want.shape and (got == want).all()
